@@ -1,9 +1,11 @@
 """curvlab command line: eval | verify | sweep | frame-scan | cone-check.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
-Every command accepts --format json|csv|text, --out PATH, --seed N and
---config PATH (a JSON file mirroring the flag names; explicit flags win).
-Output is deterministic for a fixed command line and seed.
+Every command accepts --format, --out PATH, --seed N and --config PATH (a
+JSON file mirroring the flag names; explicit flags win).  sweep writes CSV
+(--format csv); the other commands write text (default) or json, and any
+other format is a usage error.  Output is deterministic for a fixed command
+line and seed.
 """
 
 import argparse
@@ -24,6 +26,8 @@ from .verify import run_suite
 from . import reports
 
 QUAD_KINDS = ["rbc", "altered_rbc", "altered_hsc", "qobc", "altered_qobc"]
+FORMATS = {"eval": ("text", "json"), "verify": ("text", "json"), "sweep": ("csv",),
+           "frame-scan": ("text", "json"), "cone-check": ("text", "json")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,6 +74,34 @@ def _opt(args, cfg, name, default=None):
     if value is not None:
         return value
     return cfg.get(name, default)
+
+
+def _output_format(args, cfg):
+    """The command's --format, defaulting to its first form; a form the
+    command cannot write is a usage error."""
+    allowed = FORMATS[args.command]
+    fmt = _opt(args, cfg, "format", allowed[0])
+    if fmt not in allowed:
+        raise UsageError(f"{args.command} has no {fmt} output; formats: {', '.join(allowed)}")
+    return fmt
+
+
+def _functional_kind(name):
+    try:
+        return FunctionalKind(name)
+    except ValueError:
+        raise UsageError(f"unknown functional '{name}'; "
+                         f"choices: {[k.value for k in FunctionalKind]}") from None
+
+
+def _tensor_params(text):
+    try:
+        params = json.loads(text)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"cannot parse --tensor-params as JSON: {exc}") from None
+    if not isinstance(params, dict):
+        raise UsageError("--tensor-params must be a JSON object")
+    return params
 
 
 def _emit(text, out_path):
@@ -145,7 +177,6 @@ def build_parser():
                         default=None)
     p_cone.add_argument("--generators", default=None,
                         help="generator vectors for --cone generators, inline CSV")
-    p_cone.add_argument("--resolution", type=int, default=None)
     p_cone.add_argument("--samples", type=int, default=None)
     _common_flags(p_cone)
     return parser
@@ -187,11 +218,7 @@ def cmd_eval(args, cfg):
     kind_name = _opt(args, cfg, "functional")
     if kind_name is None:
         raise UsageError("eval needs --functional")
-    try:
-        kind = FunctionalKind(kind_name)
-    except ValueError:
-        raise UsageError(f"unknown functional '{kind_name}'; "
-                         f"choices: {[k.value for k in FunctionalKind]}") from None
+    kind = _functional_kind(kind_name)
     point = parse_complex_vector(point_text if isinstance(point_text, str)
                                  else ",".join(map(str, point_text)))
     fd = FDConfig(h=_opt(args, cfg, "fd_step", 1e-4), order=_opt(args, cfg, "fd_order", 2))
@@ -217,8 +244,7 @@ def cmd_eval(args, cfg):
                "point": [str(z) for z in point], "functional": kind.value,
                "value": value, "scal": scal, "altered_scal": scal_alt,
                "diagnostics": diag}
-    fmt = _opt(args, cfg, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         return reports.dumps(payload), True
     lines = [f"value = {value:.12g}",
              f"scal = {scal:.12g}  altered_scal = {scal_alt:.12g}"]
@@ -230,8 +256,7 @@ def cmd_eval(args, cfg):
 def cmd_verify(args, cfg):
     seed = _opt(args, cfg, "seed", 0)
     report = run_suite(args.suite, seed=seed)
-    fmt = _opt(args, cfg, "format", "text")
-    text = reports.dumps(report) if fmt == "json" else reports.render_table(report)
+    text = reports.dumps(report) if args.format == "json" else reports.render_table(report)
     return text, report.passed
 
 
@@ -341,8 +366,7 @@ def cmd_frame_scan(args, cfg):
     kind_name = _opt(args, cfg, "functional")
     if kind_name is None:
         raise UsageError("frame-scan needs --functional")
-    kind = FunctionalKind(kind_name)
-    fmt = _opt(args, cfg, "format", "text")
+    kind = _functional_kind(kind_name)
 
     family = _opt(args, cfg, "family")
     if family == "tricerri":
@@ -351,7 +375,7 @@ def cmd_frame_scan(args, cfg):
             raise UsageError("--family tricerri needs --imw")
         scan = tricerri_family_extrema(float(im_w), kind)
         payload = {"command": "frame-scan", "family": "tricerri", **scan}
-        if fmt == "json":
+        if args.format == "json":
             return reports.dumps(payload), True
         return (f"family=tricerri imw={im_w} kind={kind.value}\n"
                 f"inf = {scan['inf']:.12g} at (|b|^2,|d|^2)={scan['inf_at']}\n"
@@ -359,7 +383,7 @@ def cmd_frame_scan(args, cfg):
 
     tensor_kind = _opt(args, cfg, "tensor")
     if tensor_kind is not None:
-        params = json.loads(_opt(args, cfg, "tensor_params") or "{}")
+        params = _tensor_params(_opt(args, cfg, "tensor_params") or "{}")
         tensor = make_synthetic(tensor_kind, **params)
         source = {"tensor": tensor_kind, "params": params}
     else:
@@ -387,7 +411,7 @@ def cmd_frame_scan(args, cfg):
                "sup": {"value": sup_ext.value,
                        "vector": [float(x) for x in np.real(sup_ext.vector)]},
                "restarts": cfg_search.restarts}
-    if fmt == "json":
+    if args.format == "json":
         return reports.dumps(payload), True
     return (f"kind={kind.value} cone={cone.kind} convention={convention.value}\n"
             f"inf = {inf_ext.value:.12g}\nsup = {sup_ext.value:.12g}\n"), True
@@ -412,29 +436,25 @@ def cmd_cone_check(args, cfg):
     gens_text = _opt(args, cfg, "generators")
     cone = make_cone(_opt(args, cfg, "cone", "orthant"), m.shape[0],
                      generators=parse_matrix(gens_text) if gens_text else None)
-    resolution = _opt(args, cfg, "resolution", 24)
     samples = _opt(args, cfg, "samples", 1000)
     seed = _opt(args, cfg, "seed", 0)
 
-    minimum = cone_min(m, cone, resolution=resolution)
+    minimum = cone_min(m, cone)
     lo, hi = rayleigh_bounds(m)
     report = perron_criterion_check(m, samples=max(100, samples), seed=seed)
     payload = {
         "command": "cone-check", "n": m.shape[0], "cone": cone.kind,
         "cone_min": {"value": minimum.value,
-                     "argmin": [float(x) for x in minimum.argmin],
-                     "gap_bound": minimum.gap_bound},
+                     "argmin": [float(x) for x in minimum.argmin]},
         "rayleigh_bounds": [lo, hi],
         "dual_edm_member": dual_edm_test(m),
         "perron_criterion": report.to_dict(),
     }
     if m.shape[0] == 2:
         payload["copositive_2x2"] = copositive_2x2(m)
-    fmt = _opt(args, cfg, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         return reports.dumps(payload), True
-    lines = [f"cone_min[{cone.kind}] = {minimum.value:.12g} "
-             f"(suboptimality bound {minimum.gap_bound:.3g})",
+    lines = [f"cone_min[{cone.kind}] = {minimum.value:.12g}",
              f"rayleigh bounds = ({lo:.12g}, {hi:.12g})",
              f"dual EDM member = {payload['dual_edm_member']}",
              f"perron criterion verdict = {report.details['verdict_criterion']}"]
@@ -478,6 +498,7 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         cfg = _load_config(getattr(args, "config", None))
+        args.format = _output_format(args, cfg)
         text, ok = COMMANDS[args.command](args, cfg)
         _emit(text, _opt(args, cfg, "out"))
         return 0 if ok else 3

@@ -1,10 +1,11 @@
 """Cones in R^n \\ {0}: copositivity, distance-matrix duality, Perron weights.
 
 Quadratic functionals restricted to a cone lose their Rayleigh-quotient
-structure; exact minimization is NP-hard in general, so the grid variants
-enumerate a simplex lattice and refine locally, returning the best value
-together with an explicit suboptimality bound.  The n = 2 orthant case has
-an exact classical criterion.
+structure.  Exact minimization is NP-hard in general, but at desk-scale
+dimensions (n and generator counts up to 12) enumerating the faces of the
+cone is exact and cheap: the minimum is the least generalized eigenvalue of a
+face whose eigenvector lies in the cone.  The n = 2 orthant case also has an
+exact classical criterion, kept as an independent oracle.
 
 Nonnegativity of the difference-form functionals is dual-cone membership
 against embedding-dimension-one Euclidean distance matrices
@@ -13,6 +14,7 @@ Sigma_v[a, g] = (v_a - v_g)^2; three equivalent oracles are provided
 criterion) so they can cross-validate each other.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -22,10 +24,11 @@ import numpy as np
 from .config import DEFAULT
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
+from .linalg import ensure_finite, self_adjoint_eigen
 from .reports import IdentityReport
 from ._util import rng_from
 
-GRID_MAX_DIM = 6
+EXACT_MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -78,144 +81,96 @@ def make_cone(name, n, generators=None):
 
 @dataclass(frozen=True)
 class ConeMinimum:
-    value: float
-    argmin: np.ndarray
-    gap_bound: float  # value >= true minimum - gap_bound
+    value: float        # Rayleigh quotient at argmin: the minimum is attained
+    argmin: np.ndarray  # unit vector in the cone
 
 
-def _simplex_grid(n, resolution):
-    """Lattice points k / resolution on the probability simplex, lexicographic."""
-    for comp in itertools.combinations_with_replacement(range(n), resolution):
-        counts = np.bincount(comp, minlength=n)
-        yield counts / float(resolution)
+def _generator_rows(cone):
+    """Generator matrix G of a restricted cone: the cone is {x G : x >= 0}."""
+    if cone.kind == "orthant":
+        return np.eye(cone.n)
+    if cone.kind == "monotone":
+        return np.tril(np.ones((cone.n, cone.n)))  # row k: first k + 1 coordinates
+    return cone.generators
 
 
-def _quad(m_sym, v):
-    return float(v @ m_sym @ v) / float(v @ v)
+@functools.lru_cache(maxsize=None)
+def _supports(k):
+    """Nonempty subsets of range(k) as index tables, one (count, size) array
+    per size, ascending."""
+    tables = []
+    for size in range(1, k + 1):
+        rows = np.array(list(itertools.combinations(range(k), size)), dtype=np.intp)
+        rows.flags.writeable = False
+        tables.append(rows)
+    return tuple(tables)
 
 
-def _refine_simplex(m_sym, v, ordered, steps=60, step0=None, shrink=0.5):
-    """Coordinate descent by pairwise mass transfer on the simplex; the
-    monotone variant re-sorts candidates so the order constraint is kept."""
-    n = v.size
-    step = step0 if step0 is not None else 0.5 / n
-    best = _quad(m_sym, v)
-    for _ in range(steps):
-        improved = False
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                move = min(step, v[i])
-                if move <= 0.0:
-                    continue
-                cand = v.copy()
-                cand[i] -= move
-                cand[j] += move
-                if ordered:
-                    cand = np.sort(cand)[::-1]
-                if not np.any(cand > 0):
-                    continue
-                val = _quad(m_sym, cand)
-                if val < best - 1e-15:
-                    v, best = cand, val
-                    improved = True
-        if not improved:
-            step *= shrink
-            if step < 1e-9:
-                break
-    return best, v
+def _face_minimum(s, g):
+    """(weights, support) of the least Rayleigh quotient of s over {x g : x >= 0}.
 
-
-def cone_min(m, cone, resolution=16):
-    """Minimum of v^T m v / |v|^2 over a cone, with argmin.
-
-    The full cone is exact (Rayleigh bound); the grid variants guarantee
-    value >= true minimum - gap_bound with gap_bound = 4 n |m| / resolution,
-    before refinement can only improve.  Ties on the grid resolve to the
-    lexicographically smallest lattice point.
+    Per support S with a well-conditioned Gram matrix G_S G_S^T, the pencil
+    (G_S s G_S^T, G_S G_S^T) is whitened by the Cholesky factor and its
+    smallest eigenpair kept when the eigenvector can be signed nonnegative.
+    Singletons always qualify.
     """
-    m = np.asarray(m, dtype=float)
+    a, b = g @ s @ g.T, g @ g.T
+    best, best_x, best_rows = np.inf, None, None
+    for rows in _supports(g.shape[0]):
+        gram = np.linalg.eigvalsh(b[rows[:, :, None], rows[:, None, :]])
+        rows = rows[gram[:, 0] > DEFAULT.cone_gram_rcond * gram[:, -1]]
+        if rows.shape[0] == 0:
+            continue
+        cut = (rows[:, :, None], rows[:, None, :])
+        a_s, b_s = a[cut], b[cut]
+        inv = np.linalg.inv(np.linalg.cholesky(b_s))  # inv b_s inv^T = I
+        vals, vecs = np.linalg.eigh(inv @ a_s @ inv.transpose(0, 2, 1))
+        x = np.einsum("cji,cj->ci", inv, vecs[:, :, 0])  # weights inv^T y
+        peak = np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)
+        x = x * np.sign(peak)
+        signed = x.min(axis=1) >= -DEFAULT.cone_sign * x.max(axis=1)
+        if not signed.any():
+            continue
+        c = np.flatnonzero(signed)[np.argmin(vals[signed, 0])]
+        if vals[c, 0] < best:
+            best, best_x, best_rows = vals[c, 0], x[c], rows[c]
+    return np.clip(best_x, 0.0, None), best_rows
+
+
+def cone_min(m, cone):
+    """Exact minimum of v^T m v / |v|^2 over a cone, with a unit argmin.
+
+    The full cone is the Rayleigh bound.  A restricted cone is the generator
+    cone of its rows G (I for the orthant, prefix-ones rows for the monotone
+    cone): at a minimizer with minimal support S the weights are a positive
+    eigenvector of the smallest eigenvalue of the pencil
+    (G_S m G_S^T, G_S G_S^T), so enumerating supports finds the minimum
+    (Cottle-Habetler-Lemke / Kaplan criterion).  Supports with a singular
+    Gram matrix are skipped; Caratheodory's theorem rewrites their points
+    over independent generators.  The value is the Rayleigh quotient at the
+    returned argmin, which lies in the cone.
+    """
+    m = ensure_finite(np.asarray(m, dtype=float), "matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise UsageError(f"cone_min needs a square matrix, got shape {m.shape}")
     n = m.shape[0]
     m_sym = 0.5 * (m + m.T)
     if cone.n != n:
         raise UsageError(f"cone dimension {cone.n} does not match matrix dimension {n}")
     if cone.kind == "full":
-        from .linalg import self_adjoint_eigen
         dec = self_adjoint_eigen(m_sym)
         arg = dec.vectors[:, 0].real
-        arg /= np.linalg.norm(arg)
-        return ConeMinimum(value=float(dec.values[0]), argmin=arg, gap_bound=0.0)
-    if resolution < 2:
-        raise UsageError("grid resolution must be >= 2")
-    if n > GRID_MAX_DIM:
-        raise UsageError(f"grid cone variants support n <= {GRID_MAX_DIM}")
-
-    ordered = cone.kind == "monotone"
-    if cone.kind in ("orthant", "monotone"):
-        best, best_v = np.inf, None
-        for v in _simplex_grid(n, resolution):
-            if ordered and np.any(np.diff(v) > 0):
-                continue
-            val = _quad(m_sym, v)
-            if val < best - 1e-15 or (abs(val - best) <= 1e-15
-                                      and tuple(v) < tuple(best_v)):
-                best, best_v = val, v
-        best, best_v = _refine_simplex(m_sym, best_v, ordered)
-        op_norm = float(np.abs(np.linalg.eigvalsh(m_sym)).max())
-        gap = 4.0 * n * op_norm / resolution
-        arg = best_v / np.linalg.norm(best_v)
-        return ConeMinimum(value=best, argmin=arg, gap_bound=gap)
-
-    if cone.kind == "generators":
-        gens = cone.generators
-        k = gens.shape[0]
-        if k > GRID_MAX_DIM:
-            raise UsageError(f"generator grids support at most {GRID_MAX_DIM} generators")
-        best, best_lam = np.inf, None
-        for lam in _simplex_grid(k, resolution):
-            v = lam @ gens
-            if not np.any(np.abs(v) > 1e-14):
-                continue
-            val = _quad(m_sym, v)
-            if val < best - 1e-15:
-                best, best_lam = val, lam
-        if best_lam is None:
-            raise DomainError("all generator combinations on the grid vanish")
-        # refine in the weight simplex
-        q = gens @ m_sym @ gens.T
-        gram = gens @ gens.T
-
-        def lam_val(lam):
-            v = lam @ gens
-            nrm = float(lam @ gram @ lam)
-            return float(lam @ q @ lam) / nrm if nrm > 1e-28 else np.inf
-
-        lam, step = best_lam, 0.25
-        for _ in range(60):
-            improved = False
-            for i in range(k):
-                for j in range(k):
-                    if i == j or lam[i] <= 0.0:
-                        continue
-                    move = min(step, lam[i])
-                    cand = lam.copy()
-                    cand[i] -= move
-                    cand[j] += move
-                    val = lam_val(cand)
-                    if val < best - 1e-15:
-                        lam, best = cand, val
-                        improved = True
-            if not improved:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-        v = lam @ gens
-        op_norm = float(np.abs(np.linalg.eigvalsh(m_sym)).max())
-        return ConeMinimum(value=best, argmin=v / np.linalg.norm(v),
-                           gap_bound=4.0 * k * op_norm / resolution)
-
-    raise UsageError(f"unknown cone kind '{cone.kind}'")
+        return ConeMinimum(value=float(dec.values[0]), argmin=arg / np.linalg.norm(arg))
+    if cone.kind not in ("orthant", "monotone", "generators"):
+        raise UsageError(f"unknown cone kind '{cone.kind}'")
+    g = _generator_rows(cone)
+    if max(n, g.shape[0]) > EXACT_MAX_DIM:
+        raise UsageError(f"restricted cones support n <= {EXACT_MAX_DIM} "
+                         f"and at most {EXACT_MAX_DIM} generators")
+    weights, rows = _face_minimum(m_sym, g)
+    v = weights @ g[rows]
+    value = float(v @ m_sym @ v) / float(v @ v)
+    return ConeMinimum(value=value, argmin=v / np.linalg.norm(v))
 
 
 def copositive_2x2(m):

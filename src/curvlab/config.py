@@ -12,6 +12,7 @@ from dataclasses import dataclass
 class Tolerances:
     hermitian_entry: float = 1e-12      # entry vs conjugate-transposed entry, x max(1, |M|)
     unitary: float = 1e-10              # |U^H U - I|
+    frame_change_unitary: float = 1e-8  # |U^H U - I| accepted by transform_frame
     eigen_reconstruction: float = 1e-9  # |M v - lambda v|, x |M|
     positive_definite: float = 1e-12    # smallest admissible metric eigenvalue
     frame_orthonormal: float = 1e-10    # |E^H g E - I|
@@ -22,6 +23,9 @@ class Tolerances:
     fd_min_step: float = 1e-10          # below this, cancellation dominates
     identity_check: float = 1e-10       # default residual bound for identity reports
     cone_agreement: float = 1e-8        # cross-oracle agreement for cone tests
+    cone_sign: float = 1e-10            # negative face weight still signed nonnegative, x max weight
+    cone_gram_rcond: float = 1e-12      # smallest/largest Gram eigenvalue of a face kept by cone_min
+    tricerri_row_bound: float = 1e-12   # slack on |b|^2, |d|^2 <= 1 in the Tricerri family
     reeval: float = 1e-9                # frame extremum re-evaluation drift
 
 

@@ -95,6 +95,15 @@ def curvature_from_jet(jet):
     return _build(-jet.ddg + correction, COORDINATE, metric=g)
 
 
+def _change_all_indices(r, a):
+    """sum_{pqst} a[i,p] conj(a[j,q]) a[k,s] conj(a[l,t]) r[p,q,s,t], as four
+    one-index contractions (O(n^5)); each moves the contracted axis to the
+    end, so after four the axes are back in order."""
+    for factor in (a, np.conj(a), a, np.conj(a)):
+        r = np.tensordot(r, factor, axes=(0, 1))
+    return r
+
+
 def to_frame(tensor, g=None):
     """Convert a coordinate tensor to the unitary frame built from g."""
     if tensor.basis == FRAME:
@@ -103,8 +112,7 @@ def to_frame(tensor, g=None):
     if g is None:
         raise UsageError("coordinate tensor carries no metric; pass g explicitly")
     e = cholesky_frame(g)
-    vals = np.einsum("ia,jb,kc,ld,ijkl->abcd", e, np.conj(e), e, np.conj(e), tensor.values)
-    return _build(vals, FRAME)
+    return _build(_change_all_indices(tensor.values, e.T), FRAME)
 
 
 def transform_frame(tensor, u, convention):
@@ -113,12 +121,12 @@ def transform_frame(tensor, u, convention):
     u = np.asarray(u, dtype=complex)
     if u.shape != (tensor.n, tensor.n):
         raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {tensor.n}")
-    if unitary_residual(u) > 1e-8:
+    if unitary_residual(u) > DEFAULT.frame_change_unitary:
         raise UsageError("frame-change matrix is not unitary")
     conv = FrameConvention(convention)
     r = tensor.values
     if conv is FrameConvention.FULL:
-        vals = np.einsum("ia,jb,kc,ld,abcd->ijkl", u, np.conj(u), u, np.conj(u), r)
+        vals = _change_all_indices(r, u)
     else:
         vals = np.einsum("ka,lb,ijab->ijkl", u, np.conj(u), r)
     return _build(vals, FRAME)
@@ -212,7 +220,8 @@ def paper_tricerri(b, d, im_w):
     R0 = -3 / (2 Im(w)^4).  Unitarity bounds each row entry: |b| <= 1 and
     |d| <= 1."""
     bb, dd = abs(complex(b)) ** 2, abs(complex(d)) ** 2
-    if bb > 1.0 + 1e-12 or dd > 1.0 + 1e-12:
+    bound = 1.0 + DEFAULT.tricerri_row_bound
+    if bb > bound or dd > bound:
         raise UsageError("|b| and |d| must each be <= 1 (unitarity row bound)")
     if im_w <= 0:
         raise DomainError("Im(w) must be positive")

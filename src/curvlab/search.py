@@ -3,10 +3,10 @@
 The outer problem ranges over unitary frame changes, parametrized as a
 product of complex Givens rotations and diagonal phases so every iterate is
 exactly unitary; the inner problem (best vector for a fixed frame) is solved
-exactly on the full cone via the Rayleigh bounds and by grid+refinement on
-restricted cones.  The search is stochastic restart + coordinate descent
-with a shrinking step; no global-optimality certificate is claimed, and
-acceptance tolerances are sized accordingly.
+exactly, on the full cone via the Rayleigh bounds and on restricted cones by
+face enumeration (``cones.cone_min``).  The search is stochastic restart +
+coordinate descent with a shrinking step; no global-optimality certificate
+is claimed, and acceptance tolerances are sized accordingly.
 
 A dedicated sweep over the two-parameter Tricerri frame family
 (|b|^2, |d|^2) in [0, 1]^2 is provided separately: that family is the object
@@ -74,9 +74,9 @@ def unitary_from_params(n, params):
     return u
 
 
-def _inner_bounds(kind, tensor, cone, resolution=16):
-    """Exact/approximate (min, max, argmin, argmax) of a quadratic functional
-    over the cone in a fixed frame."""
+def _inner_bounds(kind, tensor, cone):
+    """Exact (min, max, argmin, argmax) of a quadratic functional over the
+    cone in a fixed frame."""
     m = matrices_from(tensor)
     q = quadratic_form_matrix(kind, m)
     if cone.kind == "full":
@@ -85,8 +85,8 @@ def _inner_bounds(kind, tensor, cone, resolution=16):
         return (float(dec.values[0]), float(dec.values[-1]),
                 dec.vectors[:, 0].real / np.linalg.norm(dec.vectors[:, 0].real),
                 dec.vectors[:, -1].real / np.linalg.norm(dec.vectors[:, -1].real))
-    lo = cone_min(q, cone, resolution)
-    hi = cone_min(-q, cone, resolution)
+    lo = cone_min(q, cone)
+    hi = cone_min(-q, cone)
     return lo.value, -hi.value, lo.argmin, hi.argmin
 
 

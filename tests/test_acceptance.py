@@ -157,7 +157,7 @@ def test_criterion_8_cone_oracle_equivalence():
         for _ in range(1000):
             m = rng.standard_normal((2, 2)) * 2.0
             exact = copositive_2x2(m)
-            grid = cone_min(m, nonneg_orthant(2), resolution=64).value >= -1e-7
+            grid = cone_min(m, nonneg_orthant(2)).value >= -1e-7
             mismatch += exact != grid
         assert mismatch == 0
 

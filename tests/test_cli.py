@@ -187,3 +187,53 @@ def test_reports_round_trip():
     moment = fs_moment_check(2, 20_000, seed=0)
     again = IdentityReport.from_dict(json.loads(json.dumps(moment.to_dict())))
     assert again == moment
+
+
+SCAN_RANDOM = ["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
+               "--restarts", "1", "--refine-steps", "1"]
+
+
+def test_frame_scan_unknown_functional_is_usage_error(capsys):
+    assert main(SCAN_RANDOM + ["--functional", "bogus"]) == 1
+    assert "unknown functional 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", ["{n:2}", "[2]"])
+def test_frame_scan_bad_tensor_params_is_usage_error(params, capsys):
+    argv = ["frame-scan", "--tensor", "random", "--tensor-params", params,
+            "--functional", "rbc"]
+    assert main(argv) == 1
+    assert "--tensor-params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["eval", "--metric", "euclidean", "--dim", "2", "--point", "0,0",
+      "--functional", "rbc", "--vector", "1,0"], "csv"),
+    (["verify", "identities"], "csv"),
+    (SCAN_RANDOM + ["--functional", "rbc"], "csv"),
+    (["cone-check", "--matrix", "1,0;0,1", "--samples", "100"], "csv"),
+    (["sweep", "--metric", "euclidean", "--dim", "2", "--grid", "re1=0:1:2"], "json"),
+])
+def test_format_a_command_cannot_write_is_usage_error(argv, bad, capsys):
+    assert main(argv + ["--format", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"has no {bad} output" in captured.err
+
+
+def test_cone_check_resolution_flag_is_gone(capsys):
+    assert main(["cone-check", "--matrix", "1,0;0,1", "--resolution", "24"]) == 1
+    assert "--resolution" in capsys.readouterr().err
+
+
+def test_cone_check_schema_and_determinism(capsys):
+    argv = ["cone-check", "--matrix", "1,-2,0;-2,1,0.5;0,0.5,-1", "--cone", "monotone",
+            "--samples", "150", "--seed", "3", "--format", "json"]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    payload = json.loads(first)
+    assert sorted(payload["cone_min"]) == ["argmin", "value"]
+    v = np.array(payload["cone_min"]["argmin"])
+    assert v.min() >= 0.0 and np.all(np.diff(v) <= 1e-12)
