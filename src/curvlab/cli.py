@@ -328,8 +328,7 @@ def cmd_sweep(args, cfg):
         header += [f"{kind}_inf", f"{kind}_sup"]
     header += ["herm_residual", "imag_residual"]
 
-    def one_row(idx_point):
-        idx, p = idx_point
+    def one_row(idx, p):
         if use_paper and metric.name == "tricerri":
             tensor = paper_tricerri(0.0, 1.0, float(p[1].imag))
             family = True
@@ -354,8 +353,7 @@ def cmd_sweep(args, cfg):
         row += [tensor.sym_residual, m.imag_residual]
         return row
 
-    from ._util import parallel_map
-    rows = parallel_map(one_row, list(enumerate(points)))
+    rows = [one_row(idx, p) for idx, p in enumerate(points)]
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(f"{x:.12g}" for x in row))

@@ -24,9 +24,8 @@ import numpy as np
 from .config import DEFAULT
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
-from .linalg import ensure_finite, self_adjoint_eigen
+from .linalg import ensure_finite, rng_from, self_adjoint_eigen
 from .reports import IdentityReport
-from ._util import rng_from
 
 EXACT_MAX_DIM = 12
 

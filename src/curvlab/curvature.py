@@ -19,6 +19,8 @@ under which the Hopf-surface components are frame independent.
 """
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -26,8 +28,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import DomainError, UsageError
-from .linalg import cholesky_frame, ensure_finite, unitary_residual
-from ._util import rng_from
+from .linalg import cholesky_frame, ensure_finite, rng_from, unitary_residual
 
 COORDINATE = "coordinate"
 FRAME = "frame"
@@ -240,9 +241,36 @@ def random_tensor(seed, n):
     return _build(vals, FRAME)
 
 
+def _is_real(x):
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_synthetic_params(params):
+    """Reject parameter values of the wrong type or range with UsageError, so
+    that input from outside the program never reaches numpy unchecked."""
+    n = params.get("n", 1)
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
+        raise UsageError(f"synthetic tensor parameter 'n' must be an integer >= 1, got {n!r}")
+    for name in ("c", "im_w", "seed", "b", "d"):
+        if name in params and not _is_real(params[name]):
+            raise UsageError(f"synthetic tensor parameter '{name}' must be a real number, "
+                             f"got {params[name]!r}")
+    seed = params.get("seed", 0)
+    if not (math.isfinite(seed) and seed >= 0):
+        raise UsageError(f"synthetic tensor parameter 'seed' must be >= 0, got {seed!r}")
+    if "z" in params:
+        try:
+            numeric = np.asarray(params["z"]).dtype.kind in "iufc"
+        except ValueError:
+            numeric = False
+        if not numeric:
+            raise UsageError(f"synthetic tensor parameter 'z' must be numeric, "
+                             f"got {params['z']!r}")
+
+
 def make_synthetic(kind, **params):
     """Dispatcher used by the CLI: kahler_constant | skew_pair | paper_hopf |
-    paper_tricerri | random."""
+    paper_tricerri | random.  Parameter values are validated first."""
     builders = {
         "kahler_constant": lambda: kahler_constant(params["c"], params["n"]),
         "skew_pair": lambda: skew_pair(params["c"], params["n"], params.get("seed", 0)),
@@ -255,6 +283,7 @@ def make_synthetic(kind, **params):
         builder = builders[kind]
     except KeyError:
         raise UsageError(f"unknown synthetic tensor '{kind}'; kinds: {sorted(builders)}") from None
+    _check_synthetic_params(params)
     try:
         return builder()
     except KeyError as missing:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import UsageError
-from .linalg import random_hermitian, self_adjoint_eigen
+from .linalg import random_hermitian, rng_from, self_adjoint_eigen
 from .curvature import RicciKind, ricci, scalars
 from .reports import IdentityReport
-from ._util import parallel_map, rng_from, split_rng
 
 
 class FunctionalKind(str, enum.Enum):
@@ -374,9 +373,7 @@ def moment_target(n):
             + np.einsum("il,kj->ijkl", eye, eye)) / (n * (n + 1.0))
 
 
-def _moment_chunk(args):
-    n, seed, worker, count = args
-    rng = split_rng(seed, worker)
+def _moment_chunk(n, rng, count):
     z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     zc = np.conj(z)
@@ -399,16 +396,11 @@ def fs_moment_check(n, samples, seed=0, tol_sigmas=3.0):
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples for a meaningful check")
     chunk = 100_000
-    plan = []
-    done, worker = 0, 0
-    while done < samples:
-        count = min(chunk, samples - done)
-        plan.append((n, seed, worker, count))
-        done += count
-        worker += 1
-    parts = parallel_map(_moment_chunk, plan)
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
+    total = total_sq = 0.0
+    for k, start in enumerate(range(0, samples, chunk)):
+        part, part_sq = _moment_chunk(n, rng_from(seed, k), min(chunk, samples - start))
+        total = total + part
+        total_sq = total_sq + part_sq
     mean = total / samples
     # |w_i wbar_j w_k wbar_l|^2 = prod of squared moduli, so total_sq / N is
     # the second moment of each summand

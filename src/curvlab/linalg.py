@@ -1,9 +1,11 @@
-"""Small dense matrix kernel: self-adjoint spectra, metric frames, Haar unitaries.
+"""Small dense matrix kernel: seeded streams, self-adjoint spectra, metric
+frames, Haar unitaries.
 
 Everything here targets matrices of size n <= 8 and is backed by LAPACK via
 numpy.  Eigenvalues always come back ascending; Haar sampling follows the
 QR-with-phase-fix construction (diagonal of the triangular factor made real
-positive), which gives exactly Haar measure.
+positive), which gives exactly Haar measure.  All randomness in the package
+flows through PCG64 generators built by ``rng_from``.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,12 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import DomainError, UsageError
-from ._util import rng_from, split_rng  # noqa: F401  (re-exported)
+
+
+def rng_from(seed, *key):
+    """PCG64 generator for ``seed``, optionally keyed by a derivation path."""
+    seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def ensure_finite(arr, what="input"):

@@ -14,6 +14,8 @@ d/dz = (d/dx - i d/dy)/2, with second mixed derivatives built from nested
 first differences.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,6 +69,13 @@ class FDConfig:
     h: float = 1e-4
     scale_with_point: bool = True
     order: int = 2
+
+    def __post_init__(self):
+        if self.order not in (2, 4):
+            raise UsageError(f"unsupported finite-difference order {self.order}")
+        if not (isinstance(self.h, numbers.Real) and math.isfinite(self.h) and self.h > 0):
+            raise UsageError(f"finite-difference step must be positive and finite, "
+                             f"got {self.h!r}")
 
 
 def as_point(p, n=None):

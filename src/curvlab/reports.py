@@ -84,11 +84,9 @@ class VerifyReport:
         return cls(suite=data["suite"], checks=[Check.from_dict(c) for c in data["checks"]])
 
 
-def dumps(obj, fmt="json"):
+def dumps(obj):
     data = obj.to_dict() if hasattr(obj, "to_dict") else obj
-    if fmt == "json":
-        return json.dumps(data, sort_keys=True, indent=2) + "\n"
-    raise ValueError(f"unknown dump format {fmt}")
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def render_table(report):

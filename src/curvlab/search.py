@@ -8,11 +8,11 @@ face enumeration (``cones.cone_min``).  The search is stochastic restart +
 coordinate descent with a shrinking step; no global-optimality certificate
 is claimed, and acceptance tolerances are sized accordingly.
 
-A dedicated sweep over the two-parameter Tricerri frame family
-(|b|^2, |d|^2) in [0, 1]^2 is provided separately: that family is the object
-whose pinching constants the frame-dependence analysis quotes, and it is
-strictly larger than any single U(2) orbit (a 2 x 2 unitary forces
-|b|^2 + |d|^2 = 1 for entries sharing a column).
+The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
+handled separately and exactly: that family is the object whose pinching
+constants the frame-dependence analysis quotes, and it is strictly larger
+than any single U(2) orbit (a 2 x 2 unitary forces |b|^2 + |d|^2 = 1 for
+entries sharing a column).
 """
 
 from dataclasses import dataclass
@@ -20,12 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .linalg import haar_from_rng
+from .config import DEFAULT
+from .linalg import haar_from_rng, rng_from
 from .curvature import FrameConvention, paper_tricerri, transform_frame
 from .functionals import (FunctionalKind, matrices_from, quadratic_form_matrix,
                           rayleigh_bounds)
 from .cones import cone_min, full_cone
-from ._util import parallel_map, split_rng
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,6 @@ class SearchConfig:
     initial_angle: float = 0.4
     shrink: float = 0.7
     seed: int = 0
-    tol: float = 1e-9
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -90,15 +89,13 @@ def _inner_bounds(kind, tensor, cone):
     return lo.value, -hi.value, lo.argmin, hi.argmin
 
 
-def _search_one_restart(args):
-    (tensor, kind, cone, convention, cfg, restart, sign) = args
+def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):
     n = tensor.n
     k = param_count(n)
     if restart == 0:
         params = np.zeros(k)
     else:
-        rng = split_rng(cfg.seed, restart)
-        params = rng.uniform(-np.pi, np.pi, size=k)
+        params = rng_from(cfg.seed, restart).uniform(-np.pi, np.pi, size=k)
 
     def objective(p):
         u = unitary_from_params(n, p)
@@ -145,24 +142,23 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
 
     results = {}
     for sign in (-1, +1):
-        jobs = [(tensor, kind, cone, convention, cfg, r, sign)
-                for r in range(cfg.restarts)]
-        outcomes = parallel_map(_search_one_restart, jobs)
+        outcomes = [_search_one_restart(tensor, kind, cone, convention, cfg, r, sign)
+                    for r in range(cfg.restarts)]
         best = min(outcomes, key=lambda o: (o[0], o[3]))
         value = best[0] if sign < 0 else -best[0]
         ext = FrameExtremum(value=value, frame=best[1], vector=best[2],
                             convention=convention.value)
-        _check_reeval(tensor, kind, cone, ext, cfg.tol)
+        _check_reeval(tensor, kind, ext)
         results[sign] = ext
     return results[-1], results[+1]
 
 
-def _check_reeval(tensor, kind, cone, ext, tol):
+def _check_reeval(tensor, kind, ext):
     t = transform_frame(tensor, ext.frame, ext.convention)
     m = matrices_from(t)
     from .functionals import evaluate
     again = evaluate(kind, m, ext.vector)
-    if abs(again - ext.value) > max(tol, 1e-9 * max(1.0, abs(ext.value))):
+    if abs(again - ext.value) > DEFAULT.reeval * max(1.0, abs(ext.value)):
         raise UsageError(f"frame extremum failed to re-evaluate: {again} vs {ext.value}")
 
 
@@ -180,7 +176,7 @@ def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
         raise UsageError("invariance_test covers the quadratic-form family")
     tensor.require_frame("invariance_test")
     convention = FrameConvention(convention)
-    rng = split_rng(seed, 0)
+    rng = rng_from(seed, 0)
     los, his = [], []
     for _ in range(samples):
         u = haar_from_rng(tensor.n, rng)
@@ -193,29 +189,31 @@ def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
     return deviation <= tol, float(deviation)
 
 
-def tricerri_family_extrema(im_w, kind, grid=81):
-    """Extrema of a functional over the printed two-parameter Tricerri frame
-    family, (|b|^2, |d|^2) sweeping the unit square.
+def tricerri_family_extrema(im_w, kind):
+    """Exact extrema of a functional over the printed two-parameter Tricerri
+    frame family, (|b|^2, |d|^2) ranging over the unit square.
 
-    Each family member has exact inner bounds; the corner members realize the
-    quoted pinching constants.  Returns a dict with inf/sup values and the
-    realizing (|b|^2, |d|^2) pairs.
+    Every quadratic form of the family is linear in (|b|^2, |d|^2); its
+    smallest eigenvalue is concave and its largest convex in the matrix
+    (Lewis 1996), so both extrema sit at one of the four corners.  Corners
+    are scanned with |b|^2 outer and |d|^2 inner, and a later corner replaces
+    an earlier one only when strictly better.  Returns a dict with inf/sup
+    values and the realizing (|b|^2, |d|^2) corners.
     """
     kind = FunctionalKind(kind)
     if kind is FunctionalKind.HSC:
-        raise UsageError("the family sweep covers the quadratic-form kinds")
-    ts = np.linspace(0.0, 1.0, grid)
+        raise UsageError("the family extrema cover the quadratic-form kinds")
     inf_val, sup_val = np.inf, -np.inf
     inf_at = sup_at = (0.0, 0.0)
-    for bb in ts:
-        for dd in ts:
-            t = paper_tricerri(np.sqrt(bb), np.sqrt(dd), im_w)
+    for b in (0.0, 1.0):           # at a corner |b|^2 = |b| and |d|^2 = |d|
+        for d in (0.0, 1.0):
+            t = paper_tricerri(b, d, im_w)
             q = quadratic_form_matrix(kind, matrices_from(t))
             lo, hi = rayleigh_bounds(q)
             if lo < inf_val:
-                inf_val, inf_at = lo, (float(bb), float(dd))
+                inf_val, inf_at = lo, (b, d)
             if hi > sup_val:
-                sup_val, sup_at = hi, (float(bb), float(dd))
+                sup_val, sup_at = hi, (b, d)
     return {"inf": float(inf_val), "sup": float(sup_val),
             "inf_at": inf_at, "sup_at": sup_at, "im_w": float(im_w),
-            "kind": kind.value, "grid": int(grid)}
+            "kind": kind.value}

@@ -7,8 +7,7 @@ Suites: hopf, tricerri, fubini_study, cones, identities, all.
 import numpy as np
 
 from .errors import UsageError
-from ._util import rng_from
-from .linalg import haar_from_rng
+from .linalg import haar_from_rng, rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
@@ -185,12 +184,12 @@ def suite_tricerri(seed=0):
         target_inf = -0.75 * (1.0 + np.sqrt(2.0)) / im_w ** 4
         target_sup = 0.75 / im_w ** 4
         rep.add(f"rbc_family_inf[imw={im_w}]", target_inf, scan["inf"],
-                0.02 * abs(target_inf))
+                1e-12 * abs(target_inf))
         rep.add(f"rbc_family_sup[imw={im_w}]", target_sup, scan["sup"],
-                0.02 * abs(target_sup))
+                1e-12 * abs(target_sup))
         alt = tricerri_family_extrema(im_w, FunctionalKind.ALTERED_RBC)
         rep.add(f"altered_rbc_family_inf[imw={im_w}]", -1.5 / im_w ** 4, alt["inf"],
-                0.02 * 1.5 / im_w ** 4)
+                1e-12 * 1.5 / im_w ** 4)
         rep.add(f"altered_rbc_family_sup[imw={im_w}]", 0.0, alt["sup"], 1e-9)
 
     # metric-derived tensor differs from the printed one; report, don't judge

@@ -115,11 +115,11 @@ def test_criterion_5_tricerri():
             scan = tricerri_family_extrema(im_w, FunctionalKind.RBC)
             target_inf = -0.75 * (1.0 + np.sqrt(2.0)) / im_w ** 4
             target_sup = 0.75 / im_w ** 4
-            assert abs(scan["inf"] - target_inf) <= 0.02 * abs(target_inf)
-            assert abs(scan["sup"] - target_sup) <= 0.02 * abs(target_sup)
+            assert abs(scan["inf"] - target_inf) <= 1e-12 * abs(target_inf)
+            assert abs(scan["sup"] - target_sup) <= 1e-12 * abs(target_sup)
             alt = tricerri_family_extrema(im_w, FunctionalKind.ALTERED_RBC)
-            assert abs(alt["inf"] + 1.5 / im_w ** 4) <= 0.02 * 1.5 / im_w ** 4
-            assert abs(alt["sup"]) <= 0.02 * 1.5 / im_w ** 4
+            assert abs(alt["inf"] + 1.5 / im_w ** 4) <= 1e-12 * 1.5 / im_w ** 4
+            assert abs(alt["sup"]) <= 1e-12 * 1.5 / im_w ** 4
 
 
 def test_criterion_6_moment_identity():

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -46,6 +45,10 @@ def test_exit_codes():
     assert main(["eval", "--metric", "hopf", "--point", "0.01,0",
                  "--functional", "rbc", "--vector", "1,0"]) == 2
     assert main(["verify", "identities", "--seed", "1"]) == 0
+    # FD settings are checked even when the jet is closed form
+    for fd_flag in (["--fd-order", "3"], ["--fd-step", "-1"]):
+        assert main(["eval", "--metric", "tricerri", "--point", "0,1j", "--functional",
+                     "rbc", "--vector", "1,0", *fd_flag]) == 1
 
 
 def test_cli_verification_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -146,10 +149,13 @@ def test_out_file_and_determinism(tmp_path):
 
 
 def test_subprocess_determinism_and_entrypoint():
-    code1, out1, _ = run_cli("verify", "identities", "--seed", "9", "--format", "json")
-    code2, out2, _ = run_cli("verify", "identities", "--seed", "9", "--format", "json")
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for argv in (["verify", "identities", "--seed", "9", "--format", "json"],
+                 ["sweep", "--metric", "euclidean", "--dim", "2",
+                  "--grid", "re1=0:1:3", "--seed", "2"]):
+        code1, out1, _ = run_cli(*argv)
+        code2, out2, _ = run_cli(*argv)
+        assert code1 == code2 == 0
+        assert out1 == out2
 
 
 def test_config_file_flags_win(tmp_path, capsys):
@@ -163,18 +169,6 @@ def test_config_file_flags_win(tmp_path, capsys):
     code = main(["eval", "--config", str(cfg), "--functional", "qobc"])
     assert code == 0
     assert capsys.readouterr().out.splitlines()[0] == "value = 0"
-
-
-def test_threaded_run_matches_serial(capsys):
-    argv = ["sweep", "--metric", "euclidean", "--dim", "2",
-            "--grid", "re1=0:1:3", "--seed", "2"]
-    env = dict(os.environ)
-    env["CURVLAB_THREADS"] = "4"
-    serial = subprocess.run([sys.executable, "-m", "curvlab.cli", *argv],
-                            capture_output=True, text=True).stdout
-    threaded = subprocess.run([sys.executable, "-m", "curvlab.cli", *argv],
-                              capture_output=True, text=True, env=env).stdout
-    assert serial == threaded
 
 
 def test_reports_round_trip():
@@ -198,12 +192,25 @@ def test_frame_scan_unknown_functional_is_usage_error(capsys):
     assert "unknown functional 'bogus'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("params", ["{n:2}", "[2]"])
-def test_frame_scan_bad_tensor_params_is_usage_error(params, capsys):
-    argv = ["frame-scan", "--tensor", "random", "--tensor-params", params,
+BAD_TENSOR_PARAMS = [
+    ("random", "{n:2}", "--tensor-params"),
+    ("random", "[2]", "--tensor-params"),
+    ("random", '{"n": "2"}', "parameter 'n'"),
+    ("random", '{"n": 0}', "parameter 'n'"),
+    ("kahler_constant", '{"n": 2.5, "c": 1}', "parameter 'n'"),
+    ("skew_pair", '{"n": 2, "c": "1"}', "parameter 'c'"),
+    ("random", '{"n": 2, "seed": -1}', "parameter 'seed'"),
+    ("paper_hopf", '{"z": ["a", 1]}', "parameter 'z'"),
+]
+
+
+@pytest.mark.parametrize("tensor, params, message", BAD_TENSOR_PARAMS,
+                         ids=[params for _, params, _ in BAD_TENSOR_PARAMS])
+def test_frame_scan_bad_tensor_params_is_usage_error(tensor, params, message, capsys):
+    argv = ["frame-scan", "--tensor", tensor, "--tensor-params", params,
             "--functional", "rbc"]
     assert main(argv) == 1
-    assert "--tensor-params" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, bad", [

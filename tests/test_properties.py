@@ -1,4 +1,5 @@
-"""Property tests: the exact restricted cone minimum and the frame changes.
+"""Property tests: the exact restricted cone minimum, the frame changes and
+the exact Tricerri family extrema.
 
 Examples are drawn by hypothesis with a fixed derivation (``derandomize``),
 so a run of the suite is reproducible; no example database is written.
@@ -11,14 +12,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from curvlab import (FrameConvention, cholesky_frame, cone_min, copositive_2x2,
-                     generator_cone, monotone_nonneg, nonneg_orthant, random_tensor,
-                     to_frame, transform_frame)
+                     generator_cone, matrices_from, monotone_nonneg, nonneg_orthant,
+                     paper_tricerri, random_tensor, rayleigh_bounds, to_frame,
+                     transform_frame, tricerri_family_extrema)
+from curvlab.functionals import quadratic_form_matrix
 from curvlab.curvature import COORDINATE, ChernTensor, hermitian_tensor_residual
 from curvlab.linalg import haar_from_rng, rng_from
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 RESTRICTED = ("orthant", "monotone", "generators")
+QUAD_KINDS = ("rbc", "altered_rbc", "altered_hsc", "qobc", "altered_qobc")
 
 
 @st.composite
@@ -141,3 +145,26 @@ def test_frame_change_keeps_hermitian_symmetry(n, seed, convention):
     moved = transform_frame(t, u, convention)
     scale = max(1.0, float(np.abs(t.values).max()))
     assert hermitian_tensor_residual(moved.values) <= 1e-12 * scale
+
+
+def family_bounds(bb, dd, im_w, kind):
+    """Rayleigh bounds of the Tricerri family member at (|b|^2, |d|^2)."""
+    t = paper_tricerri(np.sqrt(bb), np.sqrt(dd), im_w)
+    return rayleigh_bounds(quadratic_form_matrix(kind, matrices_from(t)))
+
+
+@PROPERTY
+@given(im_w=st.floats(0.1, 5.0), kind=st.sampled_from(QUAD_KINDS))
+def test_tricerri_family_extrema_bound_a_dense_grid(im_w, kind):
+    scan = tricerri_family_extrema(im_w, kind)
+    tol = 1e-12 * 1.5 / im_w ** 4
+    grid = np.linspace(0.0, 1.0, 21)
+    bounds = np.array([family_bounds(bb, dd, im_w, kind) for bb in grid for dd in grid])
+    assert scan["inf"] <= bounds[:, 0].min() + tol
+    assert scan["sup"] >= bounds[:, 1].max() - tol
+
+    # both are attained at the reported corners
+    for key in ("inf_at", "sup_at"):
+        assert set(scan[key]) <= {0.0, 1.0}
+    assert family_bounds(*scan["inf_at"], im_w, kind)[0] == pytest.approx(scan["inf"], abs=tol)
+    assert family_bounds(*scan["sup_at"], im_w, kind)[1] == pytest.approx(scan["sup"], abs=tol)

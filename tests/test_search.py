@@ -119,13 +119,22 @@ def test_invariance_needs_enough_samples():
 
 def test_tricerri_family_pinching():
     for im_w in (1.0, 2.0):
-        scan = tricerri_family_extrema(im_w, FunctionalKind.RBC, grid=41)
+        scan = tricerri_family_extrema(im_w, FunctionalKind.RBC)
         assert scan["inf"] == pytest.approx(-0.75 * (1 + np.sqrt(2.0)) / im_w ** 4)
         assert scan["sup"] == pytest.approx(0.75 / im_w ** 4)
         assert scan["inf_at"] == (1.0, 1.0)
-        alt = tricerri_family_extrema(im_w, FunctionalKind.ALTERED_RBC, grid=41)
+        alt = tricerri_family_extrema(im_w, FunctionalKind.ALTERED_RBC)
         assert alt["inf"] == pytest.approx(-1.5 / im_w ** 4)
         assert alt["sup"] == pytest.approx(0.0, abs=1e-12)
+        # the other kinds, with R0 = -1.5 / Im^4: altered_hsc has the form
+        # R0 [[0, |b|^2/2], [|b|^2/2, 2 |d|^2]], qobc |b|^2 R0 [[1, -1], [-1, 1]],
+        # altered_qobc the zero form
+        r0 = -1.5 / im_w ** 4
+        for kind, inf, sup in (("altered_hsc", r0 * (1.0 + np.sqrt(1.25)), -0.5 * r0),
+                               ("qobc", 2.0 * r0, 0.0), ("altered_qobc", 0.0, 0.0)):
+            scan = tricerri_family_extrema(im_w, kind)
+            assert scan["inf"] == pytest.approx(inf, rel=1e-12, abs=1e-15)
+            assert scan["sup"] == pytest.approx(sup, rel=1e-12, abs=1e-15)
 
 
 def test_tricerri_per_frame_minimum_tracks_d():
