@@ -6,7 +6,7 @@ unitary frame bundle layered on top.
 """
 
 from .config import DEFAULT, Tolerances
-from .errors import CurvlabError, DomainError, UsageError
+from .errors import CurvlabError, DomainError, NumericalError, UsageError
 from .linalg import (EigenDecomposition, cholesky_frame, haar_unitary, is_psd,
                      self_adjoint_eigen)
 from .metrics import (FDConfig, MetricField, MetricJet, finite_difference_jet,
@@ -17,9 +17,9 @@ from .curvature import (ChernTensor, FrameConvention, RicciKind, curvature_from_
                         to_frame, transform_frame)
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC,
                           CurvatureMatrices, FunctionalKind, bisectional,
-                          constant_identity_check, evaluate, fs_moment_check, hsc,
-                          matrices_from, rayleigh_bounds, ricci_qobc_bounds,
-                          weitzenbock)
+                          constant_identity_check, evaluate, frame_matrices,
+                          fs_moment_check, hsc, matrices_from, rayleigh_bounds,
+                          ricci_qobc_bounds, weitzenbock)
 from .cones import (Cone, EDMatrix, cone_min, copositive_2x2, dual_edm_test,
                     edm_from_vector, full_cone, generator_cone, make_cone,
                     monotone_nonneg, nonneg_orthant, perron_weights, perron_criterion_check)

@@ -1,11 +1,11 @@
 """curvlab command line: eval | verify | sweep | frame-scan | cone-check.
 
-Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification failure.
-Every command accepts --format, --out PATH, --seed N and --config PATH (a
-JSON file mirroring the flag names; explicit flags win).  sweep writes CSV
-(--format csv); the other commands write text (default) or json, and any
-other format is a usage error.  Output is deterministic for a fixed command
-line and seed.
+Exit codes: 0 success, 1 usage error, 2 domain or numerical error,
+3 verification failure.  Every command accepts --format, --out PATH, --seed N
+(an integer >= 0) and --config PATH (a JSON file mirroring the flag names;
+explicit flags win).  sweep writes CSV (--format csv); the other commands
+write text (default) or json, and any other format is a usage error.  Output
+is deterministic for a fixed command line and seed.
 """
 
 import argparse
@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .errors import CurvlabError, DomainError, UsageError
+from .errors import CurvlabError, DomainError, NumericalError, UsageError
 from .metrics import FDConfig, jet_at, make_metric
 from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
                         paper_hopf, paper_tricerri, scalars, to_frame)
@@ -84,6 +84,15 @@ def _output_format(args, cfg):
     if fmt not in allowed:
         raise UsageError(f"{args.command} has no {fmt} output; formats: {', '.join(allowed)}")
     return fmt
+
+
+def _seed(args, cfg):
+    """The --seed value (default 0): an integer >= 0, as numpy's seeding
+    requires."""
+    seed = _opt(args, cfg, "seed", 0)
+    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _functional_kind(name):
@@ -254,8 +263,7 @@ def cmd_eval(args, cfg):
 
 
 def cmd_verify(args, cfg):
-    seed = _opt(args, cfg, "seed", 0)
-    report = run_suite(args.suite, seed=seed)
+    report = run_suite(args.suite, seed=args.seed)
     text = reports.dumps(report) if args.format == "json" else reports.render_table(report)
     return text, report.passed
 
@@ -314,10 +322,9 @@ def cmd_sweep(args, cfg):
 
     use_paper = bool(_opt(args, cfg, "use_paper_tensor", False))
     convention = FrameConvention(_opt(args, cfg, "convention", "adjoint"))
-    seed = _opt(args, cfg, "seed", 0)
     search = SearchConfig(restarts=_opt(args, cfg, "restarts", 4),
                           refine_steps=_opt(args, cfg, "refine_steps", 12),
-                          seed=seed)
+                          seed=args.seed)
     fd = FDConfig()
 
     header = ["index"]
@@ -399,7 +406,7 @@ def cmd_frame_scan(args, cfg):
     convention = FrameConvention(_opt(args, cfg, "convention", "full"))
     cfg_search = SearchConfig(restarts=_opt(args, cfg, "restarts", 8),
                               refine_steps=_opt(args, cfg, "refine_steps", 30),
-                              seed=_opt(args, cfg, "seed", 0))
+                              seed=args.seed)
     inf_ext, sup_ext = extremize(tensor, kind, cone=cone, convention=convention,
                                  cfg=cfg_search)
     payload = {"command": "frame-scan", "functional": kind.value,
@@ -435,11 +442,10 @@ def cmd_cone_check(args, cfg):
     cone = make_cone(_opt(args, cfg, "cone", "orthant"), m.shape[0],
                      generators=parse_matrix(gens_text) if gens_text else None)
     samples = _opt(args, cfg, "samples", 1000)
-    seed = _opt(args, cfg, "seed", 0)
 
     minimum = cone_min(m, cone)
     lo, hi = rayleigh_bounds(m)
-    report = perron_criterion_check(m, samples=max(100, samples), seed=seed)
+    report = perron_criterion_check(m, samples=max(100, samples), seed=args.seed)
     payload = {
         "command": "cone-check", "n": m.shape[0], "cone": cone.kind,
         "cone_min": {"value": minimum.value,
@@ -497,6 +503,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = _load_config(getattr(args, "config", None))
         args.format = _output_format(args, cfg)
+        args.seed = _seed(args, cfg)
         text, ok = COMMANDS[args.command](args, cfg)
         _emit(text, _opt(args, cfg, "out"))
         return 0 if ok else 3
@@ -505,6 +512,9 @@ def main(argv=None):
         return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
+        return 2
+    except NumericalError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 2
     except CurvlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 1, domain problems
+The CLI maps these onto exit codes: usage problems exit 1; domain problems
 (points outside a metric's chart, non-positive-definite metrics, singular
-inputs) exit 2.
+inputs) and numerical problems (a computed result that fails its own
+re-check, such as a frame extremum that does not re-evaluate to the reported
+value) exit 2.
 """
 
 
@@ -17,3 +19,8 @@ class UsageError(CurvlabError):
 class DomainError(CurvlabError):
     """Mathematically invalid input: point outside a chart, singular or
     non-positive-definite metric, non-finite data."""
+
+
+class NumericalError(CurvlabError):
+    """A computed result drifted beyond its tolerance when checked
+    independently, so it cannot be reported."""

@@ -19,6 +19,11 @@ The difference-form functionals are quadratic forms in disguise: the
 Weitzenboeck matrix W = Diag(row sums) + Diag(col sums) - (M + M^T) satisfies
 v^T W v = sum M[a,g] (v_a - v_g)^2, so their nonnegativity is exactly the
 positive semidefiniteness of W.
+
+Frame searches need the two matrices in many frames at once:
+``frame_matrices`` computes them for a stack of frame changes without forming
+any frame-changed n^4 tensor, and the matrix builders broadcast over leading
+axes.
 """
 
 import enum
@@ -28,8 +33,9 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import UsageError
-from .linalg import random_hermitian, rng_from, self_adjoint_eigen
-from .curvature import RicciKind, ricci, scalars
+from .linalg import (ensure_finite, random_hermitian, rng_from, self_adjoint_eigen,
+                     unitary_residual)
+from .curvature import FrameConvention, RicciKind, ricci, scalars
 from .reports import IdentityReport
 
 
@@ -49,16 +55,27 @@ QUADRATIC_KINDS = (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC,
 
 @dataclass(frozen=True)
 class CurvatureMatrices:
-    """Real quadratic-form matrices of a frame tensor, plus the largest
-    imaginary part dropped when taking real parts."""
+    """Real quadratic-form matrices of a frame tensor (or stacks of them along
+    leading axes), plus the largest imaginary part dropped when taking real
+    parts."""
 
     rbc: np.ndarray
     altered: np.ndarray
     imag_residual: float
 
+    @classmethod
+    def from_slices(cls, rbc, altered):
+        """Real parts of the complex slices R[a,a,g,g] and R[a,g,g,a]."""
+        resid = max(float(np.abs(rbc.imag).max()), float(np.abs(altered.imag).max()))
+        rbc = rbc.real.copy()
+        altered = altered.real.copy()
+        rbc.flags.writeable = False
+        altered.flags.writeable = False
+        return cls(rbc=rbc, altered=altered, imag_residual=resid)
+
     @property
     def n(self):
-        return self.rbc.shape[0]
+        return self.rbc.shape[-1]
 
     @property
     def flagged(self):
@@ -69,14 +86,42 @@ class CurvatureMatrices:
 def matrices_from(tensor):
     tensor.require_frame("matrices_from")
     r = tensor.values
-    raw_rbc = np.einsum("aagg->ag", r)
-    raw_alt = np.einsum("agga->ag", r)
-    resid = max(float(np.abs(raw_rbc.imag).max()), float(np.abs(raw_alt.imag).max()))
-    rbc = raw_rbc.real.copy()
-    alt = raw_alt.real.copy()
-    rbc.flags.writeable = False
-    alt.flags.writeable = False
-    return CurvatureMatrices(rbc=rbc, altered=alt, imag_residual=resid)
+    return CurvatureMatrices.from_slices(np.einsum("aagg->ag", r), np.einsum("agga->ag", r))
+
+
+def frame_matrices(tensor, u, convention):
+    """Complex slices rbc'[a,g] = R'[a,a,g,g] and altered'[a,g] = R'[a,g,g,a]
+    of the tensor R' = transform_frame(tensor, u, convention), for a frame
+    change u of shape (n, n) or a stack of them of shape (..., n, n).
+
+    Only the two slices are computed.  Under the full convention, with
+    P[a, (p, q)] = u[a, p] conj(u[a, q]),
+
+        rbc' = P R_(pq)(st) P^T,    altered' = P R_(pt)(qs) conj(P)^T;
+
+    under the adjoint convention both are contracted straight from R.  The
+    unitarity of the whole stack (``Tolerances.frame_change_unitary``) and
+    the finiteness of the result are checked once per call.
+    """
+    tensor.require_frame("frame_matrices")
+    n = tensor.n
+    u = np.asarray(u, dtype=complex)
+    if u.shape[-2:] != (n, n):
+        raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {n}")
+    if unitary_residual(u) > DEFAULT.frame_change_unitary:
+        raise UsageError("frame-change matrix is not unitary")
+    r = tensor.values
+    uc = np.conj(u)
+    if FrameConvention(convention) is FrameConvention.FULL:
+        p = (u[..., :, None] * uc[..., None, :]).reshape(u.shape[:-1] + (n * n,))
+        pt = np.swapaxes(p, -1, -2)
+        rbc = p @ r.reshape(n * n, n * n) @ pt
+        alt = p @ r.transpose(0, 3, 1, 2).reshape(n * n, n * n) @ np.conj(pt)
+    else:
+        rbc = np.einsum("...gs,...gt,aast->...ag", u, uc, r)
+        alt = np.einsum("...gs,...at,agst->...ag", u, uc, r)
+    return (ensure_finite(rbc, "frame-changed rbc matrix"),
+            ensure_finite(alt, "frame-changed altered matrix"))
 
 
 def _nonzero_vector(v, name="vector"):
@@ -116,7 +161,8 @@ def bisectional(tensor, x, y, altered=True):
 
 
 def quadratic_form_matrix(kind, matrices):
-    """Symmetric-form carrier of a quadratic functional kind."""
+    """Symmetric-form carrier of a quadratic functional kind; stacked
+    matrices give a stack of carriers."""
     kind = FunctionalKind(kind)
     if kind is FunctionalKind.RBC:
         return matrices.rbc
@@ -155,11 +201,13 @@ def rayleigh_bounds(m):
 
 
 def weitzenbock(m):
-    """Symmetric W with v^T W v = sum_{a,g} m[a,g] (v_a - v_g)^2."""
+    """Symmetric W with v^T W v = sum_{a,g} m[a,g] (v_a - v_g)^2, for a
+    matrix or a stack of them."""
     m = np.asarray(m, dtype=float)
-    row = np.diag(m.sum(axis=1))
-    col = np.diag(m.sum(axis=0))
-    return row + col - (m + m.T)
+    sums = np.zeros(m.shape)
+    diag = np.arange(m.shape[-1])
+    sums[..., diag, diag] = m.sum(axis=-1) + m.sum(axis=-2)
+    return sums - (m + np.swapaxes(m, -1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 frames, Haar unitaries.
 
 Everything here targets matrices of size n <= 8 and is backed by LAPACK via
-numpy.  Eigenvalues always come back ascending; Haar sampling follows the
-QR-with-phase-fix construction (diagonal of the triangular factor made real
-positive), which gives exactly Haar measure.  All randomness in the package
+numpy.  Residuals, spectra and Haar draws also work on stacks of matrices
+along leading axes, checked once per stack.  Eigenvalues always come back
+ascending; Haar sampling follows the QR-with-phase-fix construction
+(diagonal of the triangular factor made real positive), which gives exactly
+Haar measure.  All randomness in the package
 flows through PCG64 generators built by ``rng_from``.
 """
 
@@ -24,17 +26,21 @@ def rng_from(seed, *key):
 
 def ensure_finite(arr, what="input"):
     arr = np.asarray(arr)
-    finite = np.isfinite(arr.real) & np.isfinite(arr.imag) if np.iscomplexobj(arr) \
-        else np.isfinite(arr)
-    if not np.all(finite):
+    if not np.isfinite(arr).all():  # a complex entry is finite iff both parts are
         raise DomainError(f"{what} contains NaN or Inf entries")
     return arr
 
 
+def _adjoint(m):
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return np.swapaxes(np.conj(m), -1, -2)
+
+
 def hermitian_residual(m):
-    """Largest deviation of ``m`` from its conjugate transpose."""
+    """Largest deviation of ``m`` (or of any matrix of a stack) from its
+    conjugate transpose."""
     m = np.asarray(m)
-    return float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    return float(np.abs(m - _adjoint(m)).max()) if m.size else 0.0
 
 
 def is_hermitian(m, tol=None):
@@ -45,8 +51,9 @@ def is_hermitian(m, tol=None):
 
 
 def unitary_residual(u):
+    """Largest entry of |U^H U - I| over a matrix or a stack of matrices."""
     u = np.asarray(u)
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    return float(np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max())
 
 
 def is_unitary(u, tol=None):
@@ -56,11 +63,12 @@ def is_unitary(u, tol=None):
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectrum of a self-adjoint matrix.
+    """Spectrum of a self-adjoint matrix, or of a stack of them.
 
-    values are ascending; vectors holds the matching orthonormal eigenvectors
-    as columns.  asymmetry records how far the original input was from
-    self-adjoint before the internal symmetrization.
+    values are ascending along the last axis; vectors holds the matching
+    orthonormal eigenvectors as columns.  asymmetry records how far the
+    original input was from self-adjoint before the internal symmetrization;
+    for a stack, both residuals are the largest over the stack.
     """
 
     values: np.ndarray
@@ -70,25 +78,28 @@ class EigenDecomposition:
 
 
 def self_adjoint_eigen(m):
-    """Full spectrum of a (nearly) self-adjoint matrix, ascending.
+    """Full spectrum of a (nearly) self-adjoint matrix, ascending; a stack of
+    matrices along leading axes gives a stack of spectra.
 
     The input is symmetrized first; the asymmetry it carried is recorded on
     the result rather than raised, because quadratic-form consumers only ever
-    see the symmetric part.
+    see the symmetric part.  The eigen-reconstruction residual of every
+    matrix is checked against its own scale.
     """
     m = np.asarray(m)
-    m = ensure_finite(m.astype(complex if np.iscomplexobj(m) else float), "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    m = ensure_finite(m.astype(complex if np.iscomplexobj(m) else float, copy=False),
+                      "matrix")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise UsageError(f"expected a square matrix, got shape {m.shape}")
     asym = hermitian_residual(m)
-    h = 0.5 * (m + m.conj().T)
+    h = 0.5 * (m + _adjoint(m))
     values, vectors = np.linalg.eigh(h)
-    scale = max(1.0, float(np.abs(h).max()))
-    recon = float(np.abs(h @ vectors - vectors * values).max())
-    if recon > DEFAULT.eigen_reconstruction * scale:
-        raise DomainError(f"eigendecomposition residual {recon:.3e} exceeds tolerance")
+    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
+    recon = np.abs(h @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1))
+    if (recon > DEFAULT.eigen_reconstruction * scale).any():
+        raise DomainError(f"eigendecomposition residual {recon.max():.3e} exceeds tolerance")
     return EigenDecomposition(values=values, vectors=vectors, asymmetry=asym,
-                              reconstruction_residual=recon)
+                              reconstruction_residual=float(recon.max()))
 
 
 def is_psd(m, tol=None):
@@ -120,12 +131,20 @@ def cholesky_frame(g, pd_floor=None):
     return e
 
 
-def haar_from_rng(n, rng):
-    """Haar-distributed unitary drawn from an existing generator."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+def haar_from_rng(n, rng, count=None):
+    """Haar-distributed unitary drawn from an existing generator, or a
+    (count, n, n) stack of them.
+
+    Each unitary consumes the real and then the imaginary n x n Gaussian
+    block, so a stack of count draws reads the same stream as count single
+    draws and gives the same unitaries.
+    """
+    lead = () if count is None else (count,)
+    g = rng.standard_normal(lead + (2, n, n))
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(n, seed):

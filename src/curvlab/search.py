@@ -8,6 +8,12 @@ face enumeration (``cones.cone_min``).  The search is stochastic restart +
 coordinate descent with a shrinking step; no global-optimality certificate
 is claimed, and acceptance tolerances are sized accordingly.
 
+Candidate frames are evaluated in stacks through ``frame_matrices``: a
+coordinate sweep evaluates all of its remaining candidates at once, accepts
+the first improvement in sweep order and restacks the rest of the sweep from
+the new parameters, so its iterates are those of one-at-a-time coordinate
+descent.
+
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
 handled separately and exactly: that family is the object whose pinching
 constants the frame-dependence analysis quotes, and it is strictly larger
@@ -19,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NumericalError, UsageError
 from .config import DEFAULT
-from .linalg import haar_from_rng, rng_from
+from .linalg import haar_from_rng, rng_from, self_adjoint_eigen
 from .curvature import FrameConvention, paper_tricerri, transform_frame
-from .functionals import (FunctionalKind, matrices_from, quadratic_form_matrix,
-                          rayleigh_bounds)
+from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_matrices,
+                          matrices_from, quadratic_form_matrix, rayleigh_bounds)
 from .cones import cone_min, full_cone
 
 
@@ -56,37 +62,56 @@ def param_count(n):
 
 
 def unitary_from_params(n, params):
-    """U(n) element from Givens angles/phases: always exactly unitary."""
-    u = np.diag(np.exp(1j * np.asarray(params[-n:], dtype=float)))
-    idx = 0
+    """U(n) elements from Givens angles/phases: always exactly unitary.
+
+    params of shape (..., param_count(n)) give unitaries of shape (..., n, n):
+    the diagonal phases exp(i params[-n:]), then, for the j-th pair p < q in
+    order, the rotation by theta = params[2j] with phase phi = params[2j + 1],
+    which mixes rows p and q only.
+    """
+    params = np.asarray(params, dtype=float)
+    cols = params.reshape(-1, params.shape[-1]).T     # (param, frame)
+    theta, phi = cols[0:-n:2, :, None], cols[1:-n:2, :, None]
+    sin = np.sin(theta)
+    cos, up, down = np.cos(theta), np.exp(1j * phi) * sin, np.exp(-1j * phi) * sin
+    rows = np.zeros((n, cols.shape[1], n), dtype=complex)   # rows[p]: row p of each frame
+    axes = np.arange(n)
+    rows[axes, :, axes] = np.exp(1j * cols[-n:])
+    pair = 0
     for p in range(n):
         for q in range(p + 1, n):
-            theta, phi = params[idx], params[idx + 1]
-            idx += 2
-            g = np.eye(n, dtype=complex)
-            c, s = np.cos(theta), np.sin(theta)
-            g[p, p] = c
-            g[q, q] = c
-            g[p, q] = -np.exp(1j * phi) * s
-            g[q, p] = np.exp(-1j * phi) * s
-            u = g @ u
-    return u
+            rows[p], rows[q] = (cos[pair] * rows[p] - up[pair] * rows[q],
+                                down[pair] * rows[p] + cos[pair] * rows[q])
+            pair += 1
+    return rows.transpose(1, 0, 2).reshape(params.shape[:-1] + (n, n))
 
 
-def _inner_bounds(kind, tensor, cone):
-    """Exact (min, max, argmin, argmax) of a quadratic functional over the
-    cone in a fixed frame."""
-    m = matrices_from(tensor)
-    q = quadratic_form_matrix(kind, m)
+def _forms(tensor, kind, u, convention):
+    """Quadratic-form matrices of the functional in each frame of a stack."""
+    m = CurvatureMatrices.from_slices(*frame_matrices(tensor, u, convention))
+    return quadratic_form_matrix(kind, m)
+
+
+def _first_improvement(forms, cone, sign, bound):
+    """(index, value, vector) of the first form in the stack whose objective
+    lies below bound, or None.  The objective is the exact inner minimum over
+    the cone (sign < 0) or minus the exact inner maximum (sign > 0); restricted
+    cones are solved one form at a time, stopping at the first improvement."""
     if cone.kind == "full":
-        from .linalg import self_adjoint_eigen
-        dec = self_adjoint_eigen(0.5 * (q + q.T))
-        return (float(dec.values[0]), float(dec.values[-1]),
-                dec.vectors[:, 0].real / np.linalg.norm(dec.vectors[:, 0].real),
-                dec.vectors[:, -1].real / np.linalg.norm(dec.vectors[:, -1].real))
-    lo = cone_min(q, cone)
-    hi = cone_min(-q, cone)
-    return lo.value, -hi.value, lo.argmin, hi.argmin
+        dec = self_adjoint_eigen(forms)  # eigen of the symmetric part
+        col = 0 if sign < 0 else -1
+        values = -sign * dec.values[:, col]
+        hits = np.flatnonzero(values < bound)
+        if hits.size == 0:
+            return None
+        j = int(hits[0])
+        vec = dec.vectors[j, :, col].real
+        return j, float(values[j]), vec / np.linalg.norm(vec)
+    for j, q in enumerate(forms):
+        res = cone_min(-sign * q, cone)
+        if res.value < bound:
+            return j, res.value, res.argmin
+    return None
 
 
 def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):
@@ -97,24 +122,27 @@ def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):
     else:
         params = rng_from(cfg.seed, restart).uniform(-np.pi, np.pi, size=k)
 
-    def objective(p):
-        u = unitary_from_params(n, p)
-        t = transform_frame(tensor, u, convention)
-        lo, hi, vlo, vhi = _inner_bounds(kind, t, cone)
-        return (lo, vlo) if sign < 0 else (-hi, vhi)
+    def scan(stack, bound):
+        forms = _forms(tensor, kind, unitary_from_params(n, stack), convention)
+        return _first_improvement(forms, cone, sign, bound)
 
-    best_val, best_vec = objective(params)
+    _, best_val, best_vec = scan(params[None], np.inf)
+    moves = np.arange(2 * k)      # sweep order: +step, then -step, per coordinate
+    coords, signs = moves // 2, 1.0 - 2.0 * (moves % 2)
     step = cfg.initial_angle
     for _ in range(cfg.refine_steps):
         improved = False
-        for i in range(k):
-            for delta in (step, -step):
-                cand = params.copy()
-                cand[i] += delta
-                val, vec = objective(cand)
-                if val < best_val - 1e-14:
-                    params, best_val, best_vec = cand, val, vec
-                    improved = True
+        start = 0
+        while start < 2 * k:
+            cands = np.repeat(params[None], 2 * k - start, axis=0)
+            cands[np.arange(2 * k - start), coords[start:]] += step * signs[start:]
+            hit = scan(cands, best_val - 1e-14)
+            if hit is None:
+                break
+            j, best_val, best_vec = hit
+            params = cands[j]
+            improved = True
+            start += j + 1
         if not improved:
             step *= cfg.shrink
     u = unitary_from_params(n, params)
@@ -128,7 +156,9 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
     Per restart, a frame is drawn (restart 0 starts at the identity), the
     inner vector problem is solved exactly, and the frame is refined by
     coordinate descent over Givens angles with shrinking steps; monotone
-    improvement and determinism for a fixed config are guaranteed.
+    improvement and determinism for a fixed config are guaranteed.  Each
+    reported extremum is re-evaluated through ``transform_frame`` and
+    ``evaluate``; drift beyond ``Tolerances.reeval`` raises NumericalError.
     """
     kind = FunctionalKind(kind)
     if kind is FunctionalKind.HSC:
@@ -155,19 +185,18 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
 
 def _check_reeval(tensor, kind, ext):
     t = transform_frame(tensor, ext.frame, ext.convention)
-    m = matrices_from(t)
-    from .functionals import evaluate
-    again = evaluate(kind, m, ext.vector)
+    again = evaluate(kind, matrices_from(t), ext.vector)
     if abs(again - ext.value) > DEFAULT.reeval * max(1.0, abs(ext.value)):
-        raise UsageError(f"frame extremum failed to re-evaluate: {again} vs {ext.value}")
+        raise NumericalError(f"frame extremum failed to re-evaluate: {again} vs {ext.value}")
 
 
 def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
     """Numerical frame-invariance certificate for a functional.
 
     Evaluates the exact inner (min, max) of the functional over `samples`
-    Haar frames; invariant iff the spread of the per-frame extrema stays
-    within tol.  Returns (invariant, max_deviation).
+    Haar frames, drawn as one stack from the stream ``rng_from(seed, 0)``;
+    invariant iff the spread of the per-frame extrema stays within tol.
+    Returns (invariant, max_deviation).
     """
     if samples < 10:
         raise UsageError("invariance_test needs at least 10 samples")
@@ -176,17 +205,11 @@ def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
         raise UsageError("invariance_test covers the quadratic-form family")
     tensor.require_frame("invariance_test")
     convention = FrameConvention(convention)
-    rng = rng_from(seed, 0)
-    los, his = [], []
-    for _ in range(samples):
-        u = haar_from_rng(tensor.n, rng)
-        t = transform_frame(tensor, u, convention)
-        q = quadratic_form_matrix(kind, matrices_from(t))
-        lo, hi = rayleigh_bounds(q)
-        los.append(lo)
-        his.append(hi)
-    deviation = max(max(los) - min(los), max(his) - min(his))
-    return deviation <= tol, float(deviation)
+    u = haar_from_rng(tensor.n, rng_from(seed, 0), samples)
+    values = self_adjoint_eigen(_forms(tensor, kind, u, convention)).values
+    los, his = values[:, 0], values[:, -1]
+    deviation = max(los.max() - los.min(), his.max() - his.min())
+    return bool(deviation <= tol), float(deviation)
 
 
 def tricerri_family_extrema(im_w, kind):

@@ -13,8 +13,9 @@ from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_c
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
                         skew_pair, to_frame, transform_frame)
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, FunctionalKind,
-                          constant_identity_check, evaluate, hsc, matrices_from,
-                          rayleigh_bounds, ricci_qobc_bounds, fs_moment_check)
+                          constant_identity_check, evaluate, frame_matrices, hsc,
+                          matrices_from, rayleigh_bounds, ricci_qobc_bounds,
+                          fs_moment_check)
 from .cones import (copositive_2x2, cone_min, dual_edm_test, edm_from_vector,
                     nonneg_orthant, perron_weights, perron_criterion_check)
 from .search import invariance_test, tricerri_family_extrema
@@ -83,18 +84,18 @@ def suite_hopf(seed=0, frame_samples=1000):
     rep.add("altered_hsc_lower_at_(1,1)", 0.5, lo, 1e-12)
     rep.add("altered_hsc_upper_at_(1,1)", 1.5, hi, 1e-12)
 
-    # six listed components under the adjoint action
-    listed = [(0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 1, 1), (1, 1, 0, 0),
-              (0, 1, 1, 0), (1, 0, 0, 1)]
-    rng = rng_from(seed + 2)
+    # six listed components under the adjoint action: R[a,a,g,g] is the
+    # entry (a, g) of the rbc slice, R[a,g,g,a] the entry (a, g) of the
+    # altered slice
     t_gen = paper_hopf([1.0, 0.5 - 0.5j])
-    base = [t_gen.values[idx] for idx in listed]
-    dev = 0.0
-    for _ in range(frame_samples):
-        u = haar_from_rng(2, rng)
-        moved = transform_frame(t_gen, u, FrameConvention.ADJOINT)
-        dev = max(dev, max(abs(moved.values[idx] - b) for idx, b in zip(listed, base)))
-    rep.add("adjoint_component_invariance", 0.0, dev, 1e-9)
+    rbc, alt = frame_matrices(t_gen, haar_from_rng(2, rng_from(seed + 2), frame_samples),
+                              FrameConvention.ADJOINT)
+    moved = np.stack([rbc[:, 0, 0], rbc[:, 1, 1], rbc[:, 0, 1], rbc[:, 1, 0],
+                      alt[:, 0, 1], alt[:, 1, 0]], axis=1)
+    r = t_gen.values
+    base = np.array([r[0, 0, 0, 0], r[1, 1, 1, 1], r[0, 0, 1, 1], r[1, 1, 0, 0],
+                     r[0, 1, 1, 0], r[1, 0, 0, 1]])
+    rep.add("adjoint_component_invariance", 0.0, float(np.abs(moved - base).max()), 1e-9)
 
     for kind in (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_HSC):
         ok, _ = invariance_test(t_gen, kind, FrameConvention.ADJOINT,

@@ -39,7 +39,7 @@ def test_eval_hopf_paper_tensor_qobc(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "value = 8"
 
 
-def test_exit_codes():
+def test_exit_codes(tmp_path):
     assert main(["eval", "--metric", "hopf", "--point", "1,0",
                  "--functional", "bogus", "--vector", "1,0"]) == 1
     assert main(["eval", "--metric", "hopf", "--point", "0.01,0",
@@ -49,6 +49,23 @@ def test_exit_codes():
     for fd_flag in (["--fd-order", "3"], ["--fd-step", "-1"]):
         assert main(["eval", "--metric", "tricerri", "--point", "0,1j", "--functional",
                      "rbc", "--vector", "1,0", *fd_flag]) == 1
+    # a seed must be an integer >= 0, from a flag or from a config file
+    assert main(["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
+                 "--functional", "rbc", "--seed", "-1"]) == 1
+    assert main(["verify", "identities", "--seed", "-5"]) == 1
+    assert main(["cone-check", "--matrix", "1,0;0,1", "--seed", "-1"]) == 1
+    for seed in (-1, 1.5, "3", True):
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert main(["verify", "tricerri", "--config", str(cfg)]) == 1
+
+
+def test_numerical_drift_exits_2(monkeypatch, capsys):
+    import curvlab.search as search_mod
+    real = search_mod.evaluate
+    monkeypatch.setattr(search_mod, "evaluate", lambda kind, m, v: real(kind, m, v) + 1e-6)
+    assert main(SCAN_RANDOM + ["--functional", "rbc"]) == 2
+    assert "numerical error: frame extremum failed to re-evaluate" in capsys.readouterr().err
 
 
 def test_cli_verification_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -1,9 +1,13 @@
-"""Property tests: the exact restricted cone minimum, the frame changes and
-the exact Tricerri family extrema.
+"""Property tests: the exact restricted cone minimum, the frame changes, the
+stacked frame kernel, the exact Tricerri family extrema and the command line.
 
 Examples are drawn by hypothesis with a fixed derivation (``derandomize``),
 so a run of the suite is reproducible; no example database is written.
 """
+
+import contextlib
+import io
+import json
 
 import numpy as np
 import pytest
@@ -11,13 +15,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curvlab import (FrameConvention, cholesky_frame, cone_min, copositive_2x2,
-                     generator_cone, matrices_from, monotone_nonneg, nonneg_orthant,
-                     paper_tricerri, random_tensor, rayleigh_bounds, to_frame,
-                     transform_frame, tricerri_family_extrema)
+from curvlab import (CurvatureMatrices, FrameConvention, cholesky_frame, cone_min,
+                     copositive_2x2, frame_matrices, generator_cone, matrices_from,
+                     monotone_nonneg, nonneg_orthant, paper_tricerri, random_tensor,
+                     rayleigh_bounds, to_frame, transform_frame, tricerri_family_extrema,
+                     unitary_from_params, weitzenbock)
+from curvlab.cli import main
 from curvlab.functionals import quadratic_form_matrix
 from curvlab.curvature import COORDINATE, ChernTensor, hermitian_tensor_residual
-from curvlab.linalg import haar_from_rng, rng_from
+from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
+from curvlab.search import param_count
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -168,3 +175,144 @@ def test_tricerri_family_extrema_bound_a_dense_grid(im_w, kind):
         assert set(scan[key]) <= {0.0, 1.0}
     assert family_bounds(*scan["inf_at"], im_w, kind)[0] == pytest.approx(scan["inf"], abs=tol)
     assert family_bounds(*scan["sup_at"], im_w, kind)[1] == pytest.approx(scan["sup"], abs=tol)
+
+
+# ---------------------------------------------------------------------------
+# the stacked frame kernel against its one-frame definitions
+
+@PROPERTY
+@given(n=st.integers(1, 5), count=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+       convention=st.sampled_from(list(FrameConvention)))
+def test_frame_matrices_match_the_frame_changed_tensor(n, count, seed, convention):
+    t = random_tensor(seed, n)
+    us = haar_from_rng(n, rng_from(seed, 1), count)
+    rbc, alt = frame_matrices(t, us, convention)
+    assert rbc.shape == alt.shape == (count, n, n)
+    stacked = CurvatureMatrices.from_slices(rbc, alt)
+    tol = 1e-12 * max(1.0, float(np.abs(t.values).max()))
+    for j, u in enumerate(us):
+        moved = transform_frame(t, u, convention).values
+        assert np.abs(rbc[j] - np.einsum("aagg->ag", moved)).max() <= tol
+        assert np.abs(alt[j] - np.einsum("agga->ag", moved)).max() <= tol
+        single = matrices_from(transform_frame(t, u, convention))
+        for kind in QUAD_KINDS:
+            diff = quadratic_form_matrix(kind, stacked)[j] - quadratic_form_matrix(kind, single)
+            assert np.abs(diff).max() <= tol
+
+
+def givens_product(n, params):
+    """U(n) element as the sequential product of full Givens matrices applied
+    to the diagonal phases: the definition of ``unitary_from_params``."""
+    u = np.diag(np.exp(1j * params[-n:]))
+    idx = 0
+    for p in range(n):
+        for q in range(p + 1, n):
+            theta, phi = params[idx], params[idx + 1]
+            idx += 2
+            g = np.eye(n, dtype=complex)
+            g[p, p] = g[q, q] = np.cos(theta)
+            g[p, q] = -np.exp(1j * phi) * np.sin(theta)
+            g[q, p] = np.exp(-1j * phi) * np.sin(theta)
+            u = g @ u
+    return u
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), shape=st.sampled_from([(), (1,), (7,), (2, 3)]),
+       seed=st.integers(0, 2 ** 16))
+def test_stacked_unitary_from_params_matches_the_givens_product(n, shape, seed):
+    k = param_count(n)
+    params = rng_from(seed).uniform(-np.pi, np.pi, size=shape + (k,))
+    u = unitary_from_params(n, params)
+    assert u.shape == shape + (n, n)
+    for p, one in zip(params.reshape(-1, k), u.reshape(-1, n, n)):
+        assert np.abs(one - givens_product(n, p)).max() <= 1e-14
+    assert unitary_residual(u) <= 1e-14
+
+
+def haar_reference(n, rng):
+    """One Haar draw as defined: real then imaginary Gaussian block, QR,
+    phase fix."""
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), count=st.integers(1, 30), seed=st.integers(0, 2 ** 16))
+def test_stacked_haar_draw_matches_sequential_draws(n, count, seed):
+    rng = rng_from(seed)
+    sequential = np.array([haar_reference(n, rng) for _ in range(count)])
+    assert np.array_equal(haar_from_rng(n, rng_from(seed), count), sequential)
+    assert np.array_equal(haar_from_rng(n, rng_from(seed)), sequential[0])
+
+
+@PROPERTY
+@given(n=st.integers(1, 6), shape=st.sampled_from([(), (4,), (2, 3)]),
+       seed=st.integers(0, 2 ** 16))
+def test_weitzenbock_identity_on_stacks(n, shape, seed):
+    rng = rng_from(seed)
+    m = rng.standard_normal(shape + (n, n))
+    v = rng.standard_normal(shape + (n,))
+    w = weitzenbock(m)
+    assert np.array_equal(w, np.swapaxes(w, -1, -2))
+    lhs = np.einsum("...a,...ag,...g->...", v, w, v)
+    rhs = np.einsum("...ag,...ag->...", m, (v[..., :, None] - v[..., None, :]) ** 2)
+    assert np.allclose(lhs, rhs, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(rhs).max())))
+    for idx in np.ndindex(*shape):
+        assert np.array_equal(w[idx], weitzenbock(m[idx]))
+
+
+# ---------------------------------------------------------------------------
+# command-line fuzz: no argv from a bounded grammar ends in a traceback
+
+def flag(name, values):
+    """The flag absent, given one of the values, or given without a value."""
+    return st.sampled_from([[]] + [[name, v] for v in values] + [[name]])
+
+
+FLAGS = {
+    "--seed": flag("--seed", ["0", "3", "-1", "-7", "x", "2.5", "99999999999999999999"]),
+    "--restarts": flag("--restarts", ["1", "2", "0", "-1", "x"]),
+    "--refine-steps": flag("--refine-steps", ["1", "0", "2", "-1", "x"]),
+    "--tensor-params": flag("--tensor-params", ['{"n": 3, "seed": 4}', '{"n": 0}',
+                                                '{"n": -1}', '{"n": "x"}',
+                                                '{"n": 2, "seed": -2}', "{}", "[]", "x"]),
+    "--format": flag("--format", ["text", "json", "csv", "bogus"]),
+    "--cone": flag("--cone", ["full", "orthant", "monotone", "generators", "bogus"]),
+}
+# each command with a small-budget base argv and the flags it takes
+FUZZ_COMMANDS = {
+    "eval": (["eval", "--metric", "hopf", "--point", "1,0.5", "--functional", "qobc",
+              "--vector", "1,-1"], ["--seed", "--format"]),
+    "verify": (["verify", "tricerri"], ["--seed", "--format"]),
+    "sweep": (["sweep", "--metric", "hopf", "--point", "1,0.5", "--grid", "re1=1:1.2:2",
+               "--use-paper-tensor", "--restarts", "1", "--refine-steps", "1"],
+              ["--seed", "--restarts", "--refine-steps", "--format"]),
+    "frame-scan": (["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
+                    "--functional", "rbc", "--restarts", "1", "--refine-steps", "1"],
+                   ["--seed", "--restarts", "--refine-steps", "--tensor-params",
+                    "--format", "--cone"]),
+    "cone-check": (["cone-check", "--matrix", "1,-2;-2,1", "--samples", "100"],
+                   ["--seed", "--format", "--cone"]),
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    """A command's base argv, then its own flags in any order, then possibly
+    one flag of another command."""
+    base, names = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
+    parts = draw(st.permutations([draw(FLAGS[name]) for name in names]))
+    parts.append(draw(st.one_of(st.just([]), *FLAGS.values())))
+    return base + [token for part in parts for token in part]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=fuzz_argv())
+def test_cli_fuzz_never_raises(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), json.dumps(argv)

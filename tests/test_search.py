@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from curvlab import (FunctionalKind, SearchConfig, UsageError, extremize,
-                     invariance_test, kahler_constant, matrices_from, paper_hopf,
-                     paper_tricerri, random_tensor, rayleigh_bounds,
+from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
+                     cone_min, extremize, full_cone, invariance_test, kahler_constant,
+                     matrices_from, nonneg_orthant, paper_hopf, paper_tricerri,
+                     random_tensor, rayleigh_bounds, transform_frame,
                      tricerri_family_extrema)
 from curvlab.curvature import FrameConvention
-from curvlab.functionals import evaluate
+from curvlab.functionals import evaluate, quadratic_form_matrix
 from curvlab.search import param_count, unitary_from_params
 from curvlab.linalg import rng_from, unitary_residual
+import curvlab.search as search_mod
 
 
 def test_parametrization_is_unitary():
@@ -73,6 +75,63 @@ def test_extremum_reevaluates():
         moved = transform_frame(t, ext.frame, ext.convention)
         val = evaluate(FunctionalKind.QOBC, matrices_from(moved), ext.vector)
         assert val == pytest.approx(ext.value, abs=1e-9)
+
+
+def test_reeval_drift_is_a_numerical_error(monkeypatch):
+    t = random_tensor(5, 2)
+    cfg = SearchConfig(restarts=1, refine_steps=1, seed=0)
+    monkeypatch.setattr(search_mod, "evaluate",
+                        lambda kind, m, v: evaluate(kind, m, v) + 1e-6)
+    with pytest.raises(NumericalError, match="failed to re-evaluate"):
+        extremize(t, FunctionalKind.RBC, cfg=cfg)
+
+
+def sequential_extremize(tensor, kind, cone, convention, cfg):
+    """Coordinate descent one frame at a time through the public per-frame
+    functions: the iterates the stacked sweeps of extremize must reproduce.
+    Returns [(value, frame)] for the inf and the sup."""
+    n, k = tensor.n, param_count(tensor.n)
+    found = []
+    for sign in (-1, 1):
+        def objective(p):
+            moved = transform_frame(tensor, unitary_from_params(n, p), convention)
+            return cone_min(-sign * quadratic_form_matrix(kind, matrices_from(moved)),
+                            cone).value
+        outcomes = []
+        for r in range(cfg.restarts):
+            params = (np.zeros(k) if r == 0
+                      else rng_from(cfg.seed, r).uniform(-np.pi, np.pi, size=k))
+            val, step = objective(params), cfg.initial_angle
+            for _ in range(cfg.refine_steps):
+                improved = False
+                for i in range(k):
+                    for delta in (step, -step):
+                        cand = params.copy()
+                        cand[i] += delta
+                        cand_val = objective(cand)
+                        if cand_val < val - 1e-14:
+                            params, val, improved = cand, cand_val, True
+                if not improved:
+                    step *= cfg.shrink
+            outcomes.append((val, r, params))
+        val, _, params = min(outcomes, key=lambda o: o[:2])
+        found.append((-sign * val, unitary_from_params(n, params)))
+    return found
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("convention", ["full", "adjoint"])
+@pytest.mark.parametrize("cone_kind", ["full", "orthant"])
+def test_stacked_sweeps_pin_sequential_iterates(n, convention, cone_kind):
+    cone = full_cone(n) if cone_kind == "full" else nonneg_orthant(n)
+    cfg = SearchConfig(restarts=2, refine_steps=4, seed=n)
+    for kind in ("altered_hsc", "qobc"):
+        t = random_tensor(40 + n, n)
+        exts = extremize(t, kind, cone=cone, convention=convention, cfg=cfg)
+        for ext, (value, frame) in zip(exts, sequential_extremize(t, kind, cone,
+                                                                  convention, cfg)):
+            assert ext.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+            assert np.allclose(ext.frame, frame, rtol=0.0, atol=1e-12)
 
 
 def test_hopf_qobc_extrema_over_frames():
