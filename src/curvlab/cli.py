@@ -31,6 +31,19 @@ FORMATS = {"eval": ("text", "json"), "verify": ("text", "json"), "sweep": ("csv"
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting, and keeps its flags by dest so
+    config-file values can be checked against them."""
+
+    def __init__(self, *args, **kwargs):
+        self.flags = {}
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings:
+            self.flags[action.dest] = action
+        return action
+
     def error(self, message):
         raise UsageError(message)
 
@@ -56,7 +69,25 @@ def parse_matrix(text):
     return np.vstack(rows)
 
 
-def _load_config(path):
+def _config_type_ok(flag, value):
+    """Whether a JSON value has the type of its flag: true/false for a switch,
+    an integer (not a bool) for an int flag, a number for a float flag and a
+    string otherwise."""
+    if flag.nargs == 0:
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if flag.type is int:
+        return isinstance(value, int)
+    if flag.type is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, str)
+
+
+def _load_config(path, flags):
+    """The config file's JSON object.  A key naming one of the command's
+    flags must hold a value of that flag's type and, if the flag has choices,
+    one of them; a point may also be a list of numbers."""
     if not path:
         return {}
     try:
@@ -66,6 +97,20 @@ def _load_config(path):
         raise UsageError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
+    point = data.get("point")
+    if isinstance(point, list) and all(isinstance(x, (int, float, str))
+                                       and not isinstance(x, bool) for x in point):
+        data["point"] = ",".join(map(str, point))
+    for name, value in data.items():
+        flag = flags.get(name)
+        if flag is None:
+            continue
+        if not _config_type_ok(flag, value):
+            raise UsageError(f"config value {name}={value!r} has the wrong type "
+                             f"for {flag.option_strings[0]}")
+        if flag.choices is not None and value not in flag.choices:
+            raise UsageError(f"config value {name}={value!r} is not one of "
+                             f"{', '.join(flag.choices)}")
     return data
 
 
@@ -90,7 +135,7 @@ def _seed(args, cfg):
     """The --seed value (default 0): an integer >= 0, as numpy's seeding
     requires."""
     seed = _opt(args, cfg, "seed", 0)
-    if not (isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0):
+    if seed < 0:
         raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
     return seed
 
@@ -188,6 +233,7 @@ def build_parser():
                         help="generator vectors for --cone generators, inline CSV")
     p_cone.add_argument("--samples", type=int, default=None)
     _common_flags(p_cone)
+    parser.commands = subs.choices
     return parser
 
 
@@ -228,8 +274,7 @@ def cmd_eval(args, cfg):
     if kind_name is None:
         raise UsageError("eval needs --functional")
     kind = _functional_kind(kind_name)
-    point = parse_complex_vector(point_text if isinstance(point_text, str)
-                                 else ",".join(map(str, point_text)))
+    point = parse_complex_vector(point_text)
     fd = FDConfig(h=_opt(args, cfg, "fd_step", 1e-4), order=_opt(args, cfg, "fd_order", 2))
     tensor, diag = _tensor_at_point(metric_name, _opt(args, cfg, "dim"), point,
                                     bool(_opt(args, cfg, "use_paper_tensor", False)), fd)
@@ -500,8 +545,9 @@ def _merge_negative_values(argv):
 def main(argv=None):
     argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = build_parser().parse_args(argv)
-        cfg = _load_config(getattr(args, "config", None))
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        cfg = _load_config(args.config, parser.commands[args.command].flags)
         args.format = _output_format(args, cfg)
         args.seed = _seed(args, cfg)
         text, ok = COMMANDS[args.command](args, cfg)

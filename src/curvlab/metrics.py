@@ -10,10 +10,13 @@ entries) a closed-form jet.  The jet of a metric at a point consists of
 
 which is exactly the data the Chern curvature formula consumes.  Jets can
 also be produced by central finite differences in the Wirtinger convention
-d/dz = (d/dx - i d/dy)/2, with second mixed derivatives built from nested
-first differences.
+d/dz = (d/dx - i d/dy)/2.  The mixed derivative d^2/dz_i dzbar_j is the
+d/dz_i difference of the d/dzbar_j difference; its points are read from a
+per-dimension table of the distinct stencil offsets, so each point is
+evaluated once.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -95,29 +98,52 @@ def _eval_checked(evaluate, p, domain):
     return np.asarray(evaluate(p), dtype=complex)
 
 
-def _wirtinger_first(fn, p, axis, h, conjugated, domain):
-    """d/dz_axis (or d/dzbar_axis) of a matrix-valued function by central
-    differences along the real and imaginary directions."""
-    e = np.zeros(p.size, dtype=complex)
-    e[axis] = 1.0
-    dx = (_eval_checked(fn, p + h * e, domain) - _eval_checked(fn, p - h * e, domain)) / (2.0 * h)
-    dy = (_eval_checked(fn, p + 1j * h * e, domain) - _eval_checked(fn, p - 1j * h * e, domain)) / (2.0 * h)
-    return 0.5 * (dx + 1j * dy) if conjugated else 0.5 * (dx - 1j * dy)
+# stencil directions a (points p + a h e_i) and the Wirtinger weights over
+# them: d/dz_i f ~ sum_a _DZ[a] f(p + a h e_i) / h, the central differences
+# ((f(+h) - f(-h)) - i (f(+ih) - f(-ih))) / (4 h); d/dzbar has conj(_DZ)
+_UNITS = (1.0, -1.0, 1j, -1j)
+_DZ = np.array([1.0, -1.0, -1j, 1j]) / 4.0
+_DZ_DZBAR = np.outer(_DZ, np.conj(_DZ))
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil(n):
+    """(offsets, first, mixed) of the Wirtinger stencil in C^n, offsets in
+    units of h.
+
+    offsets[s] is the s-th distinct point offset, row 0 the centre;
+    first[i, a] is the slot of _UNITS[a] e_i and mixed[i, j, a, b] the slot of
+    _UNITS[a] e_i + _UNITS[b] e_j, the points of d/dz_i of the d/dzbar_j
+    difference.  The pairs (i, j) and (j, i) share their 16 points and on the
+    diagonal the offsets a + b = 0 are the centre, so there are
+    1 + 12 n + 8 n (n - 1) slots instead of 1 + 4 n + 16 n^2 nested points.
+    """
+    slots = {(0j,) * n: 0}
+
+    def slot(offset):
+        return slots.setdefault(tuple(offset), len(slots))
+
+    eye = np.eye(n, dtype=complex)
+    first = np.array([[slot(a * eye[i]) for a in _UNITS] for i in range(n)], dtype=np.intp)
+    mixed = np.array([[[[slot(a * eye[i] + b * eye[j]) for b in _UNITS] for a in _UNITS]
+                       for j in range(n)] for i in range(n)], dtype=np.intp)
+    offsets = np.array(list(slots), dtype=complex).reshape(len(slots), n)
+    for table in (offsets, first, mixed):
+        table.flags.writeable = False
+    return offsets, first, mixed
 
 
 def _fd_jet_fixed_step(evaluate, p, h, domain):
-    n = p.size
-    g = _eval_checked(evaluate, p, domain)
-    dg = np.empty((n, n, n), dtype=complex)
-    for i in range(n):
-        dg[i] = _wirtinger_first(evaluate, p, i, h, conjugated=False, domain=domain)
-    ddg = np.empty((n, n, n, n), dtype=complex)
-    for j in range(n):
-        def inner(q, _j=j):
-            return _wirtinger_first(evaluate, q, _j, h, conjugated=True, domain=domain)
-        for i in range(n):
-            ddg[i, j] = _wirtinger_first(inner, p, i, h, conjugated=False, domain=domain)
-    return MetricJet(g=g, dg=dg, ddg=ddg)
+    """One pass over the stencil table: every distinct point is evaluated
+    (and domain-checked) once, then dg and ddg are weighted sums of the
+    stacked values."""
+    offsets, first, mixed = _stencil(p.size)
+    f = np.array([_eval_checked(evaluate, q, domain) for q in p + h * offsets])
+    dg = np.einsum("a,iakl->ikl", _DZ, f[first]) / h
+    ddg = np.zeros(mixed.shape[:2] + f.shape[1:], dtype=complex)
+    for (a, b), weight in np.ndenumerate(_DZ_DZBAR):
+        ddg += weight * f[mixed[:, :, a, b]]
+    return MetricJet(g=f[0], dg=dg, ddg=ddg / h ** 2)
 
 
 def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, domain=None):
@@ -126,6 +152,10 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
     order=2 is the plain O(h^2) stencil; order=4 Richardson-extrapolates the
     steps h and h/2, which is needed when absolute accuracy near 1e-8 is
     required on O(1) second derivatives.
+
+    ``evaluate`` must be a pure function of the point.  Each distinct stencil
+    point is evaluated (and checked against ``domain``) once per step:
+    1 + 12 n + 8 n (n - 1) calls in C^n, twice that for order=4.
     """
     p = as_point(p)
     if h <= 0:

@@ -6,7 +6,8 @@ Suites: hopf, tricerri, fubini_study, cones, identities, all.
 
 import numpy as np
 
-from .errors import UsageError
+from .config import DEFAULT
+from .errors import DomainError, UsageError
 from .linalg import haar_from_rng, rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
@@ -339,15 +340,16 @@ def suite_identities(seed=0):
     rep.add("qobc_constant_vector_zero", 0.0, worst_const, 0.0)
     rep.add_bool("full_min_below_orthant_min", dominance_ok)
 
-    # scalar traces are invariant under genuine (full-convention) frame changes
-    rng2 = rng_from(seed + 2)
-    worst = 0.0
+    # scalar traces are invariant under genuine (full-convention) frame changes;
+    # in each frame they are the sums of the rbc' and altered' slices
     t = random_tensor(seed + 3, 3)
-    s0 = scalars(t)
-    for _ in range(100):
-        u = haar_from_rng(3, rng2)
-        s1 = scalars(transform_frame(t, u, FrameConvention.FULL))
-        worst = max(worst, abs(s1[0] - s0[0]), abs(s1[1] - s0[1]))
+    rbc, alt = frame_matrices(t, haar_from_rng(3, rng_from(seed + 2), 100),
+                              FrameConvention.FULL)
+    traces = np.stack([rbc.sum(axis=(-2, -1)), alt.sum(axis=(-2, -1))], axis=-1)
+    scale = np.maximum(1.0, np.maximum(np.abs(rbc), np.abs(alt)).max(axis=(-2, -1)))
+    if np.any(np.abs(traces.imag) > DEFAULT.scalar_imag * scale[:, None]):
+        raise DomainError("scalar traces have non-negligible imaginary part")
+    worst = float(np.abs(traces.real - np.array(scalars(t))).max())
     rep.add("scalar_trace_invariance", 0.0, worst, 1e-9)
     return rep
 

@@ -58,6 +58,19 @@ def test_exit_codes(tmp_path):
         cfg = tmp_path / "seed.json"
         cfg.write_text(json.dumps({"seed": seed}))
         assert main(["verify", "tricerri", "--config", str(cfg)]) == 1
+    # a config value must have the JSON type, and be one of the choices, of its flag
+    for argv, value in (
+            (["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
+              "--functional", "rbc"], {"restarts": "2"}),
+            (["cone-check", "--matrix", "1,0;0,1"], {"samples": "x"}),
+            (["frame-scan", "--family", "tricerri", "--functional", "rbc"], {"imw": "abc"}),
+            (["eval", "--metric", "euclidean", "--dim", "2", "--point", "0,0",
+              "--functional", "rbc", "--vector", "1,0"], {"use_paper_tensor": "no"}),
+            (["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
+              "--functional", "rbc"], {"convention": "bogus"})):
+        cfg = tmp_path / "values.json"
+        cfg.write_text(json.dumps(value))
+        assert main(argv + ["--config", str(cfg)]) == 1
 
 
 def test_numerical_drift_exits_2(monkeypatch, capsys):
@@ -185,6 +198,11 @@ def test_config_file_flags_win(tmp_path, capsys):
     # an explicit flag overrides the config value
     code = main(["eval", "--config", str(cfg), "--functional", "qobc"])
     assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "value = 0"
+    # a point may also be a list of numbers
+    cfg.write_text(json.dumps({"metric": "hopf", "point": [1, 0], "functional": "rbc",
+                               "vector": "1,0", "use_paper_tensor": True}))
+    assert main(["eval", "--config", str(cfg)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "value = 0"
 
 

@@ -156,3 +156,77 @@ def test_fd_order4_beats_order2_on_tricerri():
 def test_fd_config_defaults():
     assert FDConfig().h == pytest.approx(1e-4)
     assert FDConfig().order == 2
+
+
+# ---------------------------------------------------------------------------
+# the stencil-table jet against nested first differences
+
+def nested_first(fn, p, axis, h, conjugated):
+    """d/dz_axis (d/dzbar_axis if conjugated) of fn by central differences
+    along the real and imaginary directions."""
+    e = np.zeros(p.size, dtype=complex)
+    e[axis] = 1.0
+    dx = (fn(p + h * e) - fn(p - h * e)) / (2.0 * h)
+    dy = (fn(p + 1j * h * e) - fn(p - 1j * h * e)) / (2.0 * h)
+    return 0.5 * (dx + 1j * dy) if conjugated else 0.5 * (dx - 1j * dy)
+
+
+def nested_jet(evaluate, p, h, order):
+    """The Wirtinger jet by definition: dg from first differences, ddg[i, j]
+    the d/dz_i difference of the d/dzbar_j difference, Richardson over h and
+    h/2 for order 4."""
+    def fixed(step):
+        n = p.size
+        fn = lambda q: np.asarray(evaluate(q), dtype=complex)
+        dg = np.array([nested_first(fn, p, i, step, False) for i in range(n)])
+        ddg = np.array([[nested_first(lambda q, j=j: nested_first(fn, q, j, step, True),
+                                      p, i, step, False) for j in range(n)] for i in range(n)])
+        return dg, ddg
+
+    dg, ddg = fixed(h)
+    if order == 4:
+        dg_half, ddg_half = fixed(h / 2.0)
+        dg, ddg = (4.0 * dg_half - dg) / 3.0, (4.0 * ddg_half - ddg) / 3.0
+    return dg, ddg
+
+
+def catalog_of_dimension(n):
+    fields = [euclidean(n), conformal(n, np.linspace(0.5, 1.5, n)), fubini_study(n)]
+    return fields + ([hopf(), tricerri()] if n == 2 else [])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("order", [2, 4])
+def test_stencil_table_jet_matches_nested_differences(n, order):
+    rng = rng_from(100 * n + order)
+    h = {2: 1e-4, 4: 1e-3}[order]
+    for field in catalog_of_dimension(n):
+        p = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if field.name in ("hopf", "tricerri"):
+            p = sample_domain_point(field.name, rng)
+        fd = finite_difference_jet(field.evaluate, p, h, order=order, scale_with_point=False,
+                                   domain=field.domain)
+        dg, ddg = nested_jet(field.evaluate, p, h, order)
+        assert np.array_equal(fd.g, field.evaluate(p))
+        assert np.abs(fd.dg - dg).max() <= 1e-8 * max(1.0, float(np.abs(dg).max()))
+        assert np.abs(fd.ddg - ddg).max() <= 1e-8 * max(1.0, float(np.abs(ddg).max()))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("order", [2, 4])
+def test_each_distinct_stencil_point_is_evaluated_once(n, order):
+    seen = []
+
+    def counting(q):
+        seen.append(tuple(q))
+        return np.eye(n, dtype=complex)
+
+    # dyadic point and step: every stencil point is exact, so distinct
+    # offsets give distinct points
+    p = np.arange(1, n + 1) * (0.5 + 0.25j)
+    finite_difference_jet(counting, p, 2.0 ** -8, order=order, scale_with_point=False)
+    per_step = 1 + 12 * n + 8 * n * (n - 1)
+    steps = order // 2   # order 4 runs the stencil at h and h/2
+    assert len(seen) == per_step * steps
+    for k in range(steps):
+        assert len(set(seen[k * per_step:(k + 1) * per_step])) == per_step

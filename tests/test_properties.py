@@ -1,5 +1,6 @@
 """Property tests: the exact restricted cone minimum, the frame changes, the
-stacked frame kernel, the exact Tricerri family extrema and the command line.
+stacked frame kernel and the loops built on it, the blocked moment sums, the
+exact Tricerri family extrema and the command line.
 
 Examples are drawn by hypothesis with a fixed derivation (``derandomize``),
 so a run of the suite is reproducible; no example database is written.
@@ -8,6 +9,8 @@ so a run of the suite is reproducible; no example database is written.
 import contextlib
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -18,10 +21,13 @@ from hypothesis.extra import numpy as hnp
 from curvlab import (CurvatureMatrices, FrameConvention, cholesky_frame, cone_min,
                      copositive_2x2, frame_matrices, generator_cone, matrices_from,
                      monotone_nonneg, nonneg_orthant, paper_tricerri, random_tensor,
-                     rayleigh_bounds, to_frame, transform_frame, tricerri_family_extrema,
-                     unitary_from_params, weitzenbock)
+                     rayleigh_bounds, ricci_qobc_bounds, scalars, to_frame,
+                     transform_frame, tricerri_family_extrema, unitary_from_params,
+                     weitzenbock)
 from curvlab.cli import main
-from curvlab.functionals import quadratic_form_matrix
+from curvlab.config import DEFAULT
+from curvlab.functionals import _moment_chunk, quadratic_form_matrix
+from curvlab.verify import suite_identities
 from curvlab.curvature import COORDINATE, ChernTensor, hermitian_tensor_residual
 from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 from curvlab.search import param_count
@@ -264,12 +270,59 @@ def test_weitzenbock_identity_on_stacks(n, shape, seed):
         assert np.array_equal(w[idx], weitzenbock(m[idx]))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("count", [1, 4096, 10_000])
+def test_moment_chunk_gram_products_match_the_einsum_definition(n, count):
+    total, total_sq = _moment_chunk(n, rng_from(n, count), count)
+    rng = rng_from(n, count)
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    zc, s = np.conj(z), np.abs(z) ** 2
+    ref = np.einsum("ai,aj,ak,al->ijkl", z, zc, z, zc)
+    ref_sq = np.einsum("ai,aj,ak,al->ijkl", s, s, s, s)
+    assert np.abs(total - ref).max() <= 1e-12 * count
+    assert np.abs(total_sq - ref_sq).max() <= 1e-12 * count
+
+
+@PROPERTY
+@given(n=st.integers(1, 4), frames=st.integers(0, 12), seed=st.integers(0, 2 ** 16))
+def test_stacked_ricci_qobc_bounds_match_the_frame_loop(n, frames, seed):
+    t = random_tensor(seed, n)
+    details = ricci_qobc_bounds(t, frame_samples=frames, seed=seed).details
+    rng = rng_from(seed)
+    lowest = np.full(2, np.inf)
+    for _ in range(frames):
+        m = matrices_from(transform_frame(t, haar_from_rng(n, rng), FrameConvention.FULL))
+        lowest = np.minimum(lowest, [np.linalg.eigvalsh(weitzenbock(m.rbc))[0],
+                                     np.linalg.eigvalsh(weitzenbock(m.altered))[0]])
+    scale = max(1.0, float(np.abs(t.values).max()))
+    for key, value in zip(("qobc", "altered_qobc"), lowest):
+        got = details[f"{key}_min_eigenvalue_sampled"]
+        assert got == value or abs(got - value) <= 1e-12 * scale   # both inf without frames
+        assert details[f"{key}_nonneg_sampled"] == bool(value >= -DEFAULT.cone_agreement)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_stacked_scalar_trace_invariance_matches_the_frame_loop(seed):
+    check = next(c for c in suite_identities(seed).checks
+                 if c.name == "scalar_trace_invariance")
+    t = random_tensor(seed + 3, 3)
+    s0 = scalars(t)
+    rng = rng_from(seed + 2)
+    worst = 0.0
+    for _ in range(100):
+        s1 = scalars(transform_frame(t, haar_from_rng(3, rng), FrameConvention.FULL))
+        worst = max(worst, abs(s1[0] - s0[0]), abs(s1[1] - s0[1]))
+    assert abs(check.actual - worst) <= 1e-12 * max(1.0, float(np.abs(t.values).max()))
+
+
 # ---------------------------------------------------------------------------
 # command-line fuzz: no argv from a bounded grammar ends in a traceback
 
 def flag(name, values):
-    """The flag absent, given one of the values, or given without a value."""
-    return st.sampled_from([[]] + [[name, v] for v in values] + [[name]])
+    """The flag absent (half the time), given one of the values, or given
+    without a value."""
+    return st.one_of(st.just([]), st.sampled_from([[name, v] for v in values] + [[name]]))
 
 
 FLAGS = {
@@ -281,11 +334,24 @@ FLAGS = {
                                                 '{"n": 2, "seed": -2}', "{}", "[]", "x"]),
     "--format": flag("--format", ["text", "json", "csv", "bogus"]),
     "--cone": flag("--cone", ["full", "orthant", "monotone", "generators", "bogus"]),
+    "--fd-order": flag("--fd-order", ["2", "4", "3", "0", "x"]),
+    "--fd-step": flag("--fd-step", ["1e-4", "1e-3", "0", "-1", "1e-12", "nan", "x"]),
+}
+# config-file values for keys read from the file: right-typed, out of range
+# and wrong-typed
+CONFIG_VALUES = {
+    "restarts": [1, 2, 0, "2", 1.5, True, None, [1]],
+    "refine_steps": [1, -1, "x", 2.5, False, None],
+    "samples": [100, 5, "x", 1e3, True, None],
+    "imw": [1.0, 2, 0, -1.0, "abc", True, None],
+    "dim": [2, 3, 0, "2", 2.0, True, None],
+    "fd_step": [1e-4, 1e-3, 0, -1.0, "1e-4", True, None],
+    "fd_order": [2, 4, 3, "2", 2.0, True, None],
 }
 # each command with a small-budget base argv and the flags it takes
 FUZZ_COMMANDS = {
     "eval": (["eval", "--metric", "hopf", "--point", "1,0.5", "--functional", "qobc",
-              "--vector", "1,-1"], ["--seed", "--format"]),
+              "--vector", "1,-1"], ["--seed", "--format", "--fd-order", "--fd-step"]),
     "verify": (["verify", "tricerri"], ["--seed", "--format"]),
     "sweep": (["sweep", "--metric", "hopf", "--point", "1,0.5", "--grid", "re1=1:1.2:2",
                "--use-paper-tensor", "--restarts", "1", "--refine-steps", "1"],
@@ -294,6 +360,8 @@ FUZZ_COMMANDS = {
                     "--functional", "rbc", "--restarts", "1", "--refine-steps", "1"],
                    ["--seed", "--restarts", "--refine-steps", "--tensor-params",
                     "--format", "--cone"]),
+    "frame-scan --family": (["frame-scan", "--family", "tricerri", "--functional", "rbc"],
+                            ["--seed", "--format"]),
     "cone-check": (["cone-check", "--matrix", "1,-2;-2,1", "--samples", "100"],
                    ["--seed", "--format", "--cone"]),
 }
@@ -302,17 +370,33 @@ FUZZ_COMMANDS = {
 @st.composite
 def fuzz_argv(draw):
     """A command's base argv, then its own flags in any order, then possibly
-    one flag of another command."""
+    one flag of another command; and a config object for --config, or None.
+    The base argv leaves the config's keys to the file."""
     base, names = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
+    config = None
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), min_size=1, max_size=3,
+                             unique=True))
+        config = {key: draw(st.sampled_from(CONFIG_VALUES[key])) for key in keys}
+        drop = {"--" + key.replace("_", "-") for key in keys}
+        base = [token for i, token in enumerate(base)
+                if token not in drop and (i == 0 or base[i - 1] not in drop)]
     parts = draw(st.permutations([draw(FLAGS[name]) for name in names]))
-    parts.append(draw(st.one_of(st.just([]), *FLAGS.values())))
-    return base + [token for part in parts for token in part]
+    parts.append(draw(st.one_of(FLAGS.values())))
+    return base + [token for part in parts for token in part], config
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argv=fuzz_argv())
-def test_cli_fuzz_never_raises(argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    assert code in (0, 1, 2, 3), json.dumps(argv)
+@given(case=fuzz_argv())
+def test_cli_fuzz_never_raises(case):
+    argv, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = argv + ["--config", path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), json.dumps([argv, config])
