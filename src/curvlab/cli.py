@@ -160,8 +160,11 @@ def _tensor_params(text):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {out_path}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -171,6 +174,12 @@ def _common_flags(sub):
     sub.add_argument("--out", default=None)
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--config", default=None)
+
+
+_EXACT_NOTE = ("ignored on full-cone, full-convention scans, which are exact "
+               "and ignore --seed too")
+_RESTARTS_HELP = f"search restarts; {_EXACT_NOTE}"
+_REFINE_HELP = f"coordinate-descent sweeps per restart; {_EXACT_NOTE}"
 
 
 def build_parser():
@@ -202,8 +211,8 @@ def build_parser():
                          help="axis sweeps, e.g. 'im2=1:2:2,re1=0:1:3'")
     p_sweep.add_argument("--use-paper-tensor", action="store_true", default=None)
     p_sweep.add_argument("--convention", choices=["full", "adjoint"], default=None)
-    p_sweep.add_argument("--restarts", type=int, default=None)
-    p_sweep.add_argument("--refine-steps", type=int, default=None)
+    p_sweep.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
+    p_sweep.add_argument("--refine-steps", type=int, default=None, help=_REFINE_HELP)
     _common_flags(p_sweep)
 
     p_scan = subs.add_parser("frame-scan", help="extremize a functional over frames")
@@ -220,8 +229,8 @@ def build_parser():
     p_scan.add_argument("--functional", default=None)
     p_scan.add_argument("--cone", choices=["full", "orthant", "monotone"], default=None)
     p_scan.add_argument("--convention", choices=["full", "adjoint"], default=None)
-    p_scan.add_argument("--restarts", type=int, default=None)
-    p_scan.add_argument("--refine-steps", type=int, default=None)
+    p_scan.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
+    p_scan.add_argument("--refine-steps", type=int, default=None, help=_REFINE_HELP)
     _common_flags(p_scan)
 
     p_cone = subs.add_parser("cone-check", help="copositivity and dual-EDM tests")

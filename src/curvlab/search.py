@@ -1,12 +1,23 @@
 """Optimization of curvature functionals over the unitary frame bundle.
 
-The outer problem ranges over unitary frame changes, parametrized as a
-product of complex Givens rotations and diagonal phases so every iterate is
-exactly unitary; the inner problem (best vector for a fixed frame) is solved
-exactly, on the full cone via the Rayleigh bounds and on restricted cones by
-face enumeration (``cones.cone_min``).  The search is stochastic restart +
-coordinate descent with a shrinking step; no global-optimality certificate
-is claimed, and acceptance tolerances are sized accordingly.
+On the full cone under the full convention the problem is solved exactly.
+With frame rows u_a and a real vector x, the frame-changed form
+sum x_a x_g R'[a,a,g,g] is R(A, A) = sum A[p,q] R[p,q,s,t] A[s,t] for the
+Hermitian A = sum_a x_a u_a^T conj(u_a), and every Hermitian A arises this way
+(spectral theorem) with |x| = |A|_F.  So the inf and sup over all frames and
+vectors are the extreme eigenvalues of one real symmetric n^2 x n^2 form on
+Herm(n) (``frame_form``), and the extreme eigenvectors, diagonalized as
+A = W diag(x) W^H, give the realizing frame W^T and vector x: an eigenvector
+certificate rather than a search.
+
+Restricted cones and the adjoint convention are searched.  The outer problem
+ranges over unitary frame changes, parametrized as a product of complex
+Givens rotations and diagonal phases so every iterate is exactly unitary; the
+inner problem (best vector for a fixed frame) is solved exactly, on the full
+cone via the Rayleigh bounds and on restricted cones by face enumeration
+(``cones.cone_min``).  That search is restart + coordinate descent with a
+shrinking step; it claims no global optimum, and acceptance tolerances are
+sized accordingly.
 
 Candidate frames are evaluated in stacks through ``frame_matrices``: a
 coordinate sweep evaluates all of its remaining candidates at once, accepts
@@ -21,6 +32,7 @@ than any single U(2) orbit (a 2 x 2 unitary forces |b|^2 + |d|^2 = 1 for
 entries sharing a column).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,15 +161,82 @@ def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):
     return best_val, u, best_vec, restart
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(n):
+    """(n^2, n^2) array whose rows, read as n x n matrices, are a real
+    orthonormal basis of Herm(n) under <A, B> = tr(A B): E_pp for each p,
+    then for each p < q (E_pq + E_qp)/sqrt(2) and i (E_pq - E_qp)/sqrt(2)."""
+    rows = []
+    for p in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[p, p] = 1.0
+        rows.append(e)
+    for p in range(n):
+        for q in range(p + 1, n):
+            for phase in (1.0, 1j):
+                e = np.zeros((n, n), dtype=complex)
+                e[p, q], e[q, p] = phase, np.conj(phase)
+                rows.append(e / np.sqrt(2.0))
+    basis = np.array(rows).reshape(n * n, n * n)
+    basis.flags.writeable = False
+    return basis
+
+
+def frame_form(tensor, kind):
+    """Real symmetric n^2 x n^2 form Q on Herm(n), in the basis of
+    ``_hermitian_basis``, whose quadratic form at the coordinates c of
+    A = sum_a x_a u_a^T conj(u_a) is |x|^2 times the functional at frame rows
+    u_a and vector x under the full convention.
+
+    With S = R for the rbc slice and S = R_(pt)(qs) for the altered slice,
+    S(A, A) = sum A[p,q] S[p,q,s,t] A[s,t] is the repeated-pair form; the
+    difference forms add the row and column sums S(A^2, I) + S(I, A^2), which
+    are the linear functional ell[p,q] = S[p,q,s,s] + S[s,s,p,q] at A^2.
+    """
+    kind = FunctionalKind(kind)
+    if kind is FunctionalKind.ALTERED_HSC:
+        return frame_form(tensor, "rbc") + frame_form(tensor, "altered_rbc")
+    n = tensor.n
+    basis = _hermitian_basis(n)
+    s = tensor.values
+    if kind in (FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_QOBC):
+        s = s.transpose(0, 3, 2, 1)
+    q = (basis @ s.reshape(n * n, n * n) @ basis.T).real
+    if kind in (FunctionalKind.QOBC, FunctionalKind.ALTERED_QOBC):
+        ell = np.einsum("pqss->pq", s) + np.einsum("sspq->pq", s)
+        # ell(B_k B_l) = sum B_k[p, r] (ell B_l^T)[p, r]
+        mats = basis.reshape(n * n, n, n)
+        pushed = ell @ np.swapaxes(mats, -1, -2)
+        q = (basis @ pushed.reshape(n * n, n * n).T).real - 2.0 * q
+    return 0.5 * (q + q.T)
+
+
+def _exact_extrema(tensor, kind):
+    """Inf and sup over all frames and the full cone under the full
+    convention: the extreme eigenpairs of ``frame_form``, each eigenvector
+    turned into its Hermitian matrix A = W diag(x) W^H, realized by frame W^T
+    and vector x."""
+    n = tensor.n
+    dec = self_adjoint_eigen(frame_form(tensor, kind))
+    coords = dec.vectors[:, [0, -1]].T
+    spec = self_adjoint_eigen((coords @ _hermitian_basis(n)).reshape(2, n, n))
+    return [FrameExtremum(value=float(dec.values[col]), frame=spec.vectors[j].T,
+                          vector=spec.values[j], convention=FrameConvention.FULL.value)
+            for j, col in enumerate((0, -1))]
+
+
 def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
               cfg=SearchConfig()):
     """(inf, sup) of a quadratic functional over frames x cone vectors.
 
-    Per restart, a frame is drawn (restart 0 starts at the identity), the
-    inner vector problem is solved exactly, and the frame is refined by
-    coordinate descent over Givens angles with shrinking steps; monotone
-    improvement and determinism for a fixed config are guaranteed.  Each
-    reported extremum is re-evaluated through ``transform_frame`` and
+    On the full cone under the full convention both are exact: the extreme
+    eigenvalues of ``frame_form``, realized by the frames and vectors built
+    from its eigenvectors, and ``cfg`` is not used.  Otherwise they are
+    searched: per restart, a frame is drawn (restart 0 starts at the
+    identity), the inner vector problem is solved exactly, and the frame is
+    refined by coordinate descent over Givens angles with shrinking steps;
+    monotone improvement and determinism for a fixed config are guaranteed.
+    Each reported extremum is re-evaluated through ``transform_frame`` and
     ``evaluate``; drift beyond ``Tolerances.reeval`` raises NumericalError.
     """
     kind = FunctionalKind(kind)
@@ -170,17 +249,20 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
         raise UsageError("cone dimension does not match tensor dimension")
     convention = FrameConvention(convention)
 
-    results = {}
-    for sign in (-1, +1):
-        outcomes = [_search_one_restart(tensor, kind, cone, convention, cfg, r, sign)
-                    for r in range(cfg.restarts)]
-        best = min(outcomes, key=lambda o: (o[0], o[3]))
-        value = best[0] if sign < 0 else -best[0]
-        ext = FrameExtremum(value=value, frame=best[1], vector=best[2],
-                            convention=convention.value)
+    if cone.kind == "full" and convention is FrameConvention.FULL:
+        found = _exact_extrema(tensor, kind)
+    else:
+        found = []
+        for sign in (-1, +1):
+            outcomes = [_search_one_restart(tensor, kind, cone, convention, cfg, r, sign)
+                        for r in range(cfg.restarts)]
+            best = min(outcomes, key=lambda o: (o[0], o[3]))
+            found.append(FrameExtremum(value=best[0] if sign < 0 else -best[0],
+                                       frame=best[1], vector=best[2],
+                                       convention=convention.value))
+    for ext in found:
         _check_reeval(tensor, kind, ext)
-        results[sign] = ext
-    return results[-1], results[+1]
+    return found[0], found[1]
 
 
 def _check_reeval(tensor, kind, ext):

@@ -279,3 +279,26 @@ def test_cone_check_schema_and_determinism(capsys):
     assert sorted(payload["cone_min"]) == ["argmin", "value"]
     v = np.array(payload["cone_min"]["argmin"])
     assert v.min() >= 0.0 and np.all(np.diff(v) <= 1e-12)
+
+
+@pytest.mark.parametrize("target", ["missing/out.json", "."], ids=["missing-dir", "dir"])
+def test_unwritable_out_path_is_usage_error(target, tmp_path, capsys):
+    out = tmp_path / target
+    assert main(SCAN_RANDOM + ["--functional", "rbc", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write output file {out}" in captured.err
+
+
+def test_full_full_scan_is_exact_and_ignores_the_search_flags(capsys):
+    # the full/full extrema are eigenvalues: restarts, refine steps and seed
+    # leave the output unchanged, and restarts is still echoed
+    base = ["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 3, "seed": 2}',
+            "--functional", "qobc", "--format", "json"]
+    payloads = []
+    for extra in ([], ["--restarts", "1", "--refine-steps", "0", "--seed", "9"]):
+        assert main(base + extra) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    for key in ("inf", "sup"):
+        assert payloads[0][key] == payloads[1][key]
+    assert [p["restarts"] for p in payloads] == [8, 1]

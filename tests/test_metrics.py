@@ -226,7 +226,22 @@ def test_each_distinct_stencil_point_is_evaluated_once(n, order):
     p = np.arange(1, n + 1) * (0.5 + 0.25j)
     finite_difference_jet(counting, p, 2.0 ** -8, order=order, scale_with_point=False)
     per_step = 1 + 12 * n + 8 * n * (n - 1)
-    steps = order // 2   # order 4 runs the stencil at h and h/2
-    assert len(seen) == per_step * steps
-    for k in range(steps):
-        assert len(set(seen[k * per_step:(k + 1) * per_step])) == per_step
+    # order 4 runs the stencil at h and h/2, which share the centre and the
+    # 4 n points +-h e_i, +-ih e_i
+    calls = per_step if order == 2 else 2 * per_step - (1 + 4 * n)
+    assert len(seen) == calls
+    assert len(set(seen)) == calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_order_4_jet_is_richardson_of_two_order_2_jets_bit_for_bit(n):
+    # reading the shared points from the step-h values changes no bit
+    field = fubini_study(n)
+    p = 0.3 * np.arange(1, n + 1) * (1.0 - 0.4j)
+    h = 1e-3 * max(1.0, float(np.linalg.norm(p)))
+    full = finite_difference_jet(field.evaluate, p, h, scale_with_point=False)
+    half = finite_difference_jet(field.evaluate, p, h / 2.0, scale_with_point=False)
+    both = finite_difference_jet(field.evaluate, p, 1e-3, order=4, domain=field.domain)
+    assert np.array_equal(both.g, full.g)
+    assert np.array_equal(both.dg, (4.0 * half.dg - full.dg) / 3.0)
+    assert np.array_equal(both.ddg, (4.0 * half.ddg - full.ddg) / 3.0)

@@ -1,6 +1,7 @@
 """Property tests: the exact restricted cone minimum, the frame changes, the
 stacked frame kernel and the loops built on it, the blocked moment sums, the
-exact Tricerri family extrema and the command line.
+exact Tricerri family extrema, the exact full-convention frame extrema and
+the command line.
 
 Examples are drawn by hypothesis with a fixed derivation (``derandomize``),
 so a run of the suite is reproducible; no example database is written.
@@ -18,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curvlab import (CurvatureMatrices, FrameConvention, cholesky_frame, cone_min,
-                     copositive_2x2, frame_matrices, generator_cone, matrices_from,
+from curvlab import (CurvatureMatrices, FrameConvention, SearchConfig, cholesky_frame,
+                     cone_min, copositive_2x2, extremize, frame_matrices, generator_cone,
+                     matrices_from,
                      monotone_nonneg, nonneg_orthant, paper_tricerri, random_tensor,
                      rayleigh_bounds, ricci_qobc_bounds, scalars, to_frame,
                      transform_frame, tricerri_family_extrema, unitary_from_params,
@@ -316,6 +318,31 @@ def test_stacked_scalar_trace_invariance_matches_the_frame_loop(seed):
     assert abs(check.actual - worst) <= 1e-12 * max(1.0, float(np.abs(t.values).max()))
 
 
+@PROPERTY
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 16))
+def test_scalar_traces_are_full_convention_invariant(n, seed):
+    t = random_tensor(seed, n)
+    moved = transform_frame(t, haar_from_rng(n, rng_from(seed, 1)), FrameConvention.FULL)
+    tol = DEFAULT.scalar_imag * max(1.0, float(np.abs(t.values).max()))
+    assert np.abs(np.subtract(scalars(moved), scalars(t))).max() <= tol
+
+
+@PROPERTY
+@given(n=st.integers(2, 3), seed=st.integers(0, 2 ** 16), kind=st.sampled_from(QUAD_KINDS),
+       cone=st.sampled_from(["orthant", "monotone"]))
+def test_restricted_full_convention_scans_stay_within_the_exact_range(n, seed, kind, cone):
+    # the orthant and monotone cones lie in the full cone, so their searched
+    # extrema can never pass the exact full-cone ones
+    t = random_tensor(seed, n)
+    exact_lo, exact_hi = extremize(t, kind)
+    restricted = nonneg_orthant(n) if cone == "orthant" else monotone_nonneg(n)
+    lo, hi = extremize(t, kind, cone=restricted,
+                       cfg=SearchConfig(restarts=2, refine_steps=2, seed=seed))
+    tol = 1e-12 * max(1.0, abs(exact_lo.value), abs(exact_hi.value))
+    assert lo.value >= exact_lo.value - tol
+    assert hi.value <= exact_hi.value + tol
+
+
 # ---------------------------------------------------------------------------
 # command-line fuzz: no argv from a bounded grammar ends in a traceback
 
@@ -336,6 +363,10 @@ FLAGS = {
     "--cone": flag("--cone", ["full", "orthant", "monotone", "generators", "bogus"]),
     "--fd-order": flag("--fd-order", ["2", "4", "3", "0", "x"]),
     "--fd-step": flag("--fd-step", ["1e-4", "1e-3", "0", "-1", "1e-12", "nan", "x"]),
+    "--convention": flag("--convention", ["full", "adjoint", "bogus"]),
+    # {tmp} is the test's temporary directory: a file in it, the directory
+    # itself, and a file under a subdirectory that does not exist
+    "--out": flag("--out", ["{tmp}/out.txt", "{tmp}", "{tmp}/missing/out.txt"]),
 }
 # config-file values for keys read from the file: right-typed, out of range
 # and wrong-typed
@@ -351,19 +382,19 @@ CONFIG_VALUES = {
 # each command with a small-budget base argv and the flags it takes
 FUZZ_COMMANDS = {
     "eval": (["eval", "--metric", "hopf", "--point", "1,0.5", "--functional", "qobc",
-              "--vector", "1,-1"], ["--seed", "--format", "--fd-order", "--fd-step"]),
-    "verify": (["verify", "tricerri"], ["--seed", "--format"]),
+              "--vector", "1,-1"], ["--seed", "--format", "--fd-order", "--fd-step", "--out"]),
+    "verify": (["verify", "tricerri"], ["--seed", "--format", "--out"]),
     "sweep": (["sweep", "--metric", "hopf", "--point", "1,0.5", "--grid", "re1=1:1.2:2",
                "--use-paper-tensor", "--restarts", "1", "--refine-steps", "1"],
-              ["--seed", "--restarts", "--refine-steps", "--format"]),
+              ["--seed", "--restarts", "--refine-steps", "--format", "--out"]),
     "frame-scan": (["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
                     "--functional", "rbc", "--restarts", "1", "--refine-steps", "1"],
                    ["--seed", "--restarts", "--refine-steps", "--tensor-params",
-                    "--format", "--cone"]),
+                    "--format", "--cone", "--convention", "--out"]),
     "frame-scan --family": (["frame-scan", "--family", "tricerri", "--functional", "rbc"],
-                            ["--seed", "--format"]),
+                            ["--seed", "--format", "--out"]),
     "cone-check": (["cone-check", "--matrix", "1,-2;-2,1", "--samples", "100"],
-                   ["--seed", "--format", "--cone"]),
+                   ["--seed", "--format", "--cone", "--out"]),
 }
 
 
@@ -392,6 +423,7 @@ def fuzz_argv(draw):
 def test_cli_fuzz_never_raises(case):
     argv, config = case
     with tempfile.TemporaryDirectory() as tmp:
+        argv = [token.replace("{tmp}", tmp) for token in argv]
         if config is not None:
             path = os.path.join(tmp, "config.json")
             with open(path, "w") as fh:
@@ -400,3 +432,30 @@ def test_cli_fuzz_never_raises(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2, 3), json.dumps([argv, config])
+
+
+@PROPERTY
+@given(n=st.integers(1, 3), seed=st.integers(0, 50), kind=st.sampled_from(QUAD_KINDS),
+       cone=st.sampled_from(["full", "orthant", "monotone"]),
+       convention=st.sampled_from(["full", "adjoint"]),
+       out=st.sampled_from(["out.json", ".", "missing/out.json"]))
+def test_cli_fuzz_well_formed_frame_scans_reach_both_paths(n, seed, kind, cone, convention,
+                                                          out):
+    # well-formed scans reach the exact full/full eigenproblem and the
+    # search; only an unwritable --out makes them fail, with a usage error
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, out)
+        argv = ["frame-scan", "--tensor", "random", "--tensor-params",
+                json.dumps({"n": n, "seed": seed}), "--functional", kind, "--cone", cone,
+                "--convention", convention, "--restarts", "1", "--refine-steps", "1",
+                "--format", "json", "--out", path]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        if out != "out.json":
+            assert code == 1
+            return
+        assert code == 0
+        with open(path) as fh:
+            payload = json.load(fh)
+    assert (payload["cone"], payload["convention"]) == (cone, convention)
+    assert payload["inf"]["value"] <= payload["sup"]["value"] + 1e-12

@@ -4,12 +4,12 @@ import pytest
 from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
                      cone_min, extremize, full_cone, invariance_test, kahler_constant,
                      matrices_from, nonneg_orthant, paper_hopf, paper_tricerri,
-                     random_tensor, rayleigh_bounds, transform_frame,
+                     random_tensor, rayleigh_bounds, skew_pair, transform_frame,
                      tricerri_family_extrema)
 from curvlab.curvature import FrameConvention
 from curvlab.functionals import evaluate, quadratic_form_matrix
 from curvlab.search import param_count, unitary_from_params
-from curvlab.linalg import rng_from, unitary_residual
+from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 import curvlab.search as search_mod
 
 
@@ -23,12 +23,18 @@ def test_parametrization_is_unitary():
 
 
 def test_extremize_identity_frame_matches_rayleigh():
+    # a search that never leaves its identity start reports the fixed-frame
+    # bounds; the exact full/full range contains them
     t = random_tensor(1, 3)
     cfg = SearchConfig(restarts=1, refine_steps=0, seed=0)
-    lo_ext, hi_ext = extremize(t, FunctionalKind.RBC, cfg=cfg)
+    lo_ext, hi_ext = extremize(t, FunctionalKind.RBC, convention=FrameConvention.ADJOINT,
+                               cfg=cfg)
     lo, hi = rayleigh_bounds(matrices_from(t).rbc)
     assert lo_ext.value == pytest.approx(lo)
     assert hi_ext.value == pytest.approx(hi)
+    exact_lo, exact_hi = extremize(t, FunctionalKind.RBC, cfg=cfg)
+    assert exact_lo.value <= lo + 1e-12
+    assert exact_hi.value >= hi - 1e-12
 
 
 def test_extremize_deterministic():
@@ -119,10 +125,12 @@ def sequential_extremize(tensor, kind, cone, convention, cfg):
     return found
 
 
+# full cone under the full convention is not searched (see the exact tests
+# below); the adjoint cases cover the full-cone branch of the sweeps
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("convention", ["full", "adjoint"])
-@pytest.mark.parametrize("cone_kind", ["full", "orthant"])
-def test_stacked_sweeps_pin_sequential_iterates(n, convention, cone_kind):
+@pytest.mark.parametrize("cone_kind, convention",
+                         [("full", "adjoint"), ("orthant", "full"), ("orthant", "adjoint")])
+def test_stacked_sweeps_pin_sequential_iterates(n, cone_kind, convention):
     cone = full_cone(n) if cone_kind == "full" else nonneg_orthant(n)
     cfg = SearchConfig(restarts=2, refine_steps=4, seed=n)
     for kind in ("altered_hsc", "qobc"):
@@ -132,6 +140,98 @@ def test_stacked_sweeps_pin_sequential_iterates(n, convention, cone_kind):
                                                                   convention, cfg)):
             assert ext.value == pytest.approx(value, rel=1e-12, abs=1e-12)
             assert np.allclose(ext.frame, frame, rtol=0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# exact extrema on the full cone under the full convention
+
+QUAD_KINDS = ("rbc", "altered_rbc", "altered_hsc", "qobc", "altered_qobc")
+
+
+def einsum_frame_form(tensor, kind, basis):
+    """The form of ``frame_form`` from its definition, in the basis matrices
+    B_k: the symmetrized bilinear form of R(A, A) for the repeated-pair
+    slice, of sum A[p,t] R[p,q,s,t] A[s,q] for the altered one, and for the
+    difference forms R(A^2, I) + R(I, A^2) - 2 R(A, A)."""
+    r = tensor.values
+    if kind == "altered_hsc":
+        return (einsum_frame_form(tensor, "rbc", basis)
+                + einsum_frame_form(tensor, "altered_rbc", basis))
+    if kind in ("rbc", "qobc"):
+        pair = np.einsum("kpq,pqst,lst->kl", basis, r, basis)
+        row = np.einsum("kpr,lrq,pqss->kl", basis, basis, r)
+        col = np.einsum("ppst,ksr,lrt->kl", r, basis, basis)
+    else:
+        pair = np.einsum("kpt,pqst,lsq->kl", basis, r, basis)
+        row = np.einsum("kpr,lrt,pqqt->kl", basis, basis, r)
+        col = np.einsum("pqsp,ksr,lrq->kl", r, basis, basis)
+    form = pair.real
+    if kind in ("qobc", "altered_qobc"):
+        form = (row + col).real - 2.0 * form
+    return 0.5 * (form + form.T)
+
+
+def rel_close(a, b, tol=1e-12):
+    return abs(a - b) <= tol * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_exact_extrema_match_an_independent_eigenproblem(n):
+    t = random_tensor(60 + n, n)
+    basis = search_mod._hermitian_basis(n).reshape(n * n, n, n)
+    # a real orthonormal basis of Herm(n) under <A, B> = tr(A B)
+    assert np.abs(basis - np.conj(np.swapaxes(basis, -1, -2))).max() == 0.0
+    assert np.allclose(np.einsum("kpq,lqp->kl", basis, basis), np.eye(n * n),
+                       rtol=0.0, atol=1e-15)
+    scale = max(1.0, float(np.abs(t.values).max()))
+    for kind in QUAD_KINDS:
+        reference = einsum_frame_form(t, kind, basis)
+        assert np.abs(search_mod.frame_form(t, kind) - reference).max() <= 1e-12 * scale
+        lo, hi = np.linalg.eigvalsh(reference)[[0, -1]]
+        for ext, bound in zip(extremize(t, kind), (lo, hi)):
+            assert rel_close(ext.value, bound)
+            # attained by the returned frame and vector
+            assert unitary_residual(ext.frame) <= 1e-12
+            assert np.linalg.norm(ext.vector) == pytest.approx(1.0, abs=1e-12)
+            moved = transform_frame(t, ext.frame, ext.convention)
+            assert rel_close(evaluate(kind, matrices_from(moved), ext.vector), ext.value)
+
+
+def test_exact_form_evaluates_the_functional_in_any_frame():
+    # c^T Q c = |x|^2 f(frame u, vector x) for the coordinates c of
+    # A = u^T diag(x) conj(u), at Haar frames and arbitrary real vectors
+    rng = rng_from(11)
+    for n in (2, 3, 5):
+        t = random_tensor(70 + n, n)
+        basis = search_mod._hermitian_basis(n).reshape(n * n, n, n)
+        for _ in range(5):
+            u, x = haar_from_rng(n, rng), rng.standard_normal(n)
+            coords = np.einsum("kpq,qp->k", basis, u.T @ np.diag(x) @ np.conj(u)).real
+            moved = matrices_from(transform_frame(t, u, FrameConvention.FULL))
+            for kind in QUAD_KINDS:
+                value = coords @ search_mod.frame_form(t, kind) @ coords
+                assert rel_close(value, evaluate(kind, moved, x) * (x @ x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exact_extrema_of_constant_tensors_equal_fixed_frame_bounds(n):
+    # R(A, A) depends on A only through tr A and |A|_F for kahler_constant,
+    # and through tr A for skew_pair, so no frame beats the identity
+    for c in (-1.5, 2.0):
+        for t in (kahler_constant(c, n), skew_pair(c, n, seed=n)):
+            for kind in QUAD_KINDS:
+                lo, hi = rayleigh_bounds(quadratic_form_matrix(kind, matrices_from(t)))
+                lo_ext, hi_ext = extremize(t, kind)
+                assert rel_close(lo_ext.value, lo) and rel_close(hi_ext.value, hi)
+
+
+def test_exact_extrema_are_deterministic():
+    t = random_tensor(8, 4)
+    for kind in QUAD_KINDS:
+        a, b = extremize(t, kind), extremize(t, kind, cfg=SearchConfig(restarts=3, seed=4))
+        for x, y in zip(a, b):
+            assert x.value == y.value
+            assert np.array_equal(x.frame, y.frame) and np.array_equal(x.vector, y.vector)
 
 
 def test_hopf_qobc_extrema_over_frames():
