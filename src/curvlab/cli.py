@@ -2,10 +2,17 @@
 
 Exit codes: 0 success, 1 usage error, 2 domain or numerical error,
 3 verification failure.  Every command accepts --format, --out PATH, --seed N
-(an integer >= 0) and --config PATH (a JSON file mirroring the flag names;
-explicit flags win).  sweep writes CSV (--format csv); the other commands
-write text (default) or json, and any other format is a usage error.  Output
-is deterministic for a fixed command line and seed.
+(an integer >= 0, default 0) and --config PATH, a JSON object keyed by flag
+name ("refine_steps" for --refine-steps, true or false for a switch).  A
+config value is parsed and checked exactly like its flag; precedence is flag
+> config file > default.  Defaults: sweep --convention adjoint --restarts 4
+--refine-steps 12; frame-scan --cone full --convention full --restarts 8
+--refine-steps 30; cone-check --cone orthant --samples 1000.  Sizes read
+from outside are bounded: dimensions by MAX_DIM (12), --samples by
+MAX_SAMPLES, grid points by MAX_GRID_POINTS per axis and in total.  sweep
+writes CSV (--format csv); the other commands write text (default) or json,
+and any other format is a usage error.  Output is deterministic for a fixed
+command line and seed.
 """
 
 import argparse
@@ -16,23 +23,26 @@ import sys
 import numpy as np
 
 from .errors import CurvlabError, DomainError, NumericalError, UsageError
-from .metrics import FDConfig, jet_at, make_metric
+from .config import MAX_DIM
+from .metrics import jet_at, make_metric
 from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
                         paper_hopf, paper_tricerri, scalars, to_frame)
-from .functionals import FunctionalKind, evaluate, hsc, matrices_from, rayleigh_bounds
+from .functionals import (QUADRATIC_KINDS, FunctionalKind, evaluate, hsc, matrices_from,
+                          rayleigh_bounds)
 from .cones import (copositive_2x2, cone_min, dual_edm_test, make_cone, perron_criterion_check)
 from .search import SearchConfig, extremize, tricerri_family_extrema
 from .verify import run_suite
 from . import reports
 
-QUAD_KINDS = ["rbc", "altered_rbc", "altered_hsc", "qobc", "altered_qobc"]
+MAX_SAMPLES = 100_000
+MAX_GRID_POINTS = 10_000
 FORMATS = {"eval": ("text", "json"), "verify": ("text", "json"), "sweep": ("csv",),
            "frame-scan": ("text", "json"), "cone-check": ("text", "json")}
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises UsageError instead of exiting, and keeps its flags by dest so
-    config-file values can be checked against them."""
+    """Raises UsageError instead of exiting, and keeps its flags (all but
+    --help) by dest so config-file values can be checked against them."""
 
     def __init__(self, *args, **kwargs):
         self.flags = {}
@@ -40,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
-        if action.option_strings:
+        if action.option_strings and action.dest != "help":
             self.flags[action.dest] = action
         return action
 
@@ -85,11 +95,11 @@ def _config_type_ok(flag, value):
 
 
 def _load_config(path, flags):
-    """The config file's JSON object.  A key naming one of the command's
-    flags must hold a value of that flag's type and, if the flag has choices,
-    one of them; a point may also be a list of numbers."""
-    if not path:
-        return {}
+    """The config file's values as command-line tokens: '--name=value', a
+    true switch as its bare flag and a false one as nothing.  A key naming
+    one of the command's flags must hold a value of that flag's JSON type
+    and, if the flag has choices, one of them; a point may also be a list of
+    numbers.  Other keys are ignored."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -101,6 +111,7 @@ def _load_config(path, flags):
     if isinstance(point, list) and all(isinstance(x, (int, float, str))
                                        and not isinstance(x, bool) for x in point):
         data["point"] = ",".join(map(str, point))
+    tokens = []
     for name, value in data.items():
         flag = flags.get(name)
         if flag is None:
@@ -111,33 +122,25 @@ def _load_config(path, flags):
         if flag.choices is not None and value not in flag.choices:
             raise UsageError(f"config value {name}={value!r} is not one of "
                              f"{', '.join(flag.choices)}")
-    return data
+        if flag.nargs != 0:
+            tokens.append(f"{flag.option_strings[0]}={value}")
+        elif value:
+            tokens.append(flag.option_strings[0])
+    return tokens
 
 
-def _opt(args, cfg, name, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
-
-
-def _output_format(args, cfg):
-    """The command's --format, defaulting to its first form; a form the
-    command cannot write is a usage error."""
+def _output_format(args):
+    """A format the command cannot write is a usage error."""
     allowed = FORMATS[args.command]
-    fmt = _opt(args, cfg, "format", allowed[0])
-    if fmt not in allowed:
-        raise UsageError(f"{args.command} has no {fmt} output; formats: {', '.join(allowed)}")
-    return fmt
+    if args.format not in allowed:
+        raise UsageError(f"{args.command} has no {args.format} output; "
+                         f"formats: {', '.join(allowed)}")
 
 
-def _seed(args, cfg):
-    """The --seed value (default 0): an integer >= 0, as numpy's seeding
-    requires."""
-    seed = _opt(args, cfg, "seed", 0)
-    if seed < 0:
-        raise UsageError(f"seed must be an integer >= 0, got {seed!r}")
-    return seed
+def _seed(args):
+    """The seed must be an integer >= 0, as numpy's seeding requires."""
+    if args.seed < 0:
+        raise UsageError(f"seed must be an integer >= 0, got {args.seed!r}")
 
 
 def _functional_kind(name):
@@ -169,13 +172,6 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _common_flags(sub):
-    sub.add_argument("--format", choices=["json", "csv", "text"], default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--config", default=None)
-
-
 _EXACT_NOTE = ("ignored on full-cone, full-convention scans, which are exact "
                "and ignore --seed too")
 _RESTARTS_HELP = f"search restarts; {_EXACT_NOTE}"
@@ -183,73 +179,73 @@ _REFINE_HELP = f"coordinate-descent sweeps per restart; {_EXACT_NOTE}"
 
 
 def build_parser():
+    """The curvlab argument parser; every option default is declared here."""
     parser = _Parser(prog="curvlab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subs.add_parser("eval", help="evaluate a curvature functional at a point")
-    p_eval.add_argument("--metric", default=None)
-    p_eval.add_argument("--dim", type=int, default=None)
-    p_eval.add_argument("--point", default=None)
-    p_eval.add_argument("--functional", default=None)
-    p_eval.add_argument("--vector", default=None, help="real vector for the quadratic kinds")
-    p_eval.add_argument("--cvector", default=None, help="complex vector for hsc")
-    p_eval.add_argument("--use-paper-tensor", action="store_true", default=None)
-    p_eval.add_argument("--fd-step", type=float, default=None)
-    p_eval.add_argument("--fd-order", type=int, default=None)
-    _common_flags(p_eval)
+    p_eval.add_argument("--metric")
+    p_eval.add_argument("--dim", type=int)
+    p_eval.add_argument("--point")
+    p_eval.add_argument("--functional")
+    p_eval.add_argument("--vector", help="real vector for the quadratic kinds")
+    p_eval.add_argument("--cvector", help="complex vector for hsc")
+    p_eval.add_argument("--use-paper-tensor", action="store_true")
 
     p_verify = subs.add_parser("verify", help="run a reproduction suite")
     p_verify.add_argument("suite", choices=["hopf", "tricerri", "fubini_study",
                                             "cones", "identities", "all"])
-    _common_flags(p_verify)
 
     p_sweep = subs.add_parser("sweep", help="sweep a point grid to CSV")
-    p_sweep.add_argument("--metric", default=None)
-    p_sweep.add_argument("--dim", type=int, default=None)
-    p_sweep.add_argument("--point", default=None, help="base point")
-    p_sweep.add_argument("--grid", default=None,
-                         help="axis sweeps, e.g. 'im2=1:2:2,re1=0:1:3'")
-    p_sweep.add_argument("--use-paper-tensor", action="store_true", default=None)
-    p_sweep.add_argument("--convention", choices=["full", "adjoint"], default=None)
-    p_sweep.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
-    p_sweep.add_argument("--refine-steps", type=int, default=None, help=_REFINE_HELP)
-    _common_flags(p_sweep)
+    p_sweep.add_argument("--metric")
+    p_sweep.add_argument("--dim", type=int)
+    p_sweep.add_argument("--point", help="base point")
+    p_sweep.add_argument("--grid", help="axis sweeps, e.g. 'im2=1:2:2,re1=0:1:3'")
+    p_sweep.add_argument("--use-paper-tensor", action="store_true")
+    p_sweep.add_argument("--convention", choices=["full", "adjoint"], default="adjoint")
+    p_sweep.add_argument("--restarts", type=int, default=4, help=_RESTARTS_HELP)
+    p_sweep.add_argument("--refine-steps", type=int, default=12, help=_REFINE_HELP)
 
     p_scan = subs.add_parser("frame-scan", help="extremize a functional over frames")
-    p_scan.add_argument("--metric", default=None)
-    p_scan.add_argument("--dim", type=int, default=None)
-    p_scan.add_argument("--point", default=None)
-    p_scan.add_argument("--tensor", default=None,
-                        help="synthetic tensor kind instead of a metric")
-    p_scan.add_argument("--tensor-params", default=None,
-                        help="JSON parameters for --tensor")
-    p_scan.add_argument("--family", choices=["tricerri"], default=None)
-    p_scan.add_argument("--imw", type=float, default=None)
-    p_scan.add_argument("--use-paper-tensor", action="store_true", default=None)
-    p_scan.add_argument("--functional", default=None)
-    p_scan.add_argument("--cone", choices=["full", "orthant", "monotone"], default=None)
-    p_scan.add_argument("--convention", choices=["full", "adjoint"], default=None)
-    p_scan.add_argument("--restarts", type=int, default=None, help=_RESTARTS_HELP)
-    p_scan.add_argument("--refine-steps", type=int, default=None, help=_REFINE_HELP)
-    _common_flags(p_scan)
+    p_scan.add_argument("--metric")
+    p_scan.add_argument("--dim", type=int)
+    p_scan.add_argument("--point")
+    p_scan.add_argument("--tensor", help="synthetic tensor kind instead of a metric")
+    p_scan.add_argument("--tensor-params", help="JSON parameters for --tensor")
+    p_scan.add_argument("--family", choices=["tricerri"])
+    p_scan.add_argument("--imw", type=float)
+    p_scan.add_argument("--use-paper-tensor", action="store_true")
+    p_scan.add_argument("--functional")
+    p_scan.add_argument("--cone", choices=["full", "orthant", "monotone"], default="full")
+    p_scan.add_argument("--convention", choices=["full", "adjoint"], default="full")
+    p_scan.add_argument("--restarts", type=int, default=8, help=_RESTARTS_HELP)
+    p_scan.add_argument("--refine-steps", type=int, default=30, help=_REFINE_HELP)
 
     p_cone = subs.add_parser("cone-check", help="copositivity and dual-EDM tests")
-    p_cone.add_argument("--matrix", default=None, help="inline CSV, rows ';'-separated")
-    p_cone.add_argument("--matrix-file", default=None, help="JSON file with a nested list")
+    p_cone.add_argument("--matrix", help="inline CSV, rows ';'-separated")
+    p_cone.add_argument("--matrix-file", help="JSON file with a nested list")
     p_cone.add_argument("--cone", choices=["full", "orthant", "monotone", "generators"],
-                        default=None)
-    p_cone.add_argument("--generators", default=None,
+                        default="orthant")
+    p_cone.add_argument("--generators",
                         help="generator vectors for --cone generators, inline CSV")
-    p_cone.add_argument("--samples", type=int, default=None)
-    _common_flags(p_cone)
+    p_cone.add_argument("--samples", type=int, default=1000)
+
+    for name, sub in subs.choices.items():
+        sub.add_argument("--format", choices=["json", "csv", "text"], default=FORMATS[name][0])
+        sub.add_argument("--out")
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--config")
     parser.commands = subs.choices
     return parser
+
+
+_PARSER = build_parser()
 
 
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _tensor_at_point(metric_name, dim, point, use_paper, fd):
+def _tensor_at_point(metric_name, dim, point, use_paper):
     metric = make_metric(metric_name, dim=dim)
     p = np.asarray(point, dtype=complex)
     if p.size != metric.n:
@@ -263,7 +259,7 @@ def _tensor_at_point(metric_name, dim, point, use_paper, fd):
             return (paper_tricerri(0.0, 1.0, float(p[1].imag)),
                     {"tensor_source": "paper_tricerri(b=0,d=1)"})
         raise UsageError("--use-paper-tensor is available for hopf and tricerri only")
-    jet = jet_at(metric, p, fd)
+    jet = jet_at(metric, p)
     coord = curvature_from_jet(jet)
     frame = to_frame(coord)
     diag = {"tensor_source": "metric_jet",
@@ -272,38 +268,28 @@ def _tensor_at_point(metric_name, dim, point, use_paper, fd):
     return frame, diag
 
 
-def cmd_eval(args, cfg):
-    metric_name = _opt(args, cfg, "metric")
-    if metric_name is None:
-        raise UsageError("eval needs --metric")
-    point_text = _opt(args, cfg, "point")
-    if point_text is None:
-        raise UsageError("eval needs --point")
-    kind_name = _opt(args, cfg, "functional")
-    if kind_name is None:
-        raise UsageError("eval needs --functional")
-    kind = _functional_kind(kind_name)
-    point = parse_complex_vector(point_text)
-    fd = FDConfig(h=_opt(args, cfg, "fd_step", 1e-4), order=_opt(args, cfg, "fd_order", 2))
-    tensor, diag = _tensor_at_point(metric_name, _opt(args, cfg, "dim"), point,
-                                    bool(_opt(args, cfg, "use_paper_tensor", False)), fd)
+def cmd_eval(args):
+    for name in ("metric", "point", "functional"):
+        if getattr(args, name) is None:
+            raise UsageError(f"eval needs --{name}")
+    kind = _functional_kind(args.functional)
+    point = parse_complex_vector(args.point)
+    tensor, diag = _tensor_at_point(args.metric, args.dim, point, args.use_paper_tensor)
     matrices = matrices_from(tensor)
     diag["imag_residual"] = matrices.imag_residual
     diag["hermitian_residual"] = tensor.sym_residual
     scal, scal_alt = scalars(tensor)
 
     if kind is FunctionalKind.HSC:
-        cvec = _opt(args, cfg, "cvector")
-        if cvec is None:
+        if args.cvector is None:
             raise UsageError("hsc needs --cvector")
-        value = hsc(tensor, parse_complex_vector(cvec))
+        value = hsc(tensor, parse_complex_vector(args.cvector))
     else:
-        vec = _opt(args, cfg, "vector")
-        if vec is None:
+        if args.vector is None:
             raise UsageError(f"{kind.value} needs --vector")
-        value = evaluate(kind, matrices, parse_real_vector(vec))
+        value = evaluate(kind, matrices, parse_real_vector(args.vector))
 
-    payload = {"command": "eval", "metric": metric_name,
+    payload = {"command": "eval", "metric": args.metric,
                "point": [str(z) for z in point], "functional": kind.value,
                "value": value, "scal": scal, "altered_scal": scal_alt,
                "diagnostics": diag}
@@ -316,7 +302,7 @@ def cmd_eval(args, cfg):
     return "\n".join(lines) + "\n", True
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     report = run_suite(args.suite, seed=args.seed)
     text = reports.dumps(report) if args.format == "json" else reports.render_table(report)
     return text, report.passed
@@ -331,18 +317,22 @@ def _parse_grid(grid_text, base, n):
             name, rng_text = part.split("=")
             start, stop, count = rng_text.split(":")
             start, stop, count = float(start), float(stop), int(count)
+            kind, idx = name[:2], int(name[2:]) - 1
         except ValueError:
             raise UsageError(f"cannot parse grid axis '{part}'; "
                              "expected name=start:stop:count") from None
         if count < 1:
             raise UsageError("grid axis count must be >= 1")
-        kind, idx = name[:2], int(name[2:]) - 1
+        if count > MAX_GRID_POINTS:
+            raise UsageError(f"grid axis count must be <= {MAX_GRID_POINTS}")
         if kind not in ("re", "im") or not 0 <= idx < n:
             raise UsageError(f"unknown grid axis '{name}' for dimension {n}")
         values = np.linspace(start, stop, count) if count > 1 else np.array([start])
         axes.append((kind, idx, values))
-    points = []
     shape = [len(a[2]) for a in axes]
+    if np.prod(shape, dtype=float) > MAX_GRID_POINTS:
+        raise UsageError(f"a grid has at most {MAX_GRID_POINTS} points, got {shape}")
+    points = []
     for multi in np.ndindex(*shape):
         p = base.copy()
         for (kind, idx, values), i in zip(axes, multi):
@@ -354,39 +344,34 @@ def _parse_grid(grid_text, base, n):
     return points
 
 
-def cmd_sweep(args, cfg):
-    metric_name = _opt(args, cfg, "metric")
-    if metric_name is None:
+def cmd_sweep(args):
+    if args.metric is None:
         raise UsageError("sweep needs --metric")
-    metric = make_metric(metric_name, dim=_opt(args, cfg, "dim"))
-    base_text = _opt(args, cfg, "point")
-    base = (parse_complex_vector(base_text) if base_text
+    metric = make_metric(args.metric, dim=args.dim)
+    base = (parse_complex_vector(args.point) if args.point
             else np.zeros(metric.n, dtype=complex))
     if base.size != metric.n:
         raise UsageError("base point dimension mismatch")
-    grid_text = _opt(args, cfg, "grid")
-    if grid_text is None:
+    if args.grid is None:
         raise UsageError("sweep needs --grid")
-    points = _parse_grid(grid_text, base, metric.n)
+    points = _parse_grid(args.grid, base, metric.n)
     offenders = [p for p in points if not metric.domain(p)]
     if offenders:
         listing = "; ".join(str([str(z) for z in p]) for p in offenders[:5])
         raise DomainError(f"{len(offenders)} grid points leave the domain of "
                           f"'{metric.name}': {listing}")
 
-    use_paper = bool(_opt(args, cfg, "use_paper_tensor", False))
-    convention = FrameConvention(_opt(args, cfg, "convention", "adjoint"))
-    search = SearchConfig(restarts=_opt(args, cfg, "restarts", 4),
-                          refine_steps=_opt(args, cfg, "refine_steps", 12),
+    use_paper = args.use_paper_tensor
+    convention = FrameConvention(args.convention)
+    search = SearchConfig(restarts=args.restarts, refine_steps=args.refine_steps,
                           seed=args.seed)
-    fd = FDConfig()
 
     header = ["index"]
     for k in range(metric.n):
         header += [f"re{k + 1}", f"im{k + 1}"]
     header += ["scal", "altered_scal"]
-    for kind in QUAD_KINDS:
-        header += [f"{kind}_inf", f"{kind}_sup"]
+    for kind in QUADRATIC_KINDS:
+        header += [f"{kind.value}_inf", f"{kind.value}_sup"]
     header += ["herm_residual", "imag_residual"]
 
     def one_row(idx, p):
@@ -394,7 +379,7 @@ def cmd_sweep(args, cfg):
             tensor = paper_tricerri(0.0, 1.0, float(p[1].imag))
             family = True
         else:
-            tensor, _ = _tensor_at_point(metric_name, metric.n, p, use_paper, fd)
+            tensor, _ = _tensor_at_point(args.metric, metric.n, p, use_paper)
             family = False
         m = matrices_from(tensor)
         scal, scal_alt = scalars(tensor)
@@ -402,7 +387,7 @@ def cmd_sweep(args, cfg):
         for z in p:
             row += [z.real, z.imag]
         row += [scal, scal_alt]
-        for kind in QUAD_KINDS:
+        for kind in QUADRATIC_KINDS:
             if family:
                 scan = tricerri_family_extrema(float(p[1].imag), kind)
                 lo, hi = scan["inf"], scan["sup"]
@@ -421,45 +406,36 @@ def cmd_sweep(args, cfg):
     return "\n".join(lines) + "\n", True
 
 
-def cmd_frame_scan(args, cfg):
-    kind_name = _opt(args, cfg, "functional")
-    if kind_name is None:
+def cmd_frame_scan(args):
+    if args.functional is None:
         raise UsageError("frame-scan needs --functional")
-    kind = _functional_kind(kind_name)
+    kind = _functional_kind(args.functional)
 
-    family = _opt(args, cfg, "family")
-    if family == "tricerri":
-        im_w = _opt(args, cfg, "imw")
-        if im_w is None:
+    if args.family == "tricerri":
+        if args.imw is None:
             raise UsageError("--family tricerri needs --imw")
-        scan = tricerri_family_extrema(float(im_w), kind)
+        scan = tricerri_family_extrema(args.imw, kind)
         payload = {"command": "frame-scan", "family": "tricerri", **scan}
         if args.format == "json":
             return reports.dumps(payload), True
-        return (f"family=tricerri imw={im_w} kind={kind.value}\n"
+        return (f"family=tricerri imw={args.imw} kind={kind.value}\n"
                 f"inf = {scan['inf']:.12g} at (|b|^2,|d|^2)={scan['inf_at']}\n"
                 f"sup = {scan['sup']:.12g} at (|b|^2,|d|^2)={scan['sup_at']}\n"), True
 
-    tensor_kind = _opt(args, cfg, "tensor")
-    if tensor_kind is not None:
-        params = _tensor_params(_opt(args, cfg, "tensor_params") or "{}")
-        tensor = make_synthetic(tensor_kind, **params)
-        source = {"tensor": tensor_kind, "params": params}
+    if args.tensor is not None:
+        params = _tensor_params(args.tensor_params or "{}")
+        tensor = make_synthetic(args.tensor, **params)
+        source = {"tensor": args.tensor, "params": params}
     else:
-        metric_name = _opt(args, cfg, "metric")
-        point_text = _opt(args, cfg, "point")
-        if metric_name is None or point_text is None:
+        if args.metric is None or args.point is None:
             raise UsageError("frame-scan needs --metric/--point, --tensor, or --family")
-        point = parse_complex_vector(point_text)
-        tensor, diag = _tensor_at_point(metric_name, _opt(args, cfg, "dim"), point,
-                                        bool(_opt(args, cfg, "use_paper_tensor", False)),
-                                        FDConfig())
-        source = {"metric": metric_name, "point": [str(z) for z in point], **diag}
+        point = parse_complex_vector(args.point)
+        tensor, diag = _tensor_at_point(args.metric, args.dim, point, args.use_paper_tensor)
+        source = {"metric": args.metric, "point": [str(z) for z in point], **diag}
 
-    cone = make_cone(_opt(args, cfg, "cone", "full"), tensor.n)
-    convention = FrameConvention(_opt(args, cfg, "convention", "full"))
-    cfg_search = SearchConfig(restarts=_opt(args, cfg, "restarts", 8),
-                              refine_steps=_opt(args, cfg, "refine_steps", 30),
+    cone = make_cone(args.cone, tensor.n)
+    convention = FrameConvention(args.convention)
+    cfg_search = SearchConfig(restarts=args.restarts, refine_steps=args.refine_steps,
                               seed=args.seed)
     inf_ext, sup_ext = extremize(tensor, kind, cone=cone, convention=convention,
                                  cfg=cfg_search)
@@ -476,11 +452,10 @@ def cmd_frame_scan(args, cfg):
             f"inf = {inf_ext.value:.12g}\nsup = {sup_ext.value:.12g}\n"), True
 
 
-def cmd_cone_check(args, cfg):
-    inline = _opt(args, cfg, "matrix")
-    path = _opt(args, cfg, "matrix_file")
-    if inline is not None:
-        m = parse_matrix(inline)
+def cmd_cone_check(args):
+    path = args.matrix_file
+    if args.matrix is not None:
+        m = parse_matrix(args.matrix)
     elif path is not None:
         try:
             with open(path) as fh:
@@ -491,15 +466,17 @@ def cmd_cone_check(args, cfg):
         raise UsageError("cone-check needs --matrix or --matrix-file")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise UsageError(f"matrix must be square, got shape {m.shape}")
+    if m.shape[0] > MAX_DIM:
+        raise UsageError(f"matrix dimension must be <= {MAX_DIM}, got {m.shape[0]}")
+    if args.samples > MAX_SAMPLES:
+        raise UsageError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
 
-    gens_text = _opt(args, cfg, "generators")
-    cone = make_cone(_opt(args, cfg, "cone", "orthant"), m.shape[0],
-                     generators=parse_matrix(gens_text) if gens_text else None)
-    samples = _opt(args, cfg, "samples", 1000)
+    cone = make_cone(args.cone, m.shape[0],
+                     generators=parse_matrix(args.generators) if args.generators else None)
 
     minimum = cone_min(m, cone)
     lo, hi = rayleigh_bounds(m)
-    report = perron_criterion_check(m, samples=max(100, samples), seed=args.seed)
+    report = perron_criterion_check(m, samples=max(100, args.samples), seed=args.seed)
     payload = {
         "command": "cone-check", "n": m.shape[0], "cone": cone.kind,
         "cone_min": {"value": minimum.value,
@@ -554,13 +531,16 @@ def _merge_negative_values(argv):
 def main(argv=None):
     argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        cfg = _load_config(args.config, parser.commands[args.command].flags)
-        args.format = _output_format(args, cfg)
-        args.seed = _seed(args, cfg)
-        text, ok = COMMANDS[args.command](args, cfg)
-        _emit(text, _opt(args, cfg, "out"))
+        args = _PARSER.parse_args(argv)
+        if args.config:
+            # config tokens go right after the command name, so flags win
+            at = argv.index(args.command) + 1
+            tokens = _load_config(args.config, _PARSER.commands[args.command].flags)
+            args = _PARSER.parse_args(argv[:at] + tokens + argv[at:])
+        _output_format(args)
+        _seed(args)
+        text, ok = COMMANDS[args.command](args)
+        _emit(text, args.out)
         return 0 if ok else 3
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

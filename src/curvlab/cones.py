@@ -21,13 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, MAX_DIM
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
 from .linalg import ensure_finite, rng_from, self_adjoint_eigen
 from .reports import IdentityReport
-
-EXACT_MAX_DIM = 12
 
 
 @dataclass(frozen=True)
@@ -163,9 +161,9 @@ def cone_min(m, cone):
     if cone.kind not in ("orthant", "monotone", "generators"):
         raise UsageError(f"unknown cone kind '{cone.kind}'")
     g = _generator_rows(cone)
-    if max(n, g.shape[0]) > EXACT_MAX_DIM:
-        raise UsageError(f"restricted cones support n <= {EXACT_MAX_DIM} "
-                         f"and at most {EXACT_MAX_DIM} generators")
+    if max(n, g.shape[0]) > MAX_DIM:
+        raise UsageError(f"restricted cones support n <= {MAX_DIM} "
+                         f"and at most {MAX_DIM} generators")
     weights, rows = _face_minimum(m_sym, g)
     v = weights @ g[rows]
     value = float(v @ m_sym @ v) / float(v @ v)

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, MAX_DIM
 from .errors import DomainError, UsageError
 from .linalg import cholesky_frame, ensure_finite, rng_from, unitary_residual
 
@@ -251,6 +251,8 @@ def _check_synthetic_params(params):
     n = params.get("n", 1)
     if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
         raise UsageError(f"synthetic tensor parameter 'n' must be an integer >= 1, got {n!r}")
+    if n > MAX_DIM:
+        raise UsageError(f"synthetic tensor parameter 'n' must be <= {MAX_DIM}, got {n}")
     for name in ("c", "im_w", "seed", "b", "d"):
         if name in params and not _is_real(params[name]):
             raise UsageError(f"synthetic tensor parameter '{name}' must be a real number, "

@@ -77,11 +77,6 @@ class CurvatureMatrices:
     def n(self):
         return self.rbc.shape[-1]
 
-    @property
-    def flagged(self):
-        return self.imag_residual > DEFAULT.matrices_imag * max(
-            1.0, float(np.abs(self.rbc).max()), float(np.abs(self.altered).max()))
-
 
 def matrices_from(tensor):
     tensor.require_frame("matrices_from")

@@ -43,22 +43,10 @@ def hermitian_residual(m):
     return float(np.abs(m - _adjoint(m)).max()) if m.size else 0.0
 
 
-def is_hermitian(m, tol=None):
-    tol = DEFAULT.hermitian_entry if tol is None else tol
-    m = np.asarray(m)
-    scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-    return hermitian_residual(m) <= tol * scale
-
-
 def unitary_residual(u):
     """Largest entry of |U^H U - I| over a matrix or a stack of matrices."""
     u = np.asarray(u)
     return float(np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max())
-
-
-def is_unitary(u, tol=None):
-    tol = DEFAULT.unitary if tol is None else tol
-    return unitary_residual(u) <= tol
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, MAX_DIM
 from .errors import DomainError, UsageError
 from .linalg import ensure_finite
 
@@ -358,6 +358,8 @@ def _need_dim(dim):
     dim = int(dim)
     if dim < 1:
         raise UsageError(f"dimension must be >= 1, got {dim}")
+    if dim > MAX_DIM:
+        raise UsageError(f"dimension must be <= {MAX_DIM}, got {dim}")
     return dim
 
 

@@ -46,19 +46,19 @@ from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_mat
 from .cones import cone_min, full_cone
 
 
+INITIAL_ANGLE = 0.4   # first Givens-angle step of each restart
+SHRINK = 0.7          # step factor after a sweep that improves nothing
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 8
     refine_steps: int = 30
-    initial_angle: float = 0.4
-    shrink: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1:
             raise UsageError("restarts must be >= 1")
-        if not 0.0 < self.shrink < 1.0:
-            raise UsageError("shrink factor must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):
     _, best_val, best_vec = scan(params[None], np.inf)
     moves = np.arange(2 * k)      # sweep order: +step, then -step, per coordinate
     coords, signs = moves // 2, 1.0 - 2.0 * (moves % 2)
-    step = cfg.initial_angle
+    step = INITIAL_ANGLE
     for _ in range(cfg.refine_steps):
         improved = False
         start = 0
@@ -156,7 +156,7 @@ def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):
             improved = True
             start += j + 1
         if not improved:
-            step *= cfg.shrink
+            step *= SHRINK
     u = unitary_from_params(n, params)
     return best_val, u, best_vec, restart
 

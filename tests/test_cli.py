@@ -39,16 +39,31 @@ def test_eval_hopf_paper_tensor_qobc(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "value = 8"
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["eval", "--metric", "hopf", "--point", "1,0",
                  "--functional", "bogus", "--vector", "1,0"]) == 1
     assert main(["eval", "--metric", "hopf", "--point", "0.01,0",
                  "--functional", "rbc", "--vector", "1,0"]) == 2
     assert main(["verify", "identities", "--seed", "1"]) == 0
-    # FD settings are checked even when the jet is closed form
-    for fd_flag in (["--fd-order", "3"], ["--fd-step", "-1"]):
+    # the FD flags are gone: every metric eval can name has a closed-form jet
+    for fd_flag in (["--fd-order", "2"], ["--fd-step", "1e-4"]):
         assert main(["eval", "--metric", "tricerri", "--point", "0,1j", "--functional",
                      "rbc", "--vector", "1,0", *fd_flag]) == 1
+        assert fd_flag[0] in capsys.readouterr().err
+    # sizes read from outside are bounded before anything is allocated
+    zeros = ",".join(["0"] * 13)
+    for dim in ("13", "1000000000"):
+        assert main(["eval", "--metric", "euclidean", "--dim", dim, "--point", zeros,
+                     "--functional", "rbc", "--vector", zeros]) == 1
+    identity = ";".join(",".join("1" if i == j else "0" for j in range(13)) for i in range(13))
+    assert main(["cone-check", "--matrix", identity, "--cone", "full"]) == 1
+    assert main(["cone-check", "--matrix", "1,0;0,1", "--samples", "1000000000000"]) == 1
+    sweep = ["sweep", "--metric", "euclidean", "--dim", "2", "--grid"]
+    assert main(sweep + ["re1=0:1:1000000000000"]) == 1
+    import curvlab.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "MAX_GRID_POINTS", 3)    # the total, not an axis, is over
+    assert main(sweep + ["re1=0:1:2,im1=0:1:2"]) == 1
+    assert "at most 3 points" in capsys.readouterr().err
     # a seed must be an integer >= 0, from a flag or from a config file
     assert main(["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
                  "--functional", "rbc", "--seed", "-1"]) == 1
@@ -206,6 +221,47 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "value = 0"
 
 
+def test_config_precedence_flag_over_config_over_default(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"restarts": 2}))
+    base = ["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
+            "--functional", "rbc", "--format", "json"]
+    echoed = []
+    for extra in ([], ["--config", str(cfg)], ["--config", str(cfg), "--restarts", "1"],
+                  ["--restarts", "1", "--config", str(cfg)]):
+        assert main(base + extra) == 0
+        echoed.append(json.loads(capsys.readouterr().out)["restarts"])
+    assert echoed == [8, 2, 1, 1]
+    # a config value with a leading minus, and a switch set to false, read as
+    # the same flags would
+    hopf = ["eval", "--metric", "hopf", "--point", "1,0", "--functional", "qobc"]
+    outputs = []
+    for switch in ([], ["--use-paper-tensor"]):
+        assert main(hopf + switch + ["--vector", "-0.7071,0.7071"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1].splitlines()[0] == "value = 8" and outputs[0] != outputs[1]
+    cfg.write_text(json.dumps({"vector": "-0.7071,0.7071", "use_paper_tensor": False}))
+    for switch, expected in (([], outputs[0]), (["--use-paper-tensor"], outputs[1])):
+        assert main(hopf + switch + ["--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == expected
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    import curvlab.cli as cli_mod
+
+    def no_parser():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli_mod, "build_parser", no_parser)
+    for argv in (["eval", "--metric", "euclidean", "--dim", "2", "--point", "0,0",
+                  "--functional", "rbc", "--vector", "1,0"],
+                 ["verify", "identities"],
+                 ["sweep", "--metric", "euclidean", "--dim", "2", "--grid", "re1=0:1:2"],
+                 SCAN_RANDOM + ["--functional", "rbc"],
+                 ["cone-check", "--matrix", "1,0;0,1", "--samples", "100"]):
+        assert main(argv) == 0, argv
+
+
 def test_reports_round_trip():
     rep = run_suite("identities", seed=4)
     again = VerifyReport.from_dict(json.loads(json.dumps(rep.to_dict())))
@@ -236,6 +292,8 @@ BAD_TENSOR_PARAMS = [
     ("skew_pair", '{"n": 2, "c": "1"}', "parameter 'c'"),
     ("random", '{"n": 2, "seed": -1}', "parameter 'seed'"),
     ("paper_hopf", '{"z": ["a", 1]}', "parameter 'z'"),
+    ("random", '{"n": 13}', "parameter 'n'"),
+    ("random", '{"n": 1000000000}', "parameter 'n'"),
 ]
 
 

@@ -373,16 +373,17 @@ FLAGS = {
 CONFIG_VALUES = {
     "restarts": [1, 2, 0, "2", 1.5, True, None, [1]],
     "refine_steps": [1, -1, "x", 2.5, False, None],
-    "samples": [100, 5, "x", 1e3, True, None],
+    "samples": [100, 5, 10 ** 12, "x", 1e3, True, None],
+    "grid": ["re1=1:1.2:2", "re1=0:1:1000000000000", "x", 2, None],
     "imw": [1.0, 2, 0, -1.0, "abc", True, None],
-    "dim": [2, 3, 0, "2", 2.0, True, None],
+    "dim": [2, 3, 0, 13, 10 ** 9, "2", 2.0, True, None],
     "fd_step": [1e-4, 1e-3, 0, -1.0, "1e-4", True, None],
     "fd_order": [2, 4, 3, "2", 2.0, True, None],
 }
 # each command with a small-budget base argv and the flags it takes
 FUZZ_COMMANDS = {
     "eval": (["eval", "--metric", "hopf", "--point", "1,0.5", "--functional", "qobc",
-              "--vector", "1,-1"], ["--seed", "--format", "--fd-order", "--fd-step", "--out"]),
+              "--vector", "1,-1"], ["--seed", "--format", "--out"]),
     "verify": (["verify", "tricerri"], ["--seed", "--format", "--out"]),
     "sweep": (["sweep", "--metric", "hopf", "--point", "1,0.5", "--grid", "re1=1:1.2:2",
                "--use-paper-tensor", "--restarts", "1", "--refine-steps", "1"],
@@ -398,6 +399,20 @@ FUZZ_COMMANDS = {
 }
 
 
+def without_flags(argv, keys):
+    """argv without the flags (and their values) that config keys name."""
+    drop = {"--" + key.replace("_", "-") for key in keys}
+    out, dropping = [], False
+    for token in argv:
+        if dropping and not token.startswith("--"):     # the dropped flag's value
+            dropping = False
+            continue
+        dropping = token in drop
+        if not dropping:
+            out.append(token)
+    return out
+
+
 @st.composite
 def fuzz_argv(draw):
     """A command's base argv, then its own flags in any order, then possibly
@@ -409,9 +424,7 @@ def fuzz_argv(draw):
         keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), min_size=1, max_size=3,
                              unique=True))
         config = {key: draw(st.sampled_from(CONFIG_VALUES[key])) for key in keys}
-        drop = {"--" + key.replace("_", "-") for key in keys}
-        base = [token for i, token in enumerate(base)
-                if token not in drop and (i == 0 or base[i - 1] not in drop)]
+        base = without_flags(base, keys)
     parts = draw(st.permutations([draw(FLAGS[name]) for name in names]))
     parts.append(draw(st.one_of(FLAGS.values())))
     return base + [token for part in parts for token in part], config
@@ -432,6 +445,72 @@ def test_cli_fuzz_never_raises(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
     assert code in (0, 1, 2, 3), json.dumps([argv, config])
+
+
+# right-typed config values, per FUZZ_COMMANDS entry, that make the command
+# succeed
+GOOD_CONFIG_VALUES = {
+    "eval": {"point": ["1,0.5", [1, -0.5]], "vector": ["1,-1", "-0.5,2"],
+             "use_paper_tensor": [True, False], "seed": [0, 3], "format": ["text", "json"]},
+    "verify": {"seed": [0, 3], "format": ["text", "json"]},
+    "sweep": {"grid": ["re1=1:1.2:2", "im2=-0.5:0.5:2"], "restarts": [1, 2],
+              "refine_steps": [0, 1], "convention": ["full", "adjoint"],
+              "use_paper_tensor": [True, False], "seed": [0, 3]},
+    "frame-scan": {"tensor_params": ['{"n": 2, "seed": 4}', '{"n": 3}'], "restarts": [1, 2],
+                   "refine_steps": [0, 1], "cone": ["full", "orthant", "monotone"],
+                   "convention": ["full", "adjoint"], "seed": [0, 5],
+                   "format": ["text", "json"]},
+    "frame-scan --family": {"imw": [1.0, 2, 0.5], "functional": ["rbc", "qobc"],
+                            "seed": [0, 3], "format": ["text", "json"]},
+    "cone-check": {"matrix": ["1,-2;-2,1", "-1,0.5;0.5,2"], "samples": [100, 150],
+                   "cone": ["full", "orthant", "monotone"], "seed": [0, 3],
+                   "format": ["text", "json"]},
+}
+# the fuzz's family base argv lacks --imw, which a scan needs
+MISSING_FLAGS = {"frame-scan --family": ["--imw", "1"]}
+
+
+def as_flags(config):
+    """The command-line flags that say what a config object says."""
+    tokens = []
+    for key, value in config.items():
+        name = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            tokens += [name] if value else []
+        else:
+            tokens += [name, ",".join(map(str, value)) if isinstance(value, list) else str(value)]
+    return tokens
+
+
+@st.composite
+def config_case(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    values = GOOD_CONFIG_VALUES[command]
+    keys = draw(st.lists(st.sampled_from(sorted(values)), min_size=1, unique=True))
+    config = {key: draw(st.sampled_from(values[key])) for key in keys}
+    base = FUZZ_COMMANDS[command][0] + MISSING_FLAGS.get(command, [])
+    return without_flags(base, keys), config
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@PROPERTY
+@given(case=config_case())
+def test_cli_config_values_act_as_their_flags(case):
+    base, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        from_config = run_main(base + ["--config", path])
+    from_flags = run_main(base + as_flags(config))
+    assert from_config[0] == 0, json.dumps([base, config, from_config[2]])
+    assert from_config == from_flags
 
 
 @PROPERTY

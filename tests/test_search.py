@@ -8,7 +8,7 @@ from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
                      tricerri_family_extrema)
 from curvlab.curvature import FrameConvention
 from curvlab.functionals import evaluate, quadratic_form_matrix
-from curvlab.search import param_count, unitary_from_params
+from curvlab.search import INITIAL_ANGLE, SHRINK, param_count, unitary_from_params
 from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 import curvlab.search as search_mod
 
@@ -107,7 +107,7 @@ def sequential_extremize(tensor, kind, cone, convention, cfg):
         for r in range(cfg.restarts):
             params = (np.zeros(k) if r == 0
                       else rng_from(cfg.seed, r).uniform(-np.pi, np.pi, size=k))
-            val, step = objective(params), cfg.initial_angle
+            val, step = objective(params), INITIAL_ANGLE
             for _ in range(cfg.refine_steps):
                 improved = False
                 for i in range(k):
@@ -118,7 +118,7 @@ def sequential_extremize(tensor, kind, cone, convention, cfg):
                         if cand_val < val - 1e-14:
                             params, val, improved = cand, cand_val, True
                 if not improved:
-                    step *= cfg.shrink
+                    step *= SHRINK
             outcomes.append((val, r, params))
         val, _, params = min(outcomes, key=lambda o: o[:2])
         found.append((-sign * val, unitary_from_params(n, params)))
@@ -313,5 +313,3 @@ def test_tricerri_per_frame_minimum_tracks_d():
 def test_search_config_validation():
     with pytest.raises(UsageError):
         SearchConfig(restarts=0)
-    with pytest.raises(UsageError):
-        SearchConfig(shrink=1.5)
