@@ -20,8 +20,8 @@ from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC,
                           constant_identity_check, evaluate, frame_matrices,
                           fs_moment_check, hsc, matrices_from, rayleigh_bounds,
                           ricci_qobc_bounds, weitzenbock)
-from .cones import (Cone, EDMatrix, cone_min, copositive_2x2, dual_edm_test,
-                    edm_from_vector, full_cone, generator_cone, make_cone,
+from .cones import (Cone, EDMatrix, cone_min, copositive_2x2, difference_form_pairings,
+                    dual_edm_test, edm_from_vector, full_cone, generator_cone, make_cone,
                     monotone_nonneg, nonneg_orthant, perron_weights, perron_criterion_check)
 from .search import (FrameExtremum, SearchConfig, extremize, invariance_test,
                      tricerri_family_extrema, unitary_from_params)

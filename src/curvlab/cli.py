@@ -9,7 +9,8 @@ config value is parsed and checked exactly like its flag; precedence is flag
 --refine-steps 12; frame-scan --cone full --convention full --restarts 8
 --refine-steps 30; cone-check --cone orthant --samples 1000.  Sizes read
 from outside are bounded: dimensions by MAX_DIM (12), --samples by
-MAX_SAMPLES, grid points by MAX_GRID_POINTS per axis and in total.  sweep
+MAX_SAMPLES, grid points by MAX_GRID_POINTS per axis and in total, --restarts
+by 1..MAX_RESTARTS and --refine-steps by 0..MAX_REFINE_STEPS.  sweep
 writes CSV (--format csv); the other commands write text (default) or json,
 and any other format is a usage error.  Output is deterministic for a fixed
 command line and seed.
@@ -29,12 +30,14 @@ from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
                         paper_hopf, paper_tricerri, scalars, to_frame)
 from .functionals import (QUADRATIC_KINDS, FunctionalKind, evaluate, hsc, matrices_from,
                           rayleigh_bounds)
-from .cones import (copositive_2x2, cone_min, dual_edm_test, make_cone, perron_criterion_check)
+from .cones import copositive_2x2, cone_min, make_cone, perron_criterion_check
 from .search import SearchConfig, extremize, tricerri_family_extrema
 from .verify import run_suite
 from . import reports
 
 MAX_SAMPLES = 100_000
+MAX_RESTARTS = 1_000       # search budgets of sweep and frame-scan
+MAX_REFINE_STEPS = 1_000
 MAX_GRID_POINTS = 10_000
 FORMATS = {"eval": ("text", "json"), "verify": ("text", "json"), "sweep": ("csv",),
            "frame-scan": ("text", "json"), "cone-check": ("text", "json")}
@@ -141,6 +144,18 @@ def _seed(args):
     """The seed must be an integer >= 0, as numpy's seeding requires."""
     if args.seed < 0:
         raise UsageError(f"seed must be an integer >= 0, got {args.seed!r}")
+
+
+def _search_budget(args):
+    """sweep and frame-scan take --restarts in 1..MAX_RESTARTS and
+    --refine-steps in 0..MAX_REFINE_STEPS, also where a scan ignores them."""
+    if "restarts" not in args:
+        return
+    if not 1 <= args.restarts <= MAX_RESTARTS:
+        raise UsageError(f"--restarts must be in 1..{MAX_RESTARTS}, got {args.restarts}")
+    if not 0 <= args.refine_steps <= MAX_REFINE_STEPS:
+        raise UsageError(f"--refine-steps must be in 0..{MAX_REFINE_STEPS}, "
+                         f"got {args.refine_steps}")
 
 
 def _functional_kind(name):
@@ -482,7 +497,7 @@ def cmd_cone_check(args):
         "cone_min": {"value": minimum.value,
                      "argmin": [float(x) for x in minimum.argmin]},
         "rayleigh_bounds": [lo, hi],
-        "dual_edm_member": dual_edm_test(m),
+        "dual_edm_member": report.details["verdict_dual_edm"],
         "perron_criterion": report.to_dict(),
     }
     if m.shape[0] == 2:
@@ -539,6 +554,7 @@ def main(argv=None):
             args = _PARSER.parse_args(argv[:at] + tokens + argv[at:])
         _output_format(args)
         _seed(args)
+        _search_budget(args)
         text, ok = COMMANDS[args.command](args)
         _emit(text, args.out)
         return 0 if ok else 3

@@ -11,7 +11,13 @@ Nonnegativity of the difference-form functionals is dual-cone membership
 against embedding-dimension-one Euclidean distance matrices
 Sigma_v[a, g] = (v_a - v_g)^2; three equivalent oracles are provided
 (Weitzenboeck PSD, direct trace sampling, and the Perron-weight eigenvalue
-criterion) so they can cross-validate each other.
+criterion) so they can cross-validate each other.  The sampled oracles never
+form Sigma_v: the direct pairing tr(S Sigma_v) is O(n^2) per sample
+(``difference_form_pairings``), and since Sigma_v has rank <= 3 at any n
+(an EDM of embedding dimension d has rank <= d + 2; Gower, Linear Algebra
+Appl. 67, 1985), the Perron criterion reads the eigenpairs of its 3 x 3
+compression onto its range, solved in closed form for all samples at once
+(``_edm_rank3``).
 """
 
 import functools
@@ -220,6 +226,107 @@ def dual_edm_test(m, tol=None):
     return bool(np.linalg.eigvalsh(w)[0] >= -tol)
 
 
+def _centred(vs):
+    """The rows of vs moved to mean zero.  Subtracting the first coordinate
+    first takes out a large common offset exactly and leaves a constant row
+    exactly zero; Sigma_v does not see the shift."""
+    w = vs - vs[:, :1]
+    return w - (w @ np.full(vs.shape[1], 1.0 / vs.shape[1]))[:, None]
+
+
+def difference_form_pairings(vs, s):
+    """tr(s Sigma_v) = sum_{a,g} s[a,g] (v_a - v_g)^2 for each row v of vs.
+
+    With x = v o v, Sigma_v = x 1^T + 1 x^T - 2 v v^T, so the pairing is
+    x . (s 1 + s^T 1) - 2 v^T s v: O(n^2) per row, with no Sigma_v.  It is
+    read on the centred rows, so its cancellation is relative to the spread
+    of v rather than its size.
+    """
+    w = _centred(vs)
+    return (w * w) @ (s.sum(axis=0) + s.sum(axis=1)) - 2.0 * np.einsum("ai,ai->a", w @ s, w)
+
+
+def _edm_rank3(vs, s):
+    """Nonzero spectrum of each Sigma_v and the forms of s on its eigenvectors.
+
+    Returns (delta, q), each (samples, 3): delta[:, 0] >= delta[:, 1] >=
+    delta[:, 2] and q[:, k] = u_k^T s u_k for a unit eigenvector u_k of
+    delta[:, k].  Sigma_v has no other nonzero eigenvalue.  s is symmetric.
+
+    With w the centred v, u = w / |w|, x = u o u and p = x - (x . u) u - 1/n,
+    the vectors e0 = 1 / sqrt(n), e1 = u, e2 = p / |p| are an orthonormal
+    basis of the range of Sigma_v, and the compression is |w|^2 T with
+
+        T = [[2, A, B], [A, -2, 0], [B, 0, 0]],  A = sqrt(n) sum u^3,
+                                                 B = sqrt(n) |p|.
+
+    Its Perron root is t0 = 2 sqrt(K/3) cos(arccos(3 sqrt(3) B^2 / K^1.5) / 3)
+    with K = 4 + A^2 + B^2; it is isolated, since t0 >= sqrt(K) >= |t| for
+    the other two roots t, and its eigenvector is (1, A / (2 + t0), B / t0).
+    The other two eigenpairs are those of T on the orthogonal complement of
+    that vector, a 2 x 2 problem solved by one rotation, which stays exact
+    when they coincide.  Degenerate generators take the same path: p = 0
+    (n = 2, or two distinct values) gives B = 0 and the eigenvalue 0 on
+    e2 = 0; a constant v (or n = 1) gives w = 0, delta = 0 and
+    q[:, 0] = 1^T s 1 / n.
+    """
+    samples, n = vs.shape
+    w = _centred(vs)
+    ss1 = np.einsum("ai,ai->a", w, w)
+    u = w * np.divide(1.0, np.sqrt(ss1), out=np.zeros(samples), where=ss1 > 0.0)[:, None]
+    x = u * u
+    cube = np.einsum("ai,ai->a", x, u)
+    if n >= 3:
+        p = x.copy()
+        for _ in range(2):  # Gram-Schmidt against 1 and u; twice is enough
+            p -= (p @ np.full(n, 1.0 / n))[:, None] + np.einsum("ai,ai->a", p, u)[:, None] * u
+    else:
+        p = np.zeros_like(u)  # the range of Sigma_v is all of R^n
+    s2 = np.sqrt(np.einsum("ai,ai->a", p, p))
+    e2 = p * np.divide(1.0, s2, out=np.zeros(samples), where=s2 > 0.0)[:, None]
+
+    root_n = np.sqrt(n)
+    big_a, big_b = root_n * cube, root_n * s2
+    k = 4.0 + big_a ** 2 + big_b ** 2
+    arg = np.minimum(3.0 * np.sqrt(3.0) * big_b ** 2 / k ** 1.5, 1.0)
+    t0 = 2.0 * np.sqrt(k / 3.0) * np.cos(np.arccos(arg) / 3.0)
+    # y0 = (1, c1, c2) / n0; z1 = (-c1, 1, 0) / n1 and z2 = y0 x z1 span its
+    # complement
+    c1, c2 = big_a / (2.0 + t0), big_b / t0
+    n1 = np.sqrt(1.0 + c1 ** 2)
+    n0 = np.sqrt(n1 ** 2 + c2 ** 2)
+    y0 = np.array([np.ones(samples), c1, c2]) / n0
+    z1 = np.array([-c1, np.ones(samples), np.zeros(samples)]) / n1
+    z2 = np.array([-c2, -c1 * c2, n1 ** 2]) / (n0 * n1)
+
+    def t_form(y, z):  # y^T T z
+        return (2.0 * (y[0] * z[0] - y[1] * z[1]) + big_a * (y[0] * z[1] + y[1] * z[0])
+                + big_b * (y[0] * z[2] + y[2] * z[0]))
+
+    m11, m12, m22 = t_form(z1, z1), t_form(z1, z2), t_form(z2, z2)
+    mean, half = 0.5 * (m11 + m22), 0.5 * (m11 - m22)
+    radius = np.hypot(half, m12)
+    angle = 0.5 * np.arctan2(m12, half)
+    cos, sin = np.cos(angle), np.sin(angle)
+    y1, y2 = cos * z1 + sin * z2, cos * z2 - sin * z1
+
+    # s compressed to (e0, e1, e2): g[i][j] = e_i^T s e_j
+    s_one = s.sum(axis=1)
+    us = u @ s
+    g00 = s_one.sum() / n
+    g01, g02 = u @ s_one / root_n, e2 @ s_one / root_n
+    g11, g12 = np.einsum("ai,ai->a", us, u), np.einsum("ai,ai->a", us, e2)
+    g22 = np.einsum("ai,ai->a", e2 @ s, e2)
+
+    def g_form(y):  # y^T g y
+        return (g00 * y[0] ** 2 + g11 * y[1] ** 2 + g22 * y[2] ** 2
+                + 2.0 * (g01 * y[0] * y[1] + g02 * y[0] * y[2] + g12 * y[1] * y[2]))
+
+    delta = ss1[:, None] * np.array([t0, mean + radius, mean - radius]).T
+    q = np.array([g_form(y0), g_form(y1), g_form(y2)]).T
+    return delta, q
+
+
 def perron_criterion_check(m, samples=1000, seed=0, tol=None):
     """Cross-validation of the Perron-weight nonnegativity criterion.
 
@@ -227,12 +334,18 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
     and q_k = u_k^T S u_k the quadratic form of the symmetric part S of m on
     the EDM eigenbasis, the trace pairing factors exactly as
 
-        tr(S Sigma_v) = delta_1 (q_1 - sum_k r_k q_k),
+        tr(S Sigma_v) = delta_1 (q_1 - sum_k r_k q_k),  r_k = -delta_k / delta_1,
 
-    so the pairing is nonnegative iff q_1 >= sum r_k q_k.  The report records
-    per-sample agreement of the two readings, the aggregate verdict, the
-    verdict of the PSD oracle, and (as a diagnostic only) the weaker bound
-    with eigenvalues of S in place of the q_k, which every matrix satisfies.
+    so the pairing is nonnegative iff q_1 >= sum r_k q_k.  Sigma_v has rank
+    <= 3 whatever n is (an EDM of embedding dimension d has rank <= d + 2),
+    so the criterion reads the three nonzero eigenpairs of its compression to
+    a basis of its range (``_edm_rank3``); the other r_k are 0.  The trace
+    reading is the direct O(n^2) pairing (``difference_form_pairings``), so
+    the per-sample agreement of the two readings compares two independent
+    computations.  The report records that agreement, the aggregate verdict,
+    the verdict of the PSD oracle, and (as a diagnostic only) the weaker
+    bound with eigenvalues of S in place of the q_k, which every matrix
+    satisfies.
     """
     if samples < 100:
         raise UsageError("perron_criterion_check needs at least 100 samples")
@@ -243,21 +356,18 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
     lam = np.linalg.eigvalsh(s)[::-1]
     rng = rng_from(seed)
     vs = rng.standard_normal((samples, n))
-    sig = (vs[:, :, None] - vs[:, None, :]) ** 2
-    delta, u = np.linalg.eigh(sig)
-    delta = delta[:, ::-1]
-    u = u[:, :, ::-1]
-    q = np.einsum("aki,kl,ali->ai", u, s, u)
-    # Gaussian samples never produce a (degenerate) constant generator, but
-    # guard the Perron division anyway
+    delta, q = _edm_rank3(vs, s)
+    # a constant generator (Gaussian samples never draw one) has delta = 0
     delta1 = np.maximum(delta[:, :1], 1e-300)
     r = -delta[:, 1:] / delta1
-    trace = np.einsum("ai,ai->a", delta, q)
+    trace = difference_form_pairings(vs, s)
     crit = q[:, 0] - np.sum(r * q[:, 1:], axis=1)
     trace_ok = trace >= -tol
     crit_ok = crit >= -tol / delta1[:, 0]
     both = trace_ok == crit_ok
-    eig_bound_ok = bool(np.all(lam[0] >= np.sum(r * lam[1:], axis=1) - tol))
+    # r ascends; its n - 1 - k leading weights (zero eigenvalues) are 0
+    k = min(n - 1, 2)
+    eig_bound_ok = bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))
 
     verdict_criterion = bool(np.all(crit_ok))
     verdict_trace = bool(np.all(trace_ok))

@@ -17,8 +17,9 @@ from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, Functional
                           constant_identity_check, evaluate, frame_matrices, hsc,
                           matrices_from, rayleigh_bounds, ricci_qobc_bounds,
                           fs_moment_check)
-from .cones import (copositive_2x2, cone_min, dual_edm_test, edm_from_vector,
-                    nonneg_orthant, perron_weights, perron_criterion_check)
+from .cones import (copositive_2x2, cone_min, difference_form_pairings, dual_edm_test,
+                    edm_from_vector, nonneg_orthant, perron_weights,
+                    perron_criterion_check)
 from .search import invariance_test, tricerri_family_extrema
 from .reports import VerifyReport
 
@@ -239,16 +240,15 @@ def cone_oracle_disagreements(n, count, seed, thm_samples=2000, direct_samples=1
     """Number of matrices where the PSD oracle, the Perron-weight criterion,
     and direct distance-matrix sampling disagree about nonnegativity of the
     difference form.  The Perron and direct oracles share one sample stream
-    (the former reads a prefix)."""
+    (the former reads a prefix); the direct oracle pairs each sample with the
+    symmetric part of m by ``difference_form_pairings``."""
     bad = 0
     for k in range(count):
         m = rng_from(seed, n, k).standard_normal((n, n))
         sample_seed = (seed + 1) * 1_000_003 + 101 * n + k
         rep = perron_criterion_check(m, samples=thm_samples, seed=sample_seed, tol=tol)
         vs = rng_from(sample_seed).standard_normal((direct_samples, n))
-        sig = (vs[:, :, None] - vs[:, None, :]) ** 2
-        s = 0.5 * (m + m.T)
-        traces = np.einsum("aij,ij->a", sig, s)
+        traces = difference_form_pairings(vs, 0.5 * (m + m.T))
         verdict_direct = bool(traces.min() >= -tol)
         agree = (rep.details["verdict_dual_edm"] == rep.details["verdict_criterion"]
                  == verdict_direct) and rep.passed

@@ -60,7 +60,19 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["cone-check", "--matrix", "1,0;0,1", "--samples", "1000000000000"]) == 1
     sweep = ["sweep", "--metric", "euclidean", "--dim", "2", "--grid"]
     assert main(sweep + ["re1=0:1:1000000000000"]) == 1
+    # so are the search budgets, on scans that run every restart and on
+    # those that ignore them
     import curvlab.cli as cli_mod
+    restricted = ["frame-scan", "--tensor", "random", "--tensor-params", '{"n": 2}',
+                  "--functional", "rbc", "--cone", "orthant"]
+    family = ["frame-scan", "--family", "tricerri", "--imw", "1", "--functional", "rbc"]
+    for argv in (restricted, family, sweep + ["re1=0:1:2"]):
+        for budget in (["--restarts", "1000000000"], ["--restarts", str(cli_mod.MAX_RESTARTS + 1)],
+                       ["--restarts", "0"], ["--refine-steps", "-3"],
+                       ["--refine-steps", str(cli_mod.MAX_REFINE_STEPS + 1)]):
+            assert main(argv + budget) == 1
+            assert budget[0] in capsys.readouterr().err
+    assert main(restricted + ["--restarts", "1", "--refine-steps", "0"]) == 0
     monkeypatch.setattr(cli_mod, "MAX_GRID_POINTS", 3)    # the total, not an axis, is over
     assert main(sweep + ["re1=0:1:2,im1=0:1:2"]) == 1
     assert "at most 3 points" in capsys.readouterr().err

@@ -1,3 +1,8 @@
+import contextlib
+import io
+import json
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +12,8 @@ from curvlab import (DomainError, UsageError, cone_min, copositive_2x2, dual_edm
                      monotone_nonneg, nonneg_orthant, paper_hopf, paper_tricerri,
                      perron_weights, rayleigh_bounds, perron_criterion_check,
                      weitzenbock)
+from curvlab.cli import main
+from curvlab.cones import _edm_rank3, difference_form_pairings
 from curvlab.linalg import rng_from
 
 
@@ -187,3 +194,119 @@ def test_weitzenbock_trace_pairing_identity():
         v = rng.standard_normal(4)
         sigma = edm_from_vector(v).sigma
         assert float(np.sum(s * sigma)) == pytest.approx(float(v @ w @ v), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the rank-3 compression against a dense eigendecomposition of Sigma_v
+
+def sigma_eigh_reference(vs, s):
+    """Descending spectrum of every Sigma_v (samples, n) and the Perron
+    criterion q_1 - sum r_k q_k read from a batched eigh of the stack."""
+    sigma = (vs[:, :, None] - vs[:, None, :]) ** 2
+    delta, u = np.linalg.eigh(sigma)
+    delta, u = delta[:, ::-1], u[:, :, ::-1]
+    q = np.einsum("aki,kl,ali->ai", u, s, u)
+    r = -delta[:, 1:] / np.maximum(delta[:, :1], 1e-300)
+    return delta, q[:, 0] - np.sum(r * q[:, 1:], axis=1)
+
+
+def assert_compression_matches_reference(vs, s, rtol):
+    """The compression's eigenvalues (with the n - 3 zeros it leaves out) and
+    Perron criterion equal the dense reference's to rtol, with no warning; a
+    zero Sigma_v has zero eigenvalues and the e0 form 1^T s 1 / n as its
+    criterion, since every Perron weight is 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        delta, q = _edm_rank3(vs, s)
+    samples, n = vs.shape
+    crit = q[:, 0] - np.sum(-delta[:, 1:] / np.maximum(delta[:, :1], 1e-300) * q[:, 1:], axis=1)
+    ref_delta, ref_crit = sigma_eigh_reference(vs, s)
+    assert np.all(np.isfinite(delta)) and np.all(np.isfinite(crit))
+    scale = np.abs(ref_delta).max(axis=1, keepdims=True)
+    full = np.concatenate([delta, np.zeros((samples, max(n - 3, 0)))], axis=1)
+    ref_full = np.concatenate([ref_delta, np.zeros((samples, max(3 - n, 0)))], axis=1)
+    assert np.all(np.abs(np.sort(full) - np.sort(ref_full)) <= rtol * scale)
+    live = scale[:, 0] > 0
+    assert np.all(np.abs(crit - ref_crit)[live] <= rtol * np.abs(s).max())
+    assert np.all(delta[~live] == 0.0)
+    assert_allclose(crit[~live], s.sum() / n, rtol=1e-14)
+
+
+def reference_perron_verdicts(m, samples, seed, tol=1e-8):
+    """The report fields of perron_criterion_check, from the dense reference
+    and the einsum trace on the same sample stream."""
+    s = 0.5 * (m + m.T)
+    vs = rng_from(seed).standard_normal((samples, m.shape[0]))
+    delta, crit = sigma_eigh_reference(vs, s)
+    delta1 = np.maximum(delta[:, 0], 1e-300)
+    trace = np.einsum("aij,ij->a", (vs[:, :, None] - vs[:, None, :]) ** 2, s)
+    crit_ok, trace_ok = crit >= -tol / delta1, trace >= -tol
+    lam = np.linalg.eigvalsh(s)[::-1]
+    r = -delta[:, 1:] / delta1[:, None]
+    dual = dual_edm_test(m, tol)
+    return {"passed": bool(np.all(crit_ok == trace_ok)) and bool(crit_ok.all() == trace_ok.all()),
+            "verdict_criterion": bool(crit_ok.all()), "verdict_trace": bool(trace_ok.all()),
+            "verdict_dual_edm": dual, "agrees_with_dual": bool(crit_ok.all()) == dual,
+            "eigenvalue_bound_holds": bool(np.all(lam[0] >= r @ lam[1:] - tol))}
+
+
+def test_compression_edge_cases_match_the_reference():
+    # n = 1 and constant generators have Sigma_v = 0; n = 2 has rank 2; two
+    # distinct values leave p = 0 at any n
+    cases = [np.array([[0.3], [-2.0]]), np.full((2, 4), 0.1), np.array([[0.0, 1.0], [5.0, -1.0]]),
+             np.array([[0.0, 0.0, 1.0, 1.0], [0.1, 0.7, 0.7, 0.1]]),
+             np.array([[1e6, 1e6 + 1.0, 1e6 + 3.0], [7.0, 7.0, 7.0]])]
+    rng = rng_from(11)
+    for vs in cases:
+        m = rng.standard_normal((vs.shape[1],) * 2)
+        assert_compression_matches_reference(vs, 0.5 * (m + m.T), 1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_difference_form_pairings_equal_the_trace(n):
+    rng = rng_from(12, n)
+    vs = np.concatenate([rng.standard_normal((50, n)), 1e6 + rng.standard_normal((50, n)),
+                         rng.integers(-3, 4, (50, n)).astype(float)])
+    m = rng.standard_normal((n, n))
+    sigma = (vs[:, :, None] - vs[:, None, :]) ** 2
+    expected = np.einsum("aij,ij->a", sigma, 0.5 * (m + m.T))
+    scale = np.abs(m).max() * sigma.max(axis=(1, 2))
+    got = difference_form_pairings(vs, 0.5 * (m + m.T))
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+    # a nonsymmetric matrix pairs through its symmetric part
+    assert np.all(np.abs(difference_form_pairings(vs, m) - expected) <= 1e-12 * scale)
+
+
+def test_report_verdicts_equal_the_reference_path():
+    fields = ("passed", "verdict_criterion", "verdict_trace", "verdict_dual_edm",
+              "agrees_with_dual", "eigenvalue_bound_holds")
+    seen = set()
+    for n in range(1, 9):
+        for k in range(8):
+            rng = rng_from(13, n, k)
+            m = rng.standard_normal((n, n))
+            if k % 2:   # -P/2 with P PSD and P 1 = 0 has Weitzenboeck matrix P
+                basis = np.linalg.qr(np.column_stack([np.ones(n),
+                                                      rng.standard_normal((n, n - 1))]))[0]
+                ev = np.abs(rng.standard_normal(n))
+                ev[0] = 0.0
+                ev[min(1, n - 1)] *= [1.0, -1e-3, 1e-9, -1e-9][k // 2]
+                m = -0.5 * (basis * ev) @ basis.T + (m - m.T)
+            rep = perron_criterion_check(m, samples=400, seed=k)
+            ref = reference_perron_verdicts(m, 400, k)
+            got = {"passed": rep.passed, **{f: rep.details[f] for f in fields[1:]}}
+            assert got == ref, (n, k)
+            seen.add(ref["verdict_criterion"])
+    assert seen == {True, False}
+
+
+def test_cone_check_on_a_1x1_matrix_passes():
+    # Sigma_v = 0 for n = 1: both readings hold at every sample
+    for text in ("2", "-2"):
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out):
+            warnings.simplefilter("error")
+            assert main(["cone-check", "--matrix", text, "--format", "json"]) == 0
+        criterion = json.loads(out.getvalue())["perron_criterion"]
+        assert criterion["passed"] and criterion["details"]["verdict_criterion"]
+        assert criterion["details"]["min_trace_pairing"] == 0.0

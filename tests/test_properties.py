@@ -1,7 +1,7 @@
 """Property tests: the exact restricted cone minimum, the frame changes, the
-stacked frame kernel and the loops built on it, the blocked moment sums, the
-exact Tricerri family extrema, the exact full-convention frame extrema and
-the command line.
+stacked frame kernel and the loops built on it, the rank-3 compression of the
+distance matrices, the blocked moment sums, the exact Tricerri family
+extrema, the exact full-convention frame extrema and the command line.
 
 Examples are drawn by hypothesis with a fixed derivation (``derandomize``),
 so a run of the suite is reproducible; no example database is written.
@@ -33,6 +33,7 @@ from curvlab.verify import suite_identities
 from curvlab.curvature import COORDINATE, ChernTensor, hermitian_tensor_residual
 from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 from curvlab.search import param_count
+from test_cones import assert_compression_matches_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -272,6 +273,34 @@ def test_weitzenbock_identity_on_stacks(n, shape, seed):
         assert np.array_equal(w[idx], weitzenbock(m[idx]))
 
 
+def generators(kind, rng, count, n):
+    """Rows v of the kinds that stress the rank-3 compression of Sigma_v,
+    with the first row constant."""
+    if kind == "gaussian":
+        vs = rng.standard_normal((count, n))
+    elif kind == "shifted":
+        vs = 1e6 + rng.standard_normal((count, n))
+    elif kind == "clustered":
+        vs = rng.integers(0, 3, (count, n)) + 1e-6 * rng.standard_normal((count, n))
+    elif kind == "integer":
+        vs = rng.integers(-3, 4, (count, n)).astype(float)
+    else:   # two distinct values per row
+        vs = np.where(rng.random((count, n)) < 0.5, *rng.standard_normal((2, count, 1)))
+    vs[0] = vs[0, 0]
+    return vs
+
+
+@PROPERTY
+@given(n=st.integers(1, 12),
+       kind=st.sampled_from(["gaussian", "shifted", "clustered", "integer", "two_valued"]),
+       seed=st.integers(0, 2 ** 16))
+def test_rank3_compression_matches_a_dense_eigendecomposition(n, kind, seed):
+    rng = rng_from(seed)
+    vs = generators(kind, rng, 200, n)
+    m = rng.standard_normal((n, n))
+    assert_compression_matches_reference(vs, 0.5 * (m + m.T), 1e-12)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("count", [1, 4096, 10_000])
 def test_moment_chunk_gram_products_match_the_einsum_definition(n, count):
@@ -371,8 +400,8 @@ FLAGS = {
 # config-file values for keys read from the file: right-typed, out of range
 # and wrong-typed
 CONFIG_VALUES = {
-    "restarts": [1, 2, 0, "2", 1.5, True, None, [1]],
-    "refine_steps": [1, -1, "x", 2.5, False, None],
+    "restarts": [1, 2, 0, 1001, 10 ** 9, "2", 1.5, True, None, [1]],
+    "refine_steps": [1, -1, -3, 1001, 10 ** 9, "x", 2.5, False, None],
     "samples": [100, 5, 10 ** 12, "x", 1e3, True, None],
     "grid": ["re1=1:1.2:2", "re1=0:1:1000000000000", "x", 2, None],
     "imw": [1.0, 2, 0, -1.0, "abc", True, None],
@@ -380,6 +409,8 @@ CONFIG_VALUES = {
     "fd_step": [1e-4, 1e-3, 0, -1.0, "1e-4", True, None],
     "fd_order": [2, 4, 3, "2", 2.0, True, None],
 }
+# verify's base argv draws its suite from these
+VERIFY_SUITES = ["hopf", "tricerri", "fubini_study", "cones", "identities", "all", "bogus"]
 # each command with a small-budget base argv and the flags it takes
 FUZZ_COMMANDS = {
     "eval": (["eval", "--metric", "hopf", "--point", "1,0.5", "--functional", "qobc",
@@ -415,10 +446,14 @@ def without_flags(argv, keys):
 
 @st.composite
 def fuzz_argv(draw):
-    """A command's base argv, then its own flags in any order, then possibly
-    one flag of another command; and a config object for --config, or None.
-    The base argv leaves the config's keys to the file."""
-    base, names = FUZZ_COMMANDS[draw(st.sampled_from(sorted(FUZZ_COMMANDS)))]
+    """A command's base argv (verify's with any suite), then its own flags in
+    any order, then possibly one flag of another command; and a config object
+    for --config, or None.  The base argv leaves the config's keys to the
+    file."""
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    base, names = FUZZ_COMMANDS[command]
+    if command == "verify":
+        base = ["verify", draw(st.sampled_from(VERIFY_SUITES))]
     config = None
     if draw(st.booleans()):
         keys = draw(st.lists(st.sampled_from(sorted(CONFIG_VALUES)), min_size=1, max_size=3,
