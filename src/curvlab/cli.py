@@ -9,11 +9,11 @@ config value is parsed and checked exactly like its flag; precedence is flag
 --refine-steps 12; frame-scan --cone full --convention full --restarts 8
 --refine-steps 30; cone-check --cone orthant --samples 1000.  Sizes read
 from outside are bounded: dimensions by MAX_DIM (12), --samples by
-MAX_SAMPLES, grid points by MAX_GRID_POINTS per axis and in total, --restarts
-by 1..MAX_RESTARTS and --refine-steps by 0..MAX_REFINE_STEPS.  sweep
-writes CSV (--format csv); the other commands write text (default) or json,
-and any other format is a usage error.  Output is deterministic for a fixed
-command line and seed.
+MIN_SAMPLES..MAX_SAMPLES, grid points by MAX_GRID_POINTS per axis and in
+total, --restarts by 1..MAX_RESTARTS and --refine-steps by
+0..MAX_REFINE_STEPS.  sweep writes CSV (--format csv); the other commands
+write text (default) or json, and any other format is a usage error.
+Output is deterministic for a fixed command line and seed.
 """
 
 import argparse
@@ -35,6 +35,7 @@ from .search import SearchConfig, extremize, tricerri_family_extrema
 from .verify import run_suite
 from . import reports
 
+MIN_SAMPLES = 100          # perron_criterion_check's least sample count
 MAX_SAMPLES = 100_000
 MAX_RESTARTS = 1_000       # search budgets of sweep and frame-scan
 MAX_REFINE_STEPS = 1_000
@@ -483,15 +484,16 @@ def cmd_cone_check(args):
         raise UsageError(f"matrix must be square, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
         raise UsageError(f"matrix dimension must be <= {MAX_DIM}, got {m.shape[0]}")
-    if args.samples > MAX_SAMPLES:
-        raise UsageError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
+    if not MIN_SAMPLES <= args.samples <= MAX_SAMPLES:
+        raise UsageError(f"--samples must be in {MIN_SAMPLES}..{MAX_SAMPLES}, "
+                         f"got {args.samples}")
 
     cone = make_cone(args.cone, m.shape[0],
                      generators=parse_matrix(args.generators) if args.generators else None)
 
     minimum = cone_min(m, cone)
     lo, hi = rayleigh_bounds(m)
-    report = perron_criterion_check(m, samples=max(100, args.samples), seed=args.seed)
+    report = perron_criterion_check(m, samples=args.samples, seed=args.seed)
     payload = {
         "command": "cone-check", "n": m.shape[0], "cone": cone.kind,
         "cone_min": {"value": minimum.value,

@@ -4,8 +4,10 @@ Quadratic functionals restricted to a cone lose their Rayleigh-quotient
 structure.  Exact minimization is NP-hard in general, but at desk-scale
 dimensions (n and generator counts up to 12) enumerating the faces of the
 cone is exact and cheap: the minimum is the least generalized eigenvalue of a
-face whose eigenvector lies in the cone.  The n = 2 orthant case also has an
-exact classical criterion, kept as an independent oracle.
+face whose eigenvector lies in the cone.  ``cone_min`` also takes a (k, n, n)
+stack of matrices sharing one cone, solved with one eigensolve per support
+size and equal bit for bit to k single calls.  The n = 2 orthant case also
+has an exact classical criterion, kept as an independent oracle.
 
 Nonnegativity of the difference-form functionals is dual-cone membership
 against embedding-dimension-one Euclidean distance matrices
@@ -86,6 +88,7 @@ def make_cone(name, n, generators=None):
 class ConeMinimum:
     value: float        # Rayleigh quotient at argmin: the minimum is attained
     argmin: np.ndarray  # unit vector in the cone
+    # (for a stack of k matrices: a (k,) array of values, (k, n) of argmins)
 
 
 def _generator_rows(cone):
@@ -109,35 +112,71 @@ def _supports(k):
     return tuple(tables)
 
 
-def _face_minimum(s, g):
-    """(weights, support) of the least Rayleigh quotient of s over {x g : x >= 0}.
-
-    Per support S with a well-conditioned Gram matrix G_S G_S^T, the pencil
-    (G_S s G_S^T, G_S G_S^T) is whitened by the Cholesky factor and its
-    smallest eigenpair kept when the eigenvector can be signed nonnegative.
-    Singletons always qualify.
-    """
-    a, b = g @ s @ g.T, g @ g.T
-    best, best_x, best_rows = np.inf, None, None
+def _faces(g):
+    """(rows, inv) per support size of the generator rows g, ascending: the
+    supports S whose Gram matrix G_S G_S^T is well conditioned, and the
+    inverses of their Cholesky factors (inv G_S G_S^T inv^T = I).  Sizes
+    with no such support are left out."""
+    b = g @ g.T
+    faces = []
     for rows in _supports(g.shape[0]):
         gram = np.linalg.eigvalsh(b[rows[:, :, None], rows[:, None, :]])
         rows = rows[gram[:, 0] > DEFAULT.cone_gram_rcond * gram[:, -1]]
-        if rows.shape[0] == 0:
-            continue
-        cut = (rows[:, :, None], rows[:, None, :])
-        a_s, b_s = a[cut], b[cut]
-        inv = np.linalg.inv(np.linalg.cholesky(b_s))  # inv b_s inv^T = I
+        if rows.shape[0]:
+            faces.append((rows, np.linalg.inv(np.linalg.cholesky(
+                b[rows[:, :, None], rows[:, None, :]]))))
+    return tuple(faces)
+
+
+@functools.lru_cache(maxsize=None)
+def _standard_faces(kind, n):
+    """``_faces`` of the orthant or monotone cone in R^n, read-only: they
+    depend on (kind, n) only, and restricted frame scans solve thousands of
+    tiny cone minima on the same cone."""
+    faces = _faces(_generator_rows(Cone(kind=kind, n=n)))
+    for face in faces:
+        for arr in face:
+            arr.flags.writeable = False
+    return faces
+
+
+def _face_minimum(s, g, faces):
+    """Least Rayleigh quotient point of each s[j] over {x g : x >= 0}: the
+    (k, n) stack of points x g, one per matrix of the (k, n, n) stack s.
+
+    Per support S of ``_faces(g)``, the pencil (G_S s G_S^T, G_S G_S^T) is
+    whitened by the Cholesky factor and its smallest eigenpair kept when the
+    eigenvector can be signed nonnegative.  Singletons always qualify.  One
+    whitened eigh per support size covers all matrices, and every step is
+    computed per matrix, so a matrix gets the same bits in any stack.
+    """
+    a = g @ s @ g.T
+    k = s.shape[0]
+    best = np.full(k, np.inf)
+    points = np.zeros((k, g.shape[1]))
+    for rows, inv in faces:
+        a_s = a[:, rows[:, :, None], rows[:, None, :]]
         vals, vecs = np.linalg.eigh(inv @ a_s @ inv.transpose(0, 2, 1))
-        x = np.einsum("cji,cj->ci", inv, vecs[:, :, 0])  # weights inv^T y
-        peak = np.take_along_axis(x, np.abs(x).argmax(axis=1)[:, None], axis=1)
+        x = np.einsum("cji,kcj->kci", inv, vecs[..., 0])  # weights inv^T y
+        peak = np.take_along_axis(x, np.abs(x).argmax(axis=-1)[..., None], axis=-1)
         x = x * np.sign(peak)
-        signed = x.min(axis=1) >= -DEFAULT.cone_sign * x.max(axis=1)
-        if not signed.any():
+        signed = x.min(axis=-1) >= -DEFAULT.cone_sign * x.max(axis=-1)
+        # per matrix, the first support of least value among the signed ones
+        least = np.where(signed, vals[..., 0], np.inf)
+        c = least.argmin(axis=1)
+        better = np.flatnonzero(least[np.arange(k), c] < best)
+        if better.size == 0:
             continue
-        c = np.flatnonzero(signed)[np.argmin(vals[signed, 0])]
-        if vals[c, 0] < best:
-            best, best_x, best_rows = vals[c, 0], x[c], rows[c]
-    return np.clip(best_x, 0.0, None), best_rows
+        c = c[better]
+        best[better] = vals[better, c, 0]
+        weights = np.clip(x[better, c], 0.0, None)
+        points[better] = (weights[:, None, :] @ g[rows[c]])[:, 0, :]
+    return points
+
+
+def _dot(x, y):
+    """Row-wise dot products of two (k, n) stacks, each as one BLAS dot."""
+    return (x[:, None, :] @ y[:, :, None])[:, 0, 0]
 
 
 def cone_min(m, cone):
@@ -152,40 +191,54 @@ def cone_min(m, cone):
     Gram matrix are skipped; Caratheodory's theorem rewrites their points
     over independent generators.  The value is the Rayleigh quotient at the
     returned argmin, which lies in the cone.
+
+    m may also be a (k, n, n) stack of matrices that share the cone; the
+    minimum then has a (k,) array of values and a (k, n) array of argmins,
+    row j equal bit for bit to ``cone_min(m[j], cone)``, on every cone kind.
     """
     m = ensure_finite(np.asarray(m, dtype=float), "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise UsageError(f"cone_min needs a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    m_sym = 0.5 * (m + m.T)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise UsageError("cone_min needs a square matrix or a nonempty stack of them, "
+                         f"got shape {m.shape}")
+    n = m.shape[-1]
+    stack = m.reshape(-1, n, n)
+    m_sym = 0.5 * (stack + stack.transpose(0, 2, 1))
     if cone.n != n:
         raise UsageError(f"cone dimension {cone.n} does not match matrix dimension {n}")
     if cone.kind == "full":
         dec = self_adjoint_eigen(m_sym)
-        arg = dec.vectors[:, 0].real
-        return ConeMinimum(value=float(dec.values[0]), argmin=arg / np.linalg.norm(arg))
-    if cone.kind not in ("orthant", "monotone", "generators"):
-        raise UsageError(f"unknown cone kind '{cone.kind}'")
-    g = _generator_rows(cone)
-    if max(n, g.shape[0]) > MAX_DIM:
-        raise UsageError(f"restricted cones support n <= {MAX_DIM} "
-                         f"and at most {MAX_DIM} generators")
-    weights, rows = _face_minimum(m_sym, g)
-    v = weights @ g[rows]
-    value = float(v @ m_sym @ v) / float(v @ v)
-    return ConeMinimum(value=value, argmin=v / np.linalg.norm(v))
+        values = dec.values[:, 0]
+        v = np.ascontiguousarray(dec.vectors[:, :, 0].real)
+    else:
+        if cone.kind not in ("orthant", "monotone", "generators"):
+            raise UsageError(f"unknown cone kind '{cone.kind}'")
+        g = _generator_rows(cone)
+        if max(n, g.shape[0]) > MAX_DIM:
+            raise UsageError(f"restricted cones support n <= {MAX_DIM} "
+                             f"and at most {MAX_DIM} generators")
+        faces = _faces(g) if cone.kind == "generators" else _standard_faces(cone.kind, n)
+        v = _face_minimum(m_sym, g, faces)
+    vv = _dot(v, v)
+    if cone.kind != "full":
+        values = _dot((v[:, None, :] @ m_sym)[:, 0, :], v) / vv
+    argmin = v / np.sqrt(vv)[:, None]
+    if m.ndim == 2:
+        return ConeMinimum(value=float(values[0]), argmin=argmin[0])
+    return ConeMinimum(value=values, argmin=argmin)
 
 
 def copositive_2x2(m):
     """Exact orthant copositivity for 2 x 2 matrices: with S the symmetric
-    part, S11 >= 0, S22 >= 0 and S12 + sqrt(S11 S22) >= 0."""
+    part, S11 >= 0, S22 >= 0 and S12 + sqrt(S11 S22) >= 0.  A (k, 2, 2)
+    stack gives a (k,) boolean array."""
     m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
+    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
         raise UsageError("copositive_2x2 is defined for 2 x 2 matrices only")
-    s = 0.5 * (m + m.T)
-    if s[0, 0] < 0.0 or s[1, 1] < 0.0:
-        return False
-    return bool(s[0, 1] + np.sqrt(s[0, 0] * s[1, 1]) >= 0.0)
+    s = 0.5 * (m + np.swapaxes(m, -1, -2))
+    s11, s22 = s[..., 0, 0], s[..., 1, 1]
+    diag_ok = (s11 >= 0.0) & (s22 >= 0.0)
+    ok = diag_ok & (s[..., 0, 1] + np.sqrt(np.where(diag_ok, s11 * s22, 0.0)) >= 0.0)
+    return bool(ok) if m.ndim == 2 else ok
 
 
 # ---------------------------------------------------------------------------

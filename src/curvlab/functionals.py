@@ -23,7 +23,11 @@ positive semidefiniteness of W.
 Frame searches need the two matrices in many frames at once:
 ``frame_matrices`` computes them for a stack of frame changes without forming
 any frame-changed n^4 tensor, and the matrix builders broadcast over leading
-axes.
+axes.  ``evaluate`` and ``hsc`` take stacks of vectors of shape (..., n),
+broadcast against stacked matrices, with every row checked nonzero; a single
+vector on single matrices still gives a float.  The identity checks draw
+their samples as blocks, evaluate them in one stacked call, and keep their
+residual rows as arrays until the report picks its witnesses.
 """
 
 import enum
@@ -119,22 +123,53 @@ def frame_matrices(tensor, u, convention):
             ensure_finite(alt, "frame-changed altered matrix"))
 
 
-def _nonzero_vector(v, name="vector"):
+def _nonzero_rows(v, name="vector"):
+    """v as vectors along its last axis, each checked to have a nonzero entry."""
     v = np.asarray(v)
-    if v.ndim != 1 or not np.any(np.abs(v) > 0):
+    if v.ndim == 0 or not np.all(np.any(np.abs(v) > 0, axis=-1)):
+        raise UsageError(f"{name} must be a nonzero vector (every row of a stack)")
+    return v
+
+
+def _nonzero_vector(v, name="vector"):
+    v = _nonzero_rows(v, name)
+    if v.ndim != 1:
         raise UsageError(f"{name} must be a nonzero vector")
     return v
 
 
+def _require_broadcast(*shapes):
+    """Check that the leading (stack) axes of several operands broadcast."""
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise UsageError(f"stacks of shapes {', '.join(map(str, shapes))} "
+                         "do not broadcast") from None
+
+
+def _bilinear(x, q):
+    """x^T q x (no conjugation) for each row x of a stack.  einsum keeps
+    BLAS out: a threaded matrix-vector product at n^2 = 64 costs more than
+    the whole form and leaves the BLAS threads spinning."""
+    return np.einsum("...p,pq,...q->...", x, q, x)
+
+
 def hsc(tensor, w):
-    """Holomorphic sectional curvature of a complex direction."""
+    """Holomorphic sectional curvature of a complex direction.
+
+    w may be a stack of directions of shape (..., n); the result is then an
+    array of shape (...).  With a[(i, j)] = w_i conj(w_j) the numerator
+    R(w, wbar, w, wbar) is the bilinear form a R_(ij)(kl) a^T.
+    """
     tensor.require_frame("hsc")
-    w = _nonzero_vector(np.asarray(w, dtype=complex))
-    if w.size != tensor.n:
-        raise UsageError(f"vector has dimension {w.size}, tensor has {tensor.n}")
-    num = np.einsum("ijkl,i,j,k,l->", tensor.values, w, np.conj(w), w, np.conj(w))
-    norm4 = float(np.sum(np.abs(w) ** 2)) ** 2
-    return float(num.real) / norm4
+    w = _nonzero_rows(np.asarray(w, dtype=complex))
+    n = tensor.n
+    if w.shape[-1] != n:
+        raise UsageError(f"vector has dimension {w.shape[-1]}, tensor has {n}")
+    a = (w[..., :, None] * np.conj(w)[..., None, :]).reshape(w.shape[:-1] + (n * n,))
+    num = _bilinear(a, tensor.values.reshape(n * n, n * n))
+    out = num.real / np.sum(np.abs(w) ** 2, axis=-1) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def bisectional(tensor, x, y, altered=True):
@@ -173,26 +208,38 @@ def quadratic_form_matrix(kind, matrices):
 
 
 def evaluate(kind, matrices, v):
-    """Evaluate a quadratic functional at a real nonzero vector."""
+    """Evaluate a quadratic functional at a real nonzero vector.
+
+    v may be a stack of vectors of shape (..., n) and the matrices a stack
+    of shape (..., n, n); their leading axes broadcast against each other
+    and the result is an array of the broadcast shape.  A single vector on
+    single matrices gives a float.  Each value is computed as for a single
+    vector, with the same rounding.
+    """
     kind = FunctionalKind(kind)
     if kind is FunctionalKind.HSC:
         raise UsageError("hsc takes complex vectors; use hsc(tensor, w)")
-    v = _nonzero_vector(np.asarray(v, dtype=float))
-    if v.size != matrices.n:
-        raise UsageError(f"vector has dimension {v.size}, matrices have {matrices.n}")
-    norm2 = float(v @ v)
+    v = _nonzero_rows(np.asarray(v, dtype=float))
+    if v.shape[-1] != matrices.n:
+        raise UsageError(f"vector has dimension {v.shape[-1]}, matrices have {matrices.n}")
+    _require_broadcast(matrices.rbc.shape[:-2], v.shape[:-1])
+    row, col = v[..., None, :], v[..., :, None]
+    norm2 = (row @ col)[..., 0, 0]
     if kind in (FunctionalKind.QOBC, FunctionalKind.ALTERED_QOBC):
         m = matrices.rbc if kind is FunctionalKind.QOBC else matrices.altered
-        diff2 = (v[:, None] - v[None, :]) ** 2
-        return float(np.sum(m * diff2)) / norm2
-    m = quadratic_form_matrix(kind, matrices)
-    return float(v @ m @ v) / norm2
+        num = np.sum(m * (col - row) ** 2, axis=(-2, -1))
+    else:
+        num = (row @ quadratic_form_matrix(kind, matrices) @ col)[..., 0, 0]
+    out = num / norm2
+    return float(out) if out.ndim == 0 else out
 
 
 def rayleigh_bounds(m):
-    """Sharp bounds of v^T m v / |v|^2: extreme eigenvalues of the symmetric part."""
+    """Sharp bounds of v^T m v / |v|^2: extreme eigenvalues of the symmetric
+    part; a stack of matrices gives two arrays, one eigensolve for all."""
     values = self_adjoint_eigen(np.asarray(m, dtype=float)).values
-    return float(values[0]), float(values[-1])
+    lo, hi = values[..., 0], values[..., -1]
+    return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
 
 def weitzenbock(m):
@@ -223,25 +270,41 @@ class ConstAlteredHBC:
     c: float
 
 
-def _report(name, residuals, tol, details=None):
-    witnesses = sorted(residuals, key=lambda w: -w[3])[:5]
-    max_resid = max((w[3] for w in residuals), default=0.0)
+def _report(name, rows, tol, details=None):
+    """IdentityReport over blocks of residual rows.
+
+    Each block is (label, lhs, rhs, res): res holds the residual of each
+    row, lhs and rhs the two sides (broadcast against res, complex or real),
+    and label(i) the label of row i.  The witnesses are the five largest
+    residuals, ties kept in row order.
+    """
+    res = np.concatenate([np.zeros(0)] + [np.ravel(block[3]) for block in rows])
+    ends = np.cumsum([np.size(block[3]) for block in rows])
+    witnesses = []
+    for i in np.argsort(-res, kind="stable")[:5]:
+        b = int(np.searchsorted(ends, i, side="right"))
+        label, lhs, rhs, block_res = rows[b]
+        j = int(i) - (int(ends[b - 1]) if b else 0)
+        sides = [complex(np.broadcast_to(x, np.shape(block_res)).flat[j]) for x in (lhs, rhs)]
+        witnesses.append([label(j)] + [[z.real, z.imag] for z in sides])
+    max_resid = float(res.max()) if res.size else 0.0
     return IdentityReport(
-        name=name, passed=max_resid <= tol, max_residual=max_resid,
-        witnesses=[[w[0], w[1], w[2]] for w in witnesses],
-        details=details or {})
+        name=name, passed=bool(max_resid <= tol), max_residual=max_resid,
+        witnesses=witnesses, details=details or {})
+
+
+def _index_labels(shape):
+    return lambda j: [int(i) for i in np.unravel_index(j, shape)]
+
+
+def _sample_labels(name):
+    return lambda j: [name, j]
 
 
 def _pair_sum_residuals(r, target):
-    """Residuals of R[i,j,k,l] + R[k,l,i,j] == target[i,j,k,l], all tuples."""
-    n = r.shape[0]
+    """Rows R[i,j,k,l] + R[k,l,i,j] == target[i,j,k,l], all tuples."""
     s = r + r.transpose(2, 3, 0, 1)
-    out = []
-    for idx in np.ndindex(n, n, n, n):
-        lhs = complex(s[idx])
-        rhs = complex(target[idx])
-        out.append((list(idx), [lhs.real, lhs.imag], [rhs.real, rhs.imag], abs(lhs - rhs)))
-    return out
+    return _index_labels(r.shape), s, target, np.abs(s - target)
 
 
 def constant_identity_check(tensor, hypothesis, tol=None, seed=0, samples=100):
@@ -257,87 +320,83 @@ def constant_identity_check(tensor, hypothesis, tol=None, seed=0, samples=100):
         the trace identity sum R[k,l,s,t] x[k,t] x[s,l] = c tr(x^2).
     ConstAlteredHBC(c): pair sums = c d_ij d_kl; the rbc closed form
         (c/2)(sum v)^2/|v|^2; hsc == c/2; altered rbc == c/2; |rbc| <= c n / 2.
+
+    Each sampled identity draws its samples as one block from the seeded
+    stream, in the order of a per-sample loop, and is evaluated for all
+    samples at once.
     """
     tensor.require_frame("constant_identity_check")
     tol = DEFAULT.identity_check if tol is None else tol
     rng = rng_from(seed)
     r = tensor.values
     n = tensor.n
-    residuals = []
+    flat = r.reshape(n * n, n * n)                         # R_(kl)(st)
+    crossed = r.transpose(0, 3, 2, 1).reshape(n * n, n * n)  # R_(kt)(sl)
+    rows = []
     details = {"hypothesis": type(hypothesis).__name__, "c": hypothesis.c,
                "samples": samples}
     c = hypothesis.c
 
     if isinstance(hypothesis, ConstHSC):
-        for i in range(n):
-            lhs = complex(r[i, i, i, i])
-            residuals.append(([i, i, i, i], [lhs.real, lhs.imag], [c, 0.0], abs(lhs - c)))
-        for i in range(n):
-            for k in range(n):
-                if i == k:
-                    continue
-                lhs = complex(r[i, i, k, k] + r[k, i, i, k] + r[i, k, k, i] + r[k, k, i, i])
-                residuals.append(([i, k], [lhs.real, lhs.imag], [2 * c, 0.0],
-                                  abs(lhs - 2 * c)))
-        m = matrices_from(tensor)
-        form = m.rbc + m.altered
-        for s in range(samples):
-            v = rng.standard_normal(n)
-            v /= np.linalg.norm(v)
-            lhs = float(v @ form @ v)
-            rhs = c * (1.0 + float(np.sum(v)) ** 2)
-            residuals.append((["altered_hsc", s], [lhs, 0.0], [rhs, 0.0], abs(lhs - rhs)))
-        for s in range(samples):
-            xi = random_hermitian(n, rng)
-            lhs = complex(np.einsum("klst,kl,st->", r, xi, xi)
-                          + np.einsum("klst,kt,sl->", r, xi, xi))
-            rhs = c * (np.trace(xi) ** 2 + np.trace(xi @ xi))
-            residuals.append((["trace_identity", s], [lhs.real, lhs.imag],
-                              [rhs.real, rhs.imag], abs(lhs - rhs)))
+        diag = np.einsum("iiii->i", r)
+        rows.append((lambda j: [j] * 4, diag, c, np.abs(diag - c)))
+        rbc, alt = np.einsum("aagg->ag", r), np.einsum("agga->ag", r)
+        off = ~np.eye(n, dtype=bool)
+        pairs = np.argwhere(off)
+        four = (rbc + alt.T + alt + rbc.T)[off]  # R_iikk + R_kiik + R_ikki + R_kkii
+        rows.append((lambda j: [int(i) for i in pairs[j]], four, 2 * c, np.abs(four - 2 * c)))
+        vs = rng.standard_normal((samples, n))
+        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
+        lhs = (vs[:, None, :] @ (rbc.real + alt.real) @ vs[:, :, None])[:, 0, 0]
+        rhs = c * (1.0 + np.sum(vs, axis=1) ** 2)
+        rows.append((_sample_labels("altered_hsc"), lhs, rhs, np.abs(lhs - rhs)))
+        xs = random_hermitian(n, rng, count=samples)
+        x = xs.reshape(samples, n * n)
+        lhs = _bilinear(x, flat) + _bilinear(x, crossed)
+        rhs = c * (np.trace(xs, axis1=1, axis2=2) ** 2 + np.einsum("aij,aji->a", xs, xs))
+        rows.append((_sample_labels("trace_identity"), lhs, rhs, np.abs(lhs - rhs)))
 
     elif isinstance(hypothesis, ConstAlteredRBC):
         eye = np.eye(n)
-        target = 2 * c * np.einsum("ij,kl->ijkl", eye, eye)
-        residuals.extend(_pair_sum_residuals(r, target))
-        for s in range(samples):
-            xi = random_hermitian(n, rng)
-            lhs = complex(np.einsum("klst,kt,sl->", r, xi, xi))
-            rhs = c * np.trace(xi @ xi)
-            residuals.append((["trace_identity", s], [lhs.real, lhs.imag],
-                              [rhs.real, rhs.imag], abs(lhs - rhs)))
-        m = matrices_from(tensor)
-        for s in range(samples):
-            v = rng.standard_normal(n)
-            lhs = evaluate(FunctionalKind.RBC, m, v)
-            rhs = c * float(np.sum(v)) ** 2 / float(v @ v)
-            residuals.append((["rbc_closed_form", s], [lhs, 0.0], [rhs, 0.0], abs(lhs - rhs)))
+        rows.append(_pair_sum_residuals(r, 2 * c * np.einsum("ij,kl->ijkl", eye, eye)))
+        xs = random_hermitian(n, rng, count=samples)
+        lhs = _bilinear(xs.reshape(samples, n * n), crossed)
+        rhs = c * np.einsum("aij,aji->a", xs, xs)
+        rows.append((_sample_labels("trace_identity"), lhs, rhs, np.abs(lhs - rhs)))
+        vs = rng.standard_normal((samples, n))
+        lhs = evaluate(FunctionalKind.RBC, matrices_from(tensor), vs)
+        rhs = c * np.sum(vs, axis=1) ** 2 / np.sum(vs * vs, axis=1)
+        rows.append((_sample_labels("rbc_closed_form"), lhs, rhs, np.abs(lhs - rhs)))
 
     elif isinstance(hypothesis, ConstAlteredHBC):
         eye = np.eye(n)
-        target = c * np.einsum("ij,kl->ijkl", eye, eye)
-        residuals.extend(_pair_sum_residuals(r, target))
+        rows.append(_pair_sum_residuals(r, c * np.einsum("ij,kl->ijkl", eye, eye)))
         m = matrices_from(tensor)
         half = 0.5 * c
-        for s in range(samples):
-            v = rng.standard_normal(n)
-            lhs = evaluate(FunctionalKind.RBC, m, v)
-            rhs = half * float(np.sum(v)) ** 2 / float(v @ v)
-            residuals.append((["rbc_closed_form", s], [lhs, 0.0], [rhs, 0.0], abs(lhs - rhs)))
-            if abs(lhs) > abs(half) * n + tol:
-                residuals.append((["rbc_bound", s], [abs(lhs), 0.0],
-                                  [abs(half) * n, 0.0], abs(lhs) - abs(half) * n))
-            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            h_val = hsc(tensor, w)
-            residuals.append((["hsc_constant", s], [h_val, 0.0], [half, 0.0],
-                              abs(h_val - half)))
-            alt = evaluate(FunctionalKind.ALTERED_RBC, m, v)
-            residuals.append((["altered_rbc_constant", s], [alt, 0.0], [half, 0.0],
-                              abs(alt - half)))
+        bound = abs(half) * n
+        # per sample: v, then Re w, then Im w
+        draws = rng.standard_normal((samples, 3, n))
+        vs = draws[:, 0]
+        rbc = evaluate(FunctionalKind.RBC, m, vs)
+        closed = half * np.sum(vs, axis=1) ** 2 / np.sum(vs * vs, axis=1)
+        h_val = hsc(tensor, draws[:, 1] + 1j * draws[:, 2])
+        alt = evaluate(FunctionalKind.ALTERED_RBC, m, vs)
+        # one row per sample and check, in sample order; the bound row only
+        # where the bound is broken
+        names = ("rbc_closed_form", "rbc_bound", "hsc_constant", "altered_rbc_constant")
+        lhs = np.stack([rbc, np.abs(rbc), h_val, alt], axis=1)
+        rhs = np.stack(np.broadcast_arrays(closed, bound, half, half), axis=1)
+        res = np.stack([np.abs(rbc - closed), np.abs(rbc) - bound,
+                        np.abs(h_val - half), np.abs(alt - half)], axis=1)
+        keep = np.ones(res.shape, dtype=bool)
+        keep[:, 1] = np.abs(rbc) > bound + tol
+        kept = np.flatnonzero(keep)
+        rows.append((lambda j: [names[kept[j] % 4], int(kept[j] // 4)],
+                     lhs[keep], rhs[keep], res[keep]))
     else:
         raise UsageError(f"unknown hypothesis {hypothesis!r}")
 
-    return _report(f"constant_identity[{type(hypothesis).__name__}]",
-                   residuals, tol, details)
+    return _report(f"constant_identity[{type(hypothesis).__name__}]", rows, tol, details)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +422,6 @@ def ricci_qobc_bounds(tensor, tol=None, frame_samples=20, seed=0):
     r = tensor.values
     ric = {k: ricci(tensor, k) for k in RicciKind}
     scal, scal_alt = scalars(tensor)
-    residuals = []
     margins = []
     for k in range(n):
         for l in range(n):
@@ -384,8 +442,8 @@ def ricci_qobc_bounds(tensor, tol=None, frame_samples=20, seed=0):
     if n > 1:
         margins.append(("scal_bound", scal - cross / (n - 1)))
         margins.append(("scal_alt_bound", scal_alt - cross_alt / (n - 1)))
-    for name, margin in margins:
-        residuals.append(([name], [margin, 0.0], [0.0, 0.0], max(0.0, -margin)))
+    values = np.array([val for _, val in margins])
+    rows = [(lambda j: [margins[j][0]], values, 0.0, np.maximum(0.0, -values))]
 
     # least eigenvalue of the qobc and altered-qobc Weitzenboeck matrices over
     # the sampled frames, one stacked draw and one batched eigensolve
@@ -402,7 +460,7 @@ def ricci_qobc_bounds(tensor, tol=None, frame_samples=20, seed=0):
                "qobc_min_eigenvalue_sampled": float(lowest[0]),
                "altered_qobc_min_eigenvalue_sampled": float(lowest[1]),
                "frame_samples": frame_samples}
-    return _report("ricci_qobc_bounds", residuals, tol, details)
+    return _report("ricci_qobc_bounds", rows, tol, details)
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +524,9 @@ def fs_moment_check(n, samples, seed=0, tol_sigmas=3.0):
     floor = 1.0 / samples  # guards exact-zero tuples against se == 0
     ratio = dev / np.maximum(tol_sigmas * se, floor)
     worst = np.unravel_index(int(np.argmax(ratio)), dev.shape)
-    residuals = []
-    for idx in np.ndindex(*dev.shape):
-        ok_scale = max(float(tol_sigmas * se[idx]), floor)
-        residuals.append((list(idx), [float(mean[idx].real), float(mean[idx].imag)],
-                          [float(target[idx]), 0.0],
-                          float(dev[idx]) / ok_scale))
-    report = _report("fs_moment_identity", residuals, 1.0,
+    rows = [(_index_labels(dev.shape), mean, target,
+             dev / np.maximum(tol_sigmas * se, floor))]
+    report = _report("fs_moment_identity", rows, 1.0,
                      {"n": n, "samples": samples, "max_abs_deviation": float(dev.max()),
                       "max_standard_error": float(se.max()),
                       "worst_tuple": [int(i) for i in worst]})

@@ -128,7 +128,15 @@ def haar_from_rng(n, rng, count=None):
     draws and gives the same unitaries.
     """
     lead = () if count is None else (count,)
-    g = rng.standard_normal(lead + (2, n, n))
+    return haar_from_gaussians(rng.standard_normal(lead + (2, n, n)))
+
+
+def haar_from_gaussians(g):
+    """Haar unitaries from standard Gaussian blocks g of shape (..., 2, n, n),
+    the real and then the imaginary part of each: QR of (re + i im) / sqrt(2)
+    with the phases of the triangular factor's diagonal moved into Q.  Any
+    slice of a block stream that holds the 2 n^2 draws of one unitary in
+    order gives the unitary ``haar_from_rng`` makes from the same draws."""
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
@@ -142,6 +150,12 @@ def haar_unitary(n, seed):
     return haar_from_rng(n, rng_from(seed))
 
 
-def random_hermitian(n, rng, scale=1.0):
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * 0.5 * (z + z.conj().T)
+def random_hermitian(n, rng, scale=1.0, count=None):
+    """Hermitian matrix (Z + Z^H) / 2 * scale from a complex Gaussian Z, or a
+    (count, n, n) stack of them.  Each matrix consumes the real and then the
+    imaginary n x n block, so a stack reads the same stream as count single
+    draws and gives the same matrices."""
+    lead = () if count is None else (count,)
+    g = rng.standard_normal(lead + (2, n, n))
+    z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    return scale * 0.5 * (z + _adjoint(z))

@@ -2,20 +2,27 @@
 desk-scale numbers and identities and reports per-check pass/fail.
 
 Suites: hopf, tricerri, fubini_study, cones, identities, all.
+
+A sampled check draws its samples as one block from its seeded stream, laid
+out in the order a per-sample loop would draw them, so the block holds the
+same numbers bit for bit; it then evaluates all samples in one stacked call
+(``evaluate``, ``hsc``, ``cone_min``, ``rayleigh_bounds`` and
+``copositive_2x2`` broadcast over stacks).  Only loops whose draws interleave
+Gaussian and uniform variates keep their draws per sample.
 """
 
 import numpy as np
 
 from .config import DEFAULT
 from .errors import DomainError, UsageError
-from .linalg import haar_from_rng, rng_from
+from .linalg import haar_from_gaussians, haar_from_rng, rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
-                        skew_pair, to_frame, transform_frame)
-from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, FunctionalKind,
-                          constant_identity_check, evaluate, frame_matrices, hsc,
-                          matrices_from, rayleigh_bounds, ricci_qobc_bounds,
+                        skew_pair, to_frame)
+from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureMatrices,
+                          FunctionalKind, constant_identity_check, evaluate, frame_matrices,
+                          hsc, matrices_from, rayleigh_bounds, ricci_qobc_bounds,
                           fs_moment_check)
 from .cones import (copositive_2x2, cone_min, difference_form_pairings, dual_edm_test,
                     edm_from_vector, nonneg_orthant, perron_weights,
@@ -61,6 +68,16 @@ def hopf_altered_hsc_bounds(z):
     return ((2.0 / rho ** 3) * (2.0 * rho - root), (2.0 / rho ** 3) * (2.0 * rho + root))
 
 
+def _frames_and_vectors(rng, frames=100, vectors=10):
+    """frames rounds of (one Haar unitary of U(2), then vectors real
+    2-vectors) from rng, drawn as one (frames, 8 + 2 vectors) block: the
+    (frames, 2, 2) unitaries and (frames, vectors, 2) vectors that the
+    per-round draws give, bit for bit."""
+    block = rng.standard_normal((frames, 8 + 2 * vectors))
+    return (haar_from_gaussians(block[:, :8].reshape(frames, 2, 2, 2)),
+            block[:, 8:].reshape(frames, vectors, 2))
+
+
 def suite_hopf(seed=0, frame_samples=1000):
     rep = VerifyReport(suite="hopf")
     rep.add("fd_tensor_vs_closed_form", 0.0, hopf_fd_worst_error(seed), 1e-6)
@@ -72,12 +89,11 @@ def suite_hopf(seed=0, frame_samples=1000):
     rep.add("altered_matrix_at_(1,0)", 0.0,
             float(np.abs(m.altered - np.diag([0.0, 4.0])).max()), 0.0)
 
-    worst = 0.0
-    for z in hopf_domain_points(seed + 1, 10):
-        lo, hi = rayleigh_bounds(matrices_from(paper_hopf(z)).rbc
-                                 + matrices_from(paper_hopf(z)).altered)
-        flo, fhi = hopf_altered_hsc_bounds(z)
-        worst = max(worst, abs(lo - flo), abs(hi - fhi))
+    points = hopf_domain_points(seed + 1, 10)
+    forms = [matrices_from(paper_hopf(z)) for z in points]
+    lo, hi = rayleigh_bounds(np.stack([f.rbc + f.altered for f in forms]))
+    flo, fhi = np.array([hopf_altered_hsc_bounds(z) for z in points]).T
+    worst = float(max(np.abs(lo - flo).max(), np.abs(hi - fhi).max()))
     rep.add("altered_hsc_bounds_formula", 0.0, worst, 1e-9)
 
     t11 = paper_hopf([1.0, 1.0])
@@ -113,14 +129,10 @@ def suite_hopf(seed=0, frame_samples=1000):
         rep.add(f"qobc_max_at_{z}", 8.0 / rho ** 2,
                 evaluate(FunctionalKind.QOBC, mm, v_max), 1e-9)
 
-    rng = rng_from(seed + 4)
-    worst = 0.0
-    for _ in range(100):
-        u = haar_from_rng(2, rng)
-        mm = matrices_from(transform_frame(t_gen, u, FrameConvention.ADJOINT))
-        for _ in range(10):
-            v = rng.standard_normal(2)
-            worst = max(worst, abs(evaluate(FunctionalKind.ALTERED_QOBC, mm, v)))
+    us, vs = _frames_and_vectors(rng_from(seed + 4))
+    rbc, alt = frame_matrices(t_gen, us, FrameConvention.ADJOINT)
+    mm = CurvatureMatrices.from_slices(rbc[:, None], alt[:, None])  # against (100, 10) vectors
+    worst = float(np.abs(evaluate(FunctionalKind.ALTERED_QOBC, mm, vs)).max())
     rep.add("altered_qobc_identically_zero", 0.0, worst, 1e-9)
 
     ric1 = ricci(t, RicciKind.FIRST).real
@@ -157,24 +169,29 @@ def tricerri_second_derivative_error(points=None):
 
 def tricerri_eigen_formula_error(seed, count=100):
     """Deviation of the family Rayleigh bounds from the printed closed form
-    -(3/(4 Im^4)) (|d|^2 -+ sqrt(|b|^4 + |d|^4)), over sampled (b, d)."""
+    -(3/(4 Im^4)) (|d|^2 -+ sqrt(|b|^4 + |d|^4)), over sampled (b, d).
+
+    The Gaussian and uniform draws interleave, so they stay per sample; the
+    QRs of the unitary members and the eigensolves run once, stacked."""
     rng = rng_from(seed)
-    worst = 0.0
+    gaussians, squares, im_w = [], [], []
     for k in range(count):
         if k % 2 == 0:
-            u = haar_from_rng(2, rng)  # genuine unitary members
-            b, d = u[0, 1], u[1, 1]
+            gaussians.append(rng.standard_normal((2, 2, 2)))  # genuine unitary members
         else:
-            b = np.sqrt(rng.uniform())  # independent square members
-            d = np.sqrt(rng.uniform())
-        im_w = rng.uniform(0.7, 2.0)
-        t = paper_tricerri(b, d, im_w)
-        lo, hi = rayleigh_bounds(matrices_from(t).rbc)
-        bb, dd = abs(b) ** 2, abs(d) ** 2
-        root = np.sqrt(bb ** 2 + dd ** 2)
-        pref = 3.0 / (4.0 * im_w ** 4)
-        worst = max(worst, abs(lo + pref * (dd + root)), abs(hi + pref * (dd - root)))
-    return worst
+            squares.append(np.sqrt(rng.uniform(size=2)))  # independent square members
+        im_w.append(rng.uniform(0.7, 2.0))
+    bd = np.empty((count, 2), dtype=complex)
+    bd[0::2] = haar_from_gaussians(np.array(gaussians).reshape(-1, 2, 2, 2))[:, :, 1]
+    bd[1::2] = squares
+    im_w = np.array(im_w)
+    lo, hi = rayleigh_bounds(np.stack([matrices_from(paper_tricerri(b, d, w)).rbc
+                                       for (b, d), w in zip(bd, im_w)]))
+    bb, dd = np.abs(bd[:, 0]) ** 2, np.abs(bd[:, 1]) ** 2
+    root = np.sqrt(bb ** 2 + dd ** 2)
+    pref = 3.0 / (4.0 * im_w ** 4)
+    return float(max(np.abs(lo + pref * (dd + root)).max(),
+                     np.abs(hi + pref * (dd - root)).max()))
 
 
 def suite_tricerri(seed=0):
@@ -211,11 +228,11 @@ def suite_fubini_study(seed=0, moment_samples=200_000):
     worst = 0.0
     for _ in range(25):
         n = int(rng.integers(2, 4))
-        p = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        t = to_frame(curvature_from_jet(jet_at(fubini_study(n), p)))
-        for _ in range(4):
-            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            worst = max(worst, abs(hsc(t, w) - 2.0))
+        # the point, then four directions: real and imaginary part of each
+        z = rng.standard_normal((5, 2, n))
+        z = z[:, 0] + 1j * z[:, 1]
+        t = to_frame(curvature_from_jet(jet_at(fubini_study(n), 0.5 * z[0])))
+        worst = max(worst, float(np.abs(hsc(t, z[1:]) - 2.0).max()))
     rep.add("hsc_constant_2", 0.0, worst, 1e-7)
 
     t0 = to_frame(curvature_from_jet(jet_at(fubini_study(2), np.zeros(2))))
@@ -264,13 +281,9 @@ def suite_cones(seed=0, per_size=120, thm_samples=1500, direct_samples=4000):
                                         direct_samples=direct_samples)
         rep.add(f"oracle_disagreements[n={n}]", 0, bad, 0.0)
 
-    rng = rng_from(seed + 10)
-    mismatches = 0
-    for _ in range(1000):
-        m = rng.standard_normal((2, 2)) * 2.0
-        exact = copositive_2x2(m)
-        if exact != (cone_min(m, nonneg_orthant(2)).value >= -1e-7):
-            mismatches += 1
+    ms = rng_from(seed + 10).standard_normal((1000, 2, 2)) * 2.0
+    mismatches = int(np.sum(copositive_2x2(ms)
+                            != (cone_min(ms, nonneg_orthant(2)).value >= -1e-7)))
     rep.add("copositive_2x2_vs_cone_min", 0, mismatches, 0.0)
 
     sigma = edm_from_vector([0.0, 1.0, 2.0])
@@ -307,38 +320,32 @@ def suite_identities(seed=0):
     rng = rng_from(seed + 1)
     ok = True
     for c in (1.5, -2.0):
-        t = skew_pair(2.0 * c, 3, seed=13)
-        m = matrices_from(t)
-        for _ in range(200):
-            v = rng.standard_normal(3)
-            ok &= evaluate(FunctionalKind.RBC, m, v) * c >= -1e-12
+        m = matrices_from(skew_pair(2.0 * c, 3, seed=13))
+        ok &= bool(np.all(evaluate(FunctionalKind.RBC, m, rng.standard_normal((200, 3))) * c
+                          >= -1e-12))
     rep.add_bool("cross_sign_rbc", ok)
 
-    worst_add = 0.0
-    worst_const = 0.0
-    dominance_ok = True
-    for k in range(50):
-        t = random_tensor(seed + 100 + k, 3)
-        m = matrices_from(t)
-        ones = np.ones(3)
-        worst_const = max(worst_const, abs(evaluate(FunctionalKind.QOBC, m, ones)))
-        v = rng.standard_normal(3)
-        lhs = evaluate(FunctionalKind.ALTERED_HSC, m, v)
-        rhs = (evaluate(FunctionalKind.RBC, m, v)
-               + evaluate(FunctionalKind.ALTERED_RBC, m, v))
-        worst_add = max(worst_add, abs(lhs - rhs))
-        full_min = rayleigh_bounds(m.rbc)[0]
-        orthant_min = cone_min(m.rbc, nonneg_orthant(3)).value
-        dominance_ok &= full_min <= orthant_min + 1e-9
-        e1 = np.zeros(3)
-        e1[k % 3] = 1.0
-        diag_gap = max(abs(hsc(t, e1.astype(complex)) - evaluate(FunctionalKind.RBC, m, e1)),
-                       abs(evaluate(FunctionalKind.RBC, m, e1)
-                           - evaluate(FunctionalKind.ALTERED_RBC, m, e1)))
-        worst_add = max(worst_add, diag_gap)
+    # 50 random tensors, one vector each, all checks stacked over the tensors
+    tensors = [random_tensor(seed + 100 + k, 3) for k in range(50)]
+    single = [matrices_from(t) for t in tensors]
+    m = CurvatureMatrices.from_slices(np.stack([x.rbc for x in single]),
+                                      np.stack([x.altered for x in single]))
+    v = rng.standard_normal((50, 3))
+    e1 = np.eye(3)[np.arange(50) % 3]
+    worst_const = float(np.abs(evaluate(FunctionalKind.QOBC, m, np.ones(3))).max())
+    rbc_e1 = evaluate(FunctionalKind.RBC, m, e1)
+    hsc_e1 = np.array([hsc(t, e) for t, e in zip(tensors, e1.astype(complex))])
+    worst_add = float(max(
+        np.abs(evaluate(FunctionalKind.ALTERED_HSC, m, v)
+               - (evaluate(FunctionalKind.RBC, m, v)
+                  + evaluate(FunctionalKind.ALTERED_RBC, m, v))).max(),
+        np.abs(hsc_e1 - rbc_e1).max(),
+        np.abs(rbc_e1 - evaluate(FunctionalKind.ALTERED_RBC, m, e1)).max()))
+    full_min = rayleigh_bounds(m.rbc)[0]
+    orthant_min = cone_min(m.rbc, nonneg_orthant(3)).value
     rep.add("altered_hsc_additivity_and_diagonal", 0.0, worst_add, 1e-12)
     rep.add("qobc_constant_vector_zero", 0.0, worst_const, 0.0)
-    rep.add_bool("full_min_below_orthant_min", dominance_ok)
+    rep.add_bool("full_min_below_orthant_min", bool(np.all(full_min <= orthant_min + 1e-9)))
 
     # scalar traces are invariant under genuine (full-convention) frame changes;
     # in each frame they are the sums of the rbc' and altered' slices

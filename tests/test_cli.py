@@ -58,6 +58,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
     identity = ";".join(",".join("1" if i == j else "0" for j in range(13)) for i in range(13))
     assert main(["cone-check", "--matrix", identity, "--cone", "full"]) == 1
     assert main(["cone-check", "--matrix", "1,0;0,1", "--samples", "1000000000000"]) == 1
+    # and from below: the Perron check needs at least 100 samples
+    for samples in ("-5", "0", "99"):
+        assert main(["cone-check", "--matrix", "1,0;0,1", "--samples", samples]) == 1
+        assert "--samples" in capsys.readouterr().err
+    assert main(["cone-check", "--matrix", "1,0;0,1", "--samples", "100"]) == 0
     sweep = ["sweep", "--metric", "euclidean", "--dim", "2", "--grid"]
     assert main(sweep + ["re1=0:1:1000000000000"]) == 1
     # so are the search budgets, on scans that run every restart and on

@@ -58,6 +58,53 @@ def test_cone_min_guard_rails():
         cone_min(np.eye(3), nonneg_orthant(2))
 
 
+def stack_cones(n, rng):
+    """The restricted cones in R^n, with a random generator set and one
+    whose Gram matrix is singular (a repeated and a dependent generator)."""
+    gens = rng.standard_normal((max(2, n), n))
+    singular = np.vstack([gens, 2.0 * gens[:1], gens[:1] + gens[-1:]])
+    return [nonneg_orthant(n), monotone_nonneg(n), generator_cone(rng.standard_normal((n + 1, n))),
+            generator_cone(singular), full_cone(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_cone_min_equals_single_calls(n):
+    rng = rng_from(70 + n)
+    ms = rng.standard_normal((12, n, n)) * rng.uniform(0.1, 10.0, (12, 1, 1))
+    ms[:3] = np.abs(ms[:3])       # copositive members: the minimum is interior or a face
+    for cone in stack_cones(n, rng):
+        stacked = cone_min(ms, cone)
+        assert stacked.value.shape == (12,) and stacked.argmin.shape == (12, n)
+        for j, m in enumerate(ms):
+            single = cone_min(m, cone)
+            assert isinstance(single.value, float)
+            assert single.value == stacked.value[j]
+            assert np.array_equal(single.argmin, stacked.argmin[j])
+
+
+def test_stacked_cone_min_boundaries():
+    ms = rng_from(5).standard_normal((4, 3, 3))
+    for bad in (np.nan, np.inf):
+        broken = ms.copy()
+        broken[2, 1, 0] = bad
+        for cone in (nonneg_orthant(3), full_cone(3)):
+            with pytest.raises(DomainError):
+                cone_min(broken, cone)
+    for shape in ((4, 3, 2), (2, 4, 3, 3), (0, 3, 3), (3,)):
+        with pytest.raises(UsageError):
+            cone_min(np.ones(shape), nonneg_orthant(3))
+    with pytest.raises(UsageError):
+        cone_min(ms, nonneg_orthant(2))
+    # on the full cone a stack gives each matrix's Rayleigh minimum and a
+    # unit eigenvector
+    res = cone_min(ms, full_cone(3))
+    sym = 0.5 * (ms + ms.transpose(0, 2, 1))
+    assert np.array_equal(res.value, rayleigh_bounds(ms)[0])
+    assert_allclose(np.linalg.norm(res.argmin, axis=1), 1.0, atol=1e-15)
+    assert_allclose(np.einsum("ki,kij,kj->k", res.argmin, sym, res.argmin), res.value,
+                    atol=1e-14)
+
+
 def test_copositive_2x2_examples():
     assert copositive_2x2(np.array([[1.0, -1.0], [-1.0, 1.0]]))
     assert not copositive_2x2(np.array([[0.0, -1.0], [-1.0, 0.0]]))
@@ -72,11 +119,13 @@ def test_copositive_2x2_examples():
 
 def test_copositive_agrees_with_grid():
     rng = rng_from(1)
-    for _ in range(1000):
-        m = rng.standard_normal((2, 2)) * 2.0
+    ms = rng.standard_normal((1000, 2, 2)) * 2.0
+    for m in ms:
         exact = copositive_2x2(m)
         grid = cone_min(m, nonneg_orthant(2)).value >= -1e-7
         assert exact == grid
+    # a stack gives the single verdicts
+    assert np.array_equal(copositive_2x2(ms), [copositive_2x2(m) for m in ms])
 
 
 def test_edm_examples():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,9 +9,12 @@ from curvlab import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, FunctionalKind,
                      fs_moment_check, hsc, kahler_constant, matrices_from, paper_hopf,
                      paper_tricerri, random_tensor, rayleigh_bounds, ricci_qobc_bounds,
                      skew_pair, weitzenbock)
+from curvlab import reports
+from curvlab.cones import perron_criterion_check
 from curvlab.curvature import ChernTensor, FRAME, curvature_from_jet, to_frame
-from curvlab.functionals import moment_target
-from curvlab.linalg import rng_from
+from curvlab.functionals import CurvatureMatrices, _report, moment_target
+from curvlab.linalg import random_hermitian, rng_from
+from curvlab.reports import IdentityReport
 from curvlab.metrics import fubini_study, jet_at
 
 
@@ -102,6 +107,65 @@ def test_evaluate_errors():
         evaluate(FunctionalKind.HSC, m, np.array([1.0, 0.0]))
     with pytest.raises(UsageError):
         evaluate(FunctionalKind.RBC, m, np.zeros(2))
+
+
+QUAD_KINDS = [k for k in FunctionalKind if k is not FunctionalKind.HSC]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_evaluate_and_hsc_on_stacks_match_single_calls(n):
+    rng = rng_from(40 + n)
+    tensors = [random_tensor(60 + n + k, n) for k in range(4)]
+    single = [matrices_from(t) for t in tensors]
+    stacked = CurvatureMatrices.from_slices(np.stack([m.rbc for m in single]),
+                                            np.stack([m.altered for m in single]))
+    vs = rng.standard_normal((4, 6, n))
+    for kind in QUAD_KINDS:
+        scale = 4.0 * max(np.abs(m.rbc).max() + np.abs(m.altered).max() for m in single)
+        ref = np.array([[evaluate(kind, m, v) for v in row] for m, row in zip(single, vs)])
+        # a stack of vectors on one matrix pair, and matrices against vectors
+        got_rows = np.array([evaluate(kind, m, row) for m, row in zip(single, vs)])
+        got_all = evaluate(kind, CurvatureMatrices.from_slices(stacked.rbc[:, None],
+                                                               stacked.altered[:, None]), vs)
+        got_one = evaluate(kind, stacked, vs[:, 0])
+        assert got_all.shape == (4, 6) and got_one.shape == (4,)
+        assert np.abs(got_rows - ref).max() <= 1e-15 * scale
+        assert np.abs(got_all - ref).max() <= 1e-15 * scale
+        assert np.abs(got_one - ref[:, 0]).max() <= 1e-15 * scale
+        assert isinstance(evaluate(kind, single[0], vs[0, 0]), float)
+    ws = rng.standard_normal((3, 5, n)) + 1j * rng.standard_normal((3, 5, n))
+    for t in tensors:
+        ref = np.array([[hsc(t, w) for w in row] for row in ws])
+        got = hsc(t, ws)
+        assert got.shape == (3, 5)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(t.values).max() * n ** 4
+        assert isinstance(hsc(t, ws[0, 0]), float)
+
+
+def test_stacked_functionals_reject_bad_rows():
+    t = random_tensor(3, 3)
+    m = matrices_from(t)
+    vs = np.ones((4, 3))
+    vs[2] = 0.0
+    with pytest.raises(UsageError):
+        evaluate(FunctionalKind.RBC, m, vs)
+    with pytest.raises(UsageError):
+        evaluate(FunctionalKind.QOBC, m, vs[None])
+    with pytest.raises(UsageError):
+        hsc(t, vs.astype(complex))
+    for bad in (np.ones((4, 2)), np.ones(4), np.ones((2, 0))):
+        with pytest.raises(UsageError):
+            evaluate(FunctionalKind.ALTERED_HSC, m, bad)
+        with pytest.raises(UsageError):
+            hsc(t, bad)
+    # leading axes that do not broadcast against the stacked matrices
+    stacked = CurvatureMatrices.from_slices(np.stack([m.rbc] * 3), np.stack([m.altered] * 3))
+    with pytest.raises(UsageError):
+        evaluate(FunctionalKind.RBC, stacked, np.ones((4, 3)))
+    with pytest.raises(UsageError):
+        hsc(t, 1.0 + 0j)
+    with pytest.raises(UsageError):
+        bisectional(t, np.ones((2, 3)), np.ones(3))
 
 
 def test_rayleigh_bounds_examples():
@@ -199,6 +263,161 @@ def test_const_altered_rbc_on_scaled_skew_pair():
     # the altered quadratic form is constant c across frames
     rep = constant_identity_check(skew_pair(4.0, 3, seed=9), ConstAlteredRBC(2.0), seed=3)
     assert rep.passed and rep.max_residual < 1e-10
+
+
+def reference_identity_rows(tensor, hypothesis, tol=1e-10, seed=0, samples=100):
+    """Per-sample reference for constant_identity_check: every residual row
+    as (label, lhs, rhs, residual), drawn and evaluated one sample at a
+    time in report order."""
+    rng = rng_from(seed)
+    r, n, c = tensor.values, tensor.n, hypothesis.c
+    rows = []
+
+    def pair_sums(target):
+        s = r + r.transpose(2, 3, 0, 1)
+        for idx in np.ndindex(n, n, n, n):
+            rows.append((list(idx), s[idx], target[idx], abs(s[idx] - target[idx])))
+
+    eye = np.eye(n)
+    dd = np.einsum("ij,kl->ijkl", eye, eye)
+    m = matrices_from(tensor)
+    if isinstance(hypothesis, ConstHSC):
+        for i in range(n):
+            rows.append(([i] * 4, r[i, i, i, i], c, abs(r[i, i, i, i] - c)))
+        for i in range(n):
+            for k in range(n):
+                if i != k:
+                    lhs = r[i, i, k, k] + r[k, i, i, k] + r[i, k, k, i] + r[k, k, i, i]
+                    rows.append(([i, k], lhs, 2 * c, abs(lhs - 2 * c)))
+        for s in range(samples):
+            v = rng.standard_normal(n)
+            v /= np.linalg.norm(v)
+            lhs = v @ (m.rbc + m.altered) @ v
+            rhs = c * (1.0 + np.sum(v) ** 2)
+            rows.append((["altered_hsc", s], lhs, rhs, abs(lhs - rhs)))
+        for s in range(samples):
+            x = random_hermitian(n, rng)
+            lhs = np.einsum("klst,kl,st->", r, x, x) + np.einsum("klst,kt,sl->", r, x, x)
+            rhs = c * (np.trace(x) ** 2 + np.trace(x @ x))
+            rows.append((["trace_identity", s], lhs, rhs, abs(lhs - rhs)))
+    elif isinstance(hypothesis, ConstAlteredRBC):
+        pair_sums(2 * c * dd)
+        for s in range(samples):
+            x = random_hermitian(n, rng)
+            lhs = np.einsum("klst,kt,sl->", r, x, x)
+            rhs = c * np.trace(x @ x)
+            rows.append((["trace_identity", s], lhs, rhs, abs(lhs - rhs)))
+        for s in range(samples):
+            v = rng.standard_normal(n)
+            lhs = v @ m.rbc @ v / (v @ v)
+            rhs = c * np.sum(v) ** 2 / (v @ v)
+            rows.append((["rbc_closed_form", s], lhs, rhs, abs(lhs - rhs)))
+    else:
+        pair_sums(c * dd)
+        half = 0.5 * c
+        for s in range(samples):
+            v = rng.standard_normal(n)
+            lhs = v @ m.rbc @ v / (v @ v)
+            rhs = half * np.sum(v) ** 2 / (v @ v)
+            rows.append((["rbc_closed_form", s], lhs, rhs, abs(lhs - rhs)))
+            if abs(lhs) > abs(half) * n + tol:
+                rows.append((["rbc_bound", s], abs(lhs), abs(half) * n,
+                             abs(lhs) - abs(half) * n))
+            w = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            h = np.einsum("ijkl,i,j,k,l->", r, w, np.conj(w), w, np.conj(w)).real
+            h /= np.sum(np.abs(w) ** 2) ** 2
+            rows.append((["hsc_constant", s], h, half, abs(h - half)))
+            alt = v @ m.altered @ v / (v @ v)
+            rows.append((["altered_rbc_constant", s], alt, half, abs(alt - half)))
+    return rows
+
+
+def coherent_pair_sums(c, eps, n):
+    """(c/2) d_ij d_kl + (eps/2) a_i conj(a_j) a_k conj(a_l) for unit-modulus
+    a with distinct phases: the pair sums are off by eps a_i conj(a_j) a_k
+    conj(a_l), so hsc - c/2 = (eps/2) |a . w|^4 / |w|^4 ranges up to
+    eps n^2 / 2, the hsc rows lead the ConstAlteredHBC(c) witnesses, and
+    hsc(conj w) differs from hsc(w)."""
+    eye = np.eye(n)
+    a = np.exp(1j * np.arange(1, n + 1))
+    vals = (0.5 * c * np.einsum("ij,kl->ijkl", eye, eye)
+            + 0.5 * eps * np.einsum("i,j,k,l->ijkl", a, np.conj(a), a, np.conj(a)))
+    return ChernTensor(values=vals, basis=FRAME)
+
+
+IDENTITY_CASES = [
+    # (tensor, hypothesis): each hypothesis on a tensor that meets it and on
+    # tensors that break it
+    (lambda n: kahler_constant(2.0, n), ConstHSC(2.0)),
+    (lambda n: random_tensor(5, n), ConstHSC(1.0)),
+    (lambda n: skew_pair(5.0, n, seed=11), ConstAlteredRBC(2.5)),
+    (lambda n: random_tensor(6, n), ConstAlteredRBC(-0.5)),
+    (lambda n: kahler_constant(2.0, n), ConstAlteredRBC(1.0)),
+    (lambda n: skew_pair(3.0, n, seed=7), ConstAlteredHBC(3.0)),
+    (lambda n: random_tensor(7, n), ConstAlteredHBC(-1.0)),
+    (lambda n: skew_pair(3.0, n, seed=7), ConstAlteredHBC(0.2)),
+    (lambda n: coherent_pair_sums(2.0, 0.1, n), ConstAlteredHBC(2.0)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(IDENTITY_CASES)))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_constant_identity_check_matches_per_sample_reference(case, n):
+    build, hypothesis = IDENTITY_CASES[case]
+    tensor = build(n)
+    for seed in (0, 3):
+        rep = constant_identity_check(tensor, hypothesis, seed=seed, samples=60)
+        rows = reference_identity_rows(tensor, hypothesis, seed=seed, samples=60)
+        res = [float(row[3]) for row in rows]
+        max_ref = max(res)
+        assert rep.passed == (max_ref <= 1e-10)
+        assert abs(rep.max_residual - max_ref) <= 1e-12 * max(1.0, max_ref)
+        # the witnesses are the five largest residuals in row order: wherever
+        # the reference's residuals are separated, the labels must agree
+        order = sorted(range(len(rows)), key=lambda i: -res[i])
+        ranked = [res[i] for i in order] + [-np.inf]
+        for k, witness in enumerate(rep.witnesses):
+            separated = ((k == 0 or ranked[k - 1] - ranked[k] > 1e-12)
+                         and ranked[k] - ranked[k + 1] > 1e-12)
+            if separated:
+                label, lhs, rhs, _ = rows[order[k]]
+                assert witness[0] == label
+                assert np.allclose(witness[1], [np.real(lhs), np.imag(lhs)], atol=1e-12)
+                assert np.allclose(witness[2], [np.real(rhs), np.imag(rhs)], atol=1e-12)
+
+
+def test_report_witnesses_keep_row_order_on_ties():
+    # many tied residuals: the witnesses are the first rows of the largest
+    # value, as a stable sort over the rows gives them
+    rng = rng_from(31)
+    for _ in range(5):
+        res = rng.integers(0, 3, 200).astype(float)
+        rows = [(lambda j: ["a", j], 0.0, 0.0, res[:120]),
+                (lambda j: ["b", j], 0.0, 0.0, res[120:])]
+        rep = _report("ties", rows, 1.0)
+        ranked = sorted(range(200), key=lambda i: -res[i])[:5]
+        assert [w[0] for w in rep.witnesses] == [["a", i] if i < 120 else ["b", i - 120]
+                                                 for i in ranked]
+        assert rep.max_residual == 2.0 and rep.passed is False
+
+
+def test_identity_reports_round_trip_through_json():
+    t3 = kahler_constant(2.0, 3)
+    checks = [constant_identity_check(t3, ConstHSC(2.0)),
+              constant_identity_check(random_tensor(2, 3), ConstHSC(2.0)),
+              constant_identity_check(skew_pair(5.0, 4, seed=11), ConstAlteredRBC(2.5)),
+              constant_identity_check(skew_pair(3.0, 3, seed=7), ConstAlteredHBC(3.0)),
+              constant_identity_check(random_tensor(4, 3), ConstAlteredHBC(1.0)),
+              ricci_qobc_bounds(paper_hopf([1.0, 0.0])),
+              ricci_qobc_bounds(random_tensor(5, 3)),
+              fs_moment_check(2, 10_000),
+              perron_criterion_check(np.array([[0.0, -1.0], [-1.0, 0.0]]), samples=150),
+              perron_criterion_check(np.eye(3), samples=150)]
+    for rep in checks:
+        assert type(rep.passed) is bool and type(rep.max_residual) is float
+        text = reports.dumps(rep)
+        assert IdentityReport.from_dict(json.loads(text)) == rep
+        assert reports.dumps(IdentityReport.from_dict(json.loads(text))) == text
 
 
 def test_cross_sign_both_directions():

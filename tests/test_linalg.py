@@ -3,7 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curvlab import DomainError, cholesky_frame, haar_unitary, is_psd, self_adjoint_eigen
-from curvlab.linalg import random_hermitian, rng_from, unitary_residual
+from curvlab.linalg import (haar_from_gaussians, haar_from_rng, random_hermitian, rng_from,
+                            unitary_residual)
+from curvlab.verify import _frames_and_vectors
 
 
 def test_eigen_identity():
@@ -104,3 +106,32 @@ def test_haar_first_entry_moment():
                      for k in range(count)])
     se = vals.std(ddof=1) / np.sqrt(count)
     assert abs(vals.mean() - 1.0 / n) <= 3.0 * se
+
+
+def test_block_draws_read_the_per_sample_streams():
+    # a stack of draws reads the stream of as many single draws, bit for bit
+    for n in (1, 2, 3, 5):
+        rng = rng_from(8, n)
+        singles = [random_hermitian(n, rng, 2.5) for _ in range(7)]
+        assert np.array_equal(random_hermitian(n, rng_from(8, n), 2.5, count=7), singles)
+        rng = rng_from(9, n)
+        singles = [haar_from_rng(n, rng) for _ in range(7)]
+        assert np.array_equal(haar_from_rng(n, rng_from(9, n), 7), singles)
+        g = rng_from(10, n).standard_normal((3, 4, 2, n, n))
+        assert unitary_residual(haar_from_gaussians(g)) < 1e-12
+        assert np.array_equal(haar_from_gaussians(g)[1, 2], haar_from_rng(
+            n, rng_from(10, n), 12)[6])
+
+
+def test_hopf_frame_vector_block_matches_the_per_round_loop():
+    # verify hopf's altered-qobc check: 100 rounds of one U(2) frame and ten
+    # 2-vectors, drawn as one (100, 28) block
+    rng = rng_from(4)
+    frames, vectors = [], []
+    for _ in range(100):
+        frames.append(haar_from_rng(2, rng))
+        vectors.append([rng.standard_normal(2) for _ in range(10)])
+    us, vs = _frames_and_vectors(rng_from(4))
+    assert np.array_equal(us, frames)
+    assert np.array_equal(vs, vectors)
+    assert rng.standard_normal() == rng_from(4).standard_normal(100 * 28 + 1)[-1]

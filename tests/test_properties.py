@@ -402,7 +402,7 @@ FLAGS = {
 CONFIG_VALUES = {
     "restarts": [1, 2, 0, 1001, 10 ** 9, "2", 1.5, True, None, [1]],
     "refine_steps": [1, -1, -3, 1001, 10 ** 9, "x", 2.5, False, None],
-    "samples": [100, 5, 10 ** 12, "x", 1e3, True, None],
+    "samples": [100, 5, 99, -5, 10 ** 12, "x", 1e3, True, None],
     "grid": ["re1=1:1.2:2", "re1=0:1:1000000000000", "x", 2, None],
     "imw": [1.0, 2, 0, -1.0, "abc", True, None],
     "dim": [2, 3, 0, 13, 10 ** 9, "2", 2.0, True, None],
