@@ -120,24 +120,18 @@ def _faces(g):
     b = g @ g.T
     faces = []
     for rows in _supports(g.shape[0]):
-        gram = np.linalg.eigvalsh(b[rows[:, :, None], rows[:, None, :]])
-        rows = rows[gram[:, 0] > DEFAULT.cone_gram_rcond * gram[:, -1]]
-        if rows.shape[0]:
-            faces.append((rows, np.linalg.inv(np.linalg.cholesky(
-                b[rows[:, :, None], rows[:, None, :]]))))
+        b_s = b[rows[:, :, None], rows[:, None, :]]
+        single = rows.shape[1] == 1
+        # a 1 x 1 Gram matrix is its own spectrum and its Cholesky factor is
+        # its square root, as LAPACK computes them
+        gram = b_s[:, 0] if single else np.linalg.eigvalsh(b_s)
+        kept = gram[:, 0] > DEFAULT.cone_gram_rcond * gram[:, -1]
+        if not kept.any():
+            continue
+        b_s = b_s[kept]
+        inv = 1.0 / np.sqrt(b_s) if single else np.linalg.inv(np.linalg.cholesky(b_s))
+        faces.append((rows[kept], inv))
     return tuple(faces)
-
-
-@functools.lru_cache(maxsize=None)
-def _standard_faces(kind, n):
-    """``_faces`` of the orthant or monotone cone in R^n, read-only: they
-    depend on (kind, n) only, and restricted frame scans solve thousands of
-    tiny cone minima on the same cone."""
-    faces = _faces(_generator_rows(Cone(kind=kind, n=n)))
-    for face in faces:
-        for arr in face:
-            arr.flags.writeable = False
-    return faces
 
 
 def _face_minimum(s, g, faces):
@@ -151,26 +145,33 @@ def _face_minimum(s, g, faces):
     computed per matrix, so a matrix gets the same bits in any stack.
     """
     a = g @ s @ g.T
-    k = s.shape[0]
-    best = np.full(k, np.inf)
-    points = np.zeros((k, g.shape[1]))
+    least, signs = [], []
     for rows, inv in faces:
         a_s = a[:, rows[:, :, None], rows[:, None, :]]
-        vals, vecs = np.linalg.eigh(inv @ a_s @ inv.transpose(0, 2, 1))
+        w = inv @ a_s @ inv.transpose(0, 2, 1)
+        # a 1 x 1 pencil is its own eigenvalue, with eigenvector 1
+        vals, vecs = (w[..., 0], np.ones_like(w)) if rows.shape[1] == 1 else np.linalg.eigh(w)
         x = np.einsum("cji,kcj->kci", inv, vecs[..., 0])  # weights inv^T y
-        peak = np.take_along_axis(x, np.abs(x).argmax(axis=-1)[..., None], axis=-1)
-        x = x * np.sign(peak)
-        signed = x.min(axis=-1) >= -DEFAULT.cone_sign * x.max(axis=-1)
-        # per matrix, the first support of least value among the signed ones
-        least = np.where(signed, vals[..., 0], np.inf)
-        c = least.argmin(axis=1)
-        better = np.flatnonzero(least[np.arange(k), c] < best)
-        if better.size == 0:
-            continue
-        c = c[better]
-        best[better] = vals[better, c, 0]
-        weights = np.clip(x[better, c], 0.0, None)
-        points[better] = (weights[:, None, :] @ g[rows[c]])[:, 0, :]
+        # x is signed nonnegative, up to cone_sign, as it stands or negated:
+        # by the sign of its entry of largest modulus (a tie of opposite signs
+        # is signed neither way)
+        hi, lo = x.max(axis=-1), x.min(axis=-1)
+        signed = (lo >= -DEFAULT.cone_sign * hi) | (hi <= -DEFAULT.cone_sign * lo)
+        least.append(np.where(signed, vals[..., 0], np.inf))
+        signs.append((x, hi < -lo))
+    # per matrix, the first support of least value among the signed ones,
+    # sizes ascending
+    pick = np.concatenate(least, axis=1).argmin(axis=1)
+    starts = np.cumsum([0] + [rows.shape[0] for rows, _ in faces])
+    size = np.searchsorted(starts, pick, side="right") - 1
+    points = np.empty((s.shape[0], g.shape[1]))
+    for f in set(size.tolist()):
+        sel = (size == f).nonzero()[0]
+        c = pick[sel] - starts[f]
+        x, flip = signs[f]
+        x = x[sel, c]
+        weights = np.maximum(np.where(flip[sel, c, None], -x, x), 0.0)
+        points[sel] = (weights[:, None, :] @ g[faces[f][0][c]])[:, 0, :]
     return points
 
 
@@ -216,8 +217,7 @@ def cone_min(m, cone):
         if max(n, g.shape[0]) > MAX_DIM:
             raise UsageError(f"restricted cones support n <= {MAX_DIM} "
                              f"and at most {MAX_DIM} generators")
-        faces = _faces(g) if cone.kind == "generators" else _standard_faces(cone.kind, n)
-        v = _face_minimum(m_sym, g, faces)
+        v = _face_minimum(m_sym, g, _faces(g))
     vv = _dot(v, v)
     if cone.kind != "full":
         values = _dot((v[:, None, :] @ m_sym)[:, 0, :], v) / vv

@@ -173,6 +173,8 @@ def tricerri_eigen_formula_error(seed, count=100):
 
     The Gaussian and uniform draws interleave, so they stay per sample; the
     QRs of the unitary members and the eigensolves run once, stacked."""
+    if count <= 0:
+        return 0.0
     rng = rng_from(seed)
     gaussians, squares, im_w = [], [], []
     for k in range(count):
@@ -183,7 +185,7 @@ def tricerri_eigen_formula_error(seed, count=100):
         im_w.append(rng.uniform(0.7, 2.0))
     bd = np.empty((count, 2), dtype=complex)
     bd[0::2] = haar_from_gaussians(np.array(gaussians).reshape(-1, 2, 2, 2))[:, :, 1]
-    bd[1::2] = squares
+    bd[1::2] = np.array(squares).reshape(-1, 2)
     im_w = np.array(im_w)
     lo, hi = rayleigh_bounds(np.stack([matrices_from(paper_tricerri(b, d, w)).rbc
                                        for (b, d), w in zip(bd, im_w)]))

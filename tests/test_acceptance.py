@@ -122,6 +122,34 @@ def test_criterion_5_tricerri():
             assert abs(alt["sup"]) <= 1e-12 * 1.5 / im_w ** 4
 
 
+def _per_sample_eigen_formula_error(seed, count):
+    """The per-sample loop that tricerri_eigen_formula_error stacks."""
+    rng = rng_from(seed)
+    worst = 0.0
+    for k in range(count):
+        if k % 2 == 0:
+            u = haar_from_rng(2, rng)
+            b, d = u[0, 1], u[1, 1]
+        else:
+            b, d = np.sqrt(rng.uniform()), np.sqrt(rng.uniform())
+        im_w = rng.uniform(0.7, 2.0)
+        lo, hi = rayleigh_bounds(matrices_from(paper_tricerri(b, d, im_w)).rbc)
+        bb, dd = abs(b) ** 2, abs(d) ** 2
+        root = np.sqrt(bb ** 2 + dd ** 2)
+        pref = 3.0 / (4.0 * im_w ** 4)
+        worst = max(worst, abs(lo + pref * (dd + root)), abs(hi + pref * (dd - root)))
+    return worst
+
+
+@pytest.mark.parametrize("count", [-1, 0, 1, 2, 3, 7])
+def test_tricerri_eigen_formula_error_any_count(count):
+    got = tricerri_eigen_formula_error(SEED + 5, count=count)
+    assert isinstance(got, float)
+    assert abs(got - _per_sample_eigen_formula_error(SEED + 5, count)) <= 1e-14
+    if count <= 0:
+        assert got == 0.0
+
+
 def test_criterion_6_moment_identity():
     with criterion(6, "sphere fourth moments at N=1e6 within 3 standard errors"):
         for n in (2, 3):

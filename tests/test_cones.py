@@ -13,7 +13,7 @@ from curvlab import (DomainError, UsageError, cone_min, copositive_2x2, dual_edm
                      perron_weights, rayleigh_bounds, perron_criterion_check,
                      weitzenbock)
 from curvlab.cli import main
-from curvlab.cones import _edm_rank3, difference_form_pairings
+from curvlab.cones import _edm_rank3, _faces, difference_form_pairings
 from curvlab.linalg import rng_from
 
 
@@ -80,6 +80,19 @@ def test_stacked_cone_min_equals_single_calls(n):
             assert isinstance(single.value, float)
             assert single.value == stacked.value[j]
             assert np.array_equal(single.argmin, stacked.argmin[j])
+
+
+def test_singleton_faces_equal_lapack():
+    """The 1 x 1 Gram factors and pencils skip LAPACK; they must be its bits."""
+    rng = rng_from(77)
+    g = rng.standard_normal((8, 5)) * np.logspace(-150, 150, 8)[:, None]
+    rows, inv = _faces(g)[0]
+    b = (g @ g.T)[rows[:, :, None], rows[:, None, :]]
+    assert rows.shape == (8, 1)
+    assert np.array_equal(inv, np.linalg.inv(np.linalg.cholesky(b)))
+    w = rng.standard_normal((6, 8, 1, 1)) * np.logspace(-150, 150, 8)[:, None, None]
+    vals, vecs = np.linalg.eigh(w)
+    assert np.array_equal(vals, w[..., 0]) and np.array_equal(vecs, np.ones_like(w))
 
 
 def test_stacked_cone_min_boundaries():
