@@ -19,7 +19,11 @@ form Sigma_v: the direct pairing tr(S Sigma_v) is O(n^2) per sample
 (an EDM of embedding dimension d has rank <= d + 2; Gower, Linear Algebra
 Appl. 67, 1985), the Perron criterion reads the eigenpairs of its 3 x 3
 compression onto its range, solved in closed form for all samples at once
-(``_edm_rank3``).
+(``_edm_rank3``).  ``perron_criterion_check`` reads its seeded stream in
+blocks of ``_BLOCK`` rows, so its temporaries stay block-sized, and
+``_perron_pass`` hands the trace pairings of that stream to the direct oracle
+of ``verify.cone_oracle_disagreements``, which then draws only the rows past
+the Perron prefix.
 """
 
 import functools
@@ -34,6 +38,10 @@ from .errors import DomainError, UsageError
 from .functionals import weitzenbock
 from .linalg import ensure_finite, rng_from, self_adjoint_eigen
 from .reports import IdentityReport
+
+# generator rows per block of the Perron check: its (rows, n) temporaries
+# stay under 200 KB at n <= MAX_DIM, where full-length ones page-fault
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -399,28 +407,52 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
     the verdict of the PSD oracle, and (as a diagnostic only) the weaker
     bound with eigenvalues of S in place of the q_k, which every matrix
     satisfies.
+
+    The generators are the rows of one (samples, n) standard normal draw
+    from the seeded stream, read in blocks of ``_BLOCK`` rows: the blocks
+    hold the same numbers, and every reading is row-wise, so the report is
+    the same bit for bit as from one full-length block, while only the
+    per-sample pairings and verdicts are full length.
     """
     if samples < 100:
         raise UsageError("perron_criterion_check needs at least 100 samples")
-    tol = DEFAULT.cone_agreement if tol is None else tol
     m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise UsageError(f"perron_criterion_check needs a square matrix, got shape {m.shape}")
+    if m.shape[0] > MAX_DIM:
+        raise UsageError(f"perron_criterion_check supports n <= {MAX_DIM}, got {m.shape[0]}")
+    ensure_finite(m, "matrix")
+    tol = DEFAULT.cone_agreement if tol is None else tol
+    return _perron_pass(m, rng_from(seed), samples, tol)[0]
+
+
+def _perron_pass(m, rng, samples, tol):
+    """The report of ``perron_criterion_check`` on the next samples rows of
+    rng, and the (samples,) trace pairings of those rows with the symmetric
+    part of m.  m is a validated finite square matrix."""
     n = m.shape[0]
     s = 0.5 * (m + m.T)
     lam = np.linalg.eigvalsh(s)[::-1]
-    rng = rng_from(seed)
-    vs = rng.standard_normal((samples, n))
-    delta, q = _edm_rank3(vs, s)
-    # a constant generator (Gaussian samples never draw one) has delta = 0
-    delta1 = np.maximum(delta[:, :1], 1e-300)
-    r = -delta[:, 1:] / delta1
-    trace = difference_form_pairings(vs, s)
-    crit = q[:, 0] - np.sum(r * q[:, 1:], axis=1)
-    trace_ok = trace >= -tol
-    crit_ok = crit >= -tol / delta1[:, 0]
-    both = trace_ok == crit_ok
     # r ascends; its n - 1 - k leading weights (zero eigenvalues) are 0
     k = min(n - 1, 2)
-    eig_bound_ok = bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))
+    trace, crit = np.empty(samples), np.empty(samples)
+    crit_ok = np.empty(samples, dtype=bool)
+    eig_bound_ok = True
+    block_argmins = []  # per block, its row of least trace pairing
+    for lo in range(0, samples, _BLOCK):
+        hi = min(lo + _BLOCK, samples)
+        vs = rng.standard_normal((hi - lo, n))
+        delta, q = _edm_rank3(vs, s)
+        # a constant generator (Gaussian samples never draw one) has delta = 0
+        delta1 = np.maximum(delta[:, :1], 1e-300)
+        r = -delta[:, 1:] / delta1
+        trace[lo:hi] = difference_form_pairings(vs, s)
+        crit[lo:hi] = q[:, 0] - np.sum(r * q[:, 1:], axis=1)
+        crit_ok[lo:hi] = crit[lo:hi] >= -tol / delta1[:, 0]
+        eig_bound_ok &= bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))
+        block_argmins.append(vs[np.argmin(trace[lo:hi])].copy())
+    trace_ok = trace >= -tol
+    both = trace_ok == crit_ok
 
     verdict_criterion = bool(np.all(crit_ok))
     verdict_trace = bool(np.all(trace_ok))
@@ -433,8 +465,8 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
         max_resid = max(max_resid, abs(float(trace[a])))
     counterexample = None
     if not verdict_trace:
-        worst = int(np.argmin(trace))
-        counterexample = [float(x) for x in vs[worst]]
+        # the first argmin of the stream is the first argmin of its block
+        counterexample = [float(x) for x in block_argmins[int(np.argmin(trace)) // _BLOCK]]
     details = {
         "verdict_criterion": verdict_criterion,
         "verdict_trace": verdict_trace,
@@ -446,5 +478,6 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
         "samples": samples,
     }
     passed = bool(np.all(both)) and verdict_criterion == verdict_trace
-    return IdentityReport(name="perron_weight_criterion", passed=passed,
-                          max_residual=max_resid, witnesses=witnesses, details=details)
+    report = IdentityReport(name="perron_weight_criterion", passed=passed,
+                            max_residual=max_resid, witnesses=witnesses, details=details)
+    return report, trace

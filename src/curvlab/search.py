@@ -107,8 +107,9 @@ def _forms(tensor, kind, u, convention):
 def _first_improvement(forms, cone, sign, bound):
     """(index, value, vector) of the first form in the stack whose objective
     lies below bound, or None.  The objective is the exact inner minimum over
-    the cone (sign < 0) or minus the exact inner maximum (sign > 0); restricted
-    cones are solved one form at a time, stopping at the first improvement."""
+    the cone (sign < 0) or minus the exact inner maximum (sign > 0); every
+    form of the stack is solved, in one stacked eigensolve on the full cone
+    and one stacked ``cone_min`` call on a restricted cone."""
     if cone.kind == "full":
         dec = self_adjoint_eigen(forms)  # eigen of the symmetric part
         col = 0 if sign < 0 else -1
@@ -119,11 +120,12 @@ def _first_improvement(forms, cone, sign, bound):
         j = int(hits[0])
         vec = dec.vectors[j, :, col].real
         return j, float(values[j]), vec / np.linalg.norm(vec)
-    for j, q in enumerate(forms):
-        res = cone_min(-sign * q, cone)
-        if res.value < bound:
-            return j, res.value, res.argmin
-    return None
+    res = cone_min(-sign * forms, cone)
+    hits = np.flatnonzero(res.value < bound)
+    if hits.size == 0:
+        return None
+    j = int(hits[0])
+    return j, float(res.value[j]), res.argmin[j]
 
 
 def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):

@@ -24,9 +24,8 @@ from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureM
                           FunctionalKind, constant_identity_check, evaluate, frame_matrices,
                           hsc, matrices_from, rayleigh_bounds, ricci_qobc_bounds,
                           fs_moment_check)
-from .cones import (copositive_2x2, cone_min, difference_form_pairings, dual_edm_test,
-                    edm_from_vector, nonneg_orthant, perron_weights,
-                    perron_criterion_check)
+from .cones import (_perron_pass, copositive_2x2, cone_min, difference_form_pairings,
+                    dual_edm_test, edm_from_vector, nonneg_orthant, perron_weights)
 from .search import invariance_test, tricerri_family_extrema
 from .reports import VerifyReport
 
@@ -258,17 +257,24 @@ def cone_oracle_disagreements(n, count, seed, thm_samples=2000, direct_samples=1
                               tol=1e-8):
     """Number of matrices where the PSD oracle, the Perron-weight criterion,
     and direct distance-matrix sampling disagree about nonnegativity of the
-    difference form.  The Perron and direct oracles share one sample stream
-    (the former reads a prefix); the direct oracle pairs each sample with the
-    symmetric part of m by ``difference_form_pairings``."""
+    difference form.
+
+    The Perron and direct oracles share one seeded sample stream per matrix,
+    drawn and paired with the symmetric part of m once: the Perron pass reads
+    its first thm_samples rows, and the direct oracle its first
+    direct_samples trace pairings, those of the pass and, past them, of rows
+    drawn next from the same stream (``difference_form_pairings``)."""
+    if thm_samples < 100:
+        raise UsageError("the Perron oracle needs at least 100 samples")
     bad = 0
     for k in range(count):
         m = rng_from(seed, n, k).standard_normal((n, n))
-        sample_seed = (seed + 1) * 1_000_003 + 101 * n + k
-        rep = perron_criterion_check(m, samples=thm_samples, seed=sample_seed, tol=tol)
-        vs = rng_from(sample_seed).standard_normal((direct_samples, n))
-        traces = difference_form_pairings(vs, 0.5 * (m + m.T))
-        verdict_direct = bool(traces.min() >= -tol)
+        rng = rng_from((seed + 1) * 1_000_003 + 101 * n + k)
+        rep, traces = _perron_pass(m, rng, thm_samples, tol)
+        verdict_direct = bool(traces[:direct_samples].min() >= -tol)
+        if direct_samples > thm_samples:
+            rest = rng.standard_normal((direct_samples - thm_samples, n))
+            verdict_direct &= bool(difference_form_pairings(rest, 0.5 * (m + m.T)).min() >= -tol)
         agree = (rep.details["verdict_dual_edm"] == rep.details["verdict_criterion"]
                  == verdict_direct) and rep.passed
         bad += 0 if agree else 1

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,9 @@ from curvlab import (DomainError, UsageError, cone_min, copositive_2x2, dual_edm
 from curvlab.cli import main
 from curvlab.cones import _edm_rank3, _faces, difference_form_pairings
 from curvlab.linalg import rng_from
+from curvlab.reports import IdentityReport
+from curvlab import verify
+from curvlab.verify import cone_oracle_disagreements
 
 
 def test_cone_min_hopf_orthant():
@@ -372,3 +376,127 @@ def test_cone_check_on_a_1x1_matrix_passes():
         criterion = json.loads(out.getvalue())["perron_criterion"]
         assert criterion["passed"] and criterion["details"]["verdict_criterion"]
         assert criterion["details"]["min_trace_pairing"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the blocked Perron pass and the oracles that share its stream
+
+def single_block_perron_check(m, samples, seed, tol=1e-8):
+    """perron_criterion_check with every sample in one full-length block: the
+    reference the blocked pass must equal bit for bit."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    s = 0.5 * (m + m.T)
+    lam = np.linalg.eigvalsh(s)[::-1]
+    vs = rng_from(seed).standard_normal((samples, n))
+    delta, q = _edm_rank3(vs, s)
+    delta1 = np.maximum(delta[:, :1], 1e-300)
+    r = -delta[:, 1:] / delta1
+    trace = difference_form_pairings(vs, s)
+    crit = q[:, 0] - np.sum(r * q[:, 1:], axis=1)
+    trace_ok = trace >= -tol
+    crit_ok = crit >= -tol / delta1[:, 0]
+    both = trace_ok == crit_ok
+    k = min(n - 1, 2)
+    eig_bound_ok = bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))
+    verdict_criterion = bool(np.all(crit_ok))
+    verdict_trace = bool(np.all(trace_ok))
+    verdict_dual = dual_edm_test(m, tol)
+    witnesses = []
+    max_resid = 0.0
+    for a in np.nonzero(~both)[0][:5]:
+        witnesses.append([["disagreement", int(a)], [float(trace[a]), 0.0],
+                          [float(crit[a]), 0.0]])
+        max_resid = max(max_resid, abs(float(trace[a])))
+    counterexample = None
+    if not verdict_trace:
+        counterexample = [float(x) for x in vs[int(np.argmin(trace))]]
+    details = {"verdict_criterion": verdict_criterion, "verdict_trace": verdict_trace,
+               "verdict_dual_edm": verdict_dual, "eigenvalue_bound_holds": eig_bound_ok,
+               "agrees_with_dual": verdict_criterion == verdict_dual,
+               "min_trace_pairing": float(trace.min()), "counterexample": counterexample,
+               "samples": samples}
+    passed = bool(np.all(both)) and verdict_criterion == verdict_trace
+    return IdentityReport(name="perron_weight_criterion", passed=passed,
+                          max_residual=max_resid, witnesses=witnesses, details=details)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_blocked_perron_check_keeps_the_bits(n):
+    # a large diagonal pairs to 0 with every Sigma_v, so both readings are
+    # rounding noise around -tol: disagreement witnesses and counterexamples
+    seen = {"witness": False, "counterexample": False}
+    for samples in (100, 1500, 2047, 2048, 2049, 4095, 4096, 4097, 10_000, 12_289):
+        for seed in range(3):
+            rng = rng_from(14, n, samples, seed)
+            for m in (rng.standard_normal((n, n)), np.diag(1e8 * rng.standard_normal(n))):
+                got = perron_criterion_check(m, samples=samples, seed=seed).to_dict()
+                ref = single_block_perron_check(m, samples, seed).to_dict()
+                assert json.dumps(got) == json.dumps(ref), (samples, seed)
+                seen["witness"] |= bool(ref["witnesses"])
+                seen["counterexample"] |= ref["details"]["counterexample"] is not None
+    assert seen == {"witness": n > 1, "counterexample": n > 1}
+
+
+def redraw_oracle_disagreements(n, count, seed, thm_samples, direct_samples, tol=1e-8):
+    """cone_oracle_disagreements with the direct oracle drawing and pairing
+    its own copy of the stream: the reference for the shared pass."""
+    bad = 0
+    for k in range(count):
+        m = rng_from(seed, n, k).standard_normal((n, n))
+        sample_seed = (seed + 1) * 1_000_003 + 101 * n + k
+        rep = perron_criterion_check(m, samples=thm_samples, seed=sample_seed, tol=tol)
+        vs = rng_from(sample_seed).standard_normal((direct_samples, n))
+        verdict_direct = bool(difference_form_pairings(vs, 0.5 * (m + m.T)).min() >= -tol)
+        agree = (rep.details["verdict_dual_edm"] == rep.details["verdict_criterion"]
+                 == verdict_direct) and rep.passed
+        bad += 0 if agree else 1
+    return bad
+
+
+@pytest.mark.parametrize("thm, direct", [(10_000, 10_000), (1500, 4000), (4000, 1500),
+                                         (2000, 10_000)])
+def test_shared_oracle_stream_keeps_the_counts(thm, direct, monkeypatch):
+    # at seed 118 one matrix of the n = 5 batch disagrees when the direct
+    # oracle reads 1500 or 4000 samples, and none with 10 000
+    for n in (3, 4, 5):
+        got = cone_oracle_disagreements(n, 4, 118, thm_samples=thm, direct_samples=direct)
+        assert got == redraw_oracle_disagreements(n, 4, 118, thm, direct), n
+    # the rows the direct oracle pairs past the Perron prefix are the next
+    # rows of the same stream
+    paired = []
+    monkeypatch.setattr(verify, "difference_form_pairings",
+                        lambda vs, s: paired.append(vs) or difference_form_pairings(vs, s))
+    cone_oracle_disagreements(3, 2, 118, thm_samples=thm, direct_samples=direct)
+    stream = [rng_from(119 * 1_000_003 + 303 + k).standard_normal((max(thm, direct), 3))
+              for k in range(2)]
+    assert len(paired) == (2 if direct > thm else 0)
+    for rows, full in zip(paired, stream):
+        assert np.array_equal(rows, full[thm:direct])
+
+
+def test_perron_check_validates_its_input():
+    for bad in (np.zeros((2, 3)), np.zeros((0, 0)), np.zeros(3), np.zeros((2, 2, 2)),
+                np.eye(13)):
+        with pytest.raises(UsageError):
+            perron_criterion_check(bad, samples=100)
+    for value in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[0, 1] = value
+        with pytest.raises(DomainError):
+            perron_criterion_check(m, samples=100)
+
+
+def test_perron_check_memory_stays_block_sized():
+    # about 4 MB traced at n = 12 and 100 000 samples: the full-length
+    # pairings and verdicts plus one block's temporaries; full-length
+    # temporaries take about 105 MB
+    m = rng_from(15).standard_normal((12, 12))
+    perron_criterion_check(m, samples=100)
+    tracemalloc.start()
+    try:
+        perron_criterion_check(m, samples=100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak / 2 ** 20

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
-                     cone_min, extremize, full_cone, invariance_test, kahler_constant,
-                     matrices_from, nonneg_orthant, paper_hopf, paper_tricerri,
+                     cone_min, extremize, full_cone, generator_cone, invariance_test,
+                     kahler_constant, matrices_from, monotone_nonneg, nonneg_orthant,
+                     paper_hopf, paper_tricerri,
                      random_tensor, rayleigh_bounds, skew_pair, transform_frame,
                      tricerri_family_extrema)
 from curvlab.curvature import FrameConvention
@@ -140,6 +141,36 @@ def test_stacked_sweeps_pin_sequential_iterates(n, cone_kind, convention):
                                                                   convention, cfg)):
             assert ext.value == pytest.approx(value, rel=1e-12, abs=1e-12)
             assert np.allclose(ext.frame, frame, rtol=0.0, atol=1e-12)
+
+
+def per_form_first_improvement(forms, cone, sign, bound):
+    """_first_improvement on a restricted cone, one cone_min call per form,
+    stopping at the first improvement: the reference for the stacked call."""
+    for j, q in enumerate(forms):
+        res = cone_min(-sign * q, cone)
+        if res.value < bound:
+            return j, res.value, res.argmin
+    return None
+
+
+@pytest.mark.parametrize("convention", ["full", "adjoint"])
+def test_stacked_first_improvement_equals_the_per_form_loop(convention):
+    cones = [nonneg_orthant(3), monotone_nonneg(3),
+             generator_cone(rng_from(18).standard_normal((4, 3)))]
+    t = random_tensor(17, 3)
+    forms = search_mod._forms(t, "qobc", haar_from_rng(3, rng_from(19), 12), convention)
+    for cone in cones:
+        for sign in (-1, 1):
+            values = [cone_min(-sign * q, cone).value for q in forms]
+            # the first form, a later one, and none (the bound is strict)
+            for bound in (np.inf, sorted(values)[3], min(values)):
+                got = search_mod._first_improvement(forms, cone, sign, bound)
+                ref = per_form_first_improvement(forms, cone, sign, bound)
+                if ref is None:
+                    assert got is None
+                    continue
+                assert got[:2] == ref[:2] and type(got[1]) is float
+                assert np.array_equal(got[2], ref[2])
 
 
 # ---------------------------------------------------------------------------
