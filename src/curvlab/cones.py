@@ -20,9 +20,10 @@ form Sigma_v: the direct pairing tr(S Sigma_v) is O(n^2) per sample
 Appl. 67, 1985), the Perron criterion reads the eigenpairs of its 3 x 3
 compression onto its range, solved in closed form for all samples at once
 (``_edm_rank3``).  ``perron_criterion_check`` reads its seeded stream in
-blocks of ``_BLOCK`` rows, so its temporaries stay block-sized, and
-``_perron_pass`` hands the trace pairings of that stream to the direct oracle
-of ``verify.cone_oracle_disagreements``, which then draws only the rows past
+blocks of ``_BLOCK`` rows, so its temporaries stay block-sized; each block
+is centred once for both readings.  ``_perron_pass`` hands the trace
+pairings of that stream to the direct oracle of
+``verify.cone_oracle_disagreements``, which then draws only the rows past
 the Perron prefix.
 """
 
@@ -303,7 +304,11 @@ def difference_form_pairings(vs, s):
     read on the centred rows, so its cancellation is relative to the spread
     of v rather than its size.
     """
-    w = _centred(vs)
+    return _pairings_of_centred(_centred(vs), s)
+
+
+def _pairings_of_centred(w, s):
+    """``difference_form_pairings`` of rows already centred by ``_centred``."""
     return (w * w) @ (s.sum(axis=0) + s.sum(axis=1)) - 2.0 * np.einsum("ai,ai->a", w @ s, w)
 
 
@@ -331,8 +336,12 @@ def _edm_rank3(vs, s):
     e2 = 0; a constant v (or n = 1) gives w = 0, delta = 0 and
     q[:, 0] = 1^T s 1 / n.
     """
-    samples, n = vs.shape
-    w = _centred(vs)
+    return _edm_rank3_of_centred(_centred(vs), s)
+
+
+def _edm_rank3_of_centred(w, s):
+    """``_edm_rank3`` of rows already centred by ``_centred``."""
+    samples, n = w.shape
     ss1 = np.einsum("ai,ai->a", w, w)
     u = w * np.divide(1.0, np.sqrt(ss1), out=np.zeros(samples), where=ss1 > 0.0)[:, None]
     x = u * u
@@ -442,11 +451,12 @@ def _perron_pass(m, rng, samples, tol):
     for lo in range(0, samples, _BLOCK):
         hi = min(lo + _BLOCK, samples)
         vs = rng.standard_normal((hi - lo, n))
-        delta, q = _edm_rank3(vs, s)
+        w = _centred(vs)
+        delta, q = _edm_rank3_of_centred(w, s)
         # a constant generator (Gaussian samples never draw one) has delta = 0
         delta1 = np.maximum(delta[:, :1], 1e-300)
         r = -delta[:, 1:] / delta1
-        trace[lo:hi] = difference_form_pairings(vs, s)
+        trace[lo:hi] = _pairings_of_centred(w, s)
         crit[lo:hi] = q[:, 0] - np.sum(r * q[:, 1:], axis=1)
         crit_ok[lo:hi] = crit[lo:hi] >= -tol / delta1[:, 0]
         eig_bound_ok &= bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))

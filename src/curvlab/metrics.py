@@ -14,6 +14,14 @@ d/dz = (d/dx - i d/dy)/2.  The mixed derivative d^2/dz_i dzbar_j is the
 d/dz_i difference of the d/dzbar_j difference; its points are read from a
 per-dimension table of the distinct stencil offsets, so each point is
 evaluated once.
+
+The evaluator and domain test of every catalog field are stacked: given a
+(..., n) stack of points they return values that broadcast to (..., n, n)
+and (...) (a constant field returns its constant), and each row equals the
+call on that point alone bit for bit.  Finite differences then evaluate and
+domain-check a whole stencil in one call each.  A plain callable, such as a
+user-built field or a wrapper around a catalog evaluator, is evaluated one
+point at a time.
 """
 
 import functools
@@ -65,6 +73,11 @@ class MetricField:
     params: dict = field(default_factory=dict)
 
 
+def _check_step(h):
+    if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
+        raise UsageError(f"finite-difference step must be positive and finite, got {h!r}")
+
+
 @dataclass(frozen=True)
 class FDConfig:
     """Finite-difference settings: base step, point scaling, stencil order."""
@@ -76,9 +89,7 @@ class FDConfig:
     def __post_init__(self):
         if self.order not in (2, 4):
             raise UsageError(f"unsupported finite-difference order {self.order}")
-        if not (isinstance(self.h, numbers.Real) and math.isfinite(self.h) and self.h > 0):
-            raise UsageError(f"finite-difference step must be positive and finite, "
-                             f"got {self.h!r}")
+        _check_step(self.h)
 
 
 def as_point(p, n=None):
@@ -92,9 +103,20 @@ def as_point(p, n=None):
 # ---------------------------------------------------------------------------
 # finite differences
 
+def _stacked(fn):
+    """Mark a catalog evaluator or domain test as taking a (..., n) stack of
+    points (see the module docstring)."""
+    fn.stacked = True
+    return fn
+
+
+def _leaves_domain(p):
+    return DomainError(f"finite-difference stencil point {p.tolist()} leaves the domain")
+
+
 def _eval_checked(evaluate, p, domain):
     if domain is not None and not domain(p):
-        raise DomainError(f"finite-difference stencil point {p.tolist()} leaves the domain")
+        raise _leaves_domain(p)
     return np.asarray(evaluate(p), dtype=complex)
 
 
@@ -159,8 +181,19 @@ def _half_step_slots(n):
 
 
 def _stencil_values(evaluate, points, domain):
-    """Metric values at the points, each domain-checked, stacked."""
-    return np.array([_eval_checked(evaluate, q, domain) for q in points])
+    """Metric values at the (k, n) points, each domain-checked, stacked.  A
+    stacked evaluator and domain test (or none) are called once each, every
+    point checked before any is evaluated; otherwise each point is checked
+    and evaluated in turn."""
+    if not all(getattr(fn, "stacked", False) for fn in (evaluate, domain) if fn is not None):
+        return np.array([_eval_checked(evaluate, q, domain) for q in points])
+    if domain is not None:
+        inside = np.broadcast_to(domain(points), points.shape[:-1])
+        if not inside.all():
+            raise _leaves_domain(points[np.argmin(inside)])
+    values = np.empty(points.shape + points.shape[-1:], dtype=complex)
+    values[...] = evaluate(points)
+    return values
 
 
 def _jet_from_values(f, h):
@@ -183,12 +216,15 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
 
     ``evaluate`` must be a pure function of the point.  Each distinct stencil
     point is evaluated (and checked against ``domain``) once: 1 + 12 n +
-    8 n (n - 1) calls in C^n at order 2; at order 4 twice that, less the
-    1 + 4 n points the two steps share.
+    8 n (n - 1) points in C^n at order 2; at order 4 twice that, less the
+    1 + 4 n points the two steps share.  A stacked evaluator (every catalog
+    field's, see the module docstring) gets each step's points in one (k, n)
+    call, and a stacked ``domain`` likewise; a plain callable is called once
+    per point.  Either way the jet is the same bit for bit.  ``h`` must be a
+    positive finite real.
     """
     p = as_point(p)
-    if h <= 0:
-        raise UsageError("finite-difference step must be positive")
+    _check_step(h)
     step = h * max(1.0, float(np.linalg.norm(p))) if scale_with_point else h
     if step < DEFAULT.fd_min_step:
         raise UsageError(f"step {step:.3e} is below {DEFAULT.fd_min_step:.0e}; "
@@ -224,6 +260,33 @@ def jet_at(metric, p, fd=FDConfig()):
 
 # ---------------------------------------------------------------------------
 # catalog
+#
+# Evaluators and domain tests are stacked (module docstring).  They keep the
+# pointwise order of operations on each row: sums reduce along the last
+# axis, as a sum over one point does, and powers go through the C library's
+# pow, as Python and numpy scalars do (numpy's vectorized power can round the
+# last bit differently).  A single point keeps numpy scalars where it can,
+# whose arithmetic costs less than that of 0-d arrays.
+
+def _pow(x, e):
+    """x ** e for each entry of x, by the C library's pow."""
+    if x.ndim == 0:
+        return x[()] ** e
+    return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _coord(p, i):
+    """Coordinate i of each point of a stack; a numpy scalar for one point."""
+    return np.asarray(p)[..., i][()]
+
+
+def _sq_norm(p):
+    """sum_i |p_i|^2 for each point of a stack."""
+    return (np.abs(p) ** 2).sum(axis=-1)
+
+
+_everywhere = _stacked(lambda p: True)
+
 
 def euclidean(n):
     eye = np.eye(n, dtype=complex)
@@ -233,8 +296,8 @@ def euclidean(n):
     def jet(p):
         return MetricJet(g=eye.copy(), dg=zeros1.copy(), ddg=zeros2.copy())
 
-    return MetricField(name="euclidean", n=n, evaluate=lambda p: eye.copy(),
-                       domain=lambda p: True, jet=jet, params={"dim": n})
+    return MetricField(name="euclidean", n=n, evaluate=_stacked(lambda p: eye.copy()),
+                       domain=_everywhere, jet=jet, params={"dim": n})
 
 
 def conformal(n, coeffs=None):
@@ -244,8 +307,9 @@ def conformal(n, coeffs=None):
         raise UsageError(f"conformal metric needs {n} coefficients, got {c.size}")
     eye = np.eye(n, dtype=complex)
 
+    @_stacked
     def evaluate(p):
-        return np.exp(float(np.sum(c * np.abs(p) ** 2))) * eye
+        return np.exp((c * np.abs(p) ** 2).sum(axis=-1))[..., None, None] * eye
 
     def jet(p):
         w = np.exp(float(np.sum(c * np.abs(p) ** 2)))
@@ -257,39 +321,44 @@ def conformal(n, coeffs=None):
         return MetricJet(g=w * eye, dg=dg, ddg=ddg)
 
     return MetricField(name="conformal", n=n, evaluate=evaluate,
-                       domain=lambda p: True, jet=jet,
+                       domain=_everywhere, jet=jet,
                        params={"dim": n, "coeffs": c.tolist()})
 
 
 def hopf():
     """Scale-invariant Hopf-surface metric g = 4 delta_{ij} / |z|^2 on n = 2."""
     eye = np.eye(2, dtype=complex)
+    four = 4.0 * eye
 
-    def rho(p):
-        return float(np.sum(np.abs(p) ** 2))
-
+    @_stacked
     def evaluate(p):
-        return 4.0 * eye / rho(p)
+        return four / _sq_norm(p)[..., None, None]
+
+    @_stacked
+    def domain(p):
+        return np.sqrt(_sq_norm(p)) > HOPF_MARGIN
 
     def jet(p):
-        r = rho(p)
+        r = float(_sq_norm(p))
         g = 4.0 * eye / r
         dg = np.einsum("i,kl->ikl", -4.0 * np.conj(p) / r ** 2, eye)
         dd = 4.0 * (2.0 * np.einsum("i,j->ij", np.conj(p), p) - r * np.eye(2)) / r ** 3
         ddg = np.einsum("ij,kl->ijkl", dd, eye)
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
-    return MetricField(name="hopf", n=2, evaluate=evaluate,
-                       domain=lambda p: np.linalg.norm(p) > HOPF_MARGIN,
+    return MetricField(name="hopf", n=2, evaluate=evaluate, domain=domain,
                        jet=jet, params={"dim": 2})
 
 
 def fubini_study(n):
     """Affine-chart Fubini-Study metric g = d dbar log(1 + |w|^2)."""
+    identity = np.eye(n)
 
+    @_stacked
     def evaluate(p):
-        u = 1.0 / (1.0 + float(np.sum(np.abs(p) ** 2)))
-        return u * np.eye(n) - u ** 2 * np.einsum("k,l->kl", np.conj(p), p)
+        u = 1.0 / (1.0 + _sq_norm(p))
+        return (u[..., None, None] * identity
+                - _pow(u, 2)[..., None, None] * np.einsum("...k,...l->...kl", np.conj(p), p))
 
     def jet(p):
         u = 1.0 / (1.0 + float(np.sum(np.abs(p) ** 2)))
@@ -309,7 +378,7 @@ def fubini_study(n):
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     return MetricField(name="fubini_study", n=n, evaluate=evaluate,
-                       domain=lambda p: True, jet=jet, params={"dim": n})
+                       domain=_everywhere, jet=jet, params={"dim": n})
 
 
 def tricerri():
@@ -318,18 +387,23 @@ def tricerri():
     away from zero."""
 
     def imw(p):
-        return float(p[1].imag)
+        return _coord(p, 1).imag
 
+    @_stacked
     def evaluate(p):
         y = imw(p)
-        return np.diag([y, y ** -2.0]).astype(complex)
+        g = np.zeros(y.shape + (2, 2), dtype=complex)
+        g[..., 0, 0] = y
+        g[..., 1, 1] = _pow(y, -2.0)
+        return g
 
+    @_stacked
     def domain(p):
-        return (imw(p) > TRICERRI_MARGIN
-                and abs(p[0]) <= CHART_BOUND and abs(p[1]) <= CHART_BOUND)
+        z, w = _coord(p, 0), _coord(p, 1)
+        return (w.imag > TRICERRI_MARGIN) & (abs(z) <= CHART_BOUND) & (abs(w) <= CHART_BOUND)
 
     def jet(p):
-        y = imw(p)
+        y = float(imw(p))
         g = np.diag([y, y ** -2.0]).astype(complex)
         dg = np.zeros((2, 2, 2), dtype=complex)
         # d/dw Im w = -i/2

@@ -282,18 +282,29 @@ def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
     invariant iff the spread of the per-frame extrema stays within tol.
     Returns (invariant, max_deviation).
     """
+    return _invariance_tests(tensor, (kind,), convention, samples, seed, tol)[0]
+
+
+def _invariance_tests(tensor, kinds, convention, samples, seed, tol):
+    """``invariance_test`` for each of several kinds on one frame stack: one
+    Haar draw, one ``frame_matrices`` call and one stacked eigensolve over all
+    kinds, each kind's result equal to its own call bit for bit."""
     if samples < 10:
         raise UsageError("invariance_test needs at least 10 samples")
-    kind = FunctionalKind(kind)
-    if kind is FunctionalKind.HSC:
+    kinds = [FunctionalKind(kind) for kind in kinds]
+    if FunctionalKind.HSC in kinds:
         raise UsageError("invariance_test covers the quadratic-form family")
     tensor.require_frame("invariance_test")
     convention = FrameConvention(convention)
     u = haar_from_rng(tensor.n, rng_from(seed, 0), samples)
-    values = self_adjoint_eigen(_forms(tensor, kind, u, convention)).values
-    los, his = values[:, 0], values[:, -1]
-    deviation = max(los.max() - los.min(), his.max() - his.min())
-    return bool(deviation <= tol), float(deviation)
+    m = CurvatureMatrices.from_slices(*frame_matrices(tensor, u, convention))
+    values = self_adjoint_eigen(np.stack([quadratic_form_matrix(kind, m)
+                                          for kind in kinds])).values
+    results = []
+    for los, his in zip(values[..., 0], values[..., -1]):
+        deviation = max(los.max() - los.min(), his.max() - his.min())
+        results.append((bool(deviation <= tol), float(deviation)))
+    return results
 
 
 def tricerri_family_extrema(im_w, kind):

@@ -26,7 +26,7 @@ from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureM
                           fs_moment_check)
 from .cones import (_perron_pass, copositive_2x2, cone_min, difference_form_pairings,
                     dual_edm_test, edm_from_vector, nonneg_orthant, perron_weights)
-from .search import invariance_test, tricerri_family_extrema
+from .search import _invariance_tests, tricerri_family_extrema
 from .reports import VerifyReport
 
 SUITES = ("hopf", "tricerri", "fubini_study", "cones", "identities")
@@ -114,9 +114,10 @@ def suite_hopf(seed=0, frame_samples=1000):
                      r[0, 1, 1, 0], r[1, 0, 0, 1]])
     rep.add("adjoint_component_invariance", 0.0, float(np.abs(moved - base).max()), 1e-9)
 
-    for kind in (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_HSC):
-        ok, _ = invariance_test(t_gen, kind, FrameConvention.ADJOINT,
-                                samples=frame_samples, seed=seed + 3, tol=1e-9)
+    kinds = (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_HSC)
+    invariance = _invariance_tests(t_gen, kinds, FrameConvention.ADJOINT,
+                                   samples=frame_samples, seed=seed + 3, tol=1e-9)
+    for kind, (ok, _) in zip(kinds, invariance):
         rep.add_bool(f"invariance[{kind.value}]", ok)
 
     for z in ([1.0, 0.0], [1.0, 1.0], [0.3, -0.7j]):

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curvlab
 from curvlab.cli import main
 from curvlab.reports import IdentityReport, VerifyReport
 from curvlab import fs_moment_check, perron_criterion_check
@@ -12,8 +15,13 @@ from curvlab.verify import run_suite
 
 
 def run_cli(*argv):
+    # the child imports the curvlab this process imported, also when only
+    # pytest's own pythonpath setting made it importable
+    src = str(Path(curvlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "curvlab.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     return proc.returncode, proc.stdout, proc.stderr
 
 

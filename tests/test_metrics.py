@@ -1,10 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import curvlab.verify as verify
 from curvlab import DomainError, FDConfig, UsageError, finite_difference_jet, jet_at, make_metric
 from curvlab.linalg import rng_from
-from curvlab.metrics import conformal, euclidean, fubini_study, hopf, tricerri
+from curvlab.metrics import _stacked, conformal, euclidean, fubini_study, hopf, tricerri
+from curvlab.reports import dumps
 
 CATALOG = {
     "euclidean": euclidean(3),
@@ -245,3 +249,160 @@ def test_order_4_jet_is_richardson_of_two_order_2_jets_bit_for_bit(n):
     assert np.array_equal(both.g, full.g)
     assert np.array_equal(both.dg, (4.0 * half.dg - full.dg) / 3.0)
     assert np.array_equal(both.ddg, (4.0 * half.ddg - full.ddg) / 3.0)
+
+
+@pytest.mark.parametrize("h", [float("nan"), float("inf"), float("-inf"), 0.0, -1e-4, "1e-4"])
+def test_fd_step_must_be_a_positive_finite_real(h):
+    with pytest.raises(UsageError, match="positive and finite"):
+        finite_difference_jet(lambda p: np.eye(2, dtype=complex), np.ones(2), h)
+    with pytest.raises(UsageError, match="positive and finite"):
+        FDConfig(h=h)
+
+
+# ---------------------------------------------------------------------------
+# stacked catalog fields against the per-point path
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_point(field):
+    """The field with plain callables around its own: finite differences
+    evaluate and domain-check it one point at a time."""
+    return dataclasses.replace(field, evaluate=lambda q: field.evaluate(q),
+                               domain=lambda q: field.domain(q))
+
+
+def mixed_points(field, rng, k):
+    """k points of the field's dimension, about a third of them outside the
+    hopf and tricerri domains (inside the origin ball, below the Im w margin,
+    beyond the chart bound)."""
+    n = field.n
+    p = 0.7 * (rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n)))
+    if field.name == "hopf":
+        p *= (rng.uniform(0.01, 3.0, k) / np.linalg.norm(p, axis=1))[:, None]
+    if field.name == "tricerri":
+        p[:, 1] = p[:, 1].real + 1j * rng.uniform(-0.2, 2.0, k)
+        p[::7, 0] *= 20.0
+        p[3::7, 1] += 20.0
+    return p
+
+
+def pointwise_formulas(field):
+    """(evaluate, domain) of a catalog field of catalog_of_dimension as
+    formulas on one point: the bits each stacked row must reproduce."""
+    n = field.n
+    eye = np.eye(n, dtype=complex)
+    c = np.linspace(0.5, 1.5, n)
+
+    def fubini_study(p):
+        u = 1.0 / (1.0 + float(np.sum(np.abs(p) ** 2)))
+        return u * np.eye(n) - u ** 2 * np.einsum("k,l->kl", np.conj(p), p)
+
+    def tricerri(p):
+        y = float(p[1].imag)
+        return np.diag([y, y ** -2.0]).astype(complex)
+
+    everywhere = lambda p: True
+    return {
+        "euclidean": (lambda p: eye, everywhere),
+        "conformal": (lambda p: np.exp(float(np.sum(c * np.abs(p) ** 2))) * eye, everywhere),
+        "fubini_study": (fubini_study, everywhere),
+        "hopf": (lambda p: 4.0 * eye / float(np.sum(np.abs(p) ** 2)),
+                 lambda p: np.linalg.norm(p) > 0.05),
+        "tricerri": (tricerri, lambda p: (p[1].imag > 0.05 and abs(p[0]) <= 10.0
+                                          and abs(p[1]) <= 10.0)),
+    }[field.name]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_stacked_fields_equal_per_point_calls_bit_for_bit(n):
+    rng = rng_from(300 + n)
+    for field in catalog_of_dimension(n):
+        k = 60
+        pts = mixed_points(field, rng, k)
+        values = np.broadcast_to(field.evaluate(pts), (k, n, n))
+        inside = np.broadcast_to(field.domain(pts), (k,))
+        formula, in_domain = pointwise_formulas(field)
+        for q, g, ok in zip(pts, values, inside):
+            assert same_bits(g, field.evaluate(q)) and same_bits(g, formula(q)), field.name
+            assert ok == bool(field.domain(q)) == bool(in_domain(q)), field.name
+        if field.name in ("hopf", "tricerri"):
+            assert 0 < inside.sum() < k
+        # leading axes of any shape broadcast alike
+        grid = pts.reshape(3, 20, n)
+        assert same_bits(np.broadcast_to(field.evaluate(grid), (3, 20, n, n)),
+                         values.reshape(3, 20, n, n))
+        assert np.array_equal(np.broadcast_to(field.domain(grid), (3, 20)),
+                              inside.reshape(3, 20))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("order", [2, 4])
+def test_stacked_fd_jets_equal_per_point_jets_bit_for_bit(n, order):
+    rng = rng_from(400 + 10 * n + order)
+    h = {2: 1e-4, 4: 1e-3}[order]
+    for field in catalog_of_dimension(n):
+        p = 0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        if field.name in ("hopf", "tricerri"):
+            p = sample_domain_point(field.name, rng)
+        plain = per_point(field)
+        stacked = finite_difference_jet(field.evaluate, p, h, order=order, domain=field.domain)
+        pointwise = finite_difference_jet(plain.evaluate, p, h, order=order,
+                                          domain=plain.domain)
+        for a, b in ((stacked.g, pointwise.g), (stacked.dg, pointwise.dg),
+                     (stacked.ddg, pointwise.ddg)):
+            assert same_bits(a, b), field.name
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("order", [2, 4])
+def test_stacked_path_makes_one_call_per_stencil(n, order):
+    field = fubini_study(n)
+    evals, checks = [], []
+    evaluate = _stacked(lambda q: evals.append(q.shape) or field.evaluate(q))
+    domain = _stacked(lambda q: checks.append(q.shape) or field.domain(q))
+    finite_difference_jet(evaluate, 0.1 * np.ones(n), 1e-3, order=order, domain=domain)
+    per_step = 1 + 12 * n + 8 * n * (n - 1)
+    expected = [(per_step, n)] if order == 2 else [(per_step, n), (per_step - 1 - 4 * n, n)]
+    assert evals == checks == expected
+    # a plain domain test sends the stacked evaluator down the per-point path
+    evals.clear()
+    finite_difference_jet(evaluate, 0.1 * np.ones(n), 1e-3, domain=lambda q: True)
+    assert evals == [(n,)] * per_step
+
+
+@pytest.mark.parametrize("field, p, h", [
+    (hopf(), np.array([0.0501, 0.0]), 1e-3),           # into the origin ball
+    (hopf(), np.array([0.03 + 0.04j, 1e-4j]), 1e-3),
+    (tricerri(), np.array([0.1, 0.3 + 0.0505j]), 1e-3),  # below the Im w margin
+    (tricerri(), np.array([9.9995 + 0j, 1j]), 1e-3),    # past the chart bound
+])
+def test_stencil_leaving_the_domain_gives_one_message_on_both_paths(field, p, h):
+    messages = []
+    for f in (field, per_point(field)):
+        with pytest.raises(DomainError, match="stencil point") as info:
+            finite_difference_jet(f.evaluate, p, h, order=4, scale_with_point=False,
+                                  domain=f.domain)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_reports_match_the_per_point_path(monkeypatch, seed):
+    stacked = {name: dumps(verify.run_suite(name, seed=seed)) for name in ("hopf", "tricerri")}
+    evaluated = []
+
+    def plain(builder):
+        def build():
+            field = builder()
+            return dataclasses.replace(
+                per_point(field), evaluate=lambda q: evaluated.append(1) or field.evaluate(q))
+        return build
+
+    monkeypatch.setattr(verify, "hopf", plain(hopf))
+    monkeypatch.setattr(verify, "tricerri", plain(tricerri))
+    for name, text in stacked.items():
+        assert dumps(verify.run_suite(name, seed=seed)) == text
+    assert len(evaluated) == 20 * 41 + 3 * 73   # 20 hopf jets, 3 tricerri order-4 jets
