@@ -31,11 +31,13 @@ residual rows as arrays until the report picks its witnesses.
 """
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, MAX_DIM
 from .errors import UsageError
 from .linalg import (ensure_finite, haar_from_rng, random_hermitian, rng_from,
                      self_adjoint_eigen, unitary_residual)
@@ -474,6 +476,45 @@ def moment_target(n):
             + np.einsum("il,kj->ijkl", eye, eye)) / (n * (n + 1.0))
 
 
+@functools.lru_cache(maxsize=None)
+def _moment_cubature(n):
+    """(nodes, weights) of a rule on the unit sphere of C^n that integrates
+    every z_i conj(z_j) z_k conj(z_l) exactly (Stroud, 1971, product style).
+
+    Write z_c = sqrt(t_c) e^(i theta_c) with t uniform on the simplex
+    (Dirichlet(1, ..., 1)) and independent uniform phases.  A fourth moment
+    has phase frequency m_c in [-2, 2] in each coordinate, summing to 0, so
+    it is invariant under a global phase: the first phase is fixed at 0, and
+    each other phase takes the values e^(2 pi i k / 3), k = 0, 1, 2, whose
+    mean of e^(i m theta) is exact for |m| <= 2.  Where every frequency
+    vanishes the moment is t_i t_k, which the degree-2 simplex rule
+    integrates exactly: weight (3 - n) / (n (n + 1)) on the n vertices and
+    4 / (n (n + 1)) on the n (n - 1) / 2 edge midpoints.  That makes
+    3^(n-1) n (n + 1) / 2 nodes, 9 at n = 2.
+    """
+    eye = np.eye(n)
+    pairs = list(itertools.combinations(range(n), 2))
+    simplex = np.concatenate([eye] + [0.5 * (eye[[i]] + eye[[j]]) for i, j in pairs])
+    simplex_w = np.concatenate([np.full(n, (3.0 - n) / (n * (n + 1.0))),
+                                np.full(len(pairs), 4.0 / (n * (n + 1.0)))])
+    roots = np.array([1.0, complex(-0.5, np.sqrt(0.75)), complex(-0.5, -np.sqrt(0.75))])
+    phases = np.array([(1.0,) + p for p in itertools.product(roots, repeat=n - 1)])
+    nodes = (np.sqrt(simplex)[:, None, :] * phases[None, :, :]).reshape(-1, n)
+    weights = np.repeat(simplex_w / len(phases), len(phases))
+    for table in (nodes, weights):
+        table.flags.writeable = False
+    return nodes, weights
+
+
+def _rule_moments(nodes, weights):
+    """sum_a weights[a] z_i conj(z_j) z_k conj(z_l) over the rows z of nodes,
+    as the weighted Gram product A^T diag(weights) A with
+    A[a, (i, j)] = z_i conj(z_j)."""
+    n = nodes.shape[-1]
+    a = (nodes[:, :, None] * np.conj(nodes)[:, None, :]).reshape(-1, n * n)
+    return (a.T @ (weights[:, None] * a)).reshape((n,) * 4)
+
+
 _MOMENT_BLOCK = 4096   # rows per Gram product: the (block, n^2) factors stay small
 
 
@@ -506,6 +547,8 @@ def fs_moment_check(n, samples, seed=0, tol_sigmas=3.0):
     """
     if n < 2:
         raise UsageError("moment identity needs n >= 2")
+    if n > MAX_DIM:
+        raise UsageError(f"moment identity dimension {n} exceeds {MAX_DIM}")
     if samples < 10_000:
         raise UsageError("need at least 1e4 samples for a meaningful check")
     chunk = 100_000

@@ -201,9 +201,10 @@ def _jet_from_values(f, h):
     centre value, dg and ddg are weighted sums."""
     _, first, mixed = _stencil(f.shape[-1])
     dg = np.einsum("a,iakl->ikl", _DZ, f[first]) / h
-    ddg = np.zeros(mixed.shape[:2] + f.shape[1:], dtype=complex)
+    terms = f[mixed.transpose(2, 3, 0, 1)]  # terms[a, b] = f[mixed[:, :, a, b]]
+    ddg = np.zeros(terms.shape[2:], dtype=complex)
     for (a, b), weight in np.ndenumerate(_DZ_DZBAR):
-        ddg += weight * f[mixed[:, :, a, b]]
+        ddg += weight * terms[a, b]
     return MetricJet(g=f[0], dg=dg, ddg=ddg / h ** 2)
 
 

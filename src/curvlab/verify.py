@@ -21,9 +21,9 @@ from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_c
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
                         skew_pair, to_frame)
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureMatrices,
-                          FunctionalKind, constant_identity_check, evaluate, frame_matrices,
-                          hsc, matrices_from, rayleigh_bounds, ricci_qobc_bounds,
-                          fs_moment_check)
+                          FunctionalKind, _moment_cubature, _rule_moments,
+                          constant_identity_check, evaluate, frame_matrices, hsc,
+                          matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds)
 from .cones import (_perron_pass, copositive_2x2, cone_min, difference_form_pairings,
                     dual_edm_test, edm_from_vector, nonneg_orthant, perron_weights)
 from .search import _invariance_tests, tricerri_family_extrema
@@ -224,7 +224,7 @@ def suite_tricerri(seed=0):
     return rep
 
 
-def suite_fubini_study(seed=0, moment_samples=200_000):
+def suite_fubini_study(seed=0):
     rep = VerifyReport(suite="fubini_study")
     rng = rng_from(seed)
     worst = 0.0
@@ -247,10 +247,10 @@ def suite_fubini_study(seed=0, moment_samples=200_000):
     rep.add("scal_6", 6.0, s, 1e-9)
     rep.add("altered_scal_6", 6.0, s_alt, 1e-9)
 
-    moments = fs_moment_check(2, moment_samples, seed=seed + 1)
-    rep.add_bool("moment_identity_within_3_sigma", moments.passed)
-    rep.add("moment_worst_abs_deviation", 0.0,
-            moments.details["max_abs_deviation"], 5e-3)
+    # the fourth moments of the unit sphere in C^2 by an exact 9-node rule
+    moments = _rule_moments(*_moment_cubature(2))
+    rep.add("moment_identity_exact", 0.0,
+            float(np.abs(moments - moment_target(2)).max()), 1e-12)
     return rep
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -12,7 +13,9 @@ from curvlab import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, FunctionalKind,
 from curvlab import reports
 from curvlab.cones import perron_criterion_check
 from curvlab.curvature import ChernTensor, FRAME, curvature_from_jet, to_frame
-from curvlab.functionals import CurvatureMatrices, _report, moment_target
+from curvlab.config import MAX_DIM
+from curvlab.functionals import (CurvatureMatrices, _moment_cubature, _report, _rule_moments,
+                                 moment_target)
 from curvlab.linalg import random_hermitian, rng_from
 from curvlab.reports import IdentityReport
 from curvlab.metrics import fubini_study, jet_at
@@ -498,6 +501,38 @@ def test_fs_moment_check_small():
     assert rep.details["max_abs_deviation"] < 0.01
     with pytest.raises(UsageError):
         fs_moment_check(2, 100)
+
+
+def test_fs_moment_check_rejects_a_dimension_over_the_bound():
+    # rejected at entry: this n would allocate (samples, n) and n^4 arrays
+    with pytest.raises(UsageError, match="exceeds"):
+        fs_moment_check(MAX_DIM + 1, 10_000)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_moment_cubature_is_exact(n):
+    nodes, weights = _moment_cubature(n)
+    assert nodes.shape == (3 ** (n - 1) * n * (n + 1) // 2, n)
+    assert weights.shape == nodes.shape[:1]
+    assert abs(weights.sum() - 1.0) <= 1e-15
+    assert_allclose(np.linalg.norm(nodes, axis=1), 1.0, rtol=1e-15)
+    assert np.abs(_rule_moments(nodes, weights) - moment_target(n)).max() <= 1e-15
+    assert _moment_cubature(n) is _moment_cubature(n)
+    assert not nodes.flags.writeable and not weights.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_two_phase_rule_misses_the_moments(n):
+    # phases +-1 alias frequency 2 onto 0: E[z_1^2 conj(z_2)^2] comes out
+    # nonzero, so a wrong rule fails the 1e-12 check by a wide margin
+    nodes, weights = _moment_cubature(n)
+    k = 3 ** (n - 1)   # nodes per simplex point
+    s = np.abs(nodes[::k]) ** 2
+    phases = np.array([(1.0,) + p for p in itertools.product((1.0, -1.0), repeat=n - 1)])
+    two = (np.sqrt(s)[:, None, :] * phases[None, :, :]).reshape(-1, n)
+    w = np.repeat(k * weights[::k] / len(phases), len(phases))
+    assert abs(w.sum() - 1.0) <= 1e-15
+    assert np.abs(_rule_moments(two, w) - moment_target(n)).max() > 1e-3
 
 
 def test_moment_target_values():
