@@ -31,7 +31,7 @@ from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
 from .functionals import (QUADRATIC_KINDS, FunctionalKind, evaluate, hsc, matrices_from,
                           rayleigh_bounds)
 from .cones import copositive_2x2, cone_min, make_cone, perron_criterion_check
-from .search import SearchConfig, extremize, tricerri_family_extrema
+from .search import SearchConfig, _extremize_kinds, extremize, tricerri_family_extrema
 from .verify import run_suite
 from . import reports
 
@@ -159,14 +159,6 @@ def _search_budget(args):
                          f"got {args.refine_steps}")
 
 
-def _functional_kind(name):
-    try:
-        return FunctionalKind(name)
-    except ValueError:
-        raise UsageError(f"unknown functional '{name}'; "
-                         f"choices: {[k.value for k in FunctionalKind]}") from None
-
-
 def _tensor_params(text):
     try:
         params = json.loads(text)
@@ -288,7 +280,7 @@ def cmd_eval(args):
     for name in ("metric", "point", "functional"):
         if getattr(args, name) is None:
             raise UsageError(f"eval needs --{name}")
-    kind = _functional_kind(args.functional)
+    kind = FunctionalKind(args.functional)
     point = parse_complex_vector(args.point)
     tensor, diag = _tensor_at_point(args.metric, args.dim, point, args.use_paper_tensor)
     matrices = matrices_from(tensor)
@@ -403,15 +395,15 @@ def cmd_sweep(args):
         for z in p:
             row += [z.real, z.imag]
         row += [scal, scal_alt]
-        for kind in QUADRATIC_KINDS:
-            if family:
+        if family:
+            for kind in QUADRATIC_KINDS:
                 scan = tricerri_family_extrema(float(p[1].imag), kind)
-                lo, hi = scan["inf"], scan["sup"]
-            else:
-                inf_ext, sup_ext = extremize(tensor, kind, convention=convention,
-                                             cfg=search)
-                lo, hi = inf_ext.value, sup_ext.value
-            row += [lo, hi]
+                row += [scan["inf"], scan["sup"]]
+        else:
+            # all kinds in one lockstep search
+            for inf_ext, sup_ext in _extremize_kinds(tensor, QUADRATIC_KINDS,
+                                                     convention=convention, cfg=search):
+                row += [inf_ext.value, sup_ext.value]
         row += [tensor.sym_residual, m.imag_residual]
         return row
 
@@ -425,7 +417,7 @@ def cmd_sweep(args):
 def cmd_frame_scan(args):
     if args.functional is None:
         raise UsageError("frame-scan needs --functional")
-    kind = _functional_kind(args.functional)
+    kind = FunctionalKind(args.functional)
 
     if args.family == "tricerri":
         if args.imw is None:

@@ -38,6 +38,11 @@ class FrameConvention(str, enum.Enum):
     FULL = "full"
     ADJOINT = "adjoint"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError(f"unknown frame convention '{value}'; "
+                         f"choices: {[c.value for c in cls]}")
+
 
 class RicciKind(enum.IntEnum):
     FIRST = 1
@@ -69,7 +74,12 @@ class ChernTensor:
 
 
 def _build(values, basis, metric=None):
-    values = ensure_finite(np.asarray(values, dtype=complex), "curvature tensor")
+    """A ChernTensor of checked values; a stack of tensors along one leading
+    axis gives a tuple of them, each checked as a single tensor is."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim > 4:
+        return tuple(_build(v, basis, metric) for v in values)
+    values = ensure_finite(values, "curvature tensor")
     resid = hermitian_tensor_residual(values)
     scale = max(1.0, float(np.abs(values).max()))
     if resid > DEFAULT.tensor_hermitian * scale:
@@ -97,11 +107,16 @@ def curvature_from_jet(jet):
 
 
 def _change_all_indices(r, a):
-    """sum_{pqst} a[i,p] conj(a[j,q]) a[k,s] conj(a[l,t]) r[p,q,s,t], as four
-    one-index contractions (O(n^5)); each moves the contracted axis to the
-    end, so after four the axes are back in order."""
+    """sum_{pqst} a[i,p] conj(a[j,q]) a[k,s] conj(a[l,t]) r[p,q,s,t] for a
+    matrix a, or for each matrix of a (k, n, n) stack (then of shape
+    (k, n, n, n, n)), as four one-index contractions (O(n^5) each).  Each
+    moves the contracted axis to the end and multiplies the (n^3, n) matrix
+    by the factor's transpose, so after four the axes are back in order; for
+    one matrix that is the product numpy's tensordot makes, bit for bit."""
+    n = a.shape[-1]
     for factor in (a, np.conj(a), a, np.conj(a)):
-        r = np.tensordot(r, factor, axes=(0, 1))
+        flat = np.moveaxis(r, -4, -1).reshape(r.shape[:-4] + (n ** 3, n))
+        r = (flat @ np.swapaxes(factor, -1, -2)).reshape(a.shape[:-2] + (n,) * 4)
     return r
 
 
@@ -117,10 +132,16 @@ def to_frame(tensor, g=None):
 
 
 def transform_frame(tensor, u, convention):
-    """Apply a unitary frame change under the named convention."""
+    """Apply a unitary frame change under the named convention.
+
+    u may also be a (k, n, n) stack of unitaries: the result is then a tuple
+    of k frame tensors from one stacked frame change, with the unitarity of
+    the whole stack checked once and each tensor checked as a single call
+    checks it.
+    """
     tensor.require_frame("transform_frame")
     u = np.asarray(u, dtype=complex)
-    if u.shape != (tensor.n, tensor.n):
+    if u.ndim not in (2, 3) or u.shape[-2:] != (tensor.n, tensor.n) or u.size == 0:
         raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {tensor.n}")
     if unitary_residual(u) > DEFAULT.frame_change_unitary:
         raise UsageError("frame-change matrix is not unitary")
@@ -129,7 +150,7 @@ def transform_frame(tensor, u, convention):
     if conv is FrameConvention.FULL:
         vals = _change_all_indices(r, u)
     else:
-        vals = np.einsum("ka,lb,ijab->ijkl", u, np.conj(u), r)
+        vals = np.einsum("...ka,...lb,ijab->...ijkl", u, np.conj(u), r)
     return _build(vals, FRAME)
 
 

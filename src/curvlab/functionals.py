@@ -53,6 +53,11 @@ class FunctionalKind(str, enum.Enum):
     QOBC = "qobc"
     ALTERED_QOBC = "altered_qobc"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError(f"unknown functional '{value}'; "
+                         f"choices: {[k.value for k in cls]}")
+
 
 QUADRATIC_KINDS = (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC,
                    FunctionalKind.ALTERED_HSC, FunctionalKind.QOBC,
@@ -82,6 +87,12 @@ class CurvatureMatrices:
     @property
     def n(self):
         return self.rbc.shape[-1]
+
+    def take(self, index):
+        """The matrices at index (a boolean mask or integer array) of a
+        stack."""
+        return CurvatureMatrices(rbc=self.rbc[index], altered=self.altered[index],
+                                 imag_residual=self.imag_residual)
 
 
 def matrices_from(tensor):

@@ -19,11 +19,26 @@ cone via the Rayleigh bounds and on restricted cones by face enumeration
 shrinking step; it claims no global optimum, and acceptance tolerances are
 sized accordingly.
 
-Candidate frames are evaluated in stacks through ``frame_matrices``: a
-coordinate sweep evaluates all of its remaining candidates at once, accepts
-the first improvement in sweep order and restacks the rest of the sweep from
-the new parameters, so its iterates are those of one-at-a-time coordinate
-descent.
+Each (kind, sign, restart) of a search is a lane: a generator that runs one
+restart's coordinate descent, yields the stack of candidates it wants scored
+next with a strict bound, and is sent back the first candidate below the
+bound (or None).  A sweep stacks all of its remaining candidates, accepts the
+first improvement in sweep order and restacks the rest of the sweep from the
+new parameters, so its iterates are those of one-at-a-time coordinate
+descent.  All live lanes of a call advance in lockstep: per step, their
+candidates go through one ``unitary_from_params`` and one ``frame_matrices``
+call, one ``quadratic_form_matrix`` call per kind, and one stacked eigensolve
+(full cone) or one stacked ``cone_min`` call (restricted cone); each lane
+then takes the first hit in its own rows.  Every step of this is computed
+per row, so a lane's iterates do not depend on the lanes beside it; the one
+exception, numpy's adjoint frame change, which rounds by stack layout, is
+met by grouping the rows by the layout each lane alone would have used
+(``_frame_stacks``).  One evaluation
+holds at most ``_ROWS`` candidates; lanes are grouped in order and never
+split, so memory stays bounded however many restarts run.  The
+reported extrema of a call, exact or searched, are re-evaluated in one pass:
+one stacked ``transform_frame`` of the tensor and one ``evaluate`` call per
+kind.
 
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
 handled separately and exactly: that family is the object whose pinching
@@ -33,7 +48,9 @@ entries sharing a column).
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +65,18 @@ from .cones import cone_min, full_cone
 
 INITIAL_ANGLE = 0.4   # first Givens-angle step of each restart
 SHRINK = 0.7          # step factor after a sweep that improves nothing
+# candidate frames per stacked evaluation of a lockstep search.  The time per
+# candidate stops falling by about 256 at n = 2..4; one evaluation then holds
+# about 1.7 MB at n = 8 on the full cone and 17 MB on a restricted cone (a
+# lane is never split, so a lane alone may exceed the cap)
+_ROWS = 256
+
+
+def _require_count(name, value, least):
+    """An int (not a bool) >= least, else UsageError."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +86,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise UsageError("restarts must be >= 1")
+        _require_count("restarts", self.restarts, 1)
+        _require_count("refine_steps", self.refine_steps, 0)
+        _require_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -98,69 +128,184 @@ def unitary_from_params(n, params):
     return rows.transpose(1, 0, 2).reshape(params.shape[:-1] + (n, n))
 
 
-def _forms(tensor, kind, u, convention):
-    """Quadratic-form matrices of the functional in each frame of a stack."""
-    m = CurvatureMatrices.from_slices(*frame_matrices(tensor, u, convention))
-    return quadratic_form_matrix(kind, m)
+class _Ask(NamedTuple):
+    """A lane's request for one scan: the candidates are params alone when
+    step is None (the lane's first frame), else the sweep's moves from start
+    on; bound is strict."""
+    params: np.ndarray
+    step: Optional[float]
+    start: int
+    bound: float
+
+    @property
+    def size(self):
+        return 1 if self.step is None else 2 * self.params.size - self.start
 
 
-def _first_improvement(forms, cone, sign, bound):
-    """(index, value, vector) of the first form in the stack whose objective
-    lies below bound, or None.  The objective is the exact inner minimum over
-    the cone (sign < 0) or minus the exact inner maximum (sign > 0); every
-    form of the stack is solved, in one stacked eigensolve on the full cone
-    and one stacked ``cone_min`` call on a restricted cone."""
-    if cone.kind == "full":
-        dec = self_adjoint_eigen(forms)  # eigen of the symmetric part
-        col = 0 if sign < 0 else -1
-        values = -sign * dec.values[:, col]
-        hits = np.flatnonzero(values < bound)
-        if hits.size == 0:
-            return None
-        j = int(hits[0])
-        vec = dec.vectors[j, :, col].real
-        return j, float(values[j]), vec / np.linalg.norm(vec)
-    res = cone_min(-sign * forms, cone)
-    hits = np.flatnonzero(res.value < bound)
-    if hits.size == 0:
-        return None
-    j = int(hits[0])
-    return j, float(res.value[j]), res.argmin[j]
+def _candidates(asks, sizes):
+    """The candidates of a group of asks, stacked in order.  Move m of a
+    sweep adds the step to coordinate m // 2 for even m and subtracts it for
+    odd m."""
+    lane = np.repeat(np.arange(len(asks)), sizes)
+    rows = np.stack([ask.params for ask in asks])[lane]
+    offsets = np.cumsum(sizes) - sizes
+    moves = np.arange(len(lane)) + np.array([ask.start for ask in asks] - offsets)[lane]
+    swept = np.array([ask.step is not None for ask in asks])[lane]
+    steps = np.array([0.0 if ask.step is None else ask.step for ask in asks])[lane]
+    rows[swept, moves[swept] // 2] += steps[swept] * (1.0 - 2.0 * (moves[swept] % 2))
+    return rows
 
 
-def _search_one_restart(tensor, kind, cone, convention, cfg, restart, sign):
-    n = tensor.n
-    k = param_count(n)
-    if restart == 0:
-        params = np.zeros(k)
-    else:
-        params = rng_from(cfg.seed, restart).uniform(-np.pi, np.pi, size=k)
+def _lane(params, refine_steps):
+    """One restart's coordinate descent from params, as a generator.
 
-    def scan(stack, bound):
-        forms = _forms(tensor, kind, unitary_from_params(n, stack), convention)
-        return _first_improvement(forms, cone, sign, bound)
-
-    _, best_val, best_vec = scan(params[None], np.inf)
-    moves = np.arange(2 * k)      # sweep order: +step, then -step, per coordinate
-    coords, signs = moves // 2, 1.0 - 2.0 * (moves % 2)
+    Each yield is an ``_Ask``; the lane is sent back the first of its
+    candidates below the bound, as (index, params, value, vector), or None.
+    A sweep takes its moves in order, +step then -step per coordinate,
+    accepts the first improvement and goes on from the move after it; a
+    sweep that improves nothing shrinks the step.  Returns
+    (value, params, vector) of the last iterate.
+    """
+    _, _, value, vector = yield _Ask(params, None, 0, np.inf)
     step = INITIAL_ANGLE
-    for _ in range(cfg.refine_steps):
+    for _ in range(refine_steps):
         improved = False
         start = 0
-        while start < 2 * k:
-            cands = np.repeat(params[None], 2 * k - start, axis=0)
-            cands[np.arange(2 * k - start), coords[start:]] += step * signs[start:]
-            hit = scan(cands, best_val - 1e-14)
+        while start < 2 * params.size:
+            hit = yield _Ask(params, step, start, value - 1e-14)
             if hit is None:
                 break
-            j, best_val, best_vec = hit
-            params = cands[j]
+            j, params, value, vector = hit
             improved = True
             start += j + 1
         if not improved:
             step *= SHRINK
-    u = unitary_from_params(n, params)
-    return best_val, u, best_vec, restart
+    return value, params, vector
+
+
+def _objectives(forms, cone, signs):
+    """Objective of every form of a stack with its vector: minus signs[j]
+    times the exact inner optimum of form j (the minimum for sign -1, the
+    maximum for +1), in one stacked eigensolve on the full cone and one
+    stacked ``cone_min`` call on a restricted cone.  Full-cone vectors come
+    back unnormalized."""
+    if cone.kind == "full":
+        dec = self_adjoint_eigen(forms)  # eigen of the symmetric part
+        rows, cols = np.arange(len(forms)), np.where(signs < 0, 0, -1)
+        return -signs * dec.values[rows, cols], dec.vectors[rows, :, cols].real
+    res = cone_min(-signs[:, None, None] * forms, cone)
+    return res.value, res.argmin
+
+
+def _first_improvements(values, vectors, bounds, sizes, cone):
+    """Per lane, a run of sizes[i] consecutive rows with strict bound
+    bounds[i]: the first row of the run whose objective lies below the
+    bound, as (index within the run, value, unit vector), or None."""
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    below = np.flatnonzero(values < np.repeat(bounds, sizes))
+    hits = []
+    for start, end, at in zip(starts, ends, np.searchsorted(below, starts)):
+        if at == below.size or below[at] >= end:
+            hits.append(None)
+            continue
+        j = int(below[at])
+        vec = vectors[j]   # copied: a lane keeps it, and must not keep the stack
+        vec = vec / np.linalg.norm(vec) if cone.kind == "full" else vec.copy()
+        hits.append((j - int(start), float(values[j]), vec))
+    return hits
+
+
+def _frame_stacks(sizes, convention):
+    """The frame_matrices calls for a group of asks of the given sizes, as
+    (row indices, contiguous): one call for all rows, except under the
+    adjoint convention.  There numpy's einsum (seen at n = 2) rounds a
+    contiguous stack, a strided stack of two frames and a larger strided
+    stack three different ways, and ``unitary_from_params`` lays out one
+    frame contiguously and more strided.  So, as when each lane was scored
+    alone, the one-candidate asks share a contiguous stack, each
+    two-candidate ask gets a call of its own and the rest share one."""
+    ends = np.cumsum(sizes)
+    if convention is not FrameConvention.ADJOINT:
+        return [(np.arange(ends[-1]), False)]
+    stacks = [(np.flatnonzero(np.repeat(sizes > 2, sizes)), False),
+              (np.flatnonzero(np.repeat(sizes == 1, sizes)), True)]
+    stacks += [(np.arange(end - 2, end), False) for end in ends[sizes == 2]]
+    return [(rows, contiguous) for rows, contiguous in stacks if rows.size]
+
+
+def _scan(tensor, cone, convention, lanes):
+    """One stacked evaluation of a group of lanes, each (kind, sign, ask):
+    one ``unitary_from_params`` and one ``frame_matrices`` call per stack of
+    ``_frame_stacks`` (one stack for all candidates but under the adjoint
+    convention), one ``quadratic_form_matrix`` call per kind and one
+    ``_objectives`` call; then each lane's first improvement within its own
+    rows, with the candidate's params."""
+    asks = [ask for _, _, ask in lanes]
+    sizes = np.array([ask.size for ask in asks])
+    params = _candidates(asks, sizes)
+    slices = np.empty((2, len(params), tensor.n, tensor.n), dtype=complex)
+    for rows, contiguous in _frame_stacks(sizes, convention):
+        u = unitary_from_params(tensor.n, params[rows])
+        slices[:, rows] = frame_matrices(
+            tensor, np.ascontiguousarray(u) if contiguous else u, convention)
+    m = CurvatureMatrices.from_slices(*slices)
+    kinds = list(dict.fromkeys(kind for kind, _, _ in lanes))
+    row_kind = np.repeat([kinds.index(kind) for kind, _, _ in lanes], sizes)
+    forms = np.empty(m.rbc.shape)
+    for i, kind in enumerate(kinds):
+        forms[row_kind == i] = quadratic_form_matrix(kind, m.take(row_kind == i))
+    values, vectors = _objectives(forms, cone, np.repeat([sign for _, sign, _ in lanes], sizes))
+    hits = _first_improvements(values, vectors, [ask.bound for ask in asks], sizes, cone)
+    return [hit and (hit[0], params[offset + hit[0]].copy()) + hit[1:]
+            for hit, offset in zip(hits, np.cumsum(sizes) - sizes)]
+
+
+def _groups(asks):
+    """The keys of asks in order, in groups of at most _ROWS candidates; a
+    lane with more candidates than that is a group of its own."""
+    groups, rows = [], 0
+    for i, ask in asks.items():
+        if not groups or rows + ask.size > _ROWS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(i)
+        rows += ask.size
+    return groups
+
+
+def _search(tensor, kinds, cone, convention, cfg):
+    """Searched (inf, sup) of each kind, as one flat list: every
+    (kind, sign, restart) is a lane, and all live lanes advance together, one
+    scan each per step, in the groups of ``_groups``.  Per kind and sign the
+    least value wins, ties to the earlier restart."""
+    k = param_count(tensor.n)
+    starts = [np.zeros(k)] + [rng_from(cfg.seed, r).uniform(-np.pi, np.pi, size=k)
+                              for r in range(1, cfg.restarts)]
+    keys = [(kind, sign) for kind in kinds for sign in (-1, +1)]
+    lanes = [(kind, sign, _lane(params, cfg.refine_steps))
+             for kind, sign in keys for params in starts]
+    asks = {i: next(lane) for i, (_, _, lane) in enumerate(lanes)}
+    outcomes = [None] * len(lanes)
+    while asks:
+        for group in _groups(asks):
+            hits = _scan(tensor, cone, convention, [lanes[i][:2] + (asks[i],) for i in group])
+            for i, hit in zip(group, hits):
+                try:
+                    asks[i] = lanes[i][2].send(hit)
+                except StopIteration as done:
+                    outcomes[i] = done.value
+                    del asks[i]
+    best = []
+    for at in range(len(keys)):
+        runs = outcomes[at * cfg.restarts:(at + 1) * cfg.restarts]
+        best.append(runs[min(range(cfg.restarts), key=lambda r: (runs[r][0], r))])
+    # contiguous, as a single call lays out each frame
+    frames = np.ascontiguousarray(
+        unitary_from_params(tensor.n, np.stack([params for _, params, _ in best])))
+    return [FrameExtremum(value=value if sign < 0 else -value, frame=frame, vector=vector,
+                          convention=convention.value)
+            for (_, sign), (value, _, vector), frame in zip(keys, best, frames)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -241,8 +386,17 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
     Each reported extremum is re-evaluated through ``transform_frame`` and
     ``evaluate``; drift beyond ``Tolerances.reeval`` raises NumericalError.
     """
-    kind = FunctionalKind(kind)
-    if kind is FunctionalKind.HSC:
+    return _extremize_kinds(tensor, (kind,), cone, convention, cfg)[0]
+
+
+def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
+                     cfg=SearchConfig()):
+    """``extremize`` for several kinds of one tensor: a list of (inf, sup),
+    one per kind, each equal to that kind's own call bit for bit.  The
+    searched kinds run as one lockstep of lanes, and every extremum is
+    re-evaluated in one pass."""
+    kinds = [FunctionalKind(kind) for kind in kinds]
+    if FunctionalKind.HSC in kinds:
         raise UsageError("extremize works on the quadratic-form family; "
                          "probe hsc through rbc at basis vectors")
     tensor.require_frame("extremize")
@@ -252,26 +406,30 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
     convention = FrameConvention(convention)
 
     if cone.kind == "full" and convention is FrameConvention.FULL:
-        found = _exact_extrema(tensor, kind)
+        found = [ext for kind in kinds for ext in _exact_extrema(tensor, kind)]
     else:
-        found = []
-        for sign in (-1, +1):
-            outcomes = [_search_one_restart(tensor, kind, cone, convention, cfg, r, sign)
-                        for r in range(cfg.restarts)]
-            best = min(outcomes, key=lambda o: (o[0], o[3]))
-            found.append(FrameExtremum(value=best[0] if sign < 0 else -best[0],
-                                       frame=best[1], vector=best[2],
-                                       convention=convention.value))
-    for ext in found:
-        _check_reeval(tensor, kind, ext)
-    return found[0], found[1]
+        found = _search(tensor, kinds, cone, convention, cfg)
+    _check_reeval(tensor, [kind for kind in kinds for _ in (0, 1)], found, convention)
+    return list(zip(found[0::2], found[1::2]))
 
 
-def _check_reeval(tensor, kind, ext):
-    t = transform_frame(tensor, ext.frame, ext.convention)
-    again = evaluate(kind, matrices_from(t), ext.vector)
-    if abs(again - ext.value) > DEFAULT.reeval * max(1.0, abs(ext.value)):
-        raise NumericalError(f"frame extremum failed to re-evaluate: {again} vs {ext.value}")
+def _check_reeval(tensor, kinds, found, convention):
+    """Re-evaluate the extrema found[j] of kinds[j] in one pass: one stacked
+    ``transform_frame`` of the tensor to all their frames, the stacked
+    slices, and one ``evaluate`` call per kind.  The first extremum that
+    drifts beyond ``Tolerances.reeval`` raises NumericalError."""
+    moved = transform_frame(tensor, np.stack([ext.frame for ext in found]), convention)
+    r = np.stack([t.values for t in moved])
+    vectors = np.stack([ext.vector for ext in found])
+    m = CurvatureMatrices.from_slices(np.einsum("kaagg->kag", r), np.einsum("kagga->kag", r))
+    again = np.empty(len(found))
+    for kind in dict.fromkeys(kinds):
+        rows = np.array([k is kind for k in kinds])
+        again[rows] = evaluate(kind, m.take(rows), vectors[rows])
+    for ext, value in zip(found, again):
+        if abs(value - ext.value) > DEFAULT.reeval * max(1.0, abs(ext.value)):
+            raise NumericalError("frame extremum failed to re-evaluate: "
+                                 f"{float(value)} vs {ext.value}")
 
 
 def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
@@ -289,8 +447,8 @@ def _invariance_tests(tensor, kinds, convention, samples, seed, tol):
     """``invariance_test`` for each of several kinds on one frame stack: one
     Haar draw, one ``frame_matrices`` call and one stacked eigensolve over all
     kinds, each kind's result equal to its own call bit for bit."""
-    if samples < 10:
-        raise UsageError("invariance_test needs at least 10 samples")
+    _require_count("invariance_test samples", samples, 10)
+    _require_count("invariance_test seed", seed, 0)
     kinds = [FunctionalKind(kind) for kind in kinds]
     if FunctionalKind.HSC in kinds:
         raise UsageError("invariance_test covers the quadratic-form family")

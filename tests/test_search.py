@@ -3,14 +3,16 @@ import pytest
 
 from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
                      cone_min, extremize, full_cone, generator_cone, invariance_test,
-                     kahler_constant, matrices_from, monotone_nonneg, nonneg_orthant,
+                     kahler_constant, make_cone, matrices_from, monotone_nonneg,
+                     nonneg_orthant,
                      paper_hopf, paper_tricerri,
                      random_tensor, rayleigh_bounds, skew_pair, transform_frame,
                      tricerri_family_extrema)
 from curvlab.curvature import FrameConvention
-from curvlab.functionals import evaluate, quadratic_form_matrix
+from curvlab.functionals import (CurvatureMatrices, evaluate, frame_matrices,
+                                  quadratic_form_matrix)
 from curvlab.search import INITIAL_ANGLE, SHRINK, param_count, unitary_from_params
-from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
+from curvlab.linalg import haar_from_rng, rng_from, self_adjoint_eigen, unitary_residual
 import curvlab.search as search_mod
 
 
@@ -158,13 +160,17 @@ def test_stacked_first_improvement_equals_the_per_form_loop(convention):
     cones = [nonneg_orthant(3), monotone_nonneg(3),
              generator_cone(rng_from(18).standard_normal((4, 3)))]
     t = random_tensor(17, 3)
-    forms = search_mod._forms(t, "qobc", haar_from_rng(3, rng_from(19), 12), convention)
+    m = CurvatureMatrices.from_slices(*frame_matrices(t, haar_from_rng(3, rng_from(19), 12),
+                                                      convention))
+    forms = quadratic_form_matrix("qobc", m)
     for cone in cones:
         for sign in (-1, 1):
             values = [cone_min(-sign * q, cone).value for q in forms]
+            objectives = search_mod._objectives(forms, cone, np.full(len(forms), float(sign)))
             # the first form, a later one, and none (the bound is strict)
             for bound in (np.inf, sorted(values)[3], min(values)):
-                got = search_mod._first_improvement(forms, cone, sign, bound)
+                got = search_mod._first_improvements(*objectives, [bound], [len(forms)],
+                                                     cone)[0]
                 ref = per_form_first_improvement(forms, cone, sign, bound)
                 if ref is None:
                     assert got is None
@@ -357,3 +363,308 @@ def test_tricerri_per_frame_minimum_tracks_d():
 def test_search_config_validation():
     with pytest.raises(UsageError):
         SearchConfig(restarts=0)
+
+
+# ---------------------------------------------------------------------------
+# lockstep lanes
+
+def per_restart_extremize(tensor, kind, cone, convention, cfg):
+    """The search with each restart's coordinate descent run on its own, one
+    stacked scan per sweep position: the reference the lockstep lanes must
+    equal bit for bit.  Returns [(value, frame, vector)] for the inf and the
+    sup."""
+    n, k = tensor.n, param_count(tensor.n)
+    moves = np.arange(2 * k)
+    coords, signs = moves // 2, 1.0 - 2.0 * (moves % 2)
+
+    def scan(stack, sign, bound):
+        m = CurvatureMatrices.from_slices(
+            *frame_matrices(tensor, unitary_from_params(n, stack), convention))
+        forms = quadratic_form_matrix(kind, m)
+        if cone.kind == "full":
+            dec = self_adjoint_eigen(forms)
+            col = 0 if sign < 0 else -1
+            values = -sign * dec.values[:, col]
+            hits = np.flatnonzero(values < bound)
+            if hits.size == 0:
+                return None
+            j = int(hits[0])
+            vec = dec.vectors[j, :, col].real
+            return j, float(values[j]), vec / np.linalg.norm(vec)
+        res = cone_min(-sign * forms, cone)
+        hits = np.flatnonzero(res.value < bound)
+        if hits.size == 0:
+            return None
+        j = int(hits[0])
+        return j, float(res.value[j]), res.argmin[j]
+
+    found = []
+    for sign in (-1, 1):
+        outcomes = []
+        for restart in range(cfg.restarts):
+            params = (np.zeros(k) if restart == 0
+                      else rng_from(cfg.seed, restart).uniform(-np.pi, np.pi, size=k))
+            _, best_val, best_vec = scan(params[None], sign, np.inf)
+            step = INITIAL_ANGLE
+            for _ in range(cfg.refine_steps):
+                improved, start = False, 0
+                while start < 2 * k:
+                    cands = np.repeat(params[None], 2 * k - start, axis=0)
+                    cands[np.arange(2 * k - start), coords[start:]] += step * signs[start:]
+                    hit = scan(cands, sign, best_val - 1e-14)
+                    if hit is None:
+                        break
+                    j, best_val, best_vec = hit
+                    params, improved = cands[j], True
+                    start += j + 1
+                if not improved:
+                    step *= SHRINK
+            outcomes.append((best_val, restart, unitary_from_params(n, params), best_vec))
+        best = min(outcomes, key=lambda o: o[:2])
+        found.append((best[0] if sign < 0 else -best[0], best[2], best[3]))
+    return found
+
+
+LANE_CASES = [("full", "adjoint"), ("orthant", "full"), ("orthant", "adjoint"),
+              ("monotone", "full"), ("monotone", "adjoint"),
+              ("generators", "full"), ("generators", "adjoint")]
+
+
+def lane_cone(name, n):
+    if name == "generators":
+        return generator_cone(rng_from(90 + n).standard_normal((n + 1, n)))
+    return make_cone(name, n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("cone_name, convention", LANE_CASES)
+def test_lockstep_lanes_equal_the_per_restart_loop_bit_for_bit(n, cone_name, convention):
+    cone = lane_cone(cone_name, n)
+    t = random_tensor(80 + n, n)
+    # refine_steps 0 reports each lane's first frame, scored in one stack
+    # with the other lanes' first frames
+    for (restarts, refine), kind in zip(((1, 5), (2, 5), (3, 5), (3, 0), (2, 12)),
+                                        ("altered_rbc", "altered_hsc", "qobc", "rbc", "qobc")):
+        cfg = SearchConfig(restarts=restarts, refine_steps=refine, seed=restarts + n)
+        exts = extremize(t, kind, cone=cone, convention=convention, cfg=cfg)
+        for ext, (value, frame, vector) in zip(exts, per_restart_extremize(
+                t, FunctionalKind(kind), cone, convention, cfg)):
+            assert ext.value == value and type(ext.value) is float
+            assert np.array_equal(ext.frame, frame)
+            assert np.array_equal(ext.vector, vector)
+
+
+@pytest.mark.parametrize("cone_name, convention", [("full", "adjoint"), ("orthant", "full"),
+                                                   ("full", "full")])
+def test_kinds_in_one_lockstep_equal_separate_calls(cone_name, convention):
+    t = random_tensor(7, 3)
+    cone = make_cone(cone_name, 3)
+    cfg = SearchConfig(restarts=3, refine_steps=4, seed=2)
+    together = search_mod._extremize_kinds(t, QUAD_KINDS, cone, convention, cfg)
+    for kind, pair in zip(QUAD_KINDS, together):
+        for got, ref in zip(pair, extremize(t, kind, cone, convention, cfg)):
+            assert got.value == ref.value
+            assert np.array_equal(got.frame, ref.frame)
+            assert np.array_equal(got.vector, ref.vector)
+
+
+def test_sweep_rows_equal_per_kind_extremize_calls(capsys):
+    from curvlab.cli import main
+    from curvlab.metrics import jet_at, make_metric
+    from curvlab.curvature import curvature_from_jet, to_frame
+    argv = ["sweep", "--metric", "fubini_study", "--dim", "2", "--point", "0.1,0.2",
+            "--grid", "re1=0:0.3:2", "--restarts", "2", "--refine-steps", "3", "--seed", "4"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    cfg = SearchConfig(restarts=2, refine_steps=3, seed=4)
+    for line, re1 in zip(lines[1:], (0.0, 0.3)):
+        row = dict(zip(header, line.split(",")))
+        p = np.array([re1 + 0j, 0.2 + 0j])
+        t = to_frame(curvature_from_jet(jet_at(make_metric("fubini_study", dim=2), p)))
+        for kind in QUAD_KINDS:
+            lo, hi = extremize(t, kind, convention="adjoint", cfg=cfg)
+            assert row[f"{kind}_inf"] == f"{lo.value:.12g}"
+            assert row[f"{kind}_sup"] == f"{hi.value:.12g}"
+
+
+def test_lanes_advance_in_lockstep(monkeypatch):
+    # restarts x signs lanes share each frame evaluation: far fewer
+    # frame_matrices calls than the lanes' scans, and no group of lanes
+    # exceeds the row cap (a lane of n = 3 has at most 18 candidates)
+    calls = []
+    real = search_mod.frame_matrices
+
+    def counted(tensor, u, convention):
+        calls.append(len(u))
+        return real(tensor, u, convention)
+    monkeypatch.setattr(search_mod, "frame_matrices", counted)
+    t = random_tensor(3, 2)
+    cfg = SearchConfig(restarts=4, refine_steps=6, seed=1)
+    for convention in ("full", "adjoint"):
+        calls.clear()
+        extremize(t, "qobc", cone=nonneg_orthant(2), convention=convention, cfg=cfg)
+        lockstep = len(calls)
+        calls.clear()
+        real_scan = search_mod._scan
+        monkeypatch.setattr(search_mod, "_scan", lambda tensor, cone, conv, lanes: [
+            hit for lane in lanes for hit in real_scan(tensor, cone, conv, [lane])])
+        extremize(t, "qobc", cone=nonneg_orthant(2), convention=convention, cfg=cfg)
+        monkeypatch.setattr(search_mod, "_scan", real_scan)
+        # (under the adjoint convention a two-candidate ask has its own call)
+        assert calls and lockstep < len(calls) / 3
+    monkeypatch.setattr(search_mod, "_ROWS", 20)
+    calls.clear()
+    extremize(random_tensor(3, 3), "rbc", convention="adjoint", cfg=cfg)
+    assert max(calls) <= 20
+
+
+def test_adjoint_frame_stacks_keep_each_lanes_layout():
+    sizes = np.array([3, 1, 8, 2, 1, 5])
+    full = search_mod._frame_stacks(sizes, FrameConvention.FULL)
+    assert [(rows.tolist(), c) for rows, c in full] == [(list(range(20)), False)]
+    adjoint = search_mod._frame_stacks(sizes, FrameConvention.ADJOINT)
+    assert [(rows.tolist(), c) for rows, c in adjoint] == [
+        ([0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19], False),
+        ([3, 14], True), ([12, 13], False)]
+    only = search_mod._frame_stacks(np.array([1, 1]), FrameConvention.ADJOINT)
+    assert [(rows.tolist(), c) for rows, c in only] == [([0, 1], True)]
+
+
+def test_groups_never_split_a_lane(monkeypatch):
+    monkeypatch.setattr(search_mod, "_ROWS", 10)
+    params = np.zeros(param_count(2))       # sweeps of 8 candidates
+    asks = {i: search_mod._Ask(params, None if i % 3 == 0 else 0.1, i % 5, 0.0)
+            for i in range(12)}
+    groups = search_mod._groups(asks)
+    assert [i for group in groups for i in group] == list(range(12))
+    for group in groups:
+        sizes = [asks[i].size for i in group]
+        assert sum(sizes) <= 10 or len(group) == 1
+    # one lane larger than the cap is a group of its own
+    monkeypatch.setattr(search_mod, "_ROWS", 4)
+    assert search_mod._groups({0: search_mod._Ask(params, 0.1, 0, 0.0)}) == [[0]]
+
+
+# traced peak of the search below: the per-restart search peaked at 0.67 MB;
+# 256 lanes of one adjoint n = 8 candidate each hold about 6.8 KB apiece
+# (1.7 MB), and without the row cap the 400 lanes would peak at 2.9 MB
+PEAK_BOUND = 2.5e6
+
+
+def test_adjoint_search_memory_stays_bounded_at_n8():
+    import tracemalloc
+    t = random_tensor(1, 8)
+    cfg = SearchConfig(restarts=200, refine_steps=0, seed=0)
+    tracemalloc.start()
+    try:
+        extremize(t, "qobc", convention="adjoint", cfg=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < PEAK_BOUND
+
+
+# ---------------------------------------------------------------------------
+# stacked frame changes
+
+def tensordot_change(r, a):
+    """The four-index frame change as four tensordot contractions."""
+    for factor in (a, np.conj(a), a, np.conj(a)):
+        r = np.tensordot(r, factor, axes=(0, 1))
+    return r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_stacked_frame_change_rows_equal_single_calls(n):
+    from curvlab.curvature import _change_all_indices
+    t = random_tensor(20 + n, n)
+    rng = rng_from(21 + n)
+    u = haar_from_rng(n, rng, 5)
+    a = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
+    stacked = _change_all_indices(t.values, a)
+    for j in range(5):
+        single = _change_all_indices(t.values, a[j])
+        assert np.array_equal(single, tensordot_change(t.values, a[j]))
+        assert np.array_equal(stacked[j], single)
+    for convention in ("full", "adjoint"):
+        moved = transform_frame(t, u, convention)
+        assert isinstance(moved, tuple) and len(moved) == 5
+        for j in range(5):
+            single = transform_frame(t, u[j], convention)
+            assert np.array_equal(moved[j].values, single.values)
+            assert moved[j].sym_residual == single.sym_residual
+    adjoint = transform_frame(t, u[0], "adjoint").values
+    assert np.array_equal(adjoint, np.einsum("ka,lb,ijab->ijkl", u[0], np.conj(u[0]),
+                                             t.values))
+
+
+def test_stacked_frame_change_checks_unitarity_once_per_stack():
+    t = random_tensor(2, 3)
+    u = haar_from_rng(3, rng_from(4), 4)
+    u[2] *= 1.01
+    with pytest.raises(UsageError, match="not unitary"):
+        transform_frame(t, u, "full")
+    for bad in (np.zeros((0, 3, 3)), np.eye(2)[None], np.zeros((2, 2, 3, 3))):
+        with pytest.raises(UsageError, match="unitary has shape"):
+            transform_frame(t, bad, "full")
+
+
+# ---------------------------------------------------------------------------
+# validation at the library boundary
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 1.5), ("seed", True), ("refine_steps", -3),
+    ("refine_steps", 2.0), ("restarts", 2.5), ("restarts", 0), ("restarts", False),
+    ("restarts", "3")])
+def test_search_config_rejects_bad_fields(field, value):
+    with pytest.raises(UsageError, match=field):
+        SearchConfig(**{field: value})
+
+
+def test_search_config_accepts_numpy_integers():
+    cfg = SearchConfig(restarts=np.int64(2), refine_steps=np.int32(0), seed=np.uint8(3))
+    assert cfg.restarts == 2
+
+
+def test_unknown_identifiers_are_usage_errors_listing_the_choices():
+    t = random_tensor(1, 2)
+    with pytest.raises(UsageError, match=r"unknown functional 'foo'.*altered_qobc"):
+        extremize(t, "foo")
+    with pytest.raises(UsageError, match=r"unknown frame convention 'sideways'.*adjoint"):
+        extremize(t, "rbc", convention="sideways")
+    with pytest.raises(UsageError, match="unknown frame convention"):
+        transform_frame(t, np.eye(2), "sideways")
+    with pytest.raises(UsageError, match="unknown functional"):
+        invariance_test(t, "bogus", "full")
+    assert FunctionalKind("qobc") is FunctionalKind.QOBC
+
+
+@pytest.mark.parametrize("samples", [10.5, "20", True, 9])
+def test_invariance_test_rejects_bad_sample_counts(samples):
+    with pytest.raises(UsageError, match="samples"):
+        invariance_test(paper_hopf([1.0, 0.0]), "rbc", "adjoint", samples=samples)
+
+
+def test_tied_restarts_go_to_the_earliest():
+    # on the zero tensor every frame ties at 0, so restart 0, which never
+    # leaves the identity, wins both sides
+    from curvlab.curvature import ChernTensor, FRAME
+    t = ChernTensor(values=np.zeros((2, 2, 2, 2), dtype=complex), basis=FRAME)
+    for cone in (full_cone(2), nonneg_orthant(2)):
+        for ext in extremize(t, "altered_hsc", cone=cone, convention="adjoint",
+                             cfg=SearchConfig(restarts=3, refine_steps=2, seed=1)):
+            assert ext.value == 0.0
+            assert np.array_equal(ext.frame, unitary_from_params(2, np.zeros(param_count(2))))
+
+
+def test_one_pass_reevaluation_checks_every_extremum(monkeypatch):
+    # drift on the last kind alone is caught, and named by its own values
+    t = random_tensor(6, 2)
+    cfg = SearchConfig(restarts=1, refine_steps=1, seed=0)
+    monkeypatch.setattr(search_mod, "evaluate", lambda kind, m, v: evaluate(kind, m, v)
+                        + (1e-6 if kind is FunctionalKind.ALTERED_QOBC else 0.0))
+    for convention in ("full", "adjoint"):
+        with pytest.raises(NumericalError, match="failed to re-evaluate"):
+            search_mod._extremize_kinds(t, QUAD_KINDS, None, convention, cfg)
+        search_mod._extremize_kinds(t, QUAD_KINDS[:-1], None, convention, cfg)
