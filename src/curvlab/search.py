@@ -29,16 +29,15 @@ descent.  All live lanes of a call advance in lockstep: per step, their
 candidates go through one ``unitary_from_params`` and one ``frame_matrices``
 call, one ``quadratic_form_matrix`` call per kind, and one stacked eigensolve
 (full cone) or one stacked ``cone_min`` call (restricted cone); each lane
-then takes the first hit in its own rows.  Every step of this is computed
-per row, so a lane's iterates do not depend on the lanes beside it; the one
-exception, numpy's adjoint frame change, which rounds by stack layout, is
-met by grouping the rows by the layout each lane alone would have used
-(``_frame_stacks``).  One evaluation
-holds at most ``_ROWS`` candidates; lanes are grouped in order and never
-split, so memory stays bounded however many restarts run.  The
-reported extrema of a call, exact or searched, are re-evaluated in one pass:
-one stacked ``transform_frame`` of the tensor and one ``evaluate`` call per
-kind.
+then takes the first hit in its own rows.  Every step is computed per row,
+so a lane's iterates do not depend on the lanes beside it.  The one
+exception is numpy's adjoint frame change, which rounds by stack layout;
+there the rows are grouped by the layout each lane alone would have used
+(``_frame_stacks``).  One evaluation holds at most ``_ROWS`` candidates;
+lanes are grouped in order and never split, so memory stays bounded however
+many restarts run.  The reported extrema of a call, exact or searched, are
+re-evaluated in one pass: one stacked ``transform_frame`` of the tensor and
+one ``evaluate`` call per kind.
 
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
 handled separately and exactly: that family is the object whose pinching
@@ -149,7 +148,7 @@ def _candidates(asks, sizes):
     lane = np.repeat(np.arange(len(asks)), sizes)
     rows = np.stack([ask.params for ask in asks])[lane]
     offsets = np.cumsum(sizes) - sizes
-    moves = np.arange(len(lane)) + np.array([ask.start for ask in asks] - offsets)[lane]
+    moves = np.arange(len(lane)) + (np.array([ask.start for ask in asks]) - offsets)[lane]
     swept = np.array([ask.step is not None for ask in asks])[lane]
     steps = np.array([0.0 if ask.step is None else ask.step for ask in asks])[lane]
     rows[swept, moves[swept] // 2] += steps[swept] * (1.0 - 2.0 * (moves[swept] % 2))
@@ -257,7 +256,7 @@ def _scan(tensor, cone, convention, lanes):
         forms[row_kind == i] = quadratic_form_matrix(kind, m.take(row_kind == i))
     values, vectors = _objectives(forms, cone, np.repeat([sign for _, sign, _ in lanes], sizes))
     hits = _first_improvements(values, vectors, [ask.bound for ask in asks], sizes, cone)
-    return [hit and (hit[0], params[offset + hit[0]].copy()) + hit[1:]
+    return [None if hit is None else (hit[0], params[offset + hit[0]].copy(), *hit[1:])
             for hit, offset in zip(hits, np.cumsum(sizes) - sizes)]
 
 
