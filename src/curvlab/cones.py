@@ -435,22 +435,25 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
     return _perron_pass(m, rng_from(seed), samples, tol)[0]
 
 
-def _perron_pass(m, rng, samples, tol):
+def _perron_pass(m, rng, samples, tol, tail=None):
     """The report of ``perron_criterion_check`` on the next samples rows of
-    rng, and the (samples,) trace pairings of those rows with the symmetric
-    part of m.  m is a validated finite square matrix."""
+    rng, followed by the rows of tail (a last block) if given, and the trace
+    pairings of all those rows with the symmetric part of m.  m is a
+    validated finite square matrix."""
     n = m.shape[0]
     s = 0.5 * (m + m.T)
     lam = np.linalg.eigvalsh(s)[::-1]
     # r ascends; its n - 1 - k leading weights (zero eigenvalues) are 0
     k = min(n - 1, 2)
-    trace, crit = np.empty(samples), np.empty(samples)
-    crit_ok = np.empty(samples, dtype=bool)
+    starts = list(range(0, samples, _BLOCK)) + ([] if tail is None else [samples])
+    total = samples + (0 if tail is None else len(tail))
+    trace, crit = np.empty(total), np.empty(total)
+    crit_ok = np.empty(total, dtype=bool)
     eig_bound_ok = True
     block_argmins = []  # per block, its row of least trace pairing
-    for lo in range(0, samples, _BLOCK):
-        hi = min(lo + _BLOCK, samples)
-        vs = rng.standard_normal((hi - lo, n))
+    for lo in starts:
+        vs = tail if lo == samples else rng.standard_normal((min(_BLOCK, samples - lo), n))
+        hi = lo + len(vs)
         w = _centred(vs)
         delta, q = _edm_rank3_of_centred(w, s)
         # a constant generator (Gaussian samples never draw one) has delta = 0
@@ -476,7 +479,8 @@ def _perron_pass(m, rng, samples, tol):
     counterexample = None
     if not verdict_trace:
         # the first argmin of the stream is the first argmin of its block
-        counterexample = [float(x) for x in block_argmins[int(np.argmin(trace)) // _BLOCK]]
+        block = int(np.searchsorted(starts, np.argmin(trace), side="right")) - 1
+        counterexample = [float(x) for x in block_argmins[block]]
     details = {
         "verdict_criterion": verdict_criterion,
         "verdict_trace": verdict_trace,
@@ -485,7 +489,7 @@ def _perron_pass(m, rng, samples, tol):
         "agrees_with_dual": verdict_criterion == verdict_dual,
         "min_trace_pairing": float(trace.min()),
         "counterexample": counterexample,
-        "samples": samples,
+        "samples": total,
     }
     passed = bool(np.all(both)) and verdict_criterion == verdict_trace
     report = IdentityReport(name="perron_weight_criterion", passed=passed,

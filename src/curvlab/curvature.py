@@ -106,18 +106,40 @@ def curvature_from_jet(jet):
     return _build(-jet.ddg + correction, COORDINATE, metric=g)
 
 
-def _change_all_indices(r, a):
-    """sum_{pqst} a[i,p] conj(a[j,q]) a[k,s] conj(a[l,t]) r[p,q,s,t] for a
-    matrix a, or for each matrix of a (k, n, n) stack (then of shape
-    (k, n, n, n, n)), as four one-index contractions (O(n^5) each).  Each
-    moves the contracted axis to the end and multiplies the (n^3, n) matrix
-    by the factor's transpose, so after four the axes are back in order; for
-    one matrix that is the product numpy's tensordot makes, bit for bit."""
-    n = a.shape[-1]
-    for factor in (a, np.conj(a), a, np.conj(a)):
-        flat = np.moveaxis(r, -4, -1).reshape(r.shape[:-4] + (n ** 3, n))
-        r = (flat @ np.swapaxes(factor, -1, -2)).reshape(a.shape[:-2] + (n,) * 4)
+def _change_indices(r, factors):
+    """sum_{pqst} f0[i,p] f1[j,q] f2[k,s] f3[l,t] r[p,q,s,t] for factors
+    (f0, f1, f2, f3), each a matrix, a (k, n, n) stack (the result is then
+    (k, n, n, n, n)) or None (its index stays), in four one-index steps: each
+    moves the next index to the end and multiplies the (n^3, n) matrix by the
+    factor's transpose, O(n^5).  For one matrix that is numpy's tensordot bit
+    for bit; every row of a stack of any layout equals its single call."""
+    n = r.shape[-1]
+    for factor in factors:
+        r = r.transpose(*range(r.ndim - 4), -3, -2, -1, -4)
+        if factor is not None:
+            r = r.reshape(r.shape[:-4] + (n ** 3, n)) @ np.swapaxes(factor, -1, -2)
+            r = r.reshape(r.shape[:-2] + (n,) * 4)
     return r
+
+
+def _checked_frame_change(tensor, u, op, ranks=None):
+    """u as a complex (n, n) unitary or stack of them (of a rank in ranks, if
+    given) for the frame tensor.  A wrong shape, an empty stack, a non-numeric
+    or non-finite entry, or a matrix farther than
+    ``Tolerances.frame_change_unitary`` from unitary is a UsageError."""
+    tensor.require_frame(op)
+    n = tensor.n
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError):
+        raise UsageError("frame-change matrix must be numeric") from None
+    if (ranks is not None and u.ndim not in ranks) or u.shape[-2:] != (n, n) or u.size == 0:
+        raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {n}")
+    if not np.isfinite(u).all():
+        raise UsageError("frame-change matrix contains NaN or Inf entries")
+    if unitary_residual(u) > DEFAULT.frame_change_unitary:
+        raise UsageError("frame-change matrix is not unitary")
+    return u
 
 
 def to_frame(tensor, g=None):
@@ -127,31 +149,23 @@ def to_frame(tensor, g=None):
     g = tensor.metric if g is None else np.asarray(g, dtype=complex)
     if g is None:
         raise UsageError("coordinate tensor carries no metric; pass g explicitly")
-    e = cholesky_frame(g)
-    return _build(_change_all_indices(tensor.values, e.T), FRAME)
+    e = cholesky_frame(g).T
+    return _build(_change_indices(tensor.values, (e, np.conj(e), e, np.conj(e))), FRAME)
 
 
 def transform_frame(tensor, u, convention):
-    """Apply a unitary frame change under the named convention.
+    """Apply a unitary frame change under the named convention: all four
+    indices change under the full one, the last two under the adjoint one.
 
     u may also be a (k, n, n) stack of unitaries: the result is then a tuple
-    of k frame tensors from one stacked frame change, with the unitarity of
-    the whole stack checked once and each tensor checked as a single call
-    checks it.
+    of k frame tensors from one stacked frame change, with the whole stack
+    checked once, and each tensor equal bit for bit to its single call,
+    whatever the stack's size or layout.
     """
-    tensor.require_frame("transform_frame")
-    u = np.asarray(u, dtype=complex)
-    if u.ndim not in (2, 3) or u.shape[-2:] != (tensor.n, tensor.n) or u.size == 0:
-        raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {tensor.n}")
-    if unitary_residual(u) > DEFAULT.frame_change_unitary:
-        raise UsageError("frame-change matrix is not unitary")
-    conv = FrameConvention(convention)
-    r = tensor.values
-    if conv is FrameConvention.FULL:
-        vals = _change_all_indices(r, u)
-    else:
-        vals = np.einsum("...ka,...lb,ijab->...ijkl", u, np.conj(u), r)
-    return _build(vals, FRAME)
+    u = _checked_frame_change(tensor, u, "transform_frame", ranks=(2, 3))
+    uc = np.conj(u)
+    first = (u, uc) if FrameConvention(convention) is FrameConvention.FULL else (None, None)
+    return _build(_change_indices(tensor.values, first + (u, uc)), FRAME)
 
 
 def ricci(tensor, kind):

@@ -40,8 +40,8 @@ import numpy as np
 from .config import DEFAULT, MAX_DIM
 from .errors import UsageError
 from .linalg import (ensure_finite, haar_from_rng, random_hermitian, rng_from,
-                     self_adjoint_eigen, unitary_residual)
-from .curvature import FrameConvention, RicciKind, ricci, scalars
+                     self_adjoint_eigen)
+from .curvature import FrameConvention, RicciKind, _checked_frame_change, ricci, scalars
 from .reports import IdentityReport
 
 
@@ -111,17 +111,14 @@ def frame_matrices(tensor, u, convention):
 
         rbc' = P R_(pq)(st) P^T,    altered' = P R_(pt)(qs) conj(P)^T;
 
-    under the adjoint convention both are contracted straight from R.  The
-    unitarity of the whole stack (``Tolerances.frame_change_unitary``) and
-    the finiteness of the result are checked once per call.
+    under the adjoint convention both are einsums straight from R, on the
+    stack made C-contiguous first (numpy's einsum rounds a strided stack's
+    rows differently).  Every row of a stack of any size or layout equals
+    its single call bit for bit.  The stack and the finiteness of the result
+    are checked once per call.
     """
-    tensor.require_frame("frame_matrices")
+    u = np.ascontiguousarray(_checked_frame_change(tensor, u, "frame_matrices"))
     n = tensor.n
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-2:] != (n, n):
-        raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {n}")
-    if unitary_residual(u) > DEFAULT.frame_change_unitary:
-        raise UsageError("frame-change matrix is not unitary")
     r = tensor.values
     uc = np.conj(u)
     if FrameConvention(convention) is FrameConvention.FULL:

@@ -30,14 +30,11 @@ candidates go through one ``unitary_from_params`` and one ``frame_matrices``
 call, one ``quadratic_form_matrix`` call per kind, and one stacked eigensolve
 (full cone) or one stacked ``cone_min`` call (restricted cone); each lane
 then takes the first hit in its own rows.  Every step is computed per row,
-so a lane's iterates do not depend on the lanes beside it.  The one
-exception is numpy's adjoint frame change, which rounds by stack layout;
-there the rows are grouped by the layout each lane alone would have used
-(``_frame_stacks``).  One evaluation holds at most ``_ROWS`` candidates;
-lanes are grouped in order and never split, so memory stays bounded however
-many restarts run.  The reported extrema of a call, exact or searched, are
-re-evaluated in one pass: one stacked ``transform_frame`` of the tensor and
-one ``evaluate`` call per kind.
+so a lane's iterates do not depend on the lanes beside it.  One evaluation
+holds at most ``_ROWS`` candidates; lanes are grouped in order and never
+split, so memory stays bounded however many restarts run.  The reported
+extrema of a call, exact or searched, are re-evaluated in one pass: one
+stacked ``transform_frame`` of the tensor and one ``evaluate`` call per kind.
 
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
 handled separately and exactly: that family is the object whose pinching
@@ -215,40 +212,17 @@ def _first_improvements(values, vectors, bounds, sizes, cone):
     return hits
 
 
-def _frame_stacks(sizes, convention):
-    """The frame_matrices calls for a group of asks of the given sizes, as
-    (row indices, contiguous): one call for all rows, except under the
-    adjoint convention.  There numpy's einsum (seen at n = 2) rounds a
-    contiguous stack, a strided stack of two frames and a larger strided
-    stack three different ways, and ``unitary_from_params`` lays out one
-    frame contiguously and more strided.  So, as when each lane was scored
-    alone, the one-candidate asks share a contiguous stack, each
-    two-candidate ask gets a call of its own and the rest share one."""
-    ends = np.cumsum(sizes)
-    if convention is not FrameConvention.ADJOINT:
-        return [(np.arange(ends[-1]), False)]
-    stacks = [(np.flatnonzero(np.repeat(sizes > 2, sizes)), False),
-              (np.flatnonzero(np.repeat(sizes == 1, sizes)), True)]
-    stacks += [(np.arange(end - 2, end), False) for end in ends[sizes == 2]]
-    return [(rows, contiguous) for rows, contiguous in stacks if rows.size]
-
-
 def _scan(tensor, cone, convention, lanes):
     """One stacked evaluation of a group of lanes, each (kind, sign, ask):
-    one ``unitary_from_params`` and one ``frame_matrices`` call per stack of
-    ``_frame_stacks`` (one stack for all candidates but under the adjoint
-    convention), one ``quadratic_form_matrix`` call per kind and one
+    one ``unitary_from_params`` and one ``frame_matrices`` call for all their
+    candidates, one ``quadratic_form_matrix`` call per kind and one
     ``_objectives`` call; then each lane's first improvement within its own
     rows, with the candidate's params."""
     asks = [ask for _, _, ask in lanes]
     sizes = np.array([ask.size for ask in asks])
     params = _candidates(asks, sizes)
-    slices = np.empty((2, len(params), tensor.n, tensor.n), dtype=complex)
-    for rows, contiguous in _frame_stacks(sizes, convention):
-        u = unitary_from_params(tensor.n, params[rows])
-        slices[:, rows] = frame_matrices(
-            tensor, np.ascontiguousarray(u) if contiguous else u, convention)
-    m = CurvatureMatrices.from_slices(*slices)
+    m = CurvatureMatrices.from_slices(
+        *frame_matrices(tensor, unitary_from_params(tensor.n, params), convention))
     kinds = list(dict.fromkeys(kind for kind, _, _ in lanes))
     row_kind = np.repeat([kinds.index(kind) for kind, _, _ in lanes], sizes)
     forms = np.empty(m.rbc.shape)
@@ -299,9 +273,7 @@ def _search(tensor, kinds, cone, convention, cfg):
     for at in range(len(keys)):
         runs = outcomes[at * cfg.restarts:(at + 1) * cfg.restarts]
         best.append(runs[min(range(cfg.restarts), key=lambda r: (runs[r][0], r))])
-    # contiguous, as a single call lays out each frame
-    frames = np.ascontiguousarray(
-        unitary_from_params(tensor.n, np.stack([params for _, params, _ in best])))
+    frames = unitary_from_params(tensor.n, np.stack([params for _, params, _ in best]))
     return [FrameExtremum(value=value if sign < 0 else -value, frame=frame, vector=vector,
                           convention=convention.value)
             for (_, sign), (value, _, vector), frame in zip(keys, best, frames)]

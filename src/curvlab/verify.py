@@ -23,7 +23,8 @@ from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_c
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureMatrices,
                           FunctionalKind, _moment_cubature, _rule_moments,
                           constant_identity_check, evaluate, frame_matrices, hsc,
-                          matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds)
+                          matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds,
+                          weitzenbock)
 from .cones import (_perron_pass, copositive_2x2, cone_min, difference_form_pairings,
                     dual_edm_test, edm_from_vector, nonneg_orthant, perron_weights)
 from .search import _invariance_tests, tricerri_family_extrema
@@ -255,7 +256,7 @@ def suite_fubini_study(seed=0):
 
 
 def cone_oracle_disagreements(n, count, seed, thm_samples=2000, direct_samples=10_000,
-                              tol=1e-8):
+                              tol=1e-8, witness=False):
     """Number of matrices where the PSD oracle, the Perron-weight criterion,
     and direct distance-matrix sampling disagree about nonnegativity of the
     difference form.
@@ -264,15 +265,25 @@ def cone_oracle_disagreements(n, count, seed, thm_samples=2000, direct_samples=1
     drawn and paired with the symmetric part of m once: the Perron pass reads
     its first thm_samples rows, and the direct oracle its first
     direct_samples trace pairings, those of the pass and, past them, of rows
-    drawn next from the same stream (``difference_form_pairings``)."""
+    drawn next from the same stream (``difference_form_pairings``).
+
+    With witness, when the Weitzenboeck matrix W has lambda_min(W) < -tol,
+    its bottom eigenvector follows the random prefix of both sampled streams:
+    W 1 = 0, so it is a generator pairing to lambda_min(W), and both sampled
+    readings must flag a negative cone too thin for random generators."""
     if thm_samples < 100:
         raise UsageError("the Perron oracle needs at least 100 samples")
     bad = 0
     for k in range(count):
         m = rng_from(seed, n, k).standard_normal((n, n))
         rng = rng_from((seed + 1) * 1_000_003 + 101 * n + k)
-        rep, traces = _perron_pass(m, rng, thm_samples, tol)
-        verdict_direct = bool(traces[:direct_samples].min() >= -tol)
+        tail = None
+        if witness:
+            lam, vecs = np.linalg.eigh(weitzenbock(m))
+            tail = vecs[:, :1].T if lam[0] < -tol else None
+        rep, traces = _perron_pass(m, rng, thm_samples, tol, tail)
+        verdict_direct = bool(traces[:direct_samples].min() >= -tol
+                              and traces[thm_samples:].min(initial=np.inf) >= -tol)
         if direct_samples > thm_samples:
             rest = rng.standard_normal((direct_samples - thm_samples, n))
             verdict_direct &= bool(difference_form_pairings(rest, 0.5 * (m + m.T)).min() >= -tol)
@@ -287,7 +298,7 @@ def suite_cones(seed=0, per_size=120, thm_samples=1500, direct_samples=4000):
     for n in (3, 4, 5):
         bad = cone_oracle_disagreements(n, per_size, seed + n,
                                         thm_samples=thm_samples,
-                                        direct_samples=direct_samples)
+                                        direct_samples=direct_samples, witness=True)
         rep.add(f"oracle_disagreements[n={n}]", 0, bad, 0.0)
 
     ms = rng_from(seed + 10).standard_normal((1000, 2, 2)) * 2.0

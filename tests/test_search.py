@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -511,7 +513,6 @@ def test_lanes_advance_in_lockstep(monkeypatch):
             hit for lane in lanes for hit in real_scan(tensor, cone, conv, [lane])])
         extremize(t, "qobc", cone=nonneg_orthant(2), convention=convention, cfg=cfg)
         monkeypatch.setattr(search_mod, "_scan", real_scan)
-        # (under the adjoint convention a two-candidate ask has its own call)
         assert calls and lockstep < len(calls) / 3
     monkeypatch.setattr(search_mod, "_ROWS", 20)
     calls.clear()
@@ -519,16 +520,30 @@ def test_lanes_advance_in_lockstep(monkeypatch):
     assert max(calls) <= 20
 
 
-def test_adjoint_frame_stacks_keep_each_lanes_layout():
-    sizes = np.array([3, 1, 8, 2, 1, 5])
-    full = search_mod._frame_stacks(sizes, FrameConvention.FULL)
-    assert [(rows.tolist(), c) for rows, c in full] == [(list(range(20)), False)]
-    adjoint = search_mod._frame_stacks(sizes, FrameConvention.ADJOINT)
-    assert [(rows.tolist(), c) for rows, c in adjoint] == [
-        ([0, 1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 17, 18, 19], False),
-        ([3, 14], True), ([12, 13], False)]
-    only = search_mod._frame_stacks(np.array([1, 1]), FrameConvention.ADJOINT)
-    assert [(rows.tolist(), c) for rows, c in only] == [([0, 1], True)]
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_frame_change_rows_equal_single_calls_in_any_stack_layout(n):
+    # unitary_from_params lays out a stack of frames strided; every row of a
+    # stack, strided or contiguous, of 1, 2 or 300 frames, equals the single
+    # call on its own frame bit for bit, under both conventions (numpy's
+    # adjoint einsum alone rounds a strided n = 2 stack differently)
+    t = random_tensor(40 + n, n)
+    frames = unitary_from_params(n, rng_from(41 + n).uniform(-np.pi, np.pi,
+                                                             (300, param_count(n))))
+    assert not frames.flags.c_contiguous
+    rows = np.arange(300)
+    stacks = [(frames, rows), (np.ascontiguousarray(frames), rows), (frames[::2], rows[::2]),
+              (frames[:1], rows[:1]), (frames[:2], rows[:2]),
+              (np.ascontiguousarray(frames[:2]), rows[:2])]
+    for convention in ("full", "adjoint"):
+        single = [frame_matrices(t, u, convention) for u in frames]
+        single_moved = [transform_frame(t, u, convention).values for u in frames]
+        for stack, at in stacks:
+            rbc, alt = frame_matrices(t, stack, convention)
+            moved = transform_frame(t, stack, convention)
+            for j, row in enumerate(at):
+                assert np.array_equal(rbc[j], single[row][0]), (convention, len(at), row)
+                assert np.array_equal(alt[j], single[row][1]), (convention, len(at), row)
+                assert np.array_equal(moved[j].values, single_moved[row]), (convention, row)
 
 
 def test_groups_never_split_a_lane(monkeypatch):
@@ -577,14 +592,14 @@ def tensordot_change(r, a):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
 def test_stacked_frame_change_rows_equal_single_calls(n):
-    from curvlab.curvature import _change_all_indices
+    from curvlab.curvature import _change_indices
     t = random_tensor(20 + n, n)
     rng = rng_from(21 + n)
     u = haar_from_rng(n, rng, 5)
     a = rng.standard_normal((5, n, n)) + 1j * rng.standard_normal((5, n, n))
-    stacked = _change_all_indices(t.values, a)
+    stacked = _change_indices(t.values, (a, np.conj(a), a, np.conj(a)))
     for j in range(5):
-        single = _change_all_indices(t.values, a[j])
+        single = _change_indices(t.values, (a[j], np.conj(a[j]), a[j], np.conj(a[j])))
         assert np.array_equal(single, tensordot_change(t.values, a[j]))
         assert np.array_equal(stacked[j], single)
     for convention in ("full", "adjoint"):
@@ -594,9 +609,10 @@ def test_stacked_frame_change_rows_equal_single_calls(n):
             single = transform_frame(t, u[j], convention)
             assert np.array_equal(moved[j].values, single.values)
             assert moved[j].sym_residual == single.sym_residual
+    # the adjoint change agrees with its one-einsum form to rounding
     adjoint = transform_frame(t, u[0], "adjoint").values
-    assert np.array_equal(adjoint, np.einsum("ka,lb,ijab->ijkl", u[0], np.conj(u[0]),
-                                             t.values))
+    einsum = np.einsum("ka,lb,ijab->ijkl", u[0], np.conj(u[0]), t.values)
+    assert np.abs(adjoint - einsum).max() <= 1e-14 * max(1.0, np.abs(t.values).max())
 
 
 def test_stacked_frame_change_checks_unitarity_once_per_stack():
@@ -608,6 +624,32 @@ def test_stacked_frame_change_checks_unitarity_once_per_stack():
     for bad in (np.zeros((0, 3, 3)), np.eye(2)[None], np.zeros((2, 2, 3, 3))):
         with pytest.raises(UsageError, match="unitary has shape"):
             transform_frame(t, bad, "full")
+
+
+@pytest.mark.parametrize("change", [transform_frame, frame_matrices])
+@pytest.mark.parametrize("convention", ["full", "adjoint"])
+def test_frame_changes_share_one_boundary_check(change, convention):
+    # both frame changes reject an empty stack, a non-finite and a
+    # non-numeric frame change as usage errors that name it
+    t = random_tensor(2, 2)
+    with pytest.raises(UsageError, match="unitary has shape"):
+        change(t, np.zeros((0, 2, 2)), convention)
+    for bad in (np.nan, np.inf):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # rejected before any arithmetic on it
+            with pytest.raises(UsageError, match="frame-change matrix contains NaN or Inf"):
+                change(t, u, convention)
+    with pytest.raises(UsageError, match="frame-change matrix must be numeric"):
+        change(t, [["a", "b"], ["c", "d"]], convention)
+    # the accepted ranks stay each function's own
+    stack = np.broadcast_to(np.eye(2), (2, 3, 2, 2))
+    if change is transform_frame:
+        with pytest.raises(UsageError, match="unitary has shape"):
+            change(t, stack, convention)
+    else:
+        assert change(t, stack, convention)[0].shape == (2, 3, 2, 2)
 
 
 # ---------------------------------------------------------------------------
