@@ -76,6 +76,7 @@ def generator_cone(generators):
     gens = np.asarray(generators, dtype=float)
     if gens.ndim != 2:
         raise UsageError("generators must be a list of n-vectors")
+    ensure_finite(gens, "cone generators")
     if np.any(np.linalg.norm(gens, axis=1) == 0.0):
         raise UsageError("cone generators must be nonzero")
     return Cone(kind="generators", n=gens.shape[1], generators=gens)
@@ -212,11 +213,10 @@ def cone_min(m, cone):
                          f"got shape {m.shape}")
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
-    m_sym = 0.5 * (stack + stack.transpose(0, 2, 1))
     if cone.n != n:
         raise UsageError(f"cone dimension {cone.n} does not match matrix dimension {n}")
     if cone.kind == "full":
-        dec = self_adjoint_eigen(m_sym)
+        dec = self_adjoint_eigen(stack)  # eigen of the symmetric part
         values = dec.values[:, 0]
         v = np.ascontiguousarray(dec.vectors[:, :, 0].real)
     else:
@@ -226,6 +226,7 @@ def cone_min(m, cone):
         if max(n, g.shape[0]) > MAX_DIM:
             raise UsageError(f"restricted cones support n <= {MAX_DIM} "
                              f"and at most {MAX_DIM} generators")
+        m_sym = 0.5 * (stack + stack.transpose(0, 2, 1))
         v = _face_minimum(m_sym, g, _faces(g))
     vv = _dot(v, v)
     if cone.kind != "full":

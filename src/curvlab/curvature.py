@@ -254,14 +254,20 @@ def paper_tricerri(b, d, im_w):
     """Two-parameter Tricerri frame family: the only nonzero entries are
     R[2,2,1,1] = |b|^2 R0 and R[2,2,2,2] = |d|^2 R0 with
     R0 = -3 / (2 Im(w)^4).  Unitarity bounds each row entry: |b| <= 1 and
-    |d| <= 1."""
+    |d| <= 1.  An Im(w) that is not positive and finite, or whose R0 is not
+    finite, is a DomainError."""
     bb, dd = abs(complex(b)) ** 2, abs(complex(d)) ** 2
     bound = 1.0 + DEFAULT.tricerri_row_bound
     if bb > bound or dd > bound:
         raise UsageError("|b| and |d| must each be <= 1 (unitarity row bound)")
-    if im_w <= 0:
-        raise DomainError("Im(w) must be positive")
-    r0 = -1.5 / float(im_w) ** 4
+    im_w = float(im_w)
+    try:
+        r0 = -1.5 / im_w ** 4
+    except (OverflowError, ZeroDivisionError):   # Im(w)^4 over- or underflows
+        r0 = math.nan
+    if not (0.0 < im_w < math.inf and math.isfinite(r0)):
+        raise DomainError(f"Im(w) must be positive, with Im(w)^4 and -3/(2 Im(w)^4) "
+                          f"finite, got {im_w!r}")
     vals = np.zeros((2, 2, 2, 2), dtype=complex)
     vals[1, 1, 0, 0] = bb * r0
     vals[1, 1, 1, 1] = dd * r0

@@ -133,16 +133,27 @@ def frame_matrices(tensor, u, convention):
             ensure_finite(alt, "frame-changed altered matrix"))
 
 
-def _nonzero_rows(v, name="vector"):
-    """v as vectors along its last axis, each checked to have a nonzero entry."""
+def _direction_rows(v, name="vector"):
+    """The float or complex array v as vectors along its last axis, each
+    checked to be finite and nonzero, and each multiplied by the power of two
+    that brings its largest real or imaginary part into [0.5, 1).  That
+    scaling is exact, so a quotient of degree 0 in a row keeps its bits
+    wherever |v|^2 is in range, and stays finite where |v|^2 would under- or
+    overflow."""
     v = np.asarray(v)
-    if v.ndim == 0 or not np.all(np.any(np.abs(v) > 0, axis=-1)):
+    if v.ndim == 0:
+        raise UsageError(f"{name} must be a nonzero vector")
+    if not np.isfinite(v).all():
+        raise UsageError(f"{name} must have finite entries (every row of a stack)")
+    parts = np.ascontiguousarray(v).view(float)   # a complex row as (re, im) pairs
+    top = np.abs(parts).max(axis=-1, keepdims=True, initial=0.0)
+    if not top.all():
         raise UsageError(f"{name} must be a nonzero vector (every row of a stack)")
-    return v
+    return np.ldexp(parts, -np.frexp(top)[1]).view(v.dtype)
 
 
-def _nonzero_vector(v, name="vector"):
-    v = _nonzero_rows(v, name)
+def _direction_vector(v, name="vector"):
+    v = _direction_rows(v, name)
     if v.ndim != 1:
         raise UsageError(f"{name} must be a nonzero vector")
     return v
@@ -172,7 +183,7 @@ def hsc(tensor, w):
     R(w, wbar, w, wbar) is the bilinear form a R_(ij)(kl) a^T.
     """
     tensor.require_frame("hsc")
-    w = _nonzero_rows(np.asarray(w, dtype=complex))
+    w = _direction_rows(np.asarray(w, dtype=complex))
     n = tensor.n
     if w.shape[-1] != n:
         raise UsageError(f"vector has dimension {w.shape[-1]}, tensor has {n}")
@@ -191,8 +202,8 @@ def bisectional(tensor, x, y, altered=True):
     (resp. unitary) pairs restricts to the orthogonal flavors.
     """
     tensor.require_frame("bisectional")
-    x = _nonzero_vector(np.asarray(x, dtype=complex), "X")
-    y = _nonzero_vector(np.asarray(y, dtype=complex), "Y")
+    x = _direction_vector(np.asarray(x, dtype=complex), "X")
+    y = _direction_vector(np.asarray(y, dtype=complex), "Y")
     r = tensor.values
     first = np.einsum("ijkl,i,j,k,l->", r, x, np.conj(x), y, np.conj(y))
     value = first + np.einsum("ijkl,i,j,k,l->", r, y, np.conj(y), x, np.conj(x)) if altered else first
@@ -224,12 +235,13 @@ def evaluate(kind, matrices, v):
     of shape (..., n, n); their leading axes broadcast against each other
     and the result is an array of the broadcast shape.  A single vector on
     single matrices gives a float.  Each value is computed as for a single
-    vector, with the same rounding.
+    vector, with the same rounding, and depends only on the direction of
+    the vector: 2**-600 * v and v give equal values.
     """
     kind = FunctionalKind(kind)
     if kind is FunctionalKind.HSC:
         raise UsageError("hsc takes complex vectors; use hsc(tensor, w)")
-    v = _nonzero_rows(np.asarray(v, dtype=float))
+    v = _direction_rows(np.asarray(v, dtype=float))
     if v.shape[-1] != matrices.n:
         raise UsageError(f"vector has dimension {v.shape[-1]}, matrices have {matrices.n}")
     _require_broadcast(matrices.rbc.shape[:-2], v.shape[:-1])

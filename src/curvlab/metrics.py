@@ -27,7 +27,7 @@ point at a time.
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,26 +70,11 @@ class MetricField:
     evaluate: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], bool]
     jet: Optional[Callable[[np.ndarray], MetricJet]] = None
-    params: dict = field(default_factory=dict)
 
 
 def _check_step(h):
     if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
         raise UsageError(f"finite-difference step must be positive and finite, got {h!r}")
-
-
-@dataclass(frozen=True)
-class FDConfig:
-    """Finite-difference settings: base step, point scaling, stencil order."""
-
-    h: float = 1e-4
-    scale_with_point: bool = True
-    order: int = 2
-
-    def __post_init__(self):
-        if self.order not in (2, 4):
-            raise UsageError(f"unsupported finite-difference order {self.order}")
-        _check_step(self.h)
 
 
 def as_point(p, n=None):
@@ -246,17 +231,16 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
                      ddg=(4.0 * half.ddg - full.ddg) / 3.0)
 
 
-def jet_at(metric, p, fd=FDConfig()):
+def jet_at(metric, p):
     """Jet of a metric field: closed form when the catalog provides one,
-    otherwise finite differences with the given configuration."""
+    otherwise ``finite_difference_jet`` at its default order and point
+    scaling with base step 1e-4."""
     p = as_point(p, metric.n)
     if not metric.domain(p):
         raise DomainError(f"point {p.tolist()} is outside the domain of metric '{metric.name}'")
     if metric.jet is not None:
         return metric.jet(p)
-    return finite_difference_jet(metric.evaluate, p, fd.h, order=fd.order,
-                                 scale_with_point=fd.scale_with_point,
-                                 domain=metric.domain)
+    return finite_difference_jet(metric.evaluate, p, 1e-4, domain=metric.domain)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +282,7 @@ def euclidean(n):
         return MetricJet(g=eye.copy(), dg=zeros1.copy(), ddg=zeros2.copy())
 
     return MetricField(name="euclidean", n=n, evaluate=_stacked(lambda p: eye.copy()),
-                       domain=_everywhere, jet=jet, params={"dim": n})
+                       domain=_everywhere, jet=jet)
 
 
 def conformal(n, coeffs=None):
@@ -322,8 +306,7 @@ def conformal(n, coeffs=None):
         return MetricJet(g=w * eye, dg=dg, ddg=ddg)
 
     return MetricField(name="conformal", n=n, evaluate=evaluate,
-                       domain=_everywhere, jet=jet,
-                       params={"dim": n, "coeffs": c.tolist()})
+                       domain=_everywhere, jet=jet)
 
 
 def hopf():
@@ -347,8 +330,7 @@ def hopf():
         ddg = np.einsum("ij,kl->ijkl", dd, eye)
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
-    return MetricField(name="hopf", n=2, evaluate=evaluate, domain=domain,
-                       jet=jet, params={"dim": 2})
+    return MetricField(name="hopf", n=2, evaluate=evaluate, domain=domain, jet=jet)
 
 
 def fubini_study(n):
@@ -379,7 +361,7 @@ def fubini_study(n):
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     return MetricField(name="fubini_study", n=n, evaluate=evaluate,
-                       domain=_everywhere, jet=jet, params={"dim": n})
+                       domain=_everywhere, jet=jet)
 
 
 def tricerri():
@@ -415,7 +397,7 @@ def tricerri():
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     return MetricField(name="tricerri", n=2, evaluate=evaluate,
-                       domain=domain, jet=jet, params={"dim": 2})
+                       domain=domain, jet=jet)
 
 
 _CATALOG = {

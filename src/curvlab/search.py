@@ -13,9 +13,9 @@ certificate rather than a search.
 Restricted cones and the adjoint convention are searched.  The outer problem
 ranges over unitary frame changes, parametrized as a product of complex
 Givens rotations and diagonal phases so every iterate is exactly unitary; the
-inner problem (best vector for a fixed frame) is solved exactly, on the full
-cone via the Rayleigh bounds and on restricted cones by face enumeration
-(``cones.cone_min``).  That search is restart + coordinate descent with a
+inner problem (best vector for a fixed frame) is solved exactly by
+``cones.cone_min``: the Rayleigh bound on the full cone, face enumeration on
+restricted cones.  That search is restart + coordinate descent with a
 shrinking step; it claims no global optimum, and acceptance tolerances are
 sized accordingly.
 
@@ -27,14 +27,14 @@ first improvement in sweep order and restacks the rest of the sweep from the
 new parameters, so its iterates are those of one-at-a-time coordinate
 descent.  All live lanes of a call advance in lockstep: per step, their
 candidates go through one ``unitary_from_params`` and one ``frame_matrices``
-call, one ``quadratic_form_matrix`` call per kind, and one stacked eigensolve
-(full cone) or one stacked ``cone_min`` call (restricted cone); each lane
-then takes the first hit in its own rows.  Every step is computed per row,
-so a lane's iterates do not depend on the lanes beside it.  One evaluation
-holds at most ``_ROWS`` candidates; lanes are grouped in order and never
-split, so memory stays bounded however many restarts run.  The reported
-extrema of a call, exact or searched, are re-evaluated in one pass: one
-stacked ``transform_frame`` of the tensor and one ``evaluate`` call per kind.
+call, one ``quadratic_form_matrix`` call per kind, and one stacked
+``cone_min`` call on every cone kind; each lane then takes the first hit in
+its own rows.  Every step is computed per row, so a lane's iterates do not
+depend on the lanes beside it.  One evaluation holds at most ``_ROWS``
+candidates; lanes are grouped in order and never split, so memory stays
+bounded however many restarts run.  The reported extrema of a call, exact or
+searched, are re-evaluated in one pass: one stacked ``transform_frame`` of
+the tensor and one ``evaluate`` call per kind.
 
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
 handled separately and exactly: that family is the object whose pinching
@@ -179,24 +179,10 @@ def _lane(params, refine_steps):
     return value, params, vector
 
 
-def _objectives(forms, cone, signs):
-    """Objective of every form of a stack with its vector: minus signs[j]
-    times the exact inner optimum of form j (the minimum for sign -1, the
-    maximum for +1), in one stacked eigensolve on the full cone and one
-    stacked ``cone_min`` call on a restricted cone.  Full-cone vectors come
-    back unnormalized."""
-    if cone.kind == "full":
-        dec = self_adjoint_eigen(forms)  # eigen of the symmetric part
-        rows, cols = np.arange(len(forms)), np.where(signs < 0, 0, -1)
-        return -signs * dec.values[rows, cols], dec.vectors[rows, :, cols].real
-    res = cone_min(-signs[:, None, None] * forms, cone)
-    return res.value, res.argmin
-
-
-def _first_improvements(values, vectors, bounds, sizes, cone):
+def _first_improvements(values, vectors, bounds, sizes):
     """Per lane, a run of sizes[i] consecutive rows with strict bound
     bounds[i]: the first row of the run whose objective lies below the
-    bound, as (index within the run, value, unit vector), or None."""
+    bound, as (index within the run, value, vector), or None."""
     ends = np.cumsum(sizes)
     starts = ends - sizes
     below = np.flatnonzero(values < np.repeat(bounds, sizes))
@@ -206,9 +192,8 @@ def _first_improvements(values, vectors, bounds, sizes, cone):
             hits.append(None)
             continue
         j = int(below[at])
-        vec = vectors[j]   # copied: a lane keeps it, and must not keep the stack
-        vec = vec / np.linalg.norm(vec) if cone.kind == "full" else vec.copy()
-        hits.append((j - int(start), float(values[j]), vec))
+        # copied: a lane keeps the vector, and must not keep the stack
+        hits.append((j - int(start), float(values[j]), vectors[j].copy()))
     return hits
 
 
@@ -216,8 +201,10 @@ def _scan(tensor, cone, convention, lanes):
     """One stacked evaluation of a group of lanes, each (kind, sign, ask):
     one ``unitary_from_params`` and one ``frame_matrices`` call for all their
     candidates, one ``quadratic_form_matrix`` call per kind and one
-    ``_objectives`` call; then each lane's first improvement within its own
-    rows, with the candidate's params."""
+    ``cone_min`` call, whose value at row j is minus signs[j] times the
+    exact inner optimum of form j (the minimum for sign -1, the maximum for
+    +1); then each lane's first improvement within its own rows, with the
+    candidate's params."""
     asks = [ask for _, _, ask in lanes]
     sizes = np.array([ask.size for ask in asks])
     params = _candidates(asks, sizes)
@@ -228,8 +215,9 @@ def _scan(tensor, cone, convention, lanes):
     forms = np.empty(m.rbc.shape)
     for i, kind in enumerate(kinds):
         forms[row_kind == i] = quadratic_form_matrix(kind, m.take(row_kind == i))
-    values, vectors = _objectives(forms, cone, np.repeat([sign for _, sign, _ in lanes], sizes))
-    hits = _first_improvements(values, vectors, [ask.bound for ask in asks], sizes, cone)
+    signs = np.repeat([sign for _, sign, _ in lanes], sizes)
+    res = cone_min(-signs[:, None, None] * forms, cone)
+    hits = _first_improvements(res.value, res.argmin, [ask.bound for ask in asks], sizes)
     return [None if hit is None else (hit[0], params[offset + hit[0]].copy(), *hit[1:])
             for hit, offset in zip(hits, np.cumsum(sizes) - sizes)]
 
@@ -351,8 +339,9 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
     eigenvalues of ``frame_form``, realized by the frames and vectors built
     from its eigenvectors, and ``cfg`` is not used.  Otherwise they are
     searched: per restart, a frame is drawn (restart 0 starts at the
-    identity), the inner vector problem is solved exactly, and the frame is
-    refined by coordinate descent over Givens angles with shrinking steps;
+    identity), the inner vector problem is solved exactly, every stack of
+    candidate frames in one ``cone_min`` call, and the frame is refined by
+    coordinate descent over Givens angles with shrinking steps;
     monotone improvement and determinism for a fixed config are guaranteed.
     Each reported extremum is re-evaluated through ``transform_frame`` and
     ``evaluate``; drift beyond ``Tolerances.reeval`` raises NumericalError.
@@ -416,8 +405,8 @@ def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
 
 def _invariance_tests(tensor, kinds, convention, samples, seed, tol):
     """``invariance_test`` for each of several kinds on one frame stack: one
-    Haar draw, one ``frame_matrices`` call and one stacked eigensolve over all
-    kinds, each kind's result equal to its own call bit for bit."""
+    Haar draw, one ``frame_matrices`` call and one ``rayleigh_bounds`` call
+    over all kinds, each kind's result equal to its own call bit for bit."""
     _require_count("invariance_test samples", samples, 10)
     _require_count("invariance_test seed", seed, 0)
     kinds = [FunctionalKind(kind) for kind in kinds]
@@ -427,10 +416,9 @@ def _invariance_tests(tensor, kinds, convention, samples, seed, tol):
     convention = FrameConvention(convention)
     u = haar_from_rng(tensor.n, rng_from(seed, 0), samples)
     m = CurvatureMatrices.from_slices(*frame_matrices(tensor, u, convention))
-    values = self_adjoint_eigen(np.stack([quadratic_form_matrix(kind, m)
-                                          for kind in kinds])).values
     results = []
-    for los, his in zip(values[..., 0], values[..., -1]):
+    for los, his in zip(*rayleigh_bounds(np.stack([quadratic_form_matrix(kind, m)
+                                                   for kind in kinds]))):
         deviation = max(los.max() - los.min(), his.max() - his.min())
         results.append((bool(deviation <= tol), float(deviation)))
     return results

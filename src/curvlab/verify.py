@@ -33,12 +33,13 @@ from .reports import VerifyReport
 SUITES = ("hopf", "tricerri", "fubini_study", "cones", "identities")
 
 
-def hopf_domain_points(seed, count, lo=0.1, hi=3.0):
+def hopf_domain_points(seed, count):
+    """count points of C^2 with 0.1 <= |z| < 3, uniform in direction."""
     rng = rng_from(seed)
     pts = []
     for _ in range(count):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        pts.append(u / np.linalg.norm(u) * rng.uniform(lo, hi))
+        pts.append(u / np.linalg.norm(u) * rng.uniform(0.1, 3.0))
     return pts
 
 
@@ -68,17 +69,16 @@ def hopf_altered_hsc_bounds(z):
     return ((2.0 / rho ** 3) * (2.0 * rho - root), (2.0 / rho ** 3) * (2.0 * rho + root))
 
 
-def _frames_and_vectors(rng, frames=100, vectors=10):
-    """frames rounds of (one Haar unitary of U(2), then vectors real
-    2-vectors) from rng, drawn as one (frames, 8 + 2 vectors) block: the
-    (frames, 2, 2) unitaries and (frames, vectors, 2) vectors that the
-    per-round draws give, bit for bit."""
-    block = rng.standard_normal((frames, 8 + 2 * vectors))
-    return (haar_from_gaussians(block[:, :8].reshape(frames, 2, 2, 2)),
-            block[:, 8:].reshape(frames, vectors, 2))
+def _frames_and_vectors(rng):
+    """100 rounds of (one Haar unitary of U(2), then 10 real 2-vectors) from
+    rng, drawn as one (100, 28) block: the (100, 2, 2) unitaries and
+    (100, 10, 2) vectors that the per-round draws give, bit for bit."""
+    block = rng.standard_normal((100, 28))
+    return (haar_from_gaussians(block[:, :8].reshape(100, 2, 2, 2)),
+            block[:, 8:].reshape(100, 10, 2))
 
 
-def suite_hopf(seed=0, frame_samples=1000):
+def suite_hopf(seed=0):
     rep = VerifyReport(suite="hopf")
     rep.add("fd_tensor_vs_closed_form", 0.0, hopf_fd_worst_error(seed), 1e-6)
 
@@ -106,7 +106,7 @@ def suite_hopf(seed=0, frame_samples=1000):
     # entry (a, g) of the rbc slice, R[a,g,g,a] the entry (a, g) of the
     # altered slice
     t_gen = paper_hopf([1.0, 0.5 - 0.5j])
-    rbc, alt = frame_matrices(t_gen, haar_from_rng(2, rng_from(seed + 2), frame_samples),
+    rbc, alt = frame_matrices(t_gen, haar_from_rng(2, rng_from(seed + 2), 1000),
                               FrameConvention.ADJOINT)
     moved = np.stack([rbc[:, 0, 0], rbc[:, 1, 1], rbc[:, 0, 1], rbc[:, 1, 0],
                       alt[:, 0, 1], alt[:, 1, 0]], axis=1)
@@ -117,7 +117,7 @@ def suite_hopf(seed=0, frame_samples=1000):
 
     kinds = (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_HSC)
     invariance = _invariance_tests(t_gen, kinds, FrameConvention.ADJOINT,
-                                   samples=frame_samples, seed=seed + 3, tol=1e-9)
+                                   samples=1000, seed=seed + 3, tol=1e-9)
     for kind, (ok, _) in zip(kinds, invariance):
         rep.add_bool(f"invariance[{kind.value}]", ok)
 
@@ -152,14 +152,13 @@ def suite_hopf(seed=0, frame_samples=1000):
     return rep
 
 
-def tricerri_second_derivative_error(points=None):
-    """Worst |ddg_ww - 3/(2 Im^4)| over chart points, fourth-order differences."""
+def tricerri_second_derivative_error():
+    """Worst |ddg_ww - 3/(2 Im^4)| over three chart points, fourth-order
+    differences."""
     metric = tricerri()
-    pts = points or [np.array([0.2 + 0.1j, 0.3 + 1.0j]),
-                     np.array([0.0j, 1.6j]),
-                     np.array([-0.4j, 0.1 + 0.8j])]
     worst = 0.0
-    for p in pts:
+    for p in (np.array([0.2 + 0.1j, 0.3 + 1.0j]), np.array([0.0j, 1.6j]),
+              np.array([-0.4j, 0.1 + 0.8j])):
         jet = finite_difference_jet(metric.evaluate, p, 1e-3,
                                     order=4, scale_with_point=False,
                                     domain=metric.domain)
@@ -293,12 +292,11 @@ def cone_oracle_disagreements(n, count, seed, thm_samples=2000, direct_samples=1
     return bad
 
 
-def suite_cones(seed=0, per_size=120, thm_samples=1500, direct_samples=4000):
+def suite_cones(seed=0):
     rep = VerifyReport(suite="cones")
     for n in (3, 4, 5):
-        bad = cone_oracle_disagreements(n, per_size, seed + n,
-                                        thm_samples=thm_samples,
-                                        direct_samples=direct_samples, witness=True)
+        bad = cone_oracle_disagreements(n, 120, seed + n, thm_samples=1500,
+                                        direct_samples=4000, witness=True)
         rep.add(f"oracle_disagreements[n={n}]", 0, bad, 0.0)
 
     ms = rng_from(seed + 10).standard_normal((1000, 2, 2)) * 2.0

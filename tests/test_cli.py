@@ -113,6 +113,40 @@ def test_exit_codes(tmp_path, capsys, monkeypatch):
         assert main(argv + ["--config", str(cfg)]) == 1
 
 
+OUT_OF_RANGE = [
+    (["frame-scan", "--family", "tricerri", "--functional", "rbc", "--imw", "1e-100"], 2),
+    (["frame-scan", "--family", "tricerri", "--functional", "rbc", "--imw", "inf"], 2),
+    (["frame-scan", "--family", "tricerri", "--functional", "rbc", "--imw", "1e100"], 2),
+    (["frame-scan", "--tensor", "paper_tricerri", "--tensor-params", '{"im_w": 1e-100}',
+      "--functional", "rbc"], 2),
+    (["cone-check", "--cone", "generators", "--generators", "1,nan;1,1",
+      "--matrix", "1,0;0,1"], 2),
+    (["cone-check", "--cone", "generators", "--generators", "1,inf;1,1",
+      "--matrix", "1,0;0,1"], 2),
+    (["eval", "--metric", "hopf", "--point", "1,0.5", "--functional", "rbc",
+      "--vector", "inf,0"], 1),
+    (["eval", "--metric", "hopf", "--point", "1,0.5", "--functional", "rbc",
+      "--vector", "nan,0"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", OUT_OF_RANGE)
+def test_out_of_range_values_exit_with_a_message(argv, code, capsys):
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(("usage error:", "domain error:")) and "nonzero" not in err
+
+
+def test_eval_reads_only_the_direction_of_a_vector(capsys):
+    base = ["eval", "--metric", "hopf", "--point", "1,0.5"]
+    for flags, tiny in ((["--functional", "rbc", "--vector"], "1e-200,1e-200"),
+                        (["--functional", "hsc", "--cvector"], "1e-200,0")):
+        assert main(base + flags + [tiny]) == 0
+        small = capsys.readouterr().out
+        assert main(base + flags + [tiny.replace("1e-200", "1")]) == 0
+        assert small == capsys.readouterr().out and "nan" not in small
+
+
 def test_numerical_drift_exits_2(monkeypatch, capsys):
     import curvlab.search as search_mod
     real = search_mod.evaluate

@@ -62,6 +62,12 @@ def test_cone_min_guard_rails():
         cone_min(np.eye(3), nonneg_orthant(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_cone_generators_are_domain_errors(bad):
+    with pytest.raises(DomainError, match="cone generators"):
+        generator_cone([[1.0, bad], [1.0, 1.0]])
+
+
 def stack_cones(n, rng):
     """The restricted cones in R^n, with a random generator set and one
     whose Gram matrix is singular (a repeated and a dependent generator)."""

@@ -10,6 +10,7 @@ from curvlab.curvature import COORDINATE, ChernTensor, hermitian_tensor_residual
 from curvlab.functionals import FunctionalKind, evaluate, hsc, matrices_from
 from curvlab.linalg import haar_from_rng, haar_unitary, rng_from
 from curvlab.metrics import euclidean, fubini_study, hopf
+from curvlab.search import tricerri_family_extrema
 
 
 def frame_tensor_of(metric, p):
@@ -191,6 +192,16 @@ def test_paper_tricerri_bounds_and_validation():
         paper_tricerri(1.2, 0.0, 1.0)
     with pytest.raises(DomainError):
         paper_tricerri(0.5, 0.5, -1.0)
+
+
+@pytest.mark.parametrize("im_w", [0.0, 1e-100, 1e-80, 1e100, np.inf, np.nan])
+def test_paper_tricerri_rejects_an_out_of_range_im_w(im_w):
+    # Im(w)^4 under- or overflows, or R0 = -3/(2 Im(w)^4) is not finite
+    with pytest.raises(DomainError, match="Im"):
+        paper_tricerri(0.0, 1.0, im_w)
+    with pytest.raises(DomainError, match="Im"):
+        tricerri_family_extrema(im_w, "rbc")
+    assert np.isfinite(paper_tricerri(0.0, 1.0, 1e-70).values).all()
 
 
 def test_make_synthetic_dispatch():

@@ -171,6 +171,44 @@ def test_stacked_functionals_reject_bad_rows():
         bisectional(t, np.ones((2, 3)), np.ones(3))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_values_depend_only_on_the_direction(n):
+    # every row is scaled by a power of two before the quotient, so a tiny
+    # or huge multiple of a vector gives the same bits, where |v|^2 alone
+    # would underflow (2**-600) or overflow (2**600)
+    rng = rng_from(70 + n)
+    t = random_tensor(71 + n, n)
+    m = matrices_from(t)
+    v = rng.standard_normal((5, n))
+    w = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    for scale in (2.0 ** -600, 2.0 ** 600):
+        for kind in QUAD_KINDS:
+            assert np.array_equal(evaluate(kind, m, scale * v), evaluate(kind, m, v))
+        assert np.array_equal(hsc(t, scale * w), hsc(t, w))
+        assert bisectional(t, scale * w[0], w[1]) == bisectional(t, w[0], w[1])
+    # a scale that is not a power of two moves the vector, not the direction
+    assert_allclose(evaluate("qobc", m, 1e-200 * v), evaluate("qobc", m, v),
+                    rtol=1e-13, atol=1e-13 * np.abs(m.rbc).max())
+    # single vectors keep the bits of the parent's unscaled arithmetic
+    u = rng.standard_normal(n)
+    row, col = u[None], u[:, None]
+    assert evaluate("rbc", m, u) == (row @ m.rbc @ col)[0, 0] / (row @ col)[0, 0]
+
+
+def test_non_finite_vectors_are_usage_errors():
+    t = random_tensor(3, 2)
+    m = matrices_from(t)
+    for bad in ([np.inf, 0.0], [np.nan, 1.0], [[1.0, 1.0], [1.0, -np.inf]]):
+        with pytest.raises(UsageError, match="finite entries"):
+            evaluate("rbc", m, bad)
+        with pytest.raises(UsageError, match="finite entries"):
+            hsc(t, np.asarray(bad, dtype=complex))
+    with pytest.raises(UsageError, match="finite entries"):
+        hsc(t, [1.0, complex(0.0, np.nan)])
+    with pytest.raises(UsageError, match="finite entries"):
+        bisectional(t, [1.0, 0.0], [np.inf, 1.0])
+
+
 def test_rayleigh_bounds_examples():
     lo, hi = rayleigh_bounds(np.array([[0.0, 0.0], [4.0, 4.0]]))
     assert (lo, hi) == (pytest.approx(2 - 2 * np.sqrt(2)), pytest.approx(2 + 2 * np.sqrt(2)))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import curvlab.metrics as metrics
 import curvlab.verify as verify
-from curvlab import DomainError, FDConfig, UsageError, finite_difference_jet, jet_at, make_metric
+from curvlab import DomainError, UsageError, finite_difference_jet, jet_at, make_metric
 from curvlab.linalg import rng_from
 from curvlab.metrics import _stacked, conformal, euclidean, fubini_study, hopf, tricerri
 from curvlab.reports import dumps
@@ -158,9 +158,18 @@ def test_fd_order4_beats_order2_on_tricerri():
     assert err4 < 1e-8
 
 
-def test_fd_config_defaults():
-    assert FDConfig().h == pytest.approx(1e-4)
-    assert FDConfig().order == 2
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_jet_at_without_a_closed_form_is_the_default_fd_jet(name):
+    # a field without a closed-form jet falls back to finite differences at
+    # base step 1e-4, order 2, scaled with the point
+    field = dataclasses.replace(CATALOG[name], jet=None)
+    p = sample_domain_point(name, rng_from(31))
+    got = jet_at(field, p)
+    ref = finite_difference_jet(field.evaluate, p, 1e-4, domain=field.domain)
+    for part in ("g", "dg", "ddg"):
+        assert same_bits(getattr(got, part), getattr(ref, part))
+    exact = CATALOG[name].jet(p)
+    assert_allclose(got.ddg, exact.ddg, rtol=0.0, atol=1e-6 * max(1.0, np.abs(exact.ddg).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +265,6 @@ def test_order_4_jet_is_richardson_of_two_order_2_jets_bit_for_bit(n):
 def test_fd_step_must_be_a_positive_finite_real(h):
     with pytest.raises(UsageError, match="positive and finite"):
         finite_difference_jet(lambda p: np.eye(2, dtype=complex), np.ones(2), h)
-    with pytest.raises(UsageError, match="positive and finite"):
-        FDConfig(h=h)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from curvlab.curvature import FrameConvention
 from curvlab.functionals import (CurvatureMatrices, evaluate, frame_matrices,
                                   quadratic_form_matrix)
 from curvlab.search import INITIAL_ANGLE, SHRINK, param_count, unitary_from_params
-from curvlab.linalg import haar_from_rng, rng_from, self_adjoint_eigen, unitary_residual
+from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 import curvlab.search as search_mod
 
 
@@ -148,8 +148,8 @@ def test_stacked_sweeps_pin_sequential_iterates(n, cone_kind, convention):
 
 
 def per_form_first_improvement(forms, cone, sign, bound):
-    """_first_improvement on a restricted cone, one cone_min call per form,
-    stopping at the first improvement: the reference for the stacked call."""
+    """_first_improvement on one cone, one cone_min call per form, stopping
+    at the first improvement: the reference for the stacked call."""
     for j, q in enumerate(forms):
         res = cone_min(-sign * q, cone)
         if res.value < bound:
@@ -159,7 +159,7 @@ def per_form_first_improvement(forms, cone, sign, bound):
 
 @pytest.mark.parametrize("convention", ["full", "adjoint"])
 def test_stacked_first_improvement_equals_the_per_form_loop(convention):
-    cones = [nonneg_orthant(3), monotone_nonneg(3),
+    cones = [full_cone(3), nonneg_orthant(3), monotone_nonneg(3),
              generator_cone(rng_from(18).standard_normal((4, 3)))]
     t = random_tensor(17, 3)
     m = CurvatureMatrices.from_slices(*frame_matrices(t, haar_from_rng(3, rng_from(19), 12),
@@ -168,11 +168,11 @@ def test_stacked_first_improvement_equals_the_per_form_loop(convention):
     for cone in cones:
         for sign in (-1, 1):
             values = [cone_min(-sign * q, cone).value for q in forms]
-            objectives = search_mod._objectives(forms, cone, np.full(len(forms), float(sign)))
+            res = cone_min(-sign * forms, cone)
             # the first form, a later one, and none (the bound is strict)
             for bound in (np.inf, sorted(values)[3], min(values)):
-                got = search_mod._first_improvements(*objectives, [bound], [len(forms)],
-                                                     cone)[0]
+                got = search_mod._first_improvements(res.value, res.argmin, [bound],
+                                                     [len(forms)])[0]
                 ref = per_form_first_improvement(forms, cone, sign, bound)
                 if ref is None:
                     assert got is None
@@ -382,18 +382,7 @@ def per_restart_extremize(tensor, kind, cone, convention, cfg):
     def scan(stack, sign, bound):
         m = CurvatureMatrices.from_slices(
             *frame_matrices(tensor, unitary_from_params(n, stack), convention))
-        forms = quadratic_form_matrix(kind, m)
-        if cone.kind == "full":
-            dec = self_adjoint_eigen(forms)
-            col = 0 if sign < 0 else -1
-            values = -sign * dec.values[:, col]
-            hits = np.flatnonzero(values < bound)
-            if hits.size == 0:
-                return None
-            j = int(hits[0])
-            vec = dec.vectors[j, :, col].real
-            return j, float(values[j]), vec / np.linalg.norm(vec)
-        res = cone_min(-sign * forms, cone)
+        res = cone_min(-sign * quadratic_form_matrix(kind, m), cone)
         hits = np.flatnonzero(res.value < bound)
         if hits.size == 0:
             return None
@@ -518,6 +507,39 @@ def test_lanes_advance_in_lockstep(monkeypatch):
     calls.clear()
     extremize(random_tensor(3, 3), "rbc", convention="adjoint", cfg=cfg)
     assert max(calls) <= 20
+
+
+@pytest.mark.parametrize("cone_name, convention", LANE_CASES)
+def test_each_scan_scores_its_group_in_one_cone_min_call(cone_name, convention, monkeypatch):
+    # cone_min is the search's only inner solver: one call per group of
+    # lanes, and no eigensolve outside it, on every cone kind
+    log = []
+
+    def spy(name, real):
+        def call(*args, **kwargs):
+            log.append(name)
+            if name != "cone_min":
+                return real(*args, **kwargs)
+            inside = len(log)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                del log[inside:]   # what cone_min runs itself is its own
+        return call
+    monkeypatch.setattr(search_mod, "_scan", spy("scan", search_mod._scan))
+    monkeypatch.setattr(search_mod, "cone_min", spy("cone_min", search_mod.cone_min))
+    monkeypatch.setattr(search_mod, "self_adjoint_eigen",
+                        spy("self_adjoint_eigen", search_mod.self_adjoint_eigen))
+    monkeypatch.setattr(search_mod, "rayleigh_bounds",
+                        spy("rayleigh_bounds", search_mod.rayleigh_bounds))
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spy(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(search_mod, "_ROWS", 8)   # several groups per step
+    cfg = SearchConfig(restarts=3, refine_steps=3, seed=5)
+    extremize(random_tensor(6, 3), "qobc", cone=lane_cone(cone_name, 3),
+              convention=convention, cfg=cfg)
+    scans = log.count("scan")
+    assert scans > 1 and log == ["scan", "cone_min"] * scans
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
