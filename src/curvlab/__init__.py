@@ -7,13 +7,12 @@ unitary frame bundle layered on top.
 
 from .config import DEFAULT, Tolerances
 from .errors import CurvlabError, DomainError, NumericalError, UsageError
-from .linalg import (EigenDecomposition, cholesky_frame, haar_unitary, is_psd,
-                     self_adjoint_eigen)
+from .linalg import EigenDecomposition, cholesky_frame, self_adjoint_eigen
 from .metrics import MetricField, MetricJet, finite_difference_jet, jet_at, make_metric
 from .curvature import (ChernTensor, FrameConvention, RicciKind, curvature_from_jet,
                         kahler_constant, make_synthetic, paper_hopf, paper_tricerri,
-                        random_tensor, ricci, scal_equal, scalars, skew_pair,
-                        to_frame, transform_frame)
+                        random_tensor, ricci, scalars, skew_pair, to_frame,
+                        transform_frame)
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC,
                           CurvatureMatrices, FunctionalKind, bisectional,
                           constant_identity_check, evaluate, frame_matrices,

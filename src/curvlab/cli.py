@@ -200,7 +200,15 @@ def build_parser():
     p_eval.add_argument("--cvector", help="complex vector for hsc")
     p_eval.add_argument("--use-paper-tensor", action="store_true")
 
-    p_verify = subs.add_parser("verify", help="run a reproduction suite")
+    p_verify = subs.add_parser(
+        "verify", help="run a reproduction suite",
+        description="Run a reproduction suite.  Polynomial identities are checked exactly "
+                    "and do not depend on --seed.  --seed moves only the checks whose "
+                    "subject is random: hopf fd_tensor_vs_closed_form and "
+                    "altered_hsc_bounds_formula (random points), ricci_qobc_bounds (its "
+                    "sampled frames, reported in its details), the cones oracles, "
+                    "fubini_study hsc_constant_2, and the identities suite's random "
+                    "tensors and scalar_trace_invariance frames.")
     p_verify.add_argument("suite", choices=["hopf", "tricerri", "fubini_study",
                                             "cones", "identities", "all"])
 

@@ -196,13 +196,6 @@ def scalars(tensor):
     return s.real, s_alt.real
 
 
-def scal_equal(tensor, tol=None):
-    """Pointwise balanced criterion: Scal == altered Scal within tol."""
-    tol = DEFAULT.scalar_imag if tol is None else tol
-    s, s_alt = scalars(tensor)
-    return abs(s - s_alt) <= tol * max(1.0, abs(s), abs(s_alt))
-
-
 # ---------------------------------------------------------------------------
 # synthetic frame tensors
 

@@ -25,9 +25,9 @@ Frame searches need the two matrices in many frames at once:
 any frame-changed n^4 tensor, and the matrix builders broadcast over leading
 axes.  ``evaluate`` and ``hsc`` take stacks of vectors of shape (..., n),
 broadcast against stacked matrices, with every row checked nonzero; a single
-vector on single matrices still gives a float.  The identity checks draw
-their samples as blocks, evaluate them in one stacked call, and keep their
-residual rows as arrays until the report picks its witnesses.
+vector on single matrices still gives a float.  The constant-curvature
+checks are exact: each identity is a matrix equality, whose entrywise
+residuals stay arrays until the report picks its witnesses.
 """
 
 import enum
@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM
 from .errors import UsageError
-from .linalg import (ensure_finite, haar_from_rng, random_hermitian, rng_from,
+from .linalg import (_hermitian_basis, ensure_finite, haar_from_rng, rng_from,
                      self_adjoint_eigen)
 from .curvature import FrameConvention, RicciKind, _checked_frame_change, ricci, scalars
 from .reports import IdentityReport
@@ -319,44 +319,60 @@ def _index_labels(shape):
     return lambda j: [int(i) for i in np.unravel_index(j, shape)]
 
 
-def _sample_labels(name):
-    return lambda j: [name, j]
-
-
 def _pair_sum_residuals(r, target):
     """Rows R[i,j,k,l] + R[k,l,i,j] == target[i,j,k,l], all tuples."""
     s = r + r.transpose(2, 3, 0, 1)
     return _index_labels(r.shape), s, target, np.abs(s - target)
 
 
-def constant_identity_check(tensor, hypothesis, tol=None, seed=0, samples=100):
+def _equality_rows(name, lhs, rhs):
+    """Rows lhs[idx] == rhs[idx] of an array equality, labelled [name, *idx]."""
+    index = _index_labels(np.shape(lhs))
+    return lambda j: [name] + index(j), lhs, rhs, np.abs(lhs - rhs)
+
+
+def _sym(m):
+    return 0.5 * (m + np.swapaxes(m, -1, -2))
+
+
+def constant_identity_check(tensor, hypothesis, tol=None):
     """Check the algebraic identities forced by a constant-curvature hypothesis.
+
+    Each identity between quadratic forms is checked exactly, as the
+    equality of the symmetric matrices (or tensors) that carry them, entry
+    by entry; witnesses are labelled by identity name and entry.  B is the
+    orthonormal basis of Herm(n) of ``linalg._hermitian_basis``, read as an
+    (n^2, n^2) array, t_i = tr B_i, and 1 the all-ones vector.
 
     ConstHSC(c): diagonal entries R_iiii = c; the four-term sums
         R_iikk + R_kiik + R_ikki + R_kkii = 2c for i != k; the altered
-        sectional form equals c(1 + (sum v)^2) on random unit vectors; and the
-        frame-quantified trace identity
-        sum R[k,l,s,t] (x[k,l] x[s,t] + x[k,t] x[s,l]) = c (tr(x)^2 + tr(x^2))
-        over random Hermitian x.
-    ConstAlteredRBC(c): pair sums R[i,j,k,l] + R[k,l,i,j] = 2c d_ij d_kl and
-        the trace identity sum R[k,l,s,t] x[k,t] x[s,l] = c tr(x^2).
+        sectional form c(1 + (sum v)^2) on unit vectors, i.e.
+        sym(rbc + altered) = c (I + 1 1^T); and the frame-quantified trace
+        identity sum R[k,l,s,t] (x[k,l] x[s,t] + x[k,t] x[s,l])
+        = c (tr(x)^2 + tr(x^2)) over Hermitian x, i.e.
+        sym(B (R_(kl)(st) + R_(kt)(sl)) B^T) = c (t t^T + I).
+    ConstAlteredRBC(c): pair sums R[i,j,k,l] + R[k,l,i,j] = 2c d_ij d_kl; the
+        trace identity sum R[k,l,s,t] x[k,t] x[s,l] = c tr(x^2), i.e.
+        sym(B R_(kt)(sl) B^T) = c I; and the rbc closed form
+        c (sum v)^2 / |v|^2, i.e. sym(rbc) = c 1 1^T.
     ConstAlteredHBC(c): pair sums = c d_ij d_kl; the rbc closed form
-        (c/2)(sum v)^2/|v|^2; hsc == c/2; altered rbc == c/2; |rbc| <= c n / 2.
-
-    Each sampled identity draws its samples as one block from the seeded
-    stream, in the order of a per-sample loop, and is evaluated for all
-    samples at once.
+        (c/2)(sum v)^2 / |v|^2, i.e. sym(rbc) = (c/2) 1 1^T; the bound
+        |rbc| <= c n / 2 on both Rayleigh bounds of rbc; hsc == c/2, i.e. the
+        real part of R symmetrized in its two holomorphic and its two
+        antiholomorphic slots equals (c/2) (d_ij d_kl + d_il d_kj) / 2; and
+        altered rbc == c/2, i.e. sym(altered) = (c/2) I.
     """
     tensor.require_frame("constant_identity_check")
     tol = DEFAULT.identity_check if tol is None else tol
-    rng = rng_from(seed)
     r = tensor.values
     n = tensor.n
+    eye, ones = np.eye(n), np.ones((n, n))
+    dd = np.einsum("ij,kl->ijkl", eye, eye)                # d_ij d_kl
+    basis = _hermitian_basis(n)
     flat = r.reshape(n * n, n * n)                         # R_(kl)(st)
     crossed = r.transpose(0, 3, 2, 1).reshape(n * n, n * n)  # R_(kt)(sl)
     rows = []
-    details = {"hypothesis": type(hypothesis).__name__, "c": hypothesis.c,
-               "samples": samples}
+    details = {"hypothesis": type(hypothesis).__name__, "c": hypothesis.c}
     c = hypothesis.c
 
     if isinstance(hypothesis, ConstHSC):
@@ -367,54 +383,34 @@ def constant_identity_check(tensor, hypothesis, tol=None, seed=0, samples=100):
         pairs = np.argwhere(off)
         four = (rbc + alt.T + alt + rbc.T)[off]  # R_iikk + R_kiik + R_ikki + R_kkii
         rows.append((lambda j: [int(i) for i in pairs[j]], four, 2 * c, np.abs(four - 2 * c)))
-        vs = rng.standard_normal((samples, n))
-        vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-        lhs = (vs[:, None, :] @ (rbc.real + alt.real) @ vs[:, :, None])[:, 0, 0]
-        rhs = c * (1.0 + np.sum(vs, axis=1) ** 2)
-        rows.append((_sample_labels("altered_hsc"), lhs, rhs, np.abs(lhs - rhs)))
-        xs = random_hermitian(n, rng, count=samples)
-        x = xs.reshape(samples, n * n)
-        lhs = _bilinear(x, flat) + _bilinear(x, crossed)
-        rhs = c * (np.trace(xs, axis1=1, axis2=2) ** 2 + np.einsum("aij,aji->a", xs, xs))
-        rows.append((_sample_labels("trace_identity"), lhs, rhs, np.abs(lhs - rhs)))
+        rows.append(_equality_rows("altered_hsc", _sym(rbc.real + alt.real), c * (eye + ones)))
+        traces = np.trace(basis.reshape(n * n, n, n), axis1=1, axis2=2).real
+        rows.append(_equality_rows("trace_identity", _sym(basis @ (flat + crossed) @ basis.T),
+                                   c * (np.outer(traces, traces) + np.eye(n * n))))
 
     elif isinstance(hypothesis, ConstAlteredRBC):
-        eye = np.eye(n)
-        rows.append(_pair_sum_residuals(r, 2 * c * np.einsum("ij,kl->ijkl", eye, eye)))
-        xs = random_hermitian(n, rng, count=samples)
-        lhs = _bilinear(xs.reshape(samples, n * n), crossed)
-        rhs = c * np.einsum("aij,aji->a", xs, xs)
-        rows.append((_sample_labels("trace_identity"), lhs, rhs, np.abs(lhs - rhs)))
-        vs = rng.standard_normal((samples, n))
-        lhs = evaluate(FunctionalKind.RBC, matrices_from(tensor), vs)
-        rhs = c * np.sum(vs, axis=1) ** 2 / np.sum(vs * vs, axis=1)
-        rows.append((_sample_labels("rbc_closed_form"), lhs, rhs, np.abs(lhs - rhs)))
+        rows.append(_pair_sum_residuals(r, 2 * c * dd))
+        rows.append(_equality_rows("trace_identity", _sym(basis @ crossed @ basis.T),
+                                   c * np.eye(n * n)))
+        rows.append(_equality_rows("rbc_closed_form", _sym(matrices_from(tensor).rbc), c * ones))
 
     elif isinstance(hypothesis, ConstAlteredHBC):
-        eye = np.eye(n)
-        rows.append(_pair_sum_residuals(r, c * np.einsum("ij,kl->ijkl", eye, eye)))
+        rows.append(_pair_sum_residuals(r, c * dd))
         m = matrices_from(tensor)
         half = 0.5 * c
         bound = abs(half) * n
-        # per sample: v, then Re w, then Im w
-        draws = rng.standard_normal((samples, 3, n))
-        vs = draws[:, 0]
-        rbc = evaluate(FunctionalKind.RBC, m, vs)
-        closed = half * np.sum(vs, axis=1) ** 2 / np.sum(vs * vs, axis=1)
-        h_val = hsc(tensor, draws[:, 1] + 1j * draws[:, 2])
-        alt = evaluate(FunctionalKind.ALTERED_RBC, m, vs)
-        # one row per sample and check, in sample order; the bound row only
-        # where the bound is broken
-        names = ("rbc_closed_form", "rbc_bound", "hsc_constant", "altered_rbc_constant")
-        lhs = np.stack([rbc, np.abs(rbc), h_val, alt], axis=1)
-        rhs = np.stack(np.broadcast_arrays(closed, bound, half, half), axis=1)
-        res = np.stack([np.abs(rbc - closed), np.abs(rbc) - bound,
-                        np.abs(h_val - half), np.abs(alt - half)], axis=1)
-        keep = np.ones(res.shape, dtype=bool)
-        keep[:, 1] = np.abs(rbc) > bound + tol
-        kept = np.flatnonzero(keep)
-        rows.append((lambda j: [names[kept[j] % 4], int(kept[j] // 4)],
-                     lhs[keep], rhs[keep], res[keep]))
+        rows.append(_equality_rows("rbc_closed_form", _sym(m.rbc), half * ones))
+        extremes = np.abs(rayleigh_bounds(m.rbc))
+        rows.append((lambda j: ["rbc_bound", ("min", "max")[j]], extremes, bound,
+                     np.maximum(extremes - bound, 0.0)))
+        # hsc(w) is the real part of sum R[i,j,k,l] w_i conj(w_j) w_k conj(w_l);
+        # conj(R[j,i,l,k]) carries its conjugate
+        real = 0.5 * (r + np.conj(r.transpose(1, 0, 3, 2)))
+        holo = 0.5 * (real + real.transpose(2, 1, 0, 3))
+        sym_r = 0.5 * (holo + holo.transpose(0, 3, 2, 1))
+        target = 0.5 * half * (dd + dd.transpose(0, 3, 2, 1))   # d_il d_kj
+        rows.append(_equality_rows("hsc_constant", sym_r, target))
+        rows.append(_equality_rows("altered_rbc_constant", _sym(m.altered), half * eye))
     else:
         raise UsageError(f"unknown hypothesis {hypothesis!r}")
 

@@ -1,5 +1,6 @@
 """Small dense matrix kernel: seeded streams, self-adjoint spectra, metric
-frames, Haar unitaries.
+frames, Haar unitaries, and two fixed tables: an orthonormal basis of
+Herm(n) and the single-qubit Clifford group.
 
 Everything here targets matrices of size n <= 8 and is backed by LAPACK via
 numpy.  Residuals, spectra and Haar draws also work on stacks of matrices
@@ -10,6 +11,7 @@ Haar measure.  All randomness in the package
 flows through PCG64 generators built by ``rng_from``.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,12 +92,6 @@ def self_adjoint_eigen(m):
                               reconstruction_residual=float(recon.max()))
 
 
-def is_psd(m, tol=None):
-    """Positive semidefiniteness of the self-adjoint part: lambda_min >= -tol."""
-    tol = DEFAULT.cone_agreement if tol is None else tol
-    return bool(self_adjoint_eigen(m).values[0] >= -tol)
-
-
 def cholesky_frame(g, pd_floor=None):
     """Columns of E are a g-orthonormal frame of (1,0)-vectors.
 
@@ -143,19 +139,47 @@ def haar_from_gaussians(g):
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(n, seed):
-    """Deterministic Haar-random unitary for (n, seed)."""
-    if n < 1:
-        raise UsageError("dimension must be >= 1")
-    return haar_from_rng(n, rng_from(seed))
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(n):
+    """(n^2, n^2) array whose rows, read as n x n matrices, are a real
+    orthonormal basis of Herm(n) under <A, B> = tr(A B): E_pp for each p,
+    then for each p < q (E_pq + E_qp)/sqrt(2) and i (E_pq - E_qp)/sqrt(2)."""
+    rows = []
+    for p in range(n):
+        e = np.zeros((n, n), dtype=complex)
+        e[p, p] = 1.0
+        rows.append(e)
+    for p in range(n):
+        for q in range(p + 1, n):
+            for phase in (1.0, 1j):
+                e = np.zeros((n, n), dtype=complex)
+                e[p, q], e[q, p] = phase, np.conj(phase)
+                rows.append(e / np.sqrt(2.0))
+    basis = np.array(rows).reshape(n * n, n * n)
+    basis.flags.writeable = False
+    return basis
 
 
-def random_hermitian(n, rng, scale=1.0, count=None):
-    """Hermitian matrix (Z + Z^H) / 2 * scale from a complex Gaussian Z, or a
-    (count, n, n) stack of them.  Each matrix consumes the real and then the
-    imaginary n x n block, so a stack reads the same stream as count single
-    draws and gives the same matrices."""
-    lead = () if count is None else (count,)
-    g = rng.standard_normal(lead + (2, n, n))
-    z = g[..., 0, :, :] + 1j * g[..., 1, :, :]
-    return scale * 0.5 * (z + _adjoint(z))
+@functools.lru_cache(maxsize=None)
+def clifford_frames():
+    """The 24 elements of the single-qubit Clifford group, up to phase, as a
+    read-only (24, 2, 2) stack, built on first use by closing {I} under left
+    multiplication by H and S; each element is stored with its first entry of
+    modulus > 1/2 made real positive.
+
+    The group is a unitary 2-design (Gross, Audenaert & Eisert, J. Math.
+    Phys. 48, 2007; Dankert, Cleve, Emerson & Livine, Phys. Rev. A 80, 2009):
+    its mean of any polynomial of degree (2, 2) in (U, conj U) is the Haar
+    mean.  Its entries have modulus 0, 1/sqrt(2) or 1."""
+    gens = (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.diag([1.0, 1j]))
+    frames = [np.eye(2, dtype=complex)]
+    for u in frames:                       # grows while it is walked: a closure
+        for g in gens:
+            v = g @ u
+            first = v.flat[int(np.argmax(np.abs(v.ravel()) > 0.5))]
+            v = v * (abs(first) / first)
+            if not any(np.allclose(v, w, atol=1e-12) for w in frames):
+                frames.append(v)
+    frames = np.array(frames)
+    frames.flags.writeable = False
+    return frames

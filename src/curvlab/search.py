@@ -43,7 +43,6 @@ than any single U(2) orbit (a 2 x 2 unitary forces |b|^2 + |d|^2 = 1 for
 entries sharing a column).
 """
 
-import functools
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -52,7 +51,7 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .config import DEFAULT
-from .linalg import haar_from_rng, rng_from, self_adjoint_eigen
+from .linalg import _hermitian_basis, haar_from_rng, rng_from, self_adjoint_eigen
 from .curvature import FrameConvention, paper_tricerri, transform_frame
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_matrices,
                           matrices_from, quadratic_form_matrix, rayleigh_bounds)
@@ -262,30 +261,9 @@ def _search(tensor, kinds, cone, convention, cfg):
         runs = outcomes[at * cfg.restarts:(at + 1) * cfg.restarts]
         best.append(runs[min(range(cfg.restarts), key=lambda r: (runs[r][0], r))])
     frames = unitary_from_params(tensor.n, np.stack([params for _, params, _ in best]))
-    return [FrameExtremum(value=value if sign < 0 else -value, frame=frame, vector=vector,
+    return [FrameExtremum(value=value if sign < 0 else 0.0 - value, frame=frame, vector=vector,
                           convention=convention.value)
             for (_, sign), (value, _, vector), frame in zip(keys, best, frames)]
-
-
-@functools.lru_cache(maxsize=None)
-def _hermitian_basis(n):
-    """(n^2, n^2) array whose rows, read as n x n matrices, are a real
-    orthonormal basis of Herm(n) under <A, B> = tr(A B): E_pp for each p,
-    then for each p < q (E_pq + E_qp)/sqrt(2) and i (E_pq - E_qp)/sqrt(2)."""
-    rows = []
-    for p in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[p, p] = 1.0
-        rows.append(e)
-    for p in range(n):
-        for q in range(p + 1, n):
-            for phase in (1.0, 1j):
-                e = np.zeros((n, n), dtype=complex)
-                e[p, q], e[q, p] = phase, np.conj(phase)
-                rows.append(e / np.sqrt(2.0))
-    basis = np.array(rows).reshape(n * n, n * n)
-    basis.flags.writeable = False
-    return basis
 
 
 def frame_form(tensor, kind):
@@ -400,28 +378,17 @@ def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
     invariant iff the spread of the per-frame extrema stays within tol.
     Returns (invariant, max_deviation).
     """
-    return _invariance_tests(tensor, (kind,), convention, samples, seed, tol)[0]
-
-
-def _invariance_tests(tensor, kinds, convention, samples, seed, tol):
-    """``invariance_test`` for each of several kinds on one frame stack: one
-    Haar draw, one ``frame_matrices`` call and one ``rayleigh_bounds`` call
-    over all kinds, each kind's result equal to its own call bit for bit."""
     _require_count("invariance_test samples", samples, 10)
     _require_count("invariance_test seed", seed, 0)
-    kinds = [FunctionalKind(kind) for kind in kinds]
-    if FunctionalKind.HSC in kinds:
+    kind = FunctionalKind(kind)
+    if kind is FunctionalKind.HSC:
         raise UsageError("invariance_test covers the quadratic-form family")
     tensor.require_frame("invariance_test")
-    convention = FrameConvention(convention)
     u = haar_from_rng(tensor.n, rng_from(seed, 0), samples)
-    m = CurvatureMatrices.from_slices(*frame_matrices(tensor, u, convention))
-    results = []
-    for los, his in zip(*rayleigh_bounds(np.stack([quadratic_form_matrix(kind, m)
-                                                   for kind in kinds]))):
-        deviation = max(los.max() - los.min(), his.max() - his.min())
-        results.append((bool(deviation <= tol), float(deviation)))
-    return results
+    m = CurvatureMatrices.from_slices(*frame_matrices(tensor, u, FrameConvention(convention)))
+    los, his = rayleigh_bounds(quadratic_form_matrix(kind, m))
+    deviation = max(los.max() - los.min(), his.max() - his.min())
+    return bool(deviation <= tol), float(deviation)
 
 
 def tricerri_family_extrema(im_w, kind):

@@ -110,7 +110,7 @@ def test_criterion_4_hopf_qobc_extrema():
 def test_criterion_5_tricerri():
     with criterion(5, "Tricerri: FD second derivative, family spectra, pinching"):
         assert tricerri_second_derivative_error() < 1e-8
-        assert tricerri_eigen_formula_error(SEED + 5, count=100) < 1e-9
+        assert tricerri_eigen_formula_error() < 1e-9
         for im_w in (1.0, 2.0):
             scan = tricerri_family_extrema(im_w, FunctionalKind.RBC)
             target_inf = -0.75 * (1.0 + np.sqrt(2.0)) / im_w ** 4
@@ -123,7 +123,9 @@ def test_criterion_5_tricerri():
 
 
 def _per_sample_eigen_formula_error(seed, count):
-    """The per-sample loop that tricerri_eigen_formula_error stacks."""
+    """Sampled reference for tricerri_eigen_formula_error: the worst deviation
+    over count members, alternately a column of a Haar unitary and an
+    independent (|b|, |d|) in the unit square, at Im w uniform in [0.7, 2]."""
     rng = rng_from(seed)
     worst = 0.0
     for k in range(count):
@@ -141,13 +143,17 @@ def _per_sample_eigen_formula_error(seed, count):
     return worst
 
 
-@pytest.mark.parametrize("count", [-1, 0, 1, 2, 3, 7])
+@pytest.mark.parametrize("count", [-1, 0, 1, 2, 3, 7, 100])
 def test_tricerri_eigen_formula_error_any_count(count):
-    got = tricerri_eigen_formula_error(SEED + 5, count=count)
+    # the 3 x 3 grid and the sampled reference agree on the verdict, and the
+    # sampled deviation stays within 16 times the grid's: both are rounding,
+    # and at Im w >= 0.7 the eigenvalues are at most (1/0.7)^4 < 4.2 times
+    # their size at Im w = 1, and each reading is off by a few ulps
+    got = tricerri_eigen_formula_error()
     assert isinstance(got, float)
-    assert abs(got - _per_sample_eigen_formula_error(SEED + 5, count)) <= 1e-14
-    if count <= 0:
-        assert got == 0.0
+    sampled = _per_sample_eigen_formula_error(SEED + 5, count)
+    assert (got < 1e-9) == (sampled < 1e-9)
+    assert sampled <= 16 * got
 
 
 def test_criterion_6_moment_identity():
@@ -161,15 +167,14 @@ def test_criterion_6_moment_identity():
 def test_criterion_7_constant_curvature_identities():
     with criterion(7, "constant-curvature identity batteries below 1e-10"):
         for c, n in ((2.0, 2), (2.0, 3), (-1.0, 4)):
-            rep = constant_identity_check(kahler_constant(c, n), ConstHSC(c),
-                                          tol=1e-10, seed=SEED + 7)
+            rep = constant_identity_check(kahler_constant(c, n), ConstHSC(c), tol=1e-10)
             assert rep.passed and rep.max_residual < 1e-10
         fs = to_frame(curvature_from_jet(jet_at(fubini_study(2), np.zeros(2))))
-        rep = constant_identity_check(fs, ConstHSC(2.0), tol=1e-10, seed=SEED + 8)
+        rep = constant_identity_check(fs, ConstHSC(2.0), tol=1e-10)
         assert rep.passed and rep.max_residual < 1e-10
         for c, n, s in ((3.0, 3, 7), (1.0, 2, 1), (-2.0, 4, 5)):
             rep = constant_identity_check(skew_pair(c, n, seed=s), ConstAlteredHBC(c),
-                                          tol=1e-10, seed=SEED + 9)
+                                          tol=1e-10)
             assert rep.passed and rep.max_residual < 1e-10
 
 

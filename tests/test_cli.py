@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import curvlab
+import curvlab.verify as verify
+from curvlab import paper_hopf, random_tensor
 from curvlab.cli import main
+from curvlab.curvature import FRAME, ChernTensor
 from curvlab.reports import IdentityReport, VerifyReport
 from curvlab import fs_moment_check, perron_criterion_check
 from curvlab.verify import run_suite
@@ -181,6 +184,65 @@ def test_verify_fubini_study_passes_where_the_sampled_moment_check_failed(seed, 
     assert main(["verify", "fubini_study", "--seed", str(seed)]) == 0
 
 
+# checks whose subject is random; every other check of these suites is exact
+SEEDED_CHECKS = {
+    "hopf": {"fd_tensor_vs_closed_form", "altered_hsc_bounds_formula"},
+    "tricerri": set(),
+    "fubini_study": {"hsc_constant_2"},
+    "identities": {"altered_hsc_additivity_and_diagonal", "qobc_constant_vector_zero",
+                   "full_min_below_orthant_min", "scalar_trace_invariance"},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SEEDED_CHECKS))
+def test_exact_verify_checks_do_not_depend_on_the_seed(suite):
+    exact = None
+    for seed in (0, 1, 133, 95041):
+        rep = run_suite(suite, seed=seed)
+        assert rep.passed, [c.name for c in rep.checks if not c.passed]
+        got = [(c.name, repr(c.actual)) for c in rep.checks
+               if c.name not in SEEDED_CHECKS[suite]]
+        assert exact is None or got == exact
+        exact = got
+    assert len(exact) == len(rep.checks) - len(SEEDED_CHECKS[suite])
+
+
+def hopf_suite_with(monkeypatch, tensor):
+    """verify hopf with tensor in place of the Hopf tensor at z = (1, (1 - i)/2),
+    whose frame invariance the design checks test; its checks by name."""
+    monkeypatch.setattr(verify, "paper_hopf", lambda z: tensor if list(z) == [1.0, 0.5 - 0.5j]
+                        else paper_hopf(z))
+    return {c.name: c for c in verify.suite_hopf(0).checks}
+
+
+def test_hopf_design_checks_fail_on_frame_dependent_tensors(monkeypatch):
+    for k in range(5):
+        checks = hopf_suite_with(monkeypatch, random_tensor(k, 2))
+        assert not checks["adjoint_component_invariance"].passed
+        assert checks["adjoint_component_invariance"].actual > 0.1
+    # shift the altered slice's off-diagonal pair R[0,1,1,0] = conj R[1,0,0,1]:
+    # the qobc coefficient Re(alt'[0,1] + alt'[1,0]) is then 1 at the identity
+    vals = paper_hopf([1.0, 0.5 - 0.5j]).values.copy()
+    vals[0, 1, 1, 0] += 0.5
+    vals[1, 0, 0, 1] += 0.5
+    checks = hopf_suite_with(monkeypatch, ChernTensor(values=vals, basis=FRAME))
+    assert not checks["altered_qobc_identically_zero"].passed
+    assert checks["altered_qobc_identically_zero"].actual > 0.1
+
+
+def test_tricerri_grid_fails_a_wrong_sign_family(monkeypatch):
+    paper_tricerri = verify.paper_tricerri
+
+    def flipped(b, d, im_w):
+        vals = paper_tricerri(b, d, im_w).values.copy()
+        vals[1, 1, 1, 1] *= -1.0         # the |d|^2 entry with the wrong sign
+        return ChernTensor(values=vals, basis=FRAME)
+
+    assert verify.tricerri_eigen_formula_error() < 1e-9
+    monkeypatch.setattr(verify, "paper_tricerri", flipped)
+    assert verify.tricerri_eigen_formula_error() > 0.1
+
+
 def test_sweep_euclidean_all_zero(capsys):
     code = main(["sweep", "--metric", "euclidean", "--dim", "2",
                  "--grid", "re1=0:1:2", "--seed", "1"])
@@ -241,6 +303,18 @@ def test_frame_scan_family_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["inf"] == pytest.approx(-0.75 * (1 + np.sqrt(2.0)))
     assert payload["sup"] == pytest.approx(0.75)
+
+
+def test_searched_zero_sup_prints_zero(capsys):
+    # a searched sup is minus the least value of the negated form; an exact
+    # zero there must not print as -0
+    argv = ["frame-scan", "--tensor", "paper_tricerri", "--tensor-params", '{"im_w": 1.0}',
+            "--functional", "rbc", "--cone", "orthant"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[2] == "sup = 0"
+    assert main(argv + ["--format", "json"]) == 0
+    sup = json.loads(capsys.readouterr().out)["sup"]["value"]
+    assert sup == 0.0 and np.copysign(1.0, sup) == 1.0
 
 
 def test_cone_check_json(capsys):

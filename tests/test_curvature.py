@@ -5,10 +5,10 @@ from numpy.testing import assert_allclose
 from curvlab import (DomainError, FrameConvention, RicciKind, UsageError,
                      curvature_from_jet, jet_at, kahler_constant, make_metric,
                      make_synthetic, paper_hopf, paper_tricerri, random_tensor,
-                     ricci, scal_equal, scalars, skew_pair, to_frame, transform_frame)
+                     ricci, scalars, skew_pair, to_frame, transform_frame)
 from curvlab.curvature import COORDINATE, ChernTensor, hermitian_tensor_residual
 from curvlab.functionals import FunctionalKind, evaluate, hsc, matrices_from
-from curvlab.linalg import haar_from_rng, haar_unitary, rng_from
+from curvlab.linalg import haar_from_rng, rng_from
 from curvlab.metrics import euclidean, fubini_study, hopf
 from curvlab.search import tricerri_family_extrema
 
@@ -156,11 +156,9 @@ def test_ricci_requires_frame_basis():
 def test_scalars_hopf_and_fubini_study():
     s, s_alt = scalars(paper_hopf([1.0, 0.0]))
     assert (s, s_alt) == (pytest.approx(8.0), pytest.approx(4.0))
-    assert not scal_equal(paper_hopf([1.0, 0.0]))
     t = frame_tensor_of(fubini_study(2), np.zeros(2))
     s, s_alt = scalars(t)
     assert (s, s_alt) == (pytest.approx(6.0), pytest.approx(6.0))
-    assert scal_equal(t)
 
 
 def test_kahler_constant_by_construction():

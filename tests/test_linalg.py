@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from curvlab import DomainError, cholesky_frame, haar_unitary, is_psd, self_adjoint_eigen
-from curvlab.linalg import (haar_from_gaussians, haar_from_rng, random_hermitian, rng_from,
+from curvlab import DomainError, cholesky_frame, self_adjoint_eigen
+from curvlab.linalg import (clifford_frames, haar_from_gaussians, haar_from_rng, rng_from,
                             unitary_residual)
-from curvlab.verify import _frames_and_vectors
 
 
 def test_eigen_identity():
@@ -42,7 +41,9 @@ def test_eigen_records_asymmetry():
 def test_eigen_trace_det_invariants(n):
     rng = rng_from(10 + n)
     for _ in range(20):
-        m = random_hermitian(n, rng)
+        g = rng.standard_normal((2, n, n))
+        z = g[0] + 1j * g[1]
+        m = 0.5 * (z + z.conj().T)
         dec = self_adjoint_eigen(m)
         scale = max(1.0, float(np.abs(m).max()))
         assert abs(dec.values.sum() - np.trace(m).real) <= 1e-9 * scale
@@ -59,11 +60,6 @@ def test_rayleigh_bracketing():
         v /= np.linalg.norm(v)
         q = float(v @ sym @ v)
         assert dec.values[0] - 1e-12 <= q <= dec.values[-1] + 1e-12
-
-
-def test_is_psd():
-    assert is_psd(np.eye(2))
-    assert not is_psd(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
 
 def test_cholesky_frame_identity_and_diagonal():
@@ -92,17 +88,17 @@ def test_cholesky_frame_rejects_non_pd():
 
 
 def test_haar_determinism_and_unit_modulus():
-    u1 = haar_unitary(3, seed=7)
-    u2 = haar_unitary(3, seed=7)
+    u1 = haar_from_rng(3, rng_from(7))
+    u2 = haar_from_rng(3, rng_from(7))
     assert np.array_equal(u1, u2)
     assert unitary_residual(u1) < 1e-12
-    scalar = haar_unitary(1, seed=5)
+    scalar = haar_from_rng(1, rng_from(5))
     assert abs(abs(scalar[0, 0]) - 1.0) < 1e-12
 
 
 def test_haar_first_entry_moment():
     n, count = 4, 1000
-    vals = np.array([abs(haar_unitary(n, seed=1000 + k)[0, 0]) ** 2
+    vals = np.array([abs(haar_from_rng(n, rng_from(1000 + k))[0, 0]) ** 2
                      for k in range(count)])
     se = vals.std(ddof=1) / np.sqrt(count)
     assert abs(vals.mean() - 1.0 / n) <= 3.0 * se
@@ -111,9 +107,6 @@ def test_haar_first_entry_moment():
 def test_block_draws_read_the_per_sample_streams():
     # a stack of draws reads the stream of as many single draws, bit for bit
     for n in (1, 2, 3, 5):
-        rng = rng_from(8, n)
-        singles = [random_hermitian(n, rng, 2.5) for _ in range(7)]
-        assert np.array_equal(random_hermitian(n, rng_from(8, n), 2.5, count=7), singles)
         rng = rng_from(9, n)
         singles = [haar_from_rng(n, rng) for _ in range(7)]
         assert np.array_equal(haar_from_rng(n, rng_from(9, n), 7), singles)
@@ -123,15 +116,21 @@ def test_block_draws_read_the_per_sample_streams():
             n, rng_from(10, n), 12)[6])
 
 
-def test_hopf_frame_vector_block_matches_the_per_round_loop():
-    # verify hopf's altered-qobc check: 100 rounds of one U(2) frame and ten
-    # 2-vectors, drawn as one (100, 28) block
-    rng = rng_from(4)
-    frames, vectors = [], []
-    for _ in range(100):
-        frames.append(haar_from_rng(2, rng))
-        vectors.append([rng.standard_normal(2) for _ in range(10)])
-    us, vs = _frames_and_vectors(rng_from(4))
-    assert np.array_equal(us, frames)
-    assert np.array_equal(vs, vectors)
-    assert rng.standard_normal() == rng_from(4).standard_normal(100 * 28 + 1)[-1]
+def test_clifford_frames_are_a_unitary_2_design():
+    u = clifford_frames()
+    assert u.shape == (24, 2, 2) and not u.flags.writeable
+    assert unitary_residual(u) < 1e-15
+    # distinct up to phase: |tr(U^H V)| = 2 only on the diagonal
+    overlaps = np.abs(np.einsum("aji,bjk->abik", np.conj(u), u).trace(axis1=2, axis2=3))
+    assert np.array_equal(overlaps > 2.0 - 1e-12, np.eye(24, dtype=bool))
+    # closed under the generators H and S, up to phase
+    for g in (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.diag([1.0, 1j])):
+        moved = np.abs(np.einsum("aji,bjk->abik", np.conj(u), g @ u).trace(axis1=2, axis2=3))
+        assert np.all((moved > 2.0 - 1e-12).sum(axis=0) == 1)
+    # frame potential 2, the least value on U(2), is the 2-design condition
+    assert abs(np.mean(overlaps ** 4) - 2.0) < 1e-12
+    # so the mean of a degree-(2,2) polynomial is its Haar mean,
+    # E |u_00|^4 = 1/3, and a degree-(3,3) one here too: E |u_00|^6 = 1/4
+    assert abs(np.mean(np.abs(u[:, 0, 0]) ** 4) - 1.0 / 3.0) < 1e-15
+    assert abs(np.mean(np.abs(u[:, 0, 0]) ** 6) - 1.0 / 4.0) < 1e-15
+    assert clifford_frames() is u

@@ -309,19 +309,6 @@ def test_zero_tensor_invariant():
     assert ok and dev == 0.0
 
 
-@pytest.mark.parametrize("convention", ["full", "adjoint"])
-def test_invariance_kinds_on_one_frame_stack_equal_separate_calls(convention):
-    kinds = (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_HSC,
-             FunctionalKind.QOBC, FunctionalKind.ALTERED_QOBC)
-    for t in (paper_hopf([1.0, 0.5 - 0.5j]), paper_tricerri(0.3, 0.8, 1.2),
-              random_tensor(5, 3)):
-        for chosen in (kinds, kinds[:3], kinds[3:1:-1]):
-            together = search_mod._invariance_tests(t, chosen, convention, samples=150,
-                                                    seed=4, tol=1e-9)
-            assert together == [invariance_test(t, kind, convention, samples=150, seed=4,
-                                                tol=1e-9) for kind in chosen]
-
-
 def test_invariance_needs_enough_samples():
     with pytest.raises(UsageError):
         invariance_test(paper_hopf([1.0, 0.0]), FunctionalKind.RBC,
