@@ -16,7 +16,7 @@ from .curvature import (ChernTensor, FrameConvention, RicciKind, curvature_from_
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC,
                           CurvatureMatrices, FunctionalKind, bisectional,
                           constant_identity_check, evaluate, frame_matrices,
-                          fs_moment_check, hsc, matrices_from, rayleigh_bounds,
+                          hsc, matrices_from, rayleigh_bounds,
                           ricci_qobc_bounds, weitzenbock)
 from .cones import (Cone, EDMatrix, cone_min, copositive_2x2, difference_form_pairings,
                     dual_edm_test, edm_from_vector, full_cone, generator_cone, make_cone,

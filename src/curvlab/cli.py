@@ -202,11 +202,11 @@ def build_parser():
 
     p_verify = subs.add_parser(
         "verify", help="run a reproduction suite",
-        description="Run a reproduction suite.  Polynomial identities are checked exactly "
+        description="Run a reproduction suite.  Polynomial identities, and the qobc "
+                    "hypotheses of ricci_qobc_bounds over every frame, are checked exactly "
                     "and do not depend on --seed.  --seed moves only the checks whose "
                     "subject is random: hopf fd_tensor_vs_closed_form and "
-                    "altered_hsc_bounds_formula (random points), ricci_qobc_bounds (its "
-                    "sampled frames, reported in its details), the cones oracles, "
+                    "altered_hsc_bounds_formula (random points), the cones oracles, "
                     "fubini_study hsc_constant_2, and the identities suite's random "
                     "tensors and scalar_trace_invariance frames.")
     p_verify.add_argument("suite", choices=["hopf", "tricerri", "fubini_study",
@@ -325,8 +325,8 @@ def cmd_verify(args):
 
 
 def _parse_grid(grid_text, base, n):
-    """Grid spec 'axis=start:stop:count,...' with axes re1,im1,...  Returns
-    the list of points in row-major grid order."""
+    """Grid spec 'axis=start:stop:count,...' with axes re1,im1,..., each at
+    most once.  Returns the list of points in row-major grid order."""
     axes = []
     for part in grid_text.split(","):
         try:
@@ -343,6 +343,8 @@ def _parse_grid(grid_text, base, n):
             raise UsageError(f"grid axis count must be <= {MAX_GRID_POINTS}")
         if kind not in ("re", "im") or not 0 <= idx < n:
             raise UsageError(f"unknown grid axis '{name}' for dimension {n}")
+        if any(axis[:2] == (kind, idx) for axis in axes):
+            raise UsageError(f"grid axis '{name}' is given twice")
         values = np.linspace(start, stop, count) if count > 1 else np.array([start])
         axes.append((kind, idx, values))
     shape = [len(a[2]) for a in axes]
@@ -488,6 +490,8 @@ def cmd_cone_check(args):
         raise UsageError(f"--samples must be in {MIN_SAMPLES}..{MAX_SAMPLES}, "
                          f"got {args.samples}")
 
+    if args.generators is not None and args.cone != "generators":
+        raise UsageError(f"--generators is read only with --cone generators, not {args.cone}")
     cone = make_cone(args.cone, m.shape[0],
                      generators=parse_matrix(args.generators) if args.generators else None)
 

@@ -37,7 +37,7 @@ import numpy as np
 from .config import DEFAULT, MAX_DIM
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
-from .linalg import ensure_finite, rng_from, self_adjoint_eigen
+from .linalg import ensure_finite, max_modulus, rng_from, self_adjoint_eigen
 from .reports import IdentityReport
 
 # generator rows per block of the Perron check: its (rows, n) temporaries
@@ -207,7 +207,8 @@ def cone_min(m, cone):
     minimum then has a (k,) array of values and a (k, n) array of argmins,
     row j equal bit for bit to ``cone_min(m[j], cone)``, on every cone kind.
     """
-    m = ensure_finite(np.asarray(m, dtype=float), "matrix")
+    m = np.asarray(m, dtype=float)
+    max_modulus(m, "matrix")
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise UsageError("cone_min needs a square matrix or a nonempty stack of them, "
                          f"got shape {m.shape}")
@@ -244,6 +245,7 @@ def copositive_2x2(m):
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
         raise UsageError("copositive_2x2 is defined for 2 x 2 matrices only")
+    max_modulus(m, "matrix")   # keeps s11 s22 finite
     s = 0.5 * (m + np.swapaxes(m, -1, -2))
     s11, s22 = s[..., 0, 0], s[..., 1, 1]
     diag_ok = (s11 >= 0.0) & (s22 >= 0.0)
@@ -283,10 +285,18 @@ def perron_weights(edm):
 
 def dual_edm_test(m, tol=None):
     """Membership of m in the dual EDM cone: trace pairing against every
-    Sigma_v is nonnegative iff the Weitzenboeck matrix of m is PSD."""
+    Sigma_v is nonnegative iff the Weitzenboeck matrix W of m is PSD on the
+    complement of the all-ones vector 1.
+
+    W 1 = 0 always, and that zero eigenvalue carries rounding of size
+    eps |W|, which an absolute tol cannot absorb at large scale; so the test
+    reads W + (max|W| / n) 1 1^T, which has W's spectrum on the complement
+    of 1 and the eigenvalue max|W| on 1."""
     tol = DEFAULT.cone_agreement if tol is None else tol
-    w = weitzenbock(np.asarray(m, dtype=float))
-    return bool(np.linalg.eigvalsh(w)[0] >= -tol)
+    m = np.asarray(m, dtype=float)
+    max_modulus(m, "matrix")
+    w = weitzenbock(m)
+    return bool(np.linalg.eigvalsh(w + np.abs(w).max() / w.shape[-1])[0] >= -tol)
 
 
 def _centred(vs):
@@ -431,7 +441,7 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
         raise UsageError(f"perron_criterion_check needs a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
         raise UsageError(f"perron_criterion_check supports n <= {MAX_DIM}, got {m.shape[0]}")
-    ensure_finite(m, "matrix")
+    max_modulus(m, "matrix")
     tol = DEFAULT.cone_agreement if tol is None else tol
     return _perron_pass(m, rng_from(seed), samples, tol)[0]
 
@@ -440,7 +450,7 @@ def _perron_pass(m, rng, samples, tol, tail=None):
     """The report of ``perron_criterion_check`` on the next samples rows of
     rng, followed by the rows of tail (a last block) if given, and the trace
     pairings of all those rows with the symmetric part of m.  m is a
-    validated finite square matrix."""
+    validated square matrix, its entries within MAX_ENTRY."""
     n = m.shape[0]
     s = 0.5 * (m + m.T)
     lam = np.linalg.eigvalsh(s)[::-1]

@@ -3,7 +3,8 @@
 Every tolerance used by the library defaults to a field of ``Tolerances``;
 callers override per call where an operation takes a ``tol`` argument.
 Scale-relative tolerances say so in their comment.  MAX_DIM bounds every
-dimension read from outside the program.
+dimension read from outside the program, and MAX_ENTRY the modulus of every
+entry of a curvature tensor or of a matrix handed to a cone test.
 """
 
 from dataclasses import dataclass
@@ -31,3 +32,9 @@ DEFAULT = Tolerances()
 # largest dimension accepted from outside (metric --dim, synthetic tensor n,
 # cone-check matrices); cone_min's face enumeration visits up to 2^MAX_DIM faces
 MAX_DIM = 12
+
+# largest entry modulus of a curvature tensor (every one, checked where it is
+# built) and of a matrix given to cone_min, copositive_2x2, dual_edm_test or
+# perron_criterion_check: at this bound squares and n^2-fold sums of entries
+# stay finite, so no check downstream overflows
+MAX_ENTRY = 2.0 ** 500

@@ -26,9 +26,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT, MAX_DIM
+from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import cholesky_frame, ensure_finite, rng_from, unitary_residual
+from .linalg import cholesky_frame, max_modulus, rng_from, unitary_residual
 
 COORDINATE = "coordinate"
 FRAME = "frame"
@@ -79,9 +79,8 @@ def _build(values, basis, metric=None):
     values = np.asarray(values, dtype=complex)
     if values.ndim > 4:
         return tuple(_build(v, basis, metric) for v in values)
-    values = ensure_finite(values, "curvature tensor")
+    scale = max(1.0, max_modulus(values, "curvature tensor"))
     resid = hermitian_tensor_residual(values)
-    scale = max(1.0, float(np.abs(values).max()))
     if resid > DEFAULT.tensor_hermitian * scale:
         raise DomainError(f"tensor violates Hermitian symmetry: residual {resid:.3e}")
     values.flags.writeable = False
@@ -247,8 +246,8 @@ def paper_tricerri(b, d, im_w):
     """Two-parameter Tricerri frame family: the only nonzero entries are
     R[2,2,1,1] = |b|^2 R0 and R[2,2,2,2] = |d|^2 R0 with
     R0 = -3 / (2 Im(w)^4).  Unitarity bounds each row entry: |b| <= 1 and
-    |d| <= 1.  An Im(w) that is not positive and finite, or whose R0 is not
-    finite, is a DomainError."""
+    |d| <= 1.  An Im(w) that is not positive and finite, or whose |R0|
+    exceeds MAX_ENTRY, is a DomainError."""
     bb, dd = abs(complex(b)) ** 2, abs(complex(d)) ** 2
     bound = 1.0 + DEFAULT.tricerri_row_bound
     if bb > bound or dd > bound:
@@ -258,9 +257,9 @@ def paper_tricerri(b, d, im_w):
         r0 = -1.5 / im_w ** 4
     except (OverflowError, ZeroDivisionError):   # Im(w)^4 over- or underflows
         r0 = math.nan
-    if not (0.0 < im_w < math.inf and math.isfinite(r0)):
-        raise DomainError(f"Im(w) must be positive, with Im(w)^4 and -3/(2 Im(w)^4) "
-                          f"finite, got {im_w!r}")
+    if not (0.0 < im_w < math.inf and abs(r0) <= MAX_ENTRY):
+        raise DomainError(f"Im(w) must be positive and finite, with 3/(2 Im(w)^4) "
+                          f"at most MAX_ENTRY = {MAX_ENTRY:.3g}, got {im_w!r}")
     vals = np.zeros((2, 2, 2, 2), dtype=complex)
     vals[1, 1, 0, 0] = bb * r0
     vals[1, 1, 1, 1] = dd * r0

@@ -25,9 +25,15 @@ Frame searches need the two matrices in many frames at once:
 any frame-changed n^4 tensor, and the matrix builders broadcast over leading
 axes.  ``evaluate`` and ``hsc`` take stacks of vectors of shape (..., n),
 broadcast against stacked matrices, with every row checked nonzero; a single
-vector on single matrices still gives a float.  The constant-curvature
-checks are exact: each identity is a matrix equality, whose entrywise
-residuals stay arrays until the report picks its witnesses.
+vector on single matrices still gives a float.
+
+Every check here is exact and draws no random numbers.  ``frame_form`` is
+the form on Herm(n) whose extreme eigenvalues are a functional's inf and sup
+over every frame and vector under the full convention: the frame search
+reads its exact extrema from it, and ``ricci_qobc_bounds`` its qobc
+hypotheses.  The constant-curvature identities are matrix equalities, whose
+entrywise residuals stay arrays until the report picks its witnesses, and
+the fourth moments of the unit sphere come from an exact cubature rule.
 """
 
 import enum
@@ -37,10 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, MAX_DIM
+from .config import DEFAULT
 from .errors import UsageError
-from .linalg import (_hermitian_basis, ensure_finite, haar_from_rng, rng_from,
-                     self_adjoint_eigen)
+from .linalg import _hermitian_basis, ensure_finite, self_adjoint_eigen
 from .curvature import FrameConvention, RicciKind, _checked_frame_change, ricci, scalars
 from .reports import IdentityReport
 
@@ -274,6 +279,37 @@ def weitzenbock(m):
     return sums - (m + np.swapaxes(m, -1, -2))
 
 
+def frame_form(tensor, kind):
+    """Real symmetric n^2 x n^2 form Q on Herm(n), in the basis of
+    ``_hermitian_basis``, whose quadratic form at the coordinates c of
+    A = sum_a x_a u_a^T conj(u_a) is |x|^2 times the functional at frame rows
+    u_a and vector x under the full convention.  Every Hermitian A arises
+    this way, with |x| = |A|_F, so the extreme eigenvalues of Q are the inf
+    and sup of the functional over every frame and vector.
+
+    With S = R for the rbc slice and S = R_(pt)(qs) for the altered slice,
+    S(A, A) = sum A[p,q] S[p,q,s,t] A[s,t] is the repeated-pair form; the
+    difference forms add the row and column sums S(A^2, I) + S(I, A^2), which
+    are the linear functional ell[p,q] = S[p,q,s,s] + S[s,s,p,q] at A^2.
+    """
+    kind = FunctionalKind(kind)
+    if kind is FunctionalKind.ALTERED_HSC:
+        return frame_form(tensor, "rbc") + frame_form(tensor, "altered_rbc")
+    n = tensor.n
+    basis = _hermitian_basis(n)
+    s = tensor.values
+    if kind in (FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_QOBC):
+        s = s.transpose(0, 3, 2, 1)
+    q = (basis @ s.reshape(n * n, n * n) @ basis.T).real
+    if kind in (FunctionalKind.QOBC, FunctionalKind.ALTERED_QOBC):
+        ell = np.einsum("pqss->pq", s) + np.einsum("sspq->pq", s)
+        # ell(B_k B_l) = sum B_k[p, r] (ell B_l^T)[p, r]
+        mats = basis.reshape(n * n, n, n)
+        pushed = ell @ np.swapaxes(mats, -1, -2)
+        q = (basis @ pushed.reshape(n * n, n * n).T).real - 2.0 * q
+    return 0.5 * (q + q.T)
+
+
 # ---------------------------------------------------------------------------
 # constant-curvature hypothesis checks
 
@@ -420,7 +456,7 @@ def constant_identity_check(tensor, hypothesis, tol=None):
 # ---------------------------------------------------------------------------
 # Ricci vs difference-form curvature inequalities
 
-def ricci_qobc_bounds(tensor, tol=None, frame_samples=20, seed=0):
+def ricci_qobc_bounds(tensor, tol=None):
     """Margins of the Ricci and scalar inequalities implied by nonnegative
     difference-form curvatures.
 
@@ -430,9 +466,11 @@ def ricci_qobc_bounds(tensor, tol=None, frame_samples=20, seed=0):
         Ric3_kk + Ric3_ll + Ric4_kk + Ric4_ll - 2 (R[k,k,l,l] + R[l,l,k,k])
 
     together with the two scalar-trace margins; passed means all margins are
-    >= -tol.  The nonnegativity hypotheses themselves (W-matrix PSD in
-    sampled frames under the full convention) are evaluated and recorded in
-    the details, not enforced, with the least Weitzenboeck eigenvalue seen.
+    >= -tol.  The nonnegativity hypotheses themselves, qobc and altered qobc
+    >= 0 in every unitary frame under the full convention, are decided
+    exactly and recorded in the details, not enforced: the least value of
+    each over every frame and vector is the least eigenvalue of its
+    ``frame_form``.
     """
     tensor.require_frame("ricci_qobc_bounds")
     tol = DEFAULT.identity_check if tol is None else tol
@@ -463,21 +501,17 @@ def ricci_qobc_bounds(tensor, tol=None, frame_samples=20, seed=0):
     values = np.array([val for _, val in margins])
     rows = [(lambda j: [margins[j][0]], values, 0.0, np.maximum(0.0, -values))]
 
-    # least eigenvalue of the qobc and altered-qobc Weitzenboeck matrices over
-    # the sampled frames, one stacked draw and one batched eigensolve
-    lowest = np.full(2, np.inf)
-    if frame_samples > 0:
-        us = haar_from_rng(n, rng_from(seed), frame_samples)
-        m = CurvatureMatrices.from_slices(*frame_matrices(tensor, us, FrameConvention.FULL))
-        lowest = np.linalg.eigvalsh(weitzenbock(np.stack([m.rbc, m.altered])))[..., 0].min(axis=1)
+    # inf of qobc and altered qobc over every frame and vector: one stacked
+    # eigensolve of their frame forms
+    lowest, _ = rayleigh_bounds(np.stack([frame_form(tensor, FunctionalKind.QOBC),
+                                          frame_form(tensor, FunctionalKind.ALTERED_QOBC)]))
     qobc_psd, alt_psd = (bool(x) for x in lowest >= -DEFAULT.cone_agreement)
 
     details = {"margins": [[name, val] for name, val in margins],
                "scal": scal, "altered_scal": scal_alt,
-               "qobc_nonneg_sampled": qobc_psd, "altered_qobc_nonneg_sampled": alt_psd,
-               "qobc_min_eigenvalue_sampled": float(lowest[0]),
-               "altered_qobc_min_eigenvalue_sampled": float(lowest[1]),
-               "frame_samples": frame_samples}
+               "qobc_nonneg": qobc_psd, "altered_qobc_nonneg": alt_psd,
+               "qobc_min_over_frames": float(lowest[0]),
+               "altered_qobc_min_over_frames": float(lowest[1])}
     return _report("ricci_qobc_bounds", rows, tol, details)
 
 
@@ -529,64 +563,3 @@ def _rule_moments(nodes, weights):
     n = nodes.shape[-1]
     a = (nodes[:, :, None] * np.conj(nodes)[:, None, :]).reshape(-1, n * n)
     return (a.T @ (weights[:, None] * a)).reshape((n,) * 4)
-
-
-_MOMENT_BLOCK = 4096   # rows per Gram product: the (block, n^2) factors stay small
-
-
-def _moment_chunk(n, rng, count):
-    """Sums over count unit vectors z of z_i conj(z_j) z_k conj(z_l) and of
-    its squared modulus s_i s_j s_k s_l (s = |z|^2), as Gram products
-    A^T A with A[a, (i, j)] = z_i conj(z_j) and S^T S with
-    S[a, (i, j)] = s_i s_j, accumulated over row blocks."""
-    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    s = np.abs(z) ** 2
-    total = np.zeros((n * n, n * n), dtype=complex)
-    total_sq = np.zeros((n * n, n * n))
-    for start in range(0, count, _MOMENT_BLOCK):
-        zb, sb = z[start:start + _MOMENT_BLOCK], s[start:start + _MOMENT_BLOCK]
-        a = (zb[:, :, None] * np.conj(zb)[:, None, :]).reshape(-1, n * n)
-        q = (sb[:, :, None] * sb[:, None, :]).reshape(-1, n * n)
-        total += a.T @ a
-        total_sq += q.T @ q
-    return total.reshape((n,) * 4), total_sq.reshape((n,) * 4)
-
-
-def fs_moment_check(n, samples, seed=0, tol_sigmas=3.0):
-    """Monte Carlo check of the fourth-moment identity on the unit sphere of
-    C^n (the Fubini-Study pushforward measure), all n^4 index tuples at once.
-
-    Sampling uses normalized complex Gaussians; the deviation of each tuple is
-    compared against tol_sigmas standard errors (variance estimated from the
-    same stream).
-    """
-    if n < 2:
-        raise UsageError("moment identity needs n >= 2")
-    if n > MAX_DIM:
-        raise UsageError(f"moment identity dimension {n} exceeds {MAX_DIM}")
-    if samples < 10_000:
-        raise UsageError("need at least 1e4 samples for a meaningful check")
-    chunk = 100_000
-    total = total_sq = 0.0
-    for k, start in enumerate(range(0, samples, chunk)):
-        part, part_sq = _moment_chunk(n, rng_from(seed, k), min(chunk, samples - start))
-        total = total + part
-        total_sq = total_sq + part_sq
-    mean = total / samples
-    # |w_i wbar_j w_k wbar_l|^2 = prod of squared moduli, so total_sq / N is
-    # the second moment of each summand
-    var = np.maximum(total_sq / samples - np.abs(mean) ** 2, 0.0)
-    se = np.sqrt(var / samples)
-    target = moment_target(n)
-    dev = np.abs(mean - target)
-    floor = 1.0 / samples  # guards exact-zero tuples against se == 0
-    ratio = dev / np.maximum(tol_sigmas * se, floor)
-    worst = np.unravel_index(int(np.argmax(ratio)), dev.shape)
-    rows = [(_index_labels(dev.shape), mean, target,
-             dev / np.maximum(tol_sigmas * se, floor))]
-    report = _report("fs_moment_identity", rows, 1.0,
-                     {"n": n, "samples": samples, "max_abs_deviation": float(dev.max()),
-                      "max_standard_error": float(se.max()),
-                      "worst_tuple": [int(i) for i in worst]})
-    return report

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT
+from .config import DEFAULT, MAX_ENTRY
 from .errors import DomainError, UsageError
 
 
@@ -31,6 +31,16 @@ def ensure_finite(arr, what="input"):
     if not np.isfinite(arr).all():  # a complex entry is finite iff both parts are
         raise DomainError(f"{what} contains NaN or Inf entries")
     return arr
+
+
+def max_modulus(arr, what="input"):
+    """Largest entry modulus of arr; DomainError unless every entry is finite
+    and at most ``config.MAX_ENTRY`` in modulus."""
+    top = float(np.abs(arr).max(initial=0.0))
+    if not top <= MAX_ENTRY:   # NaN compares false
+        raise DomainError(f"{what} has an entry that is NaN, Inf or above "
+                          f"MAX_ENTRY = {MAX_ENTRY:.3g} in modulus")
+    return top
 
 
 def _adjoint(m):

@@ -53,8 +53,9 @@ from .errors import NumericalError, UsageError
 from .config import DEFAULT
 from .linalg import _hermitian_basis, haar_from_rng, rng_from, self_adjoint_eigen
 from .curvature import FrameConvention, paper_tricerri, transform_frame
-from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_matrices,
-                          matrices_from, quadratic_form_matrix, rayleigh_bounds)
+from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
+                          frame_matrices, matrices_from, quadratic_form_matrix,
+                          rayleigh_bounds)
 from .cones import cone_min, full_cone
 
 
@@ -264,35 +265,6 @@ def _search(tensor, kinds, cone, convention, cfg):
     return [FrameExtremum(value=value if sign < 0 else 0.0 - value, frame=frame, vector=vector,
                           convention=convention.value)
             for (_, sign), (value, _, vector), frame in zip(keys, best, frames)]
-
-
-def frame_form(tensor, kind):
-    """Real symmetric n^2 x n^2 form Q on Herm(n), in the basis of
-    ``_hermitian_basis``, whose quadratic form at the coordinates c of
-    A = sum_a x_a u_a^T conj(u_a) is |x|^2 times the functional at frame rows
-    u_a and vector x under the full convention.
-
-    With S = R for the rbc slice and S = R_(pt)(qs) for the altered slice,
-    S(A, A) = sum A[p,q] S[p,q,s,t] A[s,t] is the repeated-pair form; the
-    difference forms add the row and column sums S(A^2, I) + S(I, A^2), which
-    are the linear functional ell[p,q] = S[p,q,s,s] + S[s,s,p,q] at A^2.
-    """
-    kind = FunctionalKind(kind)
-    if kind is FunctionalKind.ALTERED_HSC:
-        return frame_form(tensor, "rbc") + frame_form(tensor, "altered_rbc")
-    n = tensor.n
-    basis = _hermitian_basis(n)
-    s = tensor.values
-    if kind in (FunctionalKind.ALTERED_RBC, FunctionalKind.ALTERED_QOBC):
-        s = s.transpose(0, 3, 2, 1)
-    q = (basis @ s.reshape(n * n, n * n) @ basis.T).real
-    if kind in (FunctionalKind.QOBC, FunctionalKind.ALTERED_QOBC):
-        ell = np.einsum("pqss->pq", s) + np.einsum("sspq->pq", s)
-        # ell(B_k B_l) = sum B_k[p, r] (ell B_l^T)[p, r]
-        mats = basis.reshape(n * n, n, n)
-        pushed = ell @ np.swapaxes(mats, -1, -2)
-        q = (basis @ pushed.reshape(n * n, n * n).T).real - 2.0 * q
-    return 0.5 * (q + q.T)
 
 
 def _exact_extrema(tensor, kind):

@@ -8,8 +8,9 @@ the Hopf frame invariance on the 24 frames of a unitary 2-design, the
 constant-curvature identities as matrix equalities, and the Tricerri
 eigenvalue formula on a 3 x 3 grid.  ``--seed`` moves only the checks whose
 subject is random: the Hopf finite-difference check and the altered-HSC
-bounds points, ``ricci_qobc_bounds``, the cone oracles, the Fubini-Study hsc
-points, and the identities suite's random tensors and scalar-trace frames.
+bounds points, the cone oracles, the Fubini-Study hsc points, and the
+identities suite's random tensors and scalar-trace frames.
+``ricci_qobc_bounds`` decides its qobc hypotheses over every frame exactly.
 A sampled check draws its samples as one block from its seeded stream, laid
 out in the order a per-sample loop would draw them, and evaluates them in
 one stacked call.
@@ -138,7 +139,7 @@ def suite_hopf(seed=0):
     rep.add("scal_at_(1,0)", 8.0, s, 1e-12)
     rep.add("altered_scal_at_(1,0)", 4.0, s_alt, 1e-12)
 
-    bounds = ricci_qobc_bounds(t, tol=1e-10, seed=seed + 5)
+    bounds = ricci_qobc_bounds(t, tol=1e-10)
     margins = dict((name, val) for name, val in bounds.details["margins"])
     rep.add("ricci_pair_margin", 16.0, margins["ric12_pair[0,1]"], 1e-10)
     rep.add("scal_bound_margin", 8.0, margins["scal_bound"], 1e-10)

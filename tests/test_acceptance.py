@@ -12,12 +12,13 @@ import pytest
 
 from curvlab import (ConstAlteredHBC, ConstHSC, FunctionalKind, constant_identity_check,
                      cone_min, copositive_2x2, curvature_from_jet, dual_edm_test,
-                     evaluate, fs_moment_check, hsc, invariance_test, jet_at,
+                     evaluate, hsc, invariance_test, jet_at,
                      kahler_constant, matrices_from, nonneg_orthant, paper_hopf,
                      paper_tricerri, random_tensor, rayleigh_bounds, ricci,
                      ricci_qobc_bounds, scalars, skew_pair, perron_criterion_check, to_frame,
                      transform_frame, weitzenbock)
 from curvlab.curvature import FrameConvention, RicciKind, hermitian_tensor_residual
+from curvlab.functionals import _moment_cubature, _rule_moments, moment_target
 from curvlab.linalg import haar_from_rng, rng_from
 from curvlab.metrics import fubini_study
 from curvlab.search import tricerri_family_extrema
@@ -157,11 +158,10 @@ def test_tricerri_eigen_formula_error_any_count(count):
 
 
 def test_criterion_6_moment_identity():
-    with criterion(6, "sphere fourth moments at N=1e6 within 3 standard errors"):
+    with criterion(6, "sphere fourth moments exact by the cubature rule"):
         for n in (2, 3):
-            rep = fs_moment_check(n, 1_000_000, seed=SEED + 6 + n)
-            assert rep.passed, rep.details
-            assert rep.details["max_abs_deviation"] < 2e-3
+            moments = _rule_moments(*_moment_cubature(n))
+            assert np.abs(moments - moment_target(n)).max() <= 1e-12
 
 
 def test_criterion_7_constant_curvature_identities():
@@ -197,13 +197,13 @@ def test_criterion_8_cone_oracle_equivalence():
 
 def test_criterion_9_ricci_margins():
     with criterion(9, "Ricci/scalar inequality margins on Hopf and Fubini-Study"):
-        rep = ricci_qobc_bounds(paper_hopf([1.0, 0.0]), tol=1e-10, seed=SEED + 15)
+        rep = ricci_qobc_bounds(paper_hopf([1.0, 0.0]), tol=1e-10)
         assert rep.passed
         margins = dict((name, val) for name, val in rep.details["margins"])
         assert abs(margins["ric12_pair[0,1]"] - 16.0) < 1e-10
         assert abs(margins["scal_bound"] - 8.0) < 1e-10
         fs = to_frame(curvature_from_jet(jet_at(fubini_study(2), np.zeros(2))))
-        rep_fs = ricci_qobc_bounds(fs, tol=1e-10, seed=SEED + 16)
+        rep_fs = ricci_qobc_bounds(fs, tol=1e-10)
         assert rep_fs.passed
         s, _ = scalars(fs)
         cross = float(np.real(fs.values[0, 1, 1, 0] + fs.values[1, 0, 0, 1]))

@@ -62,6 +62,18 @@ def test_cone_min_guard_rails():
         cone_min(np.eye(3), nonneg_orthant(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200, -1e308])
+def test_cone_tests_reject_entries_over_the_bound(bad):
+    # at 1e200 the product s11 s22 of copositive_2x2 overflowed, and it read
+    # this matrix, whose minimum on the orthant is -1e200, as copositive
+    m = np.array([[bad, -2.0 * bad], [-2.0 * bad, bad]])
+    for test in (lambda: cone_min(m, nonneg_orthant(2)), lambda: copositive_2x2(m),
+                 lambda: dual_edm_test(m), lambda: perron_criterion_check(m, samples=100)):
+        with pytest.raises(DomainError, match="MAX_ENTRY"):
+            test()
+    assert cone_min(2.0 ** 499 * np.eye(2), nonneg_orthant(2)).value == 2.0 ** 499
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_cone_generators_are_domain_errors(bad):
     with pytest.raises(DomainError, match="cone generators"):
@@ -186,6 +198,19 @@ def test_dual_edm_examples():
     assert dual_edm_test(np.eye(2))
     assert not dual_edm_test(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert dual_edm_test(matrices_from(paper_hopf([1.0, 0.0])).rbc)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_dual_edm_membership_does_not_depend_on_the_scale(n):
+    # an interior point: W of I + 1 1^T + 0.1 (A + A^T) is positive definite
+    # on the complement of 1, while its zero eigenvalue on 1 carries rounding
+    # of size eps |W|
+    for seed in range(10):
+        a = rng_from(seed).standard_normal((n, n))
+        m = np.eye(n) + np.ones((n, n)) + 0.1 * (a + a.T)
+        for k in (0, 20, 27, 40, 100, 300, 490):
+            assert dual_edm_test(2.0 ** k * m), (seed, k)
+            assert not dual_edm_test(-(2.0 ** k) * m), (seed, k)
 
 
 def test_perron_criterion_examples():

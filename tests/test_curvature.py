@@ -192,14 +192,25 @@ def test_paper_tricerri_bounds_and_validation():
         paper_tricerri(0.5, 0.5, -1.0)
 
 
-@pytest.mark.parametrize("im_w", [0.0, 1e-100, 1e-80, 1e100, np.inf, np.nan])
+@pytest.mark.parametrize("im_w", [0.0, 1e-100, 1e-80, 1e-70, 1e100, np.inf, np.nan])
 def test_paper_tricerri_rejects_an_out_of_range_im_w(im_w):
-    # Im(w)^4 under- or overflows, or R0 = -3/(2 Im(w)^4) is not finite
+    # Im(w)^4 under- or overflows, or |R0| = 3/(2 Im(w)^4) exceeds MAX_ENTRY,
+    # as it does below Im(w) = (1.5 / MAX_ENTRY)^(1/4), about 8.2e-38
     with pytest.raises(DomainError, match="Im"):
         paper_tricerri(0.0, 1.0, im_w)
     with pytest.raises(DomainError, match="Im"):
         tricerri_family_extrema(im_w, "rbc")
-    assert np.isfinite(paper_tricerri(0.0, 1.0, 1e-70).values).all()
+    assert np.isfinite(paper_tricerri(0.0, 1.0, 1e-37).values).all()
+
+
+def test_tensor_entries_over_the_bound_are_domain_errors():
+    for c in (2.0 ** 501, -1e308, np.nan):
+        with pytest.raises(DomainError, match="MAX_ENTRY"):
+            kahler_constant(c, 2)
+    for c in (2.0 ** 501, -1e308, np.inf, -np.inf, np.nan):
+        with pytest.raises(DomainError, match="MAX_ENTRY"):
+            skew_pair(2.0 * c, 2, seed=0)   # entries c + s, s antisymmetric
+    assert np.abs(kahler_constant(2.0 ** 500, 2).values).max() == 2.0 ** 500
 
 
 def test_make_synthetic_dispatch():

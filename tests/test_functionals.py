@@ -7,13 +7,12 @@ from numpy.testing import assert_allclose
 
 from curvlab import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, FunctionalKind,
                      UsageError, bisectional, constant_identity_check, evaluate,
-                     fs_moment_check, hsc, kahler_constant, matrices_from, paper_hopf,
+                     hsc, kahler_constant, matrices_from, paper_hopf,
                      paper_tricerri, random_tensor, rayleigh_bounds, ricci_qobc_bounds,
                      skew_pair, weitzenbock)
 from curvlab import functionals, reports
 from curvlab.cones import perron_criterion_check
 from curvlab.curvature import ChernTensor, FRAME, curvature_from_jet, to_frame
-from curvlab.config import MAX_DIM
 from curvlab.functionals import (CurvatureMatrices, _moment_cubature, _report, _rule_moments,
                                  moment_target)
 from curvlab.linalg import rng_from
@@ -502,7 +501,6 @@ def test_identity_reports_round_trip_through_json():
               constant_identity_check(random_tensor(4, 3), ConstAlteredHBC(1.0)),
               ricci_qobc_bounds(paper_hopf([1.0, 0.0])),
               ricci_qobc_bounds(random_tensor(5, 3)),
-              fs_moment_check(2, 10_000),
               perron_criterion_check(np.array([[0.0, -1.0], [-1.0, 0.0]]), samples=150),
               perron_criterion_check(np.eye(3), samples=150)]
     for rep in checks:
@@ -573,7 +571,7 @@ def test_ricci_qobc_bounds_examples():
     margins = dict((name, val) for name, val in rep.details["margins"])
     assert margins["ric12_pair[0,1]"] == pytest.approx(16.0)
     assert margins["scal_bound"] == pytest.approx(8.0)
-    assert rep.details["qobc_nonneg_sampled"]
+    assert rep.details["qobc_nonneg"]
 
     rep_fs = ricci_qobc_bounds(fs_tensor())
     assert rep_fs.passed
@@ -582,20 +580,6 @@ def test_ricci_qobc_bounds_examples():
 
     rep_zero = ricci_qobc_bounds(zero_tensor(3))
     assert rep_zero.passed and rep_zero.max_residual == 0.0
-
-
-def test_fs_moment_check_small():
-    rep = fs_moment_check(2, 50_000, seed=3)
-    assert rep.passed
-    assert rep.details["max_abs_deviation"] < 0.01
-    with pytest.raises(UsageError):
-        fs_moment_check(2, 100)
-
-
-def test_fs_moment_check_rejects_a_dimension_over_the_bound():
-    # rejected at entry: this n would allocate (samples, n) and n^4 arrays
-    with pytest.raises(UsageError, match="exceeds"):
-        fs_moment_check(MAX_DIM + 1, 10_000)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
