@@ -30,12 +30,11 @@ from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
                         paper_hopf, paper_tricerri, scalars, to_frame)
 from .functionals import (QUADRATIC_KINDS, FunctionalKind, evaluate, hsc, matrices_from,
                           rayleigh_bounds)
-from .cones import copositive_2x2, cone_min, make_cone, perron_criterion_check
+from .cones import MIN_SAMPLES, copositive_2x2, cone_min, make_cone, perron_criterion_check
 from .search import SearchConfig, _extremize_kinds, extremize, tricerri_family_extrema
 from .verify import run_suite
 from . import reports
 
-MIN_SAMPLES = 100          # perron_criterion_check's least sample count
 MAX_SAMPLES = 100_000
 MAX_RESTARTS = 1_000       # search budgets of sweep and frame-scan
 MAX_REFINE_STEPS = 1_000
@@ -159,9 +158,21 @@ def _search_budget(args):
                          f"got {args.refine_steps}")
 
 
+def _finite_json(convert):
+    """JSON number and constant parser by convert that rejects NaN, Infinity,
+    -Infinity and a literal beyond the float range with a usage error."""
+    def parse(text):
+        value = convert(text)
+        if not abs(value) <= sys.float_info.max:   # NaN compares false
+            raise UsageError(f"--tensor-params must hold finite numbers, got {text}")
+        return value
+    return parse
+
+
 def _tensor_params(text):
     try:
-        params = json.loads(text)
+        params = json.loads(text, parse_float=_finite_json(float), parse_int=_finite_json(int),
+                            parse_constant=_finite_json(float))
     except (TypeError, ValueError) as exc:
         raise UsageError(f"cannot parse --tensor-params as JSON: {exc}") from None
     if not isinstance(params, dict):

@@ -43,6 +43,7 @@ from .reports import IdentityReport
 # generator rows per block of the Perron check: its (rows, n) temporaries
 # stay under 200 KB at n <= MAX_DIM, where full-length ones page-fault
 _BLOCK = 2048
+MIN_SAMPLES = 100   # least number of generators a Perron check samples
 
 
 @dataclass(frozen=True)
@@ -283,20 +284,20 @@ def perron_weights(edm):
     return np.clip(r, 0.0, 1.0)
 
 
-def dual_edm_test(m, tol=None):
+def dual_edm_test(m):
     """Membership of m in the dual EDM cone: trace pairing against every
     Sigma_v is nonnegative iff the Weitzenboeck matrix W of m is PSD on the
     complement of the all-ones vector 1.
 
     W 1 = 0 always, and that zero eigenvalue carries rounding of size
-    eps |W|, which an absolute tol cannot absorb at large scale; so the test
-    reads W + (max|W| / n) 1 1^T, which has W's spectrum on the complement
-    of 1 and the eigenvalue max|W| on 1."""
-    tol = DEFAULT.cone_agreement if tol is None else tol
+    eps |W|, which the absolute ``Tolerances.cone_agreement`` cannot absorb
+    at large scale; so the test reads W + (max|W| / n) 1 1^T, which has W's
+    spectrum on the complement of 1 and the eigenvalue max|W| on 1."""
     m = np.asarray(m, dtype=float)
     max_modulus(m, "matrix")
     w = weitzenbock(m)
-    return bool(np.linalg.eigvalsh(w + np.abs(w).max() / w.shape[-1])[0] >= -tol)
+    return bool(np.linalg.eigvalsh(w + np.abs(w).max() / w.shape[-1])[0]
+                >= -DEFAULT.cone_agreement)
 
 
 def _centred(vs):
@@ -408,7 +409,7 @@ def _edm_rank3_of_centred(w, s):
     return delta, q
 
 
-def perron_criterion_check(m, samples=1000, seed=0, tol=None):
+def perron_criterion_check(m, samples=1000, seed=0):
     """Cross-validation of the Perron-weight nonnegativity criterion.
 
     For each sampled generator v, with Sigma_v = U diag(delta) U^T (descending)
@@ -434,16 +435,15 @@ def perron_criterion_check(m, samples=1000, seed=0, tol=None):
     the same bit for bit as from one full-length block, while only the
     per-sample pairings and verdicts are full length.
     """
-    if samples < 100:
-        raise UsageError("perron_criterion_check needs at least 100 samples")
+    if samples < MIN_SAMPLES:
+        raise UsageError(f"perron_criterion_check needs at least {MIN_SAMPLES} samples")
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
         raise UsageError(f"perron_criterion_check needs a square matrix, got shape {m.shape}")
     if m.shape[0] > MAX_DIM:
         raise UsageError(f"perron_criterion_check supports n <= {MAX_DIM}, got {m.shape[0]}")
     max_modulus(m, "matrix")
-    tol = DEFAULT.cone_agreement if tol is None else tol
-    return _perron_pass(m, rng_from(seed), samples, tol)[0]
+    return _perron_pass(m, rng_from(seed), samples, DEFAULT.cone_agreement)[0]
 
 
 def _perron_pass(m, rng, samples, tol, tail=None):
@@ -480,7 +480,7 @@ def _perron_pass(m, rng, samples, tol, tail=None):
 
     verdict_criterion = bool(np.all(crit_ok))
     verdict_trace = bool(np.all(trace_ok))
-    verdict_dual = dual_edm_test(m, tol)
+    verdict_dual = dual_edm_test(m)
     witnesses = []
     max_resid = 0.0
     for a in np.nonzero(~both)[0][:5]:

@@ -1,7 +1,6 @@
 """Default numerical tolerances, collected in one record.
 
-Every tolerance used by the library defaults to a field of ``Tolerances``;
-callers override per call where an operation takes a ``tol`` argument.
+Every tolerance used by the library is a field of ``Tolerances``.
 Scale-relative tolerances say so in their comment.  MAX_DIM bounds every
 dimension read from outside the program, and MAX_ENTRY the modulus of every
 entry of a curvature tensor or of a matrix handed to a cone test.

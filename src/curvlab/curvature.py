@@ -29,6 +29,7 @@ import numpy as np
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
 from .linalg import cholesky_frame, max_modulus, rng_from, unitary_residual
+from .metrics import HOPF_SQ_RANGE, _chart_sq_norm
 
 COORDINATE = "coordinate"
 FRAME = "frame"
@@ -141,14 +142,13 @@ def _checked_frame_change(tensor, u, op, ranks=None):
     return u
 
 
-def to_frame(tensor, g=None):
-    """Convert a coordinate tensor to the unitary frame built from g."""
+def to_frame(tensor):
+    """Convert a coordinate tensor to the unitary frame of its metric."""
     if tensor.basis == FRAME:
         return tensor
-    g = tensor.metric if g is None else np.asarray(g, dtype=complex)
-    if g is None:
-        raise UsageError("coordinate tensor carries no metric; pass g explicitly")
-    e = cholesky_frame(g).T
+    if tensor.metric is None:
+        raise UsageError("coordinate tensor carries no metric")
+    e = cholesky_frame(tensor.metric).T
     return _build(_change_indices(tensor.values, (e, np.conj(e), e, np.conj(e))), FRAME)
 
 
@@ -227,14 +227,20 @@ def skew_pair(c, n, seed):
 
 def paper_hopf(z):
     """Closed-form Hopf-surface components, used verbatim as frame components:
-    R[i,j,k,l] = 4 delta_kl (delta_ij |z|^2 - z_j conj(z_i)) / |z|^6."""
+    R[i,j,k,l] = 4 delta_kl (delta_ij |z|^2 - z_j conj(z_i)) / |z|^6.  A z
+    whose |z|^6 is not a normal float (|z|^2 outside HOPF_SQ_RANGE) is a
+    DomainError."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.size != 2:
         raise UsageError("the Hopf tensor lives on n = 2")
-    abs2 = np.abs(z) ** 2
-    rho = float(abs2.sum())
+    rho = float(_chart_sq_norm(z))
     if rho == 0.0:
         raise DomainError("the Hopf tensor is singular at z = 0")
+    low, high = HOPF_SQ_RANGE
+    if not low <= rho <= high:
+        raise DomainError(f"the Hopf tensor needs {low:.3g} <= |z|^2 <= {high:.3g}, where "
+                          f"|z|^6 is a normal float, got z = {z.tolist()}")
+    abs2 = np.abs(z) ** 2
     block = -4.0 * np.einsum("j,i->ij", z, np.conj(z)) / rho ** 3
     block[0, 0] = 4.0 * abs2[1] / rho ** 3
     block[1, 1] = 4.0 * abs2[0] / rho ** 3

@@ -371,7 +371,7 @@ def _sym(m):
     return 0.5 * (m + np.swapaxes(m, -1, -2))
 
 
-def constant_identity_check(tensor, hypothesis, tol=None):
+def constant_identity_check(tensor, hypothesis):
     """Check the algebraic identities forced by a constant-curvature hypothesis.
 
     Each identity between quadratic forms is checked exactly, as the
@@ -399,7 +399,6 @@ def constant_identity_check(tensor, hypothesis, tol=None):
         altered rbc == c/2, i.e. sym(altered) = (c/2) I.
     """
     tensor.require_frame("constant_identity_check")
-    tol = DEFAULT.identity_check if tol is None else tol
     r = tensor.values
     n = tensor.n
     eye, ones = np.eye(n), np.ones((n, n))
@@ -450,13 +449,14 @@ def constant_identity_check(tensor, hypothesis, tol=None):
     else:
         raise UsageError(f"unknown hypothesis {hypothesis!r}")
 
-    return _report(f"constant_identity[{type(hypothesis).__name__}]", rows, tol, details)
+    return _report(f"constant_identity[{type(hypothesis).__name__}]", rows,
+                   DEFAULT.identity_check, details)
 
 
 # ---------------------------------------------------------------------------
 # Ricci vs difference-form curvature inequalities
 
-def ricci_qobc_bounds(tensor, tol=None):
+def ricci_qobc_bounds(tensor):
     """Margins of the Ricci and scalar inequalities implied by nonnegative
     difference-form curvatures.
 
@@ -466,14 +466,13 @@ def ricci_qobc_bounds(tensor, tol=None):
         Ric3_kk + Ric3_ll + Ric4_kk + Ric4_ll - 2 (R[k,k,l,l] + R[l,l,k,k])
 
     together with the two scalar-trace margins; passed means all margins are
-    >= -tol.  The nonnegativity hypotheses themselves, qobc and altered qobc
-    >= 0 in every unitary frame under the full convention, are decided
-    exactly and recorded in the details, not enforced: the least value of
-    each over every frame and vector is the least eigenvalue of its
-    ``frame_form``.
+    >= -``Tolerances.identity_check``.  The nonnegativity hypotheses
+    themselves, qobc and altered qobc >= 0 in every unitary frame under the
+    full convention, are decided exactly and recorded in the details, not
+    enforced: the least value of each over every frame and vector is the
+    least eigenvalue of its ``frame_form``.
     """
     tensor.require_frame("ricci_qobc_bounds")
-    tol = DEFAULT.identity_check if tol is None else tol
     n = tensor.n
     r = tensor.values
     ric = {k: ricci(tensor, k) for k in RicciKind}
@@ -512,7 +511,7 @@ def ricci_qobc_bounds(tensor, tol=None):
                "qobc_nonneg": qobc_psd, "altered_qobc_nonneg": alt_psd,
                "qobc_min_over_frames": float(lowest[0]),
                "altered_qobc_min_over_frames": float(lowest[1])}
-    return _report("ricci_qobc_bounds", rows, tol, details)
+    return _report("ricci_qobc_bounds", rows, DEFAULT.identity_check, details)
 
 
 # ---------------------------------------------------------------------------

@@ -48,13 +48,6 @@ def _adjoint(m):
     return np.swapaxes(np.conj(m), -1, -2)
 
 
-def hermitian_residual(m):
-    """Largest deviation of ``m`` (or of any matrix of a stack) from its
-    conjugate transpose."""
-    m = np.asarray(m)
-    return float(np.abs(m - _adjoint(m)).max()) if m.size else 0.0
-
-
 def unitary_residual(u):
     """Largest entry of |U^H U - I| over a matrix or a stack of matrices."""
     u = np.asarray(u)
@@ -66,24 +59,19 @@ class EigenDecomposition:
     """Spectrum of a self-adjoint matrix, or of a stack of them.
 
     values are ascending along the last axis; vectors holds the matching
-    orthonormal eigenvectors as columns.  asymmetry records how far the
-    original input was from self-adjoint before the internal symmetrization;
-    for a stack, both residuals are the largest over the stack.
+    orthonormal eigenvectors as columns.
     """
 
     values: np.ndarray
     vectors: np.ndarray
-    asymmetry: float
-    reconstruction_residual: float
 
 
 def self_adjoint_eigen(m):
     """Full spectrum of a (nearly) self-adjoint matrix, ascending; a stack of
     matrices along leading axes gives a stack of spectra.
 
-    The input is symmetrized first; the asymmetry it carried is recorded on
-    the result rather than raised, because quadratic-form consumers only ever
-    see the symmetric part.  The eigen-reconstruction residual of every
+    The input is symmetrized first, because quadratic-form consumers only
+    ever see the symmetric part.  The eigen-reconstruction residual of every
     matrix is checked against its own scale.
     """
     m = np.asarray(m)
@@ -91,18 +79,16 @@ def self_adjoint_eigen(m):
                       "matrix")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise UsageError(f"expected a square matrix, got shape {m.shape}")
-    asym = hermitian_residual(m)
     h = 0.5 * (m + _adjoint(m))
     values, vectors = np.linalg.eigh(h)
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
     recon = np.abs(h @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1))
     if (recon > DEFAULT.eigen_reconstruction * scale).any():
         raise DomainError(f"eigendecomposition residual {recon.max():.3e} exceeds tolerance")
-    return EigenDecomposition(values=values, vectors=vectors, asymmetry=asym,
-                              reconstruction_residual=float(recon.max()))
+    return EigenDecomposition(values=values, vectors=vectors)
 
 
-def cholesky_frame(g, pd_floor=None):
+def cholesky_frame(g):
     """Columns of E are a g-orthonormal frame of (1,0)-vectors.
 
     Orthonormality is with respect to <X, Y> = sum g_{i jbar} X_i conj(Y_j),
@@ -111,10 +97,9 @@ def cholesky_frame(g, pd_floor=None):
     E = (L^{-1})^T.  For real metrics this coincides with E^H g E = I, and
     diagonal metrics give diagonal frames.
     """
-    pd_floor = DEFAULT.positive_definite if pd_floor is None else pd_floor
     g = ensure_finite(np.asarray(g, dtype=complex), "metric")
     lambda_min = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
-    if lambda_min <= pd_floor:
+    if lambda_min <= DEFAULT.positive_definite:
         raise DomainError(
             f"metric is not positive definite: smallest eigenvalue {lambda_min:.6e}")
     low = np.linalg.cholesky(0.5 * (g + g.conj().T))
@@ -131,18 +116,11 @@ def haar_from_rng(n, rng, count=None):
 
     Each unitary consumes the real and then the imaginary n x n Gaussian
     block, so a stack of count draws reads the same stream as count single
-    draws and gives the same unitaries.
+    draws and gives the same unitaries: QR of (re + i im) / sqrt(2) with the
+    phases of the triangular factor's diagonal moved into Q.
     """
     lead = () if count is None else (count,)
-    return haar_from_gaussians(rng.standard_normal(lead + (2, n, n)))
-
-
-def haar_from_gaussians(g):
-    """Haar unitaries from standard Gaussian blocks g of shape (..., 2, n, n),
-    the real and then the imaginary part of each: QR of (re + i im) / sqrt(2)
-    with the phases of the triangular factor's diagonal moved into Q.  Any
-    slice of a block stream that holds the 2 n^2 draws of one unitary in
-    order gives the unitary ``haar_from_rng`` makes from the same draws."""
+    g = rng.standard_normal(lead + (2, n, n))
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)

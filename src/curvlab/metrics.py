@@ -27,17 +27,20 @@ point at a time.
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import DEFAULT, MAX_DIM
+from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
 from .linalg import ensure_finite
 
 CHART_BOUND = 10.0      # |coordinate| bound for the Tricerri fundamental-domain chart
 HOPF_MARGIN = 0.05      # hopf domain: |z| > margin
+# hopf domain and paper_hopf: |z|^2 in this range keeps |z|^6 a normal float
+HOPF_SQ_RANGE = (sys.float_info.min ** (1 / 3), sys.float_info.max ** (1 / 3))
 TRICERRI_MARGIN = 0.05  # tricerri domain: Im(w) > margin
 
 
@@ -167,15 +170,17 @@ def _half_step_slots(n):
 
 def _stencil_values(evaluate, points, domain):
     """Metric values at the (k, n) points, each domain-checked, stacked.  A
-    stacked evaluator and domain test (or none) are called once each, every
-    point checked before any is evaluated; otherwise each point is checked
-    and evaluated in turn."""
-    if not all(getattr(fn, "stacked", False) for fn in (evaluate, domain) if fn is not None):
-        return np.array([_eval_checked(evaluate, q, domain) for q in points])
-    if domain is not None:
+    stacked domain test checks every point in one call before any is
+    evaluated; a stacked evaluator then evaluates them in one call.  A plain
+    domain test checks each point, and a plain evaluator evaluates it, in
+    turn."""
+    if getattr(domain, "stacked", False):
         inside = np.broadcast_to(domain(points), points.shape[:-1])
         if not inside.all():
             raise _leaves_domain(points[np.argmin(inside)])
+        domain = None
+    if domain is not None or not getattr(evaluate, "stacked", False):
+        return np.array([_eval_checked(evaluate, q, domain) for q in points])
     values = np.empty(points.shape + points.shape[-1:], dtype=complex)
     values[...] = evaluate(points)
     return values
@@ -270,7 +275,13 @@ def _sq_norm(p):
     return (np.abs(p) ** 2).sum(axis=-1)
 
 
-_everywhere = _stacked(lambda p: True)
+def _chart_sq_norm(p, weights=1.0):
+    """sum_i weights_i |p_i|^2 for each point of a stack, or inf for a point
+    with a NaN or a |p_i| above sqrt(MAX_ENTRY), which is not squared: a
+    chart bound on this norm never overflows."""
+    a = np.abs(p)
+    keep = a.max(axis=-1) <= math.sqrt(MAX_ENTRY)
+    return np.where(keep, (weights * np.where(keep[..., None], a, 0.0) ** 2).sum(axis=-1), np.inf)
 
 
 def euclidean(n):
@@ -282,11 +293,11 @@ def euclidean(n):
         return MetricJet(g=eye.copy(), dg=zeros1.copy(), ddg=zeros2.copy())
 
     return MetricField(name="euclidean", n=n, evaluate=_stacked(lambda p: eye.copy()),
-                       domain=_everywhere, jet=jet)
+                       domain=_stacked(lambda p: True), jet=jet)
 
 
 def conformal(n, coeffs=None):
-    """g = exp(f) I with f(z) = sum_m c_m |z_m|^2."""
+    """g = exp(f) I with f(z) = sum_m c_m |z_m|^2, where exp(f) <= MAX_ENTRY."""
     c = np.ones(n) if coeffs is None else np.asarray(coeffs, dtype=float).reshape(-1)
     if c.size != n:
         raise UsageError(f"conformal metric needs {n} coefficients, got {c.size}")
@@ -295,6 +306,8 @@ def conformal(n, coeffs=None):
     @_stacked
     def evaluate(p):
         return np.exp((c * np.abs(p) ** 2).sum(axis=-1))[..., None, None] * eye
+
+    domain = _stacked(lambda p: _chart_sq_norm(p, c) <= math.log(MAX_ENTRY))
 
     def jet(p):
         w = np.exp(float(np.sum(c * np.abs(p) ** 2)))
@@ -305,8 +318,7 @@ def conformal(n, coeffs=None):
         ddg = np.einsum("ij,kl->ijkl", w * hess, eye)
         return MetricJet(g=w * eye, dg=dg, ddg=ddg)
 
-    return MetricField(name="conformal", n=n, evaluate=evaluate,
-                       domain=_everywhere, jet=jet)
+    return MetricField(name="conformal", n=n, evaluate=evaluate, domain=domain, jet=jet)
 
 
 def hopf():
@@ -320,7 +332,8 @@ def hopf():
 
     @_stacked
     def domain(p):
-        return np.sqrt(_sq_norm(p)) > HOPF_MARGIN
+        r = _chart_sq_norm(p)
+        return (np.sqrt(r) > HOPF_MARGIN) & (r <= HOPF_SQ_RANGE[1])
 
     def jet(p):
         r = float(_sq_norm(p))
@@ -334,7 +347,7 @@ def hopf():
 
 
 def fubini_study(n):
-    """Affine-chart Fubini-Study metric g = d dbar log(1 + |w|^2)."""
+    """Affine-chart Fubini-Study metric g = d dbar log(1 + |w|^2), |w|^2 <= MAX_ENTRY."""
     identity = np.eye(n)
 
     @_stacked
@@ -360,8 +373,8 @@ def fubini_study(n):
                - 6.0 * u ** 4 * np.einsum("j,k,l,i->ijkl", p, pb, p, pb))
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
-    return MetricField(name="fubini_study", n=n, evaluate=evaluate,
-                       domain=_everywhere, jet=jet)
+    domain = _stacked(lambda p: _chart_sq_norm(p) <= MAX_ENTRY)
+    return MetricField(name="fubini_study", n=n, evaluate=evaluate, domain=domain, jet=jet)
 
 
 def tricerri():
@@ -400,13 +413,8 @@ def tricerri():
                        domain=domain, jet=jet)
 
 
-_CATALOG = {
-    "euclidean": lambda dim=None, **kw: euclidean(_need_dim(dim)),
-    "conformal": lambda dim=None, coeffs=None, **kw: conformal(_need_dim(dim), coeffs),
-    "hopf": lambda dim=None, **kw: _fixed_dim(hopf, dim, 2),
-    "fubini_study": lambda dim=None, **kw: fubini_study(_need_dim(dim)),
-    "tricerri": lambda dim=None, **kw: _fixed_dim(tricerri, dim, 2),
-}
+_CATALOG = {"euclidean": euclidean, "conformal": conformal, "hopf": hopf,
+            "fubini_study": fubini_study, "tricerri": tricerri}
 
 
 def _need_dim(dim):
@@ -420,17 +428,15 @@ def _need_dim(dim):
     return dim
 
 
-def _fixed_dim(builder, dim, expected):
-    if dim is not None and int(dim) != expected:
-        raise UsageError(f"this metric is defined for n = {expected}")
-    return builder()
-
-
-def make_metric(name, dim=None, **params):
+def make_metric(name, dim=None):
     """Catalog lookup used by the CLI: euclidean | conformal | hopf |
-    fubini_study | tricerri."""
+    fubini_study | tricerri, the last two on n = 2 only."""
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise UsageError(f"unknown metric '{name}'; catalog: {sorted(_CATALOG)}") from None
-    return builder(dim=dim, **params)
+    if name not in ("hopf", "tricerri"):
+        return builder(_need_dim(dim))
+    if dim is not None and int(dim) != 2:
+        raise UsageError("this metric is defined for n = 2")
+    return builder()

@@ -69,9 +69,9 @@ class VerifyReport:
                                  tolerance=tolerance, passed=bool(ok)))
         return ok
 
-    def add_bool(self, name, actual, expected=True):
-        ok = bool(actual) == bool(expected)
-        self.checks.append(Check(name=name, expected=bool(expected), actual=bool(actual),
+    def add_bool(self, name, actual):
+        ok = bool(actual)
+        self.checks.append(Check(name=name, expected=True, actual=ok,
                                  tolerance=0.0, passed=ok))
         return ok
 

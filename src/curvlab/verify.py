@@ -30,8 +30,9 @@ from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureM
                           constant_identity_check, evaluate, frame_matrices, hsc,
                           matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds,
                           weitzenbock)
-from .cones import (_perron_pass, copositive_2x2, cone_min, difference_form_pairings,
-                    dual_edm_test, edm_from_vector, nonneg_orthant, perron_weights)
+from .cones import (MIN_SAMPLES, _perron_pass, copositive_2x2, cone_min,
+                    difference_form_pairings, dual_edm_test, edm_from_vector, nonneg_orthant,
+                    perron_weights)
 from .search import tricerri_family_extrema
 from .reports import VerifyReport
 
@@ -48,13 +49,13 @@ def hopf_domain_points(seed, count):
     return pts
 
 
-def hopf_fd_worst_error(seed, count=20):
+def hopf_fd_worst_error(seed):
     """Largest entrywise deviation (relative to the tensor sup-norm) between
     the finite-difference Chern tensor of the Hopf metric and its closed form,
-    over random points 0.1 < |z| < 3."""
+    over 20 random points 0.1 < |z| < 3."""
     metric = hopf()
     worst = 0.0
-    for z in hopf_domain_points(seed, count):
+    for z in hopf_domain_points(seed, 20):
         # step proportional to |z| keeps both truncation and cancellation
         # error around 1e-8 relative across the shell
         h = 1e-4 * float(np.linalg.norm(z))
@@ -139,7 +140,7 @@ def suite_hopf(seed=0):
     rep.add("scal_at_(1,0)", 8.0, s, 1e-12)
     rep.add("altered_scal_at_(1,0)", 4.0, s_alt, 1e-12)
 
-    bounds = ricci_qobc_bounds(t, tol=1e-10)
+    bounds = ricci_qobc_bounds(t)
     margins = dict((name, val) for name, val in bounds.details["margins"])
     rep.add("ricci_pair_margin", 16.0, margins["ric12_pair[0,1]"], 1e-10)
     rep.add("scal_bound_margin", 8.0, margins["scal_bound"], 1e-10)
@@ -230,7 +231,7 @@ def suite_fubini_study(seed=0):
     rep.add("hsc_constant_2", 0.0, worst, 1e-7)
 
     t0 = to_frame(curvature_from_jet(jet_at(fubini_study(2), np.zeros(2))))
-    const_check = constant_identity_check(t0, ConstHSC(2.0), tol=1e-10)
+    const_check = constant_identity_check(t0, ConstHSC(2.0))
     rep.add_bool("const_hsc_identities", const_check.passed)
     ric_all = [ricci(t0, k).real for k in RicciKind]
     rep.add("all_ricci_equal_3I", 0.0,
@@ -246,8 +247,7 @@ def suite_fubini_study(seed=0):
     return rep
 
 
-def cone_oracle_disagreements(n, count, seed, thm_samples=2000, direct_samples=10_000,
-                              tol=1e-8, witness=False):
+def cone_oracle_disagreements(n, count, seed, thm_samples, direct_samples, witness=False):
     """Number of matrices where the PSD oracle, the Perron-weight criterion,
     and direct distance-matrix sampling disagree about nonnegativity of the
     difference form.
@@ -258,12 +258,14 @@ def cone_oracle_disagreements(n, count, seed, thm_samples=2000, direct_samples=1
     direct_samples trace pairings, those of the pass and, past them, of rows
     drawn next from the same stream (``difference_form_pairings``).
 
-    With witness, when the Weitzenboeck matrix W has lambda_min(W) < -tol,
-    its bottom eigenvector follows the random prefix of both sampled streams:
+    Every verdict reads ``Tolerances.cone_agreement`` as tol.  With witness,
+    when the Weitzenboeck matrix W has lambda_min(W) < -tol, its bottom
+    eigenvector follows the random prefix of both sampled streams:
     W 1 = 0, so it is a generator pairing to lambda_min(W), and both sampled
     readings must flag a negative cone too thin for random generators."""
-    if thm_samples < 100:
-        raise UsageError("the Perron oracle needs at least 100 samples")
+    if thm_samples < MIN_SAMPLES:
+        raise UsageError(f"the Perron oracle needs at least {MIN_SAMPLES} samples")
+    tol = DEFAULT.cone_agreement
     bad = 0
     for k in range(count):
         m = rng_from(seed, n, k).standard_normal((n, n))
@@ -317,14 +319,11 @@ def suite_cones(seed=0):
 def suite_identities(seed=0):
     rep = VerifyReport(suite="identities")
     rep.add_bool("kahler_constant_const_hsc",
-                 constant_identity_check(kahler_constant(2.0, 3), ConstHSC(2.0),
-                                         tol=1e-10).passed)
+                 constant_identity_check(kahler_constant(2.0, 3), ConstHSC(2.0)).passed)
     rep.add_bool("skew_pair_const_altered_hbc",
-                 constant_identity_check(skew_pair(3.0, 3, seed=7), ConstAlteredHBC(3.0),
-                                         tol=1e-10).passed)
+                 constant_identity_check(skew_pair(3.0, 3, seed=7), ConstAlteredHBC(3.0)).passed)
     rep.add_bool("skew_pair_const_altered_rbc",
-                 constant_identity_check(skew_pair(5.0, 4, seed=11), ConstAlteredRBC(2.5),
-                                         tol=1e-10).passed)
+                 constant_identity_check(skew_pair(5.0, 4, seed=11), ConstAlteredRBC(2.5)).passed)
 
     # cross-sign: constant altered form forces a sign on the plain form,
     # c rbc(v) >= 0 for every v, i.e. lambda_min(c rbc) >= 0

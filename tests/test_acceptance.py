@@ -42,7 +42,7 @@ def criterion(num, description):
 
 def test_criterion_1_hopf_fd_closed_form():
     with criterion(1, "Hopf FD Chern tensor matches closed form at 1e-6 relative"):
-        assert hopf_fd_worst_error(SEED, count=20) < 1e-6
+        assert hopf_fd_worst_error(SEED) < 1e-6
 
 
 def test_criterion_2_hopf_matrices_and_bounds():
@@ -167,14 +167,13 @@ def test_criterion_6_moment_identity():
 def test_criterion_7_constant_curvature_identities():
     with criterion(7, "constant-curvature identity batteries below 1e-10"):
         for c, n in ((2.0, 2), (2.0, 3), (-1.0, 4)):
-            rep = constant_identity_check(kahler_constant(c, n), ConstHSC(c), tol=1e-10)
+            rep = constant_identity_check(kahler_constant(c, n), ConstHSC(c))
             assert rep.passed and rep.max_residual < 1e-10
         fs = to_frame(curvature_from_jet(jet_at(fubini_study(2), np.zeros(2))))
-        rep = constant_identity_check(fs, ConstHSC(2.0), tol=1e-10)
+        rep = constant_identity_check(fs, ConstHSC(2.0))
         assert rep.passed and rep.max_residual < 1e-10
         for c, n, s in ((3.0, 3, 7), (1.0, 2, 1), (-2.0, 4, 5)):
-            rep = constant_identity_check(skew_pair(c, n, seed=s), ConstAlteredHBC(c),
-                                          tol=1e-10)
+            rep = constant_identity_check(skew_pair(c, n, seed=s), ConstAlteredHBC(c))
             assert rep.passed and rep.max_residual < 1e-10
 
 
@@ -182,8 +181,7 @@ def test_criterion_8_cone_oracle_equivalence():
     with criterion(8, "distance-cone oracles agree on 500 matrices per size"):
         for n in (3, 4, 5):
             bad = cone_oracle_disagreements(n, 500, SEED + 10 + n,
-                                            thm_samples=10_000, direct_samples=10_000,
-                                            tol=1e-8)
+                                            thm_samples=10_000, direct_samples=10_000)
             assert bad == 0, f"n={n}: {bad} disagreements"
         rng = rng_from(SEED + 14)
         mismatch = 0
@@ -197,13 +195,13 @@ def test_criterion_8_cone_oracle_equivalence():
 
 def test_criterion_9_ricci_margins():
     with criterion(9, "Ricci/scalar inequality margins on Hopf and Fubini-Study"):
-        rep = ricci_qobc_bounds(paper_hopf([1.0, 0.0]), tol=1e-10)
+        rep = ricci_qobc_bounds(paper_hopf([1.0, 0.0]))
         assert rep.passed
         margins = dict((name, val) for name, val in rep.details["margins"])
         assert abs(margins["ric12_pair[0,1]"] - 16.0) < 1e-10
         assert abs(margins["scal_bound"] - 8.0) < 1e-10
         fs = to_frame(curvature_from_jet(jet_at(fubini_study(2), np.zeros(2))))
-        rep_fs = ricci_qobc_bounds(fs, tol=1e-10)
+        rep_fs = ricci_qobc_bounds(fs)
         assert rep_fs.passed
         s, _ = scalars(fs)
         cross = float(np.real(fs.values[0, 1, 1, 0] + fs.values[1, 0, 0, 1]))

@@ -139,6 +139,32 @@ OUT_OF_RANGE = [
     # flags that would be ignored or overwritten
     (["cone-check", "--cone", "orthant", "--generators", "1,0", "--matrix", "1,0;0,1"], 1),
     (["sweep", "--metric", "euclidean", "--dim", "2", "--grid", "re1=1:2:2,re1=1:2:2"], 1),
+    # Hopf points whose |z|^6 leaves the float range, and catalog points where
+    # a closed form would overflow: each is rejected before any arithmetic
+    (["frame-scan", "--tensor", "paper_hopf", "--tensor-params", '{"z": [1e60, 0]}',
+      "--functional", "rbc"], 2),
+    (["frame-scan", "--tensor", "paper_hopf", "--tensor-params", '{"z": [1e-120, 0]}',
+      "--functional", "rbc"], 2),
+    (["eval", "--metric", "hopf", "--point", "1e60,0", "--functional", "rbc",
+      "--vector", "1,0"], 2),
+    (["eval", "--metric", "hopf", "--point", "1e200,0", "--functional", "rbc",
+      "--vector", "1,0", "--use-paper-tensor"], 2),
+    (["sweep", "--metric", "hopf", "--point", "1,0", "--grid", "re1=1:1e60:3"], 2),
+    (["eval", "--metric", "fubini_study", "--dim", "2", "--point", "1e200,1e200j",
+      "--functional", "rbc", "--vector", "1,0"], 2),
+    (["eval", "--metric", "conformal", "--dim", "2", "--point", "30,0",
+      "--functional", "rbc", "--vector", "1,0"], 2),
+    # non-finite numbers in --tensor-params
+    (["frame-scan", "--tensor", "kahler_constant", "--tensor-params", '{"c": Infinity, "n": 2}',
+      "--functional", "rbc"], 1),
+    (["frame-scan", "--tensor", "kahler_constant", "--tensor-params", '{"c": -Infinity, "n": 2}',
+      "--functional", "rbc"], 1),
+    (["frame-scan", "--tensor", "paper_hopf", "--tensor-params", '{"z": [NaN, 1]}',
+      "--functional", "rbc"], 1),
+    (["frame-scan", "--tensor", "kahler_constant", "--tensor-params", '{"c": 1e400, "n": 2}',
+      "--functional", "rbc"], 1),
+    (["frame-scan", "--tensor", "paper_tricerri",
+      "--tensor-params", '{"im_w": 1%s}' % ("0" * 400), "--functional", "rbc"], 1),
 ]
 
 
@@ -148,6 +174,7 @@ def test_out_of_range_values_exit_with_a_message(argv, code, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("usage error:" if code == 1 else "domain error:")
+    assert err.count("\n") == 1
     assert "nonzero" not in err and "Traceback" not in err
 
 

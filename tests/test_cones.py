@@ -340,7 +340,7 @@ def reference_perron_verdicts(m, samples, seed, tol=1e-8):
     crit_ok, trace_ok = crit >= -tol / delta1, trace >= -tol
     lam = np.linalg.eigvalsh(s)[::-1]
     r = -delta[:, 1:] / delta1[:, None]
-    dual = dual_edm_test(m, tol)
+    dual = dual_edm_test(m)
     return {"passed": bool(np.all(crit_ok == trace_ok)) and bool(crit_ok.all() == trace_ok.all()),
             "verdict_criterion": bool(crit_ok.all()), "verdict_trace": bool(trace_ok.all()),
             "verdict_dual_edm": dual, "agrees_with_dual": bool(crit_ok.all()) == dual,
@@ -434,7 +434,7 @@ def single_block_perron_check(m, samples, seed, tol=1e-8, tail=None):
     eig_bound_ok = bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))
     verdict_criterion = bool(np.all(crit_ok))
     verdict_trace = bool(np.all(trace_ok))
-    verdict_dual = dual_edm_test(m, tol)
+    verdict_dual = dual_edm_test(m)
     witnesses = []
     max_resid = 0.0
     for a in np.nonzero(~both)[0][:5]:
@@ -478,7 +478,7 @@ def redraw_oracle_disagreements(n, count, seed, thm_samples, direct_samples, tol
     for k in range(count):
         m = rng_from(seed, n, k).standard_normal((n, n))
         sample_seed = (seed + 1) * 1_000_003 + 101 * n + k
-        rep = perron_criterion_check(m, samples=thm_samples, seed=sample_seed, tol=tol)
+        rep = perron_criterion_check(m, samples=thm_samples, seed=sample_seed)
         vs = rng_from(sample_seed).standard_normal((direct_samples, n))
         verdict_direct = bool(difference_form_pairings(vs, 0.5 * (m + m.T)).min() >= -tol)
         agree = (rep.details["verdict_dual_edm"] == rep.details["verdict_criterion"]

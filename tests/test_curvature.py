@@ -203,6 +203,17 @@ def test_paper_tricerri_rejects_an_out_of_range_im_w(im_w):
     assert np.isfinite(paper_tricerri(0.0, 1.0, 1e-37).values).all()
 
 
+@pytest.mark.parametrize("z", [[1e60, 0.0], [2.4e51, 0.0], [1e-120, 0.0], [5e-52, 0.0],
+                               [np.inf, 1.0], [np.nan, 1.0], [1e308 + 1e308j, 0.0]])
+def test_paper_hopf_rejects_a_z_whose_sixth_power_leaves_the_float_range(z):
+    # |z|^6 overflows above |z| = 2.37e51 and is subnormal below 5.3e-52
+    with pytest.raises(DomainError, match="normal float"):
+        paper_hopf(z)
+    assert 0.0 < np.abs(paper_hopf([2e51, 0.0]).values).max() < 1e-200
+    with pytest.raises(DomainError, match="MAX_ENTRY"):
+        paper_hopf([6e-52, 0.0])   # |z|^6 is normal, 4 / |z|^4 is not an entry
+
+
 def test_tensor_entries_over_the_bound_are_domain_errors():
     for c in (2.0 ** 501, -1e308, np.nan):
         with pytest.raises(DomainError, match="MAX_ENTRY"):

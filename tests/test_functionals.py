@@ -86,6 +86,19 @@ def test_bisectional_examples():
         assert bisectional(t, x, y) == pytest.approx(bisectional(t, y, x))
 
 
+def test_bisectional_variants_at_basis_vectors():
+    # at basis vectors e_a, e_g the single-term form is Re R[a,a,g,g], and
+    # the altered form adds Re R[g,g,a,a]
+    t = random_tensor(13, 3)
+    r = t.values
+    e = np.eye(3, dtype=complex)
+    for a, g in itertools.product(range(3), repeat=2):
+        assert bisectional(t, e[a], e[g], altered=False) == r[a, a, g, g].real
+        assert bisectional(t, e[a], e[g]) == (r[a, a, g, g] + r[g, g, a, a]).real
+    # the single-term form is not symmetric in the pair
+    assert bisectional(t, e[0], e[1], altered=False) != bisectional(t, e[1], e[0], altered=False)
+
+
 def test_evaluate_examples():
     m = matrices_from(paper_hopf([1.0, 0.0]))
     v = np.array([-1.0, 1.0]) / np.sqrt(2.0)

@@ -412,6 +412,49 @@ def test_stacked_path_makes_one_call_per_stencil(n, order):
     assert evals == [(n,)] * per_step
 
 
+@pytest.mark.parametrize("field, inside, outside", [
+    (conformal(2), [18.6, 5.0 + 17.9j], [18.7, 30.0, 1e200j, np.inf, np.nan]),
+    (fubini_study(2), [2.0 ** 249 * (1 + 1j)],
+     [2.0 ** 251, 1e200j, 1e308 + 1e308j, 1.7e308 - 1.7e308j]),
+    (hopf(), [2e51, 1e51 * (1 + 1j)], [2.4e51, 1e60, 1e308 + 1e308j, np.inf]),
+    (euclidean(2), [1e200, 1e308 + 1e308j], []),
+])
+def test_charts_end_before_their_closed_forms_overflow(field, inside, outside):
+    # points on the first axis; the domain test squares no part beyond
+    # sqrt(MAX_ENTRY), so no RuntimeWarning reaches Tier-1's filter
+    pts = np.zeros((len(inside) + len(outside), 2), dtype=complex)
+    pts[:, 0] = inside + outside
+    expected = np.arange(len(pts)) < len(inside)
+    assert np.array_equal(np.broadcast_to(field.domain(pts), expected.shape), expected)
+    assert [bool(field.domain(p)) for p in pts] == expected.tolist()
+    for p in pts[:len(inside)]:
+        jet = jet_at(field, p)
+        assert all(np.isfinite(x).all() for x in (jet.g, jet.dg, jet.ddg)), p
+
+
+def test_a_stacked_domain_checks_a_plain_evaluators_stencil_in_one_call():
+    # every point is checked before any is evaluated, so a stencil that
+    # leaves the domain evaluates nothing
+    evals, checks = [], []
+    for field, p in ((fubini_study(2), 0.1 * np.ones(2)), (hopf(), np.array([0.0501, 0.0]))):
+        domain = _stacked(lambda q: checks.append(q.shape) or field.domain(q))
+
+        def plain(q):
+            evals.append(q.shape)
+            return field.evaluate(q)
+
+        try:
+            jet = finite_difference_jet(plain, p, 1e-3, scale_with_point=False, domain=domain)
+        except DomainError as exc:
+            assert field.name == "hopf" and "stencil point" in str(exc)
+            continue
+        ref = finite_difference_jet(field.evaluate, p, 1e-3, scale_with_point=False,
+                                    domain=field.domain)
+        assert all(same_bits(a, b) for a, b in zip((jet.g, jet.dg, jet.ddg),
+                                                   (ref.g, ref.dg, ref.ddg)))
+    assert checks == [(41, 2), (41, 2)] and evals == [(2,)] * 41
+
+
 @pytest.mark.parametrize("field, p, h", [
     (hopf(), np.array([0.0501, 0.0]), 1e-3),           # into the origin ball
     (hopf(), np.array([0.03 + 0.04j, 1e-4j]), 1e-3),
