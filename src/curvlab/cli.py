@@ -348,6 +348,8 @@ def _parse_grid(grid_text, base, n):
         except ValueError:
             raise UsageError(f"cannot parse grid axis '{part}'; "
                              "expected name=start:stop:count") from None
+        if not np.isfinite(stop - start):   # also a non-finite start or stop
+            raise UsageError(f"grid axis '{name}' needs a finite start, stop and span")
         if count < 1:
             raise UsageError("grid axis count must be >= 1")
         if count > MAX_GRID_POINTS:

@@ -19,12 +19,14 @@ form Sigma_v: the direct pairing tr(S Sigma_v) is O(n^2) per sample
 (an EDM of embedding dimension d has rank <= d + 2; Gower, Linear Algebra
 Appl. 67, 1985), the Perron criterion reads the eigenpairs of its 3 x 3
 compression onto its range, solved in closed form for all samples at once
-(``_edm_rank3``).  ``perron_criterion_check`` reads its seeded stream in
-blocks of ``_BLOCK`` rows, so its temporaries stay block-sized; each block
-is centred once for both readings.  ``_perron_pass`` hands the trace
-pairings of that stream to the direct oracle of
-``verify.cone_oracle_disagreements``, which then draws only the rows past
-the Perron prefix.
+(``_edm_rank3``): the Perron root by the trigonometric cubic formula, the
+other two eigenpairs by algebraic identities of the compression, with no
+further trigonometric call.  ``perron_criterion_check`` reads its seeded
+stream in blocks of ``_BLOCK`` rows, so its temporaries stay block-sized;
+each block is centred once for both readings, and its eigenpairs come as
+(3, rows) arrays.  ``_perron_pass`` hands the trace pairings of that stream
+to the direct oracle of ``verify.cone_oracle_disagreements``, which then
+draws only the rows past the Perron prefix.
 """
 
 import functools
@@ -34,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT, MAX_DIM
+from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
 from .linalg import ensure_finite, max_modulus, rng_from, self_adjoint_eigen
@@ -44,6 +46,11 @@ from .reports import IdentityReport
 # stay under 200 KB at n <= MAX_DIM, where full-length ones page-fault
 _BLOCK = 2048
 MIN_SAMPLES = 100   # least number of generators a Perron check samples
+# a generator row keeps its bits while its largest entry lies in
+# [2^-(E + 1), 2^E), E = _GENERATOR_EXP = 257: then every entry of cone_min's
+# g s g^T, an n^2-fold sum of two row entries times a matrix entry within
+# MAX_ENTRY, stays finite at n <= MAX_DIM, and the Gram matrix g g^T normal
+_GENERATOR_EXP = (1023 - int(np.log2(MAX_ENTRY)) - 2 * int(np.ceil(np.log2(MAX_DIM)))) // 2
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,19 @@ def monotone_nonneg(n):
 
 
 def generator_cone(generators):
+    """The cone of the given rows, each with a nonzero entry.  A row whose
+    largest entry lies outside the range of ``_GENERATOR_EXP`` is scaled by
+    a power of two to a largest entry in [1/2, 1), which spans the same ray;
+    the other rows keep their bits."""
     gens = np.asarray(generators, dtype=float)
     if gens.ndim != 2:
         raise UsageError("generators must be a list of n-vectors")
     ensure_finite(gens, "cone generators")
-    if np.any(np.linalg.norm(gens, axis=1) == 0.0):
+    top = np.abs(gens).max(axis=1, initial=0.0)
+    if np.any(top == 0.0):
         raise UsageError("cone generators must be nonzero")
+    exp = np.frexp(top)[1][:, None]
+    gens = np.where(np.abs(exp) > _GENERATOR_EXP, np.ldexp(gens, -exp), gens)
     return Cone(kind="generators", n=gens.shape[1], generators=gens)
 
 
@@ -338,75 +352,89 @@ def _edm_rank3(vs, s):
         T = [[2, A, B], [A, -2, 0], [B, 0, 0]],  A = sqrt(n) sum u^3,
                                                  B = sqrt(n) |p|.
 
-    Its Perron root is t0 = 2 sqrt(K/3) cos(arccos(3 sqrt(3) B^2 / K^1.5) / 3)
-    with K = 4 + A^2 + B^2; it is isolated, since t0 >= sqrt(K) >= |t| for
-    the other two roots t, and its eigenvector is (1, A / (2 + t0), B / t0).
-    The other two eigenpairs are those of T on the orthogonal complement of
-    that vector, a 2 x 2 problem solved by one rotation, which stays exact
-    when they coincide.  Degenerate generators take the same path: p = 0
-    (n = 2, or two distinct values) gives B = 0 and the eigenvalue 0 on
-    e2 = 0; a constant v (or n = 1) gives w = 0, delta = 0 and
-    q[:, 0] = 1^T s 1 / n.
+    T has trace 0 and determinant 2 B^2.  Its Perron root is
+    t0 = 2 sqrt(K/3) cos(arccos(3 sqrt(3) B^2 / K^1.5) / 3) with
+    K = 4 + A^2 + B^2; it is isolated, since t0 >= sqrt(K) >= |t| for the
+    other two roots t, and its eigenvector is Y0 = (1, c1, c2) with
+    c1 = A / (2 + t0) and c2 = B / t0.  Z1 = (-c1, 1, 0) and
+    Z2 = Y0 x Z1 = (-c2, -c1 c2, 1 + c1^2) span its complement, where T is
+    [[m11, m12], [m12, -t0 - m11]] in the unit vectors along Z1 and Z2, with
+    closed-form m11 and m12.  So the other two eigenvalues are -t0/2 +- rho,
+    rho = |(h, m12)| with h = m11 + t0/2, and the forms on their
+    eigenvectors are the forms g_a, g_d of s on Z1, Z2 and their cross form
+    g_b, rotated by the angle 2 theta with cos 2 theta = h / rho and
+    sin 2 theta = m12 / rho: (g_a + g_d) / 2 +- ((g_a - g_d) h / 2 + g_b m12)
+    / rho.  At rho = 0 the two eigenvalues coincide and the split is 0; the
+    criterion reads only the sum of their forms, which needs no angle.
+    Degenerate generators take the same path: p = 0 (n = 2, or two distinct
+    values) gives B = 0 and the eigenvalue 0 on e2 = 0; a constant v (or
+    n = 1) gives w = 0, delta = 0 and q[:, 0] = 1^T s 1 / n.
     """
-    return _edm_rank3_of_centred(_centred(vs), s)
+    delta, q = _edm_rank3_of_centred(_centred(vs), s)
+    return delta.T, q.T
 
 
 def _edm_rank3_of_centred(w, s):
-    """``_edm_rank3`` of rows already centred by ``_centred``."""
+    """``_edm_rank3`` of rows already centred by ``_centred``, as (3, samples)
+    rows: delta[k] and q[k] hold the k-th eigenvalue and form of every row.
+
+    The work runs on the transposed (n, samples) copy of w, so every step is
+    one vector operation per coordinate, and a reduction over the coordinates
+    adds their rows in order."""
     samples, n = w.shape
-    ss1 = np.einsum("ai,ai->a", w, w)
-    u = w * np.divide(1.0, np.sqrt(ss1), out=np.zeros(samples), where=ss1 > 0.0)[:, None]
+    w = w.T.copy()
+    ss1 = (w * w).sum(axis=0)
+    live = ss1 > 0.0
+    u = w * np.divide(1.0, np.sqrt(ss1), out=np.zeros(samples), where=live)
     x = u * u
-    cube = np.einsum("ai,ai->a", x, u)
+    cube = (x * u).sum(axis=0)
     if n >= 3:
-        p = x.copy()
-        for _ in range(2):  # Gram-Schmidt against 1 and u; twice is enough
-            p -= (p @ np.full(n, 1.0 / n))[:, None] + np.einsum("ai,ai->a", p, u)[:, None] * u
+        # Gram-Schmidt against 1 and u, twice: the first pass with its known
+        # coefficients x . 1 / n = 1 / n and x . u = cube, the second as read
+        p = x - np.where(live, 1.0 / n, 0.0) - cube * u
+        p -= p.sum(axis=0) / n + (p * u).sum(axis=0) * u
     else:
         p = np.zeros_like(u)  # the range of Sigma_v is all of R^n
-    s2 = np.sqrt(np.einsum("ai,ai->a", p, p))
-    e2 = p * np.divide(1.0, s2, out=np.zeros(samples), where=s2 > 0.0)[:, None]
+    s2 = np.sqrt((p * p).sum(axis=0))
+    e2 = p * np.divide(1.0, s2, out=np.zeros(samples), where=s2 > 0.0)
 
     root_n = np.sqrt(n)
     big_a, big_b = root_n * cube, root_n * s2
-    k = 4.0 + big_a ** 2 + big_b ** 2
-    arg = np.minimum(3.0 * np.sqrt(3.0) * big_b ** 2 / k ** 1.5, 1.0)
-    t0 = 2.0 * np.sqrt(k / 3.0) * np.cos(np.arccos(arg) / 3.0)
-    # y0 = (1, c1, c2) / n0; z1 = (-c1, 1, 0) / n1 and z2 = y0 x z1 span its
-    # complement
+    bb = big_b * big_b
+    k = 4.0 + big_a * big_a + bb
+    t0 = 2.0 * np.sqrt(k / 3.0) * np.cos(
+        np.arccos(np.minimum(3.0 * np.sqrt(3.0) * bb / (k * np.sqrt(k)), 1.0)) / 3.0)
     c1, c2 = big_a / (2.0 + t0), big_b / t0
-    n1 = np.sqrt(1.0 + c1 ** 2)
-    n0 = np.sqrt(n1 ** 2 + c2 ** 2)
-    y0 = np.array([np.ones(samples), c1, c2]) / n0
-    z1 = np.array([-c1, np.ones(samples), np.zeros(samples)]) / n1
-    z2 = np.array([-c2, -c1 * c2, n1 ** 2]) / (n0 * n1)
+    c11, c12 = c1 * c1, c1 * c2
+    n11 = 1.0 + c11        # |Z1|^2; |Y0|^2 = n00 and |Z2|^2 = n00 n11
+    n00 = n11 + c2 * c2
+    n0 = np.sqrt(n00)
+    m11 = 2.0 * (c11 - big_a * c1 - 1.0) / n11
+    m12 = (c2 * (big_a * (c11 - 1.0) + 4.0 * c1) - big_b * c1 * n11) / (n0 * n11)
+    h = m11 + 0.5 * t0
+    # |h|, |m12| <= rho <= 3 t0 / 2, so the squares stay finite
+    rho = np.sqrt(h * h + m12 * m12)
 
-    def t_form(y, z):  # y^T T z
-        return (2.0 * (y[0] * z[0] - y[1] * z[1]) + big_a * (y[0] * z[1] + y[1] * z[0])
-                + big_b * (y[0] * z[2] + y[2] * z[0]))
+    # s compressed to (e0, e1, e2): g[i][j] = e_i^T s e_j; s is symmetric, so
+    # 1^T s y is the sum of s y
+    su, se = s @ u, s @ e2
+    g00 = s.sum() / n
+    g01, g02 = su.sum(axis=0) / root_n, se.sum(axis=0) / root_n
+    g11, g12, g22 = (su * u).sum(axis=0), (su * e2).sum(axis=0), (se * e2).sum(axis=0)
 
-    m11, m12, m22 = t_form(z1, z1), t_form(z1, z2), t_form(z2, z2)
-    mean, half = 0.5 * (m11 + m22), 0.5 * (m11 - m22)
-    radius = np.hypot(half, m12)
-    angle = 0.5 * np.arctan2(m12, half)
-    cos, sin = np.cos(angle), np.sin(angle)
-    y1, y2 = cos * z1 + sin * z2, cos * z2 - sin * z1
-
-    # s compressed to (e0, e1, e2): g[i][j] = e_i^T s e_j
-    s_one = s.sum(axis=1)
-    us = u @ s
-    g00 = s_one.sum() / n
-    g01, g02 = u @ s_one / root_n, e2 @ s_one / root_n
-    g11, g12 = np.einsum("ai,ai->a", us, u), np.einsum("ai,ai->a", us, e2)
-    g22 = np.einsum("ai,ai->a", e2 @ s, e2)
-
-    def g_form(y):  # y^T g y
-        return (g00 * y[0] ** 2 + g11 * y[1] ** 2 + g22 * y[2] ** 2
-                + 2.0 * (g01 * y[0] * y[1] + g02 * y[0] * y[2] + g12 * y[1] * y[2]))
-
-    delta = ss1[:, None] * np.array([t0, mean + radius, mean - radius]).T
-    q = np.array([g_form(y0), g_form(y1), g_form(y2)]).T
-    return delta, q
+    q0 = (g00 + c11 * g11 + c2 * c2 * g22 + 2.0 * (c1 * g01 + c2 * g02 + c12 * g12)) / n00
+    g_a = (g00 * c11 - 2.0 * c1 * g01 + g11) / n11
+    # the entries of -g Z2 (the first two) and g Z2 (the last)
+    r0 = g00 * c2 + c12 * g01 - n11 * g02
+    r1 = c2 * g01 + c12 * g11 - n11 * g12
+    r2 = n11 * g22 - c2 * g02 - c12 * g12
+    g_d = (c2 * r0 + c12 * r1 + n11 * r2) / (n00 * n11)
+    g_b = (c1 * r0 - r1) / (n0 * n11)
+    mid = 0.5 * (g_a + g_d)
+    split = np.divide(0.5 * (g_a - g_d) * h + g_b * m12, rho, out=np.zeros(samples),
+                      where=rho > 0.0)
+    delta = ss1 * np.array([t0, rho - 0.5 * t0, -0.5 * t0 - rho])
+    return delta, np.array([q0, mid + split, mid - split])
 
 
 def perron_criterion_check(m, samples=1000, seed=0):
@@ -468,12 +496,12 @@ def _perron_pass(m, rng, samples, tol, tail=None):
         w = _centred(vs)
         delta, q = _edm_rank3_of_centred(w, s)
         # a constant generator (Gaussian samples never draw one) has delta = 0
-        delta1 = np.maximum(delta[:, :1], 1e-300)
-        r = -delta[:, 1:] / delta1
+        delta1 = np.maximum(delta[0], 1e-300)
+        r = -delta[1:] / delta1
         trace[lo:hi] = _pairings_of_centred(w, s)
-        crit[lo:hi] = q[:, 0] - np.sum(r * q[:, 1:], axis=1)
-        crit_ok[lo:hi] = crit[lo:hi] >= -tol / delta1[:, 0]
-        eig_bound_ok &= bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))
+        crit[lo:hi] = q[0] - np.sum(r * q[1:], axis=0)
+        crit_ok[lo:hi] = crit[lo:hi] >= -tol / delta1
+        eig_bound_ok &= bool(np.all(lam[0] >= np.sum(r[2 - k:] * lam[n - k:, None], axis=0) - tol))
         block_argmins.append(vs[np.argmin(trace[lo:hi])].copy())
     trace_ok = trace >= -tol
     both = trace_ok == crit_ok

@@ -2,10 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 import curvlab
 import curvlab.verify as verify
@@ -165,6 +167,12 @@ OUT_OF_RANGE = [
       "--functional", "rbc"], 1),
     (["frame-scan", "--tensor", "paper_tricerri",
       "--tensor-params", '{"im_w": 1%s}' % ("0" * 400), "--functional", "rbc"], 1),
+    # grid axes with a non-finite end or span, rejected before np.linspace
+    (["sweep", "--metric", "hopf", "--point", "1,0", "--grid", "re1=1:inf:3"], 1),
+    (["sweep", "--metric", "euclidean", "--dim", "2", "--point", "1,0",
+      "--grid", "re1=-1e308:1e308:3"], 1),
+    (["sweep", "--metric", "euclidean", "--dim", "2", "--point", "1,0",
+      "--grid", "re1=nan:1:3"], 1),
 ]
 
 
@@ -332,6 +340,23 @@ def test_cone_check_generator_cone(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cone_min"]["value"] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("scaled, plain", [("1e200,1;1,1", "1,1e-200;1,1"),
+                                           ("1e-200,0;0,1", "1,0;0,1")])
+def test_cone_check_reads_generators_of_any_scale(scaled, plain, capsys):
+    # a huge or tiny generator row spans the same ray as its rescaled copy:
+    # the same minimum, with no overflow warning and no "nonzero" error
+    base = ["cone-check", "--matrix", "1,2;3,4", "--cone", "generators", "--format", "json"]
+    minima = []
+    for gens in (scaled, plain):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(base + ["--generators", gens]) == 0
+        minima.append(json.loads(capsys.readouterr().out)["cone_min"])
+    assert minima[0]["value"] == minima[1]["value"] == 1.0
+    assert_allclose(minima[0]["argmin"], minima[1]["argmin"], rtol=1e-15)
+    assert_allclose(minima[0]["argmin"], [1.0, 0.0], atol=1e-15)
 
 
 def test_frame_scan_family_json(capsys):

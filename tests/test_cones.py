@@ -117,6 +117,27 @@ def test_singleton_faces_equal_lapack():
     assert np.array_equal(vals, w[..., 0]) and np.array_equal(vecs, np.ones_like(w))
 
 
+def test_cone_min_reads_generator_rows_of_any_scale():
+    # a row scaled by 1e200 or 1e-200 spans the same ray: cone_min finds the
+    # same minimum with no overflow or underflow warning; rows in the normal
+    # range keep their bits
+    gens = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, -0.5], [0.3, 0.0, 1.0], [-1.0, 1.0, 1.0]])
+    m = rng_from(17).standard_normal((3, 3))
+    ref = cone_min(m, generator_cone(gens))
+    for row in range(len(gens)):
+        for scale in (1e200, 1e-200):
+            scaled = gens.copy()
+            scaled[row] *= scale
+            cone = generator_cone(scaled)
+            assert np.array_equal(np.delete(cone.generators, row, axis=0),
+                                  np.delete(gens, row, axis=0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = cone_min(m, cone)
+            assert res.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+            assert_allclose(res.argmin, ref.argmin, atol=1e-12)
+
+
 def test_stacked_cone_min_boundaries():
     ms = rng_from(5).standard_normal((4, 3, 3))
     for bad in (np.nan, np.inf):

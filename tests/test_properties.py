@@ -27,6 +27,7 @@ from curvlab import (CurvatureMatrices, FrameConvention, SearchConfig, cholesky_
                      transform_frame, tricerri_family_extrema, unitary_from_params,
                      weitzenbock)
 from curvlab.cli import main
+from curvlab.cones import _edm_rank3, difference_form_pairings
 from curvlab.config import DEFAULT, MAX_ENTRY
 from curvlab.functionals import quadratic_form_matrix
 from curvlab.verify import suite_identities
@@ -299,6 +300,23 @@ def test_rank3_compression_matches_a_dense_eigendecomposition(n, kind, seed):
     vs = generators(kind, rng, 200, n)
     m = rng.standard_normal((n, n))
     assert_compression_matches_reference(vs, 0.5 * (m + m.T), 1e-12)
+
+
+@PROPERTY
+@given(n=st.integers(1, 12),
+       kind=st.sampled_from(["gaussian", "shifted", "clustered", "integer", "two_valued"]),
+       seed=st.integers(0, 2 ** 16))
+def test_rank3_eigenpairs_reproduce_the_trace_pairing(n, kind, seed):
+    # sum_k delta_k q_k = tr(s Sigma_v): the Perron reading pinned to the
+    # direct O(n^2) reading, per sample, to 1e-13 max|s| |w|^2
+    rng = rng_from(seed)
+    vs = generators(kind, rng, 200, n)
+    m = rng.standard_normal((n, n))
+    s = 0.5 * (m + m.T)
+    delta, q = _edm_rank3(vs, s)
+    w = vs - vs.mean(axis=1, keepdims=True)
+    bound = 1e-13 * np.abs(s).max() * np.einsum("ai,ai->a", w, w)
+    assert np.all(np.abs(np.sum(delta * q, axis=1) - difference_form_pairings(vs, s)) <= bound)
 
 
 @PROPERTY
