@@ -138,24 +138,25 @@ def _supports(k):
 
 
 def _faces(g):
-    """(rows, inv) per support size of the generator rows g, ascending: the
-    supports S whose Gram matrix G_S G_S^T is well conditioned, and the
-    inverses of their Cholesky factors (inv G_S G_S^T inv^T = I).  Sizes
-    with no such support are left out."""
+    """(rows, inv) per support size of the generator rows g, ascending: every
+    single row, and the larger supports S whose unit rows have a well
+    conditioned Gram matrix, with the inverses of the Cholesky factors of
+    G_S G_S^T (inv G_S G_S^T inv^T = I).  Sizes with no such support are
+    left out."""
     b = g @ g.T
+    norms = np.sqrt(np.diagonal(b))
+    unit = b / norms[:, None] / norms
     faces = []
     for rows in _supports(g.shape[0]):
         b_s = b[rows[:, :, None], rows[:, None, :]]
-        single = rows.shape[1] == 1
-        # a 1 x 1 Gram matrix is its own spectrum and its Cholesky factor is
-        # its square root, as LAPACK computes them
-        gram = b_s[:, 0] if single else np.linalg.eigvalsh(b_s)
-        kept = gram[:, 0] > DEFAULT.cone_gram_rcond * gram[:, -1]
-        if not kept.any():
+        if rows.shape[1] == 1:
+            # a 1 x 1 Cholesky factor is the square root, as LAPACK computes it
+            faces.append((rows, 1.0 / np.sqrt(b_s)))
             continue
-        b_s = b_s[kept]
-        inv = 1.0 / np.sqrt(b_s) if single else np.linalg.inv(np.linalg.cholesky(b_s))
-        faces.append((rows[kept], inv))
+        gram = np.linalg.eigvalsh(unit[rows[:, :, None], rows[:, None, :]])
+        kept = gram[:, 0] > DEFAULT.cone_gram_rcond * gram[:, -1]
+        if kept.any():
+            faces.append((rows[kept], np.linalg.inv(np.linalg.cholesky(b_s[kept]))))
     return tuple(faces)
 
 
@@ -170,6 +171,7 @@ def _face_minimum(s, g, faces):
     computed per matrix, so a matrix gets the same bits in any stack.
     """
     a = g @ s @ g.T
+    lengths = np.sqrt(np.einsum("ij,ij->i", g, g))
     least, signs = [], []
     for rows, inv in faces:
         a_s = a[:, rows[:, :, None], rows[:, None, :]]
@@ -178,9 +180,10 @@ def _face_minimum(s, g, faces):
         vals, vecs = (w[..., 0], np.ones_like(w)) if rows.shape[1] == 1 else np.linalg.eigh(w)
         x = np.einsum("cji,kcj->kci", inv, vecs[..., 0])  # weights inv^T y
         # x is signed nonnegative, up to cone_sign, as it stands or negated:
-        # by the sign of its entry of largest modulus (a tie of opposite signs
-        # is signed neither way)
-        hi, lo = x.max(axis=-1), x.min(axis=-1)
+        # by the sign of its entry of largest modulus on unit rows (a tie of
+        # opposite signs is signed neither way)
+        unit_x = x * lengths[rows]
+        hi, lo = unit_x.max(axis=-1), unit_x.min(axis=-1)
         signed = (lo >= -DEFAULT.cone_sign * hi) | (hi <= -DEFAULT.cone_sign * lo)
         least.append(np.where(signed, vals[..., 0], np.inf))
         signs.append((x, hi < -lo))

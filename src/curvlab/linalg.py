@@ -1,6 +1,6 @@
 """Small dense matrix kernel: seeded streams, self-adjoint spectra, metric
-frames, Haar unitaries, and two fixed tables: an orthonormal basis of
-Herm(n) and the single-qubit Clifford group.
+frames, Haar unitaries, and one fixed table: an orthonormal basis of
+Herm(n).
 
 Everything here targets matrices of size n <= 8 and is backed by LAPACK via
 numpy.  Residuals, spectra and Haar draws also work on stacks of matrices
@@ -146,28 +146,3 @@ def _hermitian_basis(n):
     basis = np.array(rows).reshape(n * n, n * n)
     basis.flags.writeable = False
     return basis
-
-
-@functools.lru_cache(maxsize=None)
-def clifford_frames():
-    """The 24 elements of the single-qubit Clifford group, up to phase, as a
-    read-only (24, 2, 2) stack, built on first use by closing {I} under left
-    multiplication by H and S; each element is stored with its first entry of
-    modulus > 1/2 made real positive.
-
-    The group is a unitary 2-design (Gross, Audenaert & Eisert, J. Math.
-    Phys. 48, 2007; Dankert, Cleve, Emerson & Livine, Phys. Rev. A 80, 2009):
-    its mean of any polynomial of degree (2, 2) in (U, conj U) is the Haar
-    mean.  Its entries have modulus 0, 1/sqrt(2) or 1."""
-    gens = (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.diag([1.0, 1j]))
-    frames = [np.eye(2, dtype=complex)]
-    for u in frames:                       # grows while it is walked: a closure
-        for g in gens:
-            v = g @ u
-            first = v.flat[int(np.argmax(np.abs(v.ravel()) > 0.5))]
-            v = v * (abs(first) / first)
-            if not any(np.allclose(v, w, atol=1e-12) for w in frames):
-                frames.append(v)
-    frames = np.array(frames)
-    frames.flags.writeable = False
-    return frames

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .config import DEFAULT
-from .linalg import _hermitian_basis, haar_from_rng, rng_from, self_adjoint_eigen
+from .linalg import _hermitian_basis, rng_from, self_adjoint_eigen
 from .curvature import FrameConvention, paper_tricerri, transform_frame
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
                           frame_matrices, matrices_from, quadratic_form_matrix,
@@ -342,25 +342,50 @@ def _check_reeval(tensor, kinds, found, convention):
                                  f"{float(value)} vs {ext.value}")
 
 
-def invariance_test(tensor, kind, convention, samples=100, seed=0, tol=1e-9):
-    """Numerical frame-invariance certificate for a functional.
+def invariance_test(tensor, kind, convention):
+    """Exact frame-invariance decision for a quadratic functional: is its
+    value at frame U and vector x the same at every U, for every x?  Returns
+    (invariant, residual), invariant iff the residual is at most
+    ``Tolerances.identity_check`` x max(1, max |R|).  No frame is drawn.
 
-    Evaluates the exact inner (min, max) of the functional over `samples`
-    Haar frames, drawn as one stack from the stream ``rng_from(seed, 0)``;
-    invariant iff the spread of the per-frame extrema stays within tol.
-    Returns (invariant, max_deviation).
+    Full convention: the value is q_F(A) for F = ``frame_form`` and A of
+    spectrum x, so by Schur's lemma on Herm(n) = R I + traceless it is
+    invariant iff F = a c c^T + b (1 - c c^T), c the coordinates of I / sqrt(n).
+    Adjoint convention: R'[a,a,g,g] = u_g^T S[a,a] conj(u_g) and
+    R'[a,g,g,a] = u_g^T S[a,g] conj(u_a), S[a,g] = R[a,g,:,:], are constant
+    iff the slices they read are multiples of I; the residual is their largest
+    traceless part.  qobc, blind to the diagonal of rbc', reads S[0,0] - S[1,1]
+    at n = 2, where u_g u_g^H = I - u_a u_a^H.
     """
-    _require_count("invariance_test samples", samples, 10)
-    _require_count("invariance_test seed", seed, 0)
     kind = FunctionalKind(kind)
+    convention = FrameConvention(convention)
     if kind is FunctionalKind.HSC:
         raise UsageError("invariance_test covers the quadratic-form family")
     tensor.require_frame("invariance_test")
-    u = haar_from_rng(tensor.n, rng_from(seed, 0), samples)
-    m = CurvatureMatrices.from_slices(*frame_matrices(tensor, u, FrameConvention(convention)))
-    los, his = rayleigh_bounds(quadratic_form_matrix(kind, m))
-    deviation = max(los.max() - los.min(), his.max() - his.min())
-    return bool(deviation <= tol), float(deviation)
+    n = tensor.n
+    r = tensor.values
+    if n == 1:
+        return True, 0.0
+    if convention is FrameConvention.FULL:
+        f = frame_form(tensor, kind)
+        c = np.zeros(n * n)
+        c[:n] = 1.0 / np.sqrt(n)        # I / sqrt(n) in ``_hermitian_basis``
+        a = c @ f @ c
+        b = (np.trace(f) - a) / (n * n - 1)
+        residual = np.abs(f - b * np.eye(n * n) - (a - b) * np.outer(c, c)).max()
+    else:
+        diag = np.arange(n)
+        if kind is FunctionalKind.QOBC and n == 2:
+            slices = r[[0], [0]] - r[[1], [1]]
+        elif kind in (FunctionalKind.RBC, FunctionalKind.QOBC):
+            slices = r[diag, diag]
+        elif kind is FunctionalKind.ALTERED_QOBC:
+            slices = r[np.nonzero(diag[:, None] != diag)]
+        else:
+            slices = r.reshape(n * n, n, n)
+        trace = np.trace(slices, axis1=-2, axis2=-1)
+        residual = np.abs(slices - (trace / n)[:, None, None] * np.eye(n)).max()
+    return bool(residual <= DEFAULT.identity_check * max(1.0, np.abs(r).max())), float(residual)
 
 
 def tricerri_family_extrema(im_w, kind):

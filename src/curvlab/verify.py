@@ -4,7 +4,7 @@ desk-scale numbers and identities and reports per-check pass/fail.
 Suites: hopf, tricerri, fubini_study, cones, identities, all.
 
 Claims that are polynomial identities are checked exactly, with no samples:
-the Hopf frame invariance on the 24 frames of a unitary 2-design, the
+the Hopf frame invariance by ``search.invariance_test``, the
 constant-curvature identities as matrix equalities, and the Tricerri
 eigenvalue formula on a 3 x 3 grid.  ``--seed`` moves only the checks whose
 subject is random: the Hopf finite-difference check and the altered-HSC
@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import DomainError, UsageError
-from .linalg import clifford_frames, haar_from_rng, rng_from
+from .linalg import haar_from_rng, rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
@@ -33,7 +33,7 @@ from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureM
 from .cones import (MIN_SAMPLES, _perron_pass, copositive_2x2, cone_min,
                     difference_form_pairings, dual_edm_test, edm_from_vector, nonneg_orthant,
                     perron_weights)
-from .search import tricerri_family_extrema
+from .search import invariance_test, tricerri_family_extrema
 from .reports import VerifyReport
 
 SUITES = ("hopf", "tricerri", "fubini_study", "cones", "identities")
@@ -75,11 +75,6 @@ def hopf_altered_hsc_bounds(z):
     return ((2.0 / rho ** 3) * (2.0 * rho - root), (2.0 / rho ** 3) * (2.0 * rho + root))
 
 
-def _design_rms(x):
-    """Root mean square of x over its leading (frame) axis and all others."""
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
-
-
 def suite_hopf(seed=0):
     rep = VerifyReport(suite="hopf")
     rep.add("fd_tensor_vs_closed_form", 0.0, hopf_fd_worst_error(seed), 1e-6)
@@ -104,19 +99,13 @@ def suite_hopf(seed=0):
     rep.add("altered_hsc_lower_at_(1,1)", 0.5, lo, 1e-12)
     rep.add("altered_hsc_upper_at_(1,1)", 1.5, hi, 1e-12)
 
-    # six listed components under the adjoint action: R[a,a,g,g] is the
-    # entry (a, g) of the rbc slice, R[a,g,g,a] the entry (a, g) of the
-    # altered slice.  Each is a degree-(1,1) polynomial in (U, conj U), so
-    # its squared deviation has degree (2,2) and its mean over the Clifford
-    # 2-design is its Haar mean: a zero RMS is invariance on all of U(2).
+    # the six listed components under the adjoint action are the entries
+    # (a, g) of rbc'[a,g] = R'[a,a,g,g] and of altered'[a,g] = R'[a,g,g,a]
+    # for a != g; they read the slices R[a,g,:,:] that altered_rbc reads, so
+    # they stay fixed on all of U(2) exactly when altered_rbc is invariant
     t_gen = paper_hopf([1.0, 0.5 - 0.5j])
-    rbc, alt = frame_matrices(t_gen, clifford_frames(), FrameConvention.ADJOINT)
-    moved = np.stack([rbc[:, 0, 0], rbc[:, 1, 1], rbc[:, 0, 1], rbc[:, 1, 0],
-                      alt[:, 0, 1], alt[:, 1, 0]], axis=1)
-    r = t_gen.values
-    base = np.array([r[0, 0, 0, 0], r[1, 1, 1, 1], r[0, 0, 1, 1], r[1, 1, 0, 0],
-                     r[0, 1, 1, 0], r[1, 0, 0, 1]])
-    rep.add("adjoint_component_invariance", 0.0, _design_rms(moved - base), 1e-9)
+    _, residual = invariance_test(t_gen, FunctionalKind.ALTERED_RBC, FrameConvention.ADJOINT)
+    rep.add("adjoint_component_invariance", 0.0, residual, 1e-9)
 
     for z in ([1.0, 0.0], [1.0, 1.0], [0.3, -0.7j]):
         mm = matrices_from(paper_hopf(z))
@@ -127,10 +116,11 @@ def suite_hopf(seed=0):
         rep.add(f"qobc_max_at_{z}", 8.0 / rho ** 2,
                 evaluate(FunctionalKind.QOBC, mm, v_max), 1e-9)
 
-    # at n = 2 the altered qobc is Re(alt'[0,1] + alt'[1,0]) (v_0 - v_1)^2 / |v|^2,
-    # and that coefficient's square again has degree (2,2)
-    rep.add("altered_qobc_identically_zero", 0.0,
-            _design_rms((alt[:, 0, 1] + alt[:, 1, 0]).real), 1e-9)
+    # at n = 2 the altered qobc is Re(alt'[0,1] + alt'[1,0]) (v_0 - v_1)^2 / |v|^2;
+    # flipping the sign of one frame row negates that coefficient, so it is
+    # frame-invariant exactly when it is zero in every frame
+    _, residual = invariance_test(t_gen, FunctionalKind.ALTERED_QOBC, FrameConvention.ADJOINT)
+    rep.add("altered_qobc_identically_zero", 0.0, residual, 1e-9)
 
     ric1 = ricci(t, RicciKind.FIRST).real
     ric2 = ricci(t, RicciKind.SECOND).real

@@ -80,8 +80,7 @@ def test_criterion_3_hopf_frame_invariance():
         assert worst < 1e-9
         for kind in (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC,
                      FunctionalKind.ALTERED_HSC):
-            invariant, dev = invariance_test(t, kind, FrameConvention.ADJOINT,
-                                             samples=1000, seed=SEED + 3, tol=1e-9)
+            invariant, dev = invariance_test(t, kind, FrameConvention.ADJOINT)
             assert invariant, (kind, dev)
 
 

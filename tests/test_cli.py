@@ -359,6 +359,16 @@ def test_cone_check_reads_generators_of_any_scale(scaled, plain, capsys):
     assert_allclose(minima[0]["argmin"], [1.0, 0.0], atol=1e-15)
 
 
+@pytest.mark.parametrize("gens", ["1e5,0;0,1e-5", "1e10,0;0,1e-10"])
+def test_cone_check_keeps_the_face_of_generators_of_unequal_scale(gens, capsys):
+    # the two rows span the orthant, where the minimum is -1 at (1, 1)/sqrt(2)
+    assert main(["cone-check", "--matrix", "1,-2;-2,1", "--cone", "generators",
+                 "--generators", gens, "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["cone_min"]
+    assert got["value"] == pytest.approx(-1.0, abs=1e-12)
+    assert_allclose(got["argmin"], [np.sqrt(0.5)] * 2, atol=1e-12)
+
+
 def test_frame_scan_family_json(capsys):
     code = main(["frame-scan", "--family", "tricerri", "--imw", "1",
                  "--functional", "rbc", "--format", "json"])

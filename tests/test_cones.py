@@ -138,6 +138,24 @@ def test_cone_min_reads_generator_rows_of_any_scale():
             assert_allclose(res.argmin, ref.argmin, atol=1e-12)
 
 
+def test_cone_min_keeps_the_faces_of_generators_of_unequal_scale():
+    # a face is kept or dropped by the conditioning of its unit rows, not by
+    # the rows' lengths: rows scaled by up to 1e10, which generator_cone keeps
+    # as given, span the same cone and give the same minimum
+    m = np.array([[1.0, -2.0], [-2.0, 1.0]])
+    for big in (1e5, 1e10):
+        res = cone_min(m, generator_cone([[big, 0.0], [0.0, 1.0 / big]]))
+        assert res.value == pytest.approx(-1.0, abs=1e-12)
+        assert_allclose(res.argmin, [np.sqrt(0.5)] * 2, atol=1e-12)
+    gens = np.array([[1.0, 0.2, 0.0], [0.0, 1.0, -0.5], [0.3, 0.0, 1.0], [-1.0, 1.0, 1.0]])
+    ms = rng_from(18).standard_normal((20, 3, 3))
+    ref = cone_min(ms, generator_cone(gens))
+    for scales in ([1e6, 1e-6, 1.0, 1.0], [1e-8, 1.0, 1e8, 1e-3]):
+        res = cone_min(ms, generator_cone(gens * np.array(scales)[:, None]))
+        assert_allclose(res.value, ref.value, rtol=1e-9, atol=1e-12)
+        assert_allclose(res.argmin, ref.argmin, atol=1e-9)
+
+
 def test_stacked_cone_min_boundaries():
     ms = rng_from(5).standard_normal((4, 3, 3))
     for bad in (np.nan, np.inf):

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from curvlab import DomainError, cholesky_frame, self_adjoint_eigen
-from curvlab.linalg import clifford_frames, haar_from_rng, rng_from, unitary_residual
+from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 
 
 def test_eigen_identity():
@@ -118,23 +118,3 @@ def test_block_draws_read_the_per_sample_streams():
         rng = rng_from(10, n)
         haar_from_rng(n, rng, 6)
         assert np.array_equal(haar_from_rng(n, rng), block[6])
-
-
-def test_clifford_frames_are_a_unitary_2_design():
-    u = clifford_frames()
-    assert u.shape == (24, 2, 2) and not u.flags.writeable
-    assert unitary_residual(u) < 1e-15
-    # distinct up to phase: |tr(U^H V)| = 2 only on the diagonal
-    overlaps = np.abs(np.einsum("aji,bjk->abik", np.conj(u), u).trace(axis1=2, axis2=3))
-    assert np.array_equal(overlaps > 2.0 - 1e-12, np.eye(24, dtype=bool))
-    # closed under the generators H and S, up to phase
-    for g in (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0), np.diag([1.0, 1j])):
-        moved = np.abs(np.einsum("aji,bjk->abik", np.conj(u), g @ u).trace(axis1=2, axis2=3))
-        assert np.all((moved > 2.0 - 1e-12).sum(axis=0) == 1)
-    # frame potential 2, the least value on U(2), is the 2-design condition
-    assert abs(np.mean(overlaps ** 4) - 2.0) < 1e-12
-    # so the mean of a degree-(2,2) polynomial is its Haar mean,
-    # E |u_00|^4 = 1/3, and a degree-(3,3) one here too: E |u_00|^6 = 1/4
-    assert abs(np.mean(np.abs(u[:, 0, 0]) ** 4) - 1.0 / 3.0) < 1e-15
-    assert abs(np.mean(np.abs(u[:, 0, 0]) ** 6) - 1.0 / 4.0) < 1e-15
-    assert clifford_frames() is u

@@ -21,17 +21,17 @@ from hypothesis.extra import numpy as hnp
 
 from curvlab import (CurvatureMatrices, FrameConvention, SearchConfig, cholesky_frame,
                      cone_min, copositive_2x2, extremize, frame_matrices, generator_cone,
-                     matrices_from,
-                     monotone_nonneg, nonneg_orthant, paper_tricerri, random_tensor,
-                     rayleigh_bounds, ricci_qobc_bounds, scalars, to_frame,
-                     transform_frame, tricerri_family_extrema, unitary_from_params,
+                     invariance_test, kahler_constant, matrices_from,
+                     monotone_nonneg, nonneg_orthant, paper_hopf, paper_tricerri,
+                     random_tensor, rayleigh_bounds, ricci_qobc_bounds, scalars, skew_pair,
+                     to_frame, transform_frame, tricerri_family_extrema, unitary_from_params,
                      weitzenbock)
 from curvlab.cli import main
 from curvlab.cones import _edm_rank3, difference_form_pairings
 from curvlab.config import DEFAULT, MAX_ENTRY
 from curvlab.functionals import quadratic_form_matrix
 from curvlab.verify import suite_identities
-from curvlab.curvature import COORDINATE, ChernTensor, hermitian_tensor_residual
+from curvlab.curvature import COORDINATE, FRAME, ChernTensor, hermitian_tensor_residual
 from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 from curvlab.search import param_count
 from test_cones import assert_compression_matches_reference
@@ -363,6 +363,66 @@ def test_scalar_traces_are_full_convention_invariant(n, seed):
     moved = transform_frame(t, haar_from_rng(n, rng_from(seed, 1)), FrameConvention.FULL)
     tol = DEFAULT.scalar_imag * max(1.0, float(np.abs(t.values).max()))
     assert np.abs(np.subtract(scalars(moved), scalars(t))).max() <= tol
+
+
+def structured_tensors(n, rng):
+    """Frame tensors at dimension n whose frame (in)dependence differs by
+    kind and convention, by name: the catalog tensors, and tensors built so
+    that every slice R[a,g,:,:] is a multiple of I, only the diagonal or only
+    the off-diagonal slices are nonzero, or the diagonal slices share one
+    traceless part (under the adjoint convention, qobc is invariant on that
+    one at n = 2 alone)."""
+    def hermitian():
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return a + np.conj(a).T
+
+    eye, diag = np.eye(n), np.arange(n)
+    raw = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+    off = 0.5 * (raw + np.conj(raw).transpose(1, 0, 3, 2))
+    off[diag, diag] = 0.0
+    only_diag = np.zeros((n,) * 4, dtype=complex)
+    only_diag[diag, diag] = [hermitian() for _ in range(n)]
+    traceless = hermitian()
+    traceless -= np.trace(traceless) / n * eye
+    shared = np.zeros((n,) * 4, dtype=complex)
+    shared[diag, diag] = rng.standard_normal(n)[:, None, None] * eye + traceless
+    built = {"zero": np.zeros((n,) * 4, dtype=complex),
+             "scalar_slices": np.einsum("ag,st->agst", hermitian(), eye),
+             "diagonal_slices": only_diag, "off_diagonal_slices": off,
+             "shared_traceless": shared}
+    tensors = {name: ChernTensor(values=vals, basis=FRAME) for name, vals in built.items()}
+    tensors.update(kahler=kahler_constant(2.0, n), kahler_negative=kahler_constant(-1.0, n),
+                   skew_pair=skew_pair(3.0, n, seed=n), random=random_tensor(n, n))
+    if n == 2:
+        tensors.update(hopf=paper_hopf([1.0, 0.0]), hopf_generic=paper_hopf([1.0, 0.5 - 0.5j]),
+                       tricerri=paper_tricerri(0.0, 1.0, 1.0),
+                       tricerri_mixed=paper_tricerri(0.5, 0.5, 1.0),
+                       tricerri_corner=paper_tricerri(1.0, 1.0, 2.0))
+    return tensors
+
+
+@pytest.mark.parametrize("convention", list(FrameConvention))
+def test_exact_invariance_agrees_with_300_haar_frames(convention):
+    # invariant: the symmetric carrier of every drawn frame equals the
+    # identity frame's; dependent: some drawn frame moves it
+    rng = rng_from(27)
+    verdicts = {}
+    for n in (2, 3, 4):
+        frames = haar_from_rng(n, rng, 300)
+        for name, t in structured_tensors(n, rng).items():
+            moved = CurvatureMatrices.from_slices(*frame_matrices(t, frames, convention))
+            tol = 1e-9 * max(1.0, float(np.abs(t.values).max()))
+            for kind in QUAD_KINDS:
+                q = quadratic_form_matrix(kind, moved)
+                q0 = quadratic_form_matrix(kind, matrices_from(t))
+                spread = float(np.abs((q + np.swapaxes(q, -1, -2)) - (q0 + q0.T)).max()) / 2
+                invariant, residual = invariance_test(t, kind, convention)
+                assert invariant == (spread <= tol), (n, name, kind, residual, spread)
+                verdicts[n, name, kind] = invariant
+    assert set(verdicts.values()) == {True, False}
+    if convention is FrameConvention.ADJOINT:
+        assert verdicts[2, "shared_traceless", "qobc"]
+        assert not verdicts[3, "shared_traceless", "qobc"]
 
 
 @PROPERTY

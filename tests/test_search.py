@@ -10,6 +10,7 @@ from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
                      paper_hopf, paper_tricerri,
                      random_tensor, rayleigh_bounds, skew_pair, transform_frame,
                      tricerri_family_extrema)
+from curvlab.config import MAX_DIM
 from curvlab.curvature import FrameConvention
 from curvlab.functionals import (CurvatureMatrices, evaluate, frame_matrices,
                                   quadratic_form_matrix)
@@ -288,15 +289,13 @@ def test_invariance_hopf_adjoint():
     t = paper_hopf([1.0, 1.0])
     for kind in (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC,
                  FunctionalKind.ALTERED_HSC, FunctionalKind.QOBC):
-        ok, dev = invariance_test(t, kind, FrameConvention.ADJOINT,
-                                  samples=200, seed=0, tol=1e-9)
+        ok, dev = invariance_test(t, kind, FrameConvention.ADJOINT)
         assert ok and dev < 1e-9
 
 
 def test_tricerri_not_invariant_under_adjoint():
     t = paper_tricerri(0.0, 1.0, 1.0)
-    ok, dev = invariance_test(t, FunctionalKind.ALTERED_RBC, FrameConvention.ADJOINT,
-                              samples=100, seed=1, tol=1e-9)
+    ok, dev = invariance_test(t, FunctionalKind.ALTERED_RBC, FrameConvention.ADJOINT)
     assert not ok
     assert dev > 0.1
 
@@ -304,15 +303,28 @@ def test_tricerri_not_invariant_under_adjoint():
 def test_zero_tensor_invariant():
     from curvlab.curvature import ChernTensor, FRAME
     t = ChernTensor(values=np.zeros((2, 2, 2, 2), dtype=complex), basis=FRAME)
-    ok, dev = invariance_test(t, FunctionalKind.RBC, FrameConvention.FULL,
-                              samples=20, seed=0)
+    ok, dev = invariance_test(t, FunctionalKind.RBC, FrameConvention.FULL)
     assert ok and dev == 0.0
 
 
-def test_invariance_needs_enough_samples():
-    with pytest.raises(UsageError):
-        invariance_test(paper_hopf([1.0, 0.0]), FunctionalKind.RBC,
-                        FrameConvention.ADJOINT, samples=5)
+@pytest.mark.parametrize("n", [1, MAX_DIM])
+def test_invariance_test_is_exact_at_the_dimension_bounds(n):
+    # n = 1 is invariant without dividing by n^2 - 1, and n = MAX_DIM
+    # decides from the tensor alone; neither warns
+    t = random_tensor(3, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for convention in FrameConvention:
+            for kind in ("rbc", "altered_rbc", "altered_hsc", "qobc", "altered_qobc"):
+                ok, dev = invariance_test(t, kind, convention)
+                if n == 1:
+                    assert (ok, dev) == (True, 0.0)
+                else:
+                    assert not ok and dev > 0.1
+    with pytest.raises(UsageError, match="quadratic-form family"):
+        invariance_test(t, FunctionalKind.HSC, "full")
+    with pytest.raises(TypeError):
+        invariance_test(t, "rbc", "full", samples=100)
 
 
 def test_tricerri_family_pinching():
@@ -689,12 +701,6 @@ def test_unknown_identifiers_are_usage_errors_listing_the_choices():
     with pytest.raises(UsageError, match="unknown functional"):
         invariance_test(t, "bogus", "full")
     assert FunctionalKind("qobc") is FunctionalKind.QOBC
-
-
-@pytest.mark.parametrize("samples", [10.5, "20", True, 9])
-def test_invariance_test_rejects_bad_sample_counts(samples):
-    with pytest.raises(UsageError, match="samples"):
-        invariance_test(paper_hopf([1.0, 0.0]), "rbc", "adjoint", samples=samples)
 
 
 def test_tied_restarts_go_to_the_earliest():
