@@ -22,7 +22,7 @@ from .cones import (Cone, EDMatrix, cone_min, copositive_2x2, difference_form_pa
                     dual_edm_test, edm_from_vector, full_cone, generator_cone, make_cone,
                     monotone_nonneg, nonneg_orthant, perron_weights, perron_criterion_check)
 from .search import (FrameExtremum, SearchConfig, extremize, invariance_test,
-                     tricerri_family_extrema, unitary_from_params)
+                     tricerri_family_extrema)
 from .reports import IdentityReport, VerifyReport
 
 __version__ = "0.1.0"

@@ -219,7 +219,7 @@ def build_parser():
                     "subject is random: hopf fd_tensor_vs_closed_form and "
                     "altered_hsc_bounds_formula (random points), the cones oracles, "
                     "fubini_study hsc_constant_2, and the identities suite's random "
-                    "tensors and scalar_trace_invariance frames.")
+                    "tensors, scalar_trace_invariance's included.")
     p_verify.add_argument("suite", choices=["hopf", "tricerri", "fubini_study",
                                             "cones", "identities", "all"])
 

@@ -11,30 +11,32 @@ A = W diag(x) W^H, give the realizing frame W^T and vector x: an eigenvector
 certificate rather than a search.
 
 Restricted cones and the adjoint convention are searched.  The outer problem
-ranges over unitary frame changes, parametrized as a product of complex
-Givens rotations and diagonal phases so every iterate is exactly unitary; the
-inner problem (best vector for a fixed frame) is solved exactly by
+ranges over unitary frames, and each iterate is a frame moved by elementary
+unitary rotations of its vectors, so every iterate stays unitary; the inner
+problem (best vector for a fixed frame) is solved exactly by
 ``cones.cone_min``: the Rayleigh bound on the full cone, face enumeration on
 restricted cones.  That search is restart + coordinate descent with a
 shrinking step; it claims no global optimum, and acceptance tolerances are
 sized accordingly.
 
-Each (kind, sign, restart) of a search is a lane: a generator that runs one
-restart's coordinate descent, yields the stack of candidates it wants scored
+Each (kind, sign, restart) of a search is a lane: a generator that holds one
+restart's current frame, yields the stack of candidates it wants scored
 next with a strict bound, and is sent back the first candidate below the
-bound (or None).  A sweep stacks all of its remaining candidates, accepts the
-first improvement in sweep order and restacks the rest of the sweep from the
-new parameters, so its iterates are those of one-at-a-time coordinate
-descent.  All live lanes of a call advance in lockstep: per step, their
-candidates go through one ``unitary_from_params`` and one ``frame_matrices``
-call, one ``quadratic_form_matrix`` call per kind, and one stacked
-``cone_min`` call on every cone kind; each lane then takes the first hit in
-its own rows.  Every step is computed per row, so a lane's iterates do not
-depend on the lanes beside it.  One evaluation holds at most ``_ROWS``
-candidates; lanes are grouped in order and never split, so memory stays
-bounded however many restarts run.  The reported extrema of a call, exact or
-searched, are re-evaluated in one pass: one stacked ``transform_frame`` of
-the tensor and one ``evaluate`` call per kind.
+bound (or None).  A sweep has n^2 coordinates: for each pair p < q of frame
+vectors a real and then a complex Givens rotation of the two, then a phase
+of each vector.  A sweep stacks all of its remaining candidates, each its
+lane's frame with one or two rows rewritten, accepts the first improvement
+in sweep order and restacks the rest of the sweep from the new frame, so its
+iterates are those of one-at-a-time coordinate descent.  All live lanes of
+a call advance in lockstep: per step, their candidate frames go through one
+``frame_matrices`` call, one ``quadratic_form_matrix`` call per kind, and
+one stacked ``cone_min`` call on every cone kind; each lane then takes the
+first hit in its own rows.  Every step is computed per row, so a lane's
+iterates do not depend on the lanes beside it.  One evaluation holds at most
+``_ROWS`` candidates; lanes are grouped in order and never split, so memory
+stays bounded however many restarts run.  The reported extrema of a call,
+exact or searched, are re-evaluated in one pass: one stacked
+``transform_frame`` of the tensor and one ``evaluate`` call per kind.
 
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
 handled separately and exactly: that family is the object whose pinching
@@ -51,15 +53,14 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .config import DEFAULT
-from .linalg import _hermitian_basis, rng_from, self_adjoint_eigen
+from .linalg import _hermitian_basis, haar_from_rng, rng_from, self_adjoint_eigen
 from .curvature import FrameConvention, paper_tricerri, transform_frame
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
-                          frame_matrices, matrices_from, quadratic_form_matrix,
-                          rayleigh_bounds)
+                          frame_matrices, quadratic_form_matrix, rayleigh_bounds)
 from .cones import cone_min, full_cone
 
 
-INITIAL_ANGLE = 0.4   # first Givens-angle step of each restart
+INITIAL_ANGLE = 0.4   # first rotation angle of each restart's sweeps
 SHRINK = 0.7          # step factor after a sweep that improves nothing
 # candidate frames per stacked evaluation of a lockstep search.  The time per
 # candidate stops falling by about 256 at n = 2..4; one evaluation then holds
@@ -95,88 +96,73 @@ class FrameExtremum:
     convention: str
 
 
-def param_count(n):
-    return n * (n - 1) + n  # theta and phi per pair, one phase per axis
-
-
-def unitary_from_params(n, params):
-    """U(n) elements from Givens angles/phases: always exactly unitary.
-
-    params of shape (..., param_count(n)) give unitaries of shape (..., n, n):
-    the diagonal phases exp(i params[-n:]), then, for the j-th pair p < q in
-    order, the rotation by theta = params[2j] with phase phi = params[2j + 1],
-    which mixes rows p and q only.
-    """
-    params = np.asarray(params, dtype=float)
-    cols = params.reshape(-1, params.shape[-1]).T     # (param, frame)
-    theta, phi = cols[0:-n:2, :, None], cols[1:-n:2, :, None]
-    sin = np.sin(theta)
-    cos, up, down = np.cos(theta), np.exp(1j * phi) * sin, np.exp(-1j * phi) * sin
-    rows = np.zeros((n, cols.shape[1], n), dtype=complex)   # rows[p]: row p of each frame
-    axes = np.arange(n)
-    rows[axes, :, axes] = np.exp(1j * cols[-n:])
-    pair = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            rows[p], rows[q] = (cos[pair] * rows[p] - up[pair] * rows[q],
-                                down[pair] * rows[p] + cos[pair] * rows[q])
-            pair += 1
-    return rows.transpose(1, 0, 2).reshape(params.shape[:-1] + (n, n))
-
-
 class _Ask(NamedTuple):
-    """A lane's request for one scan: the candidates are params alone when
-    step is None (the lane's first frame), else the sweep's moves from start
-    on; bound is strict."""
-    params: np.ndarray
+    """A lane's request for one scan: the candidate is the frame alone when
+    step is None (the lane's first frame), else the sweep's moves of the
+    frame from start on; bound is strict."""
+    frame: np.ndarray
     step: Optional[float]
     start: int
     bound: float
 
     @property
     def size(self):
-        return 1 if self.step is None else 2 * self.params.size - self.start
+        return 1 if self.step is None else 2 * self.frame.size - self.start
 
 
 def _candidates(asks, sizes):
-    """The candidates of a group of asks, stacked in order.  Move m of a
-    sweep adds the step to coordinate m // 2 for even m and subtracts it for
-    odd m."""
+    """The candidate frames of a group of asks, stacked in order.  Move m of
+    a sweep turns coordinate m // 2 of the ask's frame U by the angle +step
+    for even m and -step for odd m.  For the k-th pair p < q, coordinates
+    2k and 2k + 1 replace rows p and q of U by G [U_p; U_q] with
+    G = [[c, -e s], [conj(e) s, c]], e = 1 and e = i; coordinate
+    n(n - 1) + a multiplies row a by exp(i angle)."""
     lane = np.repeat(np.arange(len(asks)), sizes)
-    rows = np.stack([ask.params for ask in asks])[lane]
+    frames = np.stack([ask.frame for ask in asks])[lane]
+    n = frames.shape[-1]
     offsets = np.cumsum(sizes) - sizes
     moves = np.arange(len(lane)) + (np.array([ask.start for ask in asks]) - offsets)[lane]
     swept = np.array([ask.step is not None for ask in asks])[lane]
     steps = np.array([0.0 if ask.step is None else ask.step for ask in asks])[lane]
-    rows[swept, moves[swept] // 2] += steps[swept] * (1.0 - 2.0 * (moves[swept] % 2))
-    return rows
+    coords, angles = moves // 2, steps * (1.0 - 2.0 * (moves % 2))
+    givens = n * (n - 1)        # coordinates that rotate a pair; the rest are phases
+    rows = np.flatnonzero(swept & (coords < givens))
+    p, q = (axis[coords[rows] // 2] for axis in np.triu_indices(n, 1))
+    e = np.where(coords[rows] % 2 == 0, 1.0, 1j)[:, None]
+    c, s = np.cos(angles[rows])[:, None], np.sin(angles[rows])[:, None]
+    up, uq = frames[rows, p], frames[rows, q]
+    frames[rows, p] = c * up - e * s * uq
+    frames[rows, q] = np.conj(e) * s * up + c * uq
+    rows = np.flatnonzero(swept & (coords >= givens))
+    frames[rows, coords[rows] - givens] *= np.exp(1j * angles[rows])[:, None]
+    return frames
 
 
-def _lane(params, refine_steps):
-    """One restart's coordinate descent from params, as a generator.
+def _lane(frame, refine_steps):
+    """One restart's coordinate descent from frame, as a generator.
 
     Each yield is an ``_Ask``; the lane is sent back the first of its
-    candidates below the bound, as (index, params, value, vector), or None.
+    candidates below the bound, as (index, frame, value, vector), or None.
     A sweep takes its moves in order, +step then -step per coordinate,
     accepts the first improvement and goes on from the move after it; a
     sweep that improves nothing shrinks the step.  Returns
-    (value, params, vector) of the last iterate.
+    (value, frame, vector) of the last iterate.
     """
-    _, _, value, vector = yield _Ask(params, None, 0, np.inf)
+    _, _, value, vector = yield _Ask(frame, None, 0, np.inf)
     step = INITIAL_ANGLE
     for _ in range(refine_steps):
         improved = False
         start = 0
-        while start < 2 * params.size:
-            hit = yield _Ask(params, step, start, value - 1e-14)
+        while start < 2 * frame.size:
+            hit = yield _Ask(frame, step, start, value - 1e-14)
             if hit is None:
                 break
-            j, params, value, vector = hit
+            j, frame, value, vector = hit
             improved = True
             start += j + 1
         if not improved:
             step *= SHRINK
-    return value, params, vector
+    return value, frame, vector
 
 
 def _first_improvements(values, vectors, bounds, sizes):
@@ -199,17 +185,15 @@ def _first_improvements(values, vectors, bounds, sizes):
 
 def _scan(tensor, cone, convention, lanes):
     """One stacked evaluation of a group of lanes, each (kind, sign, ask):
-    one ``unitary_from_params`` and one ``frame_matrices`` call for all their
-    candidates, one ``quadratic_form_matrix`` call per kind and one
+    one ``frame_matrices`` call for all their candidate frames, one ``quadratic_form_matrix`` call per kind and one
     ``cone_min`` call, whose value at row j is minus signs[j] times the
     exact inner optimum of form j (the minimum for sign -1, the maximum for
     +1); then each lane's first improvement within its own rows, with the
-    candidate's params."""
+    candidate frame."""
     asks = [ask for _, _, ask in lanes]
     sizes = np.array([ask.size for ask in asks])
-    params = _candidates(asks, sizes)
-    m = CurvatureMatrices.from_slices(
-        *frame_matrices(tensor, unitary_from_params(tensor.n, params), convention))
+    frames = _candidates(asks, sizes)
+    m = CurvatureMatrices.from_slices(*frame_matrices(tensor, frames, convention))
     kinds = list(dict.fromkeys(kind for kind, _, _ in lanes))
     row_kind = np.repeat([kinds.index(kind) for kind, _, _ in lanes], sizes)
     forms = np.empty(m.rbc.shape)
@@ -218,7 +202,7 @@ def _scan(tensor, cone, convention, lanes):
     signs = np.repeat([sign for _, sign, _ in lanes], sizes)
     res = cone_min(-signs[:, None, None] * forms, cone)
     hits = _first_improvements(res.value, res.argmin, [ask.bound for ask in asks], sizes)
-    return [None if hit is None else (hit[0], params[offset + hit[0]].copy(), *hit[1:])
+    return [None if hit is None else (hit[0], frames[offset + hit[0]].copy(), *hit[1:])
             for hit, offset in zip(hits, np.cumsum(sizes) - sizes)]
 
 
@@ -238,14 +222,17 @@ def _groups(asks):
 def _search(tensor, kinds, cone, convention, cfg):
     """Searched (inf, sup) of each kind, as one flat list: every
     (kind, sign, restart) is a lane, and all live lanes advance together, one
-    scan each per step, in the groups of ``_groups``.  Per kind and sign the
-    least value wins, ties to the earlier restart."""
-    k = param_count(tensor.n)
-    starts = [np.zeros(k)] + [rng_from(cfg.seed, r).uniform(-np.pi, np.pi, size=k)
-                              for r in range(1, cfg.restarts)]
+    scan each per step, in the groups of ``_groups``.  Restart 0 starts at
+    the identity frame, restart r > 0 at a Haar frame drawn from
+    ``rng_from(seed, r)``.  Per kind and sign the least value wins, ties to
+    the earlier restart."""
+    n = tensor.n
+    starts = [np.eye(n, dtype=complex)] + [haar_from_rng(n, rng_from(cfg.seed, r))
+                                           for r in range(1, cfg.restarts)]
     keys = [(kind, sign) for kind in kinds for sign in (-1, +1)]
-    lanes = [(kind, sign, _lane(params, cfg.refine_steps))
-             for kind, sign in keys for params in starts]
+    # each lane owns its frame, so no two reported frames share memory
+    lanes = [(kind, sign, _lane(frame.copy(), cfg.refine_steps))
+             for kind, sign in keys for frame in starts]
     asks = {i: next(lane) for i, (_, _, lane) in enumerate(lanes)}
     outcomes = [None] * len(lanes)
     while asks:
@@ -261,10 +248,9 @@ def _search(tensor, kinds, cone, convention, cfg):
     for at in range(len(keys)):
         runs = outcomes[at * cfg.restarts:(at + 1) * cfg.restarts]
         best.append(runs[min(range(cfg.restarts), key=lambda r: (runs[r][0], r))])
-    frames = unitary_from_params(tensor.n, np.stack([params for _, params, _ in best]))
     return [FrameExtremum(value=value if sign < 0 else 0.0 - value, frame=frame, vector=vector,
                           convention=convention.value)
-            for (_, sign), (value, _, vector), frame in zip(keys, best, frames)]
+            for (_, sign), (value, frame, vector) in zip(keys, best)]
 
 
 def _exact_extrema(tensor, kind):
@@ -288,10 +274,11 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
     On the full cone under the full convention both are exact: the extreme
     eigenvalues of ``frame_form``, realized by the frames and vectors built
     from its eigenvectors, and ``cfg`` is not used.  Otherwise they are
-    searched: per restart, a frame is drawn (restart 0 starts at the
+    searched: per restart, a Haar frame is drawn (restart 0 starts at the
     identity), the inner vector problem is solved exactly, every stack of
     candidate frames in one ``cone_min`` call, and the frame is refined by
-    coordinate descent over Givens angles with shrinking steps;
+    coordinate descent, each move a Givens rotation of two frame vectors or
+    a phase of one, with shrinking steps;
     monotone improvement and determinism for a fixed config are guaranteed.
     Each reported extremum is re-evaluated through ``transform_frame`` and
     ``evaluate``; drift beyond ``Tolerances.reeval`` raises NumericalError.
@@ -394,25 +381,21 @@ def tricerri_family_extrema(im_w, kind):
 
     Every quadratic form of the family is linear in (|b|^2, |d|^2); its
     smallest eigenvalue is concave and its largest convex in the matrix
-    (Lewis 1996), so both extrema sit at one of the four corners.  Corners
-    are scanned with |b|^2 outer and |d|^2 inner, and a later corner replaces
-    an earlier one only when strictly better.  Returns a dict with inf/sup
-    values and the realizing (|b|^2, |d|^2) corners.
+    (Lewis 1996), so both extrema sit at one of the four corners.  The
+    corners, |b|^2 outer and |d|^2 inner, are stacked into one
+    ``quadratic_form_matrix`` and one ``rayleigh_bounds`` call, and each
+    side takes the first corner that attains it.  Returns a dict with
+    inf/sup values and the realizing (|b|^2, |d|^2) corners.
     """
     kind = FunctionalKind(kind)
     if kind is FunctionalKind.HSC:
         raise UsageError("the family extrema cover the quadratic-form kinds")
-    inf_val, sup_val = np.inf, -np.inf
-    inf_at = sup_at = (0.0, 0.0)
-    for b in (0.0, 1.0):           # at a corner |b|^2 = |b| and |d|^2 = |d|
-        for d in (0.0, 1.0):
-            t = paper_tricerri(b, d, im_w)
-            q = quadratic_form_matrix(kind, matrices_from(t))
-            lo, hi = rayleigh_bounds(q)
-            if lo < inf_val:
-                inf_val, inf_at = lo, (b, d)
-            if hi > sup_val:
-                sup_val, sup_at = hi, (b, d)
-    return {"inf": float(inf_val), "sup": float(sup_val),
-            "inf_at": inf_at, "sup_at": sup_at, "im_w": float(im_w),
+    # at a corner |b|^2 = |b| and |d|^2 = |d|
+    corners = [(b, d) for b in (0.0, 1.0) for d in (0.0, 1.0)]
+    r = np.stack([paper_tricerri(b, d, im_w).values for b, d in corners])
+    m = CurvatureMatrices.from_slices(np.einsum("kaagg->kag", r), np.einsum("kagga->kag", r))
+    lo, hi = rayleigh_bounds(quadratic_form_matrix(kind, m))
+    inf_at, sup_at = int(np.argmin(lo)), int(np.argmax(hi))
+    return {"inf": float(lo[inf_at]), "sup": float(hi[sup_at]),
+            "inf_at": corners[inf_at], "sup_at": corners[sup_at], "im_w": float(im_w),
             "kind": kind.value}

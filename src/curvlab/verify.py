@@ -9,7 +9,7 @@ constant-curvature identities as matrix equalities, and the Tricerri
 eigenvalue formula on a 3 x 3 grid.  ``--seed`` moves only the checks whose
 subject is random: the Hopf finite-difference check and the altered-HSC
 bounds points, the cone oracles, the Fubini-Study hsc points, and the
-identities suite's random tensors and scalar-trace frames.
+identities suite's random tensors.
 ``ricci_qobc_bounds`` decides its qobc hypotheses over every frame exactly.
 A sampled check draws its samples as one block from its seeded stream, laid
 out in the order a per-sample loop would draw them, and evaluates them in
@@ -19,15 +19,15 @@ one stacked call.
 import numpy as np
 
 from .config import DEFAULT
-from .errors import DomainError, UsageError
-from .linalg import haar_from_rng, rng_from
+from .errors import UsageError
+from .linalg import rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
                         skew_pair, to_frame)
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureMatrices,
                           FunctionalKind, _moment_cubature, _rule_moments,
-                          constant_identity_check, evaluate, frame_matrices, hsc,
+                          constant_identity_check, evaluate, frame_form, hsc,
                           matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds,
                           weitzenbock)
 from .cones import (MIN_SAMPLES, _perron_pass, copositive_2x2, cone_min,
@@ -347,16 +347,16 @@ def suite_identities(seed=0):
     rep.add("qobc_constant_vector_zero", 0.0, worst_const, 0.0)
     rep.add_bool("full_min_below_orthant_min", bool(np.all(full_min <= orthant_min + 1e-9)))
 
-    # scalar traces are invariant under genuine (full-convention) frame changes;
-    # in each frame they are the sums of the rbc' and altered' slices
+    # scalar traces are invariant under genuine (full-convention) frame
+    # changes: every frame has sum_a u_a^T conj(u_a) = I, so Scal and altered
+    # Scal are the rbc and altered forms at A = I, n c^T F c with F the
+    # ``frame_form`` and c the coordinates of I / sqrt(n)
     t = random_tensor(seed + 3, 3)
-    rbc, alt = frame_matrices(t, haar_from_rng(3, rng_from(seed + 2), 100),
-                              FrameConvention.FULL)
-    traces = np.stack([rbc.sum(axis=(-2, -1)), alt.sum(axis=(-2, -1))], axis=-1)
-    scale = np.maximum(1.0, np.maximum(np.abs(rbc), np.abs(alt)).max(axis=(-2, -1)))
-    if np.any(np.abs(traces.imag) > DEFAULT.scalar_imag * scale[:, None]):
-        raise DomainError("scalar traces have non-negligible imaginary part")
-    worst = float(np.abs(traces.real - np.array(scalars(t))).max())
+    c = np.zeros(9)
+    c[:3] = 1.0 / np.sqrt(3.0)
+    traces = [3.0 * (c @ frame_form(t, kind) @ c)
+              for kind in (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC)]
+    worst = float(np.abs(np.subtract(traces, scalars(t))).max())
     rep.add("scalar_trace_invariance", 0.0, worst, 1e-9)
     return rep
 

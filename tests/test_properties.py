@@ -24,16 +24,14 @@ from curvlab import (CurvatureMatrices, FrameConvention, SearchConfig, cholesky_
                      invariance_test, kahler_constant, matrices_from,
                      monotone_nonneg, nonneg_orthant, paper_hopf, paper_tricerri,
                      random_tensor, rayleigh_bounds, ricci_qobc_bounds, scalars, skew_pair,
-                     to_frame, transform_frame, tricerri_family_extrema, unitary_from_params,
-                     weitzenbock)
+                     to_frame, transform_frame, tricerri_family_extrema, weitzenbock)
 from curvlab.cli import main
 from curvlab.cones import _edm_rank3, difference_form_pairings
 from curvlab.config import DEFAULT, MAX_ENTRY
 from curvlab.functionals import quadratic_form_matrix
 from curvlab.verify import suite_identities
 from curvlab.curvature import COORDINATE, FRAME, ChernTensor, hermitian_tensor_residual
-from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
-from curvlab.search import param_count
+from curvlab.linalg import haar_from_rng, rng_from
 from test_cones import assert_compression_matches_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -208,36 +206,6 @@ def test_frame_matrices_match_the_frame_changed_tensor(n, count, seed, conventio
         for kind in QUAD_KINDS:
             diff = quadratic_form_matrix(kind, stacked)[j] - quadratic_form_matrix(kind, single)
             assert np.abs(diff).max() <= tol
-
-
-def givens_product(n, params):
-    """U(n) element as the sequential product of full Givens matrices applied
-    to the diagonal phases: the definition of ``unitary_from_params``."""
-    u = np.diag(np.exp(1j * params[-n:]))
-    idx = 0
-    for p in range(n):
-        for q in range(p + 1, n):
-            theta, phi = params[idx], params[idx + 1]
-            idx += 2
-            g = np.eye(n, dtype=complex)
-            g[p, p] = g[q, q] = np.cos(theta)
-            g[p, q] = -np.exp(1j * phi) * np.sin(theta)
-            g[q, p] = np.exp(-1j * phi) * np.sin(theta)
-            u = g @ u
-    return u
-
-
-@PROPERTY
-@given(n=st.integers(1, 6), shape=st.sampled_from([(), (1,), (7,), (2, 3)]),
-       seed=st.integers(0, 2 ** 16))
-def test_stacked_unitary_from_params_matches_the_givens_product(n, shape, seed):
-    k = param_count(n)
-    params = rng_from(seed).uniform(-np.pi, np.pi, size=shape + (k,))
-    u = unitary_from_params(n, params)
-    assert u.shape == shape + (n, n)
-    for p, one in zip(params.reshape(-1, k), u.reshape(-1, n, n)):
-        assert np.abs(one - givens_product(n, p)).max() <= 1e-14
-    assert unitary_residual(u) <= 1e-14
 
 
 def haar_reference(n, rng):

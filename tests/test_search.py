@@ -14,18 +14,62 @@ from curvlab.config import MAX_DIM
 from curvlab.curvature import FrameConvention
 from curvlab.functionals import (CurvatureMatrices, evaluate, frame_matrices,
                                   quadratic_form_matrix)
-from curvlab.search import INITIAL_ANGLE, SHRINK, param_count, unitary_from_params
+from curvlab.search import INITIAL_ANGLE, SHRINK
 from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
 import curvlab.search as search_mod
 
 
-def test_parametrization_is_unitary():
-    rng = rng_from(0)
-    for n in (2, 3, 4):
-        for _ in range(20):
-            params = rng.uniform(-np.pi, np.pi, size=param_count(n))
-            assert unitary_residual(unitary_from_params(n, params)) < 1e-12
-    assert np.allclose(unitary_from_params(3, np.zeros(param_count(3))), np.eye(3))
+def move_matrix(n, coord, angle):
+    """The n x n unitary G of sweep coordinate coord turned by angle, built
+    in full: for the k-th pair p < q, coordinates 2k and 2k + 1 are the
+    Givens rotations [[c, -e s], [conj(e) s, c]] of rows p and q with e = 1
+    and e = i; coordinate n(n - 1) + a is the phase exp(i angle) of row a."""
+    g = np.eye(n, dtype=complex)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    if coord < 2 * len(pairs):
+        p, q = pairs[coord // 2]
+        e = 1.0 if coord % 2 == 0 else 1j
+        g[p, p] = g[q, q] = np.cos(angle)
+        g[p, q] = -e * np.sin(angle)
+        g[q, p] = np.conj(e) * np.sin(angle)
+    else:
+        a = coord - 2 * len(pairs)
+        g[a, a] = np.exp(1j * angle)
+    return g
+
+
+def sweep_start(n, seed, restart):
+    """Restart 0 starts at the identity, restart r > 0 at a Haar frame."""
+    return np.eye(n, dtype=complex) if restart == 0 else haar_from_rng(n, rng_from(seed, restart))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sweep_candidates_rotate_the_lane_frame(n):
+    u = haar_from_rng(n, rng_from(30 + n))
+    for step in (INITIAL_ANGLE, 1.3):
+        for start in (0, n * n):
+            ask = search_mod._Ask(u, step, start, 0.0)
+            cands = search_mod._candidates([ask], np.array([ask.size]))
+            assert cands.shape == (2 * n * n - start, n, n)
+            for j, cand in enumerate(cands):
+                m = start + j
+                g = move_matrix(n, m // 2, step if m % 2 == 0 else -step)
+                assert np.abs(cand - g @ u).max() <= 1e-15, (step, m)
+    # from the identity every move of a sweep is a distinct new frame
+    ask = search_mod._Ask(np.eye(n, dtype=complex), INITIAL_ANGLE, 0, 0.0)
+    cands = search_mod._candidates([ask], np.array([ask.size]))
+    assert len(cands) == 2 * n * n
+    assert all(not np.array_equal(cand, np.eye(n)) for cand in cands)
+    assert all(not np.array_equal(cands[i], cands[j])
+               for i in range(len(cands)) for j in range(i))
+
+
+def test_long_search_keeps_frames_unitary():
+    t = random_tensor(9, 4)
+    cfg = SearchConfig(restarts=2, refine_steps=120, seed=3)
+    for cone, convention in ((full_cone(4), "adjoint"), (nonneg_orthant(4), "full")):
+        for ext in extremize(t, "qobc", cone=cone, convention=convention, cfg=cfg):
+            assert unitary_residual(ext.frame) <= 1e-13
 
 
 def test_extremize_identity_frame_matches_rayleigh():
@@ -38,6 +82,8 @@ def test_extremize_identity_frame_matches_rayleigh():
     lo, hi = rayleigh_bounds(matrices_from(t).rbc)
     assert lo_ext.value == pytest.approx(lo)
     assert hi_ext.value == pytest.approx(hi)
+    # both start at the identity, each in an array of its own
+    assert not np.shares_memory(lo_ext.frame, hi_ext.frame)
     exact_lo, exact_hi = extremize(t, FunctionalKind.RBC, cfg=cfg)
     assert exact_lo.value <= lo + 1e-12
     assert exact_hi.value >= hi - 1e-12
@@ -100,34 +146,33 @@ def test_reeval_drift_is_a_numerical_error(monkeypatch):
 
 def sequential_extremize(tensor, kind, cone, convention, cfg):
     """Coordinate descent one frame at a time through the public per-frame
-    functions: the iterates the stacked sweeps of extremize must reproduce.
-    Returns [(value, frame)] for the inf and the sup."""
-    n, k = tensor.n, param_count(tensor.n)
+    functions, each move the full matrix product G U: the iterates the
+    stacked sweeps of extremize must reproduce.  Returns [(value, frame)]
+    for the inf and the sup."""
+    n = tensor.n
     found = []
     for sign in (-1, 1):
-        def objective(p):
-            moved = transform_frame(tensor, unitary_from_params(n, p), convention)
+        def objective(u):
+            moved = transform_frame(tensor, u, convention)
             return cone_min(-sign * quadratic_form_matrix(kind, matrices_from(moved)),
                             cone).value
         outcomes = []
         for r in range(cfg.restarts):
-            params = (np.zeros(k) if r == 0
-                      else rng_from(cfg.seed, r).uniform(-np.pi, np.pi, size=k))
-            val, step = objective(params), INITIAL_ANGLE
+            u = sweep_start(n, cfg.seed, r)
+            val, step = objective(u), INITIAL_ANGLE
             for _ in range(cfg.refine_steps):
                 improved = False
-                for i in range(k):
+                for i in range(n * n):
                     for delta in (step, -step):
-                        cand = params.copy()
-                        cand[i] += delta
+                        cand = move_matrix(n, i, delta) @ u
                         cand_val = objective(cand)
                         if cand_val < val - 1e-14:
-                            params, val, improved = cand, cand_val, True
+                            u, val, improved = cand, cand_val, True
                 if not improved:
                     step *= SHRINK
-            outcomes.append((val, r, params))
-        val, _, params = min(outcomes, key=lambda o: o[:2])
-        found.append((-sign * val, unitary_from_params(n, params)))
+            outcomes.append((val, r, u))
+        val, _, u = min(outcomes, key=lambda o: o[:2])
+        found.append((-sign * val, u))
     return found
 
 
@@ -369,18 +414,34 @@ def test_search_config_validation():
 # ---------------------------------------------------------------------------
 # lockstep lanes
 
+def move_rows(u, coord, angle):
+    """G u for the move of sweep coordinate coord by angle (see
+    ``move_matrix``), computed on the one or two rows it changes."""
+    n = len(u)
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    out = u.copy()
+    if coord < 2 * len(pairs):
+        p, q = pairs[coord // 2]
+        e = 1.0 + 0j if coord % 2 == 0 else 1j
+        c, s = np.cos(angle), np.sin(angle)
+        out[p] = c * u[p] - e * s * u[q]
+        out[q] = np.conj(e) * s * u[p] + c * u[q]
+    else:
+        out[coord - 2 * len(pairs)] *= np.exp(1j * angle)
+    return out
+
+
 def per_restart_extremize(tensor, kind, cone, convention, cfg):
     """The search with each restart's coordinate descent run on its own, one
     stacked scan per sweep position: the reference the lockstep lanes must
     equal bit for bit.  Returns [(value, frame, vector)] for the inf and the
     sup."""
-    n, k = tensor.n, param_count(tensor.n)
-    moves = np.arange(2 * k)
+    n = tensor.n
+    moves = np.arange(2 * n * n)
     coords, signs = moves // 2, 1.0 - 2.0 * (moves % 2)
 
     def scan(stack, sign, bound):
-        m = CurvatureMatrices.from_slices(
-            *frame_matrices(tensor, unitary_from_params(n, stack), convention))
+        m = CurvatureMatrices.from_slices(*frame_matrices(tensor, stack, convention))
         res = cone_min(-sign * quadratic_form_matrix(kind, m), cone)
         hits = np.flatnonzero(res.value < bound)
         if hits.size == 0:
@@ -392,24 +453,23 @@ def per_restart_extremize(tensor, kind, cone, convention, cfg):
     for sign in (-1, 1):
         outcomes = []
         for restart in range(cfg.restarts):
-            params = (np.zeros(k) if restart == 0
-                      else rng_from(cfg.seed, restart).uniform(-np.pi, np.pi, size=k))
-            _, best_val, best_vec = scan(params[None], sign, np.inf)
+            u = sweep_start(n, cfg.seed, restart)
+            _, best_val, best_vec = scan(u[None], sign, np.inf)
             step = INITIAL_ANGLE
             for _ in range(cfg.refine_steps):
                 improved, start = False, 0
-                while start < 2 * k:
-                    cands = np.repeat(params[None], 2 * k - start, axis=0)
-                    cands[np.arange(2 * k - start), coords[start:]] += step * signs[start:]
+                while start < 2 * n * n:
+                    cands = np.stack([move_rows(u, i, step * sign_m)
+                                      for i, sign_m in zip(coords[start:], signs[start:])])
                     hit = scan(cands, sign, best_val - 1e-14)
                     if hit is None:
                         break
                     j, best_val, best_vec = hit
-                    params, improved = cands[j], True
+                    u, improved = cands[j], True
                     start += j + 1
                 if not improved:
                     step *= SHRINK
-            outcomes.append((best_val, restart, unitary_from_params(n, params), best_vec))
+            outcomes.append((best_val, restart, u, best_vec))
         best = min(outcomes, key=lambda o: o[:2])
         found.append((best[0] if sign < 0 else -best[0], best[2], best[3]))
     return found
@@ -543,13 +603,12 @@ def test_each_scan_scores_its_group_in_one_cone_min_call(cone_name, convention, 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_frame_change_rows_equal_single_calls_in_any_stack_layout(n):
-    # unitary_from_params lays out a stack of frames strided; every row of a
-    # stack, strided or contiguous, of 1, 2 or 300 frames, equals the single
-    # call on its own frame bit for bit, under both conventions (numpy's
-    # adjoint einsum alone rounds a strided n = 2 stack differently)
+    # every row of a stack, strided or contiguous, of 1, 2 or 300 frames,
+    # equals the single call on its own frame bit for bit, under both
+    # conventions (numpy's adjoint einsum alone rounds a strided n = 2 stack
+    # differently)
     t = random_tensor(40 + n, n)
-    frames = unitary_from_params(n, rng_from(41 + n).uniform(-np.pi, np.pi,
-                                                             (300, param_count(n))))
+    frames = haar_from_rng(n, rng_from(41 + n), 300).transpose(0, 2, 1)
     assert not frames.flags.c_contiguous
     rows = np.arange(300)
     stacks = [(frames, rows), (np.ascontiguousarray(frames), rows), (frames[::2], rows[::2]),
@@ -569,8 +628,8 @@ def test_frame_change_rows_equal_single_calls_in_any_stack_layout(n):
 
 def test_groups_never_split_a_lane(monkeypatch):
     monkeypatch.setattr(search_mod, "_ROWS", 10)
-    params = np.zeros(param_count(2))       # sweeps of 8 candidates
-    asks = {i: search_mod._Ask(params, None if i % 3 == 0 else 0.1, i % 5, 0.0)
+    frame = np.eye(2, dtype=complex)        # sweeps of 8 candidates
+    asks = {i: search_mod._Ask(frame, None if i % 3 == 0 else 0.1, i % 5, 0.0)
             for i in range(12)}
     groups = search_mod._groups(asks)
     assert [i for group in groups for i in group] == list(range(12))
@@ -579,7 +638,7 @@ def test_groups_never_split_a_lane(monkeypatch):
         assert sum(sizes) <= 10 or len(group) == 1
     # one lane larger than the cap is a group of its own
     monkeypatch.setattr(search_mod, "_ROWS", 4)
-    assert search_mod._groups({0: search_mod._Ask(params, 0.1, 0, 0.0)}) == [[0]]
+    assert search_mod._groups({0: search_mod._Ask(frame, 0.1, 0, 0.0)}) == [[0]]
 
 
 # traced peak of the search below: the per-restart search peaked at 0.67 MB;
@@ -712,7 +771,7 @@ def test_tied_restarts_go_to_the_earliest():
         for ext in extremize(t, "altered_hsc", cone=cone, convention="adjoint",
                              cfg=SearchConfig(restarts=3, refine_steps=2, seed=1)):
             assert ext.value == 0.0
-            assert np.array_equal(ext.frame, unitary_from_params(2, np.zeros(param_count(2))))
+            assert np.array_equal(ext.frame, np.eye(2))
 
 
 def test_one_pass_reevaluation_checks_every_extremum(monkeypatch):
