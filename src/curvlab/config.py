@@ -13,7 +13,7 @@ from dataclasses import dataclass
 class Tolerances:
     frame_change_unitary: float = 1e-8  # |U^H U - I| accepted by transform_frame
     eigen_reconstruction: float = 1e-9  # |M v - lambda v|, x |M|
-    positive_definite: float = 1e-12    # smallest admissible metric eigenvalue
+    metric_conditioning: float = 1e-4   # metric refused unless lambda_min > this x lambda_max
     frame_orthonormal: float = 1e-10    # |E^H g E - I|
     tensor_hermitian: float = 1e-8      # four-index Hermitian symmetry, x |R|
     scalar_imag: float = 1e-8           # imaginary residue of traces

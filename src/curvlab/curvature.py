@@ -95,14 +95,13 @@ def curvature_from_jet(jet):
                             + sum_{p,q} g^{p qbar} dg[i,k,q] conj(dg[j,l,p])
 
     where g^{p qbar} is the inverse metric in the convention
-    sum_q g^{p qbar} g_{s qbar} = delta_{p s}.
+    sum_q g^{p qbar} g_{s qbar} = delta_{p s}.  That is g^{-1} = conj(E) E^T
+    for the frame E of ``cholesky_frame``, which refuses an unusable g, so with
+    D[(i,k), q] = dg[i,k,q] the correction D g^{-1} D^H is Y Y^H, Y = D conj(E).
     """
     g = np.asarray(jet.g, dtype=complex)
-    try:
-        ginv_t = np.linalg.inv(g).T  # ginv_t[p, q] = g^{p qbar}
-    except np.linalg.LinAlgError:
-        raise DomainError("metric matrix is singular; cannot form curvature") from None
-    correction = np.einsum("pq,ikq,jlp->ijkl", ginv_t, jet.dg, np.conj(jet.dg))
+    y = np.reshape(jet.dg, (jet.n ** 2, jet.n)) @ np.conj(cholesky_frame(g))
+    correction = (y @ np.conj(y).T).reshape((jet.n,) * 4).transpose(0, 2, 1, 3)
     return _build(-jet.ddg + correction, COORDINATE, metric=g)
 
 

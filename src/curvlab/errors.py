@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: usage problems exit 1; domain problems
-(points outside a metric's chart, non-positive-definite metrics, singular
-inputs) and numerical problems (a computed result that fails its own
+(points outside a metric's chart, metrics that ``linalg.cholesky_frame``
+refuses) and numerical problems (a computed result that fails its own
 re-check, such as a frame extremum that does not re-evaluate to the reported
 value) exit 2.
 """
@@ -17,8 +17,8 @@ class UsageError(CurvlabError):
 
 
 class DomainError(CurvlabError):
-    """Mathematically invalid input: point outside a chart, singular or
-    non-positive-definite metric, non-finite data."""
+    """Mathematically invalid input: point outside a chart, a metric that is
+    not positive definite or too ill-conditioned, non-finite data."""
 
 
 class NumericalError(CurvlabError):

@@ -46,7 +46,7 @@ import numpy as np
 from .config import DEFAULT
 from .errors import UsageError
 from .linalg import _hermitian_basis, ensure_finite, self_adjoint_eigen
-from .curvature import FrameConvention, RicciKind, _checked_frame_change, ricci, scalars
+from .curvature import ChernTensor, FrameConvention, _checked_frame_change, scalars
 from .reports import IdentityReport
 
 
@@ -100,10 +100,16 @@ class CurvatureMatrices:
                                  imag_residual=self.imag_residual)
 
 
-def matrices_from(tensor):
-    tensor.require_frame("matrices_from")
-    r = tensor.values
-    return CurvatureMatrices.from_slices(np.einsum("aagg->ag", r), np.einsum("agga->ag", r))
+def matrices_from(tensors):
+    """rbc and altered matrices of a frame tensor, stacked for a sequence of
+    them (such as the tuple of a stacked ``transform_frame``); the slices are
+    gathers, so each stacked matrix equals its single call bit for bit."""
+    single = isinstance(tensors, ChernTensor)
+    for t in (tensors,) if single else tensors:
+        t.require_frame("matrices_from")
+    r = tensors.values if single else np.stack([t.values for t in tensors])
+    return CurvatureMatrices.from_slices(np.einsum("...aagg->...ag", r),
+                                         np.einsum("...agga->...ag", r))
 
 
 def frame_matrices(tensor, u, convention):
@@ -474,29 +480,20 @@ def ricci_qobc_bounds(tensor):
     """
     tensor.require_frame("ricci_qobc_bounds")
     n = tensor.n
-    r = tensor.values
-    ric = {k: ricci(tensor, k) for k in RicciKind}
+    m = matrices_from(tensor)
     scal, scal_alt = scalars(tensor)
-    margins = []
-    for k in range(n):
-        for l in range(n):
-            if k >= l:
-                continue
-            pair12 = float(np.real(ric[RicciKind.FIRST][k, k] + ric[RicciKind.FIRST][l, l]
-                                   + ric[RicciKind.SECOND][k, k] + ric[RicciKind.SECOND][l, l]
-                                   - 2.0 * (r[k, l, l, k] + r[l, k, k, l])))
-            pair34 = float(np.real(ric[RicciKind.THIRD][k, k] + ric[RicciKind.THIRD][l, l]
-                                   + ric[RicciKind.FOURTH][k, k] + ric[RicciKind.FOURTH][l, l]
-                                   - 2.0 * (r[k, k, l, l] + r[l, l, k, k])))
-            margins.append((f"ric12_pair[{k},{l}]", pair12))
-            margins.append((f"ric34_pair[{k},{l}]", pair34))
-    cross = float(np.real(sum(r[k, l, l, k] + r[l, k, k, l]
-                              for k in range(n) for l in range(k + 1, n))))
-    cross_alt = float(np.real(sum(r[k, k, l, l] + r[l, l, k, k]
-                                  for k in range(n) for l in range(k + 1, n))))
+    # diag(Ric1 + Ric2) is the row plus the column sums of rbc, diag(Ric3 + Ric4) of altered
+    k, l = np.triu_indices(n, 1)
+    diag12, diag34 = (s.sum(axis=1) + s.sum(axis=0) for s in (m.rbc, m.altered))
+    cross, cross_alt = (s[k, l] + s[l, k] for s in (m.altered, m.rbc))
+    pair12 = diag12[k] + diag12[l] - 2.0 * cross
+    pair34 = diag34[k] + diag34[l] - 2.0 * cross_alt
+    margins = [(f"ric{name}_pair[{a},{b}]", float(value))
+               for a, b, v12, v34 in zip(k, l, pair12, pair34)
+               for name, value in (("12", v12), ("34", v34))]
     if n > 1:
-        margins.append(("scal_bound", scal - cross / (n - 1)))
-        margins.append(("scal_alt_bound", scal_alt - cross_alt / (n - 1)))
+        margins.append(("scal_bound", scal - float(cross.sum()) / (n - 1)))
+        margins.append(("scal_alt_bound", scal_alt - float(cross_alt.sum()) / (n - 1)))
     values = np.array([val for _, val in margins])
     rows = [(lambda j: [margins[j][0]], values, 0.0, np.maximum(0.0, -values))]
 

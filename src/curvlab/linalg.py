@@ -96,13 +96,17 @@ def cholesky_frame(g):
     E^T g conj(E) = I; it is built from the Cholesky factor g = L L^H as
     E = (L^{-1})^T.  For real metrics this coincides with E^H g E = I, and
     diagonal metrics give diagonal frames.
+
+    It alone decides whether g is usable, by the scale-free test lambda_min >
+    ``Tolerances.metric_conditioning`` x lambda_max on its Hermitian part.
     """
     g = ensure_finite(np.asarray(g, dtype=complex), "metric")
-    lambda_min = float(np.linalg.eigvalsh(0.5 * (g + g.conj().T))[0])
-    if lambda_min <= DEFAULT.positive_definite:
-        raise DomainError(
-            f"metric is not positive definite: smallest eigenvalue {lambda_min:.6e}")
-    low = np.linalg.cholesky(0.5 * (g + g.conj().T))
+    h = 0.5 * (g + g.conj().T)
+    lo, hi = (float(x) for x in np.linalg.eigvalsh(h)[[0, -1]])
+    if not lo > DEFAULT.metric_conditioning * hi:
+        raise DomainError(f"metric is not positive definite or too ill-conditioned: eigenvalues "
+                          f"min {lo:.6e} <= {DEFAULT.metric_conditioning:.0e} x max {hi:.6e}")
+    low = np.linalg.cholesky(h)
     e = np.linalg.inv(low).T
     residual = float(np.abs(e.T @ g @ np.conj(e) - np.eye(g.shape[0])).max())
     if residual > DEFAULT.frame_orthonormal * max(1.0, float(np.abs(g).max())):

@@ -364,13 +364,15 @@ def fubini_study(n):
         dg = (-u ** 2 * np.einsum("i,kl->ikl", pb, eye)
               - u ** 2 * np.einsum("il,k->ikl", eye, pb)
               + 2.0 * u ** 3 * np.einsum("k,l,i->ikl", pb, p, pb))
+        # Hermitian pairs summed first keep ddg exactly Hermitian (asymmetry grows as kappa^2)
+        a = np.einsum("x,y->xy", p, pb)
         ddg = (-u ** 2 * (np.einsum("kl,ij->ijkl", eye, eye)
                           + np.einsum("il,jk->ijkl", eye, eye))
-               + 2.0 * u ** 3 * (np.einsum("kl,j,i->ijkl", eye, p, pb)
-                                 + np.einsum("il,j,k->ijkl", eye, p, pb)
-                                 + np.einsum("jk,l,i->ijkl", eye, p, pb)
-                                 + np.einsum("ij,k,l->ijkl", eye, pb, p))
-               - 6.0 * u ** 4 * np.einsum("j,k,l,i->ijkl", p, pb, p, pb))
+               + 2.0 * u ** 3 * ((np.einsum("kl,ji->ijkl", eye, a)
+                                  + np.einsum("ij,lk->ijkl", eye, a))
+                                 + (np.einsum("il,jk->ijkl", eye, a)
+                                    + np.einsum("jk,li->ijkl", eye, a)))
+               - 6.0 * u ** 4 * np.einsum("ji,lk->ijkl", a, a))
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     domain = _stacked(lambda p: _chart_sq_norm(p) <= MAX_ENTRY)

@@ -56,7 +56,8 @@ from .config import DEFAULT
 from .linalg import _hermitian_basis, haar_from_rng, rng_from, self_adjoint_eigen
 from .curvature import FrameConvention, paper_tricerri, transform_frame
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
-                          frame_matrices, quadratic_form_matrix, rayleigh_bounds)
+                          frame_matrices, matrices_from, quadratic_form_matrix,
+                          rayleigh_bounds)
 from .cones import cone_min, full_cone
 
 
@@ -315,10 +316,8 @@ def _check_reeval(tensor, kinds, found, convention):
     ``transform_frame`` of the tensor to all their frames, the stacked
     slices, and one ``evaluate`` call per kind.  The first extremum that
     drifts beyond ``Tolerances.reeval`` raises NumericalError."""
-    moved = transform_frame(tensor, np.stack([ext.frame for ext in found]), convention)
-    r = np.stack([t.values for t in moved])
+    m = matrices_from(transform_frame(tensor, np.stack([ext.frame for ext in found]), convention))
     vectors = np.stack([ext.vector for ext in found])
-    m = CurvatureMatrices.from_slices(np.einsum("kaagg->kag", r), np.einsum("kagga->kag", r))
     again = np.empty(len(found))
     for kind in dict.fromkeys(kinds):
         rows = np.array([k is kind for k in kinds])
@@ -392,8 +391,7 @@ def tricerri_family_extrema(im_w, kind):
         raise UsageError("the family extrema cover the quadratic-form kinds")
     # at a corner |b|^2 = |b| and |d|^2 = |d|
     corners = [(b, d) for b in (0.0, 1.0) for d in (0.0, 1.0)]
-    r = np.stack([paper_tricerri(b, d, im_w).values for b, d in corners])
-    m = CurvatureMatrices.from_slices(np.einsum("kaagg->kag", r), np.einsum("kagga->kag", r))
+    m = matrices_from([paper_tricerri(b, d, im_w) for b, d in corners])
     lo, hi = rayleigh_bounds(quadratic_form_matrix(kind, m))
     inf_at, sup_at = int(np.argmin(lo)), int(np.argmax(hi))
     return {"inf": float(lo[inf_at]), "sup": float(hi[sup_at]),

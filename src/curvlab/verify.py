@@ -25,7 +25,7 @@ from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
                         skew_pair, to_frame)
-from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC, CurvatureMatrices,
+from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC,
                           FunctionalKind, _moment_cubature, _rule_moments,
                           constant_identity_check, evaluate, frame_form, hsc,
                           matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds,
@@ -87,8 +87,8 @@ def suite_hopf(seed=0):
             float(np.abs(m.altered - np.diag([0.0, 4.0])).max()), 0.0)
 
     points = hopf_domain_points(seed + 1, 10)
-    forms = [matrices_from(paper_hopf(z)) for z in points]
-    lo, hi = rayleigh_bounds(np.stack([f.rbc + f.altered for f in forms]))
+    forms = matrices_from([paper_hopf(z) for z in points])
+    lo, hi = rayleigh_bounds(forms.rbc + forms.altered)
     flo, fhi = np.array([hopf_altered_hsc_bounds(z) for z in points]).T
     worst = float(max(np.abs(lo - flo).max(), np.abs(hi - fhi).max()))
     rep.add("altered_hsc_bounds_formula", 0.0, worst, 1e-9)
@@ -170,8 +170,8 @@ def tricerri_eigen_formula_error():
     bb, dd = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
     worst = 0.0
     for im_w in TRICERRI_IM_W:
-        lo, hi = rayleigh_bounds(np.stack([matrices_from(paper_tricerri(b, d, im_w)).rbc
-                                           for b, d in zip(np.sqrt(bb), np.sqrt(dd))]))
+        lo, hi = rayleigh_bounds(matrices_from([paper_tricerri(b, d, im_w)
+                                                for b, d in zip(np.sqrt(bb), np.sqrt(dd))]).rbc)
         root = np.sqrt(bb ** 2 + dd ** 2)
         pref = 3.0 / (4.0 * im_w ** 4)
         worst = max(worst, float(np.abs(lo + pref * (dd + root)).max()),
@@ -325,9 +325,7 @@ def suite_identities(seed=0):
 
     # 50 random tensors, one vector each, all checks stacked over the tensors
     tensors = [random_tensor(seed + 100 + k, 3) for k in range(50)]
-    single = [matrices_from(t) for t in tensors]
-    m = CurvatureMatrices.from_slices(np.stack([x.rbc for x in single]),
-                                      np.stack([x.altered for x in single]))
+    m = matrices_from(tensors)
     # rows 400-449 of this stream, so that v keeps the values it had when the
     # cross-sign check drew its 400 vectors first
     v = rng_from(seed + 1).standard_normal((450, 3))[400:]

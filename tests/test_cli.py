@@ -38,6 +38,19 @@ def test_eval_fubini_study_hsc(capsys):
     assert out.splitlines()[0] == "value = 2"
 
 
+def test_eval_refuses_an_ill_conditioned_metric_and_only_that(capsys):
+    # the Hopf metric 4 I / |z|^2 has kappa = 1 at every |z|; Fubini-Study
+    # at |w| = 660 has kappa = 4.4e5, where its frame tensor is off by O(1)
+    code = main(["eval", "--metric", "hopf", "--point", "1e7,0", "--functional", "rbc",
+                 "--vector", "1,1"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "value = 0.25"
+    code = main(["eval", "--metric", "fubini_study", "--dim", "2",
+                 "--point=330+330j,330+330j", "--functional", "rbc", "--vector", "1,1"])
+    assert code == 2
+    assert "ill-conditioned" in capsys.readouterr().err
+
+
 def test_eval_flat_rbc(capsys):
     code = main(["eval", "--metric", "euclidean", "--dim", "3", "--point", "1,2,3",
                  "--functional", "rbc", "--vector", "1,1,1"])

@@ -11,6 +11,7 @@ from curvlab.functionals import FunctionalKind, evaluate, hsc, matrices_from
 from curvlab.linalg import haar_from_rng, rng_from
 from curvlab.metrics import euclidean, fubini_study, hopf
 from curvlab.search import tricerri_family_extrema
+from curvlab.metrics import tricerri
 
 
 def frame_tensor_of(metric, p):
@@ -238,3 +239,56 @@ def test_random_tensor_hermitian_and_deterministic():
     b = random_tensor(5, 3)
     assert np.array_equal(a.values, b.values)
     assert hermitian_tensor_residual(a.values) < 1e-12
+
+
+FS_EXPONENTS = np.linspace(0.0, 4.0, 401)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fubini_study_frame_tensor_is_exact_or_refused_over_four_decades(n):
+    # constant holomorphic sectional curvature 2: in a unitary frame
+    # R = d_ij d_kl + d_il d_kj at every point.  The frame tensor loses about
+    # eps kappa(g)^2 to cancellation, kappa(g) = 1 + |w|^2, so every point
+    # with kappa(g) >= 1e4 must be refused by the conditioning test and by no
+    # other check, and every other point must be accurate
+    eye = np.eye(n)
+    exact = np.einsum("ij,kl->ijkl", eye, eye) + np.einsum("il,kj->ijkl", eye, eye)
+    rng = rng_from(5, n)
+    directions = [(1 + 1j) * np.ones(n), eye[0],
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)]
+    metric = fubini_study(n)
+    for d in directions:
+        admitted = []
+        for e in FS_EXPONENTS:
+            try:
+                t = frame_tensor_of(metric, 10.0 ** e * d / np.linalg.norm(d)).values
+            except DomainError as exc:
+                assert "ill-conditioned" in str(exc), (d, e, str(exc))
+                admitted.append(False)
+                continue
+            admitted.append(True)
+            assert np.abs(t - exact).max() <= 1e-6 * max(1.0, np.abs(t).max()), (d, e)
+        assert admitted == list(1.0 + 10.0 ** (2.0 * FS_EXPONENTS) < 1e4), d
+
+
+def test_hopf_frame_tensor_is_scale_invariant_up_to_the_charts_end():
+    # g = 4 I / |z|^2 has kappa(g) = 1 at every scale and is invariant under
+    # z -> lambda z, so no point of the chart is refused and the frame tensor
+    # at lambda z is the one at z
+    metric = hopf()
+    z = np.array([0.6, 0.8j])
+    ref = frame_tensor_of(metric, z).values
+    scales = [s for s in 10.0 ** np.linspace(-1.0, 60.0, 245) if metric.domain(s * z)]
+    assert scales[-1] > 1e51   # the chart ends at |z| = 2.4e51
+    for s in scales:
+        assert np.abs(frame_tensor_of(metric, s * z).values - ref).max() <= 1e-12, s
+
+
+@pytest.mark.parametrize("p", [[0.3, 2.0 + 0.0501j], [0.3, 10j]])
+def test_tricerri_frame_tensor_is_admitted_across_its_chart(p):
+    # kappa(g) = Im(w)^-3 near the chart's lower edge (7 952 at 0.0501) and
+    # 1 000 at Im w = 10; in the frame E = diag(Im(w)^-1/2, Im w) the
+    # Chern tensor is constant: R[1,1,0,0] = 1/4 and R[1,1,1,1] = -1/2
+    ref = np.zeros((2, 2, 2, 2))
+    ref[1, 1, 0, 0], ref[1, 1, 1, 1] = 0.25, -0.5
+    assert np.abs(frame_tensor_of(tricerri(), p).values - ref).max() <= 1e-12

@@ -18,6 +18,8 @@ from curvlab.functionals import (CurvatureMatrices, _moment_cubature, _report, _
 from curvlab.linalg import rng_from
 from curvlab.reports import IdentityReport
 from curvlab.metrics import fubini_study, jet_at
+from curvlab import transform_frame
+from curvlab.linalg import haar_from_rng
 
 
 def fs_tensor(n=2):
@@ -647,3 +649,18 @@ def test_symmetrized_hsc_matches_sphere_average():
         target = float(tau2 @ (m.rbc + m.altered) @ tau2) / 6.0  # n (n+1) = 6
         assert abs(mc.real - target) <= 3.0 * se + 1e-12
         assert abs(mc.imag) <= 3.0 * se + 1e-12
+
+
+def test_stacked_matrices_from_equals_single_calls_bit_for_bit():
+    t = random_tensor(3, 4)
+    for convention in ("full", "adjoint"):
+        moved = transform_frame(t, haar_from_rng(4, rng_from(1), 5), convention)
+        stacked = matrices_from(moved)
+        assert stacked.rbc.shape == stacked.altered.shape == (5, 4, 4)
+        for i, single in enumerate(moved):
+            m = matrices_from(single)
+            assert np.array_equal(stacked.rbc[i], m.rbc)
+            assert np.array_equal(stacked.altered[i], m.altered)
+    coord = ChernTensor(values=t.values, basis="coordinate", metric=np.eye(4))
+    with pytest.raises(UsageError, match="matrices_from"):
+        matrices_from([t, coord])

@@ -90,6 +90,17 @@ def test_cholesky_frame_rejects_non_pd():
         cholesky_frame(np.diag([1.0, -1.0]))
 
 
+def test_cholesky_frame_conditioning_test_is_scale_free():
+    # refused unless lambda_min > 1e-4 lambda_max, at any scale
+    for scale in (1e-30, 1.0, 1e30):
+        e = cholesky_frame(scale * np.diag([1.0, 2e-4]))
+        assert_allclose(e, np.diag([1.0, 1.0 / np.sqrt(2e-4)]) / np.sqrt(scale), rtol=1e-14)
+        for g in (np.diag([1.0, 5e-5]), np.diag([1.0, 0.0]), np.diag([1.0, -1.0])):
+            with pytest.raises(DomainError, match=r"ill-conditioned: eigenvalues min .* <= "
+                                                  r"1e-04 x max"):
+                cholesky_frame(scale * g)
+
+
 def test_haar_determinism_and_unit_modulus():
     u1 = haar_from_rng(3, rng_from(7))
     u2 = haar_from_rng(3, rng_from(7))

@@ -32,6 +32,7 @@ from curvlab.functionals import quadratic_form_matrix
 from curvlab.verify import suite_identities
 from curvlab.curvature import COORDINATE, FRAME, ChernTensor, hermitian_tensor_residual
 from curvlab.linalg import haar_from_rng, rng_from
+from curvlab import MetricJet, curvature_from_jet
 from test_cones import assert_compression_matches_reference
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -655,3 +656,20 @@ def test_cli_fuzz_well_formed_frame_scans_reach_both_paths(n, seed, kind, cone, 
             payload = json.load(fh)
     assert (payload["cone"], payload["convention"]) == (cone, convention)
     assert payload["inf"]["value"] <= payload["sup"]["value"] + 1e-12
+
+
+@PROPERTY
+@given(st.integers(1, 8), st.integers(0, 2 ** 32 - 1), st.floats(0.0, 3.0),
+       st.floats(-6.0, 6.0))
+def test_chern_correction_equals_the_inverse_metric_contraction(n, seed, log_kappa, log_scale):
+    # with ddg = 0 the coordinate tensor is the correction D g^-1 D^H alone,
+    # read as Y Y^H with Y = D conj(E); the reference is the three-operand
+    # contraction with the inverse metric, g^-1 from LAPACK's inverse
+    rng = rng_from(seed)
+    u = haar_from_rng(n, rng)
+    exponents = np.concatenate([[0.0, 1.0], rng.uniform(size=max(n - 2, 0))])[:n]
+    g = (u * 10.0 ** (log_scale + log_kappa * exponents)) @ u.conj().T   # kappa <= 10^3
+    dg = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    ref = np.einsum("pq,ikq,jlp->ijkl", np.linalg.inv(g).T, dg, np.conj(dg))
+    got = curvature_from_jet(MetricJet(g=g, dg=dg, ddg=np.zeros((n,) * 4))).values
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
