@@ -191,8 +191,9 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-_EXACT_NOTE = ("ignored on full-cone, full-convention scans, which are exact "
-               "and ignore --seed too")
+_EXACT_NOTE = ("ignored on full-cone, full-convention scans, which are exact, "
+               "and for frame-invariant functionals, read at the identity frame; "
+               "both ignore --seed too")
 _RESTARTS_HELP = f"search restarts; {_EXACT_NOTE}"
 _REFINE_HELP = f"coordinate-descent sweeps per restart; {_EXACT_NOTE}"
 

@@ -10,12 +10,17 @@ Herm(n) (``frame_form``), and the extreme eigenvectors, diagonalized as
 A = W diag(x) W^H, give the realizing frame W^T and vector x: an eigenvector
 certificate rather than a search.
 
-Restricted cones and the adjoint convention are searched.  The outer problem
-ranges over unitary frames, and each iterate is a frame moved by elementary
-unitary rotations of its vectors, so every iterate stays unitary; the inner
-problem (best vector for a fixed frame) is solved exactly by
-``cones.cone_min``: the Rayleigh bound on the full cone, face enumeration on
-restricted cones.  That search is restart + coordinate descent with a
+Every scan goes through one dispatch table in ``_extremize_kinds``, checked
+in order: (1) full cone and full convention, the exact eigenproblem above,
+decided before anything else; (2) ``invariance_test`` says the kind's value
+is the same at every frame, so its extrema are the identity frame's exact
+inner optima, and no frame is searched; (3) everything else is searched.
+
+The search's outer problem ranges over unitary frames, and each iterate is a
+frame moved by elementary unitary rotations of its vectors, so every iterate
+stays unitary; the inner problem (best vector for a fixed frame) is solved
+exactly by ``cones.cone_min``: the Rayleigh bound on the full cone, face
+enumeration on restricted cones.  That search is restart + coordinate descent with a
 shrinking step; it claims no global optimum, and acceptance tolerances are
 sized accordingly.
 
@@ -35,7 +40,7 @@ first hit in its own rows.  Every step is computed per row, so a lane's
 iterates do not depend on the lanes beside it.  One evaluation holds at most
 ``_ROWS`` candidates; lanes are grouped in order and never split, so memory
 stays bounded however many restarts run.  The reported extrema of a call,
-exact or searched, are re-evaluated in one pass: one stacked
+whichever row produced them, are re-evaluated in one pass: one stacked
 ``transform_frame`` of the tensor and one ``evaluate`` call per kind.
 
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
@@ -91,10 +96,15 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class FrameExtremum:
+    """An extremum over frames x cone vectors, attained at frame and vector;
+    source names the dispatch row that produced it: "exact" (full cone, full
+    convention), "invariant" (a frame-invariant kind at the identity frame)
+    or "searched"."""
     value: float
     frame: np.ndarray
     vector: np.ndarray
     convention: str
+    source: str
 
 
 class _Ask(NamedTuple):
@@ -250,8 +260,23 @@ def _search(tensor, kinds, cone, convention, cfg):
         runs = outcomes[at * cfg.restarts:(at + 1) * cfg.restarts]
         best.append(runs[min(range(cfg.restarts), key=lambda r: (runs[r][0], r))])
     return [FrameExtremum(value=value if sign < 0 else 0.0 - value, frame=frame, vector=vector,
-                          convention=convention.value)
+                          convention=convention.value, source="searched")
             for (_, sign), (value, frame, vector) in zip(keys, best)]
+
+
+def _identity_extrema(tensor, kinds, cone, convention):
+    """(inf, sup) of frame-invariant kinds, as one flat list like
+    ``_search``'s: the identity frame's exact inner optima, from one
+    ``matrices_from``, one ``quadratic_form_matrix`` per kind and one
+    ``cone_min`` over the stacked forms q and -q (the Rayleigh bound on the
+    full cone, face enumeration on restricted ones)."""
+    m = matrices_from(tensor)
+    forms = np.stack([quadratic_form_matrix(kind, m) for kind in kinds])
+    res = cone_min(np.stack([forms, -forms], axis=1).reshape(-1, tensor.n, tensor.n), cone)
+    return [FrameExtremum(value=float(value) if j % 2 == 0 else 0.0 - float(value),
+                          frame=np.eye(tensor.n, dtype=complex), vector=res.argmin[j].copy(),
+                          convention=convention.value, source="invariant")
+            for j, value in enumerate(res.value)]
 
 
 def _exact_extrema(tensor, kind):
@@ -264,7 +289,8 @@ def _exact_extrema(tensor, kind):
     coords = dec.vectors[:, [0, -1]].T
     spec = self_adjoint_eigen((coords @ _hermitian_basis(n)).reshape(2, n, n))
     return [FrameExtremum(value=float(dec.values[col]), frame=spec.vectors[j].T,
-                          vector=spec.values[j], convention=FrameConvention.FULL.value)
+                          vector=spec.values[j], convention=FrameConvention.FULL.value,
+                          source="exact")
             for j, col in enumerate((0, -1))]
 
 
@@ -272,17 +298,24 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
               cfg=SearchConfig()):
     """(inf, sup) of a quadratic functional over frames x cone vectors.
 
-    On the full cone under the full convention both are exact: the extreme
-    eigenvalues of ``frame_form``, realized by the frames and vectors built
-    from its eigenvectors, and ``cfg`` is not used.  Otherwise they are
-    searched: per restart, a Haar frame is drawn (restart 0 starts at the
-    identity), the inner vector problem is solved exactly, every stack of
-    candidate frames in one ``cone_min`` call, and the frame is refined by
-    coordinate descent, each move a Givens rotation of two frame vectors or
-    a phase of one, with shrinking steps;
-    monotone improvement and determinism for a fixed config are guaranteed.
-    Each reported extremum is re-evaluated through ``transform_frame`` and
-    ``evaluate``; drift beyond ``Tolerances.reeval`` raises NumericalError.
+    The first row of this table that applies decides; ``source`` on each
+    result names it.
+    - "exact": on the full cone under the full convention both are the
+      extreme eigenvalues of ``frame_form``, realized by the frames and
+      vectors built from its eigenvectors.
+    - "invariant": where ``invariance_test`` finds the kind's value the same
+      at every frame, both are the identity frame's exact inner optima
+      (``cone_min`` of the form and of its negative).
+    - "searched": otherwise, per restart, a frame is drawn (restart 0 starts
+      at the identity, the others at Haar frames), the inner vector problem
+      is solved exactly, every stack of candidate frames in one ``cone_min``
+      call, and the frame is refined by coordinate descent, each move a
+      Givens rotation of two frame vectors or a phase of one, with
+      shrinking steps; monotone improvement and determinism for a fixed
+      config are guaranteed.
+    ``cfg`` is used by the searched row alone.  Each reported extremum is
+    re-evaluated through ``transform_frame`` and ``evaluate``; drift beyond
+    ``Tolerances.reeval`` x max(|value|, max |R|) raises NumericalError.
     """
     return _extremize_kinds(tensor, (kind,), cone, convention, cfg)[0]
 
@@ -291,8 +324,9 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
                      cfg=SearchConfig()):
     """``extremize`` for several kinds of one tensor: a list of (inf, sup),
     one per kind, each equal to that kind's own call bit for bit.  The
-    searched kinds run as one lockstep of lanes, and every extremum is
-    re-evaluated in one pass."""
+    invariant kinds share one ``_identity_extrema`` call, the searched kinds
+    run as one lockstep of lanes, and every extremum is re-evaluated in one
+    pass."""
     kinds = [FunctionalKind(kind) for kind in kinds]
     if FunctionalKind.HSC in kinds:
         raise UsageError("extremize works on the quadratic-form family; "
@@ -304,9 +338,15 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
     convention = FrameConvention(convention)
 
     if cone.kind == "full" and convention is FrameConvention.FULL:
-        found = [ext for kind in kinds for ext in _exact_extrema(tensor, kind)]
+        rows = {kind: _exact_extrema(tensor, kind) for kind in kinds}
     else:
-        found = _search(tensor, kinds, cone, convention, cfg)
+        distinct = list(dict.fromkeys(kinds))
+        invariant = [kind for kind in distinct if invariance_test(tensor, kind, convention)[0]]
+        searched = [kind for kind in distinct if kind not in invariant]
+        found = ((_identity_extrema(tensor, invariant, cone, convention) if invariant else [])
+                 + (_search(tensor, searched, cone, convention, cfg) if searched else []))
+        rows = dict(zip(invariant + searched, zip(found[0::2], found[1::2])))
+    found = [ext for kind in kinds for ext in rows[kind]]
     _check_reeval(tensor, [kind for kind in kinds for _ in (0, 1)], found, convention)
     return list(zip(found[0::2], found[1::2]))
 
@@ -315,15 +355,18 @@ def _check_reeval(tensor, kinds, found, convention):
     """Re-evaluate the extrema found[j] of kinds[j] in one pass: one stacked
     ``transform_frame`` of the tensor to all their frames, the stacked
     slices, and one ``evaluate`` call per kind.  The first extremum that
-    drifts beyond ``Tolerances.reeval`` raises NumericalError."""
+    drifts beyond ``Tolerances.reeval`` x max(|value|, max |R|) raises
+    NumericalError; the functionals are linear in R, so the bound scales
+    with the tensor and its rounding."""
     m = matrices_from(transform_frame(tensor, np.stack([ext.frame for ext in found]), convention))
     vectors = np.stack([ext.vector for ext in found])
     again = np.empty(len(found))
     for kind in dict.fromkeys(kinds):
         rows = np.array([k is kind for k in kinds])
         again[rows] = evaluate(kind, m.take(rows), vectors[rows])
+    scale = np.abs(tensor.values).max()
     for ext, value in zip(found, again):
-        if abs(value - ext.value) > DEFAULT.reeval * max(1.0, abs(ext.value)):
+        if abs(value - ext.value) > DEFAULT.reeval * max(abs(ext.value), scale):
             raise NumericalError("frame extremum failed to re-evaluate: "
                                  f"{float(value)} vs {ext.value}")
 
@@ -332,7 +375,9 @@ def invariance_test(tensor, kind, convention):
     """Exact frame-invariance decision for a quadratic functional: is its
     value at frame U and vector x the same at every U, for every x?  Returns
     (invariant, residual), invariant iff the residual is at most
-    ``Tolerances.identity_check`` x max(1, max |R|).  No frame is drawn.
+    ``Tolerances.identity_check`` x max |R|: the residual is linear in R, so
+    the verdict does not change when R is scaled (a zero tensor is
+    invariant).  No frame is drawn.
 
     Full convention: the value is q_F(A) for F = ``frame_form`` and A of
     spectrum x, so by Schur's lemma on Herm(n) = R I + traceless it is
@@ -371,7 +416,7 @@ def invariance_test(tensor, kind, convention):
             slices = r.reshape(n * n, n, n)
         trace = np.trace(slices, axis1=-2, axis2=-1)
         residual = np.abs(slices - (trace / n)[:, None, None] * np.eye(n)).max()
-    return bool(residual <= DEFAULT.identity_check * max(1.0, np.abs(r).max())), float(residual)
+    return bool(residual <= DEFAULT.identity_check * np.abs(r).max()), float(residual)
 
 
 def tricerri_family_extrema(im_w, kind):

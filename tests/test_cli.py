@@ -587,3 +587,53 @@ def test_full_full_scan_is_exact_and_ignores_the_search_flags(capsys):
     for key in ("inf", "sup"):
         assert payloads[0][key] == payloads[1][key]
     assert [p["restarts"] for p in payloads] == [8, 1]
+
+
+INVARIANT_COMMANDS = [
+    ["frame-scan", "--tensor", "paper_hopf", "--tensor-params", '{"z": [0.3, 0.7]}',
+     "--functional", "qobc", "--convention", "adjoint", "--cone", "orthant"],
+    ["frame-scan", "--tensor", "kahler_constant", "--tensor-params", '{"c": -1.5, "n": 3}',
+     "--functional", "altered_hsc", "--cone", "monotone"],
+    ["frame-scan", "--tensor", "skew_pair", "--tensor-params", '{"c": 2.0, "n": 3, "seed": 4}',
+     "--functional", "qobc", "--cone", "orthant"],
+    ["sweep", "--metric", "hopf", "--point", "0.8+0.3j,-0.5+0.7j", "--grid", "re1=0.8:1.1:2",
+     "--use-paper-tensor"],
+    ["sweep", "--metric", "conformal", "--dim", "2", "--point", "0.3,0.1+0.2j",
+     "--grid", "im1=-0.2:0.2:3"],
+]
+
+
+@pytest.mark.parametrize("argv", INVARIANT_COMMANDS, ids=lambda argv: " ".join(argv[:3]))
+def test_invariant_scans_ignore_the_search_flags(argv, capsys):
+    # frame-invariant kinds are read at the identity frame: seed, restarts
+    # and refine steps leave the output bytes unchanged
+    outputs = []
+    for extra in ([], ["--seed", "9"], ["--restarts", "1"], ["--refine-steps", "0"],
+                  ["--restarts", "3", "--refine-steps", "50", "--seed", "4"]):
+        assert main(argv + extra) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and all(out == outputs[0] for out in outputs)
+
+
+@pytest.mark.parametrize("z", [[1e-2, 5e-3], [1e-4, 5e-5]])
+@pytest.mark.parametrize("kind", ["qobc", "altered_qobc"])
+@pytest.mark.parametrize("convention", ["full", "adjoint"])
+@pytest.mark.parametrize("cone", ["full", "orthant"])
+def test_large_tensors_reevaluate(z, kind, convention, cone, capsys):
+    # paper_hopf grows like |z|^-4; its extrema re-evaluate within the
+    # drift bound scaled by max |R|, where a unit floor fell below rounding
+    argv = ["frame-scan", "--tensor", "paper_hopf", "--tensor-params", json.dumps({"z": z}),
+            "--functional", kind, "--convention", convention, "--cone", cone]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"kind={kind}")
+
+
+def test_small_frame_dependent_tensors_are_searched(capsys):
+    # at z = (1e6, 5e5) every entry is below 3e-24; rbc still depends on the
+    # frame under the full convention, so the scan searches and reports the
+    # restarts' best, not the identity frame's 5.12e-25
+    argv = ["frame-scan", "--tensor", "paper_hopf", "--tensor-params", '{"z": [1e6, 5e5]}',
+            "--functional", "rbc", "--cone", "orthant"]
+    for extra, inf in (([], "1.48703599168e-25"), (["--restarts", "2"], "2.74782008136e-25")):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"inf = {inf}"

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,13 +20,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from curvlab import (CurvatureMatrices, FrameConvention, SearchConfig, cholesky_frame,
-                     cone_min, copositive_2x2, extremize, frame_matrices, generator_cone,
-                     invariance_test, kahler_constant, matrices_from,
-                     monotone_nonneg, nonneg_orthant, paper_hopf, paper_tricerri,
+from curvlab import (CurvatureMatrices, FrameConvention, NumericalError, SearchConfig,
+                     cholesky_frame, cone_min, copositive_2x2, extremize, frame_matrices,
+                     generator_cone, invariance_test, kahler_constant, make_cone,
+                     matrices_from, monotone_nonneg, nonneg_orthant, paper_hopf, paper_tricerri,
                      random_tensor, rayleigh_bounds, ricci_qobc_bounds, scalars, skew_pair,
                      to_frame, transform_frame, tricerri_family_extrema, weitzenbock)
 from curvlab.cli import main
+import curvlab.search as search_mod
 from curvlab.cones import _edm_rank3, difference_form_pairings
 from curvlab.config import DEFAULT, MAX_ENTRY
 from curvlab.functionals import quadratic_form_matrix
@@ -392,6 +394,46 @@ def test_exact_invariance_agrees_with_300_haar_frames(convention):
     if convention is FrameConvention.ADJOINT:
         assert verdicts[2, "shared_traceless", "qobc"]
         assert not verdicts[3, "shared_traceless", "qobc"]
+
+
+def scaled(tensor, k):
+    """The frame tensor 2^k R: every entry scaled exactly."""
+    return ChernTensor(values=tensor.values * 2.0 ** k, basis=FRAME)
+
+
+@PROPERTY
+@given(n=st.integers(2, 3), k=st.integers(-80, 80), seed=st.integers(0, 2 ** 16),
+       convention=st.sampled_from(list(FrameConvention)))
+def test_invariance_verdicts_do_not_change_when_the_tensor_is_scaled(n, k, seed, convention):
+    # the residual is linear in R and the bound is identity_check x max |R|,
+    # so scaling R by 2^k scales both exactly and keeps every verdict
+    for name, t in structured_tensors(n, rng_from(seed)).items():
+        for kind in QUAD_KINDS:
+            invariant, residual = invariance_test(t, kind, convention)
+            assert invariance_test(scaled(t, k), kind, convention) == (
+                invariant, residual * 2.0 ** k), (name, kind)
+
+
+@PROPERTY
+@given(k=st.integers(-80, 80), seed=st.integers(0, 2 ** 16), kind=st.sampled_from(QUAD_KINDS),
+       tensor=st.sampled_from(["random", "hopf"]), cone=st.sampled_from(["full", "orthant"]),
+       convention=st.sampled_from(list(FrameConvention)))
+def test_reevaluation_certificate_does_not_change_when_the_tensor_is_scaled(
+        k, seed, kind, tensor, cone, convention):
+    # every row of the dispatch re-evaluates at any scale, and a drift of
+    # half the bound reeval x max(|value|, max |R|) passes where twice it fails
+    base = random_tensor(seed, 2) if tensor == "random" else paper_hopf([1.0, 0.5 - 0.5j])
+    t = scaled(base, k)
+    cfg = SearchConfig(restarts=2, refine_steps=2, seed=seed)
+    pair = extremize(t, kind, cone=make_cone(cone, 2), convention=convention, cfg=cfg)
+    scale = float(np.abs(t.values).max())
+    for ext in pair:
+        bound = DEFAULT.reeval * max(abs(ext.value), scale)
+        search_mod._check_reeval(t, [kind], [replace(ext, value=ext.value + 0.5 * bound)],
+                                 convention)
+        with pytest.raises(NumericalError, match="failed to re-evaluate"):
+            search_mod._check_reeval(t, [kind], [replace(ext, value=ext.value + 2.0 * bound)],
+                                     convention)
 
 
 @PROPERTY

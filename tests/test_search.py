@@ -784,3 +784,160 @@ def test_one_pass_reevaluation_checks_every_extremum(monkeypatch):
         with pytest.raises(NumericalError, match="failed to re-evaluate"):
             search_mod._extremize_kinds(t, QUAD_KINDS, None, convention, cfg)
         search_mod._extremize_kinds(t, QUAD_KINDS[:-1], None, convention, cfg)
+
+
+# ---------------------------------------------------------------------------
+# exact-first dispatch: frame-invariant kinds take the identity frame
+
+def conformal_tensor(n):
+    from curvlab.metrics import jet_at, make_metric
+    from curvlab.curvature import curvature_from_jet, to_frame
+    p = 0.3 * np.exp(1j * np.arange(n))
+    return to_frame(curvature_from_jet(jet_at(make_metric("conformal", dim=n), p)))
+
+
+INVARIANT_CASES = [
+    ("paper_hopf", lambda: paper_hopf([0.3, -0.7j]), "adjoint",
+     ("full", "orthant", "monotone", "generators")),
+    ("kahler_constant", lambda: kahler_constant(-1.5, 3), "full",
+     ("orthant", "monotone", "generators")),
+    ("skew_pair", lambda: skew_pair(2.0, 3, seed=3), "full", ("orthant", "monotone", "generators")),
+    ("conformal_2", lambda: conformal_tensor(2), "adjoint", ("full", "orthant")),
+    ("conformal_3", lambda: conformal_tensor(3), "adjoint", ("full", "monotone")),
+]
+
+
+@pytest.mark.parametrize("name, build, convention, cone_names", INVARIANT_CASES,
+                         ids=[case[0] for case in INVARIANT_CASES])
+def test_invariant_kinds_report_the_identity_frames_exact_inner_optimum(
+        name, build, convention, cone_names):
+    # every kind is frame-invariant here, so both extrema are the identity
+    # frame's cone_min of q and of -q, bit for bit, whatever the budget; no
+    # Haar frame does better
+    t = build()
+    n = t.n
+    scale = float(np.abs(t.values).max())
+    m = matrices_from(t)
+    frames = haar_from_rng(n, rng_from(5), 20)
+    moved = CurvatureMatrices.from_slices(*frame_matrices(t, frames, convention))
+    for cone_name in cone_names:
+        cone = lane_cone(cone_name, n)
+        for kind in QUAD_KINDS:
+            assert invariance_test(t, kind, convention)[0], (kind, cone_name)
+            q = quadratic_form_matrix(kind, m)
+            lo_ref, hi_ref = cone_min(q, cone), cone_min(-q, cone)
+            lo, hi = extremize(t, kind, cone, convention)
+            for a, b in zip((lo, hi), extremize(t, kind, cone, convention,
+                                                SearchConfig(restarts=1, refine_steps=0, seed=7))):
+                assert a.value == b.value and np.array_equal(a.vector, b.vector)
+            assert (lo.value, hi.value) == (lo_ref.value, 0.0 - hi_ref.value)
+            assert np.array_equal(lo.vector, lo_ref.argmin)
+            assert np.array_equal(hi.vector, hi_ref.argmin)
+            for ext in (lo, hi):
+                assert ext.source == "invariant" and ext.convention == convention
+                assert np.array_equal(ext.frame, np.eye(n))
+            assert not np.shares_memory(lo.frame, hi.frame)
+            per_frame = cone_min(quadratic_form_matrix(kind, moved), cone).value
+            assert np.abs(per_frame - lo.value).max() <= 1e-9 * scale
+            per_frame = -cone_min(-quadratic_form_matrix(kind, moved), cone).value
+            assert np.abs(per_frame - hi.value).max() <= 1e-9 * scale
+
+
+def test_invariant_restricted_extrema_match_closed_forms():
+    # the rbc form of kahler_constant(c, n) is (c / 2)(I + J), whose
+    # Rayleigh quotient 1 + (sum x)^2 / |x|^2 ranges over [2, n + 1] on the
+    # orthant and on the monotone cone
+    for c in (-1.5, 2.0):
+        for n in (2, 3, 4):
+            for cone in (nonneg_orthant(n), monotone_nonneg(n)):
+                lo, hi = extremize(kahler_constant(c, n), "rbc", cone=cone)
+                ends = sorted((c, 0.5 * c * (n + 1)))
+                assert lo.value == pytest.approx(ends[0], rel=1e-14)
+                assert hi.value == pytest.approx(ends[1], rel=1e-14)
+                assert lo.source == hi.source == "invariant"
+
+
+MIXED_CASES = [
+    ("paper_hopf", lambda: paper_hopf([1.0, 0.5 - 0.5j]), "orthant", "full"),
+    ("skew_pair", lambda: skew_pair(2.0, 3, seed=3), "full", "adjoint"),
+    ("paper_tricerri", lambda: paper_tricerri(0.0, 1.0, 1.0), "monotone", "adjoint"),
+]
+
+
+@pytest.mark.parametrize("name, build, cone_name, convention", MIXED_CASES,
+                         ids=[case[0] for case in MIXED_CASES])
+def test_kinds_split_between_rows_equal_their_own_calls(name, build, cone_name, convention):
+    # a call that mixes invariant and searched kinds gives, per kind, that
+    # kind's own call bit for bit; the searched kinds are the lanes' own
+    # iterates, the invariant ones the identity frame
+    t = build()
+    cone = make_cone(cone_name, t.n)
+    cfg = SearchConfig(restarts=2, refine_steps=3, seed=6)
+    together = search_mod._extremize_kinds(t, QUAD_KINDS, cone, convention, cfg)
+    sources = set()
+    for kind, pair in zip(QUAD_KINDS, together):
+        invariant = invariance_test(t, kind, convention)[0]
+        refs = extremize(t, kind, cone, convention, cfg)
+        for got, ref in zip(pair, refs):
+            assert got.source == ref.source == ("invariant" if invariant else "searched")
+            assert got.value == ref.value
+            assert np.array_equal(got.frame, ref.frame)
+            assert np.array_equal(got.vector, ref.vector)
+            sources.add(got.source)
+        if not invariant:
+            for got, (value, frame, vector) in zip(pair, per_restart_extremize(
+                    t, FunctionalKind(kind), cone, convention, cfg)):
+                assert got.value == value
+                assert np.array_equal(got.frame, frame)
+                assert np.array_equal(got.vector, vector)
+    assert sources == {"invariant", "searched"}
+
+
+def test_all_invariant_call_is_one_cone_min_and_no_search(monkeypatch):
+    # no lane, no Haar frame: one quadratic_form_matrix per kind and one
+    # stacked cone_min for every kind and sign
+    def refuse(*args, **kwargs):
+        raise AssertionError("an invariant call built a search")
+    calls = {"cone_min": 0, "quadratic_form_matrix": 0}
+
+    def counted(name):
+        real = getattr(search_mod, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+    for name in ("_search", "_lane", "haar_from_rng"):
+        monkeypatch.setattr(search_mod, name, refuse)
+    for name in calls:
+        monkeypatch.setattr(search_mod, name, counted(name))
+    t = paper_hopf([0.3, -0.7j])
+    for cone in (full_cone(2), nonneg_orthant(2)):
+        for name in calls:
+            calls[name] = 0
+        pairs = search_mod._extremize_kinds(t, QUAD_KINDS, cone, "adjoint",
+                                            SearchConfig(restarts=5, refine_steps=9))
+        assert calls == {"cone_min": 1, "quadratic_form_matrix": len(QUAD_KINDS)}
+        assert all(ext.source == "invariant" for pair in pairs for ext in pair)
+
+
+def test_full_full_scans_stay_exact_before_any_invariance_test(monkeypatch):
+    # the exact row is decided first: an invariant tensor on the full cone
+    # under the full convention is still an eigenvector certificate
+    monkeypatch.setattr(search_mod, "invariance_test", lambda *args: pytest.fail("tested"))
+    for t in (kahler_constant(2.0, 3), random_tensor(4, 3)):
+        for ext in extremize(t, "qobc"):
+            assert ext.source == "exact"
+
+
+def test_invariance_bound_is_relative_to_the_tensor():
+    # an absolute floor would call small frame-dependent tensors invariant
+    from curvlab.curvature import ChernTensor, FRAME
+    small = ChernTensor(values=random_tensor(3, 3).values * 1e-12, basis=FRAME)
+    for convention in FrameConvention:
+        for kind in ("rbc", "qobc"):
+            ok, dev = invariance_test(small, kind, convention)
+            assert not ok and dev > 0.0
+    ok, _ = invariance_test(paper_hopf([1e3, 5e2 - 5e2j]), "rbc", "full")
+    assert not ok
+    assert not invariance_test(paper_hopf([1.0, 0.5 - 0.5j]), "rbc", "full")[0]
