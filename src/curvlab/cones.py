@@ -11,20 +11,18 @@ has an exact classical criterion, kept as an independent oracle.
 
 Nonnegativity of the difference-form functionals is dual-cone membership
 against embedding-dimension-one Euclidean distance matrices
-Sigma_v[a, g] = (v_a - v_g)^2; three equivalent oracles are provided
-(Weitzenboeck PSD, direct trace sampling, and the Perron-weight eigenvalue
-criterion) so they can cross-validate each other.  The sampled oracles never
-form Sigma_v: the direct pairing tr(S Sigma_v) is O(n^2) per sample
-(``difference_form_pairings``), and since Sigma_v has rank <= 3 at any n
-(an EDM of embedding dimension d has rank <= d + 2; Gower, Linear Algebra
-Appl. 67, 1985), the Perron criterion reads the eigenpairs of its 3 x 3
-compression onto its range, solved in closed form for all samples at once
-(``_edm_rank3``): the Perron root by the trigonometric cubic formula, the
-other two eigenpairs by algebraic identities of the compression, with no
-further trigonometric call.  ``perron_criterion_check`` reads its seeded
-stream in blocks of ``_BLOCK`` rows, so its temporaries stay block-sized;
-each block is centred once for both readings, and its eigenpairs come as
-(3, rows) arrays.  ``_perron_pass`` hands the trace pairings of that stream
+Sigma_v[a, g] = (v_a - v_g)^2: the pairing tr(S Sigma_v) is v^T W v for the
+Weitzenboeck matrix W, and W 1 = 0, so membership holds iff W is PSD on the
+complement of 1.  Every verdict reads W's least eigenpair there, from one
+eigh (``_least_pair``); the Perron-weight criterion reads its factorization
+of the pairing at the least eigenvector.  The seeded samples of
+``perron_criterion_check`` cross-check that factorization against the direct
+O(n^2) pairing (``difference_form_pairings``) and never form Sigma_v: it has
+rank <= 3 at any n (an EDM of embedding dimension d has rank <= d + 2;
+Gower, Linear Algebra Appl. 67, 1985), so the Perron reading solves its
+3 x 3 compression onto its range in closed form for all samples at once
+(``_edm_rank3``).  The samples are read in blocks of ``_BLOCK`` rows, each
+centred once for both readings; ``_perron_pass`` hands their trace pairings
 to the direct oracle of ``verify.cone_oracle_disagreements``, which then
 draws only the rows past the Perron prefix.
 """
@@ -301,20 +299,34 @@ def perron_weights(edm):
     return np.clip(r, 0.0, 1.0)
 
 
+def _least_pair(s):
+    """(lambda*, v*): the least eigenvalue of the Weitzenboeck matrix W of the
+    symmetric s on the complement of 1, and a unit eigenvector there, from
+    one eigh of W in an orthonormal basis of the complement, the last n - 1
+    columns of the Householder reflection that maps 1 / sqrt(n) to -e_1.
+    lambda* is the least pairing tr(s Sigma_v) of a unit v orthogonal to 1,
+    attained at v*.  At n = 1 the complement is 0: lambda* = 0, v* is None."""
+    n = s.shape[0]
+    if n == 1:
+        return 0.0, None
+    u = np.full(n, 1.0 / np.sqrt(n))
+    u[0] += 1.0   # |u|^2 = 2 u_0
+    basis = np.eye(n)[:, 1:] - np.outer(u, u[1:] / u[0])
+    lam, vecs = np.linalg.eigh(basis.T @ weitzenbock(s) @ basis)
+    return float(lam[0]), basis @ vecs[:, 0]
+
+
 def dual_edm_test(m):
     """Membership of m in the dual EDM cone: trace pairing against every
     Sigma_v is nonnegative iff the Weitzenboeck matrix W of m is PSD on the
-    complement of the all-ones vector 1.
-
-    W 1 = 0 always, and that zero eigenvalue carries rounding of size
-    eps |W|, which the absolute ``Tolerances.cone_agreement`` cannot absorb
-    at large scale; so the test reads W + (max|W| / n) 1 1^T, which has W's
-    spectrum on the complement of 1 and the eigenvalue max|W| on 1."""
+    complement of the all-ones vector 1, read as lambda* >= -tau with
+    ``_least_pair`` and tau = ``Tolerances.cone_agreement`` x max|S| for the
+    symmetric part S.  The rounding of W 1 = 0 never enters, and both sides
+    scale with m, so the verdict does not depend on the matrix's scale."""
     m = np.asarray(m, dtype=float)
     max_modulus(m, "matrix")
-    w = weitzenbock(m)
-    return bool(np.linalg.eigvalsh(w + np.abs(w).max() / w.shape[-1])[0]
-                >= -DEFAULT.cone_agreement)
+    s = 0.5 * (m + m.T)
+    return _least_pair(s)[0] >= -DEFAULT.cone_agreement * float(np.abs(s).max())
 
 
 def _centred(vs):
@@ -441,30 +453,29 @@ def _edm_rank3_of_centred(w, s):
 
 
 def perron_criterion_check(m, samples=1000, seed=0):
-    """Cross-validation of the Perron-weight nonnegativity criterion.
+    """The Perron-weight nonnegativity criterion, decided at W's least
+    eigenpair and cross-checked on sampled generators.
 
-    For each sampled generator v, with Sigma_v = U diag(delta) U^T (descending)
-    and q_k = u_k^T S u_k the quadratic form of the symmetric part S of m on
-    the EDM eigenbasis, the trace pairing factors exactly as
+    For a generator v, with Sigma_v = U diag(delta) U^T (descending) and
+    q_k = u_k^T S u_k the quadratic form of the symmetric part S of m on the
+    EDM eigenbasis, the trace pairing factors exactly as
 
         tr(S Sigma_v) = delta_1 (q_1 - sum_k r_k q_k),  r_k = -delta_k / delta_1,
 
-    so the pairing is nonnegative iff q_1 >= sum r_k q_k.  Sigma_v has rank
-    <= 3 whatever n is (an EDM of embedding dimension d has rank <= d + 2),
-    so the criterion reads the three nonzero eigenpairs of its compression to
-    a basis of its range (``_edm_rank3``); the other r_k are 0.  The trace
-    reading is the direct O(n^2) pairing (``difference_form_pairings``), so
-    the per-sample agreement of the two readings compares two independent
-    computations.  The report records that agreement, the aggregate verdict,
-    the verdict of the PSD oracle, and (as a diagnostic only) the weaker
-    bound with eigenvalues of S in place of the q_k, which every matrix
-    satisfies.
+    so the pairing is nonnegative iff q_1 >= sum r_k q_k, read from the three
+    nonzero eigenpairs of Sigma_v (``_edm_rank3``).
 
-    The generators are the rows of one (samples, n) standard normal draw
-    from the seeded stream, read in blocks of ``_BLOCK`` rows: the blocks
-    hold the same numbers, and every reading is row-wise, so the report is
-    the same bit for bit as from one full-length block, while only the
-    per-sample pairings and verdicts are full length.
+    With (lambda*, v*) W's least eigenpair on the complement of 1
+    (``_least_pair``) and tau = ``Tolerances.cone_agreement`` x max|S|:
+    ``verdict_dual_edm`` is lambda* >= -tau, ``verdict_criterion`` the
+    factorization read at v* >= -tau, ``min_trace_pairing`` is lambda* and
+    ``counterexample`` is v* when the dual verdict fails.  ``passed`` and
+    ``witnesses`` check that the factorization and the direct pairing
+    (``difference_form_pairings``) agree on the sign of each sampled pairing,
+    to the absolute ``Tolerances.cone_agreement``.  The samples are the rows
+    of one (samples, n) standard normal draw from the seeded stream, read in
+    blocks of ``_BLOCK`` rows with the same numbers; every reading is
+    row-wise, so the report is the same bit for bit as from one block.
     """
     if samples < MIN_SAMPLES:
         raise UsageError(f"perron_criterion_check needs at least {MIN_SAMPLES} samples")
@@ -474,66 +485,60 @@ def perron_criterion_check(m, samples=1000, seed=0):
     if m.shape[0] > MAX_DIM:
         raise UsageError(f"perron_criterion_check supports n <= {MAX_DIM}, got {m.shape[0]}")
     max_modulus(m, "matrix")
-    return _perron_pass(m, rng_from(seed), samples, DEFAULT.cone_agreement)[0]
+    return _perron_pass(m, rng_from(seed), samples)[0]
 
 
-def _perron_pass(m, rng, samples, tol, tail=None):
+def _perron_reading(w, s):
+    """(q_1 - sum_k r_k q_k, delta_1) of each row of w, centred by
+    ``_centred``: their product is the pairing with s (0 on a constant row)."""
+    delta, q = _edm_rank3_of_centred(w, s)
+    delta1 = np.maximum(delta[0], 1e-300)
+    r = -delta[1:] / delta1
+    return q[0] - np.sum(r * q[1:], axis=0), delta1
+
+
+def _perron_pass(m, rng, samples, witness=False):
     """The report of ``perron_criterion_check`` on the next samples rows of
-    rng, followed by the rows of tail (a last block) if given, and the trace
-    pairings of all those rows with the symmetric part of m.  m is a
-    validated square matrix, its entries within MAX_ENTRY."""
+    rng, and the trace pairings of those rows with the symmetric part of m.
+    With witness, when the dual verdict fails, v* follows the samples as one
+    more row (a last block) of the cross-check.  m is a validated square
+    matrix, its entries within MAX_ENTRY."""
     n = m.shape[0]
     s = 0.5 * (m + m.T)
-    lam = np.linalg.eigvalsh(s)[::-1]
-    # r ascends; its n - 1 - k leading weights (zero eigenvalues) are 0
-    k = min(n - 1, 2)
+    tol = DEFAULT.cone_agreement
+    tau = tol * float(np.abs(s).max())
+    lam, v = _least_pair(s)
+    verdict_dual = lam >= -tau
+    verdict_criterion = True   # at n = 1 every Sigma_v is 0
+    if v is not None:
+        at_v, delta1 = _perron_reading(_centred(v[None]), s)
+        verdict_criterion = bool(at_v[0] >= -tau / delta1[0])
+    tail = v[None] if witness and not verdict_dual else None
     starts = list(range(0, samples, _BLOCK)) + ([] if tail is None else [samples])
-    total = samples + (0 if tail is None else len(tail))
+    total = samples + (0 if tail is None else 1)
     trace, crit = np.empty(total), np.empty(total)
     crit_ok = np.empty(total, dtype=bool)
-    eig_bound_ok = True
-    block_argmins = []  # per block, its row of least trace pairing
     for lo in starts:
         vs = tail if lo == samples else rng.standard_normal((min(_BLOCK, samples - lo), n))
         hi = lo + len(vs)
         w = _centred(vs)
-        delta, q = _edm_rank3_of_centred(w, s)
-        # a constant generator (Gaussian samples never draw one) has delta = 0
-        delta1 = np.maximum(delta[0], 1e-300)
-        r = -delta[1:] / delta1
+        crit[lo:hi], delta1 = _perron_reading(w, s)
         trace[lo:hi] = _pairings_of_centred(w, s)
-        crit[lo:hi] = q[0] - np.sum(r * q[1:], axis=0)
         crit_ok[lo:hi] = crit[lo:hi] >= -tol / delta1
-        eig_bound_ok &= bool(np.all(lam[0] >= np.sum(r[2 - k:] * lam[n - k:, None], axis=0) - tol))
-        block_argmins.append(vs[np.argmin(trace[lo:hi])].copy())
-    trace_ok = trace >= -tol
-    both = trace_ok == crit_ok
-
-    verdict_criterion = bool(np.all(crit_ok))
-    verdict_trace = bool(np.all(trace_ok))
-    verdict_dual = dual_edm_test(m)
-    witnesses = []
-    max_resid = 0.0
+    both = (trace >= -tol) == crit_ok
+    witnesses, max_resid = [], 0.0
     for a in np.nonzero(~both)[0][:5]:
         witnesses.append([["disagreement", int(a)], [float(trace[a]), 0.0],
                           [float(crit[a]), 0.0]])
         max_resid = max(max_resid, abs(float(trace[a])))
-    counterexample = None
-    if not verdict_trace:
-        # the first argmin of the stream is the first argmin of its block
-        block = int(np.searchsorted(starts, np.argmin(trace), side="right")) - 1
-        counterexample = [float(x) for x in block_argmins[block]]
     details = {
         "verdict_criterion": verdict_criterion,
-        "verdict_trace": verdict_trace,
         "verdict_dual_edm": verdict_dual,
-        "eigenvalue_bound_holds": eig_bound_ok,
         "agrees_with_dual": verdict_criterion == verdict_dual,
-        "min_trace_pairing": float(trace.min()),
-        "counterexample": counterexample,
+        "min_trace_pairing": lam,
+        "counterexample": None if verdict_dual else [float(x) for x in v],
         "samples": total,
     }
-    passed = bool(np.all(both)) and verdict_criterion == verdict_trace
-    report = IdentityReport(name="perron_weight_criterion", passed=passed,
+    report = IdentityReport(name="perron_weight_criterion", passed=bool(np.all(both)),
                             max_residual=max_resid, witnesses=witnesses, details=details)
     return report, trace

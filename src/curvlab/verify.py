@@ -28,8 +28,7 @@ from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_c
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC,
                           FunctionalKind, _moment_cubature, _rule_moments,
                           constant_identity_check, evaluate, frame_form, hsc,
-                          matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds,
-                          weitzenbock)
+                          matrices_from, moment_target, rayleigh_bounds, ricci_qobc_bounds)
 from .cones import (MIN_SAMPLES, _perron_pass, copositive_2x2, cone_min,
                     difference_form_pairings, dual_edm_test, edm_from_vector, nonneg_orthant,
                     perron_weights)
@@ -238,21 +237,20 @@ def suite_fubini_study(seed=0):
 
 
 def cone_oracle_disagreements(n, count, seed, thm_samples, direct_samples, witness=False):
-    """Number of matrices where the PSD oracle, the Perron-weight criterion,
-    and direct distance-matrix sampling disagree about nonnegativity of the
-    difference form.
+    """Number of matrices where the PSD oracle (``dual_edm_test``), the
+    sampled Perron-weight criterion and direct distance-matrix sampling
+    disagree about nonnegativity of the difference form, or where the Perron
+    pass fails its per-sample cross-check.
 
     The Perron and direct oracles share one seeded sample stream per matrix,
     drawn and paired with the symmetric part of m once: the Perron pass reads
     its first thm_samples rows, and the direct oracle its first
     direct_samples trace pairings, those of the pass and, past them, of rows
-    drawn next from the same stream (``difference_form_pairings``).
-
-    Every verdict reads ``Tolerances.cone_agreement`` as tol.  With witness,
-    when the Weitzenboeck matrix W has lambda_min(W) < -tol, its bottom
-    eigenvector follows the random prefix of both sampled streams:
-    W 1 = 0, so it is a generator pairing to lambda_min(W), and both sampled
-    readings must flag a negative cone too thin for random generators."""
+    drawn next from the same stream (``difference_form_pairings``).  The
+    sampled verdicts read ``Tolerances.cone_agreement`` as tol.  With
+    witness, when the PSD oracle fails, W's least eigenvector v* on the
+    complement of 1 follows the random prefix of both sampled streams, so
+    both must flag a negative cone too thin for random generators."""
     if thm_samples < MIN_SAMPLES:
         raise UsageError(f"the Perron oracle needs at least {MIN_SAMPLES} samples")
     tol = DEFAULT.cone_agreement
@@ -260,18 +258,14 @@ def cone_oracle_disagreements(n, count, seed, thm_samples, direct_samples, witne
     for k in range(count):
         m = rng_from(seed, n, k).standard_normal((n, n))
         rng = rng_from((seed + 1) * 1_000_003 + 101 * n + k)
-        tail = None
-        if witness:
-            lam, vecs = np.linalg.eigh(weitzenbock(m))
-            tail = vecs[:, :1].T if lam[0] < -tol else None
-        rep, traces = _perron_pass(m, rng, thm_samples, tol, tail)
+        rep, traces = _perron_pass(m, rng, thm_samples, witness)
         verdict_direct = bool(traces[:direct_samples].min() >= -tol
                               and traces[thm_samples:].min(initial=np.inf) >= -tol)
         if direct_samples > thm_samples:
             rest = rng.standard_normal((direct_samples - thm_samples, n))
             verdict_direct &= bool(difference_form_pairings(rest, 0.5 * (m + m.T)).min() >= -tol)
-        agree = (rep.details["verdict_dual_edm"] == rep.details["verdict_criterion"]
-                 == verdict_direct) and rep.passed
+        verdict_perron = traces.min() >= -tol
+        agree = rep.passed and rep.details["verdict_dual_edm"] == verdict_perron == verdict_direct
         bad += 0 if agree else 1
     return bad
 

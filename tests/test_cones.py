@@ -16,7 +16,6 @@ from curvlab import (DomainError, UsageError, cone_min, copositive_2x2, dual_edm
 from curvlab.cli import main
 from curvlab.cones import _edm_rank3, _faces, _perron_pass, difference_form_pairings
 from curvlab.linalg import rng_from
-from curvlab.reports import IdentityReport
 from curvlab import verify
 from curvlab.verify import cone_oracle_disagreements
 
@@ -264,26 +263,29 @@ def test_perron_criterion_examples():
     assert rep.passed  # both readings agree sample by sample
     assert not rep.details["verdict_criterion"]
     assert not rep.details["verdict_dual_edm"]
-    assert rep.details["counterexample"] is not None
+    # the counterexample is the unit generator (1, -1) / sqrt(2) up to sign,
+    # which pairs to -2 (v_0 - v_1)^2 = -4
     v = np.array(rep.details["counterexample"])
+    assert_allclose(np.abs(v), np.sqrt(0.5), rtol=1e-15)
+    assert v.sum() == pytest.approx(0.0, abs=1e-15)
     sigma = edm_from_vector(v).sigma
-    assert float(np.sum(sigma * np.array([[0.0, -1.0], [-1.0, 0.0]]))) < 0
-
-    # the eigenvalue reading of the bound is vacuous: it holds here too
-    assert rep.details["eigenvalue_bound_holds"]
+    assert float(np.sum(sigma * np.array([[0.0, -1.0], [-1.0, 0.0]]))) == pytest.approx(-4.0)
+    assert rep.details["min_trace_pairing"] == pytest.approx(-4.0, rel=1e-15)
 
     with pytest.raises(UsageError):
         perron_criterion_check(np.eye(2), samples=10)
 
 
 def test_oracle_equivalence_random_matrices():
+    # the direct oracle pairs the check's own samples
     bad = 0
     for n in (3, 4):
         for k in range(60):
             m = rng_from(4, n, k).standard_normal((n, n))
             rep = perron_criterion_check(m, samples=800, seed=1000 + k)
             psd = dual_edm_test(m)
-            traces_ok = rep.details["verdict_trace"]
+            vs = rng_from(1000 + k).standard_normal((800, n))
+            traces_ok = bool(difference_form_pairings(vs, 0.5 * (m + m.T)).min() >= -1e-8)
             if not (rep.details["verdict_criterion"] == psd == traces_ok and rep.passed):
                 bad += 1
     assert bad == 0
@@ -370,20 +372,28 @@ def assert_compression_matches_reference(vs, s, rtol):
 
 def reference_perron_verdicts(m, samples, seed, tol=1e-8):
     """The report fields of perron_criterion_check, from the dense reference
-    and the einsum trace on the same sample stream."""
+    and the einsum trace on the same sample stream, and the verdicts from the
+    least eigenpair of W on an SVD basis of the complement of 1, with the
+    dense reference's criterion at that eigenvector."""
     s = 0.5 * (m + m.T)
-    vs = rng_from(seed).standard_normal((samples, m.shape[0]))
+    n = m.shape[0]
+    vs = rng_from(seed).standard_normal((samples, n))
     delta, crit = sigma_eigh_reference(vs, s)
     delta1 = np.maximum(delta[:, 0], 1e-300)
     trace = np.einsum("aij,ij->a", (vs[:, :, None] - vs[:, None, :]) ** 2, s)
     crit_ok, trace_ok = crit >= -tol / delta1, trace >= -tol
-    lam = np.linalg.eigvalsh(s)[::-1]
-    r = -delta[:, 1:] / delta1[:, None]
-    dual = dual_edm_test(m)
-    return {"passed": bool(np.all(crit_ok == trace_ok)) and bool(crit_ok.all() == trace_ok.all()),
-            "verdict_criterion": bool(crit_ok.all()), "verdict_trace": bool(trace_ok.all()),
-            "verdict_dual_edm": dual, "agrees_with_dual": bool(crit_ok.all()) == dual,
-            "eigenvalue_bound_holds": bool(np.all(lam[0] >= r @ lam[1:] - tol))}
+    tau = tol * np.abs(s).max()
+    lam, criterion = 0.0, True
+    if n > 1:
+        basis = np.linalg.svd(np.ones((1, n)))[2][1:].T
+        vals, vecs = np.linalg.eigh(basis.T @ weitzenbock(m) @ basis)
+        lam = float(vals[0])
+        delta, crit = sigma_eigh_reference((basis @ vecs[:, :1]).T, s)
+        criterion = bool(crit[0] >= -tau / delta[0, 0])
+    dual = lam >= -tau
+    return {"passed": bool(np.all(crit_ok == trace_ok)), "verdict_criterion": criterion,
+            "verdict_dual_edm": dual, "agrees_with_dual": criterion == dual,
+            "min_trace_pairing": lam}
 
 
 def test_compression_edge_cases_match_the_reference():
@@ -414,8 +424,7 @@ def test_difference_form_pairings_equal_the_trace(n):
 
 
 def test_report_verdicts_equal_the_reference_path():
-    fields = ("passed", "verdict_criterion", "verdict_trace", "verdict_dual_edm",
-              "agrees_with_dual", "eigenvalue_bound_holds")
+    fields = ("passed", "verdict_criterion", "verdict_dual_edm", "agrees_with_dual")
     seen = set()
     for n in range(1, 9):
         for k in range(8):
@@ -431,6 +440,8 @@ def test_report_verdicts_equal_the_reference_path():
             rep = perron_criterion_check(m, samples=400, seed=k)
             ref = reference_perron_verdicts(m, 400, k)
             got = {"passed": rep.passed, **{f: rep.details[f] for f in fields[1:]}}
+            assert rep.details["min_trace_pairing"] == pytest.approx(
+                ref.pop("min_trace_pairing"), abs=1e-13 * np.abs(m).max())
             assert got == ref, (n, k)
             seen.add(ref["verdict_criterion"])
     assert seen == {True, False}
@@ -448,17 +459,114 @@ def test_cone_check_on_a_1x1_matrix_passes():
         assert criterion["details"]["min_trace_pairing"] == 0.0
 
 
+def planted_member(n, rng, least):
+    """-P/2 plus an antisymmetric part, with P 1 = 0 and P's spectrum on the
+    complement of 1 positive but for one eigenvalue, least: its Weitzenboeck
+    matrix is P, so its least pairing with a unit generator is least."""
+    basis = np.linalg.qr(np.column_stack([np.ones(n), rng.standard_normal((n, n - 1))]))[0]
+    ev = 0.5 + np.abs(rng.standard_normal(n))
+    ev[0] = 0.0
+    ev[1] = least
+    a = rng.standard_normal((n, n))
+    return -0.5 * (basis * ev) @ basis.T + (a - a.T)
+
+
+def cone_check_json(m, samples):
+    """The text and the JSON report of cone-check on m."""
+    text = ";".join(",".join(repr(float(x)) for x in row) for row in m)
+    outs = []
+    for fmt in ("text", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["cone-check", "--matrix", text, "--samples", str(samples),
+                         "--format", fmt]) == 0
+        outs.append(out.getvalue())
+    return outs[0], json.loads(outs[1])
+
+
+@pytest.mark.parametrize("samples", [1000, 100_000])
+def test_cone_check_decides_a_thin_negative_cone_exactly(samples):
+    # W is PSD on the complement of 1 but for one eigenvalue -1e-6: random
+    # generators pair positive, the least eigenvector v* pairs to -1e-6
+    m = planted_member(4, rng_from(17), -1e-6)
+    text, payload = cone_check_json(m, samples)
+    lines = dict(line.split(" = ") for line in text.splitlines())
+    assert lines["dual EDM member"] == lines["perron criterion verdict"] == "False"
+    details = payload["perron_criterion"]["details"]
+    assert payload["perron_criterion"]["passed"] and details["agrees_with_dual"]
+    tau = 1e-8 * np.abs(0.5 * (m + m.T)).max()
+    assert details["min_trace_pairing"] == pytest.approx(-1e-6, abs=tau)
+    v = np.array(details["counterexample"])
+    assert abs(v @ v - 1.0) <= 1e-15 and abs(v.sum()) <= 1e-15
+    pairing = difference_form_pairings(v[None], 0.5 * (m + m.T))[0]
+    assert pairing == pytest.approx(details["min_trace_pairing"], abs=tau)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_perron_verdicts_do_not_change_when_the_matrix_is_scaled(n):
+    # 2^k I pairs to 0 with every Sigma_v; the planted matrix has a thin
+    # negative cone.  Both verdicts, and their agreement, keep their k = 0
+    # value, and the least pairing scales with the matrix
+    for m in (np.eye(n), planted_member(n, rng_from(18, n), -1e-6)):
+        ref = perron_criterion_check(m, samples=1000, seed=n).details
+        assert ref["verdict_dual_edm"] == (m[0, 0] == 1.0)
+        for k in (-40, 0, 20, 30, 60):
+            got = perron_criterion_check(2.0 ** k * m, samples=1000, seed=n).details
+            assert got["agrees_with_dual"], k
+            assert (got["verdict_criterion"], got["verdict_dual_edm"]) == \
+                (ref["verdict_criterion"], ref["verdict_dual_edm"]), k
+            assert got["min_trace_pairing"] == pytest.approx(
+                2.0 ** k * ref["min_trace_pairing"], rel=1e-9, abs=1e-15 * 2.0 ** k)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_least_pairing_is_read_on_the_complement_of_ones(n):
+    # m = (J - n I) / 2 has W = n I - 1 1^T: every unit generator pairs to n,
+    # above max|W| = n - 1, the eigenvalue a shift of W by max|W| puts on 1
+    m = 0.5 * (np.ones((n, n)) - n * np.eye(n))
+    assert_allclose(weitzenbock(m), n * np.eye(n) - 1.0)
+    details = perron_criterion_check(m, samples=100).details
+    assert details["min_trace_pairing"] == pytest.approx(n, rel=1e-14)
+    assert details["verdict_dual_edm"] and details["verdict_criterion"]
+    assert details["counterexample"] is None
+
+
+def test_each_matrix_runs_one_symmetric_eigensolve(monkeypatch):
+    # the exact verdicts, the counterexample and the witness row all read one
+    # eigh of W on the complement of 1; n = 1 needs none
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, **kw: calls.append(1) or _real(*a, **kw))
+    for n in range(1, 9):
+        for m in (rng_from(19, n).standard_normal((n, n)), np.eye(n)):
+            del calls[:]
+            perron_criterion_check(m, samples=100)
+            assert len(calls) == (n > 1), n
+    for witness in (False, True):
+        del calls[:]
+        cone_oracle_disagreements(4, 6, 36, thm_samples=100, direct_samples=100,
+                                  witness=witness)
+        assert len(calls) == 6
+
+
 # ---------------------------------------------------------------------------
 # the blocked Perron pass and the oracles that share its stream
 
+def sampled_fields(report):
+    """The fields of a Perron report that its samples decide."""
+    return {"passed": report.passed, "max_residual": report.max_residual,
+            "witnesses": report.witnesses, "samples": report.details["samples"]}
+
+
 def single_block_perron_check(m, samples, seed, tol=1e-8, tail=None):
-    """perron_criterion_check with every sample, and the rows of tail after
-    them, in one full-length block: the reference the blocked pass must equal
-    bit for bit."""
+    """The ``sampled_fields`` of perron_criterion_check with every sample,
+    and the rows of tail after them, in one full-length block: the reference
+    the blocked pass must equal bit for bit."""
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     s = 0.5 * (m + m.T)
-    lam = np.linalg.eigvalsh(s)[::-1]
     vs = rng_from(seed).standard_normal((samples, n))
     vs = vs if tail is None else np.vstack([vs, tail])
     delta, q = _edm_rank3(vs, s)
@@ -469,59 +577,50 @@ def single_block_perron_check(m, samples, seed, tol=1e-8, tail=None):
     trace_ok = trace >= -tol
     crit_ok = crit >= -tol / delta1[:, 0]
     both = trace_ok == crit_ok
-    k = min(n - 1, 2)
-    eig_bound_ok = bool(np.all(lam[0] >= np.sum(r[:, 2 - k:] * lam[n - k:], axis=1) - tol))
-    verdict_criterion = bool(np.all(crit_ok))
-    verdict_trace = bool(np.all(trace_ok))
-    verdict_dual = dual_edm_test(m)
     witnesses = []
     max_resid = 0.0
     for a in np.nonzero(~both)[0][:5]:
         witnesses.append([["disagreement", int(a)], [float(trace[a]), 0.0],
                           [float(crit[a]), 0.0]])
         max_resid = max(max_resid, abs(float(trace[a])))
-    counterexample = None
-    if not verdict_trace:
-        counterexample = [float(x) for x in vs[int(np.argmin(trace))]]
-    details = {"verdict_criterion": verdict_criterion, "verdict_trace": verdict_trace,
-               "verdict_dual_edm": verdict_dual, "eigenvalue_bound_holds": eig_bound_ok,
-               "agrees_with_dual": verdict_criterion == verdict_dual,
-               "min_trace_pairing": float(trace.min()), "counterexample": counterexample,
-               "samples": len(vs)}
-    passed = bool(np.all(both)) and verdict_criterion == verdict_trace
-    return IdentityReport(name="perron_weight_criterion", passed=passed,
-                          max_residual=max_resid, witnesses=witnesses, details=details)
+    return {"passed": bool(np.all(both)), "max_residual": max_resid, "witnesses": witnesses,
+            "samples": len(vs)}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_blocked_perron_check_keeps_the_bits(n):
     # a large diagonal pairs to 0 with every Sigma_v, so both readings are
-    # rounding noise around -tol: disagreement witnesses and counterexamples
+    # rounding noise around -tol: disagreement witnesses.  The verdicts read
+    # W's least eigenpair, so they do not depend on the samples or the seed
     seen = {"witness": False, "counterexample": False}
     for samples in (100, 1500, 2047, 2048, 2049, 4095, 4096, 4097, 10_000, 12_289):
         for seed in range(3):
             rng = rng_from(14, n, samples, seed)
             for m in (rng.standard_normal((n, n)), np.diag(1e8 * rng.standard_normal(n))):
-                got = perron_criterion_check(m, samples=samples, seed=seed).to_dict()
-                ref = single_block_perron_check(m, samples, seed).to_dict()
-                assert json.dumps(got) == json.dumps(ref), (samples, seed)
+                got = perron_criterion_check(m, samples=samples, seed=seed)
+                ref = single_block_perron_check(m, samples, seed)
+                assert json.dumps(sampled_fields(got)) == json.dumps(ref), (samples, seed)
+                exact = perron_criterion_check(m, samples=100, seed=seed + 1).details
+                assert got.details == {**exact, "samples": samples}
                 seen["witness"] |= bool(ref["witnesses"])
-                seen["counterexample"] |= ref["details"]["counterexample"] is not None
+                seen["counterexample"] |= got.details["counterexample"] is not None
     assert seen == {"witness": n > 1, "counterexample": n > 1}
 
 
 def redraw_oracle_disagreements(n, count, seed, thm_samples, direct_samples, tol=1e-8):
-    """cone_oracle_disagreements with the direct oracle drawing and pairing
-    its own copy of the stream: the reference for the shared pass."""
+    """cone_oracle_disagreements with the sampled oracles drawing and pairing
+    their own copy of the stream: the reference for the shared pass."""
     bad = 0
     for k in range(count):
         m = rng_from(seed, n, k).standard_normal((n, n))
         sample_seed = (seed + 1) * 1_000_003 + 101 * n + k
         rep = perron_criterion_check(m, samples=thm_samples, seed=sample_seed)
-        vs = rng_from(sample_seed).standard_normal((direct_samples, n))
-        verdict_direct = bool(difference_form_pairings(vs, 0.5 * (m + m.T)).min() >= -tol)
-        agree = (rep.details["verdict_dual_edm"] == rep.details["verdict_criterion"]
-                 == verdict_direct) and rep.passed
+        vs = rng_from(sample_seed).standard_normal((max(thm_samples, direct_samples), n))
+        traces = difference_form_pairings(vs, 0.5 * (m + m.T))
+        verdict_perron = bool(traces[:thm_samples].min() >= -tol)
+        verdict_direct = bool(traces[:direct_samples].min() >= -tol)
+        agree = (rep.details["verdict_dual_edm"] == verdict_perron == verdict_direct
+                 and rep.passed)
         bad += 0 if agree else 1
     return bad
 
@@ -548,21 +647,25 @@ def test_shared_oracle_stream_keeps_the_counts(thm, direct, monkeypatch):
 
 
 def test_perron_pass_reads_a_tail_after_its_blocks():
-    # a tail row is one more block: the report equals the one-block reference
-    # on the stream followed by the tail, and a tail row that pairs lowest is
-    # the counterexample
+    # with witness, a failing dual verdict puts v* after the samples as one
+    # more block: the sampled fields equal the one-block reference on the
+    # stream followed by v*, whose pairing is the least one, lambda*; the
+    # samples before it and the verdicts are those of the pass without it
     m = rng_from(15).standard_normal((4, 4))
-    lam, vecs = np.linalg.eigh(weitzenbock(m))
-    assert lam[0] < -1e-3
     for samples in (100, 1500, 2048, 4097):
-        for tail in (vecs[:, :1].T, -vecs[:, :1].T, rng_from(16).standard_normal((3, 4))):
-            got, traces = _perron_pass(m, rng_from(samples), samples, 1e-8, tail)
-            ref = single_block_perron_check(m, samples, samples, tail=tail)
-            assert json.dumps(got.to_dict()) == json.dumps(ref.to_dict())
-            assert traces.shape == (samples + len(tail),)
-    got, traces = _perron_pass(m, rng_from(0), 100, 1e-8, 10.0 * vecs[:, :1].T)
-    assert np.argmin(traces) == 100
-    assert_allclose(got.details["counterexample"], 10.0 * vecs[:, 0])
+        got, traces = _perron_pass(m, rng_from(samples), samples, witness=True)
+        v = np.array(got.details["counterexample"])
+        assert got.details["min_trace_pairing"] < -1e-3
+        ref = single_block_perron_check(m, samples, samples, tail=v[None])
+        assert json.dumps(sampled_fields(got)) == json.dumps(ref)
+        assert traces.shape == (samples + 1,)
+        assert traces[-1] == pytest.approx(got.details["min_trace_pairing"], rel=1e-12)
+        plain, prefix = _perron_pass(m, rng_from(samples), samples)
+        assert np.array_equal(prefix, traces[:-1])
+        assert plain.details == {**got.details, "samples": samples}
+    # a member gets no witness row
+    got, traces = _perron_pass(np.eye(4), rng_from(0), 100, witness=True)
+    assert got.details["verdict_dual_edm"] and traces.shape == (100,)
 
 
 @pytest.mark.parametrize("seed", [11, 13, 36])

@@ -1,7 +1,8 @@
 """Property tests: the exact restricted cone minimum, the frame changes, the
 stacked frame kernel and the loops built on it, the rank-3 compression of the
-distance matrices, the exact qobc hypotheses, the exact Tricerri family
-extrema, the exact full-convention frame extrema and the command line.
+distance matrices, the exact dual-EDM verdicts, the exact qobc hypotheses, the
+exact Tricerri family extrema, the exact full-convention frame extrema and the
+command line.
 
 Examples are drawn by hypothesis with a fixed derivation (``derandomize``),
 so a run of the suite is reproducible; no example database is written.
@@ -24,8 +25,9 @@ from curvlab import (CurvatureMatrices, FrameConvention, NumericalError, SearchC
                      cholesky_frame, cone_min, copositive_2x2, extremize, frame_matrices,
                      generator_cone, invariance_test, kahler_constant, make_cone,
                      matrices_from, monotone_nonneg, nonneg_orthant, paper_hopf, paper_tricerri,
-                     random_tensor, rayleigh_bounds, ricci_qobc_bounds, scalars, skew_pair,
-                     to_frame, transform_frame, tricerri_family_extrema, weitzenbock)
+                     perron_criterion_check, random_tensor, rayleigh_bounds, ricci_qobc_bounds,
+                     scalars, skew_pair, to_frame, transform_frame, tricerri_family_extrema,
+                     weitzenbock)
 from curvlab.cli import main
 import curvlab.search as search_mod
 from curvlab.cones import _edm_rank3, difference_form_pairings
@@ -35,7 +37,7 @@ from curvlab.verify import suite_identities
 from curvlab.curvature import COORDINATE, FRAME, ChernTensor, hermitian_tensor_residual
 from curvlab.linalg import haar_from_rng, rng_from
 from curvlab import MetricJet, curvature_from_jet
-from test_cones import assert_compression_matches_reference
+from test_cones import assert_compression_matches_reference, planted_member
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -288,6 +290,34 @@ def test_rank3_eigenpairs_reproduce_the_trace_pairing(n, kind, seed):
     w = vs - vs.mean(axis=1, keepdims=True)
     bound = 1e-13 * np.abs(s).max() * np.einsum("ai,ai->a", w, w)
     assert np.all(np.abs(np.sum(delta * q, axis=1) - difference_form_pairings(vs, s)) <= bound)
+
+
+@PROPERTY
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 16),
+       least=st.sampled_from([None, 1.0, 1e-3, 1e-9, 0.0, -1e-9, -1e-6, -1e-3, -1.0]))
+def test_perron_verdicts_read_one_least_eigenpair(n, seed, least):
+    # random matrices, and at n >= 2 planted ones whose least pairing with a
+    # unit generator is `least`: the criterion read at v* gives the dual
+    # verdict, and a counterexample is present exactly when it fails, as a
+    # unit generator orthogonal to 1 that pairs to min_trace_pairing.
+    # A RuntimeWarning (v* at n = 2 has p = 0) fails the test
+    rng = rng_from(seed, n)
+    if least is None or n == 1:
+        m = rng.standard_normal((n, n))
+    else:
+        m = planted_member(n, rng, least)
+    s = 0.5 * (m + m.T)
+    details = perron_criterion_check(m, samples=100, seed=seed).details
+    assert details["verdict_criterion"] == details["verdict_dual_edm"]
+    assert (details["counterexample"] is None) == details["verdict_dual_edm"]
+    tau = DEFAULT.cone_agreement * np.abs(s).max()
+    if least is not None and n > 1 and least < 0.5:   # the other eigenvalues are >= 0.5
+        assert details["min_trace_pairing"] == pytest.approx(least, abs=1e-12)
+    if details["counterexample"] is not None:
+        v = np.array(details["counterexample"])
+        assert abs(v @ v - 1.0) <= 1e-14 and abs(v.sum()) <= 1e-14
+        pairing = difference_form_pairings(v[None], s)[0]
+        assert abs(pairing - details["min_trace_pairing"]) <= tau
 
 
 @PROPERTY
