@@ -14,8 +14,8 @@ against embedding-dimension-one Euclidean distance matrices
 Sigma_v[a, g] = (v_a - v_g)^2: the pairing tr(S Sigma_v) is v^T W v for the
 Weitzenboeck matrix W, and W 1 = 0, so membership holds iff W is PSD on the
 complement of 1.  Every verdict reads W's least eigenpair there, from one
-eigh (``_least_pair``); the Perron-weight criterion reads its factorization
-of the pairing at the least eigenvector.  The seeded samples of
+eigh (``_exact_verdicts``); the Perron-weight criterion reads its
+factorization of the pairing at the least eigenvector.  The seeded samples of
 ``perron_criterion_check`` cross-check that factorization against the direct
 O(n^2) pairing (``difference_form_pairings``) and never form Sigma_v: it has
 rank <= 3 at any n (an EDM of embedding dimension d has rank <= d + 2;
@@ -299,34 +299,38 @@ def perron_weights(edm):
     return np.clip(r, 0.0, 1.0)
 
 
-def _least_pair(s):
-    """(lambda*, v*): the least eigenvalue of the Weitzenboeck matrix W of the
-    symmetric s on the complement of 1, and a unit eigenvector there, from
-    one eigh of W in an orthonormal basis of the complement, the last n - 1
-    columns of the Householder reflection that maps 1 / sqrt(n) to -e_1.
-    lambda* is the least pairing tr(s Sigma_v) of a unit v orthogonal to 1,
-    attained at v*.  At n = 1 the complement is 0: lambda* = 0, v* is None."""
+def _exact_verdicts(s):
+    """(verdict_dual_edm, verdict_criterion, lambda*, v*) of the symmetric s.
+
+    lambda* is W's least eigenvalue on the complement of 1, the least pairing
+    tr(s Sigma_v) of a unit v there, and v* its unit eigenvector, from one
+    eigh of W in the last n - 1 columns of the Householder reflection that
+    maps 1 / sqrt(n) to -e_1 (at n = 1: lambda* = 0, no v*).  Sigma_v has a
+    zero diagonal, so W and the Perron reading at v* use the off-diagonal
+    part of s alone.  The verdicts are lambda* and that reading >= -tau,
+    tau = ``Tolerances.cone_agreement`` x max|W|."""
     n = s.shape[0]
     if n == 1:
-        return 0.0, None
+        return True, True, 0.0, None
+    off = s - np.diag(np.diag(s))
+    w = weitzenbock(off)
+    tau = DEFAULT.cone_agreement * float(np.abs(w).max())
     u = np.full(n, 1.0 / np.sqrt(n))
     u[0] += 1.0   # |u|^2 = 2 u_0
     basis = np.eye(n)[:, 1:] - np.outer(u, u[1:] / u[0])
-    lam, vecs = np.linalg.eigh(basis.T @ weitzenbock(s) @ basis)
-    return float(lam[0]), basis @ vecs[:, 0]
+    lam, vecs = np.linalg.eigh(basis.T @ w @ basis)
+    v = basis @ vecs[:, 0]
+    at_v, delta1 = _perron_reading(_centred(v[None]), off)
+    return bool(lam[0] >= -tau), bool(at_v[0] >= -tau / delta1[0]), float(lam[0]), v
 
 
 def dual_edm_test(m):
-    """Membership of m in the dual EDM cone: trace pairing against every
-    Sigma_v is nonnegative iff the Weitzenboeck matrix W of m is PSD on the
-    complement of the all-ones vector 1, read as lambda* >= -tau with
-    ``_least_pair`` and tau = ``Tolerances.cone_agreement`` x max|S| for the
-    symmetric part S.  The rounding of W 1 = 0 never enters, and both sides
-    scale with m, so the verdict does not depend on the matrix's scale."""
+    """Membership of m in the dual EDM cone: W is PSD on the complement of 1
+    (``_exact_verdicts``).  W is linear in m and blind to its diagonal, so
+    neither the matrix's scale nor a diagonal shift changes the verdict."""
     m = np.asarray(m, dtype=float)
     max_modulus(m, "matrix")
-    s = 0.5 * (m + m.T)
-    return _least_pair(s)[0] >= -DEFAULT.cone_agreement * float(np.abs(s).max())
+    return _exact_verdicts(0.5 * (m + m.T))[0]
 
 
 def _centred(vs):
@@ -466,7 +470,7 @@ def perron_criterion_check(m, samples=1000, seed=0):
     nonzero eigenpairs of Sigma_v (``_edm_rank3``).
 
     With (lambda*, v*) W's least eigenpair on the complement of 1
-    (``_least_pair``) and tau = ``Tolerances.cone_agreement`` x max|S|:
+    and tau = ``Tolerances.cone_agreement`` x max|W| (``_exact_verdicts``):
     ``verdict_dual_edm`` is lambda* >= -tau, ``verdict_criterion`` the
     factorization read at v* >= -tau, ``min_trace_pairing`` is lambda* and
     ``counterexample`` is v* when the dual verdict fails.  ``passed`` and
@@ -506,13 +510,7 @@ def _perron_pass(m, rng, samples, witness=False):
     n = m.shape[0]
     s = 0.5 * (m + m.T)
     tol = DEFAULT.cone_agreement
-    tau = tol * float(np.abs(s).max())
-    lam, v = _least_pair(s)
-    verdict_dual = lam >= -tau
-    verdict_criterion = True   # at n = 1 every Sigma_v is 0
-    if v is not None:
-        at_v, delta1 = _perron_reading(_centred(v[None]), s)
-        verdict_criterion = bool(at_v[0] >= -tau / delta1[0])
+    verdict_dual, verdict_criterion, lam, v = _exact_verdicts(s)
     tail = v[None] if witness and not verdict_dual else None
     starts = list(range(0, samples, _BLOCK)) + ([] if tail is None else [samples])
     total = samples + (0 if tail is None else 1)

@@ -247,7 +247,8 @@ def cone_oracle_disagreements(n, count, seed, thm_samples, direct_samples, witne
     its first thm_samples rows, and the direct oracle its first
     direct_samples trace pairings, those of the pass and, past them, of rows
     drawn next from the same stream (``difference_form_pairings``).  The
-    sampled verdicts read ``Tolerances.cone_agreement`` as tol.  With
+    sampled verdicts read ``Tolerances.cone_agreement`` as an absolute tol,
+    the PSD oracle times it by max|W| (``cones._exact_verdicts``).  With
     witness, when the PSD oracle fails, W's least eigenvector v* on the
     complement of 1 follows the random prefix of both sampled streams, so
     both must flag a negative cone too thin for random generators."""

@@ -374,7 +374,8 @@ def reference_perron_verdicts(m, samples, seed, tol=1e-8):
     """The report fields of perron_criterion_check, from the dense reference
     and the einsum trace on the same sample stream, and the verdicts from the
     least eigenpair of W on an SVD basis of the complement of 1, with the
-    dense reference's criterion at that eigenvector."""
+    dense reference's criterion at that eigenvector, both formed from the
+    off-diagonal part of the symmetric part."""
     s = 0.5 * (m + m.T)
     n = m.shape[0]
     vs = rng_from(seed).standard_normal((samples, n))
@@ -382,13 +383,14 @@ def reference_perron_verdicts(m, samples, seed, tol=1e-8):
     delta1 = np.maximum(delta[:, 0], 1e-300)
     trace = np.einsum("aij,ij->a", (vs[:, :, None] - vs[:, None, :]) ** 2, s)
     crit_ok, trace_ok = crit >= -tol / delta1, trace >= -tol
-    tau = tol * np.abs(s).max()
+    off = s - np.diag(np.diag(s))   # Sigma_v has a zero diagonal
+    tau = tol * np.abs(weitzenbock(off)).max()
     lam, criterion = 0.0, True
     if n > 1:
         basis = np.linalg.svd(np.ones((1, n)))[2][1:].T
-        vals, vecs = np.linalg.eigh(basis.T @ weitzenbock(m) @ basis)
+        vals, vecs = np.linalg.eigh(basis.T @ weitzenbock(off) @ basis)
         lam = float(vals[0])
-        delta, crit = sigma_eigh_reference((basis @ vecs[:, :1]).T, s)
+        delta, crit = sigma_eigh_reference((basis @ vecs[:, :1]).T, off)
         criterion = bool(crit[0] >= -tau / delta[0, 0])
     dual = lam >= -tau
     return {"passed": bool(np.all(crit_ok == trace_ok)), "verdict_criterion": criterion,
@@ -494,7 +496,7 @@ def test_cone_check_decides_a_thin_negative_cone_exactly(samples):
     assert lines["dual EDM member"] == lines["perron criterion verdict"] == "False"
     details = payload["perron_criterion"]["details"]
     assert payload["perron_criterion"]["passed"] and details["agrees_with_dual"]
-    tau = 1e-8 * np.abs(0.5 * (m + m.T)).max()
+    tau = 1e-8 * np.abs(weitzenbock(m)).max()
     assert details["min_trace_pairing"] == pytest.approx(-1e-6, abs=tau)
     v = np.array(details["counterexample"])
     assert abs(v @ v - 1.0) <= 1e-15 and abs(v.sum()) <= 1e-15
@@ -517,6 +519,22 @@ def test_perron_verdicts_do_not_change_when_the_matrix_is_scaled(n):
                 (ref["verdict_criterion"], ref["verdict_dual_edm"]), k
             assert got["min_trace_pairing"] == pytest.approx(
                 2.0 ** k * ref["min_trace_pairing"], rel=1e-9, abs=1e-15 * 2.0 ** k)
+
+
+def test_a_diagonal_shift_changes_no_exact_verdict():
+    # Sigma_v has a zero diagonal, so m + c I pairs as m does with every
+    # generator: the exact report keeps every bit, and a large diagonal does
+    # not widen the bound around lambda*
+    for m in (np.array([[0.0, -1.0], [-1.0, 0.0]]), planted_member(4, rng_from(18, 4), -1e-6)):
+        ref = perron_criterion_check(m, samples=100).details
+        assert not ref["verdict_dual_edm"] and not ref["verdict_criterion"]
+        for k in (-40, 0, 3, 20, 30, 60):
+            for c in (2.0 ** k, -(2.0 ** k)):
+                shifted = m + c * np.eye(len(m))
+                assert perron_criterion_check(shifted, samples=100).details == ref, c
+                assert not dual_edm_test(shifted), c
+    # W = [[-2, 2], [2, -2]]: (1, -1) / sqrt(2) pairs to -4
+    assert not dual_edm_test(np.array([[1e9, -1.0], [-1.0, 1e9]]))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
