@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import CurvlabError, DomainError, NumericalError, UsageError
 from .config import MAX_DIM
+from .linalg import _integer, _square
 from .metrics import jet_at, make_metric
 from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
                         paper_hopf, paper_tricerri, scalars, to_frame)
@@ -140,22 +141,15 @@ def _output_format(args):
                          f"formats: {', '.join(allowed)}")
 
 
-def _seed(args):
-    """The seed must be an integer >= 0, as numpy's seeding requires."""
-    if args.seed < 0:
-        raise UsageError(f"seed must be an integer >= 0, got {args.seed!r}")
-
-
-def _search_budget(args):
-    """sweep and frame-scan take --restarts in 1..MAX_RESTARTS and
-    --refine-steps in 0..MAX_REFINE_STEPS, also where a scan ignores them."""
-    if "restarts" not in args:
-        return
-    if not 1 <= args.restarts <= MAX_RESTARTS:
-        raise UsageError(f"--restarts must be in 1..{MAX_RESTARTS}, got {args.restarts}")
-    if not 0 <= args.refine_steps <= MAX_REFINE_STEPS:
-        raise UsageError(f"--refine-steps must be in 0..{MAX_REFINE_STEPS}, "
-                         f"got {args.refine_steps}")
+def _bounds(args):
+    """The integers a command reads from outside, each within its bounds:
+    --seed, --restarts and --refine-steps (also where a command ignores them)
+    and --samples."""
+    for dest, least, most in (("seed", 0, None), ("restarts", 1, MAX_RESTARTS),
+                              ("refine_steps", 0, MAX_REFINE_STEPS),
+                              ("samples", MIN_SAMPLES, MAX_SAMPLES)):
+        if dest in args:
+            _integer(getattr(args, dest), "--" + dest.replace("_", "-"), least, most)
 
 
 def _finite_json(convert):
@@ -491,18 +485,13 @@ def cmd_cone_check(args):
     elif path is not None:
         try:
             with open(path) as fh:
-                m = np.asarray(json.load(fh), dtype=float)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+                m = json.load(fh)
+        except (OSError, ValueError) as exc:
             raise UsageError(f"cannot read matrix from {path}: {exc}") from None
     else:
         raise UsageError("cone-check needs --matrix or --matrix-file")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise UsageError(f"matrix must be square, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise UsageError(f"matrix dimension must be <= {MAX_DIM}, got {m.shape[0]}")
-    if not MIN_SAMPLES <= args.samples <= MAX_SAMPLES:
-        raise UsageError(f"--samples must be in {MIN_SAMPLES}..{MAX_SAMPLES}, "
-                         f"got {args.samples}")
+    m = _square(m, "matrix")
+    _integer(m.shape[0], "matrix dimension", 1, MAX_DIM)
 
     if args.generators is not None and args.cone != "generators":
         raise UsageError(f"--generators is read only with --cone generators, not {args.cone}")
@@ -573,8 +562,7 @@ def main(argv=None):
             tokens = _load_config(args.config, _PARSER.commands[args.command].flags)
             args = _PARSER.parse_args(argv[:at] + tokens + argv[at:])
         _output_format(args)
-        _seed(args)
-        _search_budget(args)
+        _bounds(args)
         text, ok = COMMANDS[args.command](args)
         _emit(text, args.out)
         return 0 if ok else 3

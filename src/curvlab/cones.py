@@ -21,10 +21,10 @@ O(n^2) pairing (``difference_form_pairings``) and never form Sigma_v: it has
 rank <= 3 at any n (an EDM of embedding dimension d has rank <= d + 2;
 Gower, Linear Algebra Appl. 67, 1985), so the Perron reading solves its
 3 x 3 compression onto its range in closed form for all samples at once
-(``_edm_rank3``).  The samples are read in blocks of ``_BLOCK`` rows, each
-centred once for both readings; ``_perron_pass`` hands their trace pairings
-to the direct oracle of ``verify.cone_oracle_disagreements``, which then
-draws only the rows past the Perron prefix.
+(``_edm_rank3_of_centred``).  The samples are read in blocks of ``_BLOCK``
+rows, each centred once for both readings; ``_perron_pass`` hands their
+trace pairings to the direct oracle of ``verify.cone_oracle_disagreements``,
+which then draws only the rows past the Perron prefix.
 """
 
 import functools
@@ -37,7 +37,8 @@ import numpy as np
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
-from .linalg import ensure_finite, max_modulus, rng_from, self_adjoint_eigen
+from .linalg import (_integer, _numeric, _square, ensure_finite, max_modulus, rng_from,
+                     self_adjoint_eigen)
 from .reports import IdentityReport
 
 # generator rows per block of the Perron check: its (rows, n) temporaries
@@ -83,7 +84,7 @@ def generator_cone(generators):
     largest entry lies outside the range of ``_GENERATOR_EXP`` is scaled by
     a power of two to a largest entry in [1/2, 1), which spans the same ray;
     the other rows keep their bits."""
-    gens = np.asarray(generators, dtype=float)
+    gens = _numeric(generators, "cone generators")
     if gens.ndim != 2:
         raise UsageError("generators must be a list of n-vectors")
     ensure_finite(gens, "cone generators")
@@ -223,11 +224,8 @@ def cone_min(m, cone):
     minimum then has a (k,) array of values and a (k, n) array of argmins,
     row j equal bit for bit to ``cone_min(m[j], cone)``, on every cone kind.
     """
-    m = np.asarray(m, dtype=float)
+    m = _square(m, "cone_min input", stack=1)
     max_modulus(m, "matrix")
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2] or m.size == 0:
-        raise UsageError("cone_min needs a square matrix or a nonempty stack of them, "
-                         f"got shape {m.shape}")
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
     if cone.n != n:
@@ -258,8 +256,8 @@ def copositive_2x2(m):
     """Exact orthant copositivity for 2 x 2 matrices: with S the symmetric
     part, S11 >= 0, S22 >= 0 and S12 + sqrt(S11 S22) >= 0.  A (k, 2, 2)
     stack gives a (k,) boolean array."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-2:] != (2, 2):
+    m = _square(m, "copositive_2x2 input", stack=1)
+    if m.shape[-1] != 2:
         raise UsageError("copositive_2x2 is defined for 2 x 2 matrices only")
     max_modulus(m, "matrix")   # keeps s11 s22 finite
     s = 0.5 * (m + np.swapaxes(m, -1, -2))
@@ -279,7 +277,7 @@ class EDMatrix:
 
 
 def edm_from_vector(v):
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = _numeric(v, "generator vector").reshape(-1)
     if not np.all(np.isfinite(v)):
         raise DomainError("generator vector contains NaN or Inf")
     sigma = (v[:, None] - v[None, :]) ** 2
@@ -328,7 +326,7 @@ def dual_edm_test(m):
     """Membership of m in the dual EDM cone: W is PSD on the complement of 1
     (``_exact_verdicts``).  W is linear in m and blind to its diagonal, so
     neither the matrix's scale nor a diagonal shift changes the verdict."""
-    m = np.asarray(m, dtype=float)
+    m = _square(m, "dual_edm_test input")
     max_modulus(m, "matrix")
     return _exact_verdicts(0.5 * (m + m.T))[0]
 
@@ -357,16 +355,17 @@ def _pairings_of_centred(w, s):
     return (w * w) @ (s.sum(axis=0) + s.sum(axis=1)) - 2.0 * np.einsum("ai,ai->a", w @ s, w)
 
 
-def _edm_rank3(vs, s):
-    """Nonzero spectrum of each Sigma_v and the forms of s on its eigenvectors.
+def _edm_rank3_of_centred(w, s):
+    """Nonzero spectrum of each Sigma_v and the forms of s on its eigenvectors,
+    for the generators v whose rows, centred by ``_centred``, make up w.
 
-    Returns (delta, q), each (samples, 3): delta[:, 0] >= delta[:, 1] >=
-    delta[:, 2] and q[:, k] = u_k^T s u_k for a unit eigenvector u_k of
-    delta[:, k].  Sigma_v has no other nonzero eigenvalue.  s is symmetric.
+    Returns (delta, q), each (3, samples): delta[0] >= delta[1] >= delta[2]
+    and q[k] = u_k^T s u_k for a unit eigenvector u_k of delta[k].  Sigma_v
+    has no other nonzero eigenvalue.  s is symmetric.
 
-    With w the centred v, u = w / |w|, x = u o u and p = x - (x . u) u - 1/n,
-    the vectors e0 = 1 / sqrt(n), e1 = u, e2 = p / |p| are an orthonormal
-    basis of the range of Sigma_v, and the compression is |w|^2 T with
+    With u = w / |w|, x = u o u and p = x - (x . u) u - 1/n, the vectors
+    e0 = 1 / sqrt(n), e1 = u, e2 = p / |p| are an orthonormal basis of the
+    range of Sigma_v, and the compression is |w|^2 T with
 
         T = [[2, A, B], [A, -2, 0], [B, 0, 0]],  A = sqrt(n) sum u^3,
                                                  B = sqrt(n) |p|.
@@ -387,15 +386,7 @@ def _edm_rank3(vs, s):
     criterion reads only the sum of their forms, which needs no angle.
     Degenerate generators take the same path: p = 0 (n = 2, or two distinct
     values) gives B = 0 and the eigenvalue 0 on e2 = 0; a constant v (or
-    n = 1) gives w = 0, delta = 0 and q[:, 0] = 1^T s 1 / n.
-    """
-    delta, q = _edm_rank3_of_centred(_centred(vs), s)
-    return delta.T, q.T
-
-
-def _edm_rank3_of_centred(w, s):
-    """``_edm_rank3`` of rows already centred by ``_centred``, as (3, samples)
-    rows: delta[k] and q[k] hold the k-th eigenvalue and form of every row.
+    n = 1) gives w = 0, delta = 0 and q[0] = 1^T s 1 / n.
 
     The work runs on the transposed (n, samples) copy of w, so every step is
     one vector operation per coordinate, and a reduction over the coordinates
@@ -467,7 +458,7 @@ def perron_criterion_check(m, samples=1000, seed=0):
         tr(S Sigma_v) = delta_1 (q_1 - sum_k r_k q_k),  r_k = -delta_k / delta_1,
 
     so the pairing is nonnegative iff q_1 >= sum r_k q_k, read from the three
-    nonzero eigenpairs of Sigma_v (``_edm_rank3``).
+    nonzero eigenpairs of Sigma_v (``_edm_rank3_of_centred``).
 
     With (lambda*, v*) W's least eigenpair on the complement of 1
     and tau = ``Tolerances.cone_agreement`` x max|W| (``_exact_verdicts``):
@@ -481,13 +472,9 @@ def perron_criterion_check(m, samples=1000, seed=0):
     blocks of ``_BLOCK`` rows with the same numbers; every reading is
     row-wise, so the report is the same bit for bit as from one block.
     """
-    if samples < MIN_SAMPLES:
-        raise UsageError(f"perron_criterion_check needs at least {MIN_SAMPLES} samples")
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
-        raise UsageError(f"perron_criterion_check needs a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise UsageError(f"perron_criterion_check supports n <= {MAX_DIM}, got {m.shape[0]}")
+    samples = _integer(samples, "parameter 'samples'", MIN_SAMPLES)
+    m = _square(m, "perron_criterion_check input")
+    _integer(m.shape[0], "perron_criterion_check dimension", 1, MAX_DIM)
     max_modulus(m, "matrix")
     return _perron_pass(m, rng_from(seed), samples)[0]
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import cholesky_frame, max_modulus, rng_from, unitary_residual
+from .linalg import (_integer, _number, _numeric, cholesky_frame, max_modulus, rng_from,
+                     unitary_residual)
 from .metrics import HOPF_SQ_RANGE, _chart_sq_norm
 
 COORDINATE = "coordinate"
@@ -50,6 +51,10 @@ class RicciKind(enum.IntEnum):
     SECOND = 2
     THIRD = 3
     FOURTH = 4
+
+    @classmethod
+    def _missing_(cls, value):
+        raise UsageError(f"unknown Ricci kind {value!r}; choices: {[k.value for k in cls]}")
 
 
 def hermitian_tensor_residual(values):
@@ -128,10 +133,7 @@ def _checked_frame_change(tensor, u, op, ranks=None):
     ``Tolerances.frame_change_unitary`` from unitary is a UsageError."""
     tensor.require_frame(op)
     n = tensor.n
-    try:
-        u = np.asarray(u, dtype=complex)
-    except (TypeError, ValueError):
-        raise UsageError("frame-change matrix must be numeric") from None
+    u = _numeric(u, "frame-change matrix", complex)
     if (ranks is not None and u.ndim not in ranks) or u.shape[-2:] != (n, n) or u.size == 0:
         raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {n}")
     if not np.isfinite(u).all():
@@ -200,8 +202,8 @@ def scalars(tensor):
 def kahler_constant(c, n):
     """Tensor of a Kaehler metric with constant holomorphic sectional
     curvature c: R = (c/2)(delta_ij delta_kl + delta_il delta_kj)."""
-    if n < 1:
-        raise UsageError("dimension must be >= 1")
+    c = _number(c, "parameter 'c'")
+    n = _integer(n, "parameter 'n'", 1)
     eye = np.eye(n)
     vals = 0.5 * c * (np.einsum("ij,kl->ijkl", eye, eye) + np.einsum("il,kj->ijkl", eye, eye))
     return _build(vals.astype(complex), FRAME)
@@ -212,8 +214,8 @@ def skew_pair(c, n, seed):
     R_{i jbar k lbar} + R_{k lbar i jbar} = c delta_ij delta_kl:
     diagonal R_{i ibar i ibar} = c/2 and R_{i ibar j jbar} = c/2 + s_ij with
     s a seeded antisymmetric real matrix."""
-    if n < 1:
-        raise UsageError("dimension must be >= 1")
+    c = _number(c, "parameter 'c'")
+    n = _integer(n, "parameter 'n'", 1)
     rng = rng_from(seed)
     a = rng.standard_normal((n, n))
     s = 0.5 * (a - a.T)
@@ -229,7 +231,7 @@ def paper_hopf(z):
     R[i,j,k,l] = 4 delta_kl (delta_ij |z|^2 - z_j conj(z_i)) / |z|^6.  A z
     whose |z|^6 is not a normal float (|z|^2 outside HOPF_SQ_RANGE) is a
     DomainError."""
-    z = np.asarray(z, dtype=complex).reshape(-1)
+    z = _numeric(z, "parameter 'z'", complex).reshape(-1)
     if z.size != 2:
         raise UsageError("the Hopf tensor lives on n = 2")
     rho = float(_chart_sq_norm(z))
@@ -253,11 +255,12 @@ def paper_tricerri(b, d, im_w):
     R0 = -3 / (2 Im(w)^4).  Unitarity bounds each row entry: |b| <= 1 and
     |d| <= 1.  An Im(w) that is not positive and finite, or whose |R0|
     exceeds MAX_ENTRY, is a DomainError."""
-    bb, dd = abs(complex(b)) ** 2, abs(complex(d)) ** 2
+    bb = abs(complex(_number(b, "parameter 'b'", numbers.Complex))) ** 2
+    dd = abs(complex(_number(d, "parameter 'd'", numbers.Complex))) ** 2
     bound = 1.0 + DEFAULT.tricerri_row_bound
     if bb > bound or dd > bound:
         raise UsageError("|b| and |d| must each be <= 1 (unitarity row bound)")
-    im_w = float(im_w)
+    im_w = float(_number(im_w, "parameter 'im_w'"))
     try:
         r0 = -1.5 / im_w ** 4
     except (OverflowError, ZeroDivisionError):   # Im(w)^4 over- or underflows
@@ -273,44 +276,17 @@ def paper_tricerri(b, d, im_w):
 
 def random_tensor(seed, n):
     """Seeded random tensor with Hermitian symmetry enforced."""
+    n = _integer(n, "parameter 'n'", 1)
     rng = rng_from(seed)
     raw = rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
     vals = 0.5 * (raw + np.conj(raw).transpose(1, 0, 3, 2))
     return _build(vals, FRAME)
 
 
-def _is_real(x):
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _check_synthetic_params(params):
-    """Reject parameter values of the wrong type or range with UsageError, so
-    that input from outside the program never reaches numpy unchecked."""
-    n = params.get("n", 1)
-    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1):
-        raise UsageError(f"synthetic tensor parameter 'n' must be an integer >= 1, got {n!r}")
-    if n > MAX_DIM:
-        raise UsageError(f"synthetic tensor parameter 'n' must be <= {MAX_DIM}, got {n}")
-    for name in ("c", "im_w", "seed", "b", "d"):
-        if name in params and not _is_real(params[name]):
-            raise UsageError(f"synthetic tensor parameter '{name}' must be a real number, "
-                             f"got {params[name]!r}")
-    seed = params.get("seed", 0)
-    if not (math.isfinite(seed) and seed >= 0):
-        raise UsageError(f"synthetic tensor parameter 'seed' must be >= 0, got {seed!r}")
-    if "z" in params:
-        try:
-            numeric = np.asarray(params["z"]).dtype.kind in "iufc"
-        except ValueError:
-            numeric = False
-        if not numeric:
-            raise UsageError(f"synthetic tensor parameter 'z' must be numeric, "
-                             f"got {params['z']!r}")
-
-
 def make_synthetic(kind, **params):
     """Dispatcher used by the CLI: kahler_constant | skew_pair | paper_hopf |
-    paper_tricerri | random.  Parameter values are validated first."""
+    paper_tricerri | random.  Each builder checks its own parameters; here n
+    is bounded by MAX_DIM first."""
     builders = {
         "kahler_constant": lambda: kahler_constant(params["c"], params["n"]),
         "skew_pair": lambda: skew_pair(params["c"], params["n"], params.get("seed", 0)),
@@ -323,7 +299,8 @@ def make_synthetic(kind, **params):
         builder = builders[kind]
     except KeyError:
         raise UsageError(f"unknown synthetic tensor '{kind}'; kinds: {sorted(builders)}") from None
-    _check_synthetic_params(params)
+    if "n" in params:
+        _integer(params["n"], "parameter 'n'", 1, MAX_DIM)
     try:
         return builder()
     except KeyError as missing:

@@ -45,7 +45,8 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import UsageError
-from .linalg import _hermitian_basis, ensure_finite, self_adjoint_eigen
+from .linalg import (_hermitian_basis, _number, _numeric, _square, ensure_finite,
+                     self_adjoint_eigen)
 from .curvature import ChernTensor, FrameConvention, _checked_frame_change, scalars
 from .reports import IdentityReport
 
@@ -194,7 +195,7 @@ def hsc(tensor, w):
     R(w, wbar, w, wbar) is the bilinear form a R_(ij)(kl) a^T.
     """
     tensor.require_frame("hsc")
-    w = _direction_rows(np.asarray(w, dtype=complex))
+    w = _direction_rows(_numeric(w, "vector", complex))
     n = tensor.n
     if w.shape[-1] != n:
         raise UsageError(f"vector has dimension {w.shape[-1]}, tensor has {n}")
@@ -213,8 +214,8 @@ def bisectional(tensor, x, y, altered=True):
     (resp. unitary) pairs restricts to the orthogonal flavors.
     """
     tensor.require_frame("bisectional")
-    x = _direction_vector(np.asarray(x, dtype=complex), "X")
-    y = _direction_vector(np.asarray(y, dtype=complex), "Y")
+    x = _direction_vector(_numeric(x, "X", complex), "X")
+    y = _direction_vector(_numeric(y, "Y", complex), "Y")
     r = tensor.values
     first = np.einsum("ijkl,i,j,k,l->", r, x, np.conj(x), y, np.conj(y))
     value = first + np.einsum("ijkl,i,j,k,l->", r, y, np.conj(y), x, np.conj(x)) if altered else first
@@ -252,7 +253,7 @@ def evaluate(kind, matrices, v):
     kind = FunctionalKind(kind)
     if kind is FunctionalKind.HSC:
         raise UsageError("hsc takes complex vectors; use hsc(tensor, w)")
-    v = _direction_rows(np.asarray(v, dtype=float))
+    v = _direction_rows(_numeric(v, "vector"))
     if v.shape[-1] != matrices.n:
         raise UsageError(f"vector has dimension {v.shape[-1]}, matrices have {matrices.n}")
     _require_broadcast(matrices.rbc.shape[:-2], v.shape[:-1])
@@ -270,7 +271,7 @@ def evaluate(kind, matrices, v):
 def rayleigh_bounds(m):
     """Sharp bounds of v^T m v / |v|^2: extreme eigenvalues of the symmetric
     part; a stack of matrices gives two arrays, one eigensolve for all."""
-    values = self_adjoint_eigen(np.asarray(m, dtype=float)).values
+    values = self_adjoint_eigen(_numeric(m, "matrix")).values
     lo, hi = values[..., 0], values[..., -1]
     return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
@@ -278,7 +279,7 @@ def rayleigh_bounds(m):
 def weitzenbock(m):
     """Symmetric W with v^T W v = sum_{a,g} m[a,g] (v_a - v_g)^2, for a
     matrix or a stack of them."""
-    m = np.asarray(m, dtype=float)
+    m = _square(m, "matrix", stack=None)
     sums = np.zeros(m.shape)
     diag = np.arange(m.shape[-1])
     sums[..., diag, diag] = m.sum(axis=-1) + m.sum(axis=-2)
@@ -299,6 +300,9 @@ def frame_form(tensor, kind):
     are the linear functional ell[p,q] = S[p,q,s,s] + S[s,s,p,q] at A^2.
     """
     kind = FunctionalKind(kind)
+    if kind is FunctionalKind.HSC:
+        raise UsageError("frame_form covers the quadratic-form family")
+    tensor.require_frame("frame_form")
     if kind is FunctionalKind.ALTERED_HSC:
         return frame_form(tensor, "rbc") + frame_form(tensor, "altered_rbc")
     n = tensor.n
@@ -320,18 +324,23 @@ def frame_form(tensor, kind):
 # constant-curvature hypothesis checks
 
 @dataclass(frozen=True)
-class ConstHSC:
+class _Constant:
     c: float
 
-
-@dataclass(frozen=True)
-class ConstAlteredRBC:
-    c: float
+    def __post_init__(self):
+        _number(self.c, "constant c")
 
 
-@dataclass(frozen=True)
-class ConstAlteredHBC:
-    c: float
+class ConstHSC(_Constant):
+    pass
+
+
+class ConstAlteredRBC(_Constant):
+    pass
+
+
+class ConstAlteredHBC(_Constant):
+    pass
 
 
 def _report(name, rows, tol, details=None):
@@ -405,6 +414,8 @@ def constant_identity_check(tensor, hypothesis):
         altered rbc == c/2, i.e. sym(altered) = (c/2) I.
     """
     tensor.require_frame("constant_identity_check")
+    if not isinstance(hypothesis, (ConstHSC, ConstAlteredRBC, ConstAlteredHBC)):
+        raise UsageError(f"unknown hypothesis {hypothesis!r}")
     r = tensor.values
     n = tensor.n
     eye, ones = np.eye(n), np.ones((n, n))
@@ -435,7 +446,7 @@ def constant_identity_check(tensor, hypothesis):
                                    c * np.eye(n * n)))
         rows.append(_equality_rows("rbc_closed_form", _sym(matrices_from(tensor).rbc), c * ones))
 
-    elif isinstance(hypothesis, ConstAlteredHBC):
+    else:
         rows.append(_pair_sum_residuals(r, c * dd))
         m = matrices_from(tensor)
         half = 0.5 * c
@@ -452,8 +463,6 @@ def constant_identity_check(tensor, hypothesis):
         target = 0.5 * half * (dd + dd.transpose(0, 3, 2, 1))   # d_il d_kj
         rows.append(_equality_rows("hsc_constant", sym_r, target))
         rows.append(_equality_rows("altered_rbc_constant", _sym(m.altered), half * eye))
-    else:
-        raise UsageError(f"unknown hypothesis {hypothesis!r}")
 
     return _report(f"constant_identity[{type(hypothesis).__name__}]", rows,
                    DEFAULT.identity_check, details)

@@ -9,9 +9,14 @@ ascending; Haar sampling follows the QR-with-phase-fix construction
 (diagonal of the triangular factor made real positive), which gives exactly
 Haar measure.  All randomness in the package
 flows through PCG64 generators built by ``rng_from``.
+
+The argument checks that every public entry point shares live here too, one
+per kind of argument (``_integer``, ``_number``, ``_numeric``, ``_square``);
+each raises UsageError naming the argument.
 """
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +25,56 @@ from .config import DEFAULT, MAX_ENTRY
 from .errors import DomainError, UsageError
 
 
+def _integer(value, what, least=0, most=None):
+    """value as an int if it is an integer (not a bool) in least..most, no
+    upper bound when most is None; else UsageError."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and least <= value and (most is None or value <= most)):
+        return int(value)
+    bound = f">= {least}" if most is None else f"in {least}..{most}"
+    raise UsageError(f"{what} must be an integer {bound}, got {value!r}")
+
+
+def _number(value, what, kind=numbers.Real):
+    """value itself if it is a number of kind (not a bool), else UsageError;
+    kind numbers.Complex admits complex numbers too."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    real = "real " if kind is numbers.Real else ""
+    raise UsageError(f"{what} must be a {real}number, got {value!r}")
+
+
+def _numeric(value, what, dtype=float):
+    """value as an array of dtype (None: numpy's own).  Anything that is not
+    an array of numbers (text, None, a ragged list), or that numpy cannot
+    convert to dtype, is a UsageError."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind not in "biufc" and not (  # e.g. integers beyond int64
+                arr.dtype.kind == "O" and all(isinstance(x, numbers.Number) for x in arr.flat)):
+            raise ValueError
+        return np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError):
+        raise UsageError(f"{what} must be numeric") from None
+
+
+def _square(value, what, dtype=float, stack=0):
+    """value as a nonempty ``_numeric`` array of square matrices: one, or a
+    stack of them along at most stack leading axes (None: any number); else
+    UsageError."""
+    m = _numeric(value, what, dtype)
+    most = m.ndim if stack is None else 2 + stack
+    if not 2 <= m.ndim <= most or m.shape[-1] != m.shape[-2] or m.size == 0:
+        shapes = " or a nonempty stack of them" if stack != 0 else ""
+        raise UsageError(f"{what} must be a nonempty square matrix{shapes}, got shape {m.shape}")
+    return m
+
+
 def rng_from(seed, *key):
-    """PCG64 generator for ``seed``, optionally keyed by a derivation path."""
-    seq = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key))
+    """PCG64 generator for ``seed``, an integer >= 0, optionally keyed by a
+    derivation path."""
+    seq = np.random.SeedSequence(_integer(seed, "parameter 'seed'"),
+                                 spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -74,11 +126,9 @@ def self_adjoint_eigen(m):
     ever see the symmetric part.  The eigen-reconstruction residual of every
     matrix is checked against its own scale.
     """
-    m = np.asarray(m)
+    m = _square(m, "matrix", None, stack=None)
     m = ensure_finite(m.astype(complex if np.iscomplexobj(m) else float, copy=False),
                       "matrix")
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise UsageError(f"expected a square matrix, got shape {m.shape}")
     h = 0.5 * (m + _adjoint(m))
     values, vectors = np.linalg.eigh(h)
     scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
@@ -100,7 +150,7 @@ def cholesky_frame(g):
     It alone decides whether g is usable, by the scale-free test lambda_min >
     ``Tolerances.metric_conditioning`` x lambda_max on its Hermitian part.
     """
-    g = ensure_finite(np.asarray(g, dtype=complex), "metric")
+    g = ensure_finite(_square(g, "metric", complex), "metric")
     h = 0.5 * (g + g.conj().T)
     lo, hi = (float(x) for x in np.linalg.eigvalsh(h)[[0, -1]])
     if not lo > DEFAULT.metric_conditioning * hi:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import ensure_finite
+from .linalg import _integer, _numeric, ensure_finite
 
 CHART_BOUND = 10.0      # |coordinate| bound for the Tricerri fundamental-domain chart
 HOPF_MARGIN = 0.05      # hopf domain: |z| > margin
@@ -75,13 +75,8 @@ class MetricField:
     jet: Optional[Callable[[np.ndarray], MetricJet]] = None
 
 
-def _check_step(h):
-    if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
-        raise UsageError(f"finite-difference step must be positive and finite, got {h!r}")
-
-
 def as_point(p, n=None):
-    p = np.asarray(p, dtype=complex).reshape(-1)
+    p = _numeric(p, "point", complex).reshape(-1)
     ensure_finite(p, "point")
     if n is not None and p.size != n:
         raise UsageError(f"point has dimension {p.size}, expected {n}")
@@ -215,7 +210,8 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
     positive finite real.
     """
     p = as_point(p)
-    _check_step(h)
+    if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
+        raise UsageError(f"finite-difference step must be positive and finite, got {h!r}")
     step = h * max(1.0, float(np.linalg.norm(p))) if scale_with_point else h
     if step < DEFAULT.fd_min_step:
         raise UsageError(f"step {step:.3e} is below {DEFAULT.fd_min_step:.0e}; "
@@ -285,6 +281,7 @@ def _chart_sq_norm(p, weights=1.0):
 
 
 def euclidean(n):
+    n = _integer(n, "parameter 'n'", 1)
     eye = np.eye(n, dtype=complex)
     zeros1 = np.zeros((n, n, n), dtype=complex)
     zeros2 = np.zeros((n, n, n, n), dtype=complex)
@@ -298,7 +295,8 @@ def euclidean(n):
 
 def conformal(n, coeffs=None):
     """g = exp(f) I with f(z) = sum_m c_m |z_m|^2, where exp(f) <= MAX_ENTRY."""
-    c = np.ones(n) if coeffs is None else np.asarray(coeffs, dtype=float).reshape(-1)
+    n = _integer(n, "parameter 'n'", 1)
+    c = np.ones(n) if coeffs is None else _numeric(coeffs, "parameter 'coeffs'").reshape(-1)
     if c.size != n:
         raise UsageError(f"conformal metric needs {n} coefficients, got {c.size}")
     eye = np.eye(n, dtype=complex)
@@ -348,6 +346,7 @@ def hopf():
 
 def fubini_study(n):
     """Affine-chart Fubini-Study metric g = d dbar log(1 + |w|^2), |w|^2 <= MAX_ENTRY."""
+    n = _integer(n, "parameter 'n'", 1)
     identity = np.eye(n)
 
     @_stacked
@@ -419,26 +418,18 @@ _CATALOG = {"euclidean": euclidean, "conformal": conformal, "hopf": hopf,
             "fubini_study": fubini_study, "tricerri": tricerri}
 
 
-def _need_dim(dim):
-    if dim is None:
-        raise UsageError("this metric needs an explicit dimension (--dim)")
-    dim = int(dim)
-    if dim < 1:
-        raise UsageError(f"dimension must be >= 1, got {dim}")
-    if dim > MAX_DIM:
-        raise UsageError(f"dimension must be <= {MAX_DIM}, got {dim}")
-    return dim
-
-
 def make_metric(name, dim=None):
     """Catalog lookup used by the CLI: euclidean | conformal | hopf |
-    fubini_study | tricerri, the last two on n = 2 only."""
+    fubini_study | tricerri, the last two on n = 2 only.  The dimension of
+    the others is bounded by MAX_DIM."""
     try:
         builder = _CATALOG[name]
     except KeyError:
         raise UsageError(f"unknown metric '{name}'; catalog: {sorted(_CATALOG)}") from None
     if name not in ("hopf", "tricerri"):
-        return builder(_need_dim(dim))
-    if dim is not None and int(dim) != 2:
+        if dim is None:
+            raise UsageError("this metric needs an explicit dimension (--dim)")
+        return builder(_integer(dim, "dimension", 1, MAX_DIM))
+    if dim is not None and dim != 2:
         raise UsageError("this metric is defined for n = 2")
     return builder()

@@ -50,7 +50,6 @@ than any single U(2) orbit (a 2 x 2 unitary forces |b|^2 + |d|^2 = 1 for
 entries sharing a column).
 """
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -58,7 +57,7 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .config import DEFAULT
-from .linalg import _hermitian_basis, haar_from_rng, rng_from, self_adjoint_eigen
+from .linalg import _hermitian_basis, _integer, haar_from_rng, rng_from, self_adjoint_eigen
 from .curvature import FrameConvention, paper_tricerri, transform_frame
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
                           frame_matrices, matrices_from, quadratic_form_matrix,
@@ -75,13 +74,6 @@ SHRINK = 0.7          # step factor after a sweep that improves nothing
 _ROWS = 256
 
 
-def _require_count(name, value, least):
-    """An int (not a bool) >= least, else UsageError."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and value >= least):
-        raise UsageError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     restarts: int = 8
@@ -89,9 +81,9 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_count("restarts", self.restarts, 1)
-        _require_count("refine_steps", self.refine_steps, 0)
-        _require_count("seed", self.seed, 0)
+        _integer(self.restarts, "parameter 'restarts'", 1)
+        _integer(self.refine_steps, "parameter 'refine_steps'")
+        _integer(self.seed, "parameter 'seed'")
 
 
 @dataclass(frozen=True)

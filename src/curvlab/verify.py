@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import UsageError
-from .linalg import rng_from
+from .linalg import _integer, rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
@@ -252,8 +252,10 @@ def cone_oracle_disagreements(n, count, seed, thm_samples, direct_samples, witne
     witness, when the PSD oracle fails, W's least eigenvector v* on the
     complement of 1 follows the random prefix of both sampled streams, so
     both must flag a negative cone too thin for random generators."""
-    if thm_samples < MIN_SAMPLES:
-        raise UsageError(f"the Perron oracle needs at least {MIN_SAMPLES} samples")
+    for name, value, least in (("n", n, 1), ("count", count, 0),
+                               ("thm_samples", thm_samples, MIN_SAMPLES),
+                               ("direct_samples", direct_samples, 1)):
+        _integer(value, f"parameter '{name}'", least)
     tol = DEFAULT.cone_agreement
     bad = 0
     for k in range(count):
@@ -355,6 +357,9 @@ def suite_identities(seed=0):
 
 
 def run_suite(name, seed=0):
+    """The report of the named suite, or of all of them, at seed, an integer
+    >= 0 that is checked before any suite runs."""
+    _integer(seed, "parameter 'seed'")
     builders = {
         "hopf": suite_hopf,
         "tricerri": suite_tricerri,

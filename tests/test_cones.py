@@ -14,7 +14,8 @@ from curvlab import (DomainError, UsageError, cone_min, copositive_2x2, dual_edm
                      perron_weights, rayleigh_bounds, perron_criterion_check,
                      weitzenbock)
 from curvlab.cli import main
-from curvlab.cones import _edm_rank3, _faces, _perron_pass, difference_form_pairings
+from curvlab.cones import (_centred, _edm_rank3_of_centred, _faces, _perron_pass,
+                           difference_form_pairings)
 from curvlab.linalg import rng_from
 from curvlab import verify
 from curvlab.verify import cone_oracle_disagreements
@@ -355,7 +356,7 @@ def assert_compression_matches_reference(vs, s, rtol):
     criterion, since every Perron weight is 0."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        delta, q = _edm_rank3(vs, s)
+        delta, q = (x.T for x in _edm_rank3_of_centred(_centred(vs), s))
     samples, n = vs.shape
     crit = q[:, 0] - np.sum(-delta[:, 1:] / np.maximum(delta[:, :1], 1e-300) * q[:, 1:], axis=1)
     ref_delta, ref_crit = sigma_eigh_reference(vs, s)
@@ -587,7 +588,7 @@ def single_block_perron_check(m, samples, seed, tol=1e-8, tail=None):
     s = 0.5 * (m + m.T)
     vs = rng_from(seed).standard_normal((samples, n))
     vs = vs if tail is None else np.vstack([vs, tail])
-    delta, q = _edm_rank3(vs, s)
+    delta, q = (x.T for x in _edm_rank3_of_centred(_centred(vs), s))
     delta1 = np.maximum(delta[:, :1], 1e-300)
     r = -delta[:, 1:] / delta1
     trace = difference_form_pairings(vs, s)

@@ -154,6 +154,14 @@ def test_ricci_requires_frame_basis():
         scalars(t)
 
 
+def test_unknown_ricci_kind_is_a_usage_error_listing_the_kinds():
+    t = random_tensor(0, 2)
+    for bad in (7, 0, "first"):
+        with pytest.raises(UsageError, match=r"unknown Ricci kind .*\[1, 2, 3, 4\]"):
+            ricci(t, bad)
+    assert np.array_equal(ricci(t, 3), ricci(t, RicciKind.THIRD))
+
+
 def test_scalars_hopf_and_fubini_study():
     s, s_alt = scalars(paper_hopf([1.0, 0.0]))
     assert (s, s_alt) == (pytest.approx(8.0), pytest.approx(4.0))

@@ -492,6 +492,13 @@ def test_one_entry_perturbation_fails_its_identity(monkeypatch, build, hypothesi
     assert not rep.passed and seen[name] > 0.1
 
 
+def test_unknown_hypothesis_is_a_usage_error():
+    # the type decides before the hypothesis's constant is read
+    for bad in (None, 2.0, "ConstHSC"):
+        with pytest.raises(UsageError, match="unknown hypothesis"):
+            constant_identity_check(kahler_constant(2.0, 2), bad)
+
+
 def test_report_witnesses_keep_row_order_on_ties():
     # many tied residuals: the witnesses are the first rows of the largest
     # value, as a stable sort over the rows gives them

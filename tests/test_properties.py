@@ -30,7 +30,7 @@ from curvlab import (CurvatureMatrices, FrameConvention, NumericalError, SearchC
                      weitzenbock)
 from curvlab.cli import main
 import curvlab.search as search_mod
-from curvlab.cones import _edm_rank3, difference_form_pairings
+from curvlab.cones import _centred, _edm_rank3_of_centred, difference_form_pairings
 from curvlab.config import DEFAULT, MAX_ENTRY
 from curvlab.functionals import quadratic_form_matrix
 from curvlab.verify import suite_identities
@@ -286,7 +286,7 @@ def test_rank3_eigenpairs_reproduce_the_trace_pairing(n, kind, seed):
     vs = generators(kind, rng, 200, n)
     m = rng.standard_normal((n, n))
     s = 0.5 * (m + m.T)
-    delta, q = _edm_rank3(vs, s)
+    delta, q = (x.T for x in _edm_rank3_of_centred(_centred(vs), s))
     w = vs - vs.mean(axis=1, keepdims=True)
     bound = 1e-13 * np.abs(s).max() * np.einsum("ai,ai->a", w, w)
     assert np.all(np.abs(np.sum(delta * q, axis=1) - difference_form_pairings(vs, s)) <= bound)

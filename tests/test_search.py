@@ -11,11 +11,12 @@ from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
                      random_tensor, rayleigh_bounds, skew_pair, transform_frame,
                      tricerri_family_extrema)
 from curvlab.config import MAX_DIM
-from curvlab.curvature import FrameConvention
+from curvlab.curvature import FrameConvention, curvature_from_jet
 from curvlab.functionals import (CurvatureMatrices, evaluate, frame_matrices,
                                   quadratic_form_matrix)
 from curvlab.search import INITIAL_ANGLE, SHRINK
 from curvlab.linalg import haar_from_rng, rng_from, unitary_residual
+from curvlab.metrics import fubini_study, jet_at
 import curvlab.search as search_mod
 
 
@@ -280,6 +281,18 @@ def test_exact_extrema_match_an_independent_eigenproblem(n):
             assert np.linalg.norm(ext.vector) == pytest.approx(1.0, abs=1e-12)
             moved = transform_frame(t, ext.frame, ext.convention)
             assert rel_close(evaluate(kind, matrices_from(moved), ext.vector), ext.value)
+
+
+def test_frame_form_rejects_hsc_and_coordinate_tensors():
+    # hsc is not a quadratic form on Herm(n): it used to come back as the rbc
+    # form bit for bit, with the usage error extremize and invariance_test raise
+    t = random_tensor(3, 2)
+    with pytest.raises(UsageError, match="quadratic-form family"):
+        search_mod.frame_form(t, "hsc")
+    coordinate = curvature_from_jet(jet_at(fubini_study(2), [0.3, 0.1j]))
+    for kind in QUAD_KINDS:
+        with pytest.raises(UsageError, match="frame_form needs a unitary-frame tensor"):
+            search_mod.frame_form(coordinate, kind)
 
 
 def test_exact_form_evaluates_the_functional_in_any_frame():
