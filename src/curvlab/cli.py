@@ -29,8 +29,7 @@ from .linalg import _integer, _square
 from .metrics import jet_at, make_metric
 from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
                         paper_hopf, paper_tricerri, scalars, to_frame)
-from .functionals import (QUADRATIC_KINDS, FunctionalKind, evaluate, hsc, matrices_from,
-                          rayleigh_bounds)
+from .functionals import FunctionalKind, evaluate, hsc, matrices_from, rayleigh_bounds
 from .cones import MIN_SAMPLES, copositive_2x2, cone_min, make_cone, perron_criterion_check
 from .search import SearchConfig, _extremize_kinds, extremize, tricerri_family_extrema
 from .verify import run_suite
@@ -294,7 +293,8 @@ def cmd_eval(args):
     for name in ("metric", "point", "functional"):
         if getattr(args, name) is None:
             raise UsageError(f"eval needs --{name}")
-    kind = FunctionalKind(args.functional)
+    # hsc takes a complex vector and is no FunctionalKind
+    kind = None if args.functional == "hsc" else FunctionalKind(args.functional)
     point = parse_complex_vector(args.point)
     tensor, diag = _tensor_at_point(args.metric, args.dim, point, args.use_paper_tensor)
     matrices = matrices_from(tensor)
@@ -302,7 +302,7 @@ def cmd_eval(args):
     diag["hermitian_residual"] = tensor.sym_residual
     scal, scal_alt = scalars(tensor)
 
-    if kind is FunctionalKind.HSC:
+    if kind is None:
         if args.cvector is None:
             raise UsageError("hsc needs --cvector")
         value = hsc(tensor, parse_complex_vector(args.cvector))
@@ -312,7 +312,7 @@ def cmd_eval(args):
         value = evaluate(kind, matrices, parse_real_vector(args.vector))
 
     payload = {"command": "eval", "metric": args.metric,
-               "point": [str(z) for z in point], "functional": kind.value,
+               "point": [str(z) for z in point], "functional": args.functional,
                "value": value, "scal": scal, "altered_scal": scal_alt,
                "diagnostics": diag}
     if args.format == "json":
@@ -396,7 +396,7 @@ def cmd_sweep(args):
     for k in range(metric.n):
         header += [f"re{k + 1}", f"im{k + 1}"]
     header += ["scal", "altered_scal"]
-    for kind in QUADRATIC_KINDS:
+    for kind in FunctionalKind:
         header += [f"{kind.value}_inf", f"{kind.value}_sup"]
     header += ["herm_residual", "imag_residual"]
 
@@ -414,12 +414,12 @@ def cmd_sweep(args):
             row += [z.real, z.imag]
         row += [scal, scal_alt]
         if family:
-            for kind in QUADRATIC_KINDS:
+            for kind in FunctionalKind:
                 scan = tricerri_family_extrema(float(p[1].imag), kind)
                 row += [scan["inf"], scan["sup"]]
         else:
             # all kinds in one lockstep search
-            for inf_ext, sup_ext in _extremize_kinds(tensor, QUADRATIC_KINDS,
+            for inf_ext, sup_ext in _extremize_kinds(tensor, FunctionalKind,
                                                      convention=convention, cfg=search):
                 row += [inf_ext.value, sup_ext.value]
         row += [tensor.sym_residual, m.imag_residual]

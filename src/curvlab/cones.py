@@ -37,8 +37,8 @@ import numpy as np
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
-from .linalg import (_integer, _numeric, _square, ensure_finite, max_modulus, rng_from,
-                     self_adjoint_eigen)
+from .linalg import (_instance, _integer, _numeric, _square, ensure_finite, max_modulus,
+                     rng_from, self_adjoint_eigen)
 from .reports import IdentityReport
 
 # generator rows per block of the Perron check: its (rows, n) temporaries
@@ -50,9 +50,10 @@ MIN_SAMPLES = 100   # least number of generators a Perron check samples
 # g s g^T, an n^2-fold sum of two row entries times a matrix entry within
 # MAX_ENTRY, stays finite at n <= MAX_DIM, and the Gram matrix g g^T normal
 _GENERATOR_EXP = (1023 - int(np.log2(MAX_ENTRY)) - 2 * int(np.ceil(np.log2(MAX_DIM)))) // 2
+_KINDS = ("full", "orthant", "monotone", "generators")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)   # compared by identity: G has no truth value
 class Cone:
     """A cone in R^n \\ {0}.
 
@@ -60,11 +61,46 @@ class Cone:
     orthant; 'monotone' its subset x_1 >= ... >= x_n >= 0; 'generators' the
     convex positive hull of given nonzero vectors.  Boundaries minus the
     origin are included.
+
+    A cone checks itself once, when it is built.  A restricted one, of
+    n <= MAX_DIM, is {x G : x >= 0} for its read-only rows G: I, the
+    prefix-ones rows, or at most MAX_DIM given nonzero rows, a row whose
+    largest entry is outside the range of ``_GENERATOR_EXP`` scaled by a
+    power of two to one in [1/2, 1) (the same ray; other rows keep their bits).
     """
 
     kind: str
     n: int
     generators: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        kind = self.kind
+        if not (isinstance(kind, str) and kind in _KINDS):
+            raise UsageError(f"unknown cone '{kind}'; kinds: {', '.join(_KINDS)}")
+        n = _integer(self.n, "cone dimension", 1, None if kind == "full" else MAX_DIM)
+        if (self.generators is None) == (kind == "generators"):
+            raise UsageError("a cone has generator rows if and only if its kind is 'generators'")
+        object.__setattr__(self, "n", n)
+        if kind == "orthant":
+            gens = np.eye(n)
+        elif kind == "monotone":
+            gens = np.tril(np.ones((n, n)))  # row k: first k + 1 coordinates
+        elif kind == "generators":
+            gens = _numeric(self.generators, "cone generators")
+            if gens.ndim != 2 or gens.shape[1] != n:
+                raise UsageError(f"cone generators must be rows of width {n}, "
+                                 f"got shape {gens.shape}")
+            _integer(len(gens), "cone generator count", 1, MAX_DIM)
+            ensure_finite(gens, "cone generators")
+            top = np.abs(gens).max(axis=1)
+            if np.any(top == 0.0):
+                raise UsageError("cone generators must be nonzero")
+            exp = np.frexp(top)[1][:, None]
+            gens = np.where(np.abs(exp) > _GENERATOR_EXP, np.ldexp(gens, -exp), gens)
+        else:
+            return
+        gens.flags.writeable = False
+        object.__setattr__(self, "generators", gens)
 
 
 def full_cone(n):
@@ -80,32 +116,13 @@ def monotone_nonneg(n):
 
 
 def generator_cone(generators):
-    """The cone of the given rows, each with a nonzero entry.  A row whose
-    largest entry lies outside the range of ``_GENERATOR_EXP`` is scaled by
-    a power of two to a largest entry in [1/2, 1), which spans the same ray;
-    the other rows keep their bits."""
+    """The cone of the given rows, in R^n for rows of width n."""
     gens = _numeric(generators, "cone generators")
-    if gens.ndim != 2:
-        raise UsageError("generators must be a list of n-vectors")
-    ensure_finite(gens, "cone generators")
-    top = np.abs(gens).max(axis=1, initial=0.0)
-    if np.any(top == 0.0):
-        raise UsageError("cone generators must be nonzero")
-    exp = np.frexp(top)[1][:, None]
-    gens = np.where(np.abs(exp) > _GENERATOR_EXP, np.ldexp(gens, -exp), gens)
-    return Cone(kind="generators", n=gens.shape[1], generators=gens)
+    return Cone("generators", gens.shape[-1] if gens.ndim else 1, gens)
 
 
 def make_cone(name, n, generators=None):
-    if name == "full":
-        return full_cone(n)
-    if name == "orthant":
-        return nonneg_orthant(n)
-    if name == "monotone":
-        return monotone_nonneg(n)
-    if name == "generators":
-        return generator_cone(generators)
-    raise UsageError(f"unknown cone '{name}'; kinds: full, orthant, monotone, generators")
+    return Cone(name, n, generators)
 
 
 @dataclass(frozen=True)
@@ -113,15 +130,6 @@ class ConeMinimum:
     value: float        # Rayleigh quotient at argmin: the minimum is attained
     argmin: np.ndarray  # unit vector in the cone
     # (for a stack of k matrices: a (k,) array of values, (k, n) of argmins)
-
-
-def _generator_rows(cone):
-    """Generator matrix G of a restricted cone: the cone is {x G : x >= 0}."""
-    if cone.kind == "orthant":
-        return np.eye(cone.n)
-    if cone.kind == "monotone":
-        return np.tril(np.ones((cone.n, cone.n)))  # row k: first k + 1 coordinates
-    return cone.generators
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,19 +236,14 @@ def cone_min(m, cone):
     max_modulus(m, "matrix")
     n = m.shape[-1]
     stack = m.reshape(-1, n, n)
-    if cone.n != n:
+    if _instance(cone, Cone, "cone").n != n:
         raise UsageError(f"cone dimension {cone.n} does not match matrix dimension {n}")
     if cone.kind == "full":
         dec = self_adjoint_eigen(stack)  # eigen of the symmetric part
         values = dec.values[:, 0]
         v = np.ascontiguousarray(dec.vectors[:, :, 0].real)
     else:
-        if cone.kind not in ("orthant", "monotone", "generators"):
-            raise UsageError(f"unknown cone kind '{cone.kind}'")
-        g = _generator_rows(cone)
-        if max(n, g.shape[0]) > MAX_DIM:
-            raise UsageError(f"restricted cones support n <= {MAX_DIM} "
-                             f"and at most {MAX_DIM} generators")
+        g = cone.generators
         m_sym = 0.5 * (stack + stack.transpose(0, 2, 1))
         v = _face_minimum(m_sym, g, _faces(g))
     vv = _dot(v, v)
@@ -288,7 +291,7 @@ def edm_from_vector(v):
 def perron_weights(edm):
     """Ratios r_k = -delta_k / delta_1 of the descending spectrum of an EDM;
     always sorted ascending in [0, 1]."""
-    values = np.linalg.eigvalsh(edm.sigma)[::-1]
+    values = np.linalg.eigvalsh(_instance(edm, EDMatrix, "Perron weights input").sigma)[::-1]
     if values[0] <= 0.0:
         raise DomainError("Perron weights need a nonzero distance matrix")
     r = -values[1:] / values[0]
@@ -347,6 +350,10 @@ def difference_form_pairings(vs, s):
     read on the centred rows, so its cancellation is relative to the spread
     of v rather than its size.
     """
+    s = _square(s, "difference_form_pairings matrix")
+    vs = _numeric(vs, "generator rows")
+    if vs.ndim != 2 or vs.shape[1] != s.shape[0]:
+        raise UsageError(f"generator rows must have width {s.shape[0]}, got shape {vs.shape}")
     return _pairings_of_centred(_centred(vs), s)
 
 

@@ -28,9 +28,9 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import (_integer, _number, _numeric, cholesky_frame, max_modulus, rng_from,
-                     unitary_residual)
-from .metrics import HOPF_SQ_RANGE, _chart_sq_norm
+from .linalg import (_instance, _integer, _number, _numeric, cholesky_frame, max_modulus,
+                     rng_from, unitary_residual)
+from .metrics import HOPF_SQ_RANGE, MetricJet, _chart_sq_norm
 
 COORDINATE = "coordinate"
 FRAME = "frame"
@@ -74,9 +74,12 @@ class ChernTensor:
     def n(self):
         return self.values.shape[0]
 
-    def require_frame(self, op):
-        if self.basis != FRAME:
-            raise UsageError(f"{op} needs a unitary-frame tensor; convert with to_frame first")
+
+def require_frame(tensor, op):
+    """tensor itself if it is a frame ChernTensor, else UsageError."""
+    if _instance(tensor, ChernTensor, f"tensor given to {op}").basis != FRAME:
+        raise UsageError(f"{op} needs a unitary-frame tensor; convert with to_frame first")
+    return tensor
 
 
 def _build(values, basis, metric=None):
@@ -104,7 +107,7 @@ def curvature_from_jet(jet):
     for the frame E of ``cholesky_frame``, which refuses an unusable g, so with
     D[(i,k), q] = dg[i,k,q] the correction D g^{-1} D^H is Y Y^H, Y = D conj(E).
     """
-    g = np.asarray(jet.g, dtype=complex)
+    g = np.asarray(_instance(jet, MetricJet, "jet").g, dtype=complex)
     y = np.reshape(jet.dg, (jet.n ** 2, jet.n)) @ np.conj(cholesky_frame(g))
     correction = (y @ np.conj(y).T).reshape((jet.n,) * 4).transpose(0, 2, 1, 3)
     return _build(-jet.ddg + correction, COORDINATE, metric=g)
@@ -131,8 +134,7 @@ def _checked_frame_change(tensor, u, op, ranks=None):
     given) for the frame tensor.  A wrong shape, an empty stack, a non-numeric
     or non-finite entry, or a matrix farther than
     ``Tolerances.frame_change_unitary`` from unitary is a UsageError."""
-    tensor.require_frame(op)
-    n = tensor.n
+    n = require_frame(tensor, op).n
     u = _numeric(u, "frame-change matrix", complex)
     if (ranks is not None and u.ndim not in ranks) or u.shape[-2:] != (n, n) or u.size == 0:
         raise UsageError(f"unitary has shape {u.shape}, tensor has dimension {n}")
@@ -145,7 +147,7 @@ def _checked_frame_change(tensor, u, op, ranks=None):
 
 def to_frame(tensor):
     """Convert a coordinate tensor to the unitary frame of its metric."""
-    if tensor.basis == FRAME:
+    if _instance(tensor, ChernTensor, "tensor given to to_frame").basis == FRAME:
         return tensor
     if tensor.metric is None:
         raise UsageError("coordinate tensor carries no metric")
@@ -170,9 +172,8 @@ def transform_frame(tensor, u, convention):
 
 def ricci(tensor, kind):
     """One of the four Ricci contractions of a frame tensor."""
-    tensor.require_frame("ricci")
+    r = require_frame(tensor, "ricci").values
     kind = RicciKind(kind)
-    r = tensor.values
     if kind is RicciKind.FIRST:
         out = np.einsum("ijkk->ij", r)
     elif kind is RicciKind.SECOND:
@@ -186,8 +187,7 @@ def ricci(tensor, kind):
 
 def scalars(tensor):
     """(Scal, altered Scal): the two scalar traces of a frame tensor."""
-    tensor.require_frame("scalars")
-    r = tensor.values
+    r = require_frame(tensor, "scalars").values
     s = complex(np.einsum("iikk->", r))
     s_alt = complex(np.einsum("ikki->", r))
     scale = max(1.0, float(np.abs(r).max()))
@@ -255,8 +255,11 @@ def paper_tricerri(b, d, im_w):
     R0 = -3 / (2 Im(w)^4).  Unitarity bounds each row entry: |b| <= 1 and
     |d| <= 1.  An Im(w) that is not positive and finite, or whose |R0|
     exceeds MAX_ENTRY, is a DomainError."""
-    bb = abs(complex(_number(b, "parameter 'b'", numbers.Complex))) ** 2
-    dd = abs(complex(_number(d, "parameter 'd'", numbers.Complex))) ** 2
+    # a part above 2 puts |b|^2 above the row bound; 4 stands in for a square
+    # that could overflow
+    bb, dd = (4.0 if max(abs(z.real), abs(z.imag)) > 2.0 else abs(z) ** 2
+              for z in (complex(_number(b, "parameter 'b'", numbers.Complex)),
+                        complex(_number(d, "parameter 'd'", numbers.Complex))))
     bound = 1.0 + DEFAULT.tricerri_row_bound
     if bb > bound or dd > bound:
         raise UsageError("|b| and |d| must each be <= 1 (unitarity row bound)")

@@ -45,14 +45,15 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import UsageError
-from .linalg import (_hermitian_basis, _number, _numeric, _square, ensure_finite,
+from .linalg import (_hermitian_basis, _instance, _number, _numeric, _square, ensure_finite,
                      self_adjoint_eigen)
-from .curvature import ChernTensor, FrameConvention, _checked_frame_change, scalars
+from .curvature import FrameConvention, _checked_frame_change, require_frame, scalars
 from .reports import IdentityReport
 
 
 class FunctionalKind(str, enum.Enum):
-    HSC = "hsc"
+    """The quadratic-form family; hsc, which takes complex vectors, is the
+    function ``hsc(tensor, w)``."""
     RBC = "rbc"
     ALTERED_RBC = "altered_rbc"
     ALTERED_HSC = "altered_hsc"
@@ -61,13 +62,9 @@ class FunctionalKind(str, enum.Enum):
 
     @classmethod
     def _missing_(cls, value):
-        raise UsageError(f"unknown functional '{value}'; "
-                         f"choices: {[k.value for k in cls]}")
-
-
-QUADRATIC_KINDS = (FunctionalKind.RBC, FunctionalKind.ALTERED_RBC,
-                   FunctionalKind.ALTERED_HSC, FunctionalKind.QOBC,
-                   FunctionalKind.ALTERED_QOBC)
+        hint = " outside the quadratic-form family: use hsc(tensor, w)" if value == "hsc" else ""
+        raise UsageError(f"unknown functional '{value}'{hint}; "
+                         f"quadratic-form kinds: {[k.value for k in cls]}")
 
 
 @dataclass(frozen=True)
@@ -102,13 +99,12 @@ class CurvatureMatrices:
 
 
 def matrices_from(tensors):
-    """rbc and altered matrices of a frame tensor, stacked for a sequence of
-    them (such as the tuple of a stacked ``transform_frame``); the slices are
-    gathers, so each stacked matrix equals its single call bit for bit."""
-    single = isinstance(tensors, ChernTensor)
-    for t in (tensors,) if single else tensors:
-        t.require_frame("matrices_from")
-    r = tensors.values if single else np.stack([t.values for t in tensors])
+    """rbc and altered matrices of a frame tensor, stacked for a list or tuple
+    of them (such as the tuple of a stacked ``transform_frame``); the slices
+    are gathers, so each stacked matrix equals its single call bit for bit."""
+    single = not isinstance(tensors, (list, tuple))
+    frames = [require_frame(t, "matrices_from") for t in ((tensors,) if single else tensors)]
+    r = frames[0].values if single else np.stack([t.values for t in frames])
     return CurvatureMatrices.from_slices(np.einsum("...aagg->...ag", r),
                                          np.einsum("...agga->...ag", r))
 
@@ -194,9 +190,8 @@ def hsc(tensor, w):
     array of shape (...).  With a[(i, j)] = w_i conj(w_j) the numerator
     R(w, wbar, w, wbar) is the bilinear form a R_(ij)(kl) a^T.
     """
-    tensor.require_frame("hsc")
+    n = require_frame(tensor, "hsc").n
     w = _direction_rows(_numeric(w, "vector", complex))
-    n = tensor.n
     if w.shape[-1] != n:
         raise UsageError(f"vector has dimension {w.shape[-1]}, tensor has {n}")
     a = (w[..., :, None] * np.conj(w)[..., None, :]).reshape(w.shape[:-1] + (n * n,))
@@ -213,10 +208,9 @@ def bisectional(tensor, x, y, altered=True):
     single-term variant keeps only the first summand.  Passing orthogonal
     (resp. unitary) pairs restricts to the orthogonal flavors.
     """
-    tensor.require_frame("bisectional")
+    r = require_frame(tensor, "bisectional").values
     x = _direction_vector(_numeric(x, "X", complex), "X")
     y = _direction_vector(_numeric(y, "Y", complex), "Y")
-    r = tensor.values
     first = np.einsum("ijkl,i,j,k,l->", r, x, np.conj(x), y, np.conj(y))
     value = first + np.einsum("ijkl,i,j,k,l->", r, y, np.conj(y), x, np.conj(x)) if altered else first
     denom = float(np.sum(np.abs(x) ** 2) * np.sum(np.abs(y) ** 2))
@@ -235,9 +229,7 @@ def quadratic_form_matrix(kind, matrices):
         return matrices.rbc + matrices.altered
     if kind is FunctionalKind.QOBC:
         return weitzenbock(matrices.rbc)
-    if kind is FunctionalKind.ALTERED_QOBC:
-        return weitzenbock(matrices.altered)
-    raise UsageError("hsc takes complex vectors; use hsc(tensor, w)")
+    return weitzenbock(matrices.altered)
 
 
 def evaluate(kind, matrices, v):
@@ -251,8 +243,7 @@ def evaluate(kind, matrices, v):
     the vector: 2**-600 * v and v give equal values.
     """
     kind = FunctionalKind(kind)
-    if kind is FunctionalKind.HSC:
-        raise UsageError("hsc takes complex vectors; use hsc(tensor, w)")
+    _instance(matrices, CurvatureMatrices, "matrices")
     v = _direction_rows(_numeric(v, "vector"))
     if v.shape[-1] != matrices.n:
         raise UsageError(f"vector has dimension {v.shape[-1]}, matrices have {matrices.n}")
@@ -300,9 +291,7 @@ def frame_form(tensor, kind):
     are the linear functional ell[p,q] = S[p,q,s,s] + S[s,s,p,q] at A^2.
     """
     kind = FunctionalKind(kind)
-    if kind is FunctionalKind.HSC:
-        raise UsageError("frame_form covers the quadratic-form family")
-    tensor.require_frame("frame_form")
+    require_frame(tensor, "frame_form")
     if kind is FunctionalKind.ALTERED_HSC:
         return frame_form(tensor, "rbc") + frame_form(tensor, "altered_rbc")
     n = tensor.n
@@ -413,7 +402,7 @@ def constant_identity_check(tensor, hypothesis):
         antiholomorphic slots equals (c/2) (d_ij d_kl + d_il d_kj) / 2; and
         altered rbc == c/2, i.e. sym(altered) = (c/2) I.
     """
-    tensor.require_frame("constant_identity_check")
+    require_frame(tensor, "constant_identity_check")
     if not isinstance(hypothesis, (ConstHSC, ConstAlteredRBC, ConstAlteredHBC)):
         raise UsageError(f"unknown hypothesis {hypothesis!r}")
     r = tensor.values
@@ -487,8 +476,7 @@ def ricci_qobc_bounds(tensor):
     enforced: the least value of each over every frame and vector is the
     least eigenvalue of its ``frame_form``.
     """
-    tensor.require_frame("ricci_qobc_bounds")
-    n = tensor.n
+    n = require_frame(tensor, "ricci_qobc_bounds").n
     m = matrices_from(tensor)
     scal, scal_alt = scalars(tensor)
     # diag(Ric1 + Ric2) is the row plus the column sums of rbc, diag(Ric3 + Ric4) of altered

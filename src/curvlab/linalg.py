@@ -11,8 +11,9 @@ Haar measure.  All randomness in the package
 flows through PCG64 generators built by ``rng_from``.
 
 The argument checks that every public entry point shares live here too, one
-per kind of argument (``_integer``, ``_number``, ``_numeric``, ``_square``);
-each raises UsageError naming the argument.
+per kind of argument (``_integer``, ``_number``, ``_numeric``, ``_square``,
+and ``_instance`` for an object of one of the package's types); each raises
+UsageError naming the argument.
 """
 
 import functools
@@ -68,6 +69,13 @@ def _square(value, what, dtype=float, stack=0):
         shapes = " or a nonempty stack of them" if stack != 0 else ""
         raise UsageError(f"{what} must be a nonempty square matrix{shapes}, got shape {m.shape}")
     return m
+
+
+def _instance(value, cls, what):
+    """value itself if it is a cls, else UsageError naming the expected type."""
+    if isinstance(value, cls):
+        return value
+    raise UsageError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def rng_from(seed, *key):
@@ -173,6 +181,7 @@ def haar_from_rng(n, rng, count=None):
     draws and gives the same unitaries: QR of (re + i im) / sqrt(2) with the
     phases of the triangular factor's diagonal moved into Q.
     """
+    n = _integer(n, "parameter 'n'", 1)
     lead = () if count is None else (count,)
     g = rng.standard_normal(lead + (2, n, n))
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import _integer, _numeric, ensure_finite
+from .linalg import _instance, _integer, _numeric, ensure_finite
 
 CHART_BOUND = 10.0      # |coordinate| bound for the Tricerri fundamental-domain chart
 HOPF_MARGIN = 0.05      # hopf domain: |z| > margin
@@ -207,7 +207,7 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
     field's, see the module docstring) gets each step's points in one (k, n)
     call, and a stacked ``domain`` likewise; a plain callable is called once
     per point.  Either way the jet is the same bit for bit.  ``h`` must be a
-    positive finite real.
+    positive finite real, and the step it gives a finite square.
     """
     p = as_point(p)
     if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
@@ -216,6 +216,8 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
     if step < DEFAULT.fd_min_step:
         raise UsageError(f"step {step:.3e} is below {DEFAULT.fd_min_step:.0e}; "
                          "cancellation would dominate")
+    if not math.isfinite(float(step) * float(step)):   # ddg divides by step^2
+        raise UsageError(f"step {step:.3e} has no finite square")
     if order not in (2, 4):
         raise UsageError(f"unsupported finite-difference order {order}")
     offsets = _stencil(p.size)[0]
@@ -236,7 +238,7 @@ def jet_at(metric, p):
     """Jet of a metric field: closed form when the catalog provides one,
     otherwise ``finite_difference_jet`` at its default order and point
     scaling with base step 1e-4."""
-    p = as_point(p, metric.n)
+    p = as_point(p, _instance(metric, MetricField, "metric").n)
     if not metric.domain(p):
         raise DomainError(f"point {p.tolist()} is outside the domain of metric '{metric.name}'")
     if metric.jet is not None:

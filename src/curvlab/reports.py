@@ -58,13 +58,9 @@ class VerifyReport:
         return all(c.passed for c in self.checks)
 
     def add(self, name, expected, actual, tolerance=None):
-        """Record a check; tolerance None means informational (always passes)."""
-        if tolerance is None:
-            ok = True
-        elif isinstance(expected, str):
-            ok = expected == actual
-        else:
-            ok = abs(float(actual) - float(expected)) <= tolerance
+        """Record a numeric check; tolerance None means informational (always
+        passes, and the values may be of any type)."""
+        ok = tolerance is None or abs(float(actual) - float(expected)) <= tolerance
         self.checks.append(Check(name=name, expected=expected, actual=actual,
                                  tolerance=tolerance, passed=bool(ok)))
         return ok

@@ -57,12 +57,13 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .config import DEFAULT
-from .linalg import _hermitian_basis, _integer, haar_from_rng, rng_from, self_adjoint_eigen
-from .curvature import FrameConvention, paper_tricerri, transform_frame
+from .linalg import (_hermitian_basis, _instance, _integer, haar_from_rng, rng_from,
+                     self_adjoint_eigen)
+from .curvature import FrameConvention, paper_tricerri, require_frame, transform_frame
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
                           frame_matrices, matrices_from, quadratic_form_matrix,
                           rayleigh_bounds)
-from .cones import cone_min, full_cone
+from .cones import Cone, cone_min, full_cone
 
 
 INITIAL_ANGLE = 0.4   # first rotation angle of each restart's sweeps
@@ -320,11 +321,9 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
     run as one lockstep of lanes, and every extremum is re-evaluated in one
     pass."""
     kinds = [FunctionalKind(kind) for kind in kinds]
-    if FunctionalKind.HSC in kinds:
-        raise UsageError("extremize works on the quadratic-form family; "
-                         "probe hsc through rbc at basis vectors")
-    tensor.require_frame("extremize")
-    cone = full_cone(tensor.n) if cone is None else cone
+    require_frame(tensor, "extremize")
+    cone = full_cone(tensor.n) if cone is None else _instance(cone, Cone, "cone")
+    _instance(cfg, SearchConfig, "parameter 'cfg'")
     if cone.n != tensor.n:
         raise UsageError("cone dimension does not match tensor dimension")
     convention = FrameConvention(convention)
@@ -382,10 +381,7 @@ def invariance_test(tensor, kind, convention):
     """
     kind = FunctionalKind(kind)
     convention = FrameConvention(convention)
-    if kind is FunctionalKind.HSC:
-        raise UsageError("invariance_test covers the quadratic-form family")
-    tensor.require_frame("invariance_test")
-    n = tensor.n
+    n = require_frame(tensor, "invariance_test").n
     r = tensor.values
     if n == 1:
         return True, 0.0
@@ -424,8 +420,6 @@ def tricerri_family_extrema(im_w, kind):
     inf/sup values and the realizing (|b|^2, |d|^2) corners.
     """
     kind = FunctionalKind(kind)
-    if kind is FunctionalKind.HSC:
-        raise UsageError("the family extrema cover the quadratic-form kinds")
     # at a corner |b|^2 = |b| and |d|^2 = |d|
     corners = [(b, d) for b in (0.0, 1.0) for d in (0.0, 1.0)]
     m = matrices_from([paper_tricerri(b, d, im_w) for b, d in corners])

@@ -2,7 +2,8 @@
 
 Every public entry point reads its arguments through the shared checks of
 ``curvlab.linalg`` (an integer in a range, a number, a numeric array, a
-square matrix or stack of them), so a wrong type, shape or range is a
+square matrix or stack of them, an object of one of the package's types),
+so a wrong type, shape or range is a
 UsageError (or a DomainError for non-finite data), never a bare
 ValueError, TypeError or AxisError from numpy.
 """
@@ -12,14 +13,18 @@ import warnings
 import numpy as np
 import pytest
 
-from curvlab import (ConstHSC, DomainError, UsageError, cholesky_frame, cone_min,
-                     copositive_2x2, dual_edm_test, edm_from_vector, extremize,
-                     finite_difference_jet,
-                     full_cone, generator_cone, hsc, jet_at, kahler_constant, make_cone,
-                     make_metric, paper_hopf, paper_tricerri, perron_criterion_check,
-                     random_tensor, rayleigh_bounds, self_adjoint_eigen, skew_pair, to_frame,
-                     tricerri_family_extrema, weitzenbock)
-from curvlab.linalg import rng_from
+from curvlab import (ConstHSC, DomainError, UsageError, bisectional, cholesky_frame,
+                     cone_min, constant_identity_check, copositive_2x2,
+                     curvature_from_jet, difference_form_pairings, dual_edm_test,
+                     edm_from_vector, evaluate, extremize, finite_difference_jet,
+                     full_cone, generator_cone, hsc, invariance_test, jet_at,
+                     kahler_constant, make_cone, make_metric, matrices_from, paper_hopf,
+                     paper_tricerri, perron_criterion_check, perron_weights,
+                     random_tensor, rayleigh_bounds, ricci, ricci_qobc_bounds, scalars,
+                     self_adjoint_eigen, skew_pair, to_frame, tricerri_family_extrema,
+                     weitzenbock)
+from curvlab.functionals import frame_matrices
+from curvlab.linalg import haar_from_rng, rng_from
 from curvlab.metrics import conformal, euclidean, fubini_study, hopf
 from curvlab.verify import cone_oracle_disagreements, run_suite
 
@@ -68,6 +73,20 @@ BAD_CALLS = {
     "cone_oracle_disagreements(3, 1, 0, 100, 0)":
         lambda: cone_oracle_disagreements(3, 1, 0, 100, 0),
     "cone_min(text)": lambda: cone_min([["1", "0"], ["0", "1"]], full_cone(2)),
+    # unchecked arguments, and squares that overflowed before any bound was read
+    "difference_form_pairings(ones(3), eye(3))":
+        lambda: difference_form_pairings(np.ones(3), np.eye(3)),
+    "difference_form_pairings(zeros((0, 0)), eye(3))":
+        lambda: difference_form_pairings(np.zeros((0, 0)), np.eye(3)),
+    "difference_form_pairings('ab', eye(3))": lambda: difference_form_pairings("ab", np.eye(3)),
+    "difference_form_pairings(ones((2, 3)), ones(3))":
+        lambda: difference_form_pairings(np.ones((2, 3)), np.ones(3)),
+    "haar_from_rng(-1, rng)": lambda: haar_from_rng(-1, rng_from(0)),
+    "haar_from_rng(2.5, rng)": lambda: haar_from_rng(2.5, rng_from(0)),
+    "paper_tricerri(1e300, 0, 1)": lambda: paper_tricerri(1e300, 0, 1),
+    "paper_tricerri(0, 1e308 + 1e308j, 1)": lambda: paper_tricerri(0, 1e308 + 1e308j, 1),
+    "finite_difference_jet(hopf, [1.0, 0.5], 1e300)":
+        lambda: finite_difference_jet(hopf().evaluate, [1.0, 0.5], 1e300),
 }
 
 
@@ -77,6 +96,41 @@ def test_bad_input_at_a_public_entry_point_is_a_curvlab_error(call):
         warnings.simplefilter("error")
         with pytest.raises((UsageError, DomainError)):
             call()
+
+
+WRONG_TYPES = {
+    "to_frame(None)": (lambda t: to_frame(None), "ChernTensor"),
+    "scalars(3)": (lambda t: scalars(3), "ChernTensor"),
+    "ricci(None, 1)": (lambda t: ricci(None, 1), "ChernTensor"),
+    "matrices_from([1, 2])": (lambda t: matrices_from([1, 2]), "ChernTensor"),
+    "frame_matrices(None, eye(2), 'full')":
+        (lambda t: frame_matrices(None, np.eye(2), "full"), "ChernTensor"),
+    "hsc(None, [1, 0])": (lambda t: hsc(None, [1, 0]), "ChernTensor"),
+    "bisectional(None, [1, 0], [0, 1])":
+        (lambda t: bisectional(None, [1, 0], [0, 1]), "ChernTensor"),
+    "constant_identity_check(None, ConstHSC(1.0))":
+        (lambda t: constant_identity_check(None, ConstHSC(1.0)), "ChernTensor"),
+    "ricci_qobc_bounds(None)": (lambda t: ricci_qobc_bounds(None), "ChernTensor"),
+    "invariance_test(None, 'rbc', 'full')":
+        (lambda t: invariance_test(None, "rbc", "full"), "ChernTensor"),
+    "cone_min(eye(2), 'orthant')": (lambda t: cone_min(np.eye(2), "orthant"), "Cone"),
+    "extremize(t, 'rbc', cone='orthant')":
+        (lambda t: extremize(t, "rbc", cone="orthant"), "Cone"),
+    "extremize(t, 'rbc', cfg=None)": (lambda t: extremize(t, "rbc", cfg=None), "SearchConfig"),
+    "evaluate('rbc', eye(2), [1, 0])":
+        (lambda t: evaluate("rbc", np.eye(2), [1, 0]), "CurvatureMatrices"),
+    "perron_weights(eye(2))": (lambda t: perron_weights(np.eye(2)), "EDMatrix"),
+    "curvature_from_jet(eye(2))": (lambda t: curvature_from_jet(np.eye(2)), "MetricJet"),
+    "jet_at('hopf', [1, 0])": (lambda t: jet_at("hopf", [1, 0]), "MetricField"),
+}
+
+
+@pytest.mark.parametrize("call, expected", WRONG_TYPES.values(), ids=WRONG_TYPES.keys())
+def test_an_object_of_the_wrong_type_is_a_usage_error_naming_the_type(call, expected):
+    # extremize(t, 'rbc', cfg=None) used to pass on the exact row and fail on
+    # a searched one: the type is checked before any row is chosen
+    with pytest.raises(UsageError, match=f"must be a {expected}, got "):
+        call(random_tensor(0, 2))
 
 
 def test_the_shared_checks_name_the_argument():

@@ -14,7 +14,7 @@ from curvlab import (DomainError, UsageError, cone_min, copositive_2x2, dual_edm
                      perron_weights, rayleigh_bounds, perron_criterion_check,
                      weitzenbock)
 from curvlab.cli import main
-from curvlab.cones import (_centred, _edm_rank3_of_centred, _faces, _perron_pass,
+from curvlab.cones import (Cone, _centred, _edm_rank3_of_centred, _faces, _perron_pass,
                            difference_form_pairings)
 from curvlab.linalg import rng_from
 from curvlab import verify
@@ -728,3 +728,38 @@ def test_perron_check_memory_stays_block_sized():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, peak / 2 ** 20
+
+
+BAD_CONES = {
+    "NaN row": (lambda: Cone("generators", 2, [[np.nan, 1.0], [0.0, 1.0]]), DomainError),
+    "no rows": (lambda: Cone("generators", 2), UsageError),
+    "zero row": (lambda: Cone("generators", 2, [[0.0, 0.0], [0.0, 1.0]]), UsageError),
+    "rows of width 3": (lambda: Cone("generators", 2, np.eye(3)[:2]), UsageError),
+    "unknown kind": (lambda: Cone("bogus", 2), UsageError),
+    "orthant over MAX_DIM": (lambda: Cone("orthant", 13), UsageError),
+    "rows for the orthant": (lambda: Cone("orthant", 2, np.eye(2)), UsageError),
+    "fractional n": (lambda: Cone("monotone", 2.5), UsageError),
+    "rows over MAX_DIM": (lambda: Cone("generators", 2, np.ones((13, 2))), UsageError),
+}
+
+
+@pytest.mark.parametrize("build, error", BAD_CONES.values(), ids=BAD_CONES.keys())
+def test_a_hand_built_cone_is_checked_when_it_is_built(build, error):
+    # the NaN row used to reach cone_min, which returned a minimum of -1.0
+    with pytest.raises(error):
+        build()
+
+
+def test_a_hand_built_cone_holds_the_rows_generator_cone_makes():
+    rows = [[2.0 ** 300, 1.0], [0.0, 1.0]]
+    cone = Cone("generators", 2, rows)
+    assert cone.generators.tolist() == [[0.5, 2.0 ** -301], [0.0, 1.0]]
+    assert np.array_equal(cone.generators, generator_cone(rows).generators)
+    assert not cone.generators.flags.writeable
+    # the bits of this minimum before cones checked themselves
+    res = cone_min(np.array([[0.5, -1.25], [0.75, 1.0]]), cone)
+    assert res.value == float.fromhex("0x1.95f619980c433p-2")
+    assert [x.hex() for x in res.argmin] == ["0x1.d906bcf328d46p-1", "0x1.87de2a6aea963p-2"]
+    assert np.array_equal(nonneg_orthant(3).generators, np.eye(3))
+    assert np.array_equal(monotone_nonneg(3).generators, np.tril(np.ones((3, 3))))
+    assert full_cone(3).generators is None

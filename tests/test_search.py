@@ -122,7 +122,7 @@ def test_extremize_constant_tensor_diagonal_probe():
 
 def test_extremize_rejects_hsc():
     with pytest.raises(UsageError):
-        extremize(random_tensor(4, 2), FunctionalKind.HSC)
+        extremize(random_tensor(4, 2), "hsc")
 
 
 def test_extremum_reevaluates():
@@ -380,7 +380,7 @@ def test_invariance_test_is_exact_at_the_dimension_bounds(n):
                 else:
                     assert not ok and dev > 0.1
     with pytest.raises(UsageError, match="quadratic-form family"):
-        invariance_test(t, FunctionalKind.HSC, "full")
+        invariance_test(t, "hsc", "full")
     with pytest.raises(TypeError):
         invariance_test(t, "rbc", "full", samples=100)
 
@@ -954,3 +954,19 @@ def test_invariance_bound_is_relative_to_the_tensor():
     ok, _ = invariance_test(paper_hopf([1e3, 5e2 - 5e2j]), "rbc", "full")
     assert not ok
     assert not invariance_test(paper_hopf([1.0, 0.5 - 0.5j]), "rbc", "full")[0]
+
+
+def test_every_quadratic_form_entry_point_refuses_hsc_with_one_pointer():
+    # hsc is no FunctionalKind: the enum refuses it once, for every caller
+    t = random_tensor(2, 2)
+    calls = [lambda: quadratic_form_matrix("hsc", matrices_from(t)),
+             lambda: evaluate("hsc", matrices_from(t), [1.0, 0.0]),
+             lambda: search_mod.frame_form(t, "hsc"),
+             lambda: extremize(t, "hsc"),
+             lambda: invariance_test(t, "hsc", "full"),
+             lambda: tricerri_family_extrema(1.0, "hsc")]
+    for call in calls:
+        with pytest.raises(UsageError, match=r"use hsc\(tensor, w\)"):
+            call()
+    assert [k.value for k in FunctionalKind] == ["rbc", "altered_rbc", "altered_hsc", "qobc",
+                                                 "altered_qobc"]
