@@ -7,7 +7,7 @@ unitary frame bundle layered on top.
 
 from .config import DEFAULT, Tolerances
 from .errors import CurvlabError, DomainError, NumericalError, UsageError
-from .linalg import EigenDecomposition, cholesky_frame, self_adjoint_eigen
+from .linalg import cholesky_frame
 from .metrics import MetricField, MetricJet, finite_difference_jet, jet_at, make_metric
 from .curvature import (ChernTensor, FrameConvention, RicciKind, curvature_from_jet,
                         kahler_constant, make_synthetic, paper_hopf, paper_tricerri,

@@ -38,7 +38,7 @@ from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
 from .functionals import weitzenbock
 from .linalg import (_instance, _integer, _numeric, _square, ensure_finite, max_modulus,
-                     rng_from, self_adjoint_eigen)
+                     rng_from)
 from .reports import IdentityReport
 
 # generator rows per block of the Perron check: its (rows, n) temporaries
@@ -238,13 +238,13 @@ def cone_min(m, cone):
     stack = m.reshape(-1, n, n)
     if _instance(cone, Cone, "cone").n != n:
         raise UsageError(f"cone dimension {cone.n} does not match matrix dimension {n}")
+    m_sym = 0.5 * (stack + stack.transpose(0, 2, 1))
     if cone.kind == "full":
-        dec = self_adjoint_eigen(stack)  # eigen of the symmetric part
-        values = dec.values[:, 0]
-        v = np.ascontiguousarray(dec.vectors[:, :, 0].real)
+        values, vectors = np.linalg.eigh(m_sym)
+        values = values[:, 0]
+        v = np.ascontiguousarray(vectors[:, :, 0])
     else:
         g = cone.generators
-        m_sym = 0.5 * (stack + stack.transpose(0, 2, 1))
         v = _face_minimum(m_sym, g, _faces(g))
     vv = _dot(v, v)
     if cone.kind != "full":
@@ -281,9 +281,11 @@ class EDMatrix:
 
 def edm_from_vector(v):
     v = _numeric(v, "generator vector").reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise DomainError("generator vector contains NaN or Inf")
-    sigma = (v[:, None] - v[None, :]) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = (v[:, None] - v[None, :]) ** 2
+    if not np.isfinite(sigma).all():   # NaN or Inf in v gives NaN here
+        raise DomainError("generator vector contains NaN or Inf, or a difference whose square "
+                          "overflows")
     sigma.flags.writeable = False
     return EDMatrix(sigma=sigma, source=v)
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     frame_change_unitary: float = 1e-8  # |U^H U - I| accepted by transform_frame
-    eigen_reconstruction: float = 1e-9  # |M v - lambda v|, x |M|
     metric_conditioning: float = 1e-4   # metric refused unless lambda_min > this x lambda_max
-    frame_orthonormal: float = 1e-10    # |E^H g E - I|
+    frame_orthonormal: float = 1e-10    # |E^T g conj(E) - I|, dimensionless
     tensor_hermitian: float = 1e-8      # four-index Hermitian symmetry, x |R|
     scalar_imag: float = 1e-8           # imaginary residue of traces
     fd_min_step: float = 1e-10          # below this, cancellation dominates

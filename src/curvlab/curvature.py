@@ -21,15 +21,15 @@ under which the Hopf-surface components are frame independent.
 import enum
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import (_instance, _integer, _number, _numeric, cholesky_frame, max_modulus,
-                     rng_from, unitary_residual)
+from .linalg import (_identifier, _instance, _integer, _number, _numeric, _square,
+                     cholesky_frame, max_modulus, rng_from, unitary_residual)
 from .metrics import HOPF_SQ_RANGE, MetricJet, _chart_sq_norm
 
 COORDINATE = "coordinate"
@@ -63,12 +63,40 @@ def hermitian_tensor_residual(values):
 
 @dataclass(frozen=True)
 class ChernTensor:
-    """Dense n^4 curvature tensor with a basis tag."""
+    """Dense n^4 curvature tensor with a basis tag, checked once when built.
+
+    A UsageError unless values is a numeric (n, n, n, n) array, n >= 1, the
+    basis 'coordinate' or 'frame', and an (n, n) numeric metric present
+    exactly on a coordinate tensor; a DomainError unless every entry is
+    finite and at most MAX_ENTRY, and ``sym_residual``, the Hermitian
+    residual, at most ``Tolerances.tensor_hermitian`` x max(1, max|R|).  The
+    values are kept as a read-only complex copy.
+    """
 
     values: np.ndarray
     basis: str
     metric: Optional[np.ndarray] = None
-    sym_residual: float = 0.0
+    sym_residual: float = field(init=False)
+
+    def __post_init__(self):
+        values = np.array(_numeric(self.values, "curvature tensor", complex))
+        n = values.shape[0] if values.ndim else 0
+        if n == 0 or values.shape != (n,) * 4:
+            raise UsageError(f"curvature tensor must be an (n, n, n, n) array with n >= 1, "
+                             f"got shape {values.shape}")
+        if _identifier(self.basis, "tensor basis") not in (COORDINATE, FRAME):
+            raise UsageError(f"unknown tensor basis '{self.basis}'; bases: {COORDINATE}, {FRAME}")
+        if (self.metric is None) == (self.basis == COORDINATE):
+            raise UsageError("a tensor carries a metric if and only if its basis is 'coordinate'")
+        if self.metric is not None and _square(self.metric, "tensor metric", None).shape != (n, n):
+            raise UsageError(f"tensor metric must be {n} x {n}, got shape {np.shape(self.metric)}")
+        scale = max(1.0, max_modulus(values, "curvature tensor"))
+        resid = hermitian_tensor_residual(values)
+        if resid > DEFAULT.tensor_hermitian * scale:
+            raise DomainError(f"tensor violates Hermitian symmetry: residual {resid:.3e}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sym_residual", resid)
 
     @property
     def n(self):
@@ -80,20 +108,6 @@ def require_frame(tensor, op):
     if _instance(tensor, ChernTensor, f"tensor given to {op}").basis != FRAME:
         raise UsageError(f"{op} needs a unitary-frame tensor; convert with to_frame first")
     return tensor
-
-
-def _build(values, basis, metric=None):
-    """A ChernTensor of checked values; a stack of tensors along one leading
-    axis gives a tuple of them, each checked as a single tensor is."""
-    values = np.asarray(values, dtype=complex)
-    if values.ndim > 4:
-        return tuple(_build(v, basis, metric) for v in values)
-    scale = max(1.0, max_modulus(values, "curvature tensor"))
-    resid = hermitian_tensor_residual(values)
-    if resid > DEFAULT.tensor_hermitian * scale:
-        raise DomainError(f"tensor violates Hermitian symmetry: residual {resid:.3e}")
-    values.flags.writeable = False
-    return ChernTensor(values=values, basis=basis, metric=metric, sym_residual=resid)
 
 
 def curvature_from_jet(jet):
@@ -110,7 +124,7 @@ def curvature_from_jet(jet):
     g = np.asarray(_instance(jet, MetricJet, "jet").g, dtype=complex)
     y = np.reshape(jet.dg, (jet.n ** 2, jet.n)) @ np.conj(cholesky_frame(g))
     correction = (y @ np.conj(y).T).reshape((jet.n,) * 4).transpose(0, 2, 1, 3)
-    return _build(-jet.ddg + correction, COORDINATE, metric=g)
+    return ChernTensor(-jet.ddg + correction, COORDINATE, metric=g)
 
 
 def _change_indices(r, factors):
@@ -149,10 +163,8 @@ def to_frame(tensor):
     """Convert a coordinate tensor to the unitary frame of its metric."""
     if _instance(tensor, ChernTensor, "tensor given to to_frame").basis == FRAME:
         return tensor
-    if tensor.metric is None:
-        raise UsageError("coordinate tensor carries no metric")
     e = cholesky_frame(tensor.metric).T
-    return _build(_change_indices(tensor.values, (e, np.conj(e), e, np.conj(e))), FRAME)
+    return ChernTensor(_change_indices(tensor.values, (e, np.conj(e), e, np.conj(e))), FRAME)
 
 
 def transform_frame(tensor, u, convention):
@@ -166,14 +178,17 @@ def transform_frame(tensor, u, convention):
     """
     u = _checked_frame_change(tensor, u, "transform_frame", ranks=(2, 3))
     uc = np.conj(u)
-    first = (u, uc) if FrameConvention(convention) is FrameConvention.FULL else (None, None)
-    return _build(_change_indices(tensor.values, first + (u, uc)), FRAME)
+    full = FrameConvention(_identifier(convention, "frame convention")) is FrameConvention.FULL
+    values = _change_indices(tensor.values, ((u, uc) if full else (None, None)) + (u, uc))
+    if u.ndim == 3:
+        return tuple(ChernTensor(v, FRAME) for v in values)
+    return ChernTensor(values, FRAME)
 
 
 def ricci(tensor, kind):
     """One of the four Ricci contractions of a frame tensor."""
     r = require_frame(tensor, "ricci").values
-    kind = RicciKind(kind)
+    kind = RicciKind(_identifier(kind, "Ricci kind", integer=True))
     if kind is RicciKind.FIRST:
         out = np.einsum("ijkk->ij", r)
     elif kind is RicciKind.SECOND:
@@ -206,7 +221,7 @@ def kahler_constant(c, n):
     n = _integer(n, "parameter 'n'", 1)
     eye = np.eye(n)
     vals = 0.5 * c * (np.einsum("ij,kl->ijkl", eye, eye) + np.einsum("il,kj->ijkl", eye, eye))
-    return _build(vals.astype(complex), FRAME)
+    return ChernTensor(vals, FRAME)
 
 
 def skew_pair(c, n, seed):
@@ -223,7 +238,7 @@ def skew_pair(c, n, seed):
     for i in range(n):
         for j in range(n):
             vals[i, i, j, j] = 0.5 * c + s[i, j]
-    return _build(vals, FRAME)
+    return ChernTensor(vals, FRAME)
 
 
 def paper_hopf(z):
@@ -246,7 +261,7 @@ def paper_hopf(z):
     block[0, 0] = 4.0 * abs2[1] / rho ** 3
     block[1, 1] = 4.0 * abs2[0] / rho ** 3
     vals = np.einsum("ij,kl->ijkl", block, np.eye(2))
-    return _build(vals, FRAME)
+    return ChernTensor(vals, FRAME)
 
 
 def paper_tricerri(b, d, im_w):
@@ -274,7 +289,7 @@ def paper_tricerri(b, d, im_w):
     vals = np.zeros((2, 2, 2, 2), dtype=complex)
     vals[1, 1, 0, 0] = bb * r0
     vals[1, 1, 1, 1] = dd * r0
-    return _build(vals, FRAME)
+    return ChernTensor(vals, FRAME)
 
 
 def random_tensor(seed, n):
@@ -283,7 +298,7 @@ def random_tensor(seed, n):
     rng = rng_from(seed)
     raw = rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
     vals = 0.5 * (raw + np.conj(raw).transpose(1, 0, 3, 2))
-    return _build(vals, FRAME)
+    return ChernTensor(vals, FRAME)
 
 
 def make_synthetic(kind, **params):
@@ -299,7 +314,7 @@ def make_synthetic(kind, **params):
         "random": lambda: random_tensor(params.get("seed", 0), params["n"]),
     }
     try:
-        builder = builders[kind]
+        builder = builders[_identifier(kind, "synthetic tensor kind")]
     except KeyError:
         raise UsageError(f"unknown synthetic tensor '{kind}'; kinds: {sorted(builders)}") from None
     if "n" in params:

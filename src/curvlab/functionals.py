@@ -45,8 +45,8 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import UsageError
-from .linalg import (_hermitian_basis, _instance, _number, _numeric, _square, ensure_finite,
-                     self_adjoint_eigen)
+from .linalg import (_hermitian_basis, _identifier, _instance, _number, _numeric, _shape,
+                     _square, ensure_finite)
 from .curvature import FrameConvention, _checked_frame_change, require_frame, scalars
 from .reports import IdentityReport
 
@@ -77,6 +77,17 @@ class CurvatureMatrices:
     altered: np.ndarray
     imag_residual: float
 
+    def __post_init__(self):
+        """Shapes alone are checked, with no pass over the data: both fields
+        are numeric (..., n, n) stacks of one shape, n >= 1."""
+        shape = _shape(self.rbc, "CurvatureMatrices field 'rbc'")
+        if len(shape) < 2 or shape[-1] != shape[-2] or shape[-1] == 0:
+            raise UsageError(f"CurvatureMatrices field 'rbc' must be an n x n matrix or a stack "
+                             f"of them, n >= 1, got shape {shape}")
+        if _shape(self.altered, "CurvatureMatrices field 'altered'") != shape:
+            raise UsageError(f"CurvatureMatrices field 'altered' must have the shape of 'rbc', "
+                             f"{shape}, got {self.altered.shape}")
+
     @classmethod
     def from_slices(cls, rbc, altered):
         """Real parts of the complex slices R[a,a,g,g] and R[a,g,g,a]."""
@@ -104,6 +115,9 @@ def matrices_from(tensors):
     are gathers, so each stacked matrix equals its single call bit for bit."""
     single = not isinstance(tensors, (list, tuple))
     frames = [require_frame(t, "matrices_from") for t in ((tensors,) if single else tensors)]
+    if len({t.n for t in frames}) != 1:
+        raise UsageError(f"matrices_from needs one or more tensors of one dimension, "
+                         f"got dimensions {[t.n for t in frames]}")
     r = frames[0].values if single else np.stack([t.values for t in frames])
     return CurvatureMatrices.from_slices(np.einsum("...aagg->...ag", r),
                                          np.einsum("...agga->...ag", r))
@@ -122,14 +136,15 @@ def frame_matrices(tensor, u, convention):
     under the adjoint convention both are einsums straight from R, on the
     stack made C-contiguous first (numpy's einsum rounds a strided stack's
     rows differently).  Every row of a stack of any size or layout equals
-    its single call bit for bit.  The stack and the finiteness of the result
-    are checked once per call.
+    its single call bit for bit.  The stack is checked once per call; the
+    result needs no check, since the tensor's entries are at most MAX_ENTRY
+    and u is unitary.
     """
     u = np.ascontiguousarray(_checked_frame_change(tensor, u, "frame_matrices"))
     n = tensor.n
     r = tensor.values
     uc = np.conj(u)
-    if FrameConvention(convention) is FrameConvention.FULL:
+    if FrameConvention(_identifier(convention, "frame convention")) is FrameConvention.FULL:
         p = (u[..., :, None] * uc[..., None, :]).reshape(u.shape[:-1] + (n * n,))
         pt = np.swapaxes(p, -1, -2)
         rbc = p @ r.reshape(n * n, n * n) @ pt
@@ -137,8 +152,7 @@ def frame_matrices(tensor, u, convention):
     else:
         rbc = np.einsum("...gs,...gt,aast->...ag", u, uc, r)
         alt = np.einsum("...gs,...at,agst->...ag", u, uc, r)
-    return (ensure_finite(rbc, "frame-changed rbc matrix"),
-            ensure_finite(alt, "frame-changed altered matrix"))
+    return rbc, alt
 
 
 def _direction_rows(v, name="vector"):
@@ -220,7 +234,7 @@ def bisectional(tensor, x, y, altered=True):
 def quadratic_form_matrix(kind, matrices):
     """Symmetric-form carrier of a quadratic functional kind; stacked
     matrices give a stack of carriers."""
-    kind = FunctionalKind(kind)
+    kind = FunctionalKind(_identifier(kind, "functional kind"))
     if kind is FunctionalKind.RBC:
         return matrices.rbc
     if kind is FunctionalKind.ALTERED_RBC:
@@ -242,7 +256,7 @@ def evaluate(kind, matrices, v):
     vector, with the same rounding, and depends only on the direction of
     the vector: 2**-600 * v and v give equal values.
     """
-    kind = FunctionalKind(kind)
+    kind = FunctionalKind(_identifier(kind, "functional kind"))
     _instance(matrices, CurvatureMatrices, "matrices")
     v = _direction_rows(_numeric(v, "vector"))
     if v.shape[-1] != matrices.n:
@@ -262,7 +276,8 @@ def evaluate(kind, matrices, v):
 def rayleigh_bounds(m):
     """Sharp bounds of v^T m v / |v|^2: extreme eigenvalues of the symmetric
     part; a stack of matrices gives two arrays, one eigensolve for all."""
-    values = self_adjoint_eigen(_numeric(m, "matrix")).values
+    m = ensure_finite(_square(m, "matrix", stack=None), "matrix")
+    values = np.linalg.eigh(0.5 * (m + np.swapaxes(m, -1, -2)))[0]
     lo, hi = values[..., 0], values[..., -1]
     return (float(lo), float(hi)) if lo.ndim == 0 else (lo, hi)
 
@@ -290,7 +305,7 @@ def frame_form(tensor, kind):
     difference forms add the row and column sums S(A^2, I) + S(I, A^2), which
     are the linear functional ell[p,q] = S[p,q,s,s] + S[s,s,p,q] at A^2.
     """
-    kind = FunctionalKind(kind)
+    kind = FunctionalKind(_identifier(kind, "functional kind"))
     require_frame(tensor, "frame_form")
     if kind is FunctionalKind.ALTERED_HSC:
         return frame_form(tensor, "rbc") + frame_form(tensor, "altered_rbc")

@@ -1,24 +1,26 @@
-"""Small dense matrix kernel: seeded streams, self-adjoint spectra, metric
-frames, Haar unitaries, and one fixed table: an orthonormal basis of
-Herm(n).
+"""Small dense matrix kernel: seeded streams, metric frames, Haar
+unitaries, and one fixed table: an orthonormal basis of Herm(n).
 
 Everything here targets matrices of size n <= 8 and is backed by LAPACK via
-numpy.  Residuals, spectra and Haar draws also work on stacks of matrices
-along leading axes, checked once per stack.  Eigenvalues always come back
-ascending; Haar sampling follows the QR-with-phase-fix construction
-(diagonal of the triangular factor made real positive), which gives exactly
-Haar measure.  All randomness in the package
-flows through PCG64 generators built by ``rng_from``.
+numpy.  Residuals and Haar draws also work on stacks of matrices along
+leading axes, checked once per stack.  Haar sampling follows the
+QR-with-phase-fix construction (diagonal of the triangular factor made real
+positive), which gives exactly Haar measure.  All randomness in the package
+flows through PCG64 generators built by ``rng_from``.  Eigenproblems call
+numpy's ``eigh`` directly: LAPACK's symmetric eigensolver is backward
+stable, so its result is not re-checked, and its inputs are checked where
+they enter.
 
 The argument checks that every public entry point shares live here too, one
 per kind of argument (``_integer``, ``_number``, ``_numeric``, ``_square``,
-and ``_instance`` for an object of one of the package's types); each raises
-UsageError naming the argument.
+``_shape`` for an array field read without a pass over its data,
+``_instance`` for an object of one of the package's types, and
+``_identifier`` for the name of an enum member or a table entry); each
+raises UsageError naming the argument.
 """
 
 import functools
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,6 +80,27 @@ def _instance(value, cls, what):
     raise UsageError(f"{what} must be a {cls.__name__}, got {type(value).__name__}")
 
 
+def _shape(value, what):
+    """The shape of value if it is a numeric ndarray, else UsageError: read
+    from its attributes alone, with no pass over the data."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "biufc":
+        return value.shape
+    raise UsageError(f"{what} must be a numeric array, got {type(value).__name__}")
+
+
+def _identifier(value, what, integer=False):
+    """value itself if it can name an enum member or a table entry: a str,
+    or with integer also an integer >= 0 read through ``_integer``; else
+    UsageError.  Called before the lookup, so an array never reaches an
+    enum's comparisons or a table's hash, and a name that is not there
+    fails with the lookup's own message."""
+    if isinstance(value, str):
+        return value
+    if integer:
+        return _integer(value, what)
+    raise UsageError(f"{what} must be a name, got {value!r}")
+
+
 def rng_from(seed, *key):
     """PCG64 generator for ``seed``, an integer >= 0, optionally keyed by a
     derivation path."""
@@ -103,47 +126,10 @@ def max_modulus(arr, what="input"):
     return top
 
 
-def _adjoint(m):
-    """Conjugate transpose of a matrix, or of each matrix of a stack."""
-    return np.swapaxes(np.conj(m), -1, -2)
-
-
 def unitary_residual(u):
     """Largest entry of |U^H U - I| over a matrix or a stack of matrices."""
     u = np.asarray(u)
-    return float(np.abs(_adjoint(u) @ u - np.eye(u.shape[-1])).max())
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectrum of a self-adjoint matrix, or of a stack of them.
-
-    values are ascending along the last axis; vectors holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def self_adjoint_eigen(m):
-    """Full spectrum of a (nearly) self-adjoint matrix, ascending; a stack of
-    matrices along leading axes gives a stack of spectra.
-
-    The input is symmetrized first, because quadratic-form consumers only
-    ever see the symmetric part.  The eigen-reconstruction residual of every
-    matrix is checked against its own scale.
-    """
-    m = _square(m, "matrix", None, stack=None)
-    m = ensure_finite(m.astype(complex if np.iscomplexobj(m) else float, copy=False),
-                      "matrix")
-    h = 0.5 * (m + _adjoint(m))
-    values, vectors = np.linalg.eigh(h)
-    scale = np.maximum(1.0, np.abs(h).max(axis=(-2, -1)))
-    recon = np.abs(h @ vectors - vectors * values[..., None, :]).max(axis=(-2, -1))
-    if (recon > DEFAULT.eigen_reconstruction * scale).any():
-        raise DomainError(f"eigendecomposition residual {recon.max():.3e} exceeds tolerance")
-    return EigenDecomposition(values=values, vectors=vectors)
+    return float(np.abs(np.swapaxes(np.conj(u), -1, -2) @ u - np.eye(u.shape[-1])).max())
 
 
 def cholesky_frame(g):
@@ -156,7 +142,10 @@ def cholesky_frame(g):
     diagonal metrics give diagonal frames.
 
     It alone decides whether g is usable, by the scale-free test lambda_min >
-    ``Tolerances.metric_conditioning`` x lambda_max on its Hermitian part.
+    ``Tolerances.metric_conditioning`` x lambda_max on its Hermitian part,
+    and by the orthonormality residual |E^T g conj(E) - I|, which is
+    dimensionless and so is bounded by ``Tolerances.frame_orthonormal``
+    alone: a skew part that the Hermitian part hides is refused at any scale.
     """
     g = ensure_finite(_square(g, "metric", complex), "metric")
     h = 0.5 * (g + g.conj().T)
@@ -167,7 +156,7 @@ def cholesky_frame(g):
     low = np.linalg.cholesky(h)
     e = np.linalg.inv(low).T
     residual = float(np.abs(e.T @ g @ np.conj(e) - np.eye(g.shape[0])).max())
-    if residual > DEFAULT.frame_orthonormal * max(1.0, float(np.abs(g).max())):
+    if residual > DEFAULT.frame_orthonormal:
         raise DomainError(f"frame orthonormality residual {residual:.3e} too large")
     return e
 
@@ -182,7 +171,7 @@ def haar_from_rng(n, rng, count=None):
     phases of the triangular factor's diagonal moved into Q.
     """
     n = _integer(n, "parameter 'n'", 1)
-    lead = () if count is None else (count,)
+    lead = () if count is None else (_integer(count, "parameter 'count'"),)
     g = rng.standard_normal(lead + (2, n, n))
     z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)

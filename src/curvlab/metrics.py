@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import _instance, _integer, _numeric, ensure_finite
+from .linalg import _identifier, _instance, _integer, _numeric, _shape, ensure_finite
 
 CHART_BOUND = 10.0      # |coordinate| bound for the Tricerri fundamental-domain chart
 HOPF_MARGIN = 0.05      # hopf domain: |z| > margin
@@ -46,11 +46,24 @@ TRICERRI_MARGIN = 0.05  # tricerri domain: Im(w) > margin
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric value and first/mixed-second derivatives at a point."""
+    """Metric value and first/mixed-second derivatives at a point.
+
+    Shapes alone are checked when a jet is built, with no pass over the
+    data: g, dg and ddg are numeric arrays of shapes (n, n), (n, n, n) and
+    (n, n, n, n), n >= 1."""
 
     g: np.ndarray
     dg: np.ndarray
     ddg: np.ndarray
+
+    def __post_init__(self):
+        shapes = [_shape(self.g, "jet field 'g'"), _shape(self.dg, "jet field 'dg'"),
+                  _shape(self.ddg, "jet field 'ddg'")]
+        n = shapes[0][:1]
+        for name, shape, rank in zip(("g", "dg", "ddg"), shapes, (2, 3, 4)):
+            if n in ((), (0,)) or shape != n * rank:
+                raise UsageError(f"jet field '{name}' must have shape (n,) * {rank}, n >= 1 the "
+                                 f"length of g, got {shape} with g of shape {shapes[0]}")
 
     @property
     def n(self):
@@ -66,13 +79,23 @@ class MetricJet:
 
 @dataclass(frozen=True)
 class MetricField:
-    """A Hermitian metric g_{i jbar}(p) on a chart domain in C^n."""
+    """A Hermitian metric g_{i jbar}(p) on a chart domain in C^n.  When it is
+    built, n is checked to be an integer >= 1, evaluate and domain callable,
+    and jet callable or None."""
 
     name: str
     n: int
     evaluate: Callable[[np.ndarray], np.ndarray]
     domain: Callable[[np.ndarray], bool]
     jet: Optional[Callable[[np.ndarray], MetricJet]] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "metric field 'n'", 1))
+        for name in ("evaluate", "domain", "jet"):
+            value = getattr(self, name)
+            if not (callable(value) or (name == "jet" and value is None)):
+                raise UsageError(f"metric field '{name}' must be callable, "
+                                 f"got {type(value).__name__}")
 
 
 def as_point(p, n=None):
@@ -425,7 +448,7 @@ def make_metric(name, dim=None):
     fubini_study | tricerri, the last two on n = 2 only.  The dimension of
     the others is bounded by MAX_DIM."""
     try:
-        builder = _CATALOG[name]
+        builder = _CATALOG[_identifier(name, "metric name")]
     except KeyError:
         raise UsageError(f"unknown metric '{name}'; catalog: {sorted(_CATALOG)}") from None
     if name not in ("hopf", "tricerri"):

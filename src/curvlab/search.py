@@ -57,8 +57,8 @@ import numpy as np
 
 from .errors import NumericalError, UsageError
 from .config import DEFAULT
-from .linalg import (_hermitian_basis, _instance, _integer, haar_from_rng, rng_from,
-                     self_adjoint_eigen)
+from .linalg import (_hermitian_basis, _identifier, _instance, _integer, haar_from_rng,
+                     rng_from)
 from .curvature import FrameConvention, paper_tricerri, require_frame, transform_frame
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
                           frame_matrices, matrices_from, quadratic_form_matrix,
@@ -278,12 +278,11 @@ def _exact_extrema(tensor, kind):
     turned into its Hermitian matrix A = W diag(x) W^H, realized by frame W^T
     and vector x."""
     n = tensor.n
-    dec = self_adjoint_eigen(frame_form(tensor, kind))
-    coords = dec.vectors[:, [0, -1]].T
-    spec = self_adjoint_eigen((coords @ _hermitian_basis(n)).reshape(2, n, n))
-    return [FrameExtremum(value=float(dec.values[col]), frame=spec.vectors[j].T,
-                          vector=spec.values[j], convention=FrameConvention.FULL.value,
-                          source="exact")
+    # frame_form is exactly symmetric, and each A exactly Hermitian
+    values, vectors = np.linalg.eigh(frame_form(tensor, kind))
+    spec, frames = np.linalg.eigh((vectors[:, [0, -1]].T @ _hermitian_basis(n)).reshape(2, n, n))
+    return [FrameExtremum(value=float(values[col]), frame=frames[j].T, vector=spec[j],
+                          convention=FrameConvention.FULL.value, source="exact")
             for j, col in enumerate((0, -1))]
 
 
@@ -320,13 +319,13 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
     invariant kinds share one ``_identity_extrema`` call, the searched kinds
     run as one lockstep of lanes, and every extremum is re-evaluated in one
     pass."""
-    kinds = [FunctionalKind(kind) for kind in kinds]
+    kinds = [FunctionalKind(_identifier(kind, "functional kind")) for kind in kinds]
     require_frame(tensor, "extremize")
     cone = full_cone(tensor.n) if cone is None else _instance(cone, Cone, "cone")
     _instance(cfg, SearchConfig, "parameter 'cfg'")
     if cone.n != tensor.n:
         raise UsageError("cone dimension does not match tensor dimension")
-    convention = FrameConvention(convention)
+    convention = FrameConvention(_identifier(convention, "frame convention"))
 
     if cone.kind == "full" and convention is FrameConvention.FULL:
         rows = {kind: _exact_extrema(tensor, kind) for kind in kinds}
@@ -379,8 +378,8 @@ def invariance_test(tensor, kind, convention):
     traceless part.  qobc, blind to the diagonal of rbc', reads S[0,0] - S[1,1]
     at n = 2, where u_g u_g^H = I - u_a u_a^H.
     """
-    kind = FunctionalKind(kind)
-    convention = FrameConvention(convention)
+    kind = FunctionalKind(_identifier(kind, "functional kind"))
+    convention = FrameConvention(_identifier(convention, "frame convention"))
     n = require_frame(tensor, "invariance_test").n
     r = tensor.values
     if n == 1:
@@ -419,7 +418,7 @@ def tricerri_family_extrema(im_w, kind):
     side takes the first corner that attains it.  Returns a dict with
     inf/sup values and the realizing (|b|^2, |d|^2) corners.
     """
-    kind = FunctionalKind(kind)
+    kind = FunctionalKind(_identifier(kind, "functional kind"))
     # at a corner |b|^2 = |b| and |d|^2 = |d|
     corners = [(b, d) for b in (0.0, 1.0) for d in (0.0, 1.0)]
     m = matrices_from([paper_tricerri(b, d, im_w) for b, d in corners])

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import DEFAULT
 from .errors import UsageError
-from .linalg import _integer, rng_from
+from .linalg import _identifier, _integer, rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
 from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
                         paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
@@ -367,7 +367,7 @@ def run_suite(name, seed=0):
         "cones": suite_cones,
         "identities": suite_identities,
     }
-    if name == "all":
+    if _identifier(name, "verify suite") == "all":
         combined = VerifyReport(suite="all")
         for key in SUITES:
             part = builders[key](seed=seed)

@@ -13,7 +13,8 @@ import warnings
 import numpy as np
 import pytest
 
-from curvlab import (ConstHSC, DomainError, UsageError, bisectional, cholesky_frame,
+from curvlab import (ConstHSC, CurvatureMatrices, DomainError, MetricField, MetricJet,
+                     UsageError, bisectional, cholesky_frame,
                      cone_min, constant_identity_check, copositive_2x2,
                      curvature_from_jet, difference_form_pairings, dual_edm_test,
                      edm_from_vector, evaluate, extremize, finite_difference_jet,
@@ -21,7 +22,7 @@ from curvlab import (ConstHSC, DomainError, UsageError, bisectional, cholesky_fr
                      kahler_constant, make_cone, make_metric, matrices_from, paper_hopf,
                      paper_tricerri, perron_criterion_check, perron_weights,
                      random_tensor, rayleigh_bounds, ricci, ricci_qobc_bounds, scalars,
-                     self_adjoint_eigen, skew_pair, to_frame, tricerri_family_extrema,
+                     skew_pair, to_frame, transform_frame, tricerri_family_extrema,
                      weitzenbock)
 from curvlab.functionals import frame_matrices
 from curvlab.linalg import haar_from_rng, rng_from
@@ -61,7 +62,6 @@ BAD_CALLS = {
     # other numeric inputs
     "cholesky_frame(zeros((2, 3)))": lambda: cholesky_frame(np.zeros((2, 3))),
     "weitzenbock('a')": lambda: weitzenbock("a"),
-    "self_adjoint_eigen([[1, 2], [3, 'a']])": lambda: self_adjoint_eigen([[1, 2], [3, "a"]]),
     "finite_difference_jet(hopf, ['a', 0], 1e-4)":
         lambda: finite_difference_jet(hopf().evaluate, ["a", 0], 1e-4),
     "hsc(random_tensor(0, 2), 'ab')": lambda: hsc(random_tensor(0, 2), "ab"),
@@ -87,6 +87,31 @@ BAD_CALLS = {
     "paper_tricerri(0, 1e308 + 1e308j, 1)": lambda: paper_tricerri(0, 1e308 + 1e308j, 1),
     "finite_difference_jet(hopf, [1.0, 0.5], 1e300)":
         lambda: finite_difference_jet(hopf().evaluate, [1.0, 0.5], 1e300),
+    # an array where a name or a Ricci kind belongs
+    "extremize(t, array(['rbc', 'qobc']))":
+        lambda: extremize(random_tensor(0, 2), np.array(["rbc", "qobc"])),
+    "transform_frame(t, eye(2), array(['full', 'adjoint']))":
+        lambda: transform_frame(random_tensor(0, 2), np.eye(2), np.array(["full", "adjoint"])),
+    "ricci(t, array([1, 2]))": lambda: ricci(random_tensor(0, 2), np.array([1, 2])),
+    "run_suite(array(['hopf', 'cones']))": lambda: run_suite(np.array(["hopf", "cones"])),
+    "make_metric(array(['hopf', 'x']))": lambda: make_metric(np.array(["hopf", "x"])),
+    "evaluate(array(['rbc']), m, [1, 0])":
+        lambda: evaluate(np.array(["rbc"]), matrices_from(random_tensor(0, 2)), [1, 0]),
+    # empty stacks, counts and distance matrices that overflow
+    "matrices_from([])": lambda: matrices_from([]),
+    "haar_from_rng(2, rng, -1)": lambda: haar_from_rng(2, rng_from(0), -1),
+    "haar_from_rng(2, rng, 2.5)": lambda: haar_from_rng(2, rng_from(0), 2.5),
+    "perron_weights(edm_from_vector([0, 1e200, 3]))":
+        lambda: perron_weights(edm_from_vector([0, 1e200, 3])),
+    # hand-built jets, fields and matrices of the wrong shape
+    "curvature_from_jet(MetricJet(eye(2), zeros((3, 3)), zeros(2)))":
+        lambda: curvature_from_jet(MetricJet(np.eye(2), np.zeros((3, 3)), np.zeros(2))),
+    "evaluate('rbc', CurvatureMatrices(zeros(2), zeros(2), 0.0), [1, 0])":
+        lambda: evaluate("rbc", CurvatureMatrices(np.zeros(2), np.zeros(2), 0.0), [1, 0]),
+    "jet_at(MetricField('x', 0, ...), [])":
+        lambda: jet_at(MetricField("x", 0, hopf().evaluate, hopf().domain), []),
+    "MetricField evaluate None":
+        lambda: jet_at(MetricField("x", 2, None, hopf().domain), [1.0, 0.5]),
 }
 
 
@@ -151,6 +176,33 @@ def test_the_shared_checks_name_the_argument():
         dual_edm_test(np.zeros((2, 3)))
     with pytest.raises(UsageError, match=r"parameter 'samples' must be an integer >= 100"):
         perron_criterion_check(np.eye(3), samples=1500.5)
+    # an identifier is checked before its lookup
+    t = random_tensor(0, 2)
+    with pytest.raises(UsageError, match="functional kind must be a name, got array"):
+        evaluate(np.array(["rbc"]), matrices_from(t), [1, 0])
+    with pytest.raises(UsageError, match=r"Ricci kind must be an integer >= 0, got array"):
+        ricci(t, np.array([1, 2]))
+    with pytest.raises(UsageError, match="verify suite must be a name, got array"):
+        run_suite(np.array(["hopf", "cones"]))
+
+
+def test_hand_built_jets_fields_and_matrices_name_the_field():
+    with pytest.raises(UsageError, match=r"jet field 'dg' must have shape \(n,\) \* 3"):
+        MetricJet(np.eye(2), np.zeros((3, 3)), np.zeros(2))
+    with pytest.raises(UsageError, match=r"jet field 'g' must have shape \(n,\) \* 2"):
+        MetricJet(np.zeros((2, 3)), np.zeros((2, 2, 2)), np.zeros((2,) * 4))
+    with pytest.raises(UsageError, match=r"jet field 'ddg' must be a numeric array, got list"):
+        MetricJet(np.eye(2), np.zeros((2, 2, 2)), [[0.0]])
+    with pytest.raises(UsageError, match=r"CurvatureMatrices field 'rbc'"):
+        CurvatureMatrices(np.zeros(2), np.zeros(2), 0.0)
+    with pytest.raises(UsageError, match=r"CurvatureMatrices field 'altered'"):
+        CurvatureMatrices(np.zeros((2, 2)), np.zeros((3, 3)), 0.0)
+    with pytest.raises(UsageError, match=r"metric field 'n' must be an integer >= 1, got 0"):
+        MetricField("x", 0, hopf().evaluate, hopf().domain)
+    for name in ("evaluate", "domain", "jet"):
+        fields = {"evaluate": hopf().evaluate, "domain": hopf().domain, name: "not callable"}
+        with pytest.raises(UsageError, match=f"metric field '{name}' must be callable"):
+            MetricField("x", 2, **fields)
 
 
 def test_valid_numbers_of_numpy_types_pass_the_checks():

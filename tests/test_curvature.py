@@ -119,6 +119,41 @@ def test_transform_rejects_bad_input():
         transform_frame(t, 2.0 * np.eye(2), "full")
 
 
+BAD_TENSORS = {
+    "shape (2, 2, 2)": lambda: ChernTensor(np.zeros((2, 2, 2)), "frame"),
+    "[[1]]": lambda: ChernTensor([[1]], "frame"),
+    "NaN entries": lambda: ChernTensor(np.full((2,) * 4, np.nan), "frame"),
+    "entries of 1e300": lambda: ChernTensor(np.full((2,) * 4, 1e300), "frame"),
+    "not Hermitian": lambda: ChernTensor(np.arange(16.0).reshape((2,) * 4) * 1j, "frame"),
+    "basis 'x'": lambda: ChernTensor(np.zeros((2,) * 4), "x"),
+    "coordinate without a metric": lambda: ChernTensor(np.zeros((2,) * 4), COORDINATE),
+    "frame with a metric": lambda: ChernTensor(np.zeros((2,) * 4), "frame", np.eye(2)),
+    "3 x 3 metric at n = 2": lambda: ChernTensor(np.zeros((2,) * 4), COORDINATE, np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("build", BAD_TENSORS.values(), ids=BAD_TENSORS.keys())
+def test_a_tensor_checks_itself_when_built(build):
+    with pytest.raises((UsageError, DomainError)):
+        build()
+
+
+def test_a_hand_built_tensor_reports_its_own_residual():
+    # within the Hermitian tolerance, but not exactly Hermitian
+    vals = random_tensor(4, 3).values.copy()
+    vals[0, 1, 2, 0] += 1e-12
+    t = ChernTensor(vals, "frame")
+    assert t.sym_residual == hermitian_tensor_residual(vals) > 0.0
+    # the tensor keeps a read-only complex copy: the caller's array stays its own
+    assert not t.values.flags.writeable and vals.flags.writeable
+    vals[0, 0, 0, 0] += 1.0
+    assert t.values[0, 0, 0, 0] != vals[0, 0, 0, 0]
+    real = ChernTensor(np.zeros((2,) * 4), COORDINATE, np.eye(2))
+    assert real.values.dtype == complex and real.sym_residual == 0.0
+    with pytest.raises(TypeError):
+        ChernTensor(vals, "frame", sym_residual=0.0)
+
+
 def test_ricci_zero_tensor():
     t = ChernTensor(values=np.zeros((2, 2, 2, 2), dtype=complex), basis="frame")
     for kind in RicciKind:

@@ -600,8 +600,6 @@ def test_each_scan_scores_its_group_in_one_cone_min_call(cone_name, convention, 
         return call
     monkeypatch.setattr(search_mod, "_scan", spy("scan", search_mod._scan))
     monkeypatch.setattr(search_mod, "cone_min", spy("cone_min", search_mod.cone_min))
-    monkeypatch.setattr(search_mod, "self_adjoint_eigen",
-                        spy("self_adjoint_eigen", search_mod.self_adjoint_eigen))
     monkeypatch.setattr(search_mod, "rayleigh_bounds",
                         spy("rayleigh_bounds", search_mod.rayleigh_bounds))
     for name in ("eigh", "eigvalsh"):
