@@ -2,8 +2,8 @@
 
 Every public entry point reads its arguments through the shared checks of
 ``curvlab.linalg`` (an integer in a range, a number, a numeric array, a
-square matrix or stack of them, an object of one of the package's types),
-so a wrong type, shape or range is a
+square matrix or stack of them, an object of one of the package's types,
+a name), so a wrong type, shape or range is a
 UsageError (or a DomainError for non-finite data), never a bare
 ValueError, TypeError or AxisError from numpy.
 """
