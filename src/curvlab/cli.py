@@ -11,9 +11,11 @@ config value is parsed and checked exactly like its flag; precedence is flag
 from outside are bounded: dimensions by MAX_DIM (12), --samples by
 MIN_SAMPLES..MAX_SAMPLES, grid points by MAX_GRID_POINTS per axis and in
 total, --restarts by 1..MAX_RESTARTS and --refine-steps by
-0..MAX_REFINE_STEPS.  sweep writes CSV (--format csv); the other commands
-write text (default) or json, and any other format is a usage error.
-Output is deterministic for a fixed command line and seed.
+0..MAX_REFINE_STEPS.  Each command's --format lists only the formats it
+writes: sweep writes CSV (--format csv), the other commands text (default)
+or json.  Any flag that takes a value accepts one that starts with a minus
+sign, as in --generators -1,1;1,1.  Output is deterministic for a fixed
+command line and seed.
 """
 
 import argparse
@@ -32,7 +34,7 @@ from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
 from .functionals import FunctionalKind, evaluate, hsc, matrices_from, rayleigh_bounds
 from .cones import MIN_SAMPLES, copositive_2x2, cone_min, make_cone, perron_criterion_check
 from .search import SearchConfig, _extremize_kinds, extremize, tricerri_family_extrema
-from .verify import run_suite
+from .verify import SUITES, run_suite
 from . import reports
 
 MAX_SAMPLES = 100_000
@@ -132,14 +134,6 @@ def _load_config(path, flags):
     return tokens
 
 
-def _output_format(args):
-    """A format the command cannot write is a usage error."""
-    allowed = FORMATS[args.command]
-    if args.format not in allowed:
-        raise UsageError(f"{args.command} has no {args.format} output; "
-                         f"formats: {', '.join(allowed)}")
-
-
 def _bounds(args):
     """The integers a command reads from outside, each within its bounds:
     --seed, --restarts and --refine-steps (also where a command ignores them)
@@ -197,13 +191,9 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p_eval = subs.add_parser("eval", help="evaluate a curvature functional at a point")
-    p_eval.add_argument("--metric")
-    p_eval.add_argument("--dim", type=int)
-    p_eval.add_argument("--point")
     p_eval.add_argument("--functional")
     p_eval.add_argument("--vector", help="real vector for the quadratic kinds")
     p_eval.add_argument("--cvector", help="complex vector for hsc")
-    p_eval.add_argument("--use-paper-tensor", action="store_true")
 
     p_verify = subs.add_parser(
         "verify", help="run a reproduction suite",
@@ -214,28 +204,19 @@ def build_parser():
                     "altered_hsc_bounds_formula (random points), the cones oracles, "
                     "fubini_study hsc_constant_2, and the identities suite's random "
                     "tensors, scalar_trace_invariance's included.")
-    p_verify.add_argument("suite", choices=["hopf", "tricerri", "fubini_study",
-                                            "cones", "identities", "all"])
+    p_verify.add_argument("suite", choices=[*SUITES, "all"])
 
     p_sweep = subs.add_parser("sweep", help="sweep a point grid to CSV")
-    p_sweep.add_argument("--metric")
-    p_sweep.add_argument("--dim", type=int)
-    p_sweep.add_argument("--point", help="base point")
     p_sweep.add_argument("--grid", help="axis sweeps, e.g. 'im2=1:2:2,re1=0:1:3'")
-    p_sweep.add_argument("--use-paper-tensor", action="store_true")
     p_sweep.add_argument("--convention", choices=["full", "adjoint"], default="adjoint")
     p_sweep.add_argument("--restarts", type=int, default=4, help=_RESTARTS_HELP)
     p_sweep.add_argument("--refine-steps", type=int, default=12, help=_REFINE_HELP)
 
     p_scan = subs.add_parser("frame-scan", help="extremize a functional over frames")
-    p_scan.add_argument("--metric")
-    p_scan.add_argument("--dim", type=int)
-    p_scan.add_argument("--point")
     p_scan.add_argument("--tensor", help="synthetic tensor kind instead of a metric")
     p_scan.add_argument("--tensor-params", help="JSON parameters for --tensor")
     p_scan.add_argument("--family", choices=["tricerri"])
     p_scan.add_argument("--imw", type=float)
-    p_scan.add_argument("--use-paper-tensor", action="store_true")
     p_scan.add_argument("--functional")
     p_scan.add_argument("--cone", choices=["full", "orthant", "monotone"], default="full")
     p_scan.add_argument("--convention", choices=["full", "adjoint"], default="full")
@@ -251,12 +232,20 @@ def build_parser():
                         help="generator vectors for --cone generators, inline CSV")
     p_cone.add_argument("--samples", type=int, default=1000)
 
+    for sub, point_help in ((p_eval, None), (p_sweep, "base point"), (p_scan, None)):
+        sub.add_argument("--metric")
+        sub.add_argument("--dim", type=int)
+        sub.add_argument("--point", help=point_help)
+        sub.add_argument("--use-paper-tensor", action="store_true")
     for name, sub in subs.choices.items():
-        sub.add_argument("--format", choices=["json", "csv", "text"], default=FORMATS[name][0])
+        sub.add_argument("--format", choices=FORMATS[name], default=FORMATS[name][0])
         sub.add_argument("--out")
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--config")
     parser.commands = subs.choices
+    parser.value_flags = {option for sub in subs.choices.values()
+                          for flag in sub.flags.values() if flag.nargs is None
+                          for option in flag.option_strings}
     return parser
 
 
@@ -266,8 +255,7 @@ _PARSER = build_parser()
 # ---------------------------------------------------------------------------
 # pipelines
 
-def _tensor_at_point(metric_name, dim, point, use_paper):
-    metric = make_metric(metric_name, dim=dim)
+def _tensor_at_point(metric, point, use_paper):
     p = np.asarray(point, dtype=complex)
     if p.size != metric.n:
         raise UsageError(f"point has dimension {p.size}, metric '{metric.name}' has {metric.n}")
@@ -296,7 +284,8 @@ def cmd_eval(args):
     # hsc takes a complex vector and is no FunctionalKind
     kind = None if args.functional == "hsc" else FunctionalKind(args.functional)
     point = parse_complex_vector(args.point)
-    tensor, diag = _tensor_at_point(args.metric, args.dim, point, args.use_paper_tensor)
+    metric = make_metric(args.metric, dim=args.dim)
+    tensor, diag = _tensor_at_point(metric, point, args.use_paper_tensor)
     matrices = matrices_from(tensor)
     diag["imag_residual"] = matrices.imag_residual
     diag["hermitian_residual"] = tensor.sym_residual
@@ -388,6 +377,7 @@ def cmd_sweep(args):
                           f"'{metric.name}': {listing}")
 
     use_paper = args.use_paper_tensor
+    family = use_paper and metric.name == "tricerri"
     convention = FrameConvention(args.convention)
     search = SearchConfig(restarts=args.restarts, refine_steps=args.refine_steps,
                           seed=args.seed)
@@ -401,12 +391,7 @@ def cmd_sweep(args):
     header += ["herm_residual", "imag_residual"]
 
     def one_row(idx, p):
-        if use_paper and metric.name == "tricerri":
-            tensor = paper_tricerri(0.0, 1.0, float(p[1].imag))
-            family = True
-        else:
-            tensor, _ = _tensor_at_point(args.metric, metric.n, p, use_paper)
-            family = False
+        tensor, _ = _tensor_at_point(metric, p, use_paper)
         m = matrices_from(tensor)
         scal, scal_alt = scalars(tensor)
         row = [float(idx)]
@@ -456,7 +441,8 @@ def cmd_frame_scan(args):
         if args.metric is None or args.point is None:
             raise UsageError("frame-scan needs --metric/--point, --tensor, or --family")
         point = parse_complex_vector(args.point)
-        tensor, diag = _tensor_at_point(args.metric, args.dim, point, args.use_paper_tensor)
+        metric = make_metric(args.metric, dim=args.dim)
+        tensor, diag = _tensor_at_point(metric, point, args.use_paper_tensor)
         source = {"metric": args.metric, "point": [str(z) for z in point], **diag}
 
     cone = make_cone(args.cone, tensor.n)
@@ -531,19 +517,19 @@ COMMANDS = {
 }
 
 
-_VALUE_FLAGS = {"--vector", "--cvector", "--point", "--matrix", "--grid"}
 _NUMERIC_START = re.compile(r"^-[\d.]")
 
 
 def _merge_negative_values(argv):
-    """Rejoin '--vector -0.7,0.7' into '--vector=-0.7,0.7' so argparse does
-    not read a leading minus sign as a new flag."""
+    """Rejoin '--vector -0.7,0.7' into '--vector=-0.7,0.7', for every flag
+    that takes a value, so argparse does not read a leading minus sign as a
+    new flag."""
     out, skip = [], False
     for i, token in enumerate(argv):
         if skip:
             skip = False
             continue
-        if (token in _VALUE_FLAGS and i + 1 < len(argv)
+        if (token in _PARSER.value_flags and i + 1 < len(argv)
                 and _NUMERIC_START.match(argv[i + 1])):
             out.append(f"{token}={argv[i + 1]}")
             skip = True
@@ -561,7 +547,6 @@ def main(argv=None):
             at = argv.index(args.command) + 1
             tokens = _load_config(args.config, _PARSER.commands[args.command].flags)
             args = _PARSER.parse_args(argv[:at] + tokens + argv[at:])
-        _output_format(args)
         _bounds(args)
         text, ok = COMMANDS[args.command](args)
         _emit(text, args.out)

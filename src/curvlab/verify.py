@@ -11,9 +11,12 @@ subject is random: the Hopf finite-difference check and the altered-HSC
 bounds points, the cone oracles, the Fubini-Study hsc points, and the
 identities suite's random tensors.
 ``ricci_qobc_bounds`` decides its qobc hypotheses over every frame exactly.
-A sampled check draws its samples as one block from its seeded stream, laid
-out in the order a per-sample loop would draw them, and evaluates them in
-one stacked call.
+The cone oracles, ``copositive_2x2_vs_cone_min`` and the identities suite's
+vectors draw their samples as one block from a seeded stream, laid out in
+the order a per-sample loop would draw them, and evaluate them in one
+stacked call.  ``hopf_domain_points``, the Fubini-Study ``hsc_constant_2``
+loop and ``edm_outside_psd_cone`` (one stream per vector) draw one sample at
+a time.
 """
 
 import numpy as np
@@ -34,9 +37,6 @@ from .cones import (MIN_SAMPLES, _perron_pass, copositive_2x2, cone_min,
                     perron_weights)
 from .search import invariance_test, tricerri_family_extrema
 from .reports import VerifyReport
-
-SUITES = ("hopf", "tricerri", "fubini_study", "cones", "identities")
-
 
 def hopf_domain_points(seed, count):
     """count points of C^2 with 0.1 <= |z| < 3, uniform in direction."""
@@ -196,7 +196,10 @@ def suite_tricerri(seed=0):
                 1e-12 * 1.5 / im_w ** 4)
         rep.add(f"altered_rbc_family_sup[imw={im_w}]", 0.0, alt["sup"], 1e-9)
 
-    # metric-derived tensor differs from the printed one; report, don't judge
+    # the printed R0 = -3/(2 Im^4) is -d_w d_wbar g_wwbar alone; the Chern
+    # coordinate entry adds the correction term and is -1/(2 Im^4), and the
+    # metric-derived frame tensor is R[1,1,0,0] = 1/4, R[1,1,1,1] = -1/2 at
+    # every Im w.  The gap is no normalization; report it, don't judge
     metric = tricerri()
     p = np.array([0.1 + 0.2j, 0.4 + 1.0j])
     derived = to_frame(curvature_from_jet(jet_at(metric, p)))
@@ -356,26 +359,27 @@ def suite_identities(seed=0):
     return rep
 
 
+SUITES = {
+    "hopf": suite_hopf,
+    "tricerri": suite_tricerri,
+    "fubini_study": suite_fubini_study,
+    "cones": suite_cones,
+    "identities": suite_identities,
+}
+
+
 def run_suite(name, seed=0):
     """The report of the named suite, or of all of them, at seed, an integer
     >= 0 that is checked before any suite runs."""
     _integer(seed, "parameter 'seed'")
-    builders = {
-        "hopf": suite_hopf,
-        "tricerri": suite_tricerri,
-        "fubini_study": suite_fubini_study,
-        "cones": suite_cones,
-        "identities": suite_identities,
-    }
     if _identifier(name, "verify suite") == "all":
         combined = VerifyReport(suite="all")
-        for key in SUITES:
-            part = builders[key](seed=seed)
-            for check in part.checks:
+        for key, suite in SUITES.items():
+            for check in suite(seed=seed).checks:
                 check.name = f"{key}:{check.name}"
                 combined.checks.append(check)
         return combined
-    if name not in builders:
+    if name not in SUITES:
         raise UsageError(f"unknown verify suite '{name}'; "
-                         f"suites: {', '.join(SUITES + ('all',))}")
-    return builders[name](seed=seed)
+                         f"suites: {', '.join([*SUITES, 'all'])}")
+    return SUITES[name](seed=seed)

@@ -382,6 +382,30 @@ def test_cone_check_keeps_the_face_of_generators_of_unequal_scale(gens, capsys):
     assert_allclose(got["argmin"], [np.sqrt(0.5)] * 2, atol=1e-12)
 
 
+@pytest.mark.parametrize("argv, flag, value, code, stream", [
+    (["cone-check", "--matrix", "1,0;0,1", "--cone", "generators", "--samples", "100"],
+     "--generators", "-1,1;1,1", 0, "out"),
+    (["frame-scan", "--family", "tricerri", "--functional", "rbc"], "--imw", "-1e-3", 2, "err"),
+])
+def test_a_leading_minus_value_parses_like_its_equals_spelling(argv, flag, value, code,
+                                                               stream, capsys):
+    outputs = []
+    for spelling in ([flag, value], [f"{flag}={value}"]):
+        assert main(argv + spelling) == code
+        outputs.append(getattr(capsys.readouterr(), stream))
+    assert outputs[0] == outputs[1] != ""
+
+
+def test_every_value_flag_takes_a_leading_minus_value():
+    import curvlab.cli as cli_mod
+    flags = {option for sub in cli_mod.build_parser().commands.values()
+             for action in sub._actions if action.option_strings and action.nargs is None
+             for option in action.option_strings}
+    assert {"--generators", "--imw", "--vector", "--format"} <= flags
+    for flag in sorted(flags):
+        assert cli_mod._merge_negative_values([flag, "-1"]) == [flag + "=-1"], flag
+
+
 def test_frame_scan_family_json(capsys):
     code = main(["frame-scan", "--family", "tricerri", "--imw", "1",
                  "--functional", "rbc", "--format", "json"])
@@ -545,7 +569,7 @@ def test_format_a_command_cannot_write_is_usage_error(argv, bad, capsys):
     assert main(argv + ["--format", bad]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"has no {bad} output" in captured.err
+    assert f"invalid choice: '{bad}'" in captured.err
 
 
 def test_cone_check_resolution_flag_is_gone(capsys):
