@@ -13,9 +13,11 @@ MIN_SAMPLES..MAX_SAMPLES, grid points by MAX_GRID_POINTS per axis and in
 total, --restarts by 1..MAX_RESTARTS and --refine-steps by
 0..MAX_REFINE_STEPS.  Each command's --format lists only the formats it
 writes: sweep writes CSV (--format csv), the other commands text (default)
-or json.  Any flag that takes a value accepts one that starts with a minus
-sign, as in --generators -1,1;1,1.  Output is deterministic for a fixed
-command line and seed.
+or json.  A flag may be given as any unique prefix of it (--gen for
+--generators).  A value that starts with '-' and then a digit, a dot, inf or
+nan is read as a value in every spelling: --gen -1,1;1,1 parses like
+--generators=-1,1;1,1.  Output is deterministic for a fixed command line
+and seed.
 """
 
 import argparse
@@ -32,7 +34,8 @@ from .metrics import jet_at, make_metric
 from .curvature import (FrameConvention, curvature_from_jet, make_synthetic,
                         paper_hopf, paper_tricerri, scalars, to_frame)
 from .functionals import FunctionalKind, evaluate, hsc, matrices_from, rayleigh_bounds
-from .cones import MIN_SAMPLES, copositive_2x2, cone_min, make_cone, perron_criterion_check
+from .cones import (_KINDS as CONE_KINDS, MIN_SAMPLES, copositive_2x2, cone_min, make_cone,
+                    perron_criterion_check)
 from .search import SearchConfig, _extremize_kinds, extremize, tricerri_family_extrema
 from .verify import SUITES, run_suite
 from . import reports
@@ -52,6 +55,10 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         self.flags = {}
         super().__init__(*args, **kwargs)
+        # argparse's own rule for which tokens that start with '-' are values:
+        # it holds after a flag's full spelling and after any unique prefix,
+        # and no option string of this parser matches it
+        self._negative_number_matcher = re.compile(r"^-([\d.]|inf|nan)", re.IGNORECASE)
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -208,7 +215,8 @@ def build_parser():
 
     p_sweep = subs.add_parser("sweep", help="sweep a point grid to CSV")
     p_sweep.add_argument("--grid", help="axis sweeps, e.g. 'im2=1:2:2,re1=0:1:3'")
-    p_sweep.add_argument("--convention", choices=["full", "adjoint"], default="adjoint")
+    conventions = [c.value for c in FrameConvention]
+    p_sweep.add_argument("--convention", choices=conventions, default="adjoint")
     p_sweep.add_argument("--restarts", type=int, default=4, help=_RESTARTS_HELP)
     p_sweep.add_argument("--refine-steps", type=int, default=12, help=_REFINE_HELP)
 
@@ -218,16 +226,17 @@ def build_parser():
     p_scan.add_argument("--family", choices=["tricerri"])
     p_scan.add_argument("--imw", type=float)
     p_scan.add_argument("--functional")
-    p_scan.add_argument("--cone", choices=["full", "orthant", "monotone"], default="full")
-    p_scan.add_argument("--convention", choices=["full", "adjoint"], default="full")
+    # frame-scan has no flag for generator rows
+    p_scan.add_argument("--cone", choices=[k for k in CONE_KINDS if k != "generators"],
+                        default="full")
+    p_scan.add_argument("--convention", choices=conventions, default="full")
     p_scan.add_argument("--restarts", type=int, default=8, help=_RESTARTS_HELP)
     p_scan.add_argument("--refine-steps", type=int, default=30, help=_REFINE_HELP)
 
     p_cone = subs.add_parser("cone-check", help="copositivity and dual-EDM tests")
     p_cone.add_argument("--matrix", help="inline CSV, rows ';'-separated")
     p_cone.add_argument("--matrix-file", help="JSON file with a nested list")
-    p_cone.add_argument("--cone", choices=["full", "orthant", "monotone", "generators"],
-                        default="orthant")
+    p_cone.add_argument("--cone", choices=CONE_KINDS, default="orthant")
     p_cone.add_argument("--generators",
                         help="generator vectors for --cone generators, inline CSV")
     p_cone.add_argument("--samples", type=int, default=1000)
@@ -243,9 +252,6 @@ def build_parser():
         sub.add_argument("--seed", type=int, default=0)
         sub.add_argument("--config")
     parser.commands = subs.choices
-    parser.value_flags = {option for sub in subs.choices.values()
-                          for flag in sub.flags.values() if flag.nargs is None
-                          for option in flag.option_strings}
     return parser
 
 
@@ -517,29 +523,8 @@ COMMANDS = {
 }
 
 
-_NUMERIC_START = re.compile(r"^-[\d.]")
-
-
-def _merge_negative_values(argv):
-    """Rejoin '--vector -0.7,0.7' into '--vector=-0.7,0.7', for every flag
-    that takes a value, so argparse does not read a leading minus sign as a
-    new flag."""
-    out, skip = [], False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if (token in _PARSER.value_flags and i + 1 < len(argv)
-                and _NUMERIC_START.match(argv[i + 1])):
-            out.append(f"{token}={argv[i + 1]}")
-            skip = True
-        else:
-            out.append(token)
-    return out
-
-
 def main(argv=None):
-    argv = _merge_negative_values(sys.argv[1:] if argv is None else list(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _PARSER.parse_args(argv)
         if args.config:

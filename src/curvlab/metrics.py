@@ -445,8 +445,8 @@ _CATALOG = {"euclidean": euclidean, "conformal": conformal, "hopf": hopf,
 
 def make_metric(name, dim=None):
     """Catalog lookup used by the CLI: euclidean | conformal | hopf |
-    fubini_study | tricerri, the last two on n = 2 only.  The dimension of
-    the others is bounded by MAX_DIM."""
+    fubini_study | tricerri.  hopf and tricerri are defined on n = 2 only;
+    the others need an explicit dimension, bounded by MAX_DIM."""
     try:
         builder = _CATALOG[_identifier(name, "metric name")]
     except KeyError:

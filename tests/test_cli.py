@@ -12,8 +12,9 @@ from numpy.testing import assert_allclose
 import curvlab
 import curvlab.verify as verify
 from curvlab import paper_hopf, random_tensor
-from curvlab.cli import main
+from curvlab.cli import build_parser, main
 from curvlab.curvature import FRAME, ChernTensor
+from curvlab.errors import UsageError
 from curvlab.reports import IdentityReport, VerifyReport
 from curvlab import perron_criterion_check
 from curvlab.verify import run_suite
@@ -382,28 +383,65 @@ def test_cone_check_keeps_the_face_of_generators_of_unequal_scale(gens, capsys):
     assert_allclose(got["argmin"], [np.sqrt(0.5)] * 2, atol=1e-12)
 
 
-@pytest.mark.parametrize("argv, flag, value, code, stream", [
-    (["cone-check", "--matrix", "1,0;0,1", "--cone", "generators", "--samples", "100"],
-     "--generators", "-1,1;1,1", 0, "out"),
-    (["frame-scan", "--family", "tricerri", "--functional", "rbc"], "--imw", "-1e-3", 2, "err"),
-])
-def test_a_leading_minus_value_parses_like_its_equals_spelling(argv, flag, value, code,
-                                                               stream, capsys):
+TRICERRI_RBC = ["frame-scan", "--family", "tricerri", "--functional", "rbc"]
+GENERATOR_CONE = ["cone-check", "--matrix", "1,0;0,1", "--cone", "generators",
+                  "--samples", "100"]
+
+
+# each row gives the value after `spelling`, the full flag or a unique prefix
+# of it, and compares that with --flag=value
+MINUS_VALUE_ROWS = [
+    (GENERATOR_CONE, "--generators", "--generators", "-1,1;1,1", 0, "out"),
+    (GENERATOR_CONE, "--gen", "--generators", "-1,1;1,1", 0, "out"),
+    (TRICERRI_RBC, "--imw", "--imw", "-1e-3", 2, "err"),
+    (TRICERRI_RBC, "--im", "--imw", "-1e-3", 2, "err"),
+    (TRICERRI_RBC, "--imw", "--imw", "-inf", 2, "err"),
+    (["eval", "--metric", "euclidean", "--dim", "2", "--point", "0,0", "--functional", "rbc"],
+     "--vec", "--vector", "-1,0", 0, "out"),
+    (["eval", "--metric", "hopf", "--functional", "rbc", "--vector", "1,0"],
+     "--point", "--point", "-nan,1", 2, "err"),
+]
+
+
+@pytest.mark.parametrize("argv, spelling, flag, value, code, stream", MINUS_VALUE_ROWS,
+                         ids=[f"{row[1]} {row[3]}" for row in MINUS_VALUE_ROWS])
+def test_a_leading_minus_value_parses_like_its_equals_spelling(argv, spelling, flag, value,
+                                                               code, stream, capsys):
     outputs = []
-    for spelling in ([flag, value], [f"{flag}={value}"]):
-        assert main(argv + spelling) == code
+    for tokens in ([spelling, value], [f"{flag}={value}"]):
+        assert main(argv + tokens) == code
         outputs.append(getattr(capsys.readouterr(), stream))
     assert outputs[0] == outputs[1] != ""
 
 
+def _parsed(parser, argv):
+    try:
+        return parser.parse_args(argv)
+    except UsageError as exc:
+        return str(exc)
+
+
 def test_every_value_flag_takes_a_leading_minus_value():
-    import curvlab.cli as cli_mod
-    flags = {option for sub in cli_mod.build_parser().commands.values()
-             for action in sub._actions if action.option_strings and action.nargs is None
-             for option in action.option_strings}
+    # every unique prefix of every flag that takes a value, the full flag
+    # included, reads each value like the flag's '=' spelling does
+    parser = build_parser()
+    flags = set()
+    for name, sub in parser.commands.items():
+        command = [name, "all"] if name == "verify" else [name]
+        options = [o for action in sub._actions for o in action.option_strings]
+        for action in sub.flags.values():
+            if action.nargs is not None:
+                continue
+            flag, = action.option_strings
+            flags.add(flag)
+            prefixes = [flag[:k] for k in range(3, len(flag) + 1)
+                        if k == len(flag) or sum(o.startswith(flag[:k]) for o in options) == 1]
+            for value in ("-1", "-1e-3", "-.5", "-inf", "-1,1;1,1"):
+                expected = _parsed(parser, command + [f"{flag}={value}"])
+                for prefix in prefixes:
+                    assert _parsed(parser, command + [prefix, value]) == expected, \
+                        (name, prefix, value)
     assert {"--generators", "--imw", "--vector", "--format"} <= flags
-    for flag in sorted(flags):
-        assert cli_mod._merge_negative_values([flag, "-1"]) == [flag + "=-1"], flag
 
 
 def test_frame_scan_family_json(capsys):
