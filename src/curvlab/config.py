@@ -15,7 +15,6 @@ class Tolerances:
     metric_conditioning: float = 1e-4   # metric refused unless lambda_min > this x lambda_max
     frame_orthonormal: float = 1e-10    # |E^T g conj(E) - I|, dimensionless
     tensor_hermitian: float = 1e-8      # four-index Hermitian symmetry, x |R|
-    scalar_imag: float = 1e-8           # imaginary residue of traces
     fd_min_step: float = 1e-10          # below this, cancellation dominates
     identity_check: float = 1e-10       # identity-report residual bound; x max|R| in invariance_test
     cone_agreement: float = 1e-8        # cross-oracle agreement for cone tests

@@ -201,14 +201,10 @@ def ricci(tensor, kind):
 
 
 def scalars(tensor):
-    """(Scal, altered Scal): the two scalar traces of a frame tensor."""
+    """(Scal, altered Scal): real parts of the two scalar traces of a frame
+    tensor, whose Hermitian check bounds their imaginary parts."""
     r = require_frame(tensor, "scalars").values
-    s = complex(np.einsum("iikk->", r))
-    s_alt = complex(np.einsum("ikki->", r))
-    scale = max(1.0, float(np.abs(r).max()))
-    if max(abs(s.imag), abs(s_alt.imag)) > DEFAULT.scalar_imag * scale:
-        raise DomainError("scalar traces have non-negligible imaginary part")
-    return s.real, s_alt.real
+    return float(np.einsum("iikk->", r).real), float(np.einsum("ikki->", r).real)
 
 
 # ---------------------------------------------------------------------------
@@ -301,25 +297,28 @@ def random_tensor(seed, n):
     return ChernTensor(vals, FRAME)
 
 
-def make_synthetic(kind, **params):
+def make_synthetic(kind, /, **params):
     """Dispatcher used by the CLI: kahler_constant | skew_pair | paper_hopf |
-    paper_tricerri | random.  Each builder checks its own parameters; here n
-    is bounded by MAX_DIM first."""
-    builders = {
-        "kahler_constant": lambda: kahler_constant(params["c"], params["n"]),
-        "skew_pair": lambda: skew_pair(params["c"], params["n"], params.get("seed", 0)),
-        "paper_hopf": lambda: paper_hopf(params["z"]),
-        "paper_tricerri": lambda: paper_tricerri(params.get("b", 0.0), params.get("d", 1.0),
-                                                 params["im_w"]),
-        "random": lambda: random_tensor(params.get("seed", 0), params["n"]),
+    paper_tricerri | random.  A key the builder does not read, or one it
+    needs and lacks, is a UsageError; n is bounded by MAX_DIM first."""
+    builders = {   # kind -> (builder, keys it needs, defaults of the others)
+        "kahler_constant": (kahler_constant, ("c", "n"), {}),
+        "skew_pair": (skew_pair, ("c", "n"), {"seed": 0}),
+        "paper_hopf": (paper_hopf, ("z",), {}),
+        "paper_tricerri": (paper_tricerri, ("im_w",), {"b": 0.0, "d": 1.0}),
+        "random": (random_tensor, ("n",), {"seed": 0}),
     }
     try:
-        builder = builders[_identifier(kind, "synthetic tensor kind")]
+        builder, needs, defaults = builders[_identifier(kind, "synthetic tensor kind")]
     except KeyError:
         raise UsageError(f"unknown synthetic tensor '{kind}'; kinds: {sorted(builders)}") from None
+    keys = sorted(needs + tuple(defaults))
+    unknown = sorted(params.keys() - keys)
+    missing = [key for key in needs if key not in params]
+    if unknown or missing:
+        fault = (f"takes no parameter '{unknown[0]}'" if unknown
+                 else f"needs parameter '{missing[0]}'")
+        raise UsageError(f"synthetic tensor '{kind}' {fault}; parameters: {keys}")
     if "n" in params:
         _integer(params["n"], "parameter 'n'", 1, MAX_DIM)
-    try:
-        return builder()
-    except KeyError as missing:
-        raise UsageError(f"synthetic tensor '{kind}' needs parameter {missing}") from None
+    return builder(**{**defaults, **params})

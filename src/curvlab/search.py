@@ -39,9 +39,9 @@ one stacked ``cone_min`` call on every cone kind; each lane then takes the
 first hit in its own rows.  Every step is computed per row, so a lane's
 iterates do not depend on the lanes beside it.  One evaluation holds at most
 ``_ROWS`` candidates; lanes are grouped in order and never split, so memory
-stays bounded however many restarts run.  The reported extrema of a call,
-whichever row produced them, are re-evaluated in one pass: one stacked
-``transform_frame`` of the tensor and one ``evaluate`` call per kind.
+stays bounded however many restarts run.  Exact and searched extrema are
+re-evaluated in one pass (one stacked ``transform_frame``, one ``evaluate``
+per kind); invariant ones rest on the exact residual of ``invariance_test``.
 
 The two-parameter Tricerri frame family (|b|^2, |d|^2) in [0, 1]^2 is
 handled separately and exactly: that family is the object whose pinching
@@ -305,9 +305,9 @@ def extremize(tensor, kind, cone=None, convention=FrameConvention.FULL,
       Givens rotation of two frame vectors or a phase of one, with
       shrinking steps; monotone improvement and determinism for a fixed
       config are guaranteed.
-    ``cfg`` is used by the searched row alone.  Each reported extremum is
-    re-evaluated through ``transform_frame`` and ``evaluate``; drift beyond
-    ``Tolerances.reeval`` x max(|value|, max |R|) raises NumericalError.
+    ``cfg`` is used by the searched row alone.  Exact and searched extrema are
+    re-evaluated; drift beyond ``Tolerances.reeval`` x max(|value|, max |R|)
+    raises NumericalError.  Invariant ones rest on ``invariance_test``.
     """
     return _extremize_kinds(tensor, (kind,), cone, convention, cfg)[0]
 
@@ -317,8 +317,8 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
     """``extremize`` for several kinds of one tensor: a list of (inf, sup),
     one per kind, each equal to that kind's own call bit for bit.  The
     invariant kinds share one ``_identity_extrema`` call, the searched kinds
-    run as one lockstep of lanes, and every extremum is re-evaluated in one
-    pass."""
+    run as one lockstep of lanes, and the exact and searched extrema are
+    re-evaluated in one pass."""
     kinds = [FunctionalKind(_identifier(kind, "functional kind")) for kind in kinds]
     require_frame(tensor, "extremize")
     cone = full_cone(tensor.n) if cone is None else _instance(cone, Cone, "cone")
@@ -336,9 +336,10 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
         found = ((_identity_extrema(tensor, invariant, cone, convention) if invariant else [])
                  + (_search(tensor, searched, cone, convention, cfg) if searched else []))
         rows = dict(zip(invariant + searched, zip(found[0::2], found[1::2])))
-    found = [ext for kind in kinds for ext in rows[kind]]
-    _check_reeval(tensor, [kind for kind in kinds for _ in (0, 1)], found, convention)
-    return list(zip(found[0::2], found[1::2]))
+    checked = [(kind, ext) for kind in kinds for ext in rows[kind] if ext.source != "invariant"]
+    if checked:
+        _check_reeval(tensor, *zip(*checked), convention)
+    return [tuple(rows[kind]) for kind in kinds]
 
 
 def _check_reeval(tensor, kinds, found, convention):

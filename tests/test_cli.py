@@ -583,6 +583,9 @@ BAD_TENSOR_PARAMS = [
     ("paper_hopf", '{"z": ["a", 1]}', "parameter 'z'"),
     ("random", '{"n": 13}', "parameter 'n'"),
     ("random", '{"n": 1000000000}', "parameter 'n'"),
+    ("random", '{"kind": "x", "n": 2}', "no parameter 'kind'; parameters: ['n', 'seed']"),
+    ("random", '{"n": 2, "sed": 5}', "no parameter 'sed'; parameters: ['n', 'seed']"),
+    ("paper_hopf", '{"z": [1, 0.5], "n": 3}', "no parameter 'n'; parameters: ['z']"),
 ]
 
 

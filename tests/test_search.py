@@ -905,10 +905,10 @@ def test_kinds_split_between_rows_equal_their_own_calls(name, build, cone_name, 
 
 
 def test_all_invariant_call_is_one_cone_min_and_no_search(monkeypatch):
-    # no lane, no Haar frame: one quadratic_form_matrix per kind and one
-    # stacked cone_min for every kind and sign
+    # no lane, no Haar frame and no re-evaluation: one quadratic_form_matrix
+    # per kind and one stacked cone_min for every kind and sign
     def refuse(*args, **kwargs):
-        raise AssertionError("an invariant call built a search")
+        raise AssertionError("an invariant call searched or re-evaluated")
     calls = {"cone_min": 0, "quadratic_form_matrix": 0}
 
     def counted(name):
@@ -918,7 +918,7 @@ def test_all_invariant_call_is_one_cone_min_and_no_search(monkeypatch):
             calls[name] += 1
             return real(*args, **kwargs)
         return call
-    for name in ("_search", "_lane", "haar_from_rng"):
+    for name in ("_search", "_lane", "haar_from_rng", "transform_frame", "_check_reeval"):
         monkeypatch.setattr(search_mod, name, refuse)
     for name in calls:
         monkeypatch.setattr(search_mod, name, counted(name))
@@ -930,6 +930,27 @@ def test_all_invariant_call_is_one_cone_min_and_no_search(monkeypatch):
                                             SearchConfig(restarts=5, refine_steps=9))
         assert calls == {"cone_min": 1, "quadratic_form_matrix": len(QUAD_KINDS)}
         assert all(ext.source == "invariant" for pair in pairs for ext in pair)
+
+
+@pytest.mark.parametrize("name, build, cone_name, convention", MIXED_CASES,
+                         ids=[case[0] for case in MIXED_CASES])
+def test_mixed_call_reevaluates_the_searched_extrema_in_one_pass(
+        monkeypatch, name, build, cone_name, convention):
+    # the invariant kinds rest on invariance_test; every searched extremum
+    # goes through one stacked transform_frame
+    stacks = []
+    real = search_mod.transform_frame
+
+    def counted(tensor, frames, conv):
+        stacks.append(frames.shape)
+        return real(tensor, frames, conv)
+    monkeypatch.setattr(search_mod, "transform_frame", counted)
+    t = build()
+    pairs = search_mod._extremize_kinds(t, QUAD_KINDS, make_cone(cone_name, t.n), convention,
+                                        SearchConfig(restarts=2, refine_steps=1))
+    searched = sum(ext.source == "searched" for pair in pairs for ext in pair)
+    assert 0 < searched < 2 * len(QUAD_KINDS)
+    assert stacks == [(searched, t.n, t.n)]
 
 
 def test_full_full_scans_stay_exact_before_any_invariance_test(monkeypatch):
