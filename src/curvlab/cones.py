@@ -292,12 +292,14 @@ def edm_from_vector(v):
 
 def perron_weights(edm):
     """Ratios r_k = -delta_k / delta_1 of the descending spectrum of an EDM;
-    always sorted ascending in [0, 1]."""
+    sorted ascending in [0, 1] up to ``Tolerances.perron_ratio``, and
+    clipped to it."""
     values = np.linalg.eigvalsh(_instance(edm, EDMatrix, "Perron weights input").sigma)[::-1]
     if values[0] <= 0.0:
         raise DomainError("Perron weights need a nonzero distance matrix")
     r = -values[1:] / values[0]
-    if np.any(r < -1e-10) or np.any(r > 1.0 + 1e-10) or np.any(np.diff(r) < -1e-10):
+    slack = DEFAULT.perron_ratio
+    if np.any(r < -slack) or np.any(r > 1.0 + slack) or np.any(np.diff(r) < -slack):
         raise DomainError("Perron weights fell outside [0, 1] or lost monotonicity")
     return np.clip(r, 0.0, 1.0)
 

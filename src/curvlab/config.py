@@ -19,6 +19,7 @@ class Tolerances:
     identity_check: float = 1e-10       # identity-report residual bound; x max|R| in invariance_test
     cone_agreement: float = 1e-8        # cross-oracle agreement for cone tests
     cone_sign: float = 1e-10            # negative face weight still signed nonnegative, x max weight
+    perron_ratio: float = 1e-10         # slack on Perron weights r in [0, 1] and their ascent, dimensionless
     cone_gram_rcond: float = 1e-12      # smallest/largest Gram eigenvalue of a face kept by cone_min
     tricerri_row_bound: float = 1e-12   # slack on |b|^2, |d|^2 <= 1 in the Tricerri family
     reeval: float = 1e-9                # frame extremum re-evaluation drift, x max(|value|, max|R|)

@@ -10,10 +10,11 @@ entries) a closed-form jet.  The jet of a metric at a point consists of
 
 which is exactly the data the Chern curvature formula consumes.  Jets can
 also be produced by central finite differences in the Wirtinger convention
-d/dz = (d/dx - i d/dy)/2.  The mixed derivative d^2/dz_i dzbar_j is the
-d/dz_i difference of the d/dzbar_j difference; its points are read from a
-per-dimension table of the distinct stencil offsets, so each point is
-evaluated once.
+d/dz = (d/dx - i d/dy)/2.  The mixed derivatives d^2/dz_i dzbar_j come from
+the Levi form d_v dbar_v g, a quarter of the Laplacian of g on the complex
+line through the point along v: five-point Laplacians along e_i, e_i + e_j
+and e_i + i e_j give the whole mixed block by polarization.  The stencil
+offsets come from a per-dimension table, and each point is evaluated once.
 
 The evaluator and domain test of every catalog field are stacked: given a
 (..., n) stack of points they return values that broadcast to (..., n, n)
@@ -126,64 +127,29 @@ def _eval_checked(evaluate, p, domain):
     return np.asarray(evaluate(p), dtype=complex)
 
 
-# stencil directions a (points p + a h e_i) and the Wirtinger weights over
-# them: d/dz_i f ~ sum_a _DZ[a] f(p + a h e_i) / h, the central differences
+# d/dz_i f ~ sum_a _DZ[a] f(p + _UNITS[a] h e_i) / h, the central differences
 # ((f(+h) - f(-h)) - i (f(+ih) - f(-ih))) / (4 h); d/dzbar has conj(_DZ)
 _UNITS = (1.0, -1.0, 1j, -1j)
 _DZ = np.array([1.0, -1.0, -1j, 1j]) / 4.0
-_DZ_DZBAR = np.outer(_DZ, np.conj(_DZ))
 
 
 @functools.lru_cache(maxsize=None)
 def _stencil(n):
-    """(offsets, first, mixed) of the Wirtinger stencil in C^n, offsets in
-    units of h.
+    """(offsets, i, j) of the stencil in C^n, offsets in units of h.
 
-    offsets[s] is the s-th distinct point offset, row 0 the centre;
-    first[i, a] is the slot of _UNITS[a] e_i and mixed[i, j, a, b] the slot of
-    _UNITS[a] e_i + _UNITS[b] e_j, the points of d/dz_i of the d/dzbar_j
-    difference.  The pairs (i, j) and (j, i) share their 16 points and on the
-    diagonal the offsets a + b = 0 are the centre, so there are
-    1 + 12 n + 8 n (n - 1) slots instead of 1 + 4 n + 16 n^2 nested points.
+    The n^2 directions are e_i, then e_i + e_j for the pairs i < j (the pair
+    m is (i[m], j[m])), then e_i + i e_j for the same pairs.  offsets[0] is
+    the centre and offsets[1 + 4 d + a] is _UNITS[a] times direction d: the
+    points of the five-point Laplacian on the complex line through p along
+    it.  The axis points _UNITS[a] e_i, rows 1 to 4 n, also give dg.
     """
-    slots = {(0j,) * n: 0}
-
-    def slot(offset):
-        return slots.setdefault(tuple(offset), len(slots))
-
     eye = np.eye(n, dtype=complex)
-    first = np.array([[slot(a * eye[i]) for a in _UNITS] for i in range(n)], dtype=np.intp)
-    mixed = np.array([[[[slot(a * eye[i] + b * eye[j]) for b in _UNITS] for a in _UNITS]
-                       for j in range(n)] for i in range(n)], dtype=np.intp)
-    offsets = np.array(list(slots), dtype=complex).reshape(len(slots), n)
-    for table in (offsets, first, mixed):
+    i, j = np.triu_indices(n, 1)
+    directions = list(eye) + list(eye[i] + eye[j]) + list(eye[i] + 1j * eye[j])
+    offsets = np.array([(0j,) * n] + [a * v for v in directions for a in _UNITS])
+    for table in (offsets, i, j):
         table.flags.writeable = False
-    return offsets, first, mixed
-
-
-@functools.lru_cache(maxsize=None)
-def _half_step_slots(n):
-    """(fresh, index) of the stencil at step h/2 read next to the one at h.
-
-    The half-step offset 2 o lands on the full-step point o, so the centre
-    and the 4 n points _UNITS[a] e_i of the full stencil reappear as the
-    diagonal mixed points 2 _UNITS[a] e_i of the half stencil.  fresh lists
-    the half-step slots that are not shared; index[s] is the position of
-    half-step slot s in the full-step values followed by the fresh ones.
-    """
-    offsets = _stencil(n)[0]
-    full = {tuple(o): s for s, o in enumerate(offsets)}
-    fresh, index = [], []
-    for s, o in enumerate(offsets):
-        shared = full.get(tuple(o / 2))
-        if shared is None:
-            shared = len(offsets) + len(fresh)
-            fresh.append(s)
-        index.append(shared)
-    fresh, index = np.array(fresh, dtype=np.intp), np.array(index, dtype=np.intp)
-    for table in (fresh, index):
-        table.flags.writeable = False
-    return fresh, index
+    return offsets, i, j
 
 
 def _stencil_values(evaluate, points, domain):
@@ -205,32 +171,61 @@ def _stencil_values(evaluate, points, domain):
 
 
 def _jet_from_values(f, h):
-    """The jet from the values f at the stencil slots of step h: g is the
-    centre value, dg and ddg are weighted sums."""
-    _, first, mixed = _stencil(f.shape[-1])
-    dg = np.einsum("a,iakl->ikl", _DZ, f[first]) / h
-    terms = f[mixed.transpose(2, 3, 0, 1)]  # terms[a, b] = f[mixed[:, :, a, b]]
-    ddg = np.zeros(terms.shape[2:], dtype=complex)
-    for (a, b), weight in np.ndenumerate(_DZ_DZBAR):
-        ddg += weight * terms[a, b]
-    return MetricJet(g=f[0], dg=dg, ddg=ddg / h ** 2)
+    """The jet from the values f at the stencil offsets of step h.
+
+    g is the centre value and dg the first differences along the axes.
+    lap[d] = (sum_a f(p + _UNITS[a] h v_d) - 4 f(p)) / (4 h^2) is the Levi form
+    d_v dbar_v g of direction v_d, a quarter of the Laplacian of g on its
+    complex line, so ddg[i, i] = lap(e_i) and, by polarization, with
+    s1 = lap(e_i + e_j) - lap(e_i) - lap(e_j) and si the same for e_i + i e_j,
+    ddg[i, j] = (s1 + i si) / 2 and ddg[j, i] = (s1 - i si) / 2.  Every step
+    is real-linear, so a Hermitian f gives conj(ddg[i,j,k,l]) == ddg[j,i,l,k]
+    exactly."""
+    n = f.shape[-1]
+    _, i, j = _stencil(n)
+    dg = np.einsum("a,iakl->ikl", _DZ, f[1:4 * n + 1].reshape(n, 4, n, n)) / h
+    lap = (f[1:].reshape(n * n, 4, n, n).sum(axis=1) - 4.0 * f[0]) / 4.0 / h ** 2
+    s1, si = lap[n:].reshape(2, i.size, n, n) - lap[i] - lap[j]
+    ddg = np.empty((n,) * 4, dtype=complex)
+    ddg[range(n), range(n)] = lap[:n]
+    ddg[i, j], ddg[j, i] = (s1 + 1j * si) / 2.0, (s1 - 1j * si) / 2.0
+    return MetricJet(g=f[0], dg=dg, ddg=ddg)
 
 
 def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, domain=None):
     """Jet of an arbitrary pointwise metric by central Wirtinger differences.
 
     order=2 is the plain O(h^2) stencil; order=4 Richardson-extrapolates the
-    steps h and h/2, which is needed when absolute accuracy near 1e-8 is
-    required on O(1) second derivatives.
+    steps h and 2 h, (4 jet(h) - jet(2 h)) / 3, which is needed when absolute
+    accuracy near 1e-8 is required on O(1) second derivatives.  dg comes from
+    central differences along the axes and ddg from Levi forms on complex
+    lines (``_jet_from_values``), exactly Hermitian for a Hermitian evaluator.
 
-    ``evaluate`` must be a pure function of the point.  Each distinct stencil
-    point is evaluated (and checked against ``domain``) once: 1 + 12 n +
-    8 n (n - 1) points in C^n at order 2; at order 4 twice that, less the
-    1 + 4 n points the two steps share.  A stacked evaluator (every catalog
-    field's, see the module docstring) gets each step's points in one (k, n)
-    call, and a stacked ``domain`` likewise; a plain callable is called once
-    per point.  Either way the jet is the same bit for bit.  ``h`` must be a
-    positive finite real, and the step it gives a finite square.
+    ``evaluate`` must be a pure function of the point.  Each stencil point is
+    evaluated (and checked against ``domain``) once: 1 + 4 n^2 points in C^n
+    at order 2 (17 at n = 2, 257 at n = 8), and 1 + 8 n^2 at order 4, whose
+    two steps share the centre.  The farthest point lies sqrt(2) times the
+    widest step from p.  A stacked evaluator (every catalog field's, see the
+    module docstring) gets each step's points in one (k, n) call, and a
+    stacked ``domain`` likewise; a plain callable is called once per point.
+    Either way the jet is the same bit for bit.  ``h`` must be a positive
+    finite real, and the widest step it gives a finite square.
+
+    The jet's own error is O(h^2) (order 2) or O(h^4) (order 4).
+    ``curvature_from_jet`` cancels ddg against dg g^-1 dg^H, which amplifies
+    it by about kappa(g)^2, and its conditioning test bounds rounding, not
+    this error: a jet whose metric passes that test comes back however large
+    the error is.  For every catalog field at |p| <= 1 (hopf at |z| >= 0.5,
+    tricerri at Im w >= 0.3), base step 1e-4 at order 2 and 1e-3 at order 4,
+    the frame tensor of ``to_frame`` is within 1e-6 of the closed form's,
+    relative to its max |R|.  On Fubini-Study at n = 2 (40 directions per
+    radius), that error reaches, at order 2 / order 4:
+
+        |w|    kappa(g)   error
+        1      2          5e-8 / 7e-10
+        3      10         2e-6 / 1e-8
+        10     101        2e-4 / 3e-6
+        30     901        2e-2 / 2e-4
     """
     p = as_point(p)
     if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
@@ -239,22 +234,20 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
     if step < DEFAULT.fd_min_step:
         raise UsageError(f"step {step:.3e} is below {DEFAULT.fd_min_step:.0e}; "
                          "cancellation would dominate")
-    if not math.isfinite(float(step) * float(step)):   # ddg divides by step^2
-        raise UsageError(f"step {step:.3e} has no finite square")
     if order not in (2, 4):
         raise UsageError(f"unsupported finite-difference order {order}")
+    widest = 2.0 * step if order == 4 else step
+    if not math.isfinite(float(widest) * float(widest)):   # ddg divides by its square
+        raise UsageError(f"step {widest:.3e} has no finite square")
     offsets = _stencil(p.size)[0]
     f = _stencil_values(evaluate, p + step * offsets, domain)
-    full = _jet_from_values(f, step)
+    jet = _jet_from_values(f, step)
     if order == 2:
-        return full
-    fresh, index = _half_step_slots(p.size)
-    half_step = step / 2.0
-    extra = _stencil_values(evaluate, p + half_step * offsets[fresh], domain)
-    half = _jet_from_values(np.concatenate([f, extra])[index], half_step)
-    return MetricJet(g=full.g,
-                     dg=(4.0 * half.dg - full.dg) / 3.0,
-                     ddg=(4.0 * half.ddg - full.ddg) / 3.0)
+        return jet
+    extra = _stencil_values(evaluate, p + widest * offsets[1:], domain)
+    wide = _jet_from_values(np.concatenate([f[:1], extra]), widest)
+    return MetricJet(g=jet.g, dg=(4.0 * jet.dg - wide.dg) / 3.0,
+                     ddg=(4.0 * jet.ddg - wide.ddg) / 3.0)
 
 
 def jet_at(metric, p):

@@ -14,8 +14,9 @@ from curvlab import (DomainError, UsageError, cone_min, copositive_2x2, dual_edm
                      perron_weights, rayleigh_bounds, perron_criterion_check,
                      weitzenbock)
 from curvlab.cli import main
-from curvlab.cones import (Cone, _centred, _edm_rank3_of_centred, _faces, _perron_pass,
-                           difference_form_pairings)
+from curvlab.cones import (Cone, EDMatrix, _centred, _edm_rank3_of_centred, _faces,
+                           _perron_pass, difference_form_pairings)
+from curvlab.config import DEFAULT
 from curvlab.linalg import rng_from
 from curvlab import verify
 from curvlab.verify import cone_oracle_disagreements
@@ -217,6 +218,22 @@ def test_perron_weights_examples():
     assert r[1] == pytest.approx(4.0 / (2.0 + root6))
     with pytest.raises(DomainError):
         perron_weights(edm_from_vector([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("inside", [True, False])
+def test_perron_weights_clip_within_their_slack_and_refuse_beyond_it(inside):
+    # matrices built directly, not from a vector: [[a, 1], [1, a]] has
+    # r = (1 - a) / (1 + a), just above 1 for a small a < 0, and
+    # diag(1, d, 0) has r = (-d, 0), just below 0
+    slack = DEFAULT.perron_ratio
+    a, d = (-slack / 4.0, slack / 2.0) if inside else (-slack, 2.0 * slack)
+    for sigma in (np.array([[a, 1.0], [1.0, a]]), np.diag([1.0, d, 0.0])):
+        edm = EDMatrix(sigma=sigma, source=np.zeros(len(sigma)))
+        if inside:
+            assert perron_weights(edm).tolist() in ([1.0], [0.0, 0.0])
+        else:
+            with pytest.raises(DomainError, match="outside"):
+                perron_weights(edm)
 
 
 def test_perron_weights_bounded_by_one():
