@@ -58,6 +58,19 @@ CORPUS = {
                             "--format", "json"],
     "frame_scan_exact": ["frame-scan", "--tensor", "random", "--tensor-params",
                          '{"n": 3, "seed": 1}', "--functional", "qobc", "--format", "json"],
+    # searched scans whose sweeps (2 n^2 moves) span several of the search's chunks
+    **{f"frame_scan_searched_n{n}_{cone}_{convention}": [
+        "frame-scan", "--tensor", "random", "--tensor-params", f'{{"n": {n}, "seed": {seed}}}',
+        "--functional", kind, "--cone", cone, "--convention", convention,
+        "--restarts", str(restarts), "--refine-steps", str(refine), "--format", "json"]
+       for n, seed, cone, convention, kind, restarts, refine in [
+           (4, 3, "orthant", "full", "qobc", 2, 2),
+           (4, 3, "monotone", "full", "qobc", 2, 2),
+           (4, 3, "orthant", "adjoint", "altered_rbc", 2, 2),
+           (4, 3, "monotone", "adjoint", "altered_rbc", 2, 2),
+           (6, 4, "orthant", "full", "qobc", 1, 1),
+           (6, 4, "monotone", "adjoint", "altered_rbc", 1, 1),
+           (8, 5, "full", "adjoint", "altered_qobc", 2, 1)]},
     "sweep_fubini_study_adjoint": ["sweep", "--metric", "fubini_study", "--dim", "2", "--point",
                                    "0.1,0.2j", "--grid", "re1=0:0.5:3", "--restarts", "2",
                                    "--refine-steps", "3"],
