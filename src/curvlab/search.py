@@ -29,17 +29,18 @@ restart's current frame, yields the stack of candidates it wants scored
 next with a strict bound, and is sent back the first candidate below the
 bound (or None).  A sweep has n^2 coordinates: for each pair p < q of frame
 vectors a real and then a complex Givens rotation of the two, then a phase
-of each vector.  A sweep stacks all of its remaining candidates, each its
-lane's frame with one or two rows rewritten, accepts the first improvement
-in sweep order and restacks the rest of the sweep from the new frame, so its
+of each vector.  A lane asks for at most ``_CHUNK`` moves at a time, each
+its lane's frame with one or two rows rewritten; a chunk with no improvement
+passes to the next from the same frame, and the first improvement in sweep
+order is accepted and the sweep goes on from the move after it, so its
 iterates are those of one-at-a-time coordinate descent.  All live lanes of
 a call advance in lockstep: per step, their candidate frames go through one
 ``frame_matrices`` call, one ``quadratic_form_matrix`` call per kind, and
 one stacked ``cone_min`` call on every cone kind; each lane then takes the
 first hit in its own rows.  Every step is computed per row, so a lane's
-iterates do not depend on the lanes beside it.  One evaluation holds at most
-``_ROWS`` candidates; lanes are grouped in order and never split, so memory
-stays bounded however many restarts run.  Exact and searched extrema are
+iterates do not depend on the lanes beside it.  One evaluation holds the
+asks of at most ``_ROWS // _CHUNK`` lanes, taken in order, so memory stays
+bounded however many restarts run.  Exact and searched extrema are
 re-evaluated in one pass (one stacked ``transform_frame``, one ``evaluate``
 per kind); invariant ones rest on the exact residual of ``invariance_test``.
 
@@ -70,9 +71,14 @@ INITIAL_ANGLE = 0.4   # first rotation angle of each restart's sweeps
 SHRINK = 0.7          # step factor after a sweep that improves nothing
 # candidate frames per stacked evaluation of a lockstep search.  The time per
 # candidate stops falling by about 256 at n = 2..4; one evaluation then holds
-# about 1.7 MB at n = 8 on the full cone and 17 MB on a restricted cone (a
-# lane is never split, so a lane alone may exceed the cap)
+# about 1.7 MB at n = 8 on the full cone and 17 MB on a restricted cone
 _ROWS = 256
+# moves of a sweep (2 n^2 of them) scored per ask.  Scoring the whole rest of
+# the sweep scores every move after a hit again from the new frame.  Chunks of
+# 2-32 on random_tensor(1, n), default budget: 8 is within noise of whole
+# tails at n = 2, 3 and 1.6x, 2.7x, 3.8x faster at n = 4, 6, 8; 4 about the
+# same, 16 and 32 give back part of it at n >= 6, 2 is slower at n <= 3
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -102,16 +108,17 @@ class FrameExtremum:
 
 class _Ask(NamedTuple):
     """A lane's request for one scan: the candidate is the frame alone when
-    step is None (the lane's first frame), else the sweep's moves of the
-    frame from start on; bound is strict."""
+    step is None (the lane's first frame, start 0 and stop 1), else the
+    sweep's moves start to stop - 1 of the frame; bound is strict."""
     frame: np.ndarray
     step: Optional[float]
     start: int
+    stop: int
     bound: float
 
     @property
     def size(self):
-        return 1 if self.step is None else 2 * self.frame.size - self.start
+        return self.stop - self.start
 
 
 def _candidates(asks, sizes):
@@ -147,20 +154,22 @@ def _lane(frame, refine_steps):
 
     Each yield is an ``_Ask``; the lane is sent back the first of its
     candidates below the bound, as (index, frame, value, vector), or None.
-    A sweep takes its moves in order, +step then -step per coordinate,
-    accepts the first improvement and goes on from the move after it; a
-    sweep that improves nothing shrinks the step.  Returns
-    (value, frame, vector) of the last iterate.
+    A sweep takes its moves in order, +step then -step per coordinate, at
+    most ``_CHUNK`` per ask, accepts the first improvement and goes on from
+    the move after it; a sweep that improves nothing shrinks the step.
+    Returns (value, frame, vector) of the last iterate.
     """
-    _, _, value, vector = yield _Ask(frame, None, 0, np.inf)
+    _, _, value, vector = yield _Ask(frame, None, 0, 1, np.inf)
     step = INITIAL_ANGLE
+    moves = 2 * frame.size
     for _ in range(refine_steps):
         improved = False
         start = 0
-        while start < 2 * frame.size:
-            hit = yield _Ask(frame, step, start, value - 1e-14)
+        while start < moves:
+            hit = yield _Ask(frame, step, start, min(start + _CHUNK, moves), value - 1e-14)
             if hit is None:
-                break
+                start += _CHUNK
+                continue
             j, frame, value, vector = hit
             improved = True
             start += j + 1
@@ -210,24 +219,11 @@ def _scan(tensor, cone, convention, lanes):
             for hit, offset in zip(hits, np.cumsum(sizes) - sizes)]
 
 
-def _groups(asks):
-    """The keys of asks in order, in groups of at most _ROWS candidates; a
-    lane with more candidates than that is a group of its own."""
-    groups, rows = [], 0
-    for i, ask in asks.items():
-        if not groups or rows + ask.size > _ROWS:
-            groups.append([])
-            rows = 0
-        groups[-1].append(i)
-        rows += ask.size
-    return groups
-
-
 def _search(tensor, kinds, cone, convention, cfg):
     """Searched (inf, sup) of each kind, as one flat list: every
     (kind, sign, restart) is a lane, and all live lanes advance together, one
-    scan each per step, in the groups of ``_groups``.  Restart 0 starts at
-    the identity frame, restart r > 0 at a Haar frame drawn from
+    scan each per step, ``_ROWS // _CHUNK`` lanes in order per scan.  Restart
+    0 starts at the identity frame, restart r > 0 at a Haar frame drawn from
     ``rng_from(seed, r)``.  Per kind and sign the least value wins, ties to
     the earlier restart."""
     n = tensor.n
@@ -239,8 +235,10 @@ def _search(tensor, kinds, cone, convention, cfg):
              for kind, sign in keys for frame in starts]
     asks = {i: next(lane) for i, (_, _, lane) in enumerate(lanes)}
     outcomes = [None] * len(lanes)
+    width = _ROWS // _CHUNK     # lanes per scan; no ask holds more than _CHUNK rows
     while asks:
-        for group in _groups(asks):
+        live = list(asks)
+        for group in (live[at:at + width] for at in range(0, len(live), width)):
             hits = _scan(tensor, cone, convention, [lanes[i][:2] + (asks[i],) for i in group])
             for i, hit in zip(group, hits):
                 try:

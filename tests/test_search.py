@@ -49,7 +49,7 @@ def test_sweep_candidates_rotate_the_lane_frame(n):
     u = haar_from_rng(n, rng_from(30 + n))
     for step in (INITIAL_ANGLE, 1.3):
         for start in (0, n * n):
-            ask = search_mod._Ask(u, step, start, 0.0)
+            ask = search_mod._Ask(u, step, start, 2 * n * n, 0.0)
             cands = search_mod._candidates([ask], np.array([ask.size]))
             assert cands.shape == (2 * n * n - start, n, n)
             for j, cand in enumerate(cands):
@@ -57,7 +57,7 @@ def test_sweep_candidates_rotate_the_lane_frame(n):
                 g = move_matrix(n, m // 2, step if m % 2 == 0 else -step)
                 assert np.abs(cand - g @ u).max() <= 1e-15, (step, m)
     # from the identity every move of a sweep is a distinct new frame
-    ask = search_mod._Ask(np.eye(n, dtype=complex), INITIAL_ANGLE, 0, 0.0)
+    ask = search_mod._Ask(np.eye(n, dtype=complex), INITIAL_ANGLE, 0, 2 * n * n, 0.0)
     cands = search_mod._candidates([ask], np.array([ask.size]))
     assert len(cands) == 2 * n * n
     assert all(not np.array_equal(cand, np.eye(n)) for cand in cands)
@@ -637,24 +637,33 @@ def test_frame_change_rows_equal_single_calls_in_any_stack_layout(n):
                 assert np.array_equal(moved[j].values, single_moved[row]), (convention, row)
 
 
-def test_groups_never_split_a_lane(monkeypatch):
-    monkeypatch.setattr(search_mod, "_ROWS", 10)
-    frame = np.eye(2, dtype=complex)        # sweeps of 8 candidates
-    asks = {i: search_mod._Ask(frame, None if i % 3 == 0 else 0.1, i % 5, 0.0)
-            for i in range(12)}
-    groups = search_mod._groups(asks)
-    assert [i for group in groups for i in group] == list(range(12))
-    for group in groups:
-        sizes = [asks[i].size for i in group]
-        assert sum(sizes) <= 10 or len(group) == 1
-    # one lane larger than the cap is a group of its own
-    monkeypatch.setattr(search_mod, "_ROWS", 4)
-    assert search_mod._groups({0: search_mod._Ask(frame, 0.1, 0, 0.0)}) == [[0]]
+def test_asks_cover_at_most_a_chunk_and_scans_at_most_the_row_cap(monkeypatch):
+    # n = 4 sweeps have 32 moves, so every sweep spans several chunks, and
+    # 40 lanes of 8 moves would exceed the row cap in one scan
+    asks, rows = [], []
+    real_scan, real_matrices = search_mod._scan, search_mod.frame_matrices
+
+    def scan(tensor, cone, convention, lanes):
+        asks.extend(ask for _, _, ask in lanes)
+        return real_scan(tensor, cone, convention, lanes)
+
+    def matrices(tensor, u, convention):
+        rows.append(len(u))
+        return real_matrices(tensor, u, convention)
+    monkeypatch.setattr(search_mod, "_scan", scan)
+    monkeypatch.setattr(search_mod, "frame_matrices", matrices)
+    cfg = SearchConfig(restarts=20, refine_steps=2, seed=6)
+    extremize(random_tensor(6, 4), "altered_rbc", cone=nonneg_orthant(4), convention="adjoint",
+              cfg=cfg)
+    assert max(ask.size for ask in asks) == search_mod._CHUNK
+    assert all(ask.stop == min(ask.start + search_mod._CHUNK, 32)
+               for ask in asks if ask.step is not None)
+    assert max(rows) <= search_mod._ROWS
 
 
 # traced peak of the search below: the per-restart search peaked at 0.67 MB;
-# 256 lanes of one adjoint n = 8 candidate each hold about 6.8 KB apiece
-# (1.7 MB), and without the row cap the 400 lanes would peak at 2.9 MB
+# the 400 lanes' first adjoint n = 8 frames, scored _ROWS // _CHUNK = 32 at a
+# time, peak at 1.2 MB, and without the row cap they would peak at 2.9 MB
 PEAK_BOUND = 2.5e6
 
 
