@@ -283,8 +283,9 @@ def paper_tricerri(b, d, im_w):
         raise DomainError(f"Im(w) must be positive and finite, with 3/(2 Im(w)^4) "
                           f"at most MAX_ENTRY = {MAX_ENTRY:.3g}, got {im_w!r}")
     vals = np.zeros((2, 2, 2, 2), dtype=complex)
-    vals[1, 1, 0, 0] = bb * r0
-    vals[1, 1, 1, 1] = dd * r0
+    # R0 < 0, so a zero weight would store -0.0; adding 0.0 stores +0.0
+    vals[1, 1, 0, 0] = bb * r0 + 0.0
+    vals[1, 1, 1, 1] = dd * r0 + 0.0
     return ChernTensor(vals, FRAME)
 
 

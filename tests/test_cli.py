@@ -463,6 +463,19 @@ def test_searched_zero_sup_prints_zero(capsys):
     assert main(argv + ["--format", "json"]) == 0
     sup = json.loads(capsys.readouterr().out)["sup"]["value"]
     assert sup == 0.0 and np.copysign(1.0, sup) == 1.0
+    # nor the Tricerri family's exact zero sup, whose corner member has a
+    # zero weight times R0 < 0, in text, JSON and the sweep CSV
+    family = ["frame-scan", "--family", "tricerri", "--imw", "1", "--functional", "altered_rbc"]
+    assert main(family) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("sup = 0 at")
+    assert main(family + ["--format", "json"]) == 0
+    sup = json.loads(capsys.readouterr().out)["sup"]
+    assert sup == 0.0 and np.copysign(1.0, sup) == 1.0
+    assert main(["sweep", "--metric", "tricerri", "--point", "0,1j", "--grid", "im2=1:2:2",
+                 "--use-paper-tensor"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [dict(zip(header.split(","), row.split(",")))["altered_rbc_sup"]
+            for row in rows] == ["0", "0"]
 
 
 def test_cone_check_json(capsys):
