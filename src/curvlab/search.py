@@ -30,10 +30,10 @@ next with a strict bound, and is sent back the first candidate below the
 bound (or None).  A sweep has n^2 coordinates: for each pair p < q of frame
 vectors a real and then a complex Givens rotation of the two, then a phase
 of each vector.  A lane asks for at most ``_CHUNK`` moves at a time, each
-its lane's frame with one or two rows rewritten; a chunk with no improvement
-passes to the next from the same frame, and the first improvement in sweep
-order is accepted and the sweep goes on from the move after it, so its
-iterates are those of one-at-a-time coordinate descent.  All live lanes of
+candidate its frame with one or two rows rewritten.  A chunk with no
+improvement passes to the next from the same frame; the first improvement
+in sweep order is accepted and the sweep goes on from the move after it, so
+its iterates are those of one-at-a-time coordinate descent.  All live lanes of
 a call advance in lockstep: per step, their candidate frames go through one
 ``frame_matrices`` call, one ``quadratic_form_matrix`` call per kind, and
 one stacked ``cone_min`` call on every cone kind; each lane then takes the
