@@ -48,6 +48,8 @@ CORPUS = {
     "verify_all_json": ["verify", "all", "--seed", "0", "--format", "json"],
     "verify_all_seed1": ["verify", "all", "--seed", "1"],
     "verify_all_seed2": ["verify", "all", "--seed", "2"],
+    "verify_all_json_seed1": ["verify", "all", "--seed", "1", "--format", "json"],
+    "verify_all_json_seed2": ["verify", "all", "--seed", "2", "--format", "json"],
     # one scan per dispatch row of search._extremize_kinds
     "frame_scan_invariant": ["frame-scan", "--tensor", "kahler_constant", "--tensor-params",
                              '{"c": -1.5, "n": 3}', "--functional", "altered_rbc", "--cone",
