@@ -7,6 +7,14 @@ in the coordinate basis (metric attached) or in a unitary frame (implicit
 metric = identity); contractions to Ricci and scalar curvatures require the
 frame basis.
 
+The pointwise pipeline takes stacks: a ``ChernTensor`` may hold a
+(..., n, n, n, n) stack of tensors, checked in one pass, and
+``curvature_from_jet``, ``to_frame`` and ``paper_hopf`` map a stack of jets,
+tensors or points to one stacked tensor, as ``transform_frame`` does a stack
+of unitaries.  Each row of a stacked result equals its single call bit for
+bit, and a stacked check that refuses names the first bad index.  Every
+other operation here takes one tensor (``require_frame``).
+
 Two frame-change conventions coexist because both appear in practice:
 
 * full      all four indices transform, R ~ (U x Ubar x U x Ubar) R;
@@ -28,9 +36,9 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import (_identifier, _instance, _integer, _number, _numeric, _square,
-                     cholesky_frame, max_modulus, rng_from, unitary_residual)
-from .metrics import HOPF_SQ_RANGE, MetricJet, _chart_sq_norm
+from .linalg import (_first_bad, _identifier, _instance, _integer, _number, _numeric,
+                     _square, cholesky_frame, max_modulus, rng_from, unitary_residual)
+from .metrics import HOPF_SQ_RANGE, MetricJet, _chart_sq_norm, _pow
 
 COORDINATE = "coordinate"
 FRAME = "frame"
@@ -58,19 +66,31 @@ class RicciKind(enum.IntEnum):
 
 
 def hermitian_tensor_residual(values):
-    return float(np.abs(np.conj(values) - values.transpose(1, 0, 3, 2)).max())
+    """max |conj(R[i,j,k,l]) - R[j,i,l,k]| of a tensor, read off the last four
+    axes: a float for one tensor, an array of one residual per tensor for a
+    stack."""
+    lead = range(values.ndim - 4)
+    out = np.abs(np.conj(values) - values.transpose(*lead, -3, -4, -1, -2)).max(
+        axis=(-4, -3, -2, -1))
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
 class ChernTensor:
-    """Dense n^4 curvature tensor with a basis tag, checked once when built.
+    """Dense n^4 curvature tensor, or a stack of them, with a basis tag,
+    checked once when built.
 
-    A UsageError unless values is a numeric (n, n, n, n) array, n >= 1, the
-    basis 'coordinate' or 'frame', and an (n, n) numeric metric present
-    exactly on a coordinate tensor; a DomainError unless every entry is
-    finite and at most MAX_ENTRY, and ``sym_residual``, the Hermitian
-    residual, at most ``Tolerances.tensor_hermitian`` x max(1, max|R|).  The
-    values are kept as a read-only complex copy.
+    A UsageError unless values is a numeric (n, n, n, n) array or a nonempty
+    (..., n, n, n, n) stack of them, n >= 1, the basis 'coordinate' or
+    'frame', and a numeric metric, (n, n) or the stack's (..., n, n),
+    present exactly on a coordinate tensor; a DomainError unless every entry
+    is finite and at most MAX_ENTRY, and ``sym_residual``, the Hermitian
+    residual, at most ``Tolerances.tensor_hermitian`` x max(1, max|R|).  A
+    stack is checked in one pass with one bound per tensor, and a refusal
+    names the first bad index.  The values are kept as a read-only complex
+    copy.  ``sym_residual`` is a float for one tensor and an array over the
+    stack otherwise; indexing and iterating a stack give its tensors, which
+    share its checked values.
     """
 
     values: np.ndarray
@@ -80,38 +100,71 @@ class ChernTensor:
 
     def __post_init__(self):
         values = np.array(_numeric(self.values, "curvature tensor", complex))
-        n = values.shape[0] if values.ndim else 0
-        if n == 0 or values.shape != (n,) * 4:
+        n = values.shape[-1] if values.ndim >= 4 else 0
+        if n == 0 or values.shape[-4:] != (n,) * 4 or values.size == 0:
             raise UsageError(f"curvature tensor must be an (n, n, n, n) array with n >= 1, "
-                             f"got shape {values.shape}")
+                             f"or a nonempty stack of them, got shape {values.shape}")
         if _identifier(self.basis, "tensor basis") not in (COORDINATE, FRAME):
             raise UsageError(f"unknown tensor basis '{self.basis}'; bases: {COORDINATE}, {FRAME}")
         if (self.metric is None) == (self.basis == COORDINATE):
             raise UsageError("a tensor carries a metric if and only if its basis is 'coordinate'")
-        if self.metric is not None and _square(self.metric, "tensor metric", None).shape != (n, n):
-            raise UsageError(f"tensor metric must be {n} x {n}, got shape {np.shape(self.metric)}")
-        scale = max(1.0, max_modulus(values, "curvature tensor"))
+        if (self.metric is not None and _square(self.metric, "tensor metric", None, stack=None)
+                .shape != values.shape[:-4] + (n, n)):
+            raise UsageError(f"tensor metric must be {n} x {n} for each tensor, got shape "
+                             f"{np.shape(self.metric)} for tensors of shape {values.shape}")
+        scale = np.maximum(1.0, max_modulus(values, "curvature tensor", rank=4))
         resid = hermitian_tensor_residual(values)
-        if resid > DEFAULT.tensor_hermitian * scale:
-            raise DomainError(f"tensor violates Hermitian symmetry: residual {resid:.3e}")
+        refused = resid > DEFAULT.tensor_hermitian * scale
+        if refused.any():
+            index, at = _first_bad(refused)
+            raise DomainError(f"tensor{at} violates Hermitian symmetry: "
+                              f"residual {np.asarray(resid)[index]:.3e}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sym_residual", resid)
 
     @property
     def n(self):
-        return self.values.shape[0]
+        return self.values.shape[-1]
+
+    def __getitem__(self, index):
+        """The tensor, or stack of tensors, at index of the stack's leading
+        axes, with no second check."""
+        lead = self.values.shape[:-4]
+        if not lead:
+            raise UsageError("a single tensor has no stack to index")
+        try:
+            resid = np.asarray(self.sym_residual)[index]
+        except IndexError as exc:
+            raise UsageError(f"bad index {index!r} into a stack of shape {lead}: {exc}") from None
+        part = object.__new__(ChernTensor)
+        fields = {"values": self.values[index], "basis": self.basis,
+                  "metric": None if self.metric is None else self.metric[index],
+                  "sym_residual": float(resid) if resid.ndim == 0 else resid}
+        for name, value in fields.items():
+            object.__setattr__(part, name, value)
+        return part
+
+    def __iter__(self):
+        """The tensors along the stack's first axis."""
+        if self.values.ndim == 4:
+            raise UsageError("a single tensor is not a stack")
+        return (self[j] for j in range(self.values.shape[0]))
 
 
-def require_frame(tensor, op):
-    """tensor itself if it is a frame ChernTensor, else UsageError."""
+def require_frame(tensor, op, stack=False):
+    """tensor itself if it is a frame ChernTensor, and with stack=False a
+    single one, else UsageError."""
     if _instance(tensor, ChernTensor, f"tensor given to {op}").basis != FRAME:
         raise UsageError(f"{op} needs a unitary-frame tensor; convert with to_frame first")
+    if not stack and tensor.values.ndim != 4:
+        raise UsageError(f"{op} takes one tensor, got a stack of shape {tensor.values.shape[:-4]}")
     return tensor
 
 
 def curvature_from_jet(jet):
-    """Coordinate-basis Chern curvature of a metric 2-jet:
+    """Coordinate-basis Chern curvature of a metric 2-jet, or the stacked
+    tensor of a stacked jet:
 
         R_{i jbar k lbar} = - ddg[i,j,k,l]
                             + sum_{p,q} g^{p qbar} dg[i,k,q] conj(dg[j,l,p])
@@ -122,9 +175,10 @@ def curvature_from_jet(jet):
     D[(i,k), q] = dg[i,k,q] the correction D g^{-1} D^H is Y Y^H, Y = D conj(E).
     """
     g = np.asarray(_instance(jet, MetricJet, "jet").g, dtype=complex)
-    y = np.reshape(jet.dg, (jet.n ** 2, jet.n)) @ np.conj(cholesky_frame(g))
-    correction = (y @ np.conj(y).T).reshape((jet.n,) * 4).transpose(0, 2, 1, 3)
-    return ChernTensor(-jet.ddg + correction, COORDINATE, metric=g)
+    n, lead = jet.n, g.shape[:-2]
+    y = np.reshape(jet.dg, lead + (n * n, n)) @ np.conj(cholesky_frame(g))
+    correction = (y @ y.conj().swapaxes(-1, -2)).reshape(lead + (n,) * 4)
+    return ChernTensor(-jet.ddg + correction.swapaxes(-3, -2), COORDINATE, metric=g)
 
 
 def _change_indices(r, factors):
@@ -160,10 +214,11 @@ def _checked_frame_change(tensor, u, op, ranks=None):
 
 
 def to_frame(tensor):
-    """Convert a coordinate tensor to the unitary frame of its metric."""
+    """Convert a coordinate tensor, or a stack of them, to the unitary frame
+    of its metric."""
     if _instance(tensor, ChernTensor, "tensor given to to_frame").basis == FRAME:
         return tensor
-    e = cholesky_frame(tensor.metric).T
+    e = cholesky_frame(tensor.metric).swapaxes(-1, -2)
     return ChernTensor(_change_indices(tensor.values, (e, np.conj(e), e, np.conj(e))), FRAME)
 
 
@@ -171,18 +226,17 @@ def transform_frame(tensor, u, convention):
     """Apply a unitary frame change under the named convention: all four
     indices change under the full one, the last two under the adjoint one.
 
-    u may also be a (k, n, n) stack of unitaries: the result is then a tuple
-    of k frame tensors from one stacked frame change, with the whole stack
-    checked once, and each tensor equal bit for bit to its single call,
-    whatever the stack's size or layout.
+    u may also be a (k, n, n) stack of unitaries: the result is then one
+    stacked frame tensor of k tensors from one stacked frame change, with the
+    unitaries and the tensors each checked once per stack, and each tensor
+    equal bit for bit to its single call, whatever the stack's size or
+    layout.
     """
     u = _checked_frame_change(tensor, u, "transform_frame", ranks=(2, 3))
     uc = np.conj(u)
     full = FrameConvention(_identifier(convention, "frame convention")) is FrameConvention.FULL
-    values = _change_indices(tensor.values, ((u, uc) if full else (None, None)) + (u, uc))
-    if u.ndim == 3:
-        return tuple(ChernTensor(v, FRAME) for v in values)
-    return ChernTensor(values, FRAME)
+    return ChernTensor(_change_indices(tensor.values, ((u, uc) if full else (None, None))
+                                       + (u, uc)), FRAME)
 
 
 def ricci(tensor, kind):
@@ -239,24 +293,29 @@ def skew_pair(c, n, seed):
 
 def paper_hopf(z):
     """Closed-form Hopf-surface components, used verbatim as frame components:
-    R[i,j,k,l] = 4 delta_kl (delta_ij |z|^2 - z_j conj(z_i)) / |z|^6.  A z
-    whose |z|^6 is not a normal float (|z|^2 outside HOPF_SQ_RANGE) is a
-    DomainError."""
-    z = _numeric(z, "parameter 'z'", complex).reshape(-1)
-    if z.size != 2:
+    R[i,j,k,l] = 4 delta_kl (delta_ij |z|^2 - z_j conj(z_i)) / |z|^6, one
+    tensor for a point z in C^2 and a stacked tensor for a (..., 2) stack of
+    points.  A z whose |z|^6 is not a normal float (|z|^2 outside
+    HOPF_SQ_RANGE) is a DomainError naming the first such point."""
+    z = _numeric(z, "parameter 'z'", complex)
+    z = z.reshape(-1) if z.ndim < 2 else z
+    if z.shape[-1] != 2:
         raise UsageError("the Hopf tensor lives on n = 2")
-    rho = float(_chart_sq_norm(z))
-    if rho == 0.0:
-        raise DomainError("the Hopf tensor is singular at z = 0")
+    rho = _chart_sq_norm(z)
     low, high = HOPF_SQ_RANGE
-    if not low <= rho <= high:
+    outside = ~((low <= rho) & (rho <= high))   # low > 0, so z = 0 is outside
+    if outside.any():
+        if (rho == 0.0).any():
+            raise DomainError(f"the Hopf tensor is singular at z = 0{_first_bad(rho == 0.0)[1]}")
+        index, at = _first_bad(outside)
         raise DomainError(f"the Hopf tensor needs {low:.3g} <= |z|^2 <= {high:.3g}, where "
-                          f"|z|^6 is a normal float, got z = {z.tolist()}")
+                          f"|z|^6 is a normal float, got z = {z[index].tolist()}{at}")
+    cube = _pow(rho, 3)[..., None, None]
     abs2 = np.abs(z) ** 2
-    block = -4.0 * np.einsum("j,i->ij", z, np.conj(z)) / rho ** 3
-    block[0, 0] = 4.0 * abs2[1] / rho ** 3
-    block[1, 1] = 4.0 * abs2[0] / rho ** 3
-    vals = np.einsum("ij,kl->ijkl", block, np.eye(2))
+    block = -4.0 * np.einsum("...j,...i->...ij", z, np.conj(z)) / cube
+    block[..., 0, 0] = 4.0 * abs2[..., 1] / cube[..., 0, 0]
+    block[..., 1, 1] = 4.0 * abs2[..., 0] / cube[..., 0, 0]
+    vals = np.einsum("...ij,kl->...ijkl", block, np.eye(2))
     return ChernTensor(vals, FRAME)
 
 
@@ -266,6 +325,12 @@ def paper_tricerri(b, d, im_w):
     R0 = -3 / (2 Im(w)^4).  Unitarity bounds each row entry: |b| <= 1 and
     |d| <= 1.  An Im(w) that is not positive and finite, or whose |R0|
     exceeds MAX_ENTRY, is a DomainError."""
+    return ChernTensor(_tricerri_values(b, d, im_w), FRAME)
+
+
+def _tricerri_values(b, d, im_w):
+    """The values of ``paper_tricerri(b, d, im_w)``, its parameters checked:
+    a stack of members makes one tensor with one check."""
     # a part above 2 puts |b|^2 above the row bound; 4 stands in for a square
     # that could overflow
     bb, dd = (4.0 if max(abs(z.real), abs(z.imag)) > 2.0 else abs(z) ** 2
@@ -286,16 +351,21 @@ def paper_tricerri(b, d, im_w):
     # R0 < 0, so a zero weight would store -0.0; adding 0.0 stores +0.0
     vals[1, 1, 0, 0] = bb * r0 + 0.0
     vals[1, 1, 1, 1] = dd * r0 + 0.0
-    return ChernTensor(vals, FRAME)
+    return vals
 
 
 def random_tensor(seed, n):
     """Seeded random tensor with Hermitian symmetry enforced."""
+    return ChernTensor(_random_values(seed, n), FRAME)
+
+
+def _random_values(seed, n):
+    """The values of ``random_tensor(seed, n)``, unchecked: a stack of them
+    from several seeds makes one tensor with one check."""
     n = _integer(n, "parameter 'n'", 1)
     rng = rng_from(seed)
     raw = rng.standard_normal((n, n, n, n)) + 1j * rng.standard_normal((n, n, n, n))
-    vals = 0.5 * (raw + np.conj(raw).transpose(1, 0, 3, 2))
-    return ChernTensor(vals, FRAME)
+    return 0.5 * (raw + np.conj(raw).transpose(1, 0, 3, 2))
 
 
 def make_synthetic(kind, /, **params):

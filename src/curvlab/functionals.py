@@ -109,16 +109,11 @@ class CurvatureMatrices:
                                  imag_residual=self.imag_residual)
 
 
-def matrices_from(tensors):
-    """rbc and altered matrices of a frame tensor, stacked for a list or tuple
-    of them (such as the tuple of a stacked ``transform_frame``); the slices
-    are gathers, so each stacked matrix equals its single call bit for bit."""
-    single = not isinstance(tensors, (list, tuple))
-    frames = [require_frame(t, "matrices_from") for t in ((tensors,) if single else tensors)]
-    if len({t.n for t in frames}) != 1:
-        raise UsageError(f"matrices_from needs one or more tensors of one dimension, "
-                         f"got dimensions {[t.n for t in frames]}")
-    r = frames[0].values if single else np.stack([t.values for t in frames])
+def matrices_from(tensor):
+    """rbc and altered matrices of a frame tensor, stacked for a stacked one
+    (such as that of a stacked ``transform_frame``); the slices are gathers,
+    so each stacked matrix equals its single call bit for bit."""
+    r = require_frame(tensor, "matrices_from", stack=True).values
     return CurvatureMatrices.from_slices(np.einsum("...aagg->...ag", r),
                                          np.einsum("...agga->...ag", r))
 
@@ -191,25 +186,30 @@ def _require_broadcast(*shapes):
 
 
 def _bilinear(x, q):
-    """x^T q x (no conjugation) for each row x of a stack.  einsum keeps
-    BLAS out: a threaded matrix-vector product at n^2 = 64 costs more than
-    the whole form and leaves the BLAS threads spinning."""
-    return np.einsum("...p,pq,...q->...", x, q, x)
+    """x^T q x (no conjugation) for each row x of a stack, against q or a
+    stack of q broadcast with it.  einsum keeps BLAS out: a threaded
+    matrix-vector product at n^2 = 64 costs more than the whole form and
+    leaves the BLAS threads spinning."""
+    return np.einsum("...p,...pq,...q->...", x, q, x)
 
 
 def hsc(tensor, w):
     """Holomorphic sectional curvature of a complex direction.
 
-    w may be a stack of directions of shape (..., n); the result is then an
-    array of shape (...).  With a[(i, j)] = w_i conj(w_j) the numerator
-    R(w, wbar, w, wbar) is the bilinear form a R_(ij)(kl) a^T.
+    w may be a stack of directions of shape (..., n) and the tensor a stack
+    of tensors; their leading axes broadcast, and the result is then an array
+    of their broadcast shape, each entry equal bit for bit to its single
+    call.  With a[(i, j)] = w_i conj(w_j) the numerator R(w, wbar, w, wbar)
+    is the bilinear form a R_(ij)(kl) a^T.
     """
-    n = require_frame(tensor, "hsc").n
+    r = require_frame(tensor, "hsc", stack=True).values
+    n = tensor.n
     w = _direction_rows(_numeric(w, "vector", complex))
     if w.shape[-1] != n:
         raise UsageError(f"vector has dimension {w.shape[-1]}, tensor has {n}")
+    _require_broadcast(r.shape[:-4], w.shape[:-1])
     a = (w[..., :, None] * np.conj(w)[..., None, :]).reshape(w.shape[:-1] + (n * n,))
-    num = _bilinear(a, tensor.values.reshape(n * n, n * n))
+    num = _bilinear(a, r.reshape(r.shape[:-4] + (n * n, n * n)))
     out = num.real / np.sum(np.abs(w) ** 2, axis=-1) ** 2
     return float(out) if out.ndim == 0 else out
 

@@ -2,8 +2,9 @@
 unitaries, and one fixed table: an orthonormal basis of Herm(n).
 
 Everything here targets matrices of size n <= 8 and is backed by LAPACK via
-numpy.  Residuals and Haar draws also work on stacks of matrices along
-leading axes, checked once per stack.  Haar sampling follows the
+numpy.  Residuals, Haar draws and metric frames also work on stacks of
+matrices along leading axes, checked once per stack: a stacked check that
+refuses names the first bad item's index (``_first_bad``).  Haar sampling follows the
 QR-with-phase-fix construction (diagonal of the triangular factor made real
 positive), which gives exactly Haar measure.  All randomness in the package
 flows through PCG64 generators built by ``rng_from``.  Eigenproblems call
@@ -109,21 +110,45 @@ def rng_from(seed, *key):
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def ensure_finite(arr, what="input"):
+def _first_bad(bad):
+    """(index, text) of the first True of bad, a boolean array over the
+    leading axes of a stack, in row-major order: text is ' at stack index i'
+    (a tuple of indices past one axis).  A 0-d bad, one item, gives ((), '')."""
+    if bad.ndim == 0:
+        return (), ""
+    index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    return index, f" at stack index {index[0] if len(index) == 1 else index}"
+
+
+def _items(arr, rank):
+    """The axes of each item of a stack of rank-dimensional items; all axes
+    when rank is None."""
+    return None if rank is None else tuple(range(arr.ndim - rank, arr.ndim))
+
+
+def ensure_finite(arr, what="input", rank=None):
+    """arr as an array, DomainError unless every entry is finite; with rank,
+    arr is a stack of rank-dimensional items and the error names the first
+    bad one."""
     arr = np.asarray(arr)
-    if not np.isfinite(arr).all():  # a complex entry is finite iff both parts are
-        raise DomainError(f"{what} contains NaN or Inf entries")
+    finite = np.isfinite(arr)   # a complex entry is finite iff both parts are
+    if not finite.all():
+        raise DomainError(f"{what}{_first_bad(~finite.all(axis=_items(arr, rank)))[1]} "
+                          "contains NaN or Inf entries")
     return arr
 
 
-def max_modulus(arr, what="input"):
-    """Largest entry modulus of arr; DomainError unless every entry is finite
-    and at most ``config.MAX_ENTRY`` in modulus."""
-    top = float(np.abs(arr).max(initial=0.0))
-    if not top <= MAX_ENTRY:   # NaN compares false
-        raise DomainError(f"{what} has an entry that is NaN, Inf or above "
-                          f"MAX_ENTRY = {MAX_ENTRY:.3g} in modulus")
-    return top
+def max_modulus(arr, what="input", rank=None):
+    """Largest entry modulus of arr, or with rank of each rank-dimensional
+    item of a stack (an array over its leading axes, a float for one item);
+    DomainError unless every entry is finite and at most ``config.MAX_ENTRY``
+    in modulus, naming the first bad item of a stack."""
+    top = np.abs(arr).max(axis=_items(np.asarray(arr), rank), initial=0.0)
+    fine = top <= MAX_ENTRY   # NaN compares false
+    if not fine.all():
+        raise DomainError(f"{what}{_first_bad(~fine)[1]} has an entry that is NaN, Inf or "
+                          f"above MAX_ENTRY = {MAX_ENTRY:.3g} in modulus")
+    return float(top) if top.ndim == 0 else top
 
 
 def unitary_residual(u):
@@ -146,18 +171,29 @@ def cholesky_frame(g):
     and by the orthonormality residual |E^T g conj(E) - I|, which is
     dimensionless and so is bounded by ``Tolerances.frame_orthonormal``
     alone: a skew part that the Hermitian part hides is refused at any scale.
+
+    g may be a (..., n, n) stack of metrics: every test then runs on the
+    whole stack at once, a refusal names the first refused metric's index,
+    and each frame equals its single call bit for bit.
     """
-    g = ensure_finite(_square(g, "metric", complex), "metric")
-    h = 0.5 * (g + g.conj().T)
-    lo, hi = (float(x) for x in np.linalg.eigvalsh(h)[[0, -1]])
-    if not lo > DEFAULT.metric_conditioning * hi:
-        raise DomainError(f"metric is not positive definite or too ill-conditioned: eigenvalues "
-                          f"min {lo:.6e} <= {DEFAULT.metric_conditioning:.0e} x max {hi:.6e}")
-    low = np.linalg.cholesky(h)
-    e = np.linalg.inv(low).T
-    residual = float(np.abs(e.T @ g @ np.conj(e) - np.eye(g.shape[0])).max())
-    if residual > DEFAULT.frame_orthonormal:
-        raise DomainError(f"frame orthonormality residual {residual:.3e} too large")
+    g = ensure_finite(_square(g, "metric", complex, stack=None), "metric", rank=2)
+    h = 0.5 * (g + g.conj().swapaxes(-1, -2))
+    spectrum = np.linalg.eigvalsh(h)
+    lo, hi = spectrum[..., 0], spectrum[..., -1]
+    refused = ~(lo > DEFAULT.metric_conditioning * hi)
+    if refused.any():
+        index, at = _first_bad(refused)
+        raise DomainError(f"metric{at} is not positive definite or too ill-conditioned: "
+                          f"eigenvalues min {float(lo[index]):.6e} <= "
+                          f"{DEFAULT.metric_conditioning:.0e} x max {float(hi[index]):.6e}")
+    e = np.linalg.inv(np.linalg.cholesky(h)).swapaxes(-1, -2)
+    residual = np.abs(e.swapaxes(-1, -2) @ g @ np.conj(e)
+                      - np.eye(g.shape[-1])).max(axis=(-2, -1))
+    refused = residual > DEFAULT.frame_orthonormal
+    if refused.any():
+        index, at = _first_bad(refused)
+        raise DomainError(f"frame orthonormality residual{at} {float(residual[index]):.3e} "
+                          "too large")
     return e
 
 

@@ -23,6 +23,13 @@ call on that point alone bit for bit.  Finite differences then evaluate and
 domain-check a whole stencil in one call each.  A plain callable, such as a
 user-built field or a wrapper around a catalog evaluator, is evaluated one
 point at a time.
+
+The pipeline downstream takes stacks too.  A ``MetricJet`` may hold a stack
+of jets along leading axes; the catalog fields' closed-form ``jet`` takes a
+(..., n) stack of points, and ``finite_difference_jet`` a (k, n) stack with
+one step for all or one per point, checked and evaluated as one stencil
+stack.  Each stacked jet equals its single call bit for bit, and a refusal
+names the first bad point's index.
 """
 
 import functools
@@ -36,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import _identifier, _instance, _integer, _numeric, _shape, ensure_finite
+from .linalg import _first_bad, _identifier, _instance, _integer, _numeric, _shape, ensure_finite
 
 CHART_BOUND = 10.0      # |coordinate| bound for the Tricerri fundamental-domain chart
 HOPF_MARGIN = 0.05      # hopf domain: |z| > margin
@@ -47,11 +54,12 @@ TRICERRI_MARGIN = 0.05  # tricerri domain: Im(w) > margin
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric value and first/mixed-second derivatives at a point.
+    """Metric value and first/mixed-second derivatives at a point, or at each
+    point of a stack.
 
     Shapes alone are checked when a jet is built, with no pass over the
     data: g, dg and ddg are numeric arrays of shapes (n, n), (n, n, n) and
-    (n, n, n, n), n >= 1."""
+    (n, n, n, n), n >= 1, or stacks of them along the same leading axes."""
 
     g: np.ndarray
     dg: np.ndarray
@@ -60,22 +68,28 @@ class MetricJet:
     def __post_init__(self):
         shapes = [_shape(self.g, "jet field 'g'"), _shape(self.dg, "jet field 'dg'"),
                   _shape(self.ddg, "jet field 'ddg'")]
-        n = shapes[0][:1]
+        lead, n = shapes[0][:-2], shapes[0][-1:]
         for name, shape, rank in zip(("g", "dg", "ddg"), shapes, (2, 3, 4)):
-            if n in ((), (0,)) or shape != n * rank:
-                raise UsageError(f"jet field '{name}' must have shape (n,) * {rank}, n >= 1 the "
-                                 f"length of g, got {shape} with g of shape {shapes[0]}")
+            if n in ((), (0,)) or shape != lead + n * rank:
+                raise UsageError(f"jet field '{name}' must have shape (n,) * {rank} after the "
+                                 f"leading axes of g, n >= 1 the size of its last axis, got "
+                                 f"{shape} with g of shape {shapes[0]}")
 
     @property
     def n(self):
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
     def reality_residual(self):
         """Deviation from conj(ddg[i,j,k,l]) == ddg[j,i,l,k] and the matching
-        Hermitian condition on g; zero for the jet of a genuine metric."""
-        r_g = float(np.abs(self.g - self.g.conj().T).max())
-        r_dd = float(np.abs(np.conj(self.ddg) - self.ddg.transpose(1, 0, 3, 2)).max())
-        return max(r_g, r_dd)
+        Hermitian condition on g, read off the last axes; zero for the jet of
+        a genuine metric.  A float for one jet, one residual per jet for a
+        stack."""
+        lead = range(self.g.ndim - 2)
+        r_g = np.abs(self.g - np.swapaxes(self.g.conj(), -1, -2)).max(axis=(-2, -1))
+        r_dd = np.abs(np.conj(self.ddg) - self.ddg.transpose(*lead, -3, -4, -1, -2)).max(
+            axis=(-4, -3, -2, -1))
+        out = np.maximum(r_g, r_dd)
+        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -117,14 +131,19 @@ def _stacked(fn):
     return fn
 
 
-def _leaves_domain(p):
-    return DomainError(f"finite-difference stencil point {p.tolist()} leaves the domain")
+def _first_bad_point(bad, lead):
+    """' at stack index i' of the first True of the flat list bad over a
+    stack of points of shape lead; '' for one point."""
+    return _first_bad(np.reshape(bad, lead))[1]
 
 
-def _eval_checked(evaluate, p, domain):
-    if domain is not None and not domain(p):
-        raise _leaves_domain(p)
-    return np.asarray(evaluate(p), dtype=complex)
+def _leaves_domain(points, index):
+    """The refusal of stencil point index of the (..., S, n) points, naming
+    the index of its point in the stack."""
+    lead = index[:-1]
+    at = "" if not lead else f" at stack index {lead[0] if len(lead) == 1 else lead}"
+    return DomainError(f"finite-difference stencil point {points[index].tolist()}{at} "
+                       "leaves the domain")
 
 
 # d/dz_i f ~ sum_a _DZ[a] f(p + _UNITS[a] h e_i) / h, the central differences
@@ -153,25 +172,32 @@ def _stencil(n):
 
 
 def _stencil_values(evaluate, points, domain):
-    """Metric values at the (k, n) points, each domain-checked, stacked.  A
-    stacked domain test checks every point in one call before any is
-    evaluated; a stacked evaluator then evaluates them in one call.  A plain
-    domain test checks each point, and a plain evaluator evaluates it, in
-    turn."""
+    """Metric values at the (..., S, n) stencil points, each domain-checked,
+    stacked.  A stacked domain test checks every point in one call before
+    any is evaluated; a stacked evaluator then evaluates them in one call.  A
+    plain domain test checks each point, and a plain evaluator evaluates it,
+    in turn, in row-major order."""
+    n = points.shape[-1]
     if getattr(domain, "stacked", False):
         inside = np.broadcast_to(domain(points), points.shape[:-1])
         if not inside.all():
-            raise _leaves_domain(points[np.argmin(inside)])
+            raise _leaves_domain(points, _first_bad(~inside)[0])
         domain = None
-    if domain is not None or not getattr(evaluate, "stacked", False):
-        return np.array([_eval_checked(evaluate, q, domain) for q in points])
-    values = np.empty(points.shape + points.shape[-1:], dtype=complex)
-    values[...] = evaluate(points)
-    return values
+    if domain is None and getattr(evaluate, "stacked", False):
+        values = np.empty(points.shape + (n,), dtype=complex)
+        values[...] = evaluate(points)
+        return values
+    values = []
+    for index in np.ndindex(points.shape[:-1]):
+        if domain is not None and not domain(points[index]):
+            raise _leaves_domain(points, index)
+        values.append(np.asarray(evaluate(points[index]), dtype=complex))
+    return np.array(values).reshape(points.shape + (n,))
 
 
 def _jet_from_values(f, h):
-    """The jet from the values f at the stencil offsets of step h.
+    """The jet from the values f at the stencil offsets of step h: f is
+    (..., S, n, n) and h a float or an array of f's leading shape.
 
     g is the centre value and dg the first differences along the axes.
     lap[d] = (sum_a f(p + _UNITS[a] h v_d) - 4 f(p)) / (4 h^2) is the Levi form
@@ -181,15 +207,20 @@ def _jet_from_values(f, h):
     ddg[i, j] = (s1 + i si) / 2 and ddg[j, i] = (s1 - i si) / 2.  Every step
     is real-linear, so a Hermitian f gives conj(ddg[i,j,k,l]) == ddg[j,i,l,k]
     exactly."""
-    n = f.shape[-1]
+    n, lead = f.shape[-1], f.shape[:-3]
     _, i, j = _stencil(n)
-    dg = np.einsum("a,iakl->ikl", _DZ, f[1:4 * n + 1].reshape(n, 4, n, n)) / h
-    lap = (f[1:].reshape(n * n, 4, n, n).sum(axis=1) - 4.0 * f[0]) / 4.0 / h ** 2
-    s1, si = lap[n:].reshape(2, i.size, n, n) - lap[i] - lap[j]
-    ddg = np.empty((n,) * 4, dtype=complex)
-    ddg[range(n), range(n)] = lap[:n]
-    ddg[i, j], ddg[j, i] = (s1 + 1j * si) / 2.0, (s1 - 1j * si) / 2.0
-    return MetricJet(g=f[0], dg=dg, ddg=ddg)
+    h = _trailing(h, 3)
+    dg = np.einsum("a,...iakl->...ikl", _DZ, f[..., 1:4 * n + 1, :, :].reshape(
+        lead + (n, 4, n, n))) / h
+    lap = ((f[..., 1:, :, :].reshape(lead + (n * n, 4, n, n)).sum(axis=-3)
+            - 4.0 * f[..., :1, :, :]) / 4.0 / _pow(h, 2))
+    pairs = (lap[..., n:, :, :].reshape(lead + (2, i.size, n, n))
+             - lap[..., i, :, :][..., None, :, :, :] - lap[..., j, :, :][..., None, :, :, :])
+    s1, si = pairs[..., 0, :, :, :], pairs[..., 1, :, :, :]
+    ddg = np.empty(lead + (n,) * 4, dtype=complex)
+    ddg[..., range(n), range(n), :, :] = lap[..., :n, :, :]
+    ddg[..., i, j, :, :], ddg[..., j, i, :, :] = (s1 + 1j * si) / 2.0, (s1 - 1j * si) / 2.0
+    return MetricJet(g=f[..., 0, :, :], dg=dg, ddg=ddg)
 
 
 def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, domain=None):
@@ -206,10 +237,15 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
     at order 2 (17 at n = 2, 257 at n = 8), and 1 + 8 n^2 at order 4, whose
     two steps share the centre.  The farthest point lies sqrt(2) times the
     widest step from p.  A stacked evaluator (every catalog field's, see the
-    module docstring) gets each step's points in one (k, n) call, and a
+    module docstring) gets each step's points in one (..., S, n) call, and a
     stacked ``domain`` likewise; a plain callable is called once per point.
     Either way the jet is the same bit for bit.  ``h`` must be a positive
     finite real, and the widest step it gives a finite square.
+
+    p may be a (k, n) stack of points, and h then also one step per point, a
+    (k,) array: the result is one stacked jet from one stacked domain check
+    and one stacked evaluation per step, each row equal bit for bit to the
+    jet of its point alone.  A refusal names the first bad point's index.
 
     The jet's own error is O(h^2) (order 2) or O(h^4) (order 4).
     ``curvature_from_jet`` cancels ddg against dg g^-1 dg^H, which amplifies
@@ -227,25 +263,41 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
         10     101        2e-4 / 3e-6
         30     901        2e-2 / 2e-4
     """
-    p = as_point(p)
-    if not (isinstance(h, numbers.Real) and math.isfinite(h) and h > 0):
+    p = _numeric(p, "point", complex)
+    p = as_point(p) if p.ndim < 2 else ensure_finite(p, "point", rank=1)
+    lead = p.shape[:-1]
+    if isinstance(h, numbers.Real):
+        steps = [h] * math.prod(lead)
+    elif lead and isinstance(h, (np.ndarray, list, tuple)) and np.shape(h) == lead:
+        steps = _numeric(h, "finite-difference steps").ravel().tolist()
+    else:
+        raise UsageError(f"finite-difference step must be positive and finite, one real or "
+                         f"one per point, got {h!r}")
+    if not all(math.isfinite(x) and x > 0 for x in steps):
         raise UsageError(f"finite-difference step must be positive and finite, got {h!r}")
-    step = h * max(1.0, float(np.linalg.norm(p))) if scale_with_point else h
-    if step < DEFAULT.fd_min_step:
-        raise UsageError(f"step {step:.3e} is below {DEFAULT.fd_min_step:.0e}; "
-                         "cancellation would dominate")
+    if scale_with_point:   # Python floats: a product too large for one is inf
+        steps = [x * max(1.0, float(np.linalg.norm(q)))
+                 for x, q in zip(steps, p.reshape(-1, p.shape[-1]))]
+    small = [x < DEFAULT.fd_min_step for x in steps]
+    if any(small):
+        raise UsageError(f"step {steps[small.index(True)]:.3e}{_first_bad_point(small, lead)} "
+                         f"is below {DEFAULT.fd_min_step:.0e}; cancellation would dominate")
     if order not in (2, 4):
         raise UsageError(f"unsupported finite-difference order {order}")
-    widest = 2.0 * step if order == 4 else step
-    if not math.isfinite(float(widest) * float(widest)):   # ddg divides by its square
-        raise UsageError(f"step {widest:.3e} has no finite square")
-    offsets = _stencil(p.size)[0]
-    f = _stencil_values(evaluate, p + step * offsets, domain)
-    jet = _jet_from_values(f, step)
+    widest = [2.0 * x for x in steps] if order == 4 else steps
+    unsquared = [not math.isfinite(x * x) for x in widest]   # ddg divides by the square
+    if any(unsquared):
+        raise UsageError(f"step {widest[unsquared.index(True)]:.3e}"
+                         f"{_first_bad_point(unsquared, lead)} has no finite square")
+    h, widest = (np.reshape(x, lead) for x in (steps, widest))
+    offsets = _stencil(p.shape[-1])[0]
+    f = _stencil_values(evaluate, p[..., None, :] + h[..., None, None] * offsets, domain)
+    jet = _jet_from_values(f, h)
     if order == 2:
         return jet
-    extra = _stencil_values(evaluate, p + widest * offsets[1:], domain)
-    wide = _jet_from_values(np.concatenate([f[:1], extra]), widest)
+    extra = _stencil_values(evaluate, p[..., None, :] + widest[..., None, None] * offsets[1:],
+                            domain)
+    wide = _jet_from_values(np.concatenate([f[..., :1, :, :], extra], axis=-3), widest)
     return MetricJet(g=jet.g, dg=(4.0 * jet.dg - wide.dg) / 3.0,
                      ddg=(4.0 * jet.ddg - wide.ddg) / 3.0)
 
@@ -265,8 +317,8 @@ def jet_at(metric, p):
 # ---------------------------------------------------------------------------
 # catalog
 #
-# Evaluators and domain tests are stacked (module docstring).  They keep the
-# pointwise order of operations on each row: sums reduce along the last
+# Evaluators, domain tests and jets are stacked (module docstring).  They keep
+# the pointwise order of operations on each row: sums reduce along the last
 # axis, as a sum over one point does, and powers go through the C library's
 # pow, as Python and numpy scalars do (numpy's vectorized power can round the
 # last bit differently).  A single point keeps numpy scalars where it can,
@@ -277,6 +329,12 @@ def _pow(x, e):
     if x.ndim == 0:
         return x[()] ** e
     return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _trailing(x, k):
+    """x with k unit axes appended, to broadcast over a row's k trailing axes."""
+    x = np.asarray(x)
+    return x.reshape(x.shape + (1,) * k)
 
 
 def _coord(p, i):
@@ -301,11 +359,14 @@ def _chart_sq_norm(p, weights=1.0):
 def euclidean(n):
     n = _integer(n, "parameter 'n'", 1)
     eye = np.eye(n, dtype=complex)
-    zeros1 = np.zeros((n, n, n), dtype=complex)
-    zeros2 = np.zeros((n, n, n, n), dtype=complex)
+    zeros1 = np.zeros((n, n, n))
+    zeros2 = np.zeros((n, n, n, n))
 
     def jet(p):
-        return MetricJet(g=eye.copy(), dg=zeros1.copy(), ddg=zeros2.copy())
+        lead = np.shape(p)[:-1]
+        return MetricJet(g=np.broadcast_to(eye, lead + eye.shape).copy(),
+                         dg=np.zeros(lead + zeros1.shape, dtype=complex),
+                         ddg=np.zeros(lead + zeros2.shape, dtype=complex))
 
     return MetricField(name="euclidean", n=n, evaluate=_stacked(lambda p: eye.copy()),
                        domain=_stacked(lambda p: True), jet=jet)
@@ -326,13 +387,13 @@ def conformal(n, coeffs=None):
     domain = _stacked(lambda p: _chart_sq_norm(p, c) <= math.log(MAX_ENTRY))
 
     def jet(p):
-        w = np.exp(float(np.sum(c * np.abs(p) ** 2)))
+        w = np.exp((c * np.abs(p) ** 2).sum(axis=-1))
         df = c * np.conj(p)                      # d f / d z_i
-        dg = np.einsum("i,kl->ikl", w * df, eye)
+        dg = np.einsum("...i,kl->...ikl", _trailing(w, 1) * df, eye)
         # d^2 f / dz_i dzbar_j = c_i delta_ij; product rule on exp(f)
-        hess = np.einsum("i,j->ij", df, np.conj(df)) + np.diag(c).astype(complex)
-        ddg = np.einsum("ij,kl->ijkl", w * hess, eye)
-        return MetricJet(g=w * eye, dg=dg, ddg=ddg)
+        hess = np.einsum("...i,...j->...ij", df, np.conj(df)) + np.diag(c).astype(complex)
+        ddg = np.einsum("...ij,kl->...ijkl", _trailing(w, 2) * hess, eye)
+        return MetricJet(g=_trailing(w, 2) * eye, dg=dg, ddg=ddg)
 
     return MetricField(name="conformal", n=n, evaluate=evaluate, domain=domain, jet=jet)
 
@@ -352,11 +413,12 @@ def hopf():
         return (np.sqrt(r) > HOPF_MARGIN) & (r <= HOPF_SQ_RANGE[1])
 
     def jet(p):
-        r = float(_sq_norm(p))
-        g = 4.0 * eye / r
-        dg = np.einsum("i,kl->ikl", -4.0 * np.conj(p) / r ** 2, eye)
-        dd = 4.0 * (2.0 * np.einsum("i,j->ij", np.conj(p), p) - r * np.eye(2)) / r ** 3
-        ddg = np.einsum("ij,kl->ijkl", dd, eye)
+        r = _sq_norm(p)
+        g = 4.0 * eye / _trailing(r, 2)
+        dg = np.einsum("...i,kl->...ikl", -4.0 * np.conj(p) / _trailing(_pow(r, 2), 1), eye)
+        dd = (4.0 * (2.0 * np.einsum("...i,...j->...ij", np.conj(p), p)
+                     - _trailing(r, 2) * np.eye(2)) / _trailing(_pow(r, 3), 2))
+        ddg = np.einsum("...ij,kl->...ijkl", dd, eye)
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     return MetricField(name="hopf", n=2, evaluate=evaluate, domain=domain, jet=jet)
@@ -374,22 +436,23 @@ def fubini_study(n):
                 - _pow(u, 2)[..., None, None] * np.einsum("...k,...l->...kl", np.conj(p), p))
 
     def jet(p):
-        u = 1.0 / (1.0 + float(np.sum(np.abs(p) ** 2)))
+        u = 1.0 / (1.0 + _sq_norm(p))
+        u2, u3, u4 = _pow(u, 2), _pow(u, 3), _pow(u, 4)
         pb = np.conj(p)
         eye = np.eye(n, dtype=complex)
-        g = u * eye - u ** 2 * np.einsum("k,l->kl", pb, p)
-        dg = (-u ** 2 * np.einsum("i,kl->ikl", pb, eye)
-              - u ** 2 * np.einsum("il,k->ikl", eye, pb)
-              + 2.0 * u ** 3 * np.einsum("k,l,i->ikl", pb, p, pb))
+        g = _trailing(u, 2) * eye - _trailing(u2, 2) * np.einsum("...k,...l->...kl", pb, p)
+        dg = (_trailing(-u2, 3) * np.einsum("...i,kl->...ikl", pb, eye)
+              - _trailing(u2, 3) * np.einsum("il,...k->...ikl", eye, pb)
+              + _trailing(2.0 * u3, 3) * np.einsum("...k,...l,...i->...ikl", pb, p, pb))
         # Hermitian pairs summed first keep ddg exactly Hermitian (asymmetry grows as kappa^2)
-        a = np.einsum("x,y->xy", p, pb)
-        ddg = (-u ** 2 * (np.einsum("kl,ij->ijkl", eye, eye)
-                          + np.einsum("il,jk->ijkl", eye, eye))
-               + 2.0 * u ** 3 * ((np.einsum("kl,ji->ijkl", eye, a)
-                                  + np.einsum("ij,lk->ijkl", eye, a))
-                                 + (np.einsum("il,jk->ijkl", eye, a)
-                                    + np.einsum("jk,li->ijkl", eye, a)))
-               - 6.0 * u ** 4 * np.einsum("ji,lk->ijkl", a, a))
+        a = np.einsum("...x,...y->...xy", p, pb)
+        ddg = (_trailing(-u2, 4) * (np.einsum("kl,ij->ijkl", eye, eye)
+                                    + np.einsum("il,jk->ijkl", eye, eye))
+               + _trailing(2.0 * u3, 4) * ((np.einsum("kl,...ji->...ijkl", eye, a)
+                                            + np.einsum("ij,...lk->...ijkl", eye, a))
+                                           + (np.einsum("il,...jk->...ijkl", eye, a)
+                                              + np.einsum("jk,...li->...ijkl", eye, a)))
+               - _trailing(6.0 * u4, 4) * np.einsum("...ji,...lk->...ijkl", a, a))
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     domain = _stacked(lambda p: _chart_sq_norm(p) <= MAX_ENTRY)
@@ -418,14 +481,16 @@ def tricerri():
         return (w.imag > TRICERRI_MARGIN) & (abs(z) <= CHART_BOUND) & (abs(w) <= CHART_BOUND)
 
     def jet(p):
-        y = float(imw(p))
-        g = np.diag([y, y ** -2.0]).astype(complex)
-        dg = np.zeros((2, 2, 2), dtype=complex)
+        y = imw(p)
+        g = np.zeros(np.shape(y) + (2, 2), dtype=complex)
+        g[..., 0, 0] = y
+        g[..., 1, 1] = _pow(y, -2.0)
+        dg = np.zeros(np.shape(y) + (2, 2, 2), dtype=complex)
         # d/dw Im w = -i/2
-        dg[1, 0, 0] = -0.5j
-        dg[1, 1, 1] = 1j * y ** -3.0
-        ddg = np.zeros((2, 2, 2, 2), dtype=complex)
-        ddg[1, 1, 1, 1] = 1.5 * y ** -4.0
+        dg[..., 1, 0, 0] = -0.5j
+        dg[..., 1, 1, 1] = 1j * _pow(y, -3.0)
+        ddg = np.zeros(np.shape(y) + (2, 2, 2, 2), dtype=complex)
+        ddg[..., 1, 1, 1, 1] = 1.5 * _pow(y, -4.0)
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     return MetricField(name="tricerri", n=2, evaluate=evaluate,

@@ -60,7 +60,8 @@ from .errors import NumericalError, UsageError
 from .config import DEFAULT
 from .linalg import (_hermitian_basis, _identifier, _instance, _integer, haar_from_rng,
                      rng_from)
-from .curvature import FrameConvention, paper_tricerri, require_frame, transform_frame
+from .curvature import (FRAME, ChernTensor, FrameConvention, _tricerri_values, require_frame,
+                        transform_frame)
 from .functionals import (CurvatureMatrices, FunctionalKind, evaluate, frame_form,
                           frame_matrices, matrices_from, quadratic_form_matrix,
                           rayleigh_bounds)
@@ -342,8 +343,8 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
 
 def _check_reeval(tensor, kinds, found, convention):
     """Re-evaluate the extrema found[j] of kinds[j] in one pass: one stacked
-    ``transform_frame`` of the tensor to all their frames, the stacked
-    slices, and one ``evaluate`` call per kind.  The first extremum that
+    ``transform_frame`` of the tensor to all their frames, checked as one
+    stack, its slices, and one ``evaluate`` call per kind.  The first extremum that
     drifts beyond ``Tolerances.reeval`` x max(|value|, max |R|) raises
     NumericalError; the functionals are linear in R, so the bound scales
     with the tensor and its rounding."""
@@ -412,15 +413,16 @@ def tricerri_family_extrema(im_w, kind):
     Every quadratic form of the family is linear in (|b|^2, |d|^2); its
     smallest eigenvalue is concave and its largest convex in the matrix
     (Lewis 1996), so both extrema sit at one of the four corners.  The
-    corners, |b|^2 outer and |d|^2 inner, are stacked into one
-    ``quadratic_form_matrix`` and one ``rayleigh_bounds`` call, and each
+    corners, |b|^2 outer and |d|^2 inner, are stacked into one tensor, checked
+    once, one ``quadratic_form_matrix`` and one ``rayleigh_bounds`` call, and each
     side takes the first corner that attains it.  Returns a dict with
     inf/sup values and the realizing (|b|^2, |d|^2) corners.
     """
     kind = FunctionalKind(_identifier(kind, "functional kind"))
     # at a corner |b|^2 = |b| and |d|^2 = |d|
     corners = [(b, d) for b in (0.0, 1.0) for d in (0.0, 1.0)]
-    m = matrices_from([paper_tricerri(b, d, im_w) for b, d in corners])
+    m = matrices_from(ChernTensor(np.stack([_tricerri_values(b, d, im_w) for b, d in corners]),
+                                  FRAME))
     lo, hi = rayleigh_bounds(quadratic_form_matrix(kind, m))
     inf_at, sup_at = int(np.argmin(lo)), int(np.argmax(hi))
     return {"inf": float(lo[inf_at]), "sup": float(hi[sup_at]),

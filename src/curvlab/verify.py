@@ -15,8 +15,17 @@ The cone oracles, ``copositive_2x2_vs_cone_min`` and the identities suite's
 vectors draw their samples as one block from a seeded stream, laid out in
 the order a per-sample loop would draw them, and evaluate them in one
 stacked call.  ``hopf_domain_points``, the Fubini-Study ``hsc_constant_2``
-loop and ``edm_outside_psd_cone`` (one stream per vector) draw one sample at
-a time.
+points and ``edm_outside_psd_cone`` (one stream per vector) draw one sample
+at a time, and the identities suite's random tensors one seed per tensor.
+
+The sampled points then go through the pointwise pipeline as stacks: the
+Hopf finite-difference check makes one stacked jet, Chern tensor and
+``paper_hopf`` tensor of its 20 points, the altered-HSC bounds one stacked
+Hopf tensor, ``hsc_constant_2`` one jet, frame tensor and ``hsc`` call per
+dimension drawn, the Tricerri second-derivative check one stacked order-4
+jet, and the identities suite checks its random tensors as one stack.  Each
+stacked row equals its single call bit for bit, so every reported number is
+the one a per-point loop gives.
 """
 
 import numpy as np
@@ -25,9 +34,9 @@ from .config import DEFAULT
 from .errors import UsageError
 from .linalg import _identifier, _integer, rng_from
 from .metrics import finite_difference_jet, hopf, fubini_study, tricerri, jet_at
-from .curvature import (FrameConvention, RicciKind, curvature_from_jet, kahler_constant,
-                        paper_hopf, paper_tricerri, random_tensor, ricci, scalars,
-                        skew_pair, to_frame)
+from .curvature import (FRAME, ChernTensor, FrameConvention, RicciKind, _random_values,
+                        curvature_from_jet, kahler_constant, paper_hopf, paper_tricerri,
+                        random_tensor, ricci, scalars, skew_pair, to_frame)
 from .functionals import (ConstAlteredHBC, ConstAlteredRBC, ConstHSC,
                           FunctionalKind, _moment_cubature, _rule_moments,
                           constant_identity_check, evaluate, frame_form, hsc,
@@ -39,12 +48,12 @@ from .search import invariance_test, tricerri_family_extrema
 from .reports import VerifyReport
 
 def hopf_domain_points(seed, count):
-    """count points of C^2 with 0.1 <= |z| < 3, uniform in direction."""
+    """(count, 2) points of C^2 with 0.1 <= |z| < 3, uniform in direction."""
     rng = rng_from(seed)
-    pts = []
-    for _ in range(count):
+    pts = np.empty((count, 2), dtype=complex)
+    for k in range(count):
         u = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        pts.append(u / np.linalg.norm(u) * rng.uniform(0.1, 3.0))
+        pts[k] = u / np.linalg.norm(u) * rng.uniform(0.1, 3.0)
     return pts
 
 
@@ -53,18 +62,17 @@ def hopf_fd_worst_error(seed):
     the finite-difference Chern tensor of the Hopf metric and its closed form,
     over 20 random points 0.1 < |z| < 3."""
     metric = hopf()
-    worst = 0.0
-    for z in hopf_domain_points(seed, 20):
-        # step proportional to |z| keeps truncation and cancellation error at
-        # one relative size across the shell: the worst of 20 points is about
-        # 1e-7 (6e-8 to 1.1e-7 at seeds 0-2)
-        h = 1e-4 * float(np.linalg.norm(z))
-        jet = finite_difference_jet(metric.evaluate, z, h,
-                                    scale_with_point=False, domain=metric.domain)
-        r_fd = curvature_from_jet(jet).values
-        r_ref = paper_hopf(z).values
-        worst = max(worst, float(np.abs(r_fd - r_ref).max() / np.abs(r_ref).max()))
-    return worst
+    z = hopf_domain_points(seed, 20)
+    # step proportional to |z| keeps truncation and cancellation error at
+    # one relative size across the shell: the worst of 20 points is about
+    # 1e-7 (6e-8 to 1.1e-7 at seeds 0-2)
+    h = 1e-4 * np.array([float(np.linalg.norm(q)) for q in z])
+    jet = finite_difference_jet(metric.evaluate, z, h, scale_with_point=False,
+                                domain=metric.domain)
+    r_fd = curvature_from_jet(jet).values
+    r_ref = paper_hopf(z).values
+    axes = (1, 2, 3, 4)
+    return float((np.abs(r_fd - r_ref).max(axis=axes) / np.abs(r_ref).max(axis=axes)).max())
 
 
 def hopf_altered_hsc_bounds(z):
@@ -87,7 +95,7 @@ def suite_hopf(seed=0):
             float(np.abs(m.altered - np.diag([0.0, 4.0])).max()), 0.0)
 
     points = hopf_domain_points(seed + 1, 10)
-    forms = matrices_from([paper_hopf(z) for z in points])
+    forms = matrices_from(paper_hopf(points))
     lo, hi = rayleigh_bounds(forms.rbc + forms.altered)
     flo, fhi = np.array([hopf_altered_hsc_bounds(z) for z in points]).T
     worst = float(max(np.abs(lo - flo).max(), np.abs(hi - fhi).max()))
@@ -142,15 +150,11 @@ def tricerri_second_derivative_error():
     """Worst |ddg_ww - 3/(2 Im^4)| over three chart points, fourth-order
     differences."""
     metric = tricerri()
-    worst = 0.0
-    for p in (np.array([0.2 + 0.1j, 0.3 + 1.0j]), np.array([0.0j, 1.6j]),
-              np.array([-0.4j, 0.1 + 0.8j])):
-        jet = finite_difference_jet(metric.evaluate, p, 1e-3,
-                                    order=4, scale_with_point=False,
-                                    domain=metric.domain)
-        y = float(p[1].imag)
-        worst = max(worst, abs(float(jet.ddg[1, 1, 1, 1].real) - 1.5 / y ** 4))
-    return worst
+    p = np.array([[0.2 + 0.1j, 0.3 + 1.0j], [0.0j, 1.6j], [-0.4j, 0.1 + 0.8j]])
+    jet = finite_difference_jet(metric.evaluate, p, 1e-3, order=4, scale_with_point=False,
+                                domain=metric.domain)
+    return max(abs(float(d.real) - 1.5 / float(y) ** 4)
+               for d, y in zip(jet.ddg[:, 1, 1, 1, 1], p[:, 1].imag))
 
 
 TRICERRI_IM_W = (1.0, 2.0)
@@ -170,8 +174,9 @@ def tricerri_eigen_formula_error():
     bb, dd = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
     worst = 0.0
     for im_w in TRICERRI_IM_W:
-        lo, hi = rayleigh_bounds(matrices_from([paper_tricerri(b, d, im_w)
-                                                for b, d in zip(np.sqrt(bb), np.sqrt(dd))]).rbc)
+        family = np.stack([paper_tricerri(b, d, im_w).values
+                           for b, d in zip(np.sqrt(bb), np.sqrt(dd))])
+        lo, hi = rayleigh_bounds(matrices_from(ChernTensor(family, FRAME)).rbc)
         root = np.sqrt(bb ** 2 + dd ** 2)
         pref = 3.0 / (4.0 * im_w ** 4)
         worst = max(worst, float(np.abs(lo + pref * (dd + root)).max()),
@@ -213,14 +218,17 @@ def suite_tricerri(seed=0):
 def suite_fubini_study(seed=0):
     rep = VerifyReport(suite="fubini_study")
     rng = rng_from(seed)
-    worst = 0.0
+    drawn = {}
     for _ in range(25):
         n = int(rng.integers(2, 4))
         # the point, then four directions: real and imaginary part of each
         z = rng.standard_normal((5, 2, n))
-        z = z[:, 0] + 1j * z[:, 1]
-        t = to_frame(curvature_from_jet(jet_at(fubini_study(n), 0.5 * z[0])))
-        worst = max(worst, float(np.abs(hsc(t, z[1:]) - 2.0).max()))
+        drawn.setdefault(n, []).append(z[:, 0] + 1j * z[:, 1])
+    worst = 0.0
+    for n, z in drawn.items():   # one stack per dimension; every point is in the chart
+        z = np.array(z)
+        t = to_frame(curvature_from_jet(fubini_study(n).jet(0.5 * z[:, 0])))
+        worst = max(worst, float(np.abs(hsc(t, np.swapaxes(z[:, 1:], 0, 1)) - 2.0).max()))
     rep.add("hsc_constant_2", 0.0, worst, 1e-7)
 
     t0 = to_frame(curvature_from_jet(jet_at(fubini_study(2), np.zeros(2))))
@@ -324,8 +332,10 @@ def suite_identities(seed=0):
         ok &= bool(rayleigh_bounds(c * m.rbc)[0] >= -1e-12)
     rep.add_bool("cross_sign_rbc", ok)
 
-    # 50 random tensors, one vector each, all checks stacked over the tensors
-    tensors = [random_tensor(seed + 100 + k, 3) for k in range(50)]
+    # 50 random tensors, each from its own seed, checked as one stack; one
+    # vector each, all checks stacked over the tensors
+    tensors = ChernTensor(np.stack([_random_values(seed + 100 + k, 3) for k in range(50)]),
+                          FRAME)
     m = matrices_from(tensors)
     # rows 400-449 of this stream, so that v keeps the values it had when the
     # cross-sign check drew its 400 vectors first
@@ -333,7 +343,7 @@ def suite_identities(seed=0):
     e1 = np.eye(3)[np.arange(50) % 3]
     worst_const = float(np.abs(evaluate(FunctionalKind.QOBC, m, np.ones(3))).max())
     rbc_e1 = evaluate(FunctionalKind.RBC, m, e1)
-    hsc_e1 = np.array([hsc(t, e) for t, e in zip(tensors, e1.astype(complex))])
+    hsc_e1 = hsc(tensors, e1.astype(complex))
     worst_add = float(max(
         np.abs(evaluate(FunctionalKind.ALTERED_HSC, m, v)
                - (evaluate(FunctionalKind.RBC, m, v)

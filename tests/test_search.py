@@ -11,7 +11,7 @@ from curvlab import (FunctionalKind, NumericalError, SearchConfig, UsageError,
                      random_tensor, rayleigh_bounds, skew_pair, transform_frame,
                      tricerri_family_extrema)
 from curvlab.config import MAX_DIM
-from curvlab.curvature import FrameConvention, curvature_from_jet
+from curvlab.curvature import ChernTensor, FrameConvention, curvature_from_jet
 from curvlab.functionals import (CurvatureMatrices, evaluate, frame_matrices,
                                   quadratic_form_matrix)
 from curvlab.search import INITIAL_ANGLE, SHRINK
@@ -704,7 +704,7 @@ def test_stacked_frame_change_rows_equal_single_calls(n):
         assert np.array_equal(stacked[j], single)
     for convention in ("full", "adjoint"):
         moved = transform_frame(t, u, convention)
-        assert isinstance(moved, tuple) and len(moved) == 5
+        assert isinstance(moved, ChernTensor) and moved.values.shape == (5,) + (n,) * 4
         for j in range(5):
             single = transform_frame(t, u[j], convention)
             assert np.array_equal(moved[j].values, single.values)
