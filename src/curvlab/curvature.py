@@ -129,26 +129,17 @@ class ChernTensor:
 
     def __getitem__(self, index):
         """The tensor, or stack of tensors, at index of the stack's leading
-        axes, with no second check."""
-        lead = self.values.shape[:-4]
-        if not lead:
-            raise UsageError("a single tensor has no stack to index")
-        try:
-            resid = np.asarray(self.sym_residual)[index]
-        except IndexError as exc:
-            raise UsageError(f"bad index {index!r} into a stack of shape {lead}: {exc}") from None
+        axes, sharing the stack's checked values; IndexError on one tensor."""
+        resid = np.asarray(self.sym_residual)[index]
         part = object.__new__(ChernTensor)
-        fields = {"values": self.values[index], "basis": self.basis,
-                  "metric": None if self.metric is None else self.metric[index],
-                  "sym_residual": float(resid) if resid.ndim == 0 else resid}
-        for name, value in fields.items():
+        for name, value in (("values", self.values[index]), ("basis", self.basis),
+                            ("metric", None if self.metric is None else self.metric[index]),
+                            ("sym_residual", float(resid) if resid.ndim == 0 else resid)):
             object.__setattr__(part, name, value)
         return part
 
     def __iter__(self):
         """The tensors along the stack's first axis."""
-        if self.values.ndim == 4:
-            raise UsageError("a single tensor is not a stack")
         return (self[j] for j in range(self.values.shape[0]))
 
 

@@ -24,8 +24,11 @@ Frame searches need the two matrices in many frames at once:
 ``frame_matrices`` computes them for a stack of frame changes without forming
 any frame-changed n^4 tensor, and the matrix builders broadcast over leading
 axes.  ``evaluate`` and ``hsc`` take stacks of vectors of shape (..., n),
-broadcast against stacked matrices, with every row checked nonzero; a single
-vector on single matrices still gives a float.
+broadcast against stacked matrices (``hsc`` against a stacked tensor), with
+every row checked nonzero; a single vector on single matrices still gives a
+float.  ``matrices_from`` and ``hsc`` take a stacked ``ChernTensor``, each
+row equal bit for bit to its single call; every other function here takes
+one tensor.
 
 Every check here is exact and draws no random numbers.  ``frame_form`` is
 the form on Herm(n) whose extreme eigenvalues are a functional's inf and sup

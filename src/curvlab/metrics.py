@@ -85,7 +85,7 @@ class MetricJet:
         a genuine metric.  A float for one jet, one residual per jet for a
         stack."""
         lead = range(self.g.ndim - 2)
-        r_g = np.abs(self.g - np.swapaxes(self.g.conj(), -1, -2)).max(axis=(-2, -1))
+        r_g = np.abs(self.g - self.g.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
         r_dd = np.abs(np.conj(self.ddg) - self.ddg.transpose(*lead, -3, -4, -1, -2)).max(
             axis=(-4, -3, -2, -1))
         out = np.maximum(r_g, r_dd)
@@ -131,16 +131,10 @@ def _stacked(fn):
     return fn
 
 
-def _first_bad_point(bad, lead):
-    """' at stack index i' of the first True of the flat list bad over a
-    stack of points of shape lead; '' for one point."""
-    return _first_bad(np.reshape(bad, lead))[1]
-
-
 def _leaves_domain(points, index):
     """The refusal of stencil point index of the (..., S, n) points, naming
     the index of its point in the stack."""
-    lead = index[:-1]
+    lead = tuple(int(i) for i in index[:-1])
     at = "" if not lead else f" at stack index {lead[0] if len(lead) == 1 else lead}"
     return DomainError(f"finite-difference stencil point {points[index].tolist()}{at} "
                        "leaves the domain")
@@ -188,10 +182,10 @@ def _stencil_values(evaluate, points, domain):
         values[...] = evaluate(points)
         return values
     values = []
-    for index in np.ndindex(points.shape[:-1]):
-        if domain is not None and not domain(points[index]):
-            raise _leaves_domain(points, index)
-        values.append(np.asarray(evaluate(points[index]), dtype=complex))
+    for k, q in enumerate(points.reshape(-1, n)):
+        if domain is not None and not domain(q):
+            raise _leaves_domain(points, np.unravel_index(k, points.shape[:-1]))
+        values.append(np.asarray(evaluate(q), dtype=complex))
     return np.array(values).reshape(points.shape + (n,))
 
 
@@ -209,11 +203,10 @@ def _jet_from_values(f, h):
     exactly."""
     n, lead = f.shape[-1], f.shape[:-3]
     _, i, j = _stencil(n)
-    h = _trailing(h, 3)
     dg = np.einsum("a,...iakl->...ikl", _DZ, f[..., 1:4 * n + 1, :, :].reshape(
-        lead + (n, 4, n, n))) / h
+        lead + (n, 4, n, n))) / _trailing(h, 3)
     lap = ((f[..., 1:, :, :].reshape(lead + (n * n, 4, n, n)).sum(axis=-3)
-            - 4.0 * f[..., :1, :, :]) / 4.0 / _pow(h, 2))
+            - 4.0 * f[..., :1, :, :]) / 4.0 / _trailing(_pow(h, 2), 3))
     pairs = (lap[..., n:, :, :].reshape(lead + (2, i.size, n, n))
              - lap[..., i, :, :][..., None, :, :, :] - lap[..., j, :, :][..., None, :, :, :])
     s1, si = pairs[..., 0, :, :, :], pairs[..., 1, :, :, :]
@@ -280,16 +273,16 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
                  for x, q in zip(steps, p.reshape(-1, p.shape[-1]))]
     small = [x < DEFAULT.fd_min_step for x in steps]
     if any(small):
-        raise UsageError(f"step {steps[small.index(True)]:.3e}{_first_bad_point(small, lead)} "
-                         f"is below {DEFAULT.fd_min_step:.0e}; cancellation would dominate")
+        raise UsageError(f"step {steps[small.index(True)]:.3e}"
+                         f"{_first_bad(np.reshape(small, lead))[1]} is below {DEFAULT.fd_min_step:.0e}; cancellation would dominate")
     if order not in (2, 4):
         raise UsageError(f"unsupported finite-difference order {order}")
     widest = [2.0 * x for x in steps] if order == 4 else steps
     unsquared = [not math.isfinite(x * x) for x in widest]   # ddg divides by the square
     if any(unsquared):
         raise UsageError(f"step {widest[unsquared.index(True)]:.3e}"
-                         f"{_first_bad_point(unsquared, lead)} has no finite square")
-    h, widest = (np.reshape(x, lead) for x in (steps, widest))
+                         f"{_first_bad(np.reshape(unsquared, lead))[1]} has no finite square")
+    h, widest = (np.array(x).reshape(lead) for x in (steps, widest))
     offsets = _stencil(p.shape[-1])[0]
     f = _stencil_values(evaluate, p[..., None, :] + h[..., None, None] * offsets, domain)
     jet = _jet_from_values(f, h)
@@ -359,14 +352,13 @@ def _chart_sq_norm(p, weights=1.0):
 def euclidean(n):
     n = _integer(n, "parameter 'n'", 1)
     eye = np.eye(n, dtype=complex)
-    zeros1 = np.zeros((n, n, n))
-    zeros2 = np.zeros((n, n, n, n))
 
     def jet(p):
         lead = np.shape(p)[:-1]
-        return MetricJet(g=np.broadcast_to(eye, lead + eye.shape).copy(),
-                         dg=np.zeros(lead + zeros1.shape, dtype=complex),
-                         ddg=np.zeros(lead + zeros2.shape, dtype=complex))
+        g = np.empty(lead + (n, n), dtype=complex)
+        g[...] = eye
+        return MetricJet(g=g, dg=np.zeros(lead + (n,) * 3, dtype=complex),
+                         ddg=np.zeros(lead + (n,) * 4, dtype=complex))
 
     return MetricField(name="euclidean", n=n, evaluate=_stacked(lambda p: eye.copy()),
                        domain=_stacked(lambda p: True), jet=jet)
