@@ -37,7 +37,8 @@ import numpy as np
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
 from .linalg import (_first_bad, _identifier, _instance, _integer, _number, _numeric,
-                     _square, cholesky_frame, max_modulus, rng_from, unitary_residual)
+                     _square, cholesky_frame, hermitian_tensor_residual, max_modulus, rng_from,
+                     unitary_residual)
 from .metrics import HOPF_SQ_RANGE, MetricJet, _chart_sq_norm, _pow
 
 COORDINATE = "coordinate"
@@ -63,16 +64,6 @@ class RicciKind(enum.IntEnum):
     @classmethod
     def _missing_(cls, value):
         raise UsageError(f"unknown Ricci kind {value!r}; choices: {[k.value for k in cls]}")
-
-
-def hermitian_tensor_residual(values):
-    """max |conj(R[i,j,k,l]) - R[j,i,l,k]| of a tensor, read off the last four
-    axes: a float for one tensor, an array of one residual per tensor for a
-    stack."""
-    lead = range(values.ndim - 4)
-    out = np.abs(np.conj(values) - values.transpose(*lead, -3, -4, -1, -2)).max(
-        axis=(-4, -3, -2, -1))
-    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -151,6 +151,16 @@ def max_modulus(arr, what="input", rank=None):
     return float(top) if top.ndim == 0 else top
 
 
+def hermitian_tensor_residual(values):
+    """max |conj(R[i,j,k,l]) - R[j,i,l,k]| of a tensor, read off the last four
+    axes: a float for one tensor, an array of one residual per tensor for a
+    stack."""
+    lead = range(values.ndim - 4)
+    out = np.abs(np.conj(values) - values.transpose(*lead, -3, -4, -1, -2)).max(
+        axis=(-4, -3, -2, -1))
+    return float(out) if out.ndim == 0 else out
+
+
 def unitary_residual(u):
     """Largest entry of |U^H U - I| over a matrix or a stack of matrices."""
     u = np.asarray(u)

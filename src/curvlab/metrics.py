@@ -43,7 +43,8 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import _first_bad, _identifier, _instance, _integer, _numeric, _shape, ensure_finite
+from .linalg import (_first_bad, _identifier, _instance, _integer, _numeric, _shape,
+                     ensure_finite, hermitian_tensor_residual)
 
 CHART_BOUND = 10.0      # |coordinate| bound for the Tricerri fundamental-domain chart
 HOPF_MARGIN = 0.05      # hopf domain: |z| > margin
@@ -84,11 +85,8 @@ class MetricJet:
         Hermitian condition on g, read off the last axes; zero for the jet of
         a genuine metric.  A float for one jet, one residual per jet for a
         stack."""
-        lead = range(self.g.ndim - 2)
         r_g = np.abs(self.g - self.g.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-        r_dd = np.abs(np.conj(self.ddg) - self.ddg.transpose(*lead, -3, -4, -1, -2)).max(
-            axis=(-4, -3, -2, -1))
-        out = np.maximum(r_g, r_dd)
+        out = np.maximum(r_g, hermitian_tensor_residual(self.ddg))
         return float(out) if out.ndim == 0 else out
 
 
