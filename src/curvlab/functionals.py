@@ -210,7 +210,8 @@ def hsc(tensor, w):
     w = _direction_rows(_numeric(w, "vector", complex))
     if w.shape[-1] != n:
         raise UsageError(f"vector has dimension {w.shape[-1]}, tensor has {n}")
-    _require_broadcast(r.shape[:-4], w.shape[:-1])
+    if r.ndim > 4:
+        _require_broadcast(r.shape[:-4], w.shape[:-1])
     a = (w[..., :, None] * np.conj(w)[..., None, :]).reshape(w.shape[:-1] + (n * n,))
     num = _bilinear(a, r.reshape(r.shape[:-4] + (n * n, n * n)))
     out = num.real / np.sum(np.abs(w) ** 2, axis=-1) ** 2

@@ -202,9 +202,9 @@ def _jet_from_values(f, h):
     n, lead = f.shape[-1], f.shape[:-3]
     _, i, j = _stencil(n)
     dg = np.einsum("a,...iakl->...ikl", _DZ, f[..., 1:4 * n + 1, :, :].reshape(
-        lead + (n, 4, n, n))) / _trailing(h, 3)
+        lead + (n, 4, n, n))) / h[..., None, None, None]
     lap = ((f[..., 1:, :, :].reshape(lead + (n * n, 4, n, n)).sum(axis=-3)
-            - 4.0 * f[..., :1, :, :]) / 4.0 / _trailing(_pow(h, 2), 3))
+            - 4.0 * f[..., :1, :, :]) / 4.0 / _pow(h, 2)[..., None, None, None])
     pairs = (lap[..., n:, :, :].reshape(lead + (2, i.size, n, n))
              - lap[..., i, :, :][..., None, :, :, :] - lap[..., j, :, :][..., None, :, :, :])
     s1, si = pairs[..., 0, :, :, :], pairs[..., 1, :, :, :]
@@ -272,7 +272,8 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
     small = [x < DEFAULT.fd_min_step for x in steps]
     if any(small):
         raise UsageError(f"step {steps[small.index(True)]:.3e}"
-                         f"{_first_bad(np.reshape(small, lead))[1]} is below {DEFAULT.fd_min_step:.0e}; cancellation would dominate")
+                         f"{_first_bad(np.reshape(small, lead))[1]} is below "
+                         f"{DEFAULT.fd_min_step:.0e}; cancellation would dominate")
     if order not in (2, 4):
         raise UsageError(f"unsupported finite-difference order {order}")
     widest = [2.0 * x for x in steps] if order == 4 else steps
@@ -320,12 +321,6 @@ def _pow(x, e):
     if x.ndim == 0:
         return x[()] ** e
     return np.array([v ** e for v in x.ravel().tolist()]).reshape(x.shape)
-
-
-def _trailing(x, k):
-    """x with k unit axes appended, to broadcast over a row's k trailing axes."""
-    x = np.asarray(x)
-    return x.reshape(x.shape + (1,) * k)
 
 
 def _coord(p, i):
@@ -379,11 +374,11 @@ def conformal(n, coeffs=None):
     def jet(p):
         w = np.exp((c * np.abs(p) ** 2).sum(axis=-1))
         df = c * np.conj(p)                      # d f / d z_i
-        dg = np.einsum("...i,kl->...ikl", _trailing(w, 1) * df, eye)
+        dg = np.einsum("...i,kl->...ikl", w[..., None] * df, eye)
         # d^2 f / dz_i dzbar_j = c_i delta_ij; product rule on exp(f)
         hess = np.einsum("...i,...j->...ij", df, np.conj(df)) + np.diag(c).astype(complex)
-        ddg = np.einsum("...ij,kl->...ijkl", _trailing(w, 2) * hess, eye)
-        return MetricJet(g=_trailing(w, 2) * eye, dg=dg, ddg=ddg)
+        ddg = np.einsum("...ij,kl->...ijkl", w[..., None, None] * hess, eye)
+        return MetricJet(g=w[..., None, None] * eye, dg=dg, ddg=ddg)
 
     return MetricField(name="conformal", n=n, evaluate=evaluate, domain=domain, jet=jet)
 
@@ -404,10 +399,10 @@ def hopf():
 
     def jet(p):
         r = _sq_norm(p)
-        g = 4.0 * eye / _trailing(r, 2)
-        dg = np.einsum("...i,kl->...ikl", -4.0 * np.conj(p) / _trailing(_pow(r, 2), 1), eye)
+        g = 4.0 * eye / r[..., None, None]
+        dg = np.einsum("...i,kl->...ikl", -4.0 * np.conj(p) / _pow(r, 2)[..., None], eye)
         dd = (4.0 * (2.0 * np.einsum("...i,...j->...ij", np.conj(p), p)
-                     - _trailing(r, 2) * np.eye(2)) / _trailing(_pow(r, 3), 2))
+                     - r[..., None, None] * np.eye(2)) / _pow(r, 3)[..., None, None])
         ddg = np.einsum("...ij,kl->...ijkl", dd, eye)
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
@@ -427,22 +422,25 @@ def fubini_study(n):
 
     def jet(p):
         u = 1.0 / (1.0 + _sq_norm(p))
-        u2, u3, u4 = _pow(u, 2), _pow(u, 3), _pow(u, 4)
+        u2 = _pow(u, 2)
         pb = np.conj(p)
         eye = np.eye(n, dtype=complex)
-        g = _trailing(u, 2) * eye - _trailing(u2, 2) * np.einsum("...k,...l->...kl", pb, p)
-        dg = (_trailing(-u2, 3) * np.einsum("...i,kl->...ikl", pb, eye)
-              - _trailing(u2, 3) * np.einsum("il,...k->...ikl", eye, pb)
-              + _trailing(2.0 * u3, 3) * np.einsum("...k,...l,...i->...ikl", pb, p, pb))
+        g = u[..., None, None] * eye - u2[..., None, None] * np.einsum("...k,...l->...kl", pb, p)
+        # the coefficients -u^2, 2 u^3 and 6 u^4, shaped for a row's trailing axes
+        c2, c3 = (-u2)[..., None, None, None], (2.0 * _pow(u, 3))[..., None, None, None]
+        dg = (c2 * np.einsum("...i,kl->...ikl", pb, eye)
+              - u2[..., None, None, None] * np.einsum("il,...k->...ikl", eye, pb)
+              + c3 * np.einsum("...k,...l,...i->...ikl", pb, p, pb))
         # Hermitian pairs summed first keep ddg exactly Hermitian (asymmetry grows as kappa^2)
         a = np.einsum("...x,...y->...xy", p, pb)
-        ddg = (_trailing(-u2, 4) * (np.einsum("kl,ij->ijkl", eye, eye)
-                                    + np.einsum("il,jk->ijkl", eye, eye))
-               + _trailing(2.0 * u3, 4) * ((np.einsum("kl,...ji->...ijkl", eye, a)
-                                            + np.einsum("ij,...lk->...ijkl", eye, a))
-                                           + (np.einsum("il,...jk->...ijkl", eye, a)
-                                              + np.einsum("jk,...li->...ijkl", eye, a)))
-               - _trailing(6.0 * u4, 4) * np.einsum("...ji,...lk->...ijkl", a, a))
+        ddg = (c2[..., None] * (np.einsum("kl,ij->ijkl", eye, eye)
+                                + np.einsum("il,jk->ijkl", eye, eye))
+               + c3[..., None] * ((np.einsum("kl,...ji->...ijkl", eye, a)
+                                   + np.einsum("ij,...lk->...ijkl", eye, a))
+                                  + (np.einsum("il,...jk->...ijkl", eye, a)
+                                     + np.einsum("jk,...li->...ijkl", eye, a)))
+               - (6.0 * _pow(u, 4))[..., None, None, None, None]
+               * np.einsum("...ji,...lk->...ijkl", a, a))
         return MetricJet(g=g, dg=dg, ddg=ddg)
 
     domain = _stacked(lambda p: _chart_sq_norm(p) <= MAX_ENTRY)
