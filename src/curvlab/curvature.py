@@ -103,11 +103,12 @@ class ChernTensor:
                 .shape != values.shape[:-4] + (n, n)):
             raise UsageError(f"tensor metric must be {n} x {n} for each tensor, got shape "
                              f"{np.shape(self.metric)} for tensors of shape {values.shape}")
-        scale = np.maximum(1.0, max_modulus(values, "curvature tensor", rank=4))
+        top = max_modulus(values, "curvature tensor", rank=4)
         resid = hermitian_tensor_residual(values)
-        refused = resid > DEFAULT.tensor_hermitian * scale
-        if refused.any():
-            index, at = _first_bad(refused)
+        tol = DEFAULT.tensor_hermitian   # resid above tol x max(1, max|R|), tensor by tensor
+        refused = _first_bad((resid > tol) & (resid > tol * top))
+        if refused:
+            index, at = refused
             raise DomainError(f"tensor{at} violates Hermitian symmetry: "
                               f"residual {np.asarray(resid)[index]:.3e}")
         values.flags.writeable = False
@@ -285,11 +286,12 @@ def paper_hopf(z):
         raise UsageError("the Hopf tensor lives on n = 2")
     rho = _chart_sq_norm(z)
     low, high = HOPF_SQ_RANGE
-    outside = ~((low <= rho) & (rho <= high))   # low > 0, so z = 0 is outside
-    if outside.any():
-        if (rho == 0.0).any():
-            raise DomainError(f"the Hopf tensor is singular at z = 0{_first_bad(rho == 0.0)[1]}")
-        index, at = _first_bad(outside)
+    outside = _first_bad(~((low <= rho) & (rho <= high)))   # low > 0: z = 0 is outside
+    if outside:
+        zero = _first_bad(rho == 0.0)
+        if zero:
+            raise DomainError(f"the Hopf tensor is singular at z = 0{zero[1]}")
+        index, at = outside
         raise DomainError(f"the Hopf tensor needs {low:.3g} <= |z|^2 <= {high:.3g}, where "
                           f"|z|^6 is a normal float, got z = {z[index].tolist()}{at}")
     cube = _pow(rho, 3)[..., None, None]

@@ -111,12 +111,18 @@ def rng_from(seed, *key):
 
 
 def _first_bad(bad):
-    """(index, text) of the first True of bad, a boolean array over the
-    leading axes of a stack, in row-major order: text is ' at stack index i'
-    (a tuple of indices past one axis).  A 0-d bad, one item, gives ((), '')."""
+    """None if bad, one verdict per item of a stack (0-d for one item), is
+    all False; else (index, text) of its first True in row-major order, text
+    ' at stack index i' (a tuple of indices past one axis), or ((), '') for
+    one item.  The verdicts are read as Python bools: for a few items that
+    costs less than numpy's any()."""
+    bad = np.asarray(bad)
+    flags = bad.ravel().tolist()
+    if True not in flags:
+        return None
     if bad.ndim == 0:
         return (), ""
-    index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+    index = tuple(int(i) for i in np.unravel_index(flags.index(True), bad.shape))
     return index, f" at stack index {index[0] if len(index) == 1 else index}"
 
 
@@ -144,9 +150,9 @@ def max_modulus(arr, what="input", rank=None):
     DomainError unless every entry is finite and at most ``config.MAX_ENTRY``
     in modulus, naming the first bad item of a stack."""
     top = np.abs(arr).max(axis=_items(np.asarray(arr), rank), initial=0.0)
-    fine = top <= MAX_ENTRY   # NaN compares false
-    if not fine.all():
-        raise DomainError(f"{what}{_first_bad(~fine)[1]} has an entry that is NaN, Inf or "
+    refused = _first_bad(~(top <= MAX_ENTRY))   # NaN compares false
+    if refused:
+        raise DomainError(f"{what}{refused[1]} has an entry that is NaN, Inf or "
                           f"above MAX_ENTRY = {MAX_ENTRY:.3g} in modulus")
     return float(top) if top.ndim == 0 else top
 
@@ -190,18 +196,18 @@ def cholesky_frame(g):
     h = 0.5 * (g + g.conj().swapaxes(-1, -2))
     spectrum = np.linalg.eigvalsh(h)
     lo, hi = spectrum[..., 0], spectrum[..., -1]
-    refused = ~(lo > DEFAULT.metric_conditioning * hi)
-    if refused.any():
-        index, at = _first_bad(refused)
+    refused = _first_bad(~(lo > DEFAULT.metric_conditioning * hi))
+    if refused:
+        index, at = refused
         raise DomainError(f"metric{at} is not positive definite or too ill-conditioned: "
                           f"eigenvalues min {float(lo[index]):.6e} <= "
                           f"{DEFAULT.metric_conditioning:.0e} x max {float(hi[index]):.6e}")
     e = np.linalg.inv(np.linalg.cholesky(h)).swapaxes(-1, -2)
     residual = np.abs(e.swapaxes(-1, -2) @ g @ np.conj(e)
                       - np.eye(g.shape[-1])).max(axis=(-2, -1))
-    refused = residual > DEFAULT.frame_orthonormal
-    if refused.any():
-        index, at = _first_bad(refused)
+    refused = _first_bad(residual > DEFAULT.frame_orthonormal)
+    if refused:
+        index, at = refused
         raise DomainError(f"frame orthonormality residual{at} {float(residual[index]):.3e} "
                           "too large")
     return e

@@ -255,7 +255,7 @@ def finite_difference_jet(evaluate, p, h, *, order=2, scale_with_point=True, dom
         30     901        2e-2 / 2e-4
     """
     p = _numeric(p, "point", complex)
-    p = as_point(p) if p.ndim < 2 else ensure_finite(p, "point", rank=1)
+    p = ensure_finite(p.reshape(-1) if p.ndim < 2 else p, "point", rank=1)
     lead = p.shape[:-1]
     if isinstance(h, numbers.Real):
         steps = [h] * math.prod(lead)
