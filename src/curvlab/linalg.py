@@ -4,10 +4,11 @@ unitaries, and one fixed table: an orthonormal basis of Herm(n).
 Everything here targets matrices of size n <= 8 and is backed by LAPACK via
 numpy.  Residuals, Haar draws and metric frames also work on stacks of
 matrices along leading axes, checked once per stack: a stacked check that
-refuses names the first bad item's index (``_first_bad``).  Haar sampling follows the
-QR-with-phase-fix construction (diagonal of the triangular factor made real
-positive), which gives exactly Haar measure.  All randomness in the package
-flows through PCG64 generators built by ``rng_from``.  Eigenproblems call
+refuses names the first bad item's index (``_first_bad``).  Haar sampling
+follows the QR-with-phase-fix construction (diagonal of the triangular
+factor made real positive), which gives exactly Haar measure.  All
+randomness in the package flows through PCG64 generators built by
+``rng_from``.  Eigenproblems call
 numpy's ``eigh`` directly: LAPACK's symmetric eigensolver is backward
 stable, so its result is not re-checked, and its inputs are checked where
 they enter.
@@ -110,20 +111,23 @@ def rng_from(seed, *key):
     return np.random.Generator(np.random.PCG64(seq))
 
 
+def _at(index):
+    """' at stack index i' naming a stack item (a tuple of indices past one
+    axis), '' for the () of one item."""
+    return f" at stack index {index[0] if len(index) == 1 else index}" if index else ""
+
+
 def _first_bad(bad):
     """None if bad, one verdict per item of a stack (0-d for one item), is
-    all False; else (index, text) of its first True in row-major order, text
-    ' at stack index i' (a tuple of indices past one axis), or ((), '') for
-    one item.  The verdicts are read as Python bools: for a few items that
-    costs less than numpy's any()."""
+    all False; else (index, ``_at(index)``) of its first True in row-major
+    order, index () for one item.  The verdicts are read as Python bools: for
+    a few items that costs less than numpy's any()."""
     bad = np.asarray(bad)
     flags = bad.ravel().tolist()
     if True not in flags:
         return None
-    if bad.ndim == 0:
-        return (), ""
     index = tuple(int(i) for i in np.unravel_index(flags.index(True), bad.shape))
-    return index, f" at stack index {index[0] if len(index) == 1 else index}"
+    return index, _at(index)
 
 
 def _items(arr, rank):

@@ -43,7 +43,7 @@ import numpy as np
 
 from .config import DEFAULT, MAX_DIM, MAX_ENTRY
 from .errors import DomainError, UsageError
-from .linalg import (_first_bad, _identifier, _instance, _integer, _numeric, _shape,
+from .linalg import (_at, _first_bad, _identifier, _instance, _integer, _numeric, _shape,
                      ensure_finite, hermitian_tensor_residual)
 
 CHART_BOUND = 10.0      # |coordinate| bound for the Tricerri fundamental-domain chart
@@ -132,8 +132,7 @@ def _stacked(fn):
 def _leaves_domain(points, index):
     """The refusal of stencil point index of the (..., S, n) points, naming
     the index of its point in the stack."""
-    lead = tuple(int(i) for i in index[:-1])
-    at = "" if not lead else f" at stack index {lead[0] if len(lead) == 1 else lead}"
+    at = _at(tuple(int(i) for i in index[:-1]))
     return DomainError(f"finite-difference stencil point {points[index].tolist()}{at} "
                        "leaves the domain")
 

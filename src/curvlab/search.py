@@ -344,10 +344,10 @@ def _extremize_kinds(tensor, kinds, cone=None, convention=FrameConvention.FULL,
 def _check_reeval(tensor, kinds, found, convention):
     """Re-evaluate the extrema found[j] of kinds[j] in one pass: one stacked
     ``transform_frame`` of the tensor to all their frames, checked as one
-    stack, its slices, and one ``evaluate`` call per kind.  The first extremum that
-    drifts beyond ``Tolerances.reeval`` x max(|value|, max |R|) raises
-    NumericalError; the functionals are linear in R, so the bound scales
-    with the tensor and its rounding."""
+    stack, its slices, and one ``evaluate`` call per kind.  The first
+    extremum that drifts beyond ``Tolerances.reeval`` x max(|value|, max |R|)
+    raises NumericalError; the functionals are linear in R, so the bound
+    scales with the tensor and its rounding."""
     m = matrices_from(transform_frame(tensor, np.stack([ext.frame for ext in found]), convention))
     vectors = np.stack([ext.vector for ext in found])
     again = np.empty(len(found))
@@ -413,9 +413,9 @@ def tricerri_family_extrema(im_w, kind):
     Every quadratic form of the family is linear in (|b|^2, |d|^2); its
     smallest eigenvalue is concave and its largest convex in the matrix
     (Lewis 1996), so both extrema sit at one of the four corners.  The
-    corners, |b|^2 outer and |d|^2 inner, are stacked into one tensor, checked
-    once, one ``quadratic_form_matrix`` and one ``rayleigh_bounds`` call, and each
-    side takes the first corner that attains it.  Returns a dict with
+    corners, |b|^2 outer and |d|^2 inner, are stacked into one tensor,
+    checked once, one ``quadratic_form_matrix`` and one ``rayleigh_bounds``
+    call, and each side takes the first corner that attains it.  Returns a dict with
     inf/sup values and the realizing (|b|^2, |d|^2) corners.
     """
     kind = FunctionalKind(_identifier(kind, "functional kind"))
